@@ -1,11 +1,29 @@
 """Minimal secp256k1 arithmetic: recoverable ECDSA and Diffie-Hellman.
 
 Points are affine ``(x, y)`` int pairs externally and Jacobian triples
-internally. Public keys travel as 64 raw bytes (X || Y, big-endian);
-signatures as ``(v, r, s)`` where ``v`` is 27 or 28 and encodes the parity
-of the ephemeral point so the signing key can be recovered from the
-signature alone. Nonces are derived from the key and digest (HMAC-SHA256),
-so signing is deterministic.
+``(X, Y, Z)`` internally, ``Z == 0`` being the point at infinity. Public
+keys travel as 64 raw bytes (X || Y, big-endian); signatures as
+``(v, r, s)`` where ``v`` is 27 or 28 and encodes the parity of the
+ephemeral point so the signing key can be recovered from the signature
+alone. Nonces are derived from the key and digest (HMAC-SHA256), so
+signing is deterministic.
+
+Scalar multiplication takes one of two routes, chosen by the base:
+
+* Fixed base, k*G (key generation, signing, the u1*G half of recovery):
+  a window table built once at import holds j * 16^i * G for every 4-bit
+  window i < 64 and digit 1 <= j <= 15. k*G is the sum of one table entry
+  per non-zero nibble of k: at most 64 mixed additions and no doubling.
+* Variable base, k*Q (ECDH, the u2*R half of recovery): the GLV
+  endomorphism phi(x, y) = (BETA*x, y) = LAMBDA*(x, y) splits k into
+  k1 + k2*LAMBDA with both halves below 2^129 (Gallant, Lambert and
+  Vanstone, CRYPTO 2001). An interleaved width-5 wNAF over Q and phi(Q)
+  then needs about 128 doublings instead of 256.
+
+Doubling uses the a = 0 formula dbl-2009-l. Table entries are affine, so
+every addition in a multiplication loop is a mixed Jacobian+affine one.
+Precomputed points are made affine together, with a single field
+inversion (Montgomery's batch-inversion trick).
 """
 
 from __future__ import annotations
@@ -18,29 +36,48 @@ N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
-try:  # gmpy2 roughly halves field arithmetic time; plain ints work fine too
-    from gmpy2 import mpz
-
-    P = mpz(P)
-    N = mpz(N)
-    GX = mpz(GX)
-    GY = mpz(GY)
-except ImportError:
-    pass
+# (BETA * x, y) == LAMBDA * (x, y) for every curve point (x, y)
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# short basis (A1, B1), (A2, B2) of the lattice {(a, b) : a + b*LAMBDA == 0 mod N}
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
 
 _JINF = (0, 0, 0)
 
 
 def _jac_double(pt):
     X1, Y1, Z1 = pt
-    if not Y1 or not Z1:
-        return _JINF
-    S = (4 * X1 * Y1 * Y1) % P
-    M = (3 * X1 * X1) % P
-    X3 = (M * M - 2 * S) % P
-    Y3 = (M * (S - X3) - 8 * pow(Y1, 4, P)) % P
-    Z3 = (2 * Y1 * Z1) % P
+    A = X1 * X1 % P
+    B = Y1 * Y1 % P
+    C = B * B % P
+    T = X1 + B
+    D = 2 * (T * T - A - C) % P
+    E = 3 * A
+    X3 = (E * E - 2 * D) % P
+    Y3 = (E * (D - X3) - 8 * C) % P
+    Z3 = 2 * Y1 * Z1 % P
     return (X3, Y3, Z3)
+
+
+def _jac_add_affine(pt, q):
+    """Jacobian ``pt`` plus affine ``q``; the sum is Jacobian."""
+    X1, Y1, Z1 = pt
+    if not Z1:
+        return (q[0], q[1], 1)
+    Z1Z1 = Z1 * Z1 % P
+    H = (q[0] * Z1Z1 - X1) % P
+    R = (q[1] * Z1 % P * Z1Z1 - Y1) % P
+    if not H:
+        return _jac_double(pt) if not R else _JINF
+    HH = H * H % P
+    HHH = H * HH % P
+    V = X1 * HH % P
+    X3 = (R * R - HHH - 2 * V) % P
+    Y3 = (R * (V - X3) - Y1 * HHH) % P
+    return (X3, Y3, Z1 * H % P)
 
 
 def _jac_add(a, b):
@@ -71,12 +108,6 @@ def _jac_add(a, b):
     return (X3, Y3, Z3)
 
 
-def _to_jacobian(pt):
-    if pt is None:
-        return _JINF
-    return (pt[0], pt[1], 1)
-
-
 def _to_affine(pt):
     X, Y, Z = pt
     if not Z:
@@ -86,26 +117,118 @@ def _to_affine(pt):
     return (X * zi2 % P, Y * zi2 % P * zi % P)
 
 
-def _jac_mul(k, pt):
+def _batch_to_affine(points):
+    """Affine forms of finite Jacobian points, for the price of one inversion."""
+    prefix = []
+    acc = 1
+    for pt in points:
+        prefix.append(acc)
+        acc = acc * pt[2] % P
+    inv = pow(acc, -1, P)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[i]
+        zi = inv * prefix[i] % P
+        inv = inv * Z % P
+        zi2 = zi * zi % P
+        out[i] = (X * zi2 % P, Y * zi2 % P * zi % P)
+    return out
+
+
+def _build_g_table():
+    """Row i holds j * 16^i * G at index j (1..15); index 0 is unused."""
+    rows = []
+    base = (GX, GY)
+    for _ in range(64):
+        multiples = [(base[0], base[1], 1)]
+        for _ in range(15):
+            multiples.append(_jac_add_affine(multiples[-1], base))
+        affine = _batch_to_affine(multiples)
+        rows.append([None] + affine[:15])
+        base = affine[15]
+    return rows
+
+
+_G_TABLE = _build_g_table()
+
+
+def _mul_g(k):
+    """k * G in Jacobian form, for 0 <= k < 2^256."""
     acc = _JINF
-    add = pt
+    for row in _G_TABLE:
+        if k & 15:
+            acc = _jac_add_affine(acc, row[k & 15])
+        k >>= 4
+    return acc
+
+
+def _glv_split(k):
+    """(k1, k2) with k1 + k2*LAMBDA == k (mod N) and |k1|, |k2| < 2^129."""
+    c1 = (2 * _B2 * k + N) // (2 * N)
+    c2 = (-2 * _B1 * k + N) // (2 * N)
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf(k):
+    """Width-5 non-adjacent form of k >= 0, least significant digit first."""
+    digits = []
     while k:
         if k & 1:
-            acc = _jac_add(acc, add)
-        add = _jac_double(add)
+            d = k & 31
+            if d >= 16:
+                d -= 32
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
         k >>= 1
+    return digits
+
+
+def _signed_odd_multiples(pt):
+    """Affine j*pt at index j for odd j in [-15, 15]; a negative j is read
+    from index 32 + j, which Python's negative indexing does by itself."""
+    jac = (pt[0], pt[1], 1)
+    twice = _jac_double(jac)
+    odd = [jac]
+    for _ in range(7):
+        odd.append(_jac_add(odd[-1], twice))
+    table = [None] * 32
+    for j, (x, y) in zip(range(1, 16, 2), _batch_to_affine(odd)):
+        table[j] = (x, y)
+        table[-j] = (x, P - y)
+    return table
+
+
+def _mul_var(k, pt):
+    """k * pt in Jacobian form, for 0 <= k <= N and a finite curve point pt."""
+    k1, k2 = _glv_split(k)
+    t1 = _signed_odd_multiples(pt)
+    # phi(j*pt) = (BETA*x, y). A negative half is folded into its table:
+    # reversing indices 1..31 swaps the entries for j and -j.
+    t2 = [None if q is None else (BETA * q[0] % P, q[1]) for q in t1]
+    if k1 < 0:
+        k1, t1 = -k1, t1[:1] + t1[:0:-1]
+    if k2 < 0:
+        k2, t2 = -k2, t2[:1] + t2[:0:-1]
+    n1, n2 = _wnaf(k1), _wnaf(k2)
+    width = max(len(n1), len(n2))
+    n1 += [0] * (width - len(n1))
+    n2 += [0] * (width - len(n2))
+    acc = _JINF
+    for i in range(width - 1, -1, -1):
+        acc = _jac_double(acc)
+        if n1[i]:
+            acc = _jac_add_affine(acc, t1[n1[i]])
+        if n2[i]:
+            acc = _jac_add_affine(acc, t2[n2[i]])
     return acc
 
 
 def scalar_mult(k: int, point=None):
     """k * point in affine coordinates (generator when point is None)."""
-    base = (GX, GY) if point is None else point
-    return _to_affine(_jac_mul(k % N or N, _to_jacobian(base)))
-
-
-def _dual_mult(u1: int, u2: int, point):
-    a = _jac_add(_jac_mul(u1, _to_jacobian((GX, GY))), _jac_mul(u2, _to_jacobian(point)))
-    return _to_affine(a)
+    k = k % N or N
+    return _to_affine(_mul_g(k) if point is None else _mul_var(k, point))
 
 
 def on_curve(pt) -> bool:
@@ -180,8 +303,10 @@ def recover_public_key(digest: bytes, v: int, r: bytes, s: bytes) -> bytes | Non
     ep = (x, y)
     z = int.from_bytes(digest, "big")
     rinv = pow(ri, -1, N)
-    # Q = r^-1 (s*R - z*G)
-    q = _dual_mult((-z * rinv) % N, (si * rinv) % N, ep)
+    # Q = r^-1 (s*R - z*G) = u1*G + u2*R
+    u1 = (-z * rinv) % N
+    u2 = (si * rinv) % N
+    q = _to_affine(_jac_add(_mul_g(u1), _mul_var(u2, ep)))
     if q is None or not on_curve(q):
         return None
     return point_to_bytes(q)

@@ -1,0 +1,178 @@
+"""Curve arithmetic: known answers, and differential tests against OpenSSL.
+
+OpenSSL's secp256k1 (through ``cryptography``) serves as the reference for
+key derivation, ECDH and signature verification. It cannot recover keys,
+so recovery is checked by round trip.
+"""
+
+import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import Prehashed, encode_dss_signature
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tendersim import crypto
+from tendersim import secp256k1 as curve
+from tendersim.errors import DecryptionFailed
+
+G = (curve.GX, curve.GY)
+G2 = (0xC6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5,
+      0x1AE168FEA63DC339A3C58419466CEAEEF7F632653266D0E1236431A950CFE52A)
+
+scalars = st.integers(min_value=1, max_value=curve.N - 1)
+digests = st.binary(min_size=32, max_size=32)
+fast = settings(max_examples=40, deadline=None)
+
+
+def _openssl_public(raw: bytes) -> ec.EllipticCurvePublicKey:
+    return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256K1(), b"\x04" + raw)
+
+
+def _openssl_private(k: int) -> ec.EllipticCurvePrivateKey:
+    return ec.derive_private_key(k, ec.SECP256K1())
+
+
+# --- known answers -----------------------------------------------------------------
+
+
+def test_known_multiples_of_g():
+    assert curve.scalar_mult(1) == G
+    assert curve.scalar_mult(2) == G2
+    assert curve.scalar_mult(curve.N - 1) == (curve.GX, curve.P - curve.GY)
+    assert curve.scalar_mult(curve.N + 2) == G2
+
+
+def test_known_multiples_of_variable_base():
+    assert curve.scalar_mult(1, G) == G
+    assert curve.scalar_mult(2, G) == G2
+    assert curve.scalar_mult(curve.N - 1, G) == (curve.GX, curve.P - curve.GY)
+
+
+@pytest.mark.parametrize("k", [0, curve.N, 2 * curve.N])
+def test_scalar_zero_mod_n_gives_infinity(k):
+    assert curve.scalar_mult(k) is None
+    assert curve.scalar_mult(k, G2) is None
+
+
+@pytest.mark.parametrize("k", [15 * 16**63, 16**63, 2**255 + 1, curve.N - 16])
+def test_edge_scalars_agree_on_both_routes(k):
+    assert curve.scalar_mult(k) == curve.scalar_mult(k, G)
+
+
+# --- differential against OpenSSL ------------------------------------------------------
+
+
+@fast
+@given(scalars)
+def test_public_key_matches_openssl(k):
+    numbers = _openssl_private(k).public_key().public_numbers()
+    assert curve.public_key_bytes(k) == curve.point_to_bytes((numbers.x, numbers.y))
+
+
+@fast
+@given(scalars, scalars)
+def test_ecdh_matches_openssl(ours, theirs):
+    peer = _openssl_private(theirs)
+    peer_raw = curve.public_key_bytes(theirs)
+    expected = _openssl_private(ours).exchange(ec.ECDH(), peer.public_key())
+    assert curve.ecdh_shared_secret(ours, peer_raw) == expected
+
+
+@fast
+@given(scalars, digests)
+def test_openssl_verifies_signatures(k, digest):
+    v, r, s = curve.sign_digest(k, digest)
+    der = encode_dss_signature(int.from_bytes(r, "big"), int.from_bytes(s, "big"))
+    public = _openssl_public(curve.public_key_bytes(k))
+    public.verify(der, digest, ec.ECDSA(Prehashed(hashes.SHA256())))
+
+
+@fast
+@given(scalars, scalars)
+def test_fixed_and_variable_base_agree(a, b):
+    assert curve.scalar_mult(a, curve.scalar_mult(b)) == curve.scalar_mult(a * b)
+
+
+# --- recovery ----------------------------------------------------------------------
+
+
+@fast
+@given(scalars, digests)
+def test_recovery_round_trip_and_flipped_v(k, digest):
+    public = curve.public_key_bytes(k)
+    v, r, s = curve.sign_digest(k, digest)
+    assert curve.recover_public_key(digest, v, r, s) == public
+    assert curve.verify_digest(public, digest, v, r, s)
+    flipped = curve.recover_public_key(digest, 55 - v, r, s)
+    assert flipped is not None and flipped != public
+
+
+def test_recovery_with_zero_digest():
+    # z = 0 makes the u1*G half of recovery the point at infinity
+    digest = bytes(32)
+    v, r, s = curve.sign_digest(12345, digest)
+    assert curve.recover_public_key(digest, v, r, s) == curve.public_key_bytes(12345)
+
+
+def _crafted_signature(k: int, s: int, z: int):
+    """(digest, v, r, s) whose ephemeral point R is k*G."""
+    rx, ry = curve.scalar_mult(k)
+    assert rx < curve.N
+    return z.to_bytes(32, "big"), 27 + (ry & 1), rx.to_bytes(32, "big"), s.to_bytes(32, "big")
+
+
+def test_recovery_halves_cancel_to_infinity():
+    # z = s*k makes s*R == z*G, so the recovered key would be the point at infinity
+    k, s = 0x1234567, 0xABCDEF
+    assert curve.recover_public_key(*_crafted_signature(k, s, s * k % curve.N)) is None
+
+
+def test_recovery_halves_equal():
+    # z = -s*k makes u1*G == u2*R, so the sum of the halves is a doubling
+    k, s = 0x7654321, 0xFEDCBA
+    digest, v, r, s_raw = _crafted_signature(k, s, -s * k % curve.N)
+    rinv = pow(int.from_bytes(r, "big"), -1, curve.N)
+    expected = curve.public_key_bytes(2 * s * k * rinv)
+    assert curve.recover_public_key(digest, v, r, s_raw) == expected
+
+
+def test_r_without_curve_point_returns_none():
+    x = next(x for x in range(1, 100)
+             if pow(x**3 + 7, (curve.P - 1) // 2, curve.P) != 1)
+    digest = bytes(range(32))
+    v, _, s = curve.sign_digest(777, digest)
+    assert curve.recover_public_key(digest, v, x.to_bytes(32, "big"), s) is None
+
+
+# --- ECDH with a degenerate scalar ----------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [0, curve.N])
+def test_ecdh_zero_scalar_raises(k):
+    peer = curve.public_key_bytes(99)
+    with pytest.raises(ValueError):
+        curve.ecdh_shared_secret(k, peer)
+
+
+def test_unseal_with_zero_scalar_is_decryption_failure():
+    to_keys = crypto.generate_keypair()
+    sealed = crypto.seal_bid_key(bytes(32), to_keys.public_key).combined()
+    with pytest.raises(DecryptionFailed):
+        crypto.unseal_bid_key(sealed, curve.N.to_bytes(32, "big"))
+
+
+# --- GLV decomposition -----------------------------------------------------------------
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=0, max_value=curve.N))
+def test_glv_split_is_short_and_exact(k):
+    k1, k2 = curve._glv_split(k)
+    assert (k1 + k2 * curve.LAMBDA - k) % curve.N == 0
+    assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+
+def test_endomorphism_constants():
+    assert pow(curve.BETA, 3, curve.P) == 1 and pow(curve.LAMBDA, 3, curve.N) == 1
+    assert curve.scalar_mult(curve.LAMBDA) == (curve.BETA * curve.GX % curve.P, curve.GY)
