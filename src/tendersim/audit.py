@@ -18,6 +18,7 @@ observed on this chain).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from . import contracts, crypto
@@ -30,7 +31,7 @@ from .chain import (
     meter_gas,
 )
 from .encoding import canonical_json_bytes, from_hex, load_json_bytes, to_hex
-from .errors import AuthFailed, MalformedCertificate, ResultsNotPublished
+from .errors import AuthFailed, MalformedCertificate, MalformedExport, ResultsNotPublished
 from .orchestrator import STATUS_SCORED, BidDocument, TenderSpec, pick_winner
 
 PASS = "PASS"
@@ -92,6 +93,28 @@ def _as_export(source) -> dict:
     if isinstance(source, Chain):
         return source.export()
     return source
+
+
+# top-level keys of a chain export and the JSON type each must have
+_EXPORT_SHAPE = {"blocks": list, "contracts": dict, "config": dict, "gas_schedule": dict}
+
+
+def parse_export(raw: bytes) -> dict:
+    """A chain export from its UTF-8 JSON bytes.
+
+    Raises MalformedExport when the bytes are not JSON, or when the top level
+    is not an object whose keys in ``_EXPORT_SHAPE`` have the listed types.
+    """
+    try:
+        export = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedExport(f"chain export is not a JSON document: {exc}")
+    if not isinstance(export, dict):
+        raise MalformedExport("chain export is not a JSON object")
+    for key, kind in _EXPORT_SHAPE.items():
+        if not isinstance(export.get(key), kind):
+            raise MalformedExport(f"chain export field '{key}' is missing or not a {kind.__name__}")
+    return export
 
 
 def _as_hex_address(address) -> str:

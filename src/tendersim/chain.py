@@ -225,9 +225,6 @@ class Chain:
         self._accounts.add(address)
         return address
 
-    def is_registered(self, address: bytes) -> bool:
-        return address in self._accounts
-
     # --- transaction intake ---------------------------------------------------
 
     def submit_transaction(self, sender: bytes, target: bytes | None, payload: bytes,
@@ -246,10 +243,6 @@ class Chain:
     def peek_contract_address(self, sender: bytes, offset: int = 0) -> bytes:
         """Address the (current + offset)-th next transaction from sender would create."""
         return contract_address(sender, self._nonces.get(sender, 0) + offset)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
 
     # --- mining ---------------------------------------------------------------
 
@@ -338,9 +331,6 @@ class Chain:
     def read_state(self, address: bytes) -> dict:
         """Zero-gas snapshot of one contract's current state."""
         return self.get_contract(address).snapshot()
-
-    def contract_addresses(self) -> list[bytes]:
-        return list(self._contracts)
 
     def get_transaction(self, tx_id: str | bytes) -> Transaction:
         key = bytes.fromhex(tx_id[2:]) if isinstance(tx_id, str) else tx_id

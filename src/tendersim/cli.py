@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -29,8 +28,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    export = json.loads(Path(args.chain_export).read_text(encoding="utf-8"))
-    tenders = [addr for addr, snap in export.get("contracts", {}).items()
+    export = audit.parse_export(Path(args.chain_export).read_bytes())
+    tenders = [addr for addr, snap in export["contracts"].items()
                if isinstance(snap, dict) and snap.get("kind") == "request_for_tender"]
     if args.tender:
         tenders = [args.tender]

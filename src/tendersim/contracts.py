@@ -20,7 +20,6 @@ on valid bids, so junk placed under someone else's id cannot lock them out.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from . import crypto
@@ -472,9 +471,3 @@ def acknowledge_bid(chain: Chain, auctioneer_private_key: bytes, bid_address: by
 
 def verify_acknowledgement(public_key: bytes, bid_address: bytes, receipt: Receipt) -> bool:
     return crypto.verify_receipt(public_key, bid_address, receipt.v, receipt.r, receipt.s)
-
-
-def tender_state_fingerprint(chain: Chain, rft_addr: bytes) -> bytes:
-    """Digest over the tender's disclosed state; used by immutability tests."""
-    rft = chain.get_contract(rft_addr)
-    return hashlib.sha256(canonical_json_bytes(rft.snapshot())).digest()

@@ -164,7 +164,10 @@ def _seal_key_material(shared_x: bytes) -> bytes:
     return hkdf.derive(shared_x)
 
 
-def seal_bid_key(bid_key: bytes, to_public_key: bytes, rng: Random | None = None) -> SealedBidKey:
+def seal_bid_key(bid_key: bytes, to_public_key: bytes | curve.FixedBase,
+                 rng: Random | None = None) -> SealedBidKey:
+    """Seal ``bid_key`` to a 64-byte public key, or to its prepared table
+    (``secp256k1.prepare_public_key``); both give the same bytes."""
     eph = generate_keypair(rng)
     shared = curve.ecdh_shared_secret(eph.private_scalar, to_public_key)
     nonce = _rand_bytes(rng, _NONCE_LEN)

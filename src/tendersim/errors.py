@@ -92,6 +92,10 @@ class ResultsNotPublished(TenderSimError):
     code = "RESULTS_NOT_PUBLISHED"
 
 
+class MalformedExport(TenderSimError):
+    code = "MALFORMED_EXPORT"
+
+
 class IncomparableScenarios(TenderSimError):
     code = "INCOMPARABLE_SCENARIOS"
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from . import contracts, crypto
+from . import secp256k1 as curve
 from .chain import Chain
 from .encoding import canonical_json_bytes, from_hex, load_json_bytes, to_hex
 from .errors import (
@@ -244,6 +245,8 @@ class TenderOrchestrator:
         self.rft_address: bytes | None = None
         self.tender_data_address: bytes | None = None
         self.spec: TenderSpec | None = None
+        # the organisation key every bid of the tender is sealed to, prepared once
+        self.sealing_key: curve.FixedBase | None = None
         self.result: TenderResult | None = None
 
     # -- lifecycle --
@@ -268,6 +271,7 @@ class TenderOrchestrator:
         self.rft_address = rft_tx.created_address
         self.tender_data_address = data_addr
         self.spec = spec
+        self.sealing_key = curve.prepare_public_key(self.to.keys.public_key)
         return self.rft_address, data_addr
 
     def register_bidder(self, bidder_id: str) -> Bidder:
@@ -297,7 +301,7 @@ class TenderOrchestrator:
 
         bid_key = crypto.new_bid_key(self.rng)
         ciphertext = crypto.encrypt_bid(document.to_bytes(), bid_key, self.rng)
-        sealed = crypto.seal_bid_key(bid_key, self.to.keys.public_key, self.rng)
+        sealed = crypto.seal_bid_key(bid_key, self.sealing_key, self.rng)
 
         data_addr = self.chain.peek_contract_address(bidder.address, 0)
         self.chain.submit_transaction(

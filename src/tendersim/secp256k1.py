@@ -10,20 +10,30 @@ signing is deterministic.
 
 Scalar multiplication takes one of two routes, chosen by the base:
 
-* Fixed base, k*G (key generation, signing, the u1*G half of recovery):
-  a window table built once at import holds j * 16^i * G for every 4-bit
-  window i < 64 and digit 1 <= j <= 15. k*G is the sum of one table entry
-  per non-zero nibble of k: at most 64 mixed additions and no doubling.
-* Variable base, k*Q (ECDH, the u2*R half of recovery): the GLV
+* Fixed base, for a point known in advance: a FixedBase table. The GLV
   endomorphism phi(x, y) = (BETA*x, y) = LAMBDA*(x, y) splits k into
   k1 + k2*LAMBDA with both halves below 2^129 (Gallant, Lambert and
-  Vanstone, CRYPTO 2001). An interleaved width-5 wNAF over Q and phi(Q)
-  then needs about 128 doublings instead of 256.
+  Vanstone, CRYPTO 2001). With w-bit digits, row i of the table holds
+  j * 2^(w*i) * point for 1 <= j < 2^w, over ceil(129 / w) rows
+  (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92). k*point then
+  adds one entry per non-zero digit of each half, reading phi(entry) as
+  (BETA*x, y) for k2 and negating y for a negative half: no doubling.
+  - G (key generation, signing, the u1*G half of recovery): w = 7, 19
+    rows of 127 points, built at import in about 15 ms; k*G is at most
+    38 mixed additions.
+  - A public key that many ECDH calls share, such as the organisation
+    key every bid of a tender is sealed to: ``prepare_public_key`` builds
+    a w = 4 table, 33 rows of 15 points, in about 4 ms; each ECDH against
+    it is at most 66 mixed additions.
+* Variable base, k*Q (ECDH against a raw public key, the u2*R half of
+  recovery): the same GLV split, then an interleaved width-5 wNAF over Q
+  and phi(Q) needs about 128 doublings instead of 256.
 
 Doubling uses the a = 0 formula dbl-2009-l. Table entries are affine, so
 every addition in a multiplication loop is a mixed Jacobian+affine one.
 Precomputed points are made affine together, with a single field
-inversion (Montgomery's batch-inversion trick).
+inversion (Montgomery's batch-inversion trick); a table's rows grow in
+lockstep so that each step's affine additions share one inversion too.
 """
 
 from __future__ import annotations
@@ -117,49 +127,66 @@ def _to_affine(pt):
     return (X * zi2 % P, Y * zi2 % P * zi % P)
 
 
-def _batch_to_affine(points):
-    """Affine forms of finite Jacobian points, for the price of one inversion."""
+def _batch_inverse(values):
+    """Inverses mod P of non-zero field elements, for the price of one inversion."""
     prefix = []
     acc = 1
-    for pt in points:
+    for v in values:
         prefix.append(acc)
-        acc = acc * pt[2] % P
+        acc = acc * v % P
     inv = pow(acc, -1, P)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        X, Y, Z = points[i]
-        zi = inv * prefix[i] % P
-        inv = inv * Z % P
-        zi2 = zi * zi % P
-        out[i] = (X * zi2 % P, Y * zi2 % P * zi % P)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % P
+        inv = inv * values[i] % P
     return out
 
 
-def _build_g_table():
-    """Row i holds j * 16^i * G at index j (1..15); index 0 is unused."""
-    rows = []
-    base = (GX, GY)
-    for _ in range(64):
-        multiples = [(base[0], base[1], 1)]
-        for _ in range(15):
-            multiples.append(_jac_add_affine(multiples[-1], base))
-        affine = _batch_to_affine(multiples)
-        rows.append([None] + affine[:15])
-        base = affine[15]
-    return rows
+def _batch_to_affine(points):
+    """Affine forms of finite Jacobian points, for the price of one inversion."""
+    out = []
+    for (X, Y, _), zi in zip(points, _batch_inverse([pt[2] for pt in points])):
+        zi2 = zi * zi % P
+        out.append((X * zi2 % P, Y * zi2 % P * zi % P))
+    return out
 
 
-_G_TABLE = _build_g_table()
+class FixedBase:
+    """Precomputed multiples of one curve point, for many multiplications by it.
+
+    Row i holds j * 2^(w*i) * point at index j, for 1 <= j < 2^w (index 0
+    is unused). ceil(129 / w) rows cover either half of a GLV-split scalar.
+    """
+
+    __slots__ = ("width", "rows")
+
+    def __init__(self, width, rows):
+        self.width = width
+        self.rows = rows
 
 
-def _mul_g(k):
-    """k * G in Jacobian form, for 0 <= k < 2^256."""
-    acc = _JINF
-    for row in _G_TABLE:
-        if k & 15:
-            acc = _jac_add_affine(acc, row[k & 15])
-        k >>= 4
-    return acc
+def _build_table(point, w):
+    """The FixedBase table of an affine point with w-bit digits."""
+    count = -(-129 // w)
+    jac = [(point[0], point[1], 1)]
+    for _ in range(count - 1):
+        base = jac[-1]
+        for _ in range(w):
+            base = _jac_double(base)
+        jac.append(base)
+    affine = _batch_to_affine(jac + [_jac_double(b) for b in jac])
+    bases = affine[:count]
+    rows = [[None, b, d] for b, d in zip(bases, affine[count:])]
+    # Every row grows by its own base in lockstep, so the affine additions
+    # of one step share a single inversion.
+    for _ in range(3, 1 << w):
+        invs = _batch_inverse([row[-1][0] - b[0] for row, b in zip(rows, bases)])
+        for row, (bx, by), inv in zip(rows, bases, invs):
+            qx, qy = row[-1]
+            s = (qy - by) * inv % P
+            x = (s * s - qx - bx) % P
+            row.append((x, (s * (bx - x) - by) % P))
+    return FixedBase(w, rows)
 
 
 def _glv_split(k):
@@ -167,6 +194,31 @@ def _glv_split(k):
     c1 = (2 * _B2 * k + N) // (2 * N)
     c2 = (-2 * _B1 * k + N) // (2 * N)
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _mul_table(table, k):
+    """k * point in Jacobian form, for 0 <= k <= N and the FixedBase of point.
+
+    One table entry is added per non-zero w-bit digit of each GLV half. The
+    k2 half reads phi(entry) = (BETA*x, y); a negative half negates y.
+    """
+    w, mask = table.width, (1 << table.width) - 1
+    acc = _JINF
+    for half, phi in zip(_glv_split(k), (False, True)):
+        flip = half < 0
+        half = abs(half)
+        for row in table.rows:
+            if not half:
+                break
+            if half & mask:
+                x, y = row[half & mask]
+                if phi:
+                    x = BETA * x % P
+                if flip:
+                    y = P - y
+                acc = _jac_add_affine(acc, (x, y))
+            half >>= w
+    return acc
 
 
 def _wnaf(k):
@@ -225,10 +277,18 @@ def _mul_var(k, pt):
     return acc
 
 
+_G_TABLE = _build_table((GX, GY), 7)
+
+
+def prepare_public_key(public_key: bytes) -> FixedBase:
+    """A FixedBase table of a 64-byte public key that many ECDH calls will use."""
+    return _build_table(point_from_bytes(public_key), 4)
+
+
 def scalar_mult(k: int, point=None):
     """k * point in affine coordinates (generator when point is None)."""
     k = k % N or N
-    return _to_affine(_mul_g(k) if point is None else _mul_var(k, point))
+    return _to_affine(_mul_table(_G_TABLE, k) if point is None else _mul_var(k, point))
 
 
 def on_curve(pt) -> bool:
@@ -306,7 +366,7 @@ def recover_public_key(digest: bytes, v: int, r: bytes, s: bytes) -> bytes | Non
     # Q = r^-1 (s*R - z*G) = u1*G + u2*R
     u1 = (-z * rinv) % N
     u2 = (si * rinv) % N
-    q = _to_affine(_jac_add(_mul_g(u1), _mul_var(u2, ep)))
+    q = _to_affine(_jac_add(_mul_table(_G_TABLE, u1), _mul_var(u2, ep)))
     if q is None or not on_curve(q):
         return None
     return point_to_bytes(q)
@@ -317,9 +377,17 @@ def verify_digest(public_key: bytes, digest: bytes, v: int, r: bytes, s: bytes) 
     return recovered is not None and recovered == public_key
 
 
-def ecdh_shared_secret(private_scalar: int, peer_public: bytes) -> bytes:
-    """x-coordinate of the shared point, 32 bytes."""
-    pt = scalar_mult(private_scalar, point_from_bytes(peer_public))
+def ecdh_shared_secret(private_scalar: int, peer_public: bytes | FixedBase) -> bytes:
+    """x-coordinate of the shared point, 32 bytes.
+
+    ``peer_public`` is a 64-byte public key, or the table that
+    ``prepare_public_key`` made of one.
+    """
+    k = private_scalar % N or N
+    if isinstance(peer_public, FixedBase):
+        pt = _to_affine(_mul_table(peer_public, k))
+    else:
+        pt = _to_affine(_mul_var(k, point_from_bytes(peer_public)))
     if pt is None:
         raise ValueError("degenerate shared point")
     return int(pt[0]).to_bytes(32, "big")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tendersim import crypto
+from tendersim import secp256k1 as curve
 from tendersim.errors import AuthFailed, DecryptionFailed, MalformedCertificate
 
 from conftest import account
@@ -90,6 +91,15 @@ def test_seal_unseal_round_trip(to_keys, rng):
     assert sealed.total_len == len(sealed.half_a) + len(sealed.half_b)
     assert len(sealed.half_a) == (sealed.total_len + 1) // 2
     assert crypto.unseal_bid_key(sealed.combined(), to_keys.private_key) == key
+
+
+def test_sealing_to_prepared_key_gives_the_same_bytes(to_keys):
+    key = bytes(range(32))
+    prepared = curve.prepare_public_key(to_keys.public_key)
+    raw = crypto.seal_bid_key(key, to_keys.public_key, Random(5))
+    table = crypto.seal_bid_key(key, prepared, Random(5))
+    assert table == raw
+    assert crypto.unseal_bid_key(table.combined(), to_keys.private_key) == key
 
 
 def test_unseal_with_one_half_fails(to_keys, rng):

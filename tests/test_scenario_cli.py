@@ -168,6 +168,21 @@ def test_audit_command_flags_tampered_export(tmp_path, capsys):
     assert printed.startswith("AUDIT FAIL")
 
 
+@pytest.mark.parametrize("content", [
+    b'{"blocks": [',  # truncated JSON
+    b'{"contracts": {}, "config": {}, "gas_schedule": {}}',  # no blocks
+    b'[]',
+    b'\xff\xfe',
+    b'[' * 100_000,  # nested deeper than the decoder recurses
+])
+def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
+    path = tmp_path / "chain.json"
+    path.write_bytes(content)
+    code = main(["audit", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error[MALFORMED_EXPORT]")
+
+
 # --- determinism ---------------------------------------------------------------------------
 
 

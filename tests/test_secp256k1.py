@@ -55,7 +55,26 @@ def test_scalar_zero_mod_n_gives_infinity(k):
     assert curve.scalar_mult(k, G2) is None
 
 
-@pytest.mark.parametrize("k", [15 * 16**63, 16**63, 2**255 + 1, curve.N - 16])
+def _from_halves(k1, k2):
+    """The scalar whose GLV split is meant to be (k1, k2)."""
+    return (k1 + k2 * curve.LAMBDA) % curve.N
+
+
+ONES = 2**126 - 1  # 18 digits of 127 at w = 7; 31 digits of 15 and a 3 at w = 4
+# GLV halves at the table edges: negative, zero, all-ones digits, the largest
+# digit of the second-to-last row at w = 7, and the first digit of its last row
+EDGE_HALVES = [(-5, -7), (0, 3), (12345, 0), (ONES, ONES), (-ONES, ONES), (ONES, -ONES),
+               (127 * 2**119, -(2**126)), (-(2**126), 7 * 2**119)]
+EDGE_SCALARS = [1, 2, curve.LAMBDA, curve.N - 1, 2**128, 2**129 - 1, 2**255 + 1,
+                curve.N - 16] + [_from_halves(*h) for h in EDGE_HALVES]
+
+
+@pytest.mark.parametrize("halves", EDGE_HALVES)
+def test_edge_halves_are_what_the_split_gives(halves):
+    assert curve._glv_split(_from_halves(*halves)) == halves
+
+
+@pytest.mark.parametrize("k", EDGE_SCALARS)
 def test_edge_scalars_agree_on_both_routes(k):
     assert curve.scalar_mult(k) == curve.scalar_mult(k, G)
 
@@ -151,8 +170,9 @@ def test_r_without_curve_point_returns_none():
 @pytest.mark.parametrize("k", [0, curve.N])
 def test_ecdh_zero_scalar_raises(k):
     peer = curve.public_key_bytes(99)
-    with pytest.raises(ValueError):
-        curve.ecdh_shared_secret(k, peer)
+    for base in (peer, curve.prepare_public_key(peer)):
+        with pytest.raises(ValueError):
+            curve.ecdh_shared_secret(k, base)
 
 
 def test_unseal_with_zero_scalar_is_decryption_failure():
@@ -160,6 +180,76 @@ def test_unseal_with_zero_scalar_is_decryption_failure():
     sealed = crypto.seal_bid_key(bytes(32), to_keys.public_key).combined()
     with pytest.raises(DecryptionFailed):
         crypto.unseal_bid_key(sealed, curve.N.to_bytes(32, "big"))
+
+
+# --- fixed-base tables ---------------------------------------------------------------
+
+PEER = 0xC0FFEE
+
+
+@pytest.fixture(scope="module")
+def peer_table():
+    return curve.prepare_public_key(curve.public_key_bytes(PEER))
+
+
+def _affine_add(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2:
+        if (y1 + y2) % curve.P == 0:
+            return None
+        slope = 3 * x1 * x1 * pow(2 * y1, -1, curve.P)
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, curve.P)
+    x3 = (slope * slope - x1 - x2) % curve.P
+    return x3, (slope * (x1 - x3) - y1) % curve.P
+
+
+def _double_and_add(k, pt):
+    """k * pt by plain affine double-and-add, most significant bit first."""
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = _affine_add(acc, acc)
+        if bit == "1":
+            acc = _affine_add(acc, pt)
+    return acc
+
+
+@pytest.mark.parametrize("base, width, rows", [("G", 7, 19), ("peer", 4, 33)])
+def test_sampled_table_rows_match_double_and_add(base, width, rows, peer_table):
+    point = G if base == "G" else curve.scalar_mult(PEER)
+    table = curve._G_TABLE if base == "G" else peer_table
+    assert (table.width, len(table.rows)) == (width, rows)
+    assert all(len(row) == 2**width for row in table.rows)
+    for i in (0, 1, rows // 2, rows - 1):
+        for j in (1, 2, 3, 2**width - 1):
+            assert table.rows[i][j] == _double_and_add(j << (width * i), point), (i, j)
+
+
+@pytest.mark.parametrize("k", EDGE_SCALARS)
+def test_table_routes_match_variable_base_and_openssl(k, peer_table):
+    numbers = _openssl_private(k).public_key().public_numbers()
+    assert curve.scalar_mult(k) == (numbers.x, numbers.y)
+    peer_raw = curve.public_key_bytes(PEER)
+    expected = _openssl_private(k).exchange(ec.ECDH(), _openssl_public(peer_raw))
+    assert curve.ecdh_shared_secret(k, peer_table) == expected
+    assert curve.ecdh_shared_secret(k, peer_raw) == expected
+
+
+@fast
+@given(scalars, scalars)
+def test_prepared_ecdh_matches_openssl(ours, theirs):
+    table = curve.prepare_public_key(curve.public_key_bytes(theirs))
+    expected = _openssl_private(ours).exchange(ec.ECDH(), _openssl_private(theirs).public_key())
+    assert curve.ecdh_shared_secret(ours, table) == expected
+
+
+def test_order_times_table_is_infinity(peer_table):
+    assert curve._mul_table(curve._G_TABLE, curve.N) == curve._JINF
+    assert curve._mul_table(peer_table, curve.N) == curve._JINF
 
 
 # --- GLV decomposition -----------------------------------------------------------------
