@@ -1,15 +1,22 @@
-"""Citizen auditor: replay the public ledger and grade the tender.
+"""Citizen auditor: replay the public ledger and grade every tender on it.
 
-The auditor gets a chain export and a tender address, nothing else. It
-re-derives every claim from transaction payloads (which the hash chain
-protects) and cross-checks the disclosed contract state against that
-ground truth: bid validity is recomputed from certificates, block
-timestamps and tallies rather than trusted from stored flags; the bid
-array is checked against the array snapshots embedded in each bid record,
-which is what makes a silently erased entry provable; published keys must
-extend the on-ledger half and must decrypt the on-ledger ciphertexts; and
-the winner is recomputed from the decrypted documents and compared with
-the published one.
+The auditor gets a chain export, nothing else. It replays every
+transaction once, in ledger order, through the contract rules in
+``contracts`` into its own address-to-contract map, so bid validity is
+recomputed from certificates, block timestamps and tallies rather than
+trusted from stored flags. Every receipt is then compared strictly with
+the re-derived one, and every disclosed contract with the snapshot of its
+re-derived twin; the bid array is also checked against the array
+snapshots embedded in each bid record, which is what makes a silently
+erased entry provable. Published keys must extend the on-ledger half and
+must decrypt the on-ledger ciphertexts, and the winner is recomputed from
+the decrypted documents and compared with the published one.
+
+Tenders are found from the deployments the replay accepts, never from the
+``kind`` labels of the disclosed state. A finding about one tender goes to
+that tender's report; a finding about the chain as a whole (hash chain,
+receipts of transactions sent to no tender, contracts nobody created)
+goes to every report.
 
 Requirement grades use a tri-state: PASS, PARTIAL (the scheme meets the
 requirement structurally but not absolutely), FAIL (a concrete breach was
@@ -23,15 +30,17 @@ from dataclasses import dataclass, field
 
 from . import contracts, crypto
 from .chain import (
+    DEPLOY_TARGET,
     Chain,
+    ChainConfig,
+    ExecutionContext,
     GasSchedule,
     compute_block_hash,
     compute_tx_hash,
-    contract_address,
-    meter_gas,
 )
-from .encoding import canonical_json_bytes, from_hex, load_json_bytes, to_hex
-from .errors import AuthFailed, MalformedCertificate, MalformedExport, ResultsNotPublished
+from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
+from .encoding import from_hex, to_hex
+from .errors import AuthFailed, MalformedExport, ResultsNotPublished
 from .orchestrator import STATUS_SCORED, BidDocument, TenderSpec, pick_winner
 
 PASS = "PASS"
@@ -89,12 +98,6 @@ class AuditReport:
         }
 
 
-def _as_export(source) -> dict:
-    if isinstance(source, Chain):
-        return source.export()
-    return source
-
-
 # top-level keys of a chain export and the JSON type each must have
 _EXPORT_SHAPE = {"blocks": list, "contracts": dict, "config": dict, "gas_schedule": dict}
 
@@ -115,12 +118,6 @@ def parse_export(raw: bytes) -> dict:
         if not isinstance(export.get(key), kind):
             raise MalformedExport(f"chain export field '{key}' is missing or not a {kind.__name__}")
     return export
-
-
-def _as_hex_address(address) -> str:
-    if isinstance(address, bytes):
-        return to_hex(address)
-    return address
 
 
 # --- ledger structure -----------------------------------------------------------
@@ -161,45 +158,39 @@ def verify_ledger_hashes(export: dict) -> list[Violation]:
     return violations
 
 
-# --- transaction replay -----------------------------------------------------------
+# --- one replay of the whole chain ------------------------------------------------
 
 @dataclass
-class _BidEvent:
-    address: str
-    sender: str
-    bidder_id: str
+class _Tender:
+    """One tender as the replay saw it: its re-derived contract and when
+    things happened to it."""
+
+    contract: RequestForTenderContract
     height: int
     timestamp: int
-    valid_hash: bool
-    valid_time: bool
-    allowed: bool
-    validity: bool
-    data_addr: str
-    sealed_half_a: str
-    prior_bids: list[str] | None
+    # (record, height, timestamp) for every bid record it created, in order
+    bids: list[tuple[BidRecordContract, int, int]] = field(default_factory=list)
+    published: tuple[int, int] | None = None  # (height, timestamp) of the results
 
 
 @dataclass
-class _Replay:
-    rft_hex: str
-    scheme: str = ""
-    bidding_end: int = 0
-    limit: int = 0
-    pubk: str = ""
-    tender_data: str | None = None
-    deployer: str = ""
-    deploy_height: int = -1
-    deploy_timestamp: int = 0
-    expected_contracts: dict = field(default_factory=dict)
-    foreign_contracts: set = field(default_factory=set)
-    bid_events: list = field(default_factory=list)
-    reveal_events: list = field(default_factory=list)
-    publish_events: list = field(default_factory=list)
-    expected_counts: dict = field(default_factory=dict)
-    expected_array: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    found_rft: bool = False
-    copy_step: int = 0
+class ChainReplay:
+    """A chain export replayed once through the contract rules."""
+
+    export: dict
+    schedule: GasSchedule
+    state: dict = field(default_factory=dict)  # address -> re-derived contract
+    tenders: dict[bytes, _Tender] = field(default_factory=dict)  # in deployment order
+    ledger_findings: list[Violation] = field(default_factory=list)
+    # (address of the tender the transaction was sent to or None, finding)
+    receipt_findings: list[tuple[bytes | None, Violation]] = field(default_factory=list)
+    # (tenders the contract belongs to, tag, description); none means every
+    # tender. Each report dates these to its tender's deployment.
+    state_findings: list[tuple[set, str, str]] = field(default_factory=list)
+    gas_trace: list[tuple[str, int]] = field(default_factory=list)
+
+    def tender_addresses(self) -> list[str]:
+        return [to_hex(addr) for addr in self.tenders]
 
 
 def iter_transactions(export: dict):
@@ -208,357 +199,221 @@ def iter_transactions(export: dict):
             yield block, tx
 
 
-def _replay(export: dict, rft_hex: str) -> _Replay:
-    """Independent re-execution of the tender family from raw payloads.
-
-    Scoped to the audited tender: calls addressed to any other tender on the
-    chain are left unchecked rather than misjudged.
-    """
-    schedule = GasSchedule(**export["gas_schedule"])
-    max_bits = export["config"].get("max_data_bits", 5000)
-    rep = _Replay(rft_hex=rft_hex)
-    rep.copy_step = schedule.per_prior_bid_copy
-    rft_addr = from_hex(rft_hex)
-
+def replay_chain(export: dict) -> ChainReplay:
+    """Re-derive every receipt and contract of a chain export, and diff both
+    against what the export discloses."""
+    try:
+        schedule = GasSchedule(**export["gas_schedule"])
+        config = ChainConfig(**export["config"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedExport(f"chain export settings are unusable: {exc}")
+    replay = ChainReplay(export=export, schedule=schedule,
+                         ledger_findings=verify_ledger_hashes(export))
+    state = replay.state
     for block, tx in iter_transactions(export):
         height, ts = block["height"], block["timestamp"]
         payload = from_hex(tx["payload"])
-        try:
-            call = load_json_bytes(payload)
-            if not isinstance(call, dict) or "op" not in call:
-                raise ValueError
-        except (ValueError, UnicodeDecodeError):
-            call = None
-        expected_gas = None
-        expected_status = "REJECTED"
-        expected_error: str | None = None
-        expected_created: str | None = None
-        if call is None:
-            expected_gas = meter_gas(schedule, "rejected_call", data_bits=len(payload) * 8)
-            expected_error = "MALFORMED_PAYLOAD"
-        elif tx["target"] == "DEPLOY":
-            _, expected_gas, expected_status, expected_error, expected_created = \
-                _replay_deploy(rep, schedule, max_bits, call, tx, height, ts, rft_hex)
-        elif tx["target"] == rft_hex and rep.found_rft:
-            _, expected_gas, expected_status, expected_error, expected_created = \
-                _replay_rft_call(rep, schedule, call, tx, height, ts, rft_addr)
-        elif _is_foreign_tender(rep, tx["target"]):
-            if call.get("op") == "place_bid":
-                rep.foreign_contracts.add(
-                    to_hex(contract_address(from_hex(tx["sender"]), tx["nonce"])))
-            continue
-        elif tx["target"] in rep.expected_contracts:
-            # bid records and data contracts accept no calls at all
-            expected_gas = meter_gas(schedule, "rejected_call",
-                                     data_bits=len(canonical_json_bytes(call)) * 8)
-            expected_error = ("IMMUTABLE_STATE" if call.get("op") == "set_field"
-                              else "UNKNOWN_CONTRACT_CALL")
+        call = contracts.decode_call(payload)
+        if tx["target"] == DEPLOY_TARGET:
+            target_addr, target = None, contracts.DEPLOY
         else:
-            expected_gas = meter_gas(schedule, "rejected_call",
-                                     data_bits=len(canonical_json_bytes(call)) * 8)
-            expected_error = "NO_SUCH_CONTRACT"
+            target_addr = from_hex(tx["target"])
+            target = state.get(target_addr)
+        ctx = ExecutionContext(sender=from_hex(tx["sender"]), tx_nonce=tx["nonce"],
+                               block_timestamp=ts, block_height=height,
+                               gas_schedule=schedule, config=config)
+        outcome, created = contracts.transition(target, call, payload, ctx)
+        tender = replay.tenders.get(target_addr)
+        if created is not None:
+            state[created.address] = created
+            if isinstance(created, RequestForTenderContract):
+                replay.tenders[created.address] = _Tender(created, height, ts)
+            elif tender is not None:
+                tender.bids.append((created, height, ts))
+        if tender is not None and tender.published is None \
+                and tender.contract.results is not None:
+            tender.published = (height, ts)
+        op = call.get("op") if call else None
+        for finding in _receipt_findings(tx, outcome, op, height):
+            replay.receipt_findings.append((target_addr if tender else None, finding))
+        replay.gas_trace.append((tx["kind"] or "unknown", tx["gas_used"]))
+    replay.state_findings = _state_findings(replay)
+    return replay
 
-        if tx["status"] != expected_status or (tx["error"] or None) != (expected_error or None):
-            tag = "R1" if call and call.get("op") in ("publish_results", "set_field") else "R3"
-            rep.violations.append(Violation(
-                tag, height,
-                f"transaction {tx['tx_hash']} recorded as {tx['status']}/{tx['error']} "
-                f"but re-execution gives {expected_status}/{expected_error}"))
-        if expected_gas is not None and tx["gas_used"] != expected_gas:
-            rep.violations.append(Violation(
-                "R6", height,
-                f"gas_used {tx['gas_used']} differs from re-metered {expected_gas} "
-                f"for {tx['tx_hash']}"))
-        if (tx.get("created_address") or None) != expected_created:
-            rep.violations.append(Violation(
-                "R3", height,
-                f"created address of {tx['tx_hash']} does not match re-execution"))
-    return rep
+
+# --- receipts ---------------------------------------------------------------------------
+
+def _receipt_findings(tx: dict, outcome, op, height: int) -> list[Violation]:
+    """A disclosed receipt against the re-derived outcome, field by field."""
+    created = to_hex(outcome.created_address) if outcome.created_address else None
+    tx_hash = tx["tx_hash"]
+    found = []
+    if not (_same(outcome.status, tx.get("status", _ABSENT))
+            and _same(outcome.error, tx.get("error", _ABSENT))):
+        tag = "R1" if op in contracts.OUTCOME_FIXING_OPS else "R3"
+        found.append(Violation(
+            tag, height,
+            f"transaction {tx_hash} recorded as {tx.get('status')}/{tx.get('error')} "
+            f"but re-execution gives {outcome.status}/{outcome.error}"))
+    if not _same(outcome.gas_used, tx.get("gas_used", _ABSENT)):
+        found.append(Violation(
+            "R6", height,
+            f"gas_used {tx.get('gas_used')} differs from re-metered {outcome.gas_used} "
+            f"for {tx_hash}"))
+    if not _same(outcome.kind, tx.get("kind", _ABSENT)):
+        found.append(Violation(
+            "R6", height,
+            f"transaction {tx_hash} recorded as kind {tx.get('kind')} but re-execution "
+            f"gives {outcome.kind}"))
+    if not _same(created, tx.get("created_address", _ABSENT)):
+        found.append(Violation(
+            "R3", height, f"created address of {tx_hash} does not match re-execution"))
+    return found
 
 
-def _is_foreign_tender(rep: _Replay, target_hex: str) -> bool:
-    if target_hex == rep.rft_hex:
+# --- disclosed state --------------------------------------------------------------------
+
+_ABSENT = object()  # a key the disclosed JSON does not have
+
+
+def _same(expected, actual) -> bool:
+    """JSON equality that also tells true from 1 and 1 from 1.0."""
+    if type(expected) is not type(actual) or expected != actual:
         return False
-    expected = rep.expected_contracts.get(target_hex)
-    return expected is not None and expected.get("kind") == "request_for_tender"
+    if type(expected) is dict:
+        return all(_same(value, actual[key]) for key, value in expected.items())
+    if type(expected) is list:
+        # equal strings are strictly equal; only other values need a look
+        return set(map(type, expected)) <= {str} or all(map(_same, expected, actual))
+    return True
 
 
-def _replay_deploy(rep: _Replay, schedule, max_bits, call, tx, height, ts, rft_hex):
-    sender_hex = tx["sender"]
-    op = call.get("op")
-    created = contract_address(from_hex(sender_hex), tx["nonce"])
-    created_hex = to_hex(created)
-    call_bits = len(canonical_json_bytes(call)) * 8
-    if op == "deploy_data":
-        try:
-            data = from_hex(call["data"])
-        except (KeyError, ValueError, TypeError):
-            return ("rejected_call", meter_gas(schedule, "rejected_call", data_bits=call_bits),
-                    "REJECTED", "MALFORMED_PAYLOAD", None)
-        if len(data) * 8 > max_bits:
-            return ("rejected_call", meter_gas(schedule, "rejected_call", data_bits=call_bits),
-                    "REJECTED", "DATA_TOO_LARGE", None)
-        rep.expected_contracts[created_hex] = {
-            "kind": "tender_data", "owner": sender_hex, "data": call["data"],
-        }
-        return ("deploy_data", meter_gas(schedule, "deploy_data", data_bits=len(data) * 8),
-                "OK", None, created_hex)
-    if op == "deploy_rft":
-        try:
-            scheme = call["scheme"]
-            length_ms = int(call["length_ms"])
-            pubk = from_hex(call["pubk"])
-            limit = int(call["limit"])
-            if scheme not in contracts.SCHEMES or length_ms <= 0 or limit < 1 or len(pubk) != 64:
-                raise ValueError
-        except (KeyError, ValueError, TypeError):
-            return ("rejected_call", meter_gas(schedule, "rejected_call", data_bits=call_bits),
-                    "REJECTED", "INVALID_TENDER_PARAMS", None)
-        if created_hex == rft_hex:
-            rep.found_rft = True
-            rep.scheme = scheme
-            rep.bidding_end = ts + length_ms
-            rep.limit = limit
-            rep.pubk = call["pubk"]
-            rep.tender_data = call.get("tender_data")
-            rep.deployer = sender_hex
-            rep.deploy_height = height
-            rep.deploy_timestamp = ts
-        expected = {
-            "kind": "request_for_tender", "scheme": scheme,
-            "bidding_end": ts + length_ms, "limit": limit, "pubk": call["pubk"],
-            "tender_data": call.get("tender_data"), "deployer": sender_hex,
-        }
-        rep.expected_contracts[created_hex] = expected
-        kind = {"FULL_TRACK": "deploy_rft_full", "PROTECTED": "deploy_rft_protected",
-                "STATELESS": "deploy_rft_stateless"}[scheme]
-        return (kind, meter_gas(schedule, kind), "OK", None, created_hex)
-    return ("rejected_call", meter_gas(schedule, "rejected_call", data_bits=call_bits),
-            "REJECTED", "UNKNOWN_CONTRACT_CALL", None)
-
-
-def _replay_rft_call(rep: _Replay, schedule, call, tx, height, ts, rft_addr: bytes):
-    op = call.get("op")
-    call_bits = len(canonical_json_bytes(call)) * 8
-    reject_gas = meter_gas(schedule, "rejected_call", data_bits=call_bits)
-    if op == "place_bid":
-        return _replay_place_bid(rep, schedule, call, tx, height, ts, rft_addr)
-    if op == "reveal_key_half":
-        try:
-            half_b = from_hex(call["half_b"])
-            bid_addr = call["bid_addr"]
-        except (KeyError, ValueError, TypeError):
-            return ("rejected_call", reject_gas, "REJECTED", "MALFORMED_PAYLOAD", None)
-        rep.reveal_events.append({"bid_addr": bid_addr, "half_b": call["half_b"],
-                                  "height": height, "timestamp": ts})
-        return ("reveal_key_half",
-                meter_gas(schedule, "reveal_key_half", data_bits=len(half_b) * 8),
-                "OK", None, None)
-    if op == "publish_results":
-        result = call.get("result")
-        if not isinstance(result, dict):
-            return ("rejected_call", reject_gas, "REJECTED", "MALFORMED_PAYLOAD", None)
-        if rep.publish_events:
-            return ("rejected_call", reject_gas, "REJECTED", "REPUBLISH_FORBIDDEN", None)
-        if tx["sender"] != rep.deployer:
-            return ("rejected_call", reject_gas, "REJECTED", "UNAUTHORIZED_PUBLISHER", None)
-        rep.publish_events.append({"result": result, "height": height, "timestamp": ts})
-        return ("publish_results",
-                meter_gas(schedule, "publish_results", data_bits=call_bits), "OK", None, None)
-    if op == "set_field":
-        return ("rejected_call", reject_gas, "REJECTED", "IMMUTABLE_STATE", None)
-    return ("rejected_call", reject_gas, "REJECTED", "UNKNOWN_CONTRACT_CALL", None)
-
-
-def _replay_place_bid(rep: _Replay, schedule, call, tx, height, ts, rft_addr: bytes):
-    scheme = rep.scheme
-    reject_kind = {"FULL_TRACK": "bid_rejected_full", "PROTECTED": "bid_rejected_protected",
-                   "STATELESS": "bid_rejected_stateless"}[scheme]
-    try:
-        bidder_id = call["id"]
-        data_addr = from_hex(call["data_addr"])
-        msg_hash = from_hex(call["msg_hash"])
-        v = int(call["v"])
-        r = from_hex(call["r"])
-        s = from_hex(call["s"])
-        from_hex(call["sealed_half_a"])
-        if not isinstance(bidder_id, str) or len(data_addr) != 20:
-            raise MalformedCertificate("bad id or data address")
-        crypto.check_component_shapes(msg_hash, v, r, s)
-    except (KeyError, ValueError, TypeError, MalformedCertificate):
-        return (reject_kind, meter_gas(schedule, reject_kind),
-                "REJECTED", "MALFORMED_CERTIFICATE", None)
-
-    valid_hash = crypto.certificate_matches(from_hex(rep.pubk), bidder_id, rft_addr,
-                                            msg_hash, v, r, s)
-    valid_time = ts < rep.bidding_end
-    allowed = rep.expected_counts.get(bidder_id, 0) < rep.limit
-
-    if scheme == "PROTECTED" and not valid_hash:
-        return (reject_kind, meter_gas(schedule, reject_kind),
-                "REJECTED", "CERTIFICATE_REJECTED", None)
-
-    validity = valid_hash and valid_time and allowed
-    if validity:
-        rep.expected_counts[bidder_id] = rep.expected_counts.get(bidder_id, 0) + 1
-    created = contract_address(from_hex(tx["sender"]), tx["nonce"])
-    created_hex = to_hex(created)
-
-    if scheme == "STATELESS":
-        kind = "bid_stateless"
-        gas = meter_gas(schedule, kind)
-        prior = None
-        expected = {
-            "kind": "bid_record", "scheme": scheme, "id": bidder_id,
-            "data_addr": call["data_addr"], "validity": validity,
-            "sealed_half_a": call["sealed_half_a"],
-        }
-    else:
-        kind = "bid_full" if scheme == "FULL_TRACK" else "bid_protected"
-        gas = meter_gas(schedule, kind, prior_recorded_bids=len(rep.expected_array))
-        prior = list(rep.expected_array)
-        expected = {
-            "kind": "bid_record", "scheme": scheme, "id": bidder_id,
-            "data_addr": call["data_addr"], "validity": validity,
-            "sealed_half_a": call["sealed_half_a"],
-            "prior_bids": prior, "bidding_end_copy": rep.bidding_end,
-        }
-        rep.expected_array.append(created_hex)
-    rep.expected_contracts[created_hex] = expected
-    rep.bid_events.append(_BidEvent(
-        address=created_hex, sender=tx["sender"], bidder_id=bidder_id, height=height,
-        timestamp=ts, valid_hash=valid_hash, valid_time=valid_time, allowed=allowed,
-        validity=validity, data_addr=call["data_addr"],
-        sealed_half_a=call["sealed_half_a"], prior_bids=prior))
-    return (kind, gas, "OK", None, created_hex)
-
-
-# --- disclosed-state cross-checks ---------------------------------------------------
-
-def _compare_disclosed(rep: _Replay, export: dict) -> list[Violation]:
-    violations: list[Violation] = []
-    disclosed_all = export["contracts"]
-
-    for addr_hex, expected in rep.expected_contracts.items():
+def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
+    """Every re-derived contract's snapshot against its disclosed state, in
+    creation order, then the disclosed contracts nobody created."""
+    disclosed_all = replay.export["contracts"]
+    owners = _owners(replay)
+    tender_data = {t.contract.tender_data_addr for t in replay.tenders.values()}
+    arrays: dict[bytes, list[str]] = {}  # tender -> its rendered bid array
+    found = []
+    for addr, contract in replay.state.items():
+        addr_hex = to_hex(addr)
+        belongs = owners.get(addr, set())
+        if isinstance(contract, BidRecordContract) and contract.prior_bids is not None:
+            # By construction the prior array is a prefix of the tender's, so
+            # compare against that rendered array rather than render each copy.
+            (tender,) = belongs  # the one tender that created the record
+            expected = contract.snapshot_without_prior_bids()
+            expected["prior_bids"] = arrays[tender][:len(contract.prior_bids)]
+        else:
+            expected = contract.snapshot()
+        if isinstance(contract, RequestForTenderContract) and "bids_placed" in expected:
+            arrays[addr] = expected["bids_placed"]
         disclosed = disclosed_all.get(addr_hex)
         if disclosed is None:
-            tag = "ERASURE" if expected["kind"] == "bid_record" else "R1"
-            violations.append(Violation(tag, rep.deploy_height,
-                                        f"contract {addr_hex} created on-ledger is missing "
+            tag = "ERASURE" if isinstance(contract, BidRecordContract) else "R1"
+            found.append((belongs, tag, f"contract {addr_hex} created on-ledger is missing "
                                         f"from disclosed state"))
             continue
-        if expected["kind"] == "tender_data":
-            if disclosed.get("data") != expected["data"]:
-                tag = "R1" if addr_hex == rep.tender_data else "R3"
-                what = "tender data" if tag == "R1" else "bid ciphertext"
-                violations.append(Violation(tag, rep.deploy_height,
-                                            f"{what} at {addr_hex} differs from the bytes "
-                                            f"in its deployment transaction"))
-        elif expected["kind"] == "bid_record":
-            for fld in ("scheme", "id", "data_addr", "validity", "sealed_half_a",
-                        "prior_bids", "bidding_end_copy"):
-                if fld not in expected:
-                    if fld in disclosed:
-                        violations.append(Violation("R3", rep.deploy_height,
-                                                    f"bid record {addr_hex} discloses "
-                                                    f"unexpected field {fld}"))
-                    continue
-                if disclosed.get(fld) != expected[fld]:
-                    violations.append(Violation("R3", rep.deploy_height,
-                                                f"bid record {addr_hex} field {fld} differs "
-                                                f"from recomputed value"))
-        elif expected["kind"] == "request_for_tender" and addr_hex == rep.rft_hex:
-            violations.extend(_compare_rft(rep, disclosed))
-
+        for key in [*expected, *(k for k in disclosed if k not in expected)]:
+            value = disclosed.get(key, _ABSENT)
+            if not _same(expected.get(key, _ABSENT), value):
+                tag, text = _grade_difference(contract, addr_hex, key, expected, value,
+                                              addr in tender_data)
+                found.append((belongs, tag, text))
+    created = {to_hex(addr) for addr in replay.state}
     for addr_hex in disclosed_all:
-        if addr_hex not in rep.expected_contracts and addr_hex not in rep.foreign_contracts:
-            violations.append(Violation("R6", rep.deploy_height,
-                                        f"disclosed contract {addr_hex} was never created "
-                                        f"by any transaction"))
-    return violations
+        if addr_hex not in created:
+            found.append((set(), "R6", f"disclosed contract {addr_hex} was never created "
+                                       f"by any transaction"))
+    return found
 
 
-def _compare_rft(rep: _Replay, disclosed: dict) -> list[Violation]:
-    violations = []
-    immutable = {"scheme": rep.scheme, "bidding_end": rep.bidding_end, "limit": rep.limit,
-                 "pubk": rep.pubk, "tender_data": rep.tender_data, "deployer": rep.deployer}
-    for fld, expected_value in immutable.items():
-        if disclosed.get(fld) != expected_value:
-            violations.append(Violation("R1", rep.deploy_height,
-                                        f"tender parameter {fld} differs from the value "
-                                        f"fixed at deployment"))
-    if disclosed.get("bid_count") != rep.expected_counts:
-        violations.append(Violation("R3", rep.deploy_height,
-                                    "per-bidder tallies differ from recomputed values"))
-    if rep.scheme == "STATELESS":
-        if "bids_placed" in disclosed:
-            violations.append(Violation("R3", rep.deploy_height,
-                                        "stateless tender discloses a bid array"))
-    else:
-        disclosed_array = disclosed.get("bids_placed")
-        if disclosed_array != rep.expected_array:
-            as_set = set(disclosed_array or [])
-            missing = [a for a in rep.expected_array if a not in as_set]
-            if missing:
-                violations.append(Violation(
-                    "ERASURE", rep.deploy_height,
-                    f"disclosed bid array omits {len(missing)} recorded bid(s): "
-                    f"{', '.join(missing[:3])}"))
-            else:
-                violations.append(Violation("R3", rep.deploy_height,
-                                            "disclosed bid array reordered or padded "
-                                            "against transaction history"))
-    expected_reveals = [{"bid_addr": e["bid_addr"], "half_b": e["half_b"],
-                         "height": e["height"], "timestamp": e["timestamp"]}
-                        for e in rep.reveal_events]
-    if disclosed.get("reveals", []) != expected_reveals:
-        violations.append(Violation("R3", rep.deploy_height,
-                                    "disclosed reveal log differs from reveal transactions"))
-    published = rep.publish_events[-1]["result"] if rep.publish_events else None
-    if disclosed.get("results") != published:
-        violations.append(Violation("R1", rep.deploy_height,
-                                    "disclosed results differ from the published payload"))
-    return violations
+def _owners(replay: ChainReplay) -> dict[bytes, set]:
+    """The tenders each contract belongs to: the tender itself, the bid records
+    it created, and the data contracts it or its records name."""
+    owners: dict[bytes, set] = {}
+    for addr, tender in replay.tenders.items():
+        records = [record for record, _, _ in tender.bids]
+        named = [tender.contract.tender_data_addr] + [r.data_addr for r in records]
+        members = [addr] + [r.address for r in records] + \
+            [a for a in named if isinstance(replay.state.get(a), TenderDataContract)]
+        for member in members:
+            owners.setdefault(member, set()).add(addr)
+    return owners
 
 
-def _snapshot_erasure_check(rep: _Replay, export: dict) -> list[Violation]:
+def _grade_difference(contract, addr_hex: str, key: str, expected: dict, value,
+                      is_tender_data: bool) -> tuple[str, str]:
+    if isinstance(contract, TenderDataContract):
+        tag = "R1" if is_tender_data else "R3"
+        what = "tender data" if is_tender_data else "bid ciphertext"
+        if key == "data":
+            return tag, (f"{what} at {addr_hex} differs from the bytes in its deployment "
+                         f"transaction")
+        return tag, f"{what} at {addr_hex} field {key} differs from its deployment transaction"
+    if isinstance(contract, BidRecordContract):
+        if key not in expected:
+            return "R3", f"bid record {addr_hex} discloses unexpected field {key}"
+        return "R3", f"bid record {addr_hex} field {key} differs from recomputed value"
+    if key == "bids_placed":
+        if key not in expected:
+            return "R3", "stateless tender discloses a bid array"
+        as_set = set(value) if isinstance(value, list) else set()
+        missing = [a for a in expected[key] if a not in as_set]
+        if missing:
+            return "ERASURE", (f"disclosed bid array omits {len(missing)} recorded bid(s): "
+                               f"{', '.join(missing[:3])}")
+        return "R3", "disclosed bid array reordered or padded against transaction history"
+    if key == "bid_count":
+        return "R3", "per-bidder tallies differ from recomputed values"
+    if key == "reveals":
+        return "R3", "disclosed reveal log differs from reveal transactions"
+    if key == "results":
+        return "R1", "disclosed results differ from the published payload"
+    return "R1", f"tender parameter {key} differs from the value fixed at deployment"
+
+
+def _snapshot_erasure_check(replay: ChainReplay, addr: bytes,
+                            tender: _Tender) -> list[Violation]:
     """The defining cross-check: each record's embedded array snapshot must be a
     prefix of the disclosed array, and the record itself must sit right after it."""
-    if rep.scheme == "STATELESS":
-        return []
-    disclosed_rft = export["contracts"].get(rep.rft_hex)
-    if disclosed_rft is None:
+    disclosed_all = replay.export["contracts"]
+    disclosed_rft = disclosed_all.get(to_hex(addr))
+    if tender.contract.scheme == contracts.SCHEME_STATELESS or disclosed_rft is None:
         return []
     disclosed_array = disclosed_rft.get("bids_placed") or []
     violations = []
-    for event in rep.bid_events:
-        record = export["contracts"].get(event.address)
-        if record is None or "prior_bids" not in record:
+    for record, height, _ in tender.bids:
+        record_hex = to_hex(record.address)
+        snap = disclosed_all.get(record_hex)
+        if snap is None or "prior_bids" not in snap:
             continue
-        prior = record["prior_bids"]
+        prior = snap["prior_bids"]
         k = len(prior)
         if disclosed_array[:k] != prior or (len(disclosed_array) <= k
-                                            or disclosed_array[k] != event.address):
+                                            or disclosed_array[k] != record_hex):
             violations.append(Violation(
-                "ERASURE", event.height,
+                "ERASURE", height,
                 f"disclosed bid array is inconsistent with the snapshot held by "
-                f"record {event.address}"))
+                f"record {record_hex}"))
     return violations
 
 
 # --- result re-evaluation -----------------------------------------------------------
 
-def _recompute_outcome(rep: _Replay, export: dict, result: dict):
+def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
     violations: list[Violation] = []
+    rft = tender.contract
     criteria = None
-    if rep.tender_data and rep.tender_data in rep.expected_contracts:
+    data = replay.state.get(rft.tender_data_addr)
+    if isinstance(data, TenderDataContract):
         try:
-            _, _, criteria = TenderSpec.parse_data_blob(
-                from_hex(rep.expected_contracts[rep.tender_data]["data"]))
+            _, _, criteria = TenderSpec.parse_data_blob(data.data)
         except (KeyError, ValueError):
             criteria = None
     if criteria is None:
-        violations.append(Violation("R1", rep.deploy_height,
+        violations.append(Violation("R1", tender.height,
                                     "tender data holds no usable evaluation criteria"))
         return None, None, violations
 
@@ -567,39 +422,40 @@ def _recompute_outcome(rep: _Replay, export: dict, result: dict):
     published_scores = result.get("scores") or {}
 
     recomputed_scores: dict[bytes, float] = {}
-    for event in rep.bid_events:
-        addr = event.address
-        if not event.validity:
+    records: dict[bytes, BidRecordContract] = {}
+    for record, height, _ in tender.bids:
+        addr = to_hex(record.address)
+        if not record.validity:
             if statuses.get(addr) == STATUS_SCORED:
-                violations.append(Violation("R3", event.height,
+                violations.append(Violation("R3", height,
                                             f"invalid bid {addr} was scored by the "
                                             f"published evaluation"))
             continue
         if addr not in statuses:
-            violations.append(Violation("NONRECEIPT", event.height,
+            violations.append(Violation("NONRECEIPT", height,
                                         f"valid bid {addr} is absent from the disclosed "
                                         f"evaluation"))
             continue
         key_entry = revealed.get(addr)
         if key_entry is None:
             if statuses.get(addr) == STATUS_SCORED:
-                violations.append(Violation("R3", event.height,
+                violations.append(Violation("R3", height,
                                             f"bid {addr} scored without a published key"))
             continue
         try:
             sealed = from_hex(key_entry["sealed"])
             bid_key = from_hex(key_entry["bid_key"])
         except (KeyError, ValueError, TypeError):
-            violations.append(Violation("R3", event.height,
+            violations.append(Violation("R3", height,
                                         f"published key entry for {addr} is malformed"))
             continue
-        if not sealed.startswith(from_hex(event.sealed_half_a)):
-            violations.append(Violation("R3", event.height,
+        if not sealed.startswith(record.sealed_half_a):
+            violations.append(Violation("R3", height,
                                         f"published sealed key for {addr} does not extend "
                                         f"the on-ledger half"))
-        data_contract = export["contracts"].get(event.data_addr)
+        data_contract = replay.export["contracts"].get(to_hex(record.data_addr))
         if data_contract is None:
-            violations.append(Violation("UNDECRYPTABLE_BID", event.height,
+            violations.append(Violation("UNDECRYPTABLE_BID", height,
                                         f"bid {addr} points at data address with no "
                                         f"disclosed contract"))
             continue
@@ -607,35 +463,35 @@ def _recompute_outcome(rep: _Replay, export: dict, result: dict):
             plaintext = crypto.decrypt_bid(from_hex(data_contract["data"]), bid_key)
             document = BidDocument.from_bytes(plaintext)
         except (AuthFailed, KeyError, ValueError):
-            violations.append(Violation("UNDECRYPTABLE_BID", event.height,
+            violations.append(Violation("UNDECRYPTABLE_BID", height,
                                         f"published key fails to decrypt bid {addr}"))
             continue
-        if document.bidder_id != event.bidder_id:
-            violations.append(Violation("R3", event.height,
+        if document.bidder_id != record.bidder_id:
+            violations.append(Violation("R3", height,
                                         f"decrypted document for {addr} names a different "
                                         f"bidder id"))
             continue
         if not criteria.feasible(document.fields):
             continue
         score = criteria.score(document.fields)
-        recomputed_scores[from_hex(addr)] = score
+        recomputed_scores[record.address] = score
+        records[record.address] = record
         if addr in published_scores and published_scores[addr] != score:
-            violations.append(Violation("R3", event.height,
+            violations.append(Violation("R3", height,
                                         f"published score for {addr} differs from "
                                         f"recomputation"))
 
     winner_addr = pick_winner(recomputed_scores)
-    winner_hex = to_hex(winner_addr) if winner_addr else None
-    winner_id = None
-    if winner_hex:
-        winner_id = rep.expected_contracts[winner_hex]["id"]
-    return winner_hex, winner_id, violations
+    if winner_addr is None:
+        return None, None, violations
+    return to_hex(winner_addr), records[winner_addr].bidder_id, violations
 
 
 # --- requirement grading -------------------------------------------------------------
 
-def _grade_requirements(rep: _Replay, violations: list[Violation]) -> dict[str, dict]:
+def _grade_requirements(tender: _Tender, violations: list[Violation]) -> dict[str, dict]:
     tags = {v.tag for v in violations}
+    rft = tender.contract
 
     def verdict_for(tag: str) -> str:
         return FAIL if tag in tags else PASS
@@ -646,7 +502,7 @@ def _grade_requirements(rep: _Replay, violations: list[Violation]) -> dict[str, 
                               "deployment and publication transactions"
                   if "R1" not in tags else "post-deployment mutation detected"}
 
-    early = [e for e in rep.reveal_events if e["timestamp"] < rep.bidding_end]
+    early = [r for r in rft.reveals if r["timestamp"] < rft.bidding_end]
     if early:
         r2_evidence = (f"{len(early)} key half(s) revealed on-ledger before the deadline; "
                        f"early sharing is not prevented by the scheme")
@@ -661,7 +517,7 @@ def _grade_requirements(rep: _Replay, violations: list[Violation]) -> dict[str, 
                               "ledger history" if not r3_bad
                   else "bid record or ciphertext integrity breach detected"}
 
-    if rep.scheme == "STATELESS":
+    if rft.scheme == contracts.SCHEME_STATELESS:
         reqs["R4"] = {"verdict": PASS,
                       "evidence": "tender contract stores no bid array; placements are "
                                   "not enumerable from its state"}
@@ -672,12 +528,12 @@ def _grade_requirements(rep: _Replay, violations: list[Violation]) -> dict[str, 
         reqs["R4"] = {"verdict": PARTIAL,
                       "evidence": "bid record addresses accumulate in the tender state "
                                   "before the deadline"}
-        spam = [e for e in rep.bid_events if not e.valid_hash]
-        if rep.scheme == "FULL_TRACK" and spam:
+        spam = _spam_heights(tender)
+        if rft.scheme == contracts.SCHEME_FULL and spam:
             reqs["R5"] = {"verdict": PARTIAL,
                           "evidence": f"{len(spam)} certificate-invalid bid(s) were "
                                       f"recorded and inflate every later bid's cost"}
-        elif rep.scheme == "PROTECTED":
+        elif rft.scheme == contracts.SCHEME_PROTECTED:
             reqs["R5"] = {"verdict": PARTIAL,
                           "evidence": "certificate failures are turned away before they "
                                       "grow the state, but authorised bids still raise "
@@ -694,26 +550,42 @@ def _grade_requirements(rep: _Replay, violations: list[Violation]) -> dict[str, 
     return reqs
 
 
+def _spam_heights(tender: _Tender) -> list[int]:
+    """Heights of the recorded bids whose certificate failed, in order."""
+    return [height for record, height, _ in tender.bids if not record.certificate_valid]
+
+
 # --- entry points ----------------------------------------------------------------------
 
 def replay_and_audit(source, rft_address, presented_receipts=None) -> AuditReport:
-    """Audit one tender from public chain data alone."""
-    export = _as_export(source)
-    rft_hex = _as_hex_address(rft_address)
+    """Audit one tender from public chain data alone.
 
-    violations = verify_ledger_hashes(export)
-    rep = _replay(export, rft_hex)
-    if not rep.found_rft:
+    ``source`` is a Chain, a chain export, or a ChainReplay of one; auditing
+    several tenders of one chain from a single ``replay_chain`` replays it once.
+    """
+    if isinstance(source, Chain):
+        source = source.export()
+    replay = source if isinstance(source, ChainReplay) else replay_chain(source)
+    rft_hex = to_hex(rft_address) if isinstance(rft_address, bytes) else rft_address
+    addr = next((a for a in replay.tenders if to_hex(a) == rft_hex), None)
+    if addr is None:
         raise ResultsNotPublished(f"no tender deployment found at {rft_hex}")
-    if not rep.publish_events:
+    tender = replay.tenders[addr]
+    rft = tender.contract
+    if tender.published is None:
         raise ResultsNotPublished(f"no published results for tender {rft_hex}")
-    violations.extend(rep.violations)
-    violations.extend(_compare_disclosed(rep, export))
-    violations.extend(_snapshot_erasure_check(rep, export))
+    published_height = tender.published[0]
 
-    result = rep.publish_events[-1]["result"]
+    violations = list(replay.ledger_findings)
+    violations.extend(v for owner, v in replay.receipt_findings if owner in (None, addr))
+    violations.extend(Violation(tag, tender.height, text)
+                      for owners, tag, text in replay.state_findings
+                      if not owners or addr in owners)
+    violations.extend(_snapshot_erasure_check(replay, addr, tender))
+
+    result = rft.results
     recomputed_addr, recomputed_winner, outcome_violations = \
-        _recompute_outcome(rep, export, result)
+        _recompute_outcome(replay, tender, result)
     violations.extend(outcome_violations)
 
     published_winner = result.get("winner_id")
@@ -722,30 +594,29 @@ def replay_and_audit(source, rft_address, presented_receipts=None) -> AuditRepor
                     published_winner == recomputed_winner)
     if not winner_match:
         violations.append(Violation(
-            "WINNER_MISMATCH", rep.publish_events[-1]["height"],
+            "WINNER_MISMATCH", published_height,
             f"published winner {published_winner}/{published_addr} differs from "
             f"recomputed {recomputed_winner}/{recomputed_addr}"))
 
     # Realized denial-of-service cost: in the full-track scheme every recorded
     # certificate-invalid bid permanently raises the price of later bids.
-    if rep.scheme == "FULL_TRACK":
-        spam_events = [e for e in rep.bid_events if not e.valid_hash]
-        if spam_events:
-            violations.append(Violation(
-                "R5", spam_events[0].height,
-                f"{len(spam_events)} certificate-invalid bid(s) were recorded; each "
-                f"inflates every later bid by {rep.copy_step} gas"))
+    spam = _spam_heights(tender)
+    if rft.scheme == contracts.SCHEME_FULL and spam:
+        violations.append(Violation(
+            "R5", spam[0],
+            f"{len(spam)} certificate-invalid bid(s) were recorded; each "
+            f"inflates every later bid by {replay.schedule.per_prior_bid_copy} gas"))
 
     if presented_receipts:
         statuses = result.get("statuses") or {}
         for receipt in presented_receipts:
             addr_hex = to_hex(receipt.bid_address)
-            if not crypto.verify_receipt(from_hex(rep.pubk), receipt.bid_address,
+            if not crypto.verify_receipt(rft.pubk, receipt.bid_address,
                                          receipt.v, receipt.r, receipt.s):
                 continue  # not the organisation's signature; no claim to answer
             if addr_hex not in statuses:
                 violations.append(Violation(
-                    "NONRECEIPT", rep.publish_events[-1]["height"],
+                    "NONRECEIPT", published_height,
                     f"bid {addr_hex} carries a signed acknowledgement but is missing "
                     f"from the disclosed evaluation"))
 
@@ -758,44 +629,33 @@ def replay_and_audit(source, rft_address, presented_receipts=None) -> AuditRepor
             seen.add(key)
             unique.append(v)
 
-    gas_trace = [(tx["kind"] or "unknown", tx["gas_used"])
-                 for _, tx in iter_transactions(export)]
-    timeline = _build_timeline(rep)
-    requirements = _grade_requirements(rep, unique)
     return AuditReport(
         tender_address=rft_hex,
-        scheme=rep.scheme,
+        scheme=rft.scheme,
         recomputed_winner=recomputed_winner,
         published_winner=published_winner,
         winner_match=winner_match,
         violations=unique,
-        gas_trace=gas_trace,
-        timeline=timeline,
-        requirements=requirements,
+        gas_trace=replay.gas_trace,
+        timeline=_build_timeline(tender),
+        requirements=_grade_requirements(tender, unique),
     )
 
 
-def _build_timeline(rep: _Replay) -> list[dict]:
-    events = [{"event": "tender_deployed", "height": rep.deploy_height,
-               "timestamp": rep.deploy_timestamp}]
-    for e in rep.bid_events:
-        events.append({"event": "bid_placed", "height": e.height,
-                       "timestamp": e.timestamp, "address": e.address,
-                       "validity": e.validity})
-    for e in rep.reveal_events:
-        events.append({"event": "key_half_revealed", "height": e["height"],
-                       "timestamp": e["timestamp"], "address": e["bid_addr"]})
-    for e in rep.publish_events:
-        events.append({"event": "results_published", "height": e["height"],
-                       "timestamp": e["timestamp"]})
-    events.append({"event": "bidding_end", "height": None,
-                   "timestamp": rep.bidding_end})
+def _build_timeline(tender: _Tender) -> list[dict]:
+    rft = tender.contract
+    events = [{"event": "tender_deployed", "height": tender.height,
+               "timestamp": tender.timestamp}]
+    for record, height, timestamp in tender.bids:
+        events.append({"event": "bid_placed", "height": height, "timestamp": timestamp,
+                       "address": to_hex(record.address), "validity": record.validity})
+    for r in rft.reveals:
+        events.append({"event": "key_half_revealed", "height": r["height"],
+                       "timestamp": r["timestamp"], "address": r["bid_addr"]})
+    if tender.published is not None:
+        height, timestamp = tender.published
+        events.append({"event": "results_published", "height": height,
+                       "timestamp": timestamp})
+    events.append({"event": "bidding_end", "height": None, "timestamp": rft.bidding_end})
     events.sort(key=lambda ev: (ev["timestamp"], ev["event"]))
     return events
-
-
-def check_requirements(source, rft_address, report: AuditReport | None = None) -> dict:
-    """R1..R6 verdict map with evidence; runs the full replay when needed."""
-    if report is None:
-        report = replay_and_audit(source, rft_address)
-    return report.requirements

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .encoding import canonical_json_bytes, load_json_bytes, to_hex
+from .encoding import canonical_json_bytes, to_hex
 from .errors import (
     NoSuchContract,
     TimestampNotMonotonic,
@@ -149,11 +149,17 @@ def contract_address(creator: bytes, nonce: int) -> bytes:
 
 @dataclass(frozen=True)
 class ExecutionContext:
-    chain: "Chain"
+    """Everything a transaction's outcome depends on besides its target and call."""
+
     sender: bytes
     tx_nonce: int
     block_timestamp: int
     block_height: int
+    gas_schedule: GasSchedule
+    config: ChainConfig
+    # the ledger applying the transaction, which installs what it creates;
+    # None when the contract rules are replayed off-ledger
+    chain: "Chain | None" = None
 
 
 @dataclass(frozen=True)
@@ -261,8 +267,10 @@ class Chain:
         height = parent.height + 1
         executed = []
         for pending in self._pending:
-            ctx = ExecutionContext(chain=self, sender=pending.sender, tx_nonce=pending.nonce,
-                                   block_timestamp=proposed_timestamp, block_height=height)
+            ctx = ExecutionContext(sender=pending.sender, tx_nonce=pending.nonce,
+                                   block_timestamp=proposed_timestamp, block_height=height,
+                                   gas_schedule=self.gas_schedule, config=self.config,
+                                   chain=self)
             outcome = self._execute(ctx, pending)
             tx = Transaction(
                 sender=pending.sender,
@@ -294,24 +302,14 @@ class Chain:
     def _execute(self, ctx: ExecutionContext, pending: _Pending) -> ExecOutcome:
         from . import contracts  # runtime dispatch; avoids an import cycle
 
-        payload_bits = len(pending.payload) * 8
-        try:
-            call = load_json_bytes(pending.payload)
-            if not isinstance(call, dict) or "op" not in call:
-                raise ValueError("payload is not a call object")
-        except (ValueError, UnicodeDecodeError):
-            return ExecOutcome(kind="rejected_call",
-                               gas_used=meter_gas(self.gas_schedule, "rejected_call",
-                                                  data_bits=payload_bits),
-                               error="MALFORMED_PAYLOAD")
+        call = contracts.decode_call(pending.payload)
+        if call is None:
+            return contracts.malformed_payload(pending.payload, ctx)
         if pending.target is None:
             return contracts.execute_deploy(ctx, call)
         target = self._contracts.get(pending.target)
         if target is None:
-            return ExecOutcome(kind="rejected_call",
-                               gas_used=meter_gas(self.gas_schedule, "rejected_call",
-                                                  data_bits=payload_bits),
-                               error=NoSuchContract.code)
+            return contracts.missing_target(pending.payload, ctx)
         return target.execute(ctx, call)
 
     # --- state access -----------------------------------------------------------

@@ -28,18 +28,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    export = audit.parse_export(Path(args.chain_export).read_bytes())
-    tenders = [addr for addr, snap in export["contracts"].items()
-               if isinstance(snap, dict) and snap.get("kind") == "request_for_tender"]
-    if args.tender:
-        tenders = [args.tender]
+    replay = audit.replay_chain(audit.parse_export(Path(args.chain_export).read_bytes()))
+    tenders = [args.tender] if args.tender else replay.tender_addresses()
     if not tenders:
-        print("no tender contract found in the export", file=sys.stderr)
+        print("no tender deployment found in the export", file=sys.stderr)
         return 2
     worst = 0
     reports = []
     for addr in tenders:
-        report = audit.replay_and_audit(export, addr)
+        report = audit.replay_and_audit(replay, addr)
         reports.append(report)
         print(report.one_line())
         if not report.ok():
@@ -72,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p = sub.add_parser("audit", help="audit a chain export as a citizen would")
     audit_p.add_argument("chain_export", help="path to a chain export JSON file")
     audit_p.add_argument("--tender", default=None,
-                         help="tender address (defaults to every tender found)")
+                         help="tender address (defaults to every tender deployed on the chain)")
     audit_p.add_argument("--out", default=None, help="file for the full audit report")
     audit_p.set_defaults(func=_cmd_audit)
     return parser

@@ -16,6 +16,14 @@ tender's public key (and binds this bidder id to this tender address), the
 including block's timestamp is strictly before the deadline, and the
 bidder's tally is strictly below the per-id limit. The tally only moves
 on valid bids, so junk placed under someone else's id cannot lock them out.
+
+This module is the only statement of these rules. Each outcome is a
+function of the target contract, the decoded call (or the raw payload) and
+the transaction's ExecutionContext, and returns the receipt outcome plus
+the contract the transaction creates, if any. The ledger reaches them
+through ``Chain._execute``, ``execute_deploy`` and ``Contract.execute``,
+which also install what was created; the auditor replays a chain export
+through ``transition`` into its own address-to-contract map.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .chain import Chain, ExecOutcome, ExecutionContext, contract_address, meter_gas
-from .encoding import canonical_json_bytes, from_hex, to_hex
+from .encoding import canonical_json_bytes, from_hex, load_json_bytes, to_hex
 from .errors import (
     BiddingStillOpen,
     CertificateRejected,
@@ -35,7 +43,6 @@ from .errors import (
     NoSuchContract,
     RepublishForbidden,
     SchemeHasNoState,
-    TenderSimError,
     UnknownContractCall,
 )
 
@@ -60,10 +67,32 @@ _BID_REJECT_KIND = {
     SCHEME_STATELESS: "bid_rejected_stateless",
 }
 
+# Calls that try to change what a tender fixed at deployment or publication;
+# the auditor grades a wrong receipt for one as an immutability breach.
+OUTCOME_FIXING_OPS = ("publish_results", "set_field")
+
+# The target of a deployment transaction.
+DEPLOY = object()
+
+# A transaction's receipt outcome and the contract it creates, if any.
+Transition = tuple[ExecOutcome, "Contract | None"]
+
 
 # --- contract objects --------------------------------------------------------
 
-class TenderDataContract:
+class Contract:
+    """A contract answers calls through ``transition``; it rejects every call
+    unless a subclass says otherwise."""
+
+    def execute(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
+        """Ledger entry point: apply the call and install what it creates."""
+        return _install(ctx, self.transition(call, ctx))
+
+    def transition(self, call: dict, ctx: ExecutionContext) -> Transition:
+        return reject_call(call, ctx), None
+
+
+class TenderDataContract(Contract):
     """Immutable byte blob, used for tender terms and encrypted bid documents."""
 
     kind = "tender_data"
@@ -73,34 +102,40 @@ class TenderDataContract:
         self.owner = owner
         self.data = data
 
-    def execute(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
-        return _reject_call(ctx, call)
-
     def snapshot(self) -> dict:
         return {"kind": self.kind, "owner": to_hex(self.owner), "data": to_hex(self.data)}
 
 
-class BidRecordContract:
-    """One placed bid; immutable after creation."""
+class BidRecordContract(Contract):
+    """One placed bid; immutable after creation.
+
+    ``certificate_valid`` remembers the certificate half of the validity
+    check; it is not part of the disclosed state.
+    """
 
     kind = "bid_record"
 
     def __init__(self, address: bytes, scheme: str, bidder_id: str, data_addr: bytes,
-                 validity: bool, sealed_half_a: bytes,
+                 validity: bool, certificate_valid: bool, sealed_half_a: bytes,
                  prior_bids: tuple[bytes, ...] | None, bidding_end_copy: int | None):
         self.address = address
         self.scheme = scheme
         self.bidder_id = bidder_id
         self.data_addr = data_addr
         self.validity = validity
+        self.certificate_valid = certificate_valid
         self.sealed_half_a = sealed_half_a
         self.prior_bids = prior_bids
         self.bidding_end_copy = bidding_end_copy
 
-    def execute(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
-        return _reject_call(ctx, call)
-
     def snapshot(self) -> dict:
+        snap = self.snapshot_without_prior_bids()
+        if self.prior_bids is not None:
+            snap["prior_bids"] = [to_hex(a) for a in self.prior_bids]
+        return snap
+
+    def snapshot_without_prior_bids(self) -> dict:
+        """The snapshot less its copy of the bid array, which costs O(bids) to render."""
         snap = {
             "kind": self.kind,
             "scheme": self.scheme,
@@ -109,14 +144,12 @@ class BidRecordContract:
             "validity": self.validity,
             "sealed_half_a": to_hex(self.sealed_half_a),
         }
-        if self.prior_bids is not None:
-            snap["prior_bids"] = [to_hex(a) for a in self.prior_bids]
         if self.bidding_end_copy is not None:
             snap["bidding_end_copy"] = self.bidding_end_copy
         return snap
 
 
-class RequestForTenderContract:
+class RequestForTenderContract(Contract):
     """Deadline, per-id bid limit, public key, and (scheme-dependent) bid array."""
 
     kind = "request_for_tender"
@@ -135,20 +168,18 @@ class RequestForTenderContract:
         self.reveals: list[dict] = []
         self.results: dict | None = None
 
-    # -- ledger entry points --
-
-    def execute(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
+    def transition(self, call: dict, ctx: ExecutionContext) -> Transition:
         op = call.get("op")
         if op == "place_bid":
-            return self._place_bid(ctx, call)
+            return self.place_bid(call, ctx)
         if op == "reveal_key_half":
-            return self._reveal_key_half(ctx, call)
+            return self.reveal_key_half(call, ctx), None
         if op == "publish_results":
-            return self._publish_results(ctx, call)
-        return _reject_call(ctx, call)
+            return self.publish_results(call, ctx), None
+        return reject_call(call, ctx), None
 
-    def _place_bid(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
-        schedule = ctx.chain.gas_schedule
+    def place_bid(self, call: dict, ctx: ExecutionContext) -> Transition:
+        schedule = ctx.gas_schedule
         try:
             bidder_id = call["id"]
             data_addr = from_hex(call["data_addr"])
@@ -163,7 +194,7 @@ class RequestForTenderContract:
         except (KeyError, ValueError, TypeError, MalformedCertificate):
             return ExecOutcome(kind=_BID_REJECT_KIND[self.scheme],
                                gas_used=meter_gas(schedule, _BID_REJECT_KIND[self.scheme]),
-                               error=MalformedCertificate.code)
+                               error=MalformedCertificate.code), None
 
         valid_hash = crypto.certificate_matches(self.pubk, bidder_id, self.address,
                                                 msg_hash, v, r, s)
@@ -174,7 +205,7 @@ class RequestForTenderContract:
             # Protected scheme refuses to record certificate failures at all.
             return ExecOutcome(kind=_BID_REJECT_KIND[self.scheme],
                                gas_used=meter_gas(schedule, _BID_REJECT_KIND[self.scheme]),
-                               error=CertificateRejected.code)
+                               error=CertificateRejected.code), None
 
         validity = valid_hash and valid_time and allowed
         if validity:
@@ -193,21 +224,20 @@ class RequestForTenderContract:
         record_addr = contract_address(ctx.sender, ctx.tx_nonce)
         record = BidRecordContract(address=record_addr, scheme=self.scheme,
                                    bidder_id=bidder_id, data_addr=data_addr,
-                                   validity=validity, sealed_half_a=sealed_half_a,
+                                   validity=validity, certificate_valid=valid_hash,
+                                   sealed_half_a=sealed_half_a,
                                    prior_bids=prior, bidding_end_copy=end_copy)
-        ctx.chain.install_contract(record_addr, record)
         if self.bids_placed is not None:
             self.bids_placed.append(record_addr)
         return ExecOutcome(kind=_BID_KIND[self.scheme], gas_used=gas,
-                           created_address=record_addr)
+                           created_address=record_addr), record
 
-    def _reveal_key_half(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
-        schedule = ctx.chain.gas_schedule
+    def reveal_key_half(self, call: dict, ctx: ExecutionContext) -> ExecOutcome:
         try:
             bid_addr = from_hex(call["bid_addr"])
             half_b = from_hex(call["half_b"])
         except (KeyError, ValueError, TypeError):
-            return _reject_call(ctx, call, error="MALFORMED_PAYLOAD")
+            return reject_call(call, ctx, error="MALFORMED_PAYLOAD")
         self.reveals.append({
             "bid_addr": to_hex(bid_addr),
             "half_b": to_hex(half_b),
@@ -215,27 +245,20 @@ class RequestForTenderContract:
             "timestamp": ctx.block_timestamp,
         })
         return ExecOutcome(kind="reveal_key_half",
-                           gas_used=meter_gas(schedule, "reveal_key_half",
+                           gas_used=meter_gas(ctx.gas_schedule, "reveal_key_half",
                                               data_bits=len(half_b) * 8))
 
-    def _publish_results(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
-        schedule = ctx.chain.gas_schedule
+    def publish_results(self, call: dict, ctx: ExecutionContext) -> ExecOutcome:
         result = call.get("result")
         if not isinstance(result, dict):
-            return _reject_call(ctx, call, error="MALFORMED_PAYLOAD")
+            return reject_call(call, ctx, error="MALFORMED_PAYLOAD")
         if self.results is not None:
-            return ExecOutcome(kind="rejected_call",
-                               gas_used=meter_gas(schedule, "rejected_call",
-                                                  data_bits=_call_bits(call)),
-                               error=RepublishForbidden.code)
+            return reject_call(call, ctx, error=RepublishForbidden.code)
         if ctx.sender != self.deployer:
-            return ExecOutcome(kind="rejected_call",
-                               gas_used=meter_gas(schedule, "rejected_call",
-                                                  data_bits=_call_bits(call)),
-                               error="UNAUTHORIZED_PUBLISHER")
+            return reject_call(call, ctx, error="UNAUTHORIZED_PUBLISHER")
         self.results = result
         return ExecOutcome(kind="publish_results",
-                           gas_used=meter_gas(schedule, "publish_results",
+                           gas_used=meter_gas(ctx.gas_schedule, "publish_results",
                                               data_bits=_call_bits(call)))
 
     # -- zero-gas reads --
@@ -266,61 +289,121 @@ class RequestForTenderContract:
         return snap
 
 
+# --- decoding and rejection -------------------------------------------------------
+
+def decode_call(payload: bytes) -> dict | None:
+    """The call object a payload encodes, or None if it encodes none."""
+    try:
+        call = load_json_bytes(payload)
+    except (ValueError, RecursionError):  # ValueError covers UnicodeDecodeError
+        return None
+    return call if isinstance(call, dict) and "op" in call else None
+
+
+def malformed_payload(payload: bytes, ctx: ExecutionContext) -> ExecOutcome:
+    return _rejected(ctx, len(payload) * 8, "MALFORMED_PAYLOAD")
+
+
+def missing_target(payload: bytes, ctx: ExecutionContext) -> ExecOutcome:
+    return _rejected(ctx, len(payload) * 8, NoSuchContract.code)
+
+
+def reject_call(call: dict, ctx: ExecutionContext, error: str | None = None) -> ExecOutcome:
+    """A call the target does not accept: immutable state or an unknown op."""
+    if error is None:
+        error = ImmutableState.code if call.get("op") == "set_field" else UnknownContractCall.code
+    return _rejected(ctx, _call_bits(call), error)
+
+
+def _rejected(ctx: ExecutionContext, data_bits: int, error: str) -> ExecOutcome:
+    return ExecOutcome(kind="rejected_call",
+                       gas_used=meter_gas(ctx.gas_schedule, "rejected_call",
+                                          data_bits=data_bits),
+                       error=error)
+
+
 def _call_bits(call: dict) -> int:
     return len(canonical_json_bytes(call)) * 8
 
 
-def _reject_call(ctx: ExecutionContext, call: dict, error: str | None = None) -> ExecOutcome:
-    if error is None:
-        error = ImmutableState.code if call.get("op") == "set_field" else UnknownContractCall.code
-    return ExecOutcome(kind="rejected_call",
-                       gas_used=meter_gas(ctx.chain.gas_schedule, "rejected_call",
-                                          data_bits=_call_bits(call)),
-                       error=error)
+# --- deployments ------------------------------------------------------------------
 
-
-# --- deployment dispatch -------------------------------------------------------
-
-def execute_deploy(ctx: ExecutionContext, call: dict) -> ExecOutcome:
-    chain = ctx.chain
-    schedule = chain.gas_schedule
+def deploy(call: dict, ctx: ExecutionContext) -> Transition:
     op = call.get("op")
     if op == "deploy_data":
-        try:
-            data = from_hex(call["data"])
-        except (KeyError, ValueError, TypeError):
-            return _reject_call(ctx, call, error="MALFORMED_PAYLOAD")
-        bits = len(data) * 8
-        if bits > chain.config.max_data_bits:
-            return _reject_call(ctx, call, error=DataTooLarge.code)
-        addr = contract_address(ctx.sender, ctx.tx_nonce)
-        chain.install_contract(addr, TenderDataContract(addr, ctx.sender, data))
-        return ExecOutcome(kind="deploy_data",
-                           gas_used=meter_gas(schedule, "deploy_data", data_bits=bits),
-                           created_address=addr)
+        return deploy_data(call, ctx)
     if op == "deploy_rft":
-        try:
-            scheme = call["scheme"]
-            length_ms = int(call["length_ms"])
-            pubk = from_hex(call["pubk"])
-            limit = int(call["limit"])
-            data_field = call.get("tender_data")
-            tender_data_addr = from_hex(data_field) if data_field else None
-            if scheme not in SCHEMES or length_ms <= 0 or limit < 1 or len(pubk) != 64:
-                raise ValueError("bad tender parameters")
-        except (KeyError, ValueError, TypeError):
-            return _reject_call(ctx, call, error=InvalidTenderParams.code)
-        addr = contract_address(ctx.sender, ctx.tx_nonce)
-        rft = RequestForTenderContract(
-            address=addr, scheme=scheme,
-            bidding_end=ctx.block_timestamp + length_ms,
-            limit=limit, pubk=pubk, tender_data_addr=tender_data_addr,
-            deployer=ctx.sender)
-        chain.install_contract(addr, rft)
-        return ExecOutcome(kind=_DEPLOY_KIND[scheme],
-                           gas_used=meter_gas(schedule, _DEPLOY_KIND[scheme]),
-                           created_address=addr)
-    return _reject_call(ctx, call, error=UnknownContractCall.code)
+        return deploy_rft(call, ctx)
+    return reject_call(call, ctx, error=UnknownContractCall.code), None
+
+
+def deploy_data(call: dict, ctx: ExecutionContext) -> Transition:
+    try:
+        data = from_hex(call["data"])
+    except (KeyError, ValueError, TypeError):
+        return reject_call(call, ctx, error="MALFORMED_PAYLOAD"), None
+    bits = len(data) * 8
+    if bits > ctx.config.max_data_bits:
+        return reject_call(call, ctx, error=DataTooLarge.code), None
+    addr = contract_address(ctx.sender, ctx.tx_nonce)
+    return (ExecOutcome(kind="deploy_data",
+                        gas_used=meter_gas(ctx.gas_schedule, "deploy_data", data_bits=bits),
+                        created_address=addr),
+            TenderDataContract(addr, ctx.sender, data))
+
+
+def deploy_rft(call: dict, ctx: ExecutionContext) -> Transition:
+    try:
+        scheme = call["scheme"]
+        length_ms = int(call["length_ms"])
+        pubk = from_hex(call["pubk"])
+        limit = int(call["limit"])
+        data_field = call.get("tender_data")
+        tender_data_addr = from_hex(data_field) if data_field else None
+        if scheme not in SCHEMES or length_ms <= 0 or limit < 1 or len(pubk) != 64:
+            raise ValueError("bad tender parameters")
+    except (KeyError, ValueError, TypeError):
+        return reject_call(call, ctx, error=InvalidTenderParams.code), None
+    addr = contract_address(ctx.sender, ctx.tx_nonce)
+    rft = RequestForTenderContract(
+        address=addr, scheme=scheme,
+        bidding_end=ctx.block_timestamp + length_ms,
+        limit=limit, pubk=pubk, tender_data_addr=tender_data_addr,
+        deployer=ctx.sender)
+    return (ExecOutcome(kind=_DEPLOY_KIND[scheme],
+                        gas_used=meter_gas(ctx.gas_schedule, _DEPLOY_KIND[scheme]),
+                        created_address=addr),
+            rft)
+
+
+# --- one transaction, on the ledger or off it -----------------------------------------
+
+def transition(target, call: dict | None, payload: bytes, ctx: ExecutionContext) -> Transition:
+    """The outcome of one transaction and the contract it creates, if any.
+
+    ``target`` is DEPLOY for a deployment, else the contract the transaction
+    is sent to, or None when no contract lives at that address; ``call`` is
+    ``decode_call(payload)``. ``Chain._execute`` makes the same choices.
+    """
+    if call is None:
+        return malformed_payload(payload, ctx), None
+    if target is DEPLOY:
+        return deploy(call, ctx)
+    if target is None:
+        return missing_target(payload, ctx), None
+    return target.transition(call, ctx)
+
+
+def execute_deploy(ctx: ExecutionContext, call: dict) -> ExecOutcome:
+    """Ledger entry point for deployments."""
+    return _install(ctx, deploy(call, ctx))
+
+
+def _install(ctx: ExecutionContext, result: Transition) -> ExecOutcome:
+    outcome, created = result
+    if created is not None:
+        ctx.chain.install_contract(created.address, created)
+    return outcome
 
 
 # --- call payload builders -------------------------------------------------------
@@ -371,83 +454,6 @@ def mutation_call(field_name: str, value) -> dict:
     return {"op": "set_field", "field": field_name, "value": value}
 
 
-# --- one-shot convenience operations (submit + mine one block) -------------------
-
-_ERRORS_BY_CODE = {e.code: e for e in (
-    MalformedCertificate, CertificateRejected, DataTooLarge, InvalidTenderParams,
-    RepublishForbidden, ImmutableState, NoSuchContract, UnknownContractCall,
-)}
-
-
-def _run_single(chain: Chain, sender: bytes, target: bytes | None, call: dict,
-                at: int | None = None) -> tuple:
-    ts = at if at is not None else max(chain.now(),
-                                       chain.head().timestamp + chain.config.block_interval_ms)
-    chain.advance_to(ts)
-    tx_id = chain.submit_transaction(sender, target, canonical_json_bytes(call))
-    chain.mine_block(ts)
-    tx = chain.get_transaction(tx_id)
-    if tx.status != "OK":
-        exc = _ERRORS_BY_CODE.get(tx.error, TenderSimError)
-        raise exc(f"transaction rejected: {tx.error}")
-    return tx
-
-
-def init_tender(chain: Chain, sender: bytes, length_ms: int, pubk: bytes, limit: int,
-                scheme: str, tender_data_addr: bytes | None = None,
-                at: int | None = None) -> bytes:
-    call = rft_deploy_call(scheme, length_ms, pubk, limit, tender_data_addr)
-    return _run_single(chain, sender, None, call, at).created_address
-
-
-def deploy_tender_data(chain: Chain, sender: bytes, data: bytes, at: int | None = None) -> bytes:
-    return _run_single(chain, sender, None, data_deploy_call(data), at).created_address
-
-
-def _place_bid(chain: Chain, rft_addr: bytes, sender: bytes, expect_scheme: str,
-               bidder_id: str, data_addr: bytes, msg_hash: bytes, v: int, r: bytes,
-               s: bytes, sealed_half_a: bytes, at: int | None = None) -> bytes:
-    rft = chain.get_contract(rft_addr)
-    if rft.kind != "request_for_tender" or rft.scheme != expect_scheme:
-        raise TenderSimError(f"target is not a {expect_scheme} tender")
-    call = place_bid_call(bidder_id, data_addr, msg_hash, v, r, s, sealed_half_a)
-    return _run_single(chain, sender, rft_addr, call, at).created_address
-
-
-def place_bid_full(chain, rft_addr, sender, bidder_id, data_addr, msg_hash, v, r, s,
-                   sealed_half_a, at=None) -> bytes:
-    return _place_bid(chain, rft_addr, sender, SCHEME_FULL, bidder_id, data_addr,
-                      msg_hash, v, r, s, sealed_half_a, at)
-
-
-def place_bid_protected(chain, rft_addr, sender, bidder_id, data_addr, msg_hash, v, r, s,
-                        sealed_half_a, at=None) -> bytes:
-    return _place_bid(chain, rft_addr, sender, SCHEME_PROTECTED, bidder_id, data_addr,
-                      msg_hash, v, r, s, sealed_half_a, at)
-
-
-def place_bid_stateless(chain, rft_addr, sender, bidder_id, data_addr, msg_hash, v, r, s,
-                        sealed_half_a, at=None) -> bytes:
-    return _place_bid(chain, rft_addr, sender, SCHEME_STATELESS, bidder_id, data_addr,
-                      msg_hash, v, r, s, sealed_half_a, at)
-
-
-def req_bids(chain: Chain, rft_addr: bytes) -> tuple[bytes, ...]:
-    rft = chain.get_contract(rft_addr)
-    return rft.req_bids(chain.now())
-
-
-def collect_valid_bid_data(chain: Chain, rft_addr: bytes) -> list[bytes]:
-    """Data addresses of valid bids, in placement order; linear in bid count."""
-    addresses = req_bids(chain, rft_addr)
-    out = []
-    for addr in addresses:
-        record = chain.get_contract(addr)
-        if record.validity:
-            out.append(record.data_addr)
-    return out
-
-
 # --- stateless-scheme acknowledgements -------------------------------------------
 
 @dataclass(frozen=True)
@@ -467,7 +473,3 @@ def acknowledge_bid(chain: Chain, auctioneer_private_key: bytes, bid_address: by
         raise NoSuchContract(f"no bid record at {to_hex(bid_address)}")
     v, r, s = crypto.sign_receipt(auctioneer_private_key, bid_address)
     return Receipt(bid_address=bid_address, v=v, r=r, s=s)
-
-
-def verify_acknowledgement(public_key: bytes, bid_address: bytes, receipt: Receipt) -> bool:
-    return crypto.verify_receipt(public_key, bid_address, receipt.v, receipt.r, receipt.s)

@@ -3,8 +3,8 @@
 The orchestrator plays every actor. The tendering organisation holds the
 curve key pair and an off-ledger roster; bidders hold their certificates,
 bid keys and withheld key halves. Actors talk only through ledger
-transactions and an in-memory handoff channel with explicit delivery, so
-nothing privileged leaks into what the auditor later reads.
+transactions and direct off-ledger handoffs (record addresses, receipts,
+key halves), so nothing privileged leaks into what the auditor later reads.
 
 Evaluation criteria are declarative (weighted numeric fields plus
 feasibility predicates) rather than arbitrary code: a citizen re-running
@@ -14,7 +14,6 @@ them over the decrypted documents must land on the same winner.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 
@@ -210,21 +209,6 @@ class TenderingOrganisation:
     known_bids: list[bytes] = field(default_factory=list)
 
 
-class Channel:
-    """In-memory actor-to-actor handoff with explicit delivery."""
-
-    def __init__(self):
-        self._queue: deque = deque()
-
-    def send(self, message: dict) -> None:
-        self._queue.append(message)
-
-    def deliver_all(self) -> list[dict]:
-        out = list(self._queue)
-        self._queue.clear()
-        return out
-
-
 def _account_address(tag: bytes) -> bytes:
     import hashlib
 
@@ -241,7 +225,6 @@ class TenderOrchestrator:
         self.to = TenderingOrganisation(keys=keys, address=_account_address(keys.public_key))
         chain.register_account(self.to.address)
         self.bidders: dict[str, Bidder] = {}
-        self.channel = Channel()
         self.rft_address: bytes | None = None
         self.tender_data_address: bytes | None = None
         self.spec: TenderSpec | None = None
@@ -322,25 +305,14 @@ class TenderOrchestrator:
         if self.spec.scheme == contracts.SCHEME_STATELESS:
             # Off-ledger handoff: the record address goes to the auctioneer, who
             # signs a receipt so non-delivery can later be proven.
-            self.channel.send({"type": "bid_address", "bidder_id": bidder_id,
-                               "address": bid_tx.created_address})
-            for msg in self.channel.deliver_all():
-                self.to.known_bids.append(msg["address"])
-                receipt = contracts.acknowledge_bid(self.chain, self.to.keys.private_key,
-                                                    msg["address"])
-                self.channel.send({"type": "receipt", "receipt": receipt,
-                                   "bidder_id": bidder_id})
-            for msg in self.channel.deliver_all():
-                submission.receipt = msg["receipt"]
+            self.to.known_bids.append(bid_tx.created_address)
+            submission.receipt = contracts.acknowledge_bid(
+                self.chain, self.to.keys.private_key, bid_tx.created_address)
         return submission
 
     def deliver_key_half(self, bidder_id: str, submission: BidSubmission) -> None:
         """Off-ledger delivery of the withheld half to the tendering organisation."""
-        self.channel.send({"type": "key_half", "bidder_id": bidder_id,
-                           "bid": submission.record_address,
-                           "half_b": submission.sealed.half_b})
-        for msg in self.channel.deliver_all():
-            self.to.received_halves[msg["bid"]] = msg["half_b"]
+        self.to.received_halves[submission.record_address] = submission.sealed.half_b
 
     def reveal_key_half_on_chain(self, bidder_id: str, submission: BidSubmission,
                                  at: int | None = None) -> str:

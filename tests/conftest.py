@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from tendersim import contracts, crypto
+from tendersim import crypto
 from tendersim.chain import Chain, ChainConfig
 from tendersim.orchestrator import (
     BidDocument,
@@ -12,6 +12,8 @@ from tendersim.orchestrator import (
     TenderOrchestrator,
     TenderSpec,
 )
+
+import ledger_ops
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -39,8 +41,8 @@ def make_tender(chain, to_keys, scheme, length_ms=600_000, limit=2):
     """Deploy a bare tender (no orchestrator); returns (rft_address, to_account)."""
     sender = account("TO")
     chain.register_account(sender)
-    rft = contracts.init_tender(chain, sender, length_ms, to_keys.public_key,
-                                limit, scheme)
+    rft = ledger_ops.init_tender(chain, sender, length_ms, to_keys.public_key,
+                                 limit, scheme)
     return rft, sender
 
 

@@ -28,6 +28,7 @@ from tendersim.orchestrator import (
 from tendersim.scenario import run_scenario
 
 import chain_surgery
+import ledger_ops
 from conftest import SCENARIO_DIR, account, make_tender, price_criteria
 from reference_data import (
     DEPLOY_GAS,
@@ -109,7 +110,7 @@ def test_criterion_3_immutability_1000_attempts(announce):
     chain = Chain(ChainConfig())
     keys = crypto.generate_keypair(rng)
     rft, sender = make_tender(chain, keys, "FULL_TRACK")
-    data_addr = contracts.deploy_tender_data(chain, sender, b"the tender text")
+    data_addr = ledger_ops.deploy_tender_data(chain, sender, b"the tender text")
     digest_before = chain.state_digest()
 
     fields = ["bidding_end", "limit", "pubk", "scheme", "data", "owner",
@@ -409,8 +410,8 @@ def _chain_with_bids(n):
     keys = crypto.generate_keypair(Random(909))
     sender = account("TO")
     chain.register_account(sender)
-    rft = contracts.init_tender(chain, sender, 10_000_000, keys.public_key,
-                                n, "FULL_TRACK")
+    rft = ledger_ops.init_tender(chain, sender, 10_000_000, keys.public_key,
+                                 n, "FULL_TRACK")
     cert = crypto.issue_certificate(keys.private_key, "B1", rft)
     call = contracts.place_bid_call("B1", account("data"), cert.msg_hash,
                                     cert.v, cert.r, cert.s, b"aa")
@@ -452,10 +453,10 @@ def _interleaved_collect_timings(sizes):
     repeats = {}
     for n, (chain, rft) in chains.items():
         for _ in range(3):
-            out = contracts.collect_valid_bid_data(chain, rft)  # warmup
+            out = ledger_ops.collect_valid_bid_data(chain, rft)  # warmup
         assert len(out) == n
         t0 = time.perf_counter()
-        contracts.collect_valid_bid_data(chain, rft)
+        ledger_ops.collect_valid_bid_data(chain, rft)
         rough = max(time.perf_counter() - t0, 1e-7)
         repeats[n] = max(3, int(0.02 / rough))
     best = dict.fromkeys(sizes)
@@ -466,7 +467,7 @@ def _interleaved_collect_timings(sizes):
             for n, (chain, rft) in chains.items():
                 t0 = time.perf_counter()
                 for _ in range(repeats[n]):
-                    contracts.collect_valid_bid_data(chain, rft)
+                    ledger_ops.collect_valid_bid_data(chain, rft)
                 per_call = (time.perf_counter() - t0) / repeats[n]
                 best[n] = per_call if best[n] is None else min(best[n], per_call)
     finally:

@@ -6,12 +6,14 @@ import pytest
 
 from tendersim import audit, contracts
 from tendersim.chain import Chain, ChainConfig
-from tendersim.encoding import canonical_json, to_hex
+from tendersim.cli import main
+from tendersim.encoding import canonical_json, canonical_json_bytes, to_hex
 from tendersim.errors import ResultsNotPublished
 from tendersim.orchestrator import BidDocument, TenderOrchestrator, TenderSpec
+from tendersim.scenario import run_scenario
 
 import chain_surgery
-from conftest import price_criteria, run_honest_tender, two_bid_docs
+from conftest import SCENARIO_DIR, price_criteria, run_honest_tender, two_bid_docs
 
 
 def _honest_export(scheme="FULL_TRACK", seed=21, docs=None):
@@ -37,7 +39,7 @@ def test_requirement_matrix_matches_scheme():
                            ("PROTECTED", "PARTIAL", "PARTIAL"),
                            ("STATELESS", "PASS", "PASS")):
         export, rft_hex, _, _ = _honest_export(scheme)
-        reqs = audit.check_requirements(export, rft_hex)
+        reqs = audit.replay_and_audit(export, rft_hex).requirements
         assert reqs["R1"]["verdict"] == "PASS"
         assert reqs["R2"]["verdict"] == "PARTIAL"
         assert reqs["R3"]["verdict"] == "PASS"
@@ -274,3 +276,174 @@ def test_early_reveal_shows_in_r2_evidence():
     assert report.requirements["R2"]["verdict"] == "PARTIAL"
     assert "before the deadline" in report.requirements["R2"]["evidence"]
     assert report.violations == []
+
+
+# --- one replay through the contract rules -----------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", contracts.SCHEMES)
+def test_replay_rederives_the_ledger_state(scheme):
+    export, _, _, _ = _honest_export(scheme)
+    replay = audit.replay_chain(export)
+    assert {to_hex(a): c.snapshot() for a, c in replay.state.items()} == export["contracts"]
+    assert replay.receipt_findings == [] and replay.state_findings == []
+
+
+def _audit_with_raw_tx(make_payload, target=lambda rft: rft):
+    """Audit an honest FULL_TRACK run that also carries one raw transaction,
+    mined after the deadline and before the results; returns the report and
+    the raw transaction's receipt."""
+    chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    tx_id = chain.submit_transaction(orch.bidders["B1"].address, target(rft),
+                                     make_payload(subs))
+    chain.mine_block(chain.now())
+    orch.publish_results(orch.close_and_evaluate())
+    return audit.replay_and_audit(chain.export(), rft), chain.get_transaction(tx_id)
+
+
+def test_reveal_with_uppercase_hex_audits_clean():
+    def payload(subs):
+        sub = subs["B1"]
+        return canonical_json_bytes({"op": "reveal_key_half",
+                                     "bid_addr": to_hex(sub.record_address),
+                                     "half_b": "0x" + sub.sealed.half_b.hex().upper()})
+
+    report, tx = _audit_with_raw_tx(payload)
+    assert tx.status == "OK"
+    assert report.violations == []
+
+
+def test_non_canonical_call_to_missing_address_audits_clean():
+    payload = b'{"op": "set_field",   "field": "limit"}'
+    report, tx = _audit_with_raw_tx(lambda subs: payload, target=lambda rft: b"\x42" * 20)
+    assert tx.error == "NO_SUCH_CONTRACT"
+    assert tx.gas_used == 2 * 8 * len(payload)  # metered on the payload as sent
+    assert report.violations == []
+
+
+def test_reveal_with_non_hex_bid_address_audits_clean():
+    call = {"op": "reveal_key_half", "bid_addr": "0xnot-hex", "half_b": "0x00"}
+    report, tx = _audit_with_raw_tx(lambda subs: canonical_json_bytes(call))
+    assert tx.error == "MALFORMED_PAYLOAD"
+    assert report.violations == []
+
+
+def test_tender_deployment_with_non_hex_data_address_audits_clean():
+    call = contracts.rft_deploy_call("FULL_TRACK", 600_000, b"\x01" * 64, 2)
+    call["tender_data"] = "0xnot-hex"
+    report, tx = _audit_with_raw_tx(lambda subs: canonical_json_bytes(call),
+                                    target=lambda rft: None)
+    assert tx.error == "INVALID_TENDER_PARAMS"
+    assert report.violations == []
+
+
+def _three_tender_export(rigged_scheme=None):
+    """One chain with a tender per scheme, and the tender address per scheme;
+    ``rigged_scheme``'s published winner is rigged."""
+    chain = Chain(ChainConfig())
+    tenders = []
+    for i, scheme in enumerate(contracts.SCHEMES):
+        orch = TenderOrchestrator(chain, Random(80 + i))
+        spec = TenderSpec(title=scheme, terms=b"x", criteria=price_criteria(),
+                          length_ms=600_000, limit=2, scheme=scheme)
+        rft, _ = orch.open_tender(spec)
+        subs = {}
+        for bidder_id, price in ((f"T{i}B1", 100.0), (f"T{i}B2", 90.0)):
+            orch.register_bidder(bidder_id)
+            subs[bidder_id] = orch.submit_sealed_bid(bidder_id,
+                                                     BidDocument(bidder_id, {"price": price}))
+        tenders.append((scheme, orch, rft, subs))
+    chain.advance_to(max(chain.get_contract(rft).bidding_end for _, _, rft, _ in tenders) + 1)
+    for scheme, orch, rft, subs in tenders:
+        for bidder_id, sub in subs.items():
+            orch.deliver_key_half(bidder_id, sub)
+        result = orch.close_and_evaluate()
+        if scheme == rigged_scheme:
+            loser_id, loser = next(iter(subs.items()))
+            result.winner_id = loser_id
+            result.winner_bid_address = loser.record_address
+        orch.publish_results(result)
+    return chain.export(), {scheme: to_hex(rft) for scheme, _, rft, _ in tenders}
+
+
+def test_cli_audits_every_deployed_tender_despite_relabelled_kind(tmp_path, capsys):
+    export, addresses = _three_tender_export("PROTECTED")
+    rigged = addresses["PROTECTED"]
+    export["contracts"][rigged]["kind"] = "tender_data"  # hide it from a label-based search
+    path = tmp_path / "chain.json"
+    path.write_text(canonical_json(export) + "\n", encoding="utf-8")
+    code = main(["audit", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 3
+    assert [line for line in lines if line.startswith("AUDIT FAIL")] == \
+        [line for line in lines if f"tender={rigged} " in line]
+
+
+def test_findings_stay_with_their_tender():
+    export, addresses = _three_tender_export("FULL_TRACK")
+    rigged = addresses["FULL_TRACK"]
+    replay = audit.replay_chain(export)
+    reports = {addr: audit.replay_and_audit(replay, addr)
+               for addr in replay.tender_addresses()}
+    assert len(reports) == 3
+    assert [addr for addr, r in reports.items() if not r.ok()] == [rigged]
+    assert {v.tag for v in reports[rigged].violations} == {"WINNER_MISMATCH"}
+
+
+def test_receipt_findings_go_to_the_tender_or_to_every_report():
+    export, addresses = _three_tender_export()
+    tampered = addresses["PROTECTED"]
+    txs = [tx for _, tx in audit.iter_transactions(export)]
+    bid = next(tx for tx in txs if tx["target"] == tampered)
+    deploy = next(tx for tx in txs if tx["kind"] == "deploy_data")
+    bid["gas_used"] += 1
+    deploy["gas_used"] += 1
+    replay = audit.replay_chain(export)
+    for addr in replay.tender_addresses():
+        hashes = [tx["tx_hash"] for tx in (bid, deploy)
+                  if any(tx["tx_hash"] in v.description
+                         for v in audit.replay_and_audit(replay, addr).violations)]
+        assert hashes == ([bid["tx_hash"]] if addr == tampered else []) + [deploy["tx_hash"]]
+
+
+def test_stateless_tender_disclosing_a_bid_array_is_flagged():
+    export, rft_hex, _, _ = _honest_export("STATELESS")
+    export["contracts"][rft_hex]["bids_placed"] = []
+    report = audit.replay_and_audit(export, rft_hex)
+    assert [(v.tag, v.description) for v in report.violations] == \
+        [("R3", "stateless tender discloses a bid array")]
+
+
+@pytest.fixture(scope="module")
+def full_track_10():
+    outcome = run_scenario(SCENARIO_DIR / "full_track_10_bids.json")
+    return outcome.export, outcome.report.tender_address
+
+
+def test_bid_validity_must_be_a_json_boolean(full_track_10):
+    export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
+    record = export["contracts"][rft_hex]["bids_placed"][0]
+    assert export["contracts"][record]["validity"] is True
+    export["contracts"][record]["validity"] = 1
+    report = audit.replay_and_audit(export, rft_hex)
+    assert any(v.tag == "R3" and record in v.description and "validity" in v.description
+               for v in report.violations)
+
+
+def test_changed_data_contract_owner_is_flagged(full_track_10):
+    export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
+    record = export["contracts"][rft_hex]["bids_placed"][0]
+    data_hex = export["contracts"][record]["data_addr"]
+    export["contracts"][data_hex]["owner"] = "0x" + "11" * 20
+    report = audit.replay_and_audit(export, rft_hex)
+    assert any(v.tag == "R3" and data_hex in v.description and "owner" in v.description
+               for v in report.violations)
+
+
+def test_changed_receipt_kind_is_flagged(full_track_10):
+    export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
+    tx = next(tx for _, tx in audit.iter_transactions(export) if tx["kind"] == "bid_full")
+    tx["kind"] = "bid_stateless"
+    report = audit.replay_and_audit(export, rft_hex)
+    assert any(v.tag == "R6" and tx["tx_hash"] in v.description for v in report.violations)

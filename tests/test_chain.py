@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendersim import contracts
 from tendersim.chain import (
     Chain,
     ChainConfig,
@@ -20,6 +19,7 @@ from tendersim.errors import (
     UnmeteredOperation,
 )
 
+import ledger_ops
 from conftest import account, make_tender
 from reference_data import (
     DEPLOY_GAS,
@@ -55,6 +55,16 @@ def test_two_submissions_share_a_block_in_order(chain):
     block = chain.mine_block(chain.now() + 1000)
     assert [t.tx_hash for t in block.transactions] == \
         [bytes.fromhex(id1[2:]), bytes.fromhex(id2[2:])]
+
+
+def test_payload_nested_past_the_decoder_is_rejected_in_its_block(chain):
+    sender = chain.register_account(account("a"))
+    chain.submit_transaction(sender, None, _noop_payload())
+    chain.submit_transaction(sender, None, b"[" * 100_000)
+    block = chain.mine_block(chain.now() + 1000)
+    assert [t.status for t in block.transactions] == ["OK", "REJECTED"]
+    assert block.transactions[1].error == "MALFORMED_PAYLOAD"
+    assert block.transactions[1].gas_used == 2 * 8 * 100_000
 
 
 def test_mine_rejects_non_monotonic_timestamp(chain):
@@ -106,7 +116,7 @@ def test_timestamp_rules_under_random_schedules(offsets):
 
 def test_hash_chain_links_and_tamper_evidence(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
-    contracts.deploy_tender_data(chain, sender, b"payload")
+    ledger_ops.deploy_tender_data(chain, sender, b"payload")
     blocks = chain.blocks
     for parent, child in zip(blocks, blocks[1:]):
         assert child.parent_hash == parent.block_hash
@@ -196,11 +206,11 @@ def test_gas_determinism_on_identical_runs(to_keys):
 
         chain = Chain(ChainConfig())
         rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
-        data = contracts.deploy_tender_data(chain, sender, b"doc-bytes")
+        data = ledger_ops.deploy_tender_data(chain, sender, b"doc-bytes")
         cert = crypto.issue_certificate(to_keys.private_key, "B1", rft)
         for _ in range(3):
-            contracts.place_bid_full(chain, rft, sender, "B1", data, cert.msg_hash,
-                                     cert.v, cert.r, cert.s, b"half")
+            ledger_ops.place_bid_full(chain, rft, sender, "B1", data, cert.msg_hash,
+                                      cert.v, cert.r, cert.s, b"half")
         return [t.gas_used for b in chain.blocks for t in b.transactions]
 
     assert run() == run()

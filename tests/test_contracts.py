@@ -17,6 +17,7 @@ from tendersim.errors import (
     SchemeHasNoState,
 )
 
+import ledger_ops
 from conftest import account, make_tender
 from reference_data import DEPLOY_GAS, STATELESS_BID_GAS
 
@@ -49,9 +50,9 @@ def test_deployment_gas_constants(chain, to_keys, scheme):
 def test_invalid_tender_params(chain, to_keys):
     sender = chain.register_account(account("TO"))
     with pytest.raises(InvalidTenderParams):
-        contracts.init_tender(chain, sender, 0, to_keys.public_key, 2, "FULL_TRACK")
+        ledger_ops.init_tender(chain, sender, 0, to_keys.public_key, 2, "FULL_TRACK")
     with pytest.raises(InvalidTenderParams):
-        contracts.init_tender(chain, sender, 1000, to_keys.public_key, 0, "FULL_TRACK")
+        ledger_ops.init_tender(chain, sender, 1000, to_keys.public_key, 0, "FULL_TRACK")
 
 
 def test_bidding_end_is_deploy_time_plus_length(chain, to_keys):
@@ -65,11 +66,11 @@ def test_bidding_end_is_deploy_time_plus_length(chain, to_keys):
 
 def test_data_contract_size_boundary(chain):
     sender = chain.register_account(account("TO"))
-    addr = contracts.deploy_tender_data(chain, sender, b"\x42" * 625)  # 5000 bits
+    addr = ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 625)  # 5000 bits
     assert chain.read_state(addr)["data"] == "0x" + "42" * 625
     with pytest.raises(DataTooLarge):
-        contracts.deploy_tender_data(chain, sender, b"\x42" * 626)
-    empty = contracts.deploy_tender_data(chain, sender, b"")
+        ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 626)
+    empty = ledger_ops.deploy_tender_data(chain, sender, b"")
     assert chain.read_state(empty)["data"] == "0x"
 
 
@@ -78,7 +79,7 @@ def test_data_contract_size_boundary(chain):
 
 def test_full_track_first_valid_bid(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
-    addr = contracts.place_bid_full(chain, rft, sender, **_bid_args(to_keys, "B1", rft))
+    addr = ledger_ops.place_bid_full(chain, rft, sender, **_bid_args(to_keys, "B1", rft))
     record = chain.get_contract(addr)
     assert record.validity is True
     assert record.prior_bids == ()
@@ -91,8 +92,8 @@ def test_full_track_first_valid_bid(chain, to_keys):
 def test_full_track_bid_at_deadline_recorded_invalid(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK", length_ms=60_000)
     end = chain.get_contract(rft).bidding_end
-    addr = contracts.place_bid_full(chain, rft, sender,
-                                    **_bid_args(to_keys, "B1", rft), at=end)
+    addr = ledger_ops.place_bid_full(chain, rft, sender,
+                                     **_bid_args(to_keys, "B1", rft), at=end)
     record = chain.get_contract(addr)
     assert record.validity is False  # strictly-before comparison
     assert len(chain.get_contract(rft).bids_placed) == 1
@@ -101,18 +102,18 @@ def test_full_track_bid_at_deadline_recorded_invalid(chain, to_keys):
 
 def test_full_track_forged_bid_does_not_lock_out_the_real_bidder(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK", limit=1)
-    forged_addr = contracts.place_bid_full(chain, rft, sender, **_forged_args("B1"))
+    forged_addr = ledger_ops.place_bid_full(chain, rft, sender, **_forged_args("B1"))
     assert chain.get_contract(forged_addr).validity is False
     assert chain.get_contract(rft).bid_count == {}  # tally only moves on valid bids
-    genuine = contracts.place_bid_full(chain, rft, sender, **_bid_args(to_keys, "B1", rft))
+    genuine = ledger_ops.place_bid_full(chain, rft, sender, **_bid_args(to_keys, "B1", rft))
     assert chain.get_contract(genuine).validity is True
     assert chain.get_contract(rft).bid_count == {"B1": 1}
 
 
 def test_full_track_limit_enforced(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK", limit=2)
-    results = [contracts.place_bid_full(chain, rft, sender,
-                                        **_bid_args(to_keys, "B1", rft))
+    results = [ledger_ops.place_bid_full(chain, rft, sender,
+                                         **_bid_args(to_keys, "B1", rft))
                for _ in range(3)]
     validities = [chain.get_contract(a).validity for a in results]
     assert validities == [True, True, False]
@@ -125,7 +126,7 @@ def test_full_track_malformed_certificate_is_a_protocol_error(chain, to_keys):
     args["r"] = args["r"][:-1]  # wrong length
     digest_before = chain.state_digest()
     with pytest.raises(MalformedCertificate):
-        contracts.place_bid_full(chain, rft, sender, **args)
+        ledger_ops.place_bid_full(chain, rft, sender, **args)
     assert chain.state_digest() == digest_before
     assert chain.get_contract(rft).bids_placed == []
 
@@ -134,8 +135,8 @@ def test_full_track_records_carry_growing_snapshots(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK", limit=5)
     placed = []
     for _ in range(4):
-        addr = contracts.place_bid_full(chain, rft, sender,
-                                        **_bid_args(to_keys, "B1", rft))
+        addr = ledger_ops.place_bid_full(chain, rft, sender,
+                                         **_bid_args(to_keys, "B1", rft))
         record = chain.get_contract(addr)
         assert record.prior_bids == tuple(placed)
         placed.append(addr)
@@ -148,7 +149,7 @@ def test_protected_rejects_bad_certificates_without_recording(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "PROTECTED")
     digest_before = chain.state_digest()
     with pytest.raises(CertificateRejected):
-        contracts.place_bid_protected(chain, rft, sender, **_forged_args("B1"))
+        ledger_ops.place_bid_protected(chain, rft, sender, **_forged_args("B1"))
     assert chain.state_digest() == digest_before
     assert chain.get_contract(rft).bids_placed == []
     rejected_tx = chain.blocks[-1].transactions[0]
@@ -158,7 +159,7 @@ def test_protected_rejects_bad_certificates_without_recording(chain, to_keys):
 
 def test_protected_first_valid_bid_gas(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "PROTECTED")
-    contracts.place_bid_protected(chain, rft, sender, **_bid_args(to_keys, "B1", rft))
+    ledger_ops.place_bid_protected(chain, rft, sender, **_bid_args(to_keys, "B1", rft))
     assert chain.blocks[-1].transactions[0].gas_used == 332_788
 
 
@@ -167,8 +168,8 @@ def test_protected_late_bid_with_valid_certificate_recorded_invalid(chain, to_ke
     # check inside it fails and the bid lands flagged invalid
     rft, sender = make_tender(chain, to_keys, "PROTECTED", length_ms=60_000)
     end = chain.get_contract(rft).bidding_end
-    addr = contracts.place_bid_protected(chain, rft, sender,
-                                         **_bid_args(to_keys, "B1", rft), at=end + 500)
+    addr = ledger_ops.place_bid_protected(chain, rft, sender,
+                                          **_bid_args(to_keys, "B1", rft), at=end + 500)
     record = chain.get_contract(addr)
     assert record.validity is False
     assert chain.get_contract(rft).bids_placed == [addr]
@@ -180,8 +181,8 @@ def test_protected_late_bid_with_valid_certificate_recorded_invalid(chain, to_ke
 def test_stateless_flat_gas_and_no_array(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "STATELESS", limit=10)
     for i in range(5):
-        addr = contracts.place_bid_stateless(chain, rft, sender,
-                                             **_bid_args(to_keys, "B1", rft))
+        addr = ledger_ops.place_bid_stateless(chain, rft, sender,
+                                              **_bid_args(to_keys, "B1", rft))
         assert chain.blocks[-1].transactions[0].gas_used == STATELESS_BID_GAS
         record = chain.get_contract(addr)
         assert record.prior_bids is None
@@ -193,20 +194,20 @@ def test_stateless_flat_gas_and_no_array(chain, to_keys):
 
 def test_stateless_bid_address_returned_for_offline_handoff(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "STATELESS")
-    addr = contracts.place_bid_stateless(chain, rft, sender,
-                                         **_bid_args(to_keys, "B1", rft))
+    addr = ledger_ops.place_bid_stateless(chain, rft, sender,
+                                          **_bid_args(to_keys, "B1", rft))
     assert chain.has_contract(addr)
     assert chain.blocks[-1].transactions[0].created_address == addr
 
 
 def test_acknowledgement_receipts(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "STATELESS")
-    addr = contracts.place_bid_stateless(chain, rft, sender,
-                                         **_bid_args(to_keys, "B1", rft))
+    addr = ledger_ops.place_bid_stateless(chain, rft, sender,
+                                          **_bid_args(to_keys, "B1", rft))
     receipt = contracts.acknowledge_bid(chain, to_keys.private_key, addr)
-    assert contracts.verify_acknowledgement(to_keys.public_key, addr, receipt)
-    assert not contracts.verify_acknowledgement(to_keys.public_key,
-                                                account("other"), receipt)
+    assert ledger_ops.verify_acknowledgement(to_keys.public_key, addr, receipt)
+    assert not ledger_ops.verify_acknowledgement(to_keys.public_key,
+                                                 account("other"), receipt)
     with pytest.raises(NoSuchContract):
         contracts.acknowledge_bid(chain, to_keys.private_key, account("ghost"))
 
@@ -219,43 +220,43 @@ def test_req_bids_deadline_boundary(chain, to_keys):
     end = chain.get_contract(rft).bidding_end
     chain.advance_to(end)  # exactly at the deadline: still sealed
     with pytest.raises(BiddingStillOpen):
-        contracts.req_bids(chain, rft)
+        ledger_ops.req_bids(chain, rft)
     chain.advance_to(end + 1)
-    assert contracts.req_bids(chain, rft) == ()
+    assert ledger_ops.req_bids(chain, rft) == ()
 
 
 def test_req_bids_returns_placement_order(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK", limit=3)
-    placed = [contracts.place_bid_full(chain, rft, sender,
-                                       **_bid_args(to_keys, "B1", rft))
+    placed = [ledger_ops.place_bid_full(chain, rft, sender,
+                                        **_bid_args(to_keys, "B1", rft))
               for _ in range(3)]
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
-    assert list(contracts.req_bids(chain, rft)) == placed
+    assert list(ledger_ops.req_bids(chain, rft)) == placed
 
 
 def test_req_bids_stateless_has_no_state(chain, to_keys):
     rft, _ = make_tender(chain, to_keys, "STATELESS")
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
     with pytest.raises(SchemeHasNoState):
-        contracts.req_bids(chain, rft)
+        ledger_ops.req_bids(chain, rft)
 
 
 def test_collect_valid_bid_data_filters_by_validity(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK", limit=2)
     d1, d2 = account("data-1"), account("data-2")
-    contracts.place_bid_full(chain, rft, sender, **{**_bid_args(to_keys, "B1", rft),
-                                                    "data_addr": d1})
-    contracts.place_bid_full(chain, rft, sender, **{**_bid_args(to_keys, "B2", rft),
-                                                    "data_addr": d2})
-    contracts.place_bid_full(chain, rft, sender, **_forged_args("B3"))
+    ledger_ops.place_bid_full(chain, rft, sender, **{**_bid_args(to_keys, "B1", rft),
+                                                     "data_addr": d1})
+    ledger_ops.place_bid_full(chain, rft, sender, **{**_bid_args(to_keys, "B2", rft),
+                                                     "data_addr": d2})
+    ledger_ops.place_bid_full(chain, rft, sender, **_forged_args("B3"))
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
-    assert contracts.collect_valid_bid_data(chain, rft) == [d1, d2]
+    assert ledger_ops.collect_valid_bid_data(chain, rft) == [d1, d2]
 
 
 def test_collect_valid_bid_data_empty(chain, to_keys):
     rft, _ = make_tender(chain, to_keys, "FULL_TRACK")
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
-    assert contracts.collect_valid_bid_data(chain, rft) == []
+    assert ledger_ops.collect_valid_bid_data(chain, rft) == []
 
 
 # --- immutability (R1) and append-only behaviour ----------------------------------------
@@ -268,7 +269,7 @@ def test_mutation_attempts_always_rejected(field_name, value):
     chain = Chain(ChainConfig())
     to_keys = crypto.generate_keypair(Random(5))
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
-    data_addr = contracts.deploy_tender_data(chain, sender, b"tender text")
+    data_addr = ledger_ops.deploy_tender_data(chain, sender, b"tender text")
     digest_before = chain.state_digest()
     for target in (rft, data_addr):
         call = contracts.mutation_call(field_name, value)
@@ -285,7 +286,7 @@ def test_bid_array_is_append_only_across_blocks(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK", limit=10)
     snapshots = [list(chain.get_contract(rft).bids_placed)]
     for _ in range(6):
-        contracts.place_bid_full(chain, rft, sender, **_bid_args(to_keys, "B1", rft))
+        ledger_ops.place_bid_full(chain, rft, sender, **_bid_args(to_keys, "B1", rft))
         snapshots.append(list(chain.get_contract(rft).bids_placed))
     for earlier, later in zip(snapshots, snapshots[1:]):
         assert later[:len(earlier)] == earlier

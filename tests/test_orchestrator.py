@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from tendersim import contracts, crypto
+from tendersim import crypto
 from tendersim.chain import Chain, ChainConfig
 from tendersim.encoding import canonical_json, to_hex
 from tendersim.errors import (
@@ -22,6 +22,7 @@ from tendersim.orchestrator import (
     TenderSpec,
 )
 
+import ledger_ops
 from conftest import price_criteria, run_honest_tender, two_bid_docs
 from winner_oracle import brute_force_winner
 
@@ -232,8 +233,8 @@ def test_stateless_flow_uses_receipts_and_handoff():
     assert orch.to.known_bids == [s.record_address for s in subs.values()]
     for sub in subs.values():
         assert sub.receipt is not None
-        assert contracts.verify_acknowledgement(orch.to.keys.public_key,
-                                                sub.record_address, sub.receipt)
+        assert ledger_ops.verify_acknowledgement(orch.to.keys.public_key,
+                                                 sub.record_address, sub.receipt)
     assert orch.result.winner_id == "B2"
 
 

@@ -174,6 +174,8 @@ def test_audit_command_flags_tampered_export(tmp_path, capsys):
     b'[]',
     b'\xff\xfe',
     b'[' * 100_000,  # nested deeper than the decoder recurses
+    b'{"blocks": [], "contracts": {}, "config": {"bogus": 1}, "gas_schedule": {}}',
+    b'{"blocks": [], "contracts": {}, "config": {}, "gas_schedule": {"deploy_rft_full": 0}}',
 ])
 def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
     path = tmp_path / "chain.json"
