@@ -39,7 +39,7 @@ from .chain import (
     compute_tx_hash,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
-from .encoding import from_hex, to_hex
+from .encoding import HexMemo, from_hex, to_hex
 from .errors import AuthFailed, MalformedExport, ResultsNotPublished
 from .orchestrator import STATUS_SCORED, BidDocument, TenderSpec, pick_winner
 
@@ -98,26 +98,83 @@ class AuditReport:
         }
 
 
-# top-level keys of a chain export and the JSON type each must have
-_EXPORT_SHAPE = {"blocks": list, "contracts": dict, "config": dict, "gas_schedule": dict}
+def _is_object(value) -> bool:
+    return type(value) is dict
+
+
+def _is_list(value) -> bool:
+    return type(value) is list
+
+
+def _is_uint64(value) -> bool:
+    return type(value) is int and 0 <= value < 1 << 64
+
+
+def _is_hex(value) -> bool:
+    try:
+        from_hex(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_target(value) -> bool:
+    return value == DEPLOY_TARGET or _is_hex(value)
+
+
+# The fields that the hash check and the replay read, and a test of each.
+# Receipt fields (status, error, gas_used, kind, created_address) are not
+# here: they are compared with the re-derived receipt, whatever they hold.
+_EXPORT_FIELDS = {"blocks": _is_list, "contracts": _is_object, "config": _is_object,
+                  "gas_schedule": _is_object}
+_BLOCK_FIELDS = {"height": _is_uint64, "timestamp": _is_uint64, "parent_hash": _is_hex,
+                 "block_hash": _is_hex, "transactions": _is_list}
+_TX_FIELDS = {"sender": _is_hex, "target": _is_target, "payload": _is_hex,
+              "nonce": _is_uint64, "gas_price": _is_uint64, "tx_hash": _is_hex}
 
 
 def parse_export(raw: bytes) -> dict:
     """A chain export from its UTF-8 JSON bytes.
 
-    Raises MalformedExport when the bytes are not JSON, or when the top level
-    is not an object whose keys in ``_EXPORT_SHAPE`` have the listed types.
+    Equal strings in lists are decoded to one shared object. A tracked
+    tender's records each repeat the bid array as it stood, so the file
+    names most addresses many times; the repeats are dropped as each JSON
+    object is decoded, not after the whole file is. The lists stay distinct.
+
+    Raises MalformedExport when the bytes are not JSON, when the document is
+    not an object, or when a field in ``_EXPORT_FIELDS``, ``_BLOCK_FIELDS``
+    or ``_TX_FIELDS`` is missing or fails its test, or a disclosed contract
+    is not an object.
     """
+    shared: dict[str, str] = {}
+
+    def share_list_strings(obj: dict) -> dict:
+        for value in obj.values():
+            if type(value) is list:
+                value[:] = [shared.setdefault(v, v) if type(v) is str else v for v in value]
+        return obj
+
     try:
-        export = json.loads(raw.decode("utf-8"))
+        export = json.loads(raw.decode("utf-8"), object_hook=share_list_strings)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
-    if not isinstance(export, dict):
-        raise MalformedExport("chain export is not a JSON object")
-    for key, kind in _EXPORT_SHAPE.items():
-        if not isinstance(export.get(key), kind):
-            raise MalformedExport(f"chain export field '{key}' is missing or not a {kind.__name__}")
+    _check_fields(export, _EXPORT_FIELDS, "chain export")
+    for i, block in enumerate(export["blocks"]):
+        _check_fields(block, _BLOCK_FIELDS, f"block {i}")
+        for j, tx in enumerate(block["transactions"]):
+            _check_fields(tx, _TX_FIELDS, f"block {i} transaction {j}")
+    for addr_hex, snap in export["contracts"].items():
+        if not _is_object(snap):
+            raise MalformedExport(f"disclosed contract {addr_hex} is not a JSON object")
     return export
+
+
+def _check_fields(obj, fields: dict, where: str) -> None:
+    if not _is_object(obj):
+        raise MalformedExport(f"{where} is not a JSON object")
+    for key, valid in fields.items():
+        if key not in obj or not valid(obj[key]):
+            raise MalformedExport(f"{where} field '{key}' is missing or malformed")
 
 
 # --- ledger structure -----------------------------------------------------------
@@ -236,7 +293,7 @@ def replay_chain(export: dict) -> ChainReplay:
         op = call.get("op") if call else None
         for finding in _receipt_findings(tx, outcome, op, height):
             replay.receipt_findings.append((target_addr if tender else None, finding))
-        replay.gas_trace.append((tx["kind"] or "unknown", tx["gas_used"]))
+        replay.gas_trace.append((tx.get("kind") or "unknown", tx.get("gas_used")))
     replay.state_findings = _state_findings(replay)
     return replay
 
@@ -294,19 +351,20 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
     disclosed_all = replay.export["contracts"]
     owners = _owners(replay)
     tender_data = {t.contract.tender_data_addr for t in replay.tenders.values()}
+    hexes = HexMemo()
     arrays: dict[bytes, list[str]] = {}  # tender -> its rendered bid array
     found = []
     for addr, contract in replay.state.items():
-        addr_hex = to_hex(addr)
+        addr_hex = hexes[addr]
         belongs = owners.get(addr, set())
         if isinstance(contract, BidRecordContract) and contract.prior_bids is not None:
             # By construction the prior array is a prefix of the tender's, so
             # compare against that rendered array rather than render each copy.
             (tender,) = belongs  # the one tender that created the record
-            expected = contract.snapshot_without_prior_bids()
+            expected = contract.snapshot_without_prior_bids(hexes)
             expected["prior_bids"] = arrays[tender][:len(contract.prior_bids)]
         else:
-            expected = contract.snapshot()
+            expected = contract.snapshot(hexes)
         if isinstance(contract, RequestForTenderContract) and "bids_placed" in expected:
             arrays[addr] = expected["bids_placed"]
         disclosed = disclosed_all.get(addr_hex)
@@ -321,7 +379,7 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
                 tag, text = _grade_difference(contract, addr_hex, key, expected, value,
                                               addr in tender_data)
                 found.append((belongs, tag, text))
-    created = {to_hex(addr) for addr in replay.state}
+    created = {hexes[addr] for addr in replay.state}
     for addr_hex in disclosed_all:
         if addr_hex not in created:
             found.append((set(), "R6", f"disclosed contract {addr_hex} was never created "
@@ -359,7 +417,7 @@ def _grade_difference(contract, addr_hex: str, key: str, expected: dict, value,
     if key == "bids_placed":
         if key not in expected:
             return "R3", "stateless tender discloses a bid array"
-        as_set = set(value) if isinstance(value, list) else set()
+        as_set = {a for a in value if type(a) is str} if isinstance(value, list) else set()
         missing = [a for a in expected[key] if a not in as_set]
         if missing:
             return "ERASURE", (f"disclosed bid array omits {len(missing)} recorded bid(s): "
@@ -382,14 +440,15 @@ def _snapshot_erasure_check(replay: ChainReplay, addr: bytes,
     disclosed_rft = disclosed_all.get(to_hex(addr))
     if tender.contract.scheme == contracts.SCHEME_STATELESS or disclosed_rft is None:
         return []
-    disclosed_array = disclosed_rft.get("bids_placed") or []
+    disclosed_array = disclosed_rft.get("bids_placed")
+    if not isinstance(disclosed_array, list):
+        disclosed_array = []
     violations = []
     for record, height, _ in tender.bids:
         record_hex = to_hex(record.address)
-        snap = disclosed_all.get(record_hex)
-        if snap is None or "prior_bids" not in snap:
-            continue
-        prior = snap["prior_bids"]
+        prior = disclosed_all.get(record_hex, {}).get("prior_bids")
+        if not isinstance(prior, list):
+            continue  # missing or malformed: the state diff reports the record
         k = len(prior)
         if disclosed_array[:k] != prior or (len(disclosed_array) <= k
                                             or disclosed_array[k] != record_hex):
@@ -417,9 +476,9 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
                                     "tender data holds no usable evaluation criteria"))
         return None, None, violations
 
-    statuses = result.get("statuses") or {}
-    revealed = result.get("revealed_keys") or {}
-    published_scores = result.get("scores") or {}
+    statuses = _object_field(result, "statuses")
+    revealed = _object_field(result, "revealed_keys")
+    published_scores = _object_field(result, "scores")
 
     recomputed_scores: dict[bytes, float] = {}
     records: dict[bytes, BidRecordContract] = {}
@@ -485,6 +544,13 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
     if winner_addr is None:
         return None, None, violations
     return to_hex(winner_addr), records[winner_addr].bidder_id, violations
+
+
+def _object_field(result: dict, key: str) -> dict:
+    """A field of the published results that should be an object; anything
+    else counts as empty, so what it should have listed is reported missing."""
+    value = result.get(key)
+    return value if isinstance(value, dict) else {}
 
 
 # --- requirement grading -------------------------------------------------------------
@@ -608,7 +674,7 @@ def replay_and_audit(source, rft_address, presented_receipts=None) -> AuditRepor
             f"inflates every later bid by {replay.schedule.per_prior_bid_copy} gas"))
 
     if presented_receipts:
-        statuses = result.get("statuses") or {}
+        statuses = _object_field(result, "statuses")
         for receipt in presented_receipts:
             addr_hex = to_hex(receipt.bid_address)
             if not crypto.verify_receipt(rft.pubk, receipt.bid_address,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .encoding import canonical_json_bytes, to_hex
+from .encoding import HexMemo, canonical_json_bytes, to_hex
 from .errors import (
     NoSuchContract,
     TimestampNotMonotonic,
@@ -88,6 +88,8 @@ class ChainConfig:
             raise ValueError("block_interval_ms must be > 0")
         if self.max_future_drift_ms < 0:
             raise ValueError("max_future_drift_ms must be >= 0")
+        if self.genesis_timestamp < 0:
+            raise ValueError("genesis_timestamp must be >= 0")
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -328,7 +330,7 @@ class Chain:
 
     def read_state(self, address: bytes) -> dict:
         """Zero-gas snapshot of one contract's current state."""
-        return self.get_contract(address).snapshot()
+        return self.get_contract(address).snapshot(HexMemo())
 
     def get_transaction(self, tx_id: str | bytes) -> Transaction:
         key = bytes.fromhex(tx_id[2:]) if isinstance(tx_id, str) else tx_id
@@ -338,19 +340,29 @@ class Chain:
         return sum(t.gas_used for b in self.blocks for t in b.transactions)
 
     def state_digest(self) -> bytes:
-        snap = {to_hex(addr): c.snapshot() for addr, c in self._contracts.items()}
+        hexes = HexMemo()
+        snap = {hexes[addr]: c.snapshot(hexes) for addr, c in self._contracts.items()}
         return hashlib.sha256(canonical_json_bytes(snap)).digest()
 
     # --- export ------------------------------------------------------------------
 
     def export(self) -> dict:
-        """Whole-chain view: blocks, receipts, and disclosed contract state."""
+        """Whole-chain view: blocks, receipts, and disclosed contract state.
+
+        Every address is rendered once per export and the one ``str`` is
+        shared by every field and list that names it. A tracked tender's
+        records each disclose the bid array as it stood, so the file grows
+        quadratically with the bids, but in memory each of those lists holds
+        only references. The lists themselves are distinct objects, so
+        editing one leaves the others as they were.
+        """
+        hexes = HexMemo()
         return {
             "format": "tendersim-chain/1",
             "config": self.config.as_dict(),
             "gas_schedule": self.gas_schedule.as_dict(),
             "clock": self._clock,
-            "accounts": sorted(to_hex(a) for a in self._accounts),
+            "accounts": sorted(hexes[a] for a in self._accounts),
             "blocks": [
                 {
                     "height": b.height,
@@ -359,8 +371,8 @@ class Chain:
                     "block_hash": to_hex(b.block_hash),
                     "transactions": [
                         {
-                            "sender": to_hex(t.sender),
-                            "target": DEPLOY_TARGET if t.target is None else to_hex(t.target),
+                            "sender": hexes[t.sender],
+                            "target": DEPLOY_TARGET if t.target is None else hexes[t.target],
                             "payload": to_hex(t.payload),
                             "nonce": t.nonce,
                             "gas_price": t.gas_price,
@@ -368,7 +380,7 @@ class Chain:
                             "status": t.status,
                             "error": t.error,
                             "kind": t.kind,
-                            "created_address": to_hex(t.created_address)
+                            "created_address": hexes[t.created_address]
                             if t.created_address else None,
                             "tx_hash": to_hex(t.tx_hash),
                         }
@@ -377,5 +389,5 @@ class Chain:
                 }
                 for b in self.blocks
             ],
-            "contracts": {to_hex(a): c.snapshot() for a, c in self._contracts.items()},
+            "contracts": {hexes[a]: c.snapshot(hexes) for a, c in self._contracts.items()},
         }

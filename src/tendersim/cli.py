@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     except TenderSimError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file, a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .chain import Chain, ExecOutcome, ExecutionContext, contract_address, meter_gas
-from .encoding import canonical_json_bytes, from_hex, load_json_bytes, to_hex
+from .encoding import HexMemo, canonical_json_bytes, from_hex, load_json_bytes, to_hex
 from .errors import (
     BiddingStillOpen,
     CertificateRejected,
@@ -82,7 +82,12 @@ Transition = tuple[ExecOutcome, "Contract | None"]
 
 class Contract:
     """A contract answers calls through ``transition``; it rejects every call
-    unless a subclass says otherwise."""
+    unless a subclass says otherwise.
+
+    ``snapshot(hexes)`` is the disclosed state as a JSON value. Addresses in
+    it are rendered through the memo ``hexes``, so snapshots taken with one
+    memo share one ``str`` per address.
+    """
 
     def execute(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
         """Ledger entry point: apply the call and install what it creates."""
@@ -102,8 +107,8 @@ class TenderDataContract(Contract):
         self.owner = owner
         self.data = data
 
-    def snapshot(self) -> dict:
-        return {"kind": self.kind, "owner": to_hex(self.owner), "data": to_hex(self.data)}
+    def snapshot(self, hexes: HexMemo) -> dict:
+        return {"kind": self.kind, "owner": hexes[self.owner], "data": to_hex(self.data)}
 
 
 class BidRecordContract(Contract):
@@ -128,19 +133,19 @@ class BidRecordContract(Contract):
         self.prior_bids = prior_bids
         self.bidding_end_copy = bidding_end_copy
 
-    def snapshot(self) -> dict:
-        snap = self.snapshot_without_prior_bids()
+    def snapshot(self, hexes: HexMemo) -> dict:
+        snap = self.snapshot_without_prior_bids(hexes)
         if self.prior_bids is not None:
-            snap["prior_bids"] = [to_hex(a) for a in self.prior_bids]
+            snap["prior_bids"] = [hexes[a] for a in self.prior_bids]
         return snap
 
-    def snapshot_without_prior_bids(self) -> dict:
+    def snapshot_without_prior_bids(self, hexes: HexMemo) -> dict:
         """The snapshot less its copy of the bid array, which costs O(bids) to render."""
         snap = {
             "kind": self.kind,
             "scheme": self.scheme,
             "id": self.bidder_id,
-            "data_addr": to_hex(self.data_addr),
+            "data_addr": hexes[self.data_addr],
             "validity": self.validity,
             "sealed_half_a": to_hex(self.sealed_half_a),
         }
@@ -271,21 +276,21 @@ class RequestForTenderContract(Contract):
             raise BiddingStillOpen(f"bidding open until {self.bidding_end}")
         return tuple(self.bids_placed)
 
-    def snapshot(self) -> dict:
+    def snapshot(self, hexes: HexMemo) -> dict:
         snap = {
             "kind": self.kind,
             "scheme": self.scheme,
             "bidding_end": self.bidding_end,
             "limit": self.limit,
             "pubk": to_hex(self.pubk),
-            "tender_data": to_hex(self.tender_data_addr) if self.tender_data_addr else None,
-            "deployer": to_hex(self.deployer),
+            "tender_data": hexes[self.tender_data_addr] if self.tender_data_addr else None,
+            "deployer": hexes[self.deployer],
             "bid_count": dict(sorted(self.bid_count.items())),
             "reveals": [dict(r) for r in self.reveals],
             "results": self.results,
         }
         if self.bids_placed is not None:
-            snap["bids_placed"] = [to_hex(a) for a in self.bids_placed]
+            snap["bids_placed"] = [hexes[a] for a in self.bids_placed]
         return snap
 
 

@@ -15,6 +15,18 @@ def to_hex(b: bytes) -> str:
     return "0x" + b.hex()
 
 
+class HexMemo(dict):
+    """``memo[raw]`` is ``to_hex(raw)``, rendered once per distinct ``raw``.
+
+    Equal inputs get the same ``str`` object back, so an address named in
+    many lists is held in memory once for as long as the memo lives.
+    """
+
+    def __missing__(self, raw: bytes) -> str:
+        text = self[raw] = to_hex(raw)
+        return text
+
+
 def from_hex(s: str) -> bytes:
     if not isinstance(s, str) or not s.startswith("0x"):
         raise ValueError(f"expected 0x-prefixed hex string, got {s!r}")

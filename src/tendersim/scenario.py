@@ -54,6 +54,19 @@ def _fail(source: str, where: str, message: str) -> None:
     raise ScenarioError(f"{source}: at {where}: {message}")
 
 
+def _check_offer(source: str, where: str, entry: dict) -> None:
+    """The document fields and free text a bid entry carries, where present."""
+    fields = entry.get("fields", {})
+    if not isinstance(fields, dict):
+        _fail(source, where + ".fields", "must be an object")
+    for name, value in fields.items():
+        # JSON numbers only: true and false are not prices
+        if type(value) not in (int, float):
+            _fail(source, f"{where}.fields.{name}", "must be a number")
+    if not isinstance(entry.get("free_text", ""), str):
+        _fail(source, where + ".free_text", "must be a string")
+
+
 def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     if not isinstance(doc, dict):
         _fail(source, "$", "scenario must be a JSON object")
@@ -65,10 +78,23 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     if not isinstance(doc.get("seed", 0), int):
         _fail(source, "$.seed", "seed must be an integer")
 
+    chain_cfg = doc.get("chain", {})
+    if not isinstance(chain_cfg, dict):
+        _fail(source, "$.chain", "must be an object")
+    try:
+        _chain_config(chain_cfg)
+    except (TypeError, ValueError) as exc:
+        _fail(source, "$.chain", str(exc))
+
     tender = doc["tender"]
+    if not isinstance(tender, dict):
+        _fail(source, "$.tender", "must be an object")
     for key in ("title", "terms", "length_ms", "limit", "criteria"):
         if key not in tender:
             _fail(source, "$.tender", f"missing required key {key!r}")
+    for key in ("title", "terms"):
+        if not isinstance(tender[key], str):
+            _fail(source, f"$.tender.{key}", "must be a string")
     if not isinstance(tender["length_ms"], int) or tender["length_ms"] <= 0:
         _fail(source, "$.tender.length_ms", "must be a positive integer")
     if not isinstance(tender["limit"], int) or tender["limit"] < 1:
@@ -78,22 +104,36 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     except (KeyError, TypeError, ValueError) as exc:
         _fail(source, "$.tender.criteria", str(exc))
 
+    if not isinstance(doc["bidders"], list):
+        _fail(source, "$.bidders", "must be a list")
     ids = set()
     timed: list[tuple[int, str]] = []
     for i, bidder in enumerate(doc["bidders"]):
         where = f"$.bidders[{i}]"
+        if not isinstance(bidder, dict):
+            _fail(source, where, "must be an object")
         for key in ("id", "submit_at_ms", "fields"):
             if key not in bidder:
                 _fail(source, where, f"missing required key {key!r}")
+        if not isinstance(bidder["id"], str):
+            _fail(source, where + ".id", "must be a string")
         if bidder["id"] in ids:
             _fail(source, where, f"duplicate bidder id {bidder['id']!r}")
         ids.add(bidder["id"])
         if not isinstance(bidder["submit_at_ms"], int) or bidder["submit_at_ms"] < 1:
             _fail(source, where + ".submit_at_ms", "must be an integer >= 1")
+        _check_offer(source, where, bidder)
         timed.append((bidder["submit_at_ms"], where))
 
+    def known_id(value) -> bool:
+        return isinstance(value, str) and value in ids
+
+    if not isinstance(doc.get("adversarial", []), list):
+        _fail(source, "$.adversarial", "must be a list")
     for i, action in enumerate(doc.get("adversarial", [])):
         where = f"$.adversarial[{i}]"
+        if not isinstance(action, dict):
+            _fail(source, where, "must be an object")
         kind = action.get("action")
         if kind not in TIMED_ACTIONS + POST_ACTIONS:
             _fail(source, where, f"unknown action {kind!r}")
@@ -105,19 +145,20 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
                                              or action["count"] < 1):
             _fail(source, where + ".count", "spam needs a positive count")
         if kind == "LATE_BID":
-            if action.get("bidder") not in ids:
+            if not known_id(action.get("bidder")):
                 _fail(source, where + ".bidder", "references an unknown bidder id")
+            _check_offer(source, where, action)
             if action["at_ms"] < tender["length_ms"]:
                 _fail(source, where + ".at_ms",
                       "a late bid must land at or after the tender length")
-        if kind == "FORGE_CERT" and action.get("target") not in ids:
+        if kind == "FORGE_CERT" and not known_id(action.get("target")):
             _fail(source, where + ".target", "references an unknown bidder id")
         if kind == "EARLY_KEY_REVEAL":
-            if action.get("bidder") not in ids:
+            if not known_id(action.get("bidder")):
                 _fail(source, where + ".bidder", "references an unknown bidder id")
             if action["at_ms"] >= tender["length_ms"]:
                 _fail(source, where + ".at_ms", "an early reveal must precede the deadline")
-        if kind == "RIG_WINNER" and action.get("winner") not in ids:
+        if kind == "RIG_WINNER" and not known_id(action.get("winner")):
             _fail(source, where + ".winner", "references an unknown bidder id")
         if kind == "ERASE_BID":
             if doc["scheme"] == contracts.SCHEME_STATELESS:
@@ -133,6 +174,16 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
             _fail(source, wb, f"schedule times must be strictly increasing; "
                               f"{wa} also fires at {a}")
 
+    expected = doc.get("expected", {})
+    if not isinstance(expected, dict):
+        _fail(source, "$.expected", "must be an object")
+    if not isinstance(expected.get("violation_tags_include", []), list):
+        _fail(source, "$.expected.violation_tags_include", "must be a list")
+    if not isinstance(expected.get("requirements", {}), dict):
+        _fail(source, "$.expected.requirements", "must be an object")
+
+    if not isinstance(doc.get("reports", []), list):
+        _fail(source, "$.reports", "must be a list")
     for i, kind in enumerate(doc.get("reports", [])):
         if kind not in REPORT_KINDS:
             _fail(source, f"$.reports[{i}]", f"unknown report kind {kind!r}")
@@ -151,6 +202,17 @@ class RunOutcome:
     deployment_gas: int
     tender_spec: dict
     written: dict = field(default_factory=dict)
+
+
+def _chain_config(chain_cfg: dict) -> ChainConfig:
+    """The scenario's ``chain`` settings; absent keys take the defaults."""
+    defaults = ChainConfig()
+    values = {name: chain_cfg.get(name, default)
+              for name, default in defaults.as_dict().items()}
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an integer")
+    return ChainConfig(**values)
 
 
 def _junk_address(rng: Random) -> bytes:
@@ -175,13 +237,7 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
         doc = source
     rng = Random(seed if seed is not None else doc.get("seed", 0))
 
-    chain_cfg = doc.get("chain", {})
-    config = ChainConfig(
-        block_interval_ms=chain_cfg.get("block_interval_ms", 15_000),
-        max_future_drift_ms=chain_cfg.get("max_future_drift_ms", 900_000),
-        genesis_timestamp=chain_cfg.get("genesis_timestamp", 1_600_000_000_000),
-        max_data_bits=chain_cfg.get("max_data_bits", 5_000),
-    )
+    config = _chain_config(doc.get("chain", {}))
     chain = Chain(config)
     orch = TenderOrchestrator(chain, rng)
 

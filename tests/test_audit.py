@@ -3,16 +3,19 @@ import gc
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tendersim import audit, contracts
 from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
-from tendersim.encoding import canonical_json, canonical_json_bytes, to_hex
-from tendersim.errors import ResultsNotPublished
+from tendersim.encoding import HexMemo, canonical_json, canonical_json_bytes, to_hex
+from tendersim.errors import MalformedExport, ResultsNotPublished
 from tendersim.orchestrator import BidDocument, TenderOrchestrator, TenderSpec
 from tendersim.scenario import run_scenario
 
 import chain_surgery
+import ledger_ops
 from conftest import SCENARIO_DIR, price_criteria, run_honest_tender, two_bid_docs
 
 
@@ -285,7 +288,8 @@ def test_early_reveal_shows_in_r2_evidence():
 def test_replay_rederives_the_ledger_state(scheme):
     export, _, _, _ = _honest_export(scheme)
     replay = audit.replay_chain(export)
-    assert {to_hex(a): c.snapshot() for a, c in replay.state.items()} == export["contracts"]
+    hexes = HexMemo()
+    assert {hexes[a]: c.snapshot(hexes) for a, c in replay.state.items()} == export["contracts"]
     assert replay.receipt_findings == [] and replay.state_findings == []
 
 
@@ -447,3 +451,71 @@ def test_changed_receipt_kind_is_flagged(full_track_10):
     tx["kind"] = "bid_stateless"
     report = audit.replay_and_audit(export, rft_hex)
     assert any(v.tag == "R6" and tx["tx_hash"] in v.description for v in report.violations)
+
+
+# --- parsing an export: one str per repeated string ---------------------------------------
+
+
+def test_parse_export_shares_the_strings_its_lists_repeat(full_track_10):
+    export, rft_hex = full_track_10
+    parsed = audit.parse_export(canonical_json_bytes(export))
+    assert canonical_json(parsed) == canonical_json(export)
+    array = parsed["contracts"][rft_hex]["bids_placed"]
+    for k, record_hex in enumerate(array):
+        prior = parsed["contracts"][record_hex]["prior_bids"]
+        assert prior == array[:k] and prior is not array
+        assert all(a is b for a, b in zip(prior, array))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3) | st.sampled_from(["0x01", "0x02"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+
+
+@given(st.lists(_json_values, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_parse_export_keeps_hostile_lists_as_they_are(values):
+    # lists of mixed types, nested lists and objects, wherever the export allows them
+    export = {"blocks": [], "contracts": {"0x01": {"prior_bids": values, "x": {"y": values}}},
+              "config": {}, "gas_schedule": {}, "accounts": values}
+    parsed = audit.parse_export(canonical_json_bytes(export))
+    assert canonical_json(parsed) == canonical_json(export)
+
+
+@given(_json_values)
+@settings(max_examples=150, deadline=None)
+def test_parse_export_rejects_hostile_blocks_with_a_coded_error(block):
+    raw = canonical_json_bytes({"blocks": [block], "contracts": {}, "config": {},
+                                "gas_schedule": {}})
+    with pytest.raises(MalformedExport):
+        audit.parse_export(raw)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda c, rft, rec: c[rft]["bids_placed"].append([1, {}]),
+                 id="array-holds-a-list"),
+    pytest.param(lambda c, rft, rec: c[rft].update(bids_placed=True), id="array-true"),
+    pytest.param(lambda c, rft, rec: c[rec].update(prior_bids=1.5), id="prior-bids-a-float"),
+])
+def test_hostile_disclosed_arrays_are_graded_not_raised(full_track_10, edit):
+    export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
+    disclosed = export["contracts"]
+    edit(disclosed, rft_hex, disclosed[rft_hex]["bids_placed"][3])
+    report = audit.replay_and_audit(audit.parse_export(canonical_json_bytes(export)), rft_hex)
+    assert {"R3", "ERASURE"} & {v.tag for v in report.violations}
+
+
+@pytest.mark.parametrize("field", ["statuses", "revealed_keys", "scores"])
+def test_published_results_with_a_list_for_an_object_are_graded(field):
+    chain, rft, _, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    addrs = [to_hex(a) for a in chain.get_contract(rft).bids_placed]
+    result = {"statuses": {a: "SCORED" for a in addrs},
+              "revealed_keys": {a: {"sealed": "0x00", "bid_key": "0x00"} for a in addrs}}
+    result[field] = addrs
+    ledger_ops.run_single(chain, chain.get_contract(rft).deployer, rft,
+                          contracts.publish_results_call(result))
+    report = audit.replay_and_audit(chain, rft)
+    assert not report.ok()

@@ -1,6 +1,11 @@
+import tracemalloc
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from tendersim import contracts, crypto
 
 from tendersim.chain import (
     Chain,
@@ -10,7 +15,7 @@ from tendersim.chain import (
     compute_tx_hash,
     meter_gas,
 )
-from tendersim.encoding import canonical_json_bytes
+from tendersim.encoding import canonical_json_bytes, to_hex
 from tendersim.errors import (
     NoSuchContract,
     TimestampNotMonotonic,
@@ -214,3 +219,70 @@ def test_gas_determinism_on_identical_runs(to_keys):
         return [t.gas_used for b in chain.blocks for t in b.transactions]
 
     assert run() == run()
+
+
+# --- export: one str per address ------------------------------------------------------
+
+
+def _spammed_full_track(records: int) -> tuple[Chain, str]:
+    """A FULL_TRACK tender holding ``records`` junk bids, all mined in one block."""
+    chain = Chain(ChainConfig())
+    rft, _ = make_tender(chain, crypto.generate_keypair(Random(3)), "FULL_TRACK")
+    spammer = chain.register_account(account("spammer"))
+    rng = Random(4)
+    for k in range(records):
+        call = contracts.place_bid_call(f"SPAM-{k}", rng.randbytes(20), rng.randbytes(32), 27,
+                                        rng.randbytes(32), rng.randbytes(32),
+                                        rng.randbytes(62))
+        chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
+    chain.mine_block(chain.head().timestamp + chain.config.block_interval_ms)
+    return chain, to_hex(rft)
+
+
+def test_export_holds_one_string_per_address():
+    chain, rft_hex = _spammed_full_track(8)
+    export = chain.export()
+    disclosed = export["contracts"]
+    array = disclosed[rft_hex]["bids_placed"]
+    assert len(array) == 8
+    keys = {id(key) for key in disclosed}
+    lists = [array]
+    for k, record_hex in enumerate(array):
+        prior = disclosed[record_hex]["prior_bids"]
+        assert prior == array[:k]
+        assert all(a is b for a, b in zip(prior, array))
+        lists.append(prior)
+    assert all(id(a) in keys for a in array)  # the contract keys are the same objects
+    assert len({id(lst) for lst in lists}) == len(lists)  # but every list is its own
+
+
+def test_editing_one_exported_list_leaves_the_others_unchanged():
+    chain, rft_hex = _spammed_full_track(6)
+    export = chain.export()
+    records = {a: s for a, s in export["contracts"].items() if "prior_bids" in s}
+    before = {a: list(s["prior_bids"]) for a, s in records.items()}
+    array = export["contracts"][rft_hex]["bids_placed"]
+    erased = array.pop(2)
+    array.append("0x" + "00" * 20)
+    assert erased not in array
+    assert {a: s["prior_bids"] for a, s in records.items()} == before
+    assert chain.export()["contracts"][rft_hex]["bids_placed"] == list(before)
+
+
+def test_export_holds_each_prior_bid_entry_as_a_reference():
+    """Rendering every entry anew costs ~95 bytes each; a shared one costs a list slot."""
+    records = 64
+    chain, _ = _spammed_full_track(records)
+    tracemalloc.start()
+    try:
+        export = chain.export()
+        snapshots = [s for s in export["contracts"].values() if "prior_bids" in s]
+        entries = sum(len(s["prior_bids"]) for s in snapshots)
+        held = tracemalloc.get_traced_memory()[0]
+        for snap in snapshots:
+            del snap["prior_bids"]
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert entries == records * (records - 1) // 2
+    assert freed / entries < 16

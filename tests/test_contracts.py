@@ -187,7 +187,7 @@ def test_stateless_flat_gas_and_no_array(chain, to_keys):
         record = chain.get_contract(addr)
         assert record.prior_bids is None
         assert record.bidding_end_copy is None
-        assert "prior_bids" not in record.snapshot()
+        assert "prior_bids" not in chain.read_state(addr)
     assert "bids_placed" not in chain.read_state(rft)
     assert chain.get_contract(rft).bid_count == {"B1": 5}
 

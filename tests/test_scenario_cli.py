@@ -1,11 +1,19 @@
+import copy
+import functools
 import json
 
 import pytest
 
 from tendersim import audit
 from tendersim.cli import main
+from tendersim.encoding import canonical_json_bytes
 from tendersim.errors import IncomparableScenarios, ScenarioError
-from tendersim.scenario import compare_schemes, load_scenario, run_scenario
+from tendersim.scenario import (
+    compare_schemes,
+    load_scenario,
+    run_scenario,
+    validate_scenario,
+)
 
 from conftest import SCENARIO_DIR
 from reference_data import DEPLOY_GAS, PER_PRIOR_BID_COPY
@@ -54,6 +62,60 @@ def test_unknown_action_rejected(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(p)
     assert "$.adversarial[0]" in str(err.value)
+
+
+def _full_track_doc() -> dict:
+    return json.loads((SCENARIO_DIR / "full_track_10_bids.json").read_text())
+
+
+def _late_bid(doc, **extra):
+    doc["adversarial"] = [{"action": "LATE_BID", "bidder": "B01", "at_ms": 3_700_000,
+                           **extra}]
+
+
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(lambda d: d.update(bidders=5), "$.bidders", id="bidders-not-a-list"),
+    pytest.param(lambda d: d.update(adversarial=3), "$.adversarial",
+                 id="adversarial-not-a-list"),
+    pytest.param(lambda d: d.update(tender=["x"]), "$.tender", id="tender-not-an-object"),
+    pytest.param(lambda d: d["bidders"].__setitem__(1, "B02"), "$.bidders[1]",
+                 id="bidder-not-an-object"),
+    pytest.param(lambda d: d["bidders"][0].update(fields=[1]), "$.bidders[0].fields",
+                 id="fields-not-an-object"),
+    pytest.param(lambda d: d["bidders"][2]["fields"].update(price="cheap"),
+                 "$.bidders[2].fields.price", id="field-value-a-string"),
+    pytest.param(lambda d: d["bidders"][2]["fields"].update(price=True),
+                 "$.bidders[2].fields.price", id="field-value-a-boolean"),
+    pytest.param(lambda d: d["bidders"][0].update(id=["B01"]), "$.bidders[0].id",
+                 id="bidder-id-not-a-string"),
+    pytest.param(lambda d: d["bidders"][0].update(free_text=7), "$.bidders[0].free_text",
+                 id="free-text-not-a-string"),
+    pytest.param(lambda d: d.update(adversarial=[7]), "$.adversarial[0]",
+                 id="action-not-an-object"),
+    pytest.param(lambda d: _late_bid(d, fields={"price": None}),
+                 "$.adversarial[0].fields.price", id="late-bid-field-value-null"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "RIG_WINNER", "winner": []}]),
+                 "$.adversarial[0].winner", id="winner-not-a-string"),
+    pytest.param(lambda d: d.update(chain=[]), "$.chain", id="chain-not-an-object"),
+    pytest.param(lambda d: d.update(chain={"block_interval_ms": "fast"}), "$.chain",
+                 id="chain-setting-not-an-integer"),
+    pytest.param(lambda d: d.update(chain={"genesis_timestamp": -1}), "$.chain",
+                 id="chain-genesis-before-zero"),
+    pytest.param(lambda d: d.update(expected=[]), "$.expected", id="expected-not-an-object"),
+    pytest.param(lambda d: d.update(reports="summary"), "$.reports", id="reports-not-a-list"),
+])
+def test_validation_rejects_wrong_shapes_at_their_json_path(edit, where):
+    doc = _full_track_doc()
+    edit(doc)
+    with pytest.raises(ScenarioError) as err:
+        validate_scenario(doc)
+    assert f"at {where}:" in str(err.value)
+
+
+def test_validation_accepts_a_late_bid_with_numeric_fields():
+    doc = _full_track_doc()
+    _late_bid(doc, fields={"price": 1, "delivery_days": 2.5}, free_text="late")
+    validate_scenario(doc)
 
 
 def test_erase_bid_invalid_for_stateless(tmp_path):
@@ -168,6 +230,15 @@ def test_audit_command_flags_tampered_export(tmp_path, capsys):
     assert printed.startswith("AUDIT FAIL")
 
 
+@functools.cache
+def _full_track_10_export() -> dict:
+    return run_scenario(SCENARIO_DIR / "full_track_10_bids.json").export
+
+
+def _first_tx(export: dict) -> dict:
+    return export["blocks"][1]["transactions"][0]
+
+
 @pytest.mark.parametrize("content", [
     b'{"blocks": [',  # truncated JSON
     b'{"contracts": {}, "config": {}, "gas_schedule": {}}',  # no blocks
@@ -176,13 +247,34 @@ def test_audit_command_flags_tampered_export(tmp_path, capsys):
     b'[' * 100_000,  # nested deeper than the decoder recurses
     b'{"blocks": [], "contracts": {}, "config": {"bogus": 1}, "gas_schedule": {}}',
     b'{"blocks": [], "contracts": {}, "config": {}, "gas_schedule": {"deploy_rft_full": 0}}',
+    # one field below the top level of a full_track_10_bids export, edited
+    pytest.param(lambda e: e["contracts"].update({next(iter(e["contracts"])): 5}),
+                 id="contract-snapshot-5"),
+    pytest.param(lambda e: _first_tx(e).update(payload="zz"), id="payload-not-hex"),
+    pytest.param(lambda e: e["blocks"].__setitem__(2, 7), id="block-7"),
+    pytest.param(lambda e: _first_tx(e).pop("sender"), id="tx-without-sender"),
+    pytest.param(lambda e: e["blocks"][1].update(height="x"), id="height-x"),
+    pytest.param(lambda e: _first_tx(e).update(nonce=-1), id="nonce-negative"),
+    pytest.param(lambda e: e["blocks"][3].update(timestamp=2 ** 64), id="timestamp-2-64"),
+    pytest.param(lambda e: _first_tx(e).update(target=None), id="target-null"),
 ])
 def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
+    if callable(content):
+        export = copy.deepcopy(_full_track_10_export())
+        content(export)
+        content = canonical_json_bytes(export)
     path = tmp_path / "chain.json"
     path.write_bytes(content)
     code = main(["audit", str(path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error[MALFORMED_EXPORT]")
+
+
+def test_audit_command_reports_an_unreadable_path(tmp_path, capsys):
+    code = main(["audit", str(tmp_path)])  # a directory, not a file
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 # --- determinism ---------------------------------------------------------------------------
