@@ -9,7 +9,8 @@ Exits nonzero if any point drifts beyond 0.1%.
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # run from a source checkout
 
 from reference_data import (  # noqa: E402
     DEPLOY_GAS,
@@ -20,7 +21,7 @@ from reference_data import (  # noqa: E402
 )
 from tendersim.scenario import run_scenario  # noqa: E402
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIOS = ROOT / "scenarios"
 
 RUNS = [
     ("FULL_TRACK", "full_track_10_bids.json", FULL_TRACK_BID_SERIES),

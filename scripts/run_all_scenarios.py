@@ -8,9 +8,12 @@ exits nonzero if any scenario misses its expected-verdict block.
 import sys
 from pathlib import Path
 
-from tendersim.scenario import run_scenario
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # run from a source checkout
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from tendersim.scenario import run_scenario  # noqa: E402
+
+SCENARIOS = ROOT / "scenarios"
 
 
 def main() -> int:

@@ -26,11 +26,13 @@ observed on this chain).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import contracts, crypto
 from .chain import (
     DEPLOY_TARGET,
+    EXPORT_FORMAT,
+    Block,
     Chain,
     ChainConfig,
     ExecutionContext,
@@ -55,9 +57,6 @@ class Violation:
     tag: str  # R1..R6 | ERASURE | NONRECEIPT | WINNER_MISMATCH | UNDECRYPTABLE_BID
     height: int
     description: str
-
-    def to_dict(self) -> dict:
-        return {"tag": self.tag, "height": self.height, "description": self.description}
 
 
 @dataclass
@@ -90,7 +89,7 @@ class AuditReport:
             "recomputed_winner": self.recomputed_winner,
             "published_winner": self.published_winner,
             "winner_match": self.winner_match,
-            "violations": [v.to_dict() for v in self.violations],
+            "violations": [asdict(v) for v in self.violations],
             "gas_trace": [{"kind": k, "gas_used": g} for k, g in self.gas_trace],
             "timeline": self.timeline,
             "requirements": self.requirements,
@@ -98,53 +97,16 @@ class AuditReport:
         }
 
 
-def _is_object(value) -> bool:
-    return type(value) is dict
-
-
-def _is_list(value) -> bool:
-    return type(value) is list
-
-
-def _is_uint64(value) -> bool:
-    return type(value) is int and 0 <= value < 1 << 64
-
-
-def _is_hex(value) -> bool:
-    try:
-        from_hex(value)
-    except ValueError:
-        return False
-    return True
-
-
-def _is_target(value) -> bool:
-    return value == DEPLOY_TARGET or _is_hex(value)
-
-
-# The fields that the hash check and the replay read, and a test of each.
-# Receipt fields (status, error, gas_used, kind, created_address) are not
-# here: they are compared with the re-derived receipt, whatever they hold.
-_EXPORT_FIELDS = {"blocks": _is_list, "contracts": _is_object, "config": _is_object,
-                  "gas_schedule": _is_object}
-_BLOCK_FIELDS = {"height": _is_uint64, "timestamp": _is_uint64, "parent_hash": _is_hex,
-                 "block_hash": _is_hex, "transactions": _is_list}
-_TX_FIELDS = {"sender": _is_hex, "target": _is_target, "payload": _is_hex,
-              "nonce": _is_uint64, "gas_price": _is_uint64, "tx_hash": _is_hex}
-
-
-def parse_export(raw: bytes) -> dict:
-    """A chain export from its UTF-8 JSON bytes.
+def parse_export(raw: bytes):
+    """The JSON document in a chain export's UTF-8 bytes, not yet checked.
 
     Equal strings in lists are decoded to one shared object. A tracked
     tender's records each repeat the bid array as it stood, so the file
     names most addresses many times; the repeats are dropped as each JSON
     object is decoded, not after the whole file is. The lists stay distinct.
 
-    Raises MalformedExport when the bytes are not JSON, when the document is
-    not an object, or when a field in ``_EXPORT_FIELDS``, ``_BLOCK_FIELDS``
-    or ``_TX_FIELDS`` is missing or fails its test, or a disclosed contract
-    is not an object.
+    Raises MalformedExport only when the bytes are not JSON; ``read_ledger``,
+    which ``replay_chain`` calls, checks what the document holds.
     """
     shared: dict[str, str] = {}
 
@@ -155,60 +117,123 @@ def parse_export(raw: bytes) -> dict:
         return obj
 
     try:
-        export = json.loads(raw.decode("utf-8"), object_hook=share_list_strings)
+        return json.loads(raw.decode("utf-8"), object_hook=share_list_strings)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
-    _check_fields(export, _EXPORT_FIELDS, "chain export")
-    for i, block in enumerate(export["blocks"]):
-        _check_fields(block, _BLOCK_FIELDS, f"block {i}")
-        for j, tx in enumerate(block["transactions"]):
-            _check_fields(tx, _TX_FIELDS, f"block {i} transaction {j}")
+
+
+# --- reading the ledger ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LedgerTransaction:
+    """A transaction as an export records it: the six fields its hash signs,
+    decoded, and its disclosed receipt, the JSON object as it came."""
+
+    sender: bytes
+    target: bytes | None  # None marks a deployment
+    payload: bytes
+    nonce: int
+    gas_price: int
+    tx_hash: bytes
+    receipt: dict
+
+
+def read_ledger(export) -> list[Block]:
+    """The blocks of a chain export, read once into typed values.
+
+    Heights, timestamps, nonces and gas prices must be unsigned 64-bit ints;
+    hashes, senders, targets (or ``DEPLOY``) and payloads hex spelled the way
+    ``to_hex`` writes it. Each transaction keeps its JSON object, unread, as
+    its receipt: the replay compares receipts strictly. Raises MalformedExport
+    for a document that is not a ``tendersim-chain/1`` object, for ``blocks``,
+    ``contracts``, ``config``, ``gas_schedule`` or a disclosed contract of the
+    wrong JSON type, and for a missing or malformed block or transaction field.
+    """
+    if type(export) is not dict or export.get("format") != EXPORT_FORMAT:
+        raise MalformedExport(f"chain export is not a {EXPORT_FORMAT} object")
+    for key, kind in (("blocks", list), ("contracts", dict), ("config", dict),
+                      ("gas_schedule", dict)):
+        if type(export.get(key)) is not kind:
+            raise MalformedExport(f"chain export field '{key}' is missing or malformed")
     for addr_hex, snap in export["contracts"].items():
-        if not _is_object(snap):
+        if type(snap) is not dict:
             raise MalformedExport(f"disclosed contract {addr_hex} is not a JSON object")
-    return export
+    return [_read_block(block, f"block {i}") for i, block in enumerate(export["blocks"])]
 
 
-def _check_fields(obj, fields: dict, where: str) -> None:
-    if not _is_object(obj):
-        raise MalformedExport(f"{where} is not a JSON object")
-    for key, valid in fields.items():
-        if key not in obj or not valid(obj[key]):
-            raise MalformedExport(f"{where} field '{key}' is missing or malformed")
+def _read_block(block, where: str) -> Block:
+    txs = block.get("transactions") if type(block) is dict else None
+    if type(txs) is not list:
+        raise MalformedExport(f"{where} field 'transactions' is missing or malformed")
+    return Block(height=_field(block, "height", _uint64, where),
+                 parent_hash=_field(block, "parent_hash", _hex, where),
+                 timestamp=_field(block, "timestamp", _uint64, where),
+                 transactions=tuple(_read_tx(tx, f"{where} transaction {j}")
+                                    for j, tx in enumerate(txs)),
+                 block_hash=_field(block, "block_hash", _hex, where))
+
+
+def _read_tx(tx, where: str) -> LedgerTransaction:
+    return LedgerTransaction(sender=_field(tx, "sender", _hex, where),
+                             target=_field(tx, "target", _target, where),
+                             payload=_field(tx, "payload", _hex, where),
+                             nonce=_field(tx, "nonce", _uint64, where),
+                             gas_price=_field(tx, "gas_price", _uint64, where),
+                             tx_hash=_field(tx, "tx_hash", _hex, where),
+                             receipt=tx)
+
+
+def _field(obj, key: str, read, where: str):
+    """``read(obj[key])``, or MalformedExport naming the field."""
+    try:
+        return read(obj[key])
+    except (KeyError, TypeError, ValueError):
+        raise MalformedExport(f"{where} field '{key}' is missing or malformed") from None
+
+
+def _uint64(value) -> int:
+    if type(value) is not int or not 0 <= value < 1 << 64:
+        raise ValueError("not an unsigned 64-bit integer")
+    return value
+
+
+def _hex(value) -> bytes:
+    raw = from_hex(value)
+    if to_hex(raw) != value:  # uppercase digits or spaces would decode too
+        raise ValueError("hex not spelled as to_hex writes it")
+    return raw
+
+
+def _target(value) -> bytes | None:
+    return None if value == DEPLOY_TARGET else _hex(value)
 
 
 # --- ledger structure -----------------------------------------------------------
 
-def verify_ledger_hashes(export: dict) -> list[Violation]:
-    """Recompute every transaction and block hash and check the parent links."""
+def verify_ledger_hashes(blocks: list[Block]) -> list[Violation]:
+    """Recompute every transaction and block hash of ``read_ledger``'s blocks
+    and check the parent links, heights and timestamps, all as bytes and ints."""
     violations = []
-    blocks = export["blocks"]
     prev = None
     for block in blocks:
-        height = block["height"]
-        tx_hashes = []
-        for tx in block["transactions"]:
-            target = None if tx["target"] == "DEPLOY" else from_hex(tx["target"])
-            recomputed = compute_tx_hash(from_hex(tx["sender"]), target,
-                                         tx["nonce"], from_hex(tx["payload"]),
-                                         tx["gas_price"])
-            if to_hex(recomputed) != tx["tx_hash"]:
-                violations.append(Violation("R6", height,
-                                            f"transaction hash mismatch at {tx['tx_hash']}"))
-            tx_hashes.append(from_hex(tx["tx_hash"]))
-        recomputed_block = compute_block_hash(height, from_hex(block["parent_hash"]),
-                                              block["timestamp"], tx_hashes)
-        if to_hex(recomputed_block) != block["block_hash"]:
+        height = block.height
+        for tx in block.transactions:
+            if compute_tx_hash(tx.sender, tx.target, tx.nonce, tx.payload,
+                               tx.gas_price) != tx.tx_hash:
+                violations.append(Violation("R6", height, f"transaction hash mismatch at "
+                                                          f"{to_hex(tx.tx_hash)}"))
+        if compute_block_hash(height, block.parent_hash, block.timestamp,
+                              [tx.tx_hash for tx in block.transactions]) != block.block_hash:
             violations.append(Violation("R6", height, "block hash mismatch"))
         if prev is None:
-            if height != 0 or block["parent_hash"] != to_hex(b"\x00" * 32):
+            if height != 0 or block.parent_hash != bytes(32):
                 violations.append(Violation("R6", height, "malformed genesis block"))
         else:
-            if block["parent_hash"] != prev["block_hash"]:
+            if block.parent_hash != prev.block_hash:
                 violations.append(Violation("R6", height, "broken parent hash link"))
-            if height != prev["height"] + 1:
+            if height != prev.height + 1:
                 violations.append(Violation("R6", height, "non-sequential block height"))
-            if block["timestamp"] <= prev["timestamp"]:
+            if block.timestamp <= prev.timestamp:
                 violations.append(Violation("R6", height,
                                             "block timestamp not strictly increasing"))
         prev = block
@@ -250,37 +275,33 @@ class ChainReplay:
         return [to_hex(addr) for addr in self.tenders]
 
 
-def iter_transactions(export: dict):
-    for block in export["blocks"]:
-        for tx in block["transactions"]:
+def iter_transactions(blocks: list[Block]):
+    for block in blocks:
+        for tx in block.transactions:
             yield block, tx
 
 
-def replay_chain(export: dict) -> ChainReplay:
-    """Re-derive every receipt and contract of a chain export, and diff both
-    against what the export discloses."""
+def replay_chain(export) -> ChainReplay:
+    """Read a chain export with ``read_ledger``, re-derive every receipt and
+    contract, and diff both against what the export discloses."""
+    blocks = read_ledger(export)
     try:
         schedule = GasSchedule(**export["gas_schedule"])
         config = ChainConfig(**export["config"])
     except (TypeError, ValueError) as exc:
         raise MalformedExport(f"chain export settings are unusable: {exc}")
     replay = ChainReplay(export=export, schedule=schedule,
-                         ledger_findings=verify_ledger_hashes(export))
+                         ledger_findings=verify_ledger_hashes(blocks))
     state = replay.state
-    for block, tx in iter_transactions(export):
-        height, ts = block["height"], block["timestamp"]
-        payload = from_hex(tx["payload"])
-        call = contracts.decode_call(payload)
-        if tx["target"] == DEPLOY_TARGET:
-            target_addr, target = None, contracts.DEPLOY
-        else:
-            target_addr = from_hex(tx["target"])
-            target = state.get(target_addr)
-        ctx = ExecutionContext(sender=from_hex(tx["sender"]), tx_nonce=tx["nonce"],
+    for block, tx in iter_transactions(blocks):
+        height, ts = block.height, block.timestamp
+        call = contracts.decode_call(tx.payload)
+        target = contracts.DEPLOY if tx.target is None else state.get(tx.target)
+        ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce,
                                block_timestamp=ts, block_height=height,
                                gas_schedule=schedule, config=config)
-        outcome, created = contracts.transition(target, call, payload, ctx)
-        tender = replay.tenders.get(target_addr)
+        outcome, created = contracts.transition(target, call, tx.payload, ctx)
+        tender = replay.tenders.get(tx.target)
         if created is not None:
             state[created.address] = created
             if isinstance(created, RequestForTenderContract):
@@ -291,9 +312,10 @@ def replay_chain(export: dict) -> ChainReplay:
                 and tender.contract.results is not None:
             tender.published = (height, ts)
         op = call.get("op") if call else None
-        for finding in _receipt_findings(tx, outcome, op, height):
-            replay.receipt_findings.append((target_addr if tender else None, finding))
-        replay.gas_trace.append((tx.get("kind") or "unknown", tx.get("gas_used")))
+        for finding in _receipt_findings(tx.receipt, outcome, op, height):
+            replay.receipt_findings.append((tx.target if tender else None, finding))
+        replay.gas_trace.append((tx.receipt.get("kind") or "unknown",
+                                 tx.receipt.get("gas_used")))
     replay.state_findings = _state_findings(replay)
     return replay
 
@@ -441,17 +463,14 @@ def _snapshot_erasure_check(replay: ChainReplay, addr: bytes,
     if tender.contract.scheme == contracts.SCHEME_STATELESS or disclosed_rft is None:
         return []
     disclosed_array = disclosed_rft.get("bids_placed")
-    if not isinstance(disclosed_array, list):
-        disclosed_array = []
     violations = []
     for record, height, _ in tender.bids:
         record_hex = to_hex(record.address)
         prior = disclosed_all.get(record_hex, {}).get("prior_bids")
         if not isinstance(prior, list):
             continue  # missing or malformed: the state diff reports the record
-        k = len(prior)
-        if disclosed_array[:k] != prior or (len(disclosed_array) <= k
-                                            or disclosed_array[k] != record_hex):
+        if not isinstance(disclosed_array, list) \
+                or disclosed_array[:len(prior) + 1] != prior + [record_hex]:
             violations.append(Violation(
                 "ERASURE", height,
                 f"disclosed bid array is inconsistent with the snapshot held by "
@@ -481,7 +500,6 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
     published_scores = _object_field(result, "scores")
 
     recomputed_scores: dict[bytes, float] = {}
-    records: dict[bytes, BidRecordContract] = {}
     for record, height, _ in tender.bids:
         addr = to_hex(record.address)
         if not record.validity:
@@ -534,7 +552,6 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
             continue
         score = criteria.score(document.fields)
         recomputed_scores[record.address] = score
-        records[record.address] = record
         if addr in published_scores and published_scores[addr] != score:
             violations.append(Violation("R3", height,
                                         f"published score for {addr} differs from "
@@ -543,7 +560,7 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
     winner_addr = pick_winner(recomputed_scores)
     if winner_addr is None:
         return None, None, violations
-    return to_hex(winner_addr), records[winner_addr].bidder_id, violations
+    return to_hex(winner_addr), replay.state[winner_addr].bidder_id, violations
 
 
 def _object_field(result: dict, key: str) -> dict:
@@ -559,14 +576,12 @@ def _grade_requirements(tender: _Tender, violations: list[Violation]) -> dict[st
     tags = {v.tag for v in violations}
     rft = tender.contract
 
-    def verdict_for(tag: str) -> str:
-        return FAIL if tag in tags else PASS
+    def graded(failed: bool, evidence: str, breach: str) -> dict:
+        return {"verdict": FAIL if failed else PASS, "evidence": breach if failed else evidence}
 
-    reqs: dict[str, dict] = {}
-    reqs["R1"] = {"verdict": verdict_for("R1"),
-                  "evidence": "tender parameters, data, and results match their "
-                              "deployment and publication transactions"
-                  if "R1" not in tags else "post-deployment mutation detected"}
+    reqs = {"R1": graded("R1" in tags, "tender parameters, data, and results match their "
+                                       "deployment and publication transactions",
+                         "post-deployment mutation detected")}
 
     early = [r for r in rft.reveals if r["timestamp"] < rft.bidding_end]
     if early:
@@ -576,12 +591,9 @@ def _grade_requirements(tender: _Tender, violations: list[Violation]) -> dict[st
         r2_evidence = ("key halves appeared at or after the deadline on this run, but the "
                        "scheme cannot prevent a bidder from sharing early")
     reqs["R2"] = {"verdict": PARTIAL, "evidence": r2_evidence}
-
-    r3_bad = tags & {"R3", "UNDECRYPTABLE_BID"}
-    reqs["R3"] = {"verdict": FAIL if r3_bad else PASS,
-                  "evidence": "all bid records and ciphertexts authenticate against "
-                              "ledger history" if not r3_bad
-                  else "bid record or ciphertext integrity breach detected"}
+    reqs["R3"] = graded(bool(tags & {"R3", "UNDECRYPTABLE_BID"}),
+                        "all bid records and ciphertexts authenticate against ledger history",
+                        "bid record or ciphertext integrity breach detected")
 
     if rft.scheme == contracts.SCHEME_STATELESS:
         reqs["R4"] = {"verdict": PASS,
@@ -596,23 +608,18 @@ def _grade_requirements(tender: _Tender, violations: list[Violation]) -> dict[st
                                   "before the deadline"}
         spam = _spam_heights(tender)
         if rft.scheme == contracts.SCHEME_FULL and spam:
-            reqs["R5"] = {"verdict": PARTIAL,
-                          "evidence": f"{len(spam)} certificate-invalid bid(s) were "
-                                      f"recorded and inflate every later bid's cost"}
+            r5_evidence = (f"{len(spam)} certificate-invalid bid(s) were recorded and "
+                           f"inflate every later bid's cost")
         elif rft.scheme == contracts.SCHEME_PROTECTED:
-            reqs["R5"] = {"verdict": PARTIAL,
-                          "evidence": "certificate failures are turned away before they "
-                                      "grow the state, but authorised bids still raise "
-                                      "later costs"}
+            r5_evidence = ("certificate failures are turned away before they grow the "
+                           "state, but authorised bids still raise later costs")
         else:
-            reqs["R5"] = {"verdict": PARTIAL,
-                          "evidence": "every recorded bid grows the state and the cost "
-                                      "of later bids"}
+            r5_evidence = "every recorded bid grows the state and the cost of later bids"
+        reqs["R5"] = {"verdict": PARTIAL, "evidence": r5_evidence}
 
-    reqs["R6"] = {"verdict": verdict_for("R6"),
-                  "evidence": "hash chain intact and block timestamps strictly "
-                              "increasing" if "R6" not in tags
-                  else "ledger structure or timing rule breached"}
+    reqs["R6"] = graded("R6" in tags,
+                        "hash chain intact and block timestamps strictly increasing",
+                        "ledger structure or timing rule breached")
     return reqs
 
 
@@ -686,14 +693,7 @@ def replay_and_audit(source, rft_address, presented_receipts=None) -> AuditRepor
                     f"bid {addr_hex} carries a signed acknowledgement but is missing "
                     f"from the disclosed evaluation"))
 
-    # dedupe exact repeats while preserving order
-    seen = set()
-    unique: list[Violation] = []
-    for v in violations:
-        key = (v.tag, v.height, v.description)
-        if key not in seen:
-            seen.add(key)
-            unique.append(v)
+    unique = list(dict.fromkeys(violations))  # exact repeats dropped, order kept
 
     return AuditReport(
         tender_address=rft_hex,

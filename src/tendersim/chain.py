@@ -27,6 +27,7 @@ from .errors import (
 
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
+EXPORT_FORMAT = "tendersim-chain/1"
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class GasSchedule:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if value <= 0:
-                raise ValueError(f"gas schedule field {name} must be strictly positive")
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"gas schedule field {name} must be a positive integer")
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -84,6 +85,9 @@ class ChainConfig:
     max_data_bits: int = 5_000
 
     def __post_init__(self):
+        for name, value in self.__dict__.items():
+            if type(value) is not int:  # a bool is not a setting either
+                raise ValueError(f"{name} must be an integer")
         if self.block_interval_ms <= 0:
             raise ValueError("block_interval_ms must be > 0")
         if self.max_future_drift_ms < 0:
@@ -115,7 +119,8 @@ class Block:
     height: int
     parent_hash: bytes
     timestamp: int
-    transactions: tuple[Transaction, ...]
+    # Transaction on the ledger; audit.LedgerTransaction when read from an export
+    transactions: tuple
     block_hash: bytes
 
 
@@ -358,7 +363,7 @@ class Chain:
         """
         hexes = HexMemo()
         return {
-            "format": "tendersim-chain/1",
+            "format": EXPORT_FORMAT,
             "config": self.config.as_dict(),
             "gas_schedule": self.gas_schedule.as_dict(),
             "clock": self._clock,

@@ -68,32 +68,6 @@ class Certificate:
     r: bytes
     s: bytes
 
-    def to_bytes(self) -> bytes:
-        ident = self.bidder_id.encode("utf-8")
-        return (
-            len(ident).to_bytes(2, "big")
-            + ident
-            + self.msg_hash
-            + self.v.to_bytes(1, "big")
-            + self.r
-            + self.s
-        )
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Certificate":
-        try:
-            id_len = int.from_bytes(raw[:2], "big")
-            ident = raw[2 : 2 + id_len].decode("utf-8")
-            rest = raw[2 + id_len :]
-            msg_hash, v, r, s = rest[:32], rest[32], rest[33:65], rest[65:97]
-        except (IndexError, UnicodeDecodeError) as exc:
-            raise MalformedCertificate(f"unparseable certificate bytes: {exc}")
-        cert = cls(bidder_id=ident, msg_hash=msg_hash, v=v, r=r, s=s)
-        check_component_shapes(cert.msg_hash, cert.v, cert.r, cert.s)
-        if len(raw) != 2 + id_len + 97:
-            raise MalformedCertificate("trailing bytes after certificate")
-        return cert
-
 
 def cert_message_hash(bidder_id: str, rft_address: bytes) -> bytes:
     material = b"tender-cert|" + rft_address + b"|" + bidder_id.encode("utf-8")
@@ -143,16 +117,6 @@ class SealedBidKey:
 
     def combined(self) -> bytes:
         return self.half_a + self.half_b
-
-
-def serialize_half(total_len: int, half: bytes) -> bytes:
-    return total_len.to_bytes(4, "big") + half
-
-
-def parse_half(raw: bytes) -> tuple[int, bytes]:
-    if len(raw) < 4:
-        raise ValueError("half too short")
-    return int.from_bytes(raw[:4], "big"), raw[4:]
 
 
 def new_bid_key(rng: Random | None = None) -> bytes:

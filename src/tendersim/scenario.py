@@ -206,13 +206,8 @@ class RunOutcome:
 
 def _chain_config(chain_cfg: dict) -> ChainConfig:
     """The scenario's ``chain`` settings; absent keys take the defaults."""
-    defaults = ChainConfig()
-    values = {name: chain_cfg.get(name, default)
-              for name, default in defaults.as_dict().items()}
-    for name, value in values.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an integer")
-    return ChainConfig(**values)
+    return ChainConfig(**{name: chain_cfg.get(name, default)
+                          for name, default in ChainConfig().as_dict().items()})
 
 
 def _junk_address(rng: Random) -> bytes:
@@ -340,8 +335,7 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
 
     report = audit.replay_and_audit(export, rft_hex)
 
-    gas_rows = [(i, tx["kind"] or "unknown", tx["gas_used"])
-                for i, (_, tx) in enumerate(audit.iter_transactions(export))]
+    gas_rows = [(i, kind, gas) for i, (kind, gas) in enumerate(report.gas_trace)]
     bid_gas = [g for _, kind, g in gas_rows if kind.startswith("bid_")
                and not kind.startswith("bid_rejected")]
     deployment_gas = next((g for _, kind, g in gas_rows if kind.startswith("deploy_rft")), 0)

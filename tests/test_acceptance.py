@@ -209,7 +209,7 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
         payload_bits = (len(tx["payload"]) - 2) // 2 * 8
         chain_surgery.flip_payload_bit(tampered, height, txs.index(tx),
                                        rng.randrange(payload_bits))
-        if not audit.verify_ledger_hashes(tampered):
+        if not audit.verify_ledger_hashes(audit.read_ledger(tampered)):
             misses += 1
 
     # c) bid record field tampers, detected by full replay

@@ -3,14 +3,14 @@ import gc
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tendersim import audit, contracts
 from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
 from tendersim.encoding import HexMemo, canonical_json, canonical_json_bytes, to_hex
-from tendersim.errors import MalformedExport, ResultsNotPublished
+from tendersim.errors import MalformedExport, ResultsNotPublished, TenderSimError
 from tendersim.orchestrator import BidDocument, TenderOrchestrator, TenderSpec
 from tendersim.scenario import run_scenario
 
@@ -223,7 +223,7 @@ def test_fault_spam_flood_flagged_on_full_track():
 def test_payload_tamper_breaks_hash_chain():
     export, rft_hex, _, _ = _honest_export()
     chain_surgery.flip_payload_bit(export, height=2, tx_index=0, bit=11)
-    violations = audit.verify_ledger_hashes(export)
+    violations = audit.verify_ledger_hashes(audit.read_ledger(export))
     assert any("hash mismatch" in v.description for v in violations)
     report = audit.replay_and_audit(export, rft_hex)
     assert report.requirements["R6"]["verdict"] == "FAIL"
@@ -282,6 +282,24 @@ def test_early_reveal_shows_in_r2_evidence():
 
 
 # --- one replay through the contract rules -----------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", contracts.SCHEMES)
+def test_read_ledger_gives_the_ledger_blocks_field_by_field(scheme):
+    chain, _, _, _ = run_honest_tender(scheme, two_bid_docs(), seed=21)
+    export = chain.export()
+    blocks = audit.read_ledger(export)
+    assert len(blocks) == len(chain.blocks)
+    for read, block, disclosed in zip(blocks, chain.blocks, export["blocks"]):
+        assert (read.height, read.parent_hash, read.timestamp, read.block_hash) == \
+            (block.height, block.parent_hash, block.timestamp, block.block_hash)
+        assert len(read.transactions) == len(block.transactions)
+        for tx, ledger_tx, receipt in zip(read.transactions, block.transactions,
+                                          disclosed["transactions"]):
+            assert (tx.sender, tx.target, tx.payload, tx.nonce, tx.gas_price, tx.tx_hash) == \
+                (ledger_tx.sender, ledger_tx.target, ledger_tx.payload, ledger_tx.nonce,
+                 ledger_tx.gas_price, ledger_tx.tx_hash)
+            assert tx.receipt is receipt
 
 
 @pytest.mark.parametrize("scheme", contracts.SCHEMES)
@@ -398,7 +416,7 @@ def test_findings_stay_with_their_tender():
 def test_receipt_findings_go_to_the_tender_or_to_every_report():
     export, addresses = _three_tender_export()
     tampered = addresses["PROTECTED"]
-    txs = [tx for _, tx in audit.iter_transactions(export)]
+    txs = [tx for block in export["blocks"] for tx in block["transactions"]]
     bid = next(tx for tx in txs if tx["target"] == tampered)
     deploy = next(tx for tx in txs if tx["kind"] == "deploy_data")
     bid["gas_used"] += 1
@@ -447,7 +465,8 @@ def test_changed_data_contract_owner_is_flagged(full_track_10):
 
 def test_changed_receipt_kind_is_flagged(full_track_10):
     export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
-    tx = next(tx for _, tx in audit.iter_transactions(export) if tx["kind"] == "bid_full")
+    tx = next(tx for block in export["blocks"] for tx in block["transactions"]
+              if tx["kind"] == "bid_full")
     tx["kind"] = "bid_stateless"
     report = audit.replay_and_audit(export, rft_hex)
     assert any(v.tag == "R6" and tx["tx_hash"] in v.description for v in report.violations)
@@ -487,11 +506,11 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 
 @given(_json_values)
 @settings(max_examples=150, deadline=None)
-def test_parse_export_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"blocks": [block], "contracts": {}, "config": {},
-                                "gas_schedule": {}})
+def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
+    raw = canonical_json_bytes({"format": "tendersim-chain/1", "blocks": [block],
+                                "contracts": {}, "config": {}, "gas_schedule": {}})
     with pytest.raises(MalformedExport):
-        audit.parse_export(raw)
+        audit.read_ledger(audit.parse_export(raw))
 
 
 @pytest.mark.parametrize("edit", [
@@ -519,3 +538,69 @@ def test_published_results_with_a_list_for_an_object_are_graded(field):
                           contracts.publish_results_call(result))
     report = audit.replay_and_audit(chain, rft)
     assert not report.ok()
+
+
+# --- any single edit of an export is seen --------------------------------------------------
+
+# The replay never reads these, so an edit to them may audit clean.
+_UNREAD = ("accounts", "clock")
+# A deleted setting takes its default and an edited one may meter the same
+# gas, so of the edits to these only a change of type must be refused.
+_SETTINGS = ("config", "gas_schedule")
+_OTHER_TYPES = [None, True, 7, 7.5, "x", [], {}]
+
+
+def _value_paths(node, path=()):
+    """The path to every value below ``node``: object keys and list indices."""
+    items = node.items() if type(node) is dict else \
+        enumerate(node) if type(node) is list else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+def _mutate(export: dict, path: tuple, how: str, pick: int) -> None:
+    parent = export
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    if how == "delete":
+        del parent[key]
+    elif how == "retype":
+        others = [v for v in _OTHER_TYPES if type(v) is not type(value)]
+        parent[key] = copy.deepcopy(others[pick % len(others)])
+    elif type(value) is bool:
+        parent[key] = not value
+    elif type(value) in (int, float):
+        parent[key] = value + 1 + pick % 3
+    elif type(value) is str and value.startswith("0x") and len(value) > 2:
+        i = 2 + pick % (len(value) - 2)  # one hex digit, spelled as to_hex would
+        digit = "0123456789abcdef"[("0123456789abcdef".find(value[i]) + 1) & 15]
+        parent[key] = value[:i] + digit + value[i + 1:]
+    elif type(value) is str:
+        parent[key] = value + "x"
+    else:
+        assume(False)  # a null, an object or a list has no edit of its own
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_single_field_edit_of_an_export_is_seen(full_track_10, data):
+    export, rft_hex = full_track_10
+    raw = canonical_json_bytes(export)
+    path = data.draw(st.sampled_from(list(_value_paths(export))), label="path")
+    how = data.draw(st.sampled_from(["retype", "delete", "edit"]), label="how")
+    mutated = audit.parse_export(raw)
+    _mutate(mutated, path, how, data.draw(st.integers(0, 1 << 16), label="pick"))
+    settings_retyped = path[0] in _SETTINGS and how == "retype"
+    try:
+        report = audit.replay_and_audit(audit.replay_chain(mutated), rft_hex)
+    except MalformedExport:
+        return
+    except TenderSimError:
+        assert not settings_retyped
+        return
+    assert not settings_retyped
+    if path[0] in _UNREAD or path[0] in _SETTINGS:
+        return
+    assert report.violations, f"{how} of {path} audits clean"

@@ -60,14 +60,6 @@ def test_malformed_components_raise_not_false(to_keys, cert):
                                   cert.r, cert.s)
 
 
-def test_certificate_byte_serialization_round_trip(cert):
-    raw = cert.to_bytes()
-    parsed = crypto.Certificate.from_bytes(raw)
-    assert parsed == cert
-    with pytest.raises(MalformedCertificate):
-        crypto.Certificate.from_bytes(raw[:-3])
-
-
 def test_unforgeability_over_random_keypairs(to_keys):
     # no certificate produced under any other key may verify under the
     # organisation's key: zero false accepts across 1000 trials
@@ -123,14 +115,6 @@ def test_unseal_with_wrong_private_key_fails(to_keys, rng):
     sealed = crypto.seal_bid_key(crypto.new_bid_key(rng), to_keys.public_key, rng)
     with pytest.raises(DecryptionFailed):
         crypto.unseal_bid_key(sealed.combined(), other.private_key)
-
-
-def test_half_serialization_round_trip(to_keys, rng):
-    sealed = crypto.seal_bid_key(crypto.new_bid_key(rng), to_keys.public_key, rng)
-    raw = crypto.serialize_half(sealed.total_len, sealed.half_a)
-    total, half = crypto.parse_half(raw)
-    assert total == sealed.total_len
-    assert half == sealed.half_a
 
 
 @settings(max_examples=30, deadline=None)

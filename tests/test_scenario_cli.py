@@ -1,6 +1,10 @@
 import copy
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,14 +243,23 @@ def _first_tx(export: dict) -> dict:
     return export["blocks"][1]["transactions"][0]
 
 
+def _spaced(hex_text: str) -> str:
+    digits = hex_text[2:]
+    return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
+
+
+_FORMAT = b'{"format": "tendersim-chain/1", '
+
+
 @pytest.mark.parametrize("content", [
     b'{"blocks": [',  # truncated JSON
-    b'{"contracts": {}, "config": {}, "gas_schedule": {}}',  # no blocks
+    _FORMAT + b'"contracts": {}, "config": {}, "gas_schedule": {}}',  # no blocks
     b'[]',
     b'\xff\xfe',
     b'[' * 100_000,  # nested deeper than the decoder recurses
-    b'{"blocks": [], "contracts": {}, "config": {"bogus": 1}, "gas_schedule": {}}',
-    b'{"blocks": [], "contracts": {}, "config": {}, "gas_schedule": {"deploy_rft_full": 0}}',
+    _FORMAT + b'"blocks": [], "contracts": {}, "config": {"bogus": 1}, "gas_schedule": {}}',
+    _FORMAT + b'"blocks": [], "contracts": {}, "config": {}, '
+              b'"gas_schedule": {"deploy_rft_full": 0}}',
     # one field below the top level of a full_track_10_bids export, edited
     pytest.param(lambda e: e["contracts"].update({next(iter(e["contracts"])): 5}),
                  id="contract-snapshot-5"),
@@ -257,6 +270,21 @@ def _first_tx(export: dict) -> dict:
     pytest.param(lambda e: _first_tx(e).update(nonce=-1), id="nonce-negative"),
     pytest.param(lambda e: e["blocks"][3].update(timestamp=2 ** 64), id="timestamp-2-64"),
     pytest.param(lambda e: _first_tx(e).update(target=None), id="target-null"),
+    # hex re-spelled: the same bytes, but not as to_hex writes them
+    pytest.param(lambda e: _first_tx(e).update(sender=_first_tx(e)["sender"].upper()
+                                               .replace("0X", "0x")), id="sender-uppercase"),
+    pytest.param(lambda e: _first_tx(e).update(payload=_spaced(_first_tx(e)["payload"])),
+                 id="payload-spaced"),
+    pytest.param(lambda e: _first_tx(e).update(tx_hash=_first_tx(e)["tx_hash"].upper()
+                                               .replace("0X", "0x")), id="tx-hash-uppercase"),
+    pytest.param(lambda e: e.pop("format"), id="format-missing"),
+    pytest.param(lambda e: e.update(format="tendersim-chain/2"), id="format-changed"),
+    *(pytest.param(lambda e, v=value: e["config"].update(max_data_bits=v),
+                   id=f"max-data-bits-{name}")
+      for name, value in (("x", "x"), ("null", None), ("list", []), ("object", {}),
+                          ("float", 5000.5), ("true", True))),
+    pytest.param(lambda e: e["gas_schedule"].update(bid_base_full=299501.0),
+                 id="gas-schedule-float"),
 ])
 def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
     if callable(content):
@@ -287,3 +315,16 @@ def test_identical_scenario_runs_are_byte_identical(tmp_path):
                           out_dir=tmp_path / "b")
     for kind in ("gas_csv", "audit_json", "summary", "chain_export"):
         assert _read(first.written[kind]) == _read(second.written[kind])
+
+
+# --- experiment scripts ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("script", ["reproduce_gas_tables.py", "run_all_scenarios.py"])
+def test_experiment_script_runs_from_a_source_checkout(tmp_path, script):
+    # no PYTHONPATH and another working directory: the script must find src/ itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    done = subprocess.run([sys.executable, str(path), str(tmp_path / "out")], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
