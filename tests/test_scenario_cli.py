@@ -253,13 +253,19 @@ _FORMAT = b'{"format": "tendersim-chain/1", '
 
 @pytest.mark.parametrize("content", [
     b'{"blocks": [',  # truncated JSON
-    _FORMAT + b'"contracts": {}, "config": {}, "gas_schedule": {}}',  # no blocks
+    pytest.param(_FORMAT + b'"contracts": {}, "config": {}, "gas_schedule": {}}',
+                 id='{"contracts": {}, "config": {}, "gas_schedule": {}}'),  # no blocks
     b'[]',
     b'\xff\xfe',
     b'[' * 100_000,  # nested deeper than the decoder recurses
-    _FORMAT + b'"blocks": [], "contracts": {}, "config": {"bogus": 1}, "gas_schedule": {}}',
-    _FORMAT + b'"blocks": [], "contracts": {}, "config": {}, '
-              b'"gas_schedule": {"deploy_rft_full": 0}}',
+    pytest.param(_FORMAT + b'"blocks": [], "contracts": {}, "config": {"bogus": 1}, '
+                           b'"gas_schedule": {}}',
+                 id='{"blocks": [], "contracts": {}, "config": {"bogus": 1}, '
+                    '"gas_schedule": {}}'),
+    pytest.param(_FORMAT + b'"blocks": [], "contracts": {}, "config": {}, '
+                           b'"gas_schedule": {"deploy_rft_full": 0}}',
+                 id='{"blocks": [], "contracts": {}, "config": {}, '
+                    '"gas_schedule": {"deploy_rft_full": 0}}'),
     # one field below the top level of a full_track_10_bids export, edited
     pytest.param(lambda e: e["contracts"].update({next(iter(e["contracts"])): 5}),
                  id="contract-snapshot-5"),
