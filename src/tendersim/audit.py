@@ -488,7 +488,7 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
     if isinstance(data, TenderDataContract):
         try:
             _, _, criteria = TenderSpec.parse_data_blob(data.data)
-        except (KeyError, ValueError):
+        except ValueError:
             criteria = None
     if criteria is None:
         violations.append(Violation("R1", tender.height,
@@ -537,9 +537,9 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
                                         f"disclosed contract"))
             continue
         try:
-            plaintext = crypto.decrypt_bid(from_hex(data_contract["data"]), bid_key)
+            plaintext = crypto.decrypt_bid(from_hex(data_contract.get("data")), bid_key)
             document = BidDocument.from_bytes(plaintext)
-        except (AuthFailed, KeyError, ValueError):
+        except (AuthFailed, ValueError):
             violations.append(Violation("UNDECRYPTABLE_BID", height,
                                         f"published key fails to decrypt bid {addr}"))
             continue

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .encoding import HexMemo, canonical_json_bytes, to_hex
+from .encoding import HexMemo, to_hex
 from .errors import (
     NoSuchContract,
     TimestampNotMonotonic,
@@ -27,6 +27,7 @@ from .errors import (
 
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
+GAS_PRICE = 1  # no fee market: every transaction offers the same price
 EXPORT_FORMAT = "tendersim-chain/1"
 
 
@@ -94,6 +95,8 @@ class ChainConfig:
             raise ValueError("max_future_drift_ms must be >= 0")
         if self.genesis_timestamp < 0:
             raise ValueError("genesis_timestamp must be >= 0")
+        if self.max_data_bits < 1:
+            raise ValueError("max_data_bits must be >= 1")
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -187,21 +190,19 @@ class _Pending:
     target: bytes | None
     payload: bytes
     nonce: int
-    gas_price: int
     tx_hash: bytes = field(init=False)
 
     def __post_init__(self):
         self.tx_hash = compute_tx_hash(self.sender, self.target, self.nonce,
-                                       self.payload, self.gas_price)
+                                       self.payload, GAS_PRICE)
 
 
 class Chain:
     """Single honest chain; no forks, no fee market, no transaction drops."""
 
-    def __init__(self, config: ChainConfig | None = None,
-                 gas_schedule: GasSchedule | None = None):
-        self.config = config or ChainConfig()
-        self.gas_schedule = gas_schedule or GasSchedule()
+    def __init__(self, config: ChainConfig):
+        self.config = config
+        self.gas_schedule = GasSchedule()
         self._clock = self.config.genesis_timestamp
         self._accounts: set[bytes] = set()
         self._contracts: dict[bytes, object] = {}
@@ -225,11 +226,6 @@ class Chain:
     def advance_to(self, timestamp: int) -> None:
         self._clock = max(self._clock, timestamp)
 
-    def advance_by(self, ms: int) -> None:
-        if ms < 0:
-            raise ValueError("clock only moves forward")
-        self._clock += ms
-
     # --- accounts -------------------------------------------------------------
 
     def register_account(self, address: bytes) -> bytes:
@@ -240,22 +236,20 @@ class Chain:
 
     # --- transaction intake ---------------------------------------------------
 
-    def submit_transaction(self, sender: bytes, target: bytes | None, payload: bytes,
-                           gas_price: int = 1) -> str:
+    def submit_transaction(self, sender: bytes, target: bytes | None, payload: bytes) -> str:
         if sender not in self._accounts:
             raise UnknownSender(f"sender {to_hex(sender)} is not a registered account")
         if target is not None and len(target) != ADDRESS_LEN:
             raise ValueError("target must be a 20-byte address or None for deploy")
         nonce = self._nonces.get(sender, 0)
         self._nonces[sender] = nonce + 1
-        pending = _Pending(sender=sender, target=target, payload=payload,
-                           nonce=nonce, gas_price=gas_price)
+        pending = _Pending(sender=sender, target=target, payload=payload, nonce=nonce)
         self._pending.append(pending)
         return to_hex(pending.tx_hash)
 
-    def peek_contract_address(self, sender: bytes, offset: int = 0) -> bytes:
-        """Address the (current + offset)-th next transaction from sender would create."""
-        return contract_address(sender, self._nonces.get(sender, 0) + offset)
+    def peek_contract_address(self, sender: bytes) -> bytes:
+        """Address the next transaction from sender would create."""
+        return contract_address(sender, self._nonces.get(sender, 0))
 
     # --- mining ---------------------------------------------------------------
 
@@ -284,7 +278,7 @@ class Chain:
                 target=pending.target,
                 payload=pending.payload,
                 nonce=pending.nonce,
-                gas_price=pending.gas_price,
+                gas_price=GAS_PRICE,
                 gas_used=outcome.gas_used,
                 status=outcome.status,
                 error=outcome.error,
@@ -333,21 +327,9 @@ class Chain:
             raise NoSuchContract(f"no contract at {to_hex(address)}")
         return contract
 
-    def read_state(self, address: bytes) -> dict:
-        """Zero-gas snapshot of one contract's current state."""
-        return self.get_contract(address).snapshot(HexMemo())
-
-    def get_transaction(self, tx_id: str | bytes) -> Transaction:
-        key = bytes.fromhex(tx_id[2:]) if isinstance(tx_id, str) else tx_id
-        return self._tx_index[key]
-
-    def total_gas(self) -> int:
-        return sum(t.gas_used for b in self.blocks for t in b.transactions)
-
-    def state_digest(self) -> bytes:
-        hexes = HexMemo()
-        snap = {hexes[addr]: c.snapshot(hexes) for addr, c in self._contracts.items()}
-        return hashlib.sha256(canonical_json_bytes(snap)).digest()
+    def get_transaction(self, tx_id: str) -> Transaction:
+        """The mined transaction with the id ``submit_transaction`` returned."""
+        return self._tx_index[bytes.fromhex(tx_id[2:])]
 
     # --- export ------------------------------------------------------------------
 

@@ -455,10 +455,6 @@ def publish_results_call(result: dict) -> dict:
     return {"op": "publish_results", "result": result}
 
 
-def mutation_call(field_name: str, value) -> dict:
-    return {"op": "set_field", "field": field_name, "value": value}
-
-
 # --- stateless-scheme acknowledgements -------------------------------------------
 
 @dataclass(frozen=True)
@@ -467,10 +463,6 @@ class Receipt:
     v: int
     r: bytes
     s: bytes
-
-    def to_dict(self) -> dict:
-        return {"bid_address": to_hex(self.bid_address), "v": self.v,
-                "r": to_hex(self.r), "s": to_hex(self.s)}
 
 
 def acknowledge_bid(chain: Chain, auctioneer_private_key: bytes, bid_address: bytes) -> Receipt:

@@ -13,7 +13,6 @@ with the bidder until the deadline.
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass
 from random import Random
 
@@ -31,12 +30,6 @@ _GCM_TAG_LEN = 16
 _PUB_LEN = 64
 
 
-def _rand_bytes(rng: Random | None, n: int) -> bytes:
-    if rng is None:
-        return secrets.token_bytes(n)
-    return rng.randbytes(n)
-
-
 @dataclass(frozen=True)
 class KeyPair:
     """Curve key pair; the private half never appears in ledger payloads."""
@@ -49,9 +42,9 @@ class KeyPair:
         return int.from_bytes(self.private_key, "big")
 
 
-def generate_keypair(rng: Random | None = None) -> KeyPair:
+def generate_keypair(rng: Random) -> KeyPair:
     while True:
-        raw = _rand_bytes(rng, 32)
+        raw = rng.randbytes(32)
         scalar = int.from_bytes(raw, "big")
         if 0 < scalar < curve.N:
             break
@@ -89,20 +82,15 @@ def check_component_shapes(msg_hash: bytes, v: int, r: bytes, s: bytes) -> None:
         raise MalformedCertificate(f"v must be 27 or 28, got {v}")
 
 
-def verify_certificate(public_key: bytes, msg_hash: bytes, v: int, r: bytes, s: bytes) -> bool:
-    """Recovery check of the signature components under ``public_key``.
-
-    Malformed component shapes raise, they do not return False: garbage is a
-    protocol error, a well-formed but wrong signature is a failed check.
-    """
-    check_component_shapes(msg_hash, v, r, s)
-    return curve.verify_digest(public_key, msg_hash, v, r, s)
-
-
 def certificate_matches(public_key: bytes, bidder_id: str, rft_address: bytes,
                         msg_hash: bytes, v: int, r: bytes, s: bytes) -> bool:
-    """Full check: hash binds (bidder_id, rft_address) and signature verifies."""
-    if not verify_certificate(public_key, msg_hash, v, r, s):
+    """Full check: signature verifies and hash binds (bidder_id, rft_address).
+
+    Components of the wrong shape give False. ``place_bid`` screens them
+    first with ``check_component_shapes``: garbage is a protocol error, a
+    well-formed but wrong signature is a failed check.
+    """
+    if not curve.verify_digest(public_key, msg_hash, v, r, s):
         return False
     return msg_hash == cert_message_hash(bidder_id, rft_address)
 
@@ -113,14 +101,10 @@ def certificate_matches(public_key: bytes, bidder_id: str, rft_address: bytes,
 class SealedBidKey:
     half_a: bytes
     half_b: bytes
-    total_len: int
-
-    def combined(self) -> bytes:
-        return self.half_a + self.half_b
 
 
-def new_bid_key(rng: Random | None = None) -> bytes:
-    return _rand_bytes(rng, 32)
+def new_bid_key(rng: Random) -> bytes:
+    return rng.randbytes(32)
 
 
 def _seal_key_material(shared_x: bytes) -> bytes:
@@ -129,16 +113,16 @@ def _seal_key_material(shared_x: bytes) -> bytes:
 
 
 def seal_bid_key(bid_key: bytes, to_public_key: bytes | curve.FixedBase,
-                 rng: Random | None = None) -> SealedBidKey:
+                 rng: Random) -> SealedBidKey:
     """Seal ``bid_key`` to a 64-byte public key, or to its prepared table
     (``secp256k1.prepare_public_key``); both give the same bytes."""
     eph = generate_keypair(rng)
     shared = curve.ecdh_shared_secret(eph.private_scalar, to_public_key)
-    nonce = _rand_bytes(rng, _NONCE_LEN)
+    nonce = rng.randbytes(_NONCE_LEN)
     ct = AESGCM(_seal_key_material(shared)).encrypt(nonce, bid_key, None)
     sealed = eph.public_key + nonce + ct
     cut = (len(sealed) + 1) // 2
-    return SealedBidKey(half_a=sealed[:cut], half_b=sealed[cut:], total_len=len(sealed))
+    return SealedBidKey(half_a=sealed[:cut], half_b=sealed[cut:])
 
 
 def unseal_bid_key(sealed: bytes, to_private_key: bytes) -> bytes:
@@ -156,8 +140,8 @@ def unseal_bid_key(sealed: bytes, to_private_key: bytes) -> bytes:
 
 # --- bid document encryption ------------------------------------------------
 
-def encrypt_bid(plaintext: bytes, bid_key: bytes, rng: Random | None = None) -> bytes:
-    nonce = _rand_bytes(rng, _NONCE_LEN)
+def encrypt_bid(plaintext: bytes, bid_key: bytes, rng: Random) -> bytes:
+    nonce = rng.randbytes(_NONCE_LEN)
     return nonce + AESGCM(bid_key).encrypt(nonce, plaintext, None)
 
 

@@ -1,8 +1,8 @@
 """End-to-end tender lifecycle: open, register, seal-and-submit, close, publish.
 
 The orchestrator plays every actor. The tendering organisation holds the
-curve key pair and an off-ledger roster; bidders hold their certificates,
-bid keys and withheld key halves. Actors talk only through ledger
+curve key pair; bidders hold their certificates, bid keys and withheld key
+halves. Actors talk only through ledger
 transactions and direct off-ledger handoffs (record addresses, receipts,
 key halves), so nothing privileged leaks into what the auditor later reads.
 
@@ -13,6 +13,7 @@ them over the decrypted documents must land on the same winner.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from random import Random
@@ -48,6 +49,9 @@ _COMPARATORS = {
     "==": lambda a, b: a == b,
 }
 
+# what indexing, iterating or converting a JSON value of the wrong shape raises
+_SHAPE_ERRORS = (KeyError, TypeError, AttributeError, RecursionError, OverflowError)
+
 
 @dataclass(frozen=True)
 class EvaluationCriteria:
@@ -69,13 +73,9 @@ class EvaluationCriteria:
         if self.tie_break != TIE_LOWEST_ADDRESS:
             raise ValueError(f"unknown tie break {self.tie_break!r}")
 
-    def required_fields(self) -> set[str]:
-        names = {name for name, _, _ in self.numeric_fields}
-        names.update(name for name, _, _ in self.feasibility_predicates)
-        return names
-
     def feasible(self, fields: dict[str, float]) -> bool:
-        if not self.required_fields().issubset(fields):
+        named = self.numeric_fields + self.feasibility_predicates
+        if any(entry[0] not in fields for entry in named):
             return False
         return all(_COMPARATORS[cmp](fields[name], threshold)
                    for name, cmp, threshold in self.feasibility_predicates)
@@ -95,14 +95,18 @@ class EvaluationCriteria:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "EvaluationCriteria":
-        return cls(
-            numeric_fields=tuple((str(n), float(w), str(d))
-                                 for n, w, d in obj["numeric_fields"]),
-            feasibility_predicates=tuple((str(n), str(c), float(t))
-                                         for n, c, t in obj.get("feasibility", [])),
-            tie_break=obj.get("tie_break", TIE_LOWEST_ADDRESS),
-        )
+    def from_dict(cls, obj) -> "EvaluationCriteria":
+        """The criteria ``to_dict`` wrote; ValueError for any other JSON value."""
+        try:
+            return cls(
+                numeric_fields=tuple((str(n), float(w), str(d))
+                                     for n, w, d in obj["numeric_fields"]),
+                feasibility_predicates=tuple((str(n), str(c), float(t))
+                                             for n, c, t in obj.get("feasibility", [])),
+                tie_break=obj.get("tie_break", TIE_LOWEST_ADDRESS),
+            )
+        except _SHAPE_ERRORS as exc:
+            raise ValueError(f"malformed evaluation criteria: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,14 @@ class BidDocument:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "BidDocument":
-        obj = load_json_bytes(raw)
-        return cls(bidder_id=obj["bidder_id"],
-                   fields={k: float(v) for k, v in obj["fields"].items()},
-                   free_text=from_hex(obj["free_text"]))
+        """The document ``to_bytes`` wrote; ValueError for any other bytes."""
+        try:
+            obj = load_json_bytes(raw)
+            return cls(bidder_id=obj["bidder_id"],
+                       fields={k: float(v) for k, v in obj["fields"].items()},
+                       free_text=from_hex(obj["free_text"]))
+        except _SHAPE_ERRORS as exc:
+            raise ValueError(f"malformed bid document: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,13 @@ class TenderSpec:
 
     @staticmethod
     def parse_data_blob(raw: bytes) -> tuple[str, bytes, EvaluationCriteria]:
-        obj = load_json_bytes(raw)
-        return obj["title"], from_hex(obj["terms"]), EvaluationCriteria.from_dict(obj["criteria"])
+        """What ``data_blob`` wrote; ValueError for any other bytes."""
+        try:
+            obj = load_json_bytes(raw)
+            criteria = EvaluationCriteria.from_dict(obj["criteria"])
+            return obj["title"], from_hex(obj["terms"]), criteria
+        except _SHAPE_ERRORS as exc:
+            raise ValueError(f"malformed tender data: {exc!r}") from None
 
 
 @dataclass
@@ -197,40 +210,34 @@ class Bidder:
     bidder_id: str
     address: bytes
     certificate: crypto.Certificate | None = None
-    submissions: list[BidSubmission] = field(default_factory=list)
 
 
 @dataclass
 class TenderingOrganisation:
     keys: crypto.KeyPair
     address: bytes
-    roster: dict[str, crypto.Certificate] = field(default_factory=dict)
     received_halves: dict[bytes, bytes] = field(default_factory=dict)
     known_bids: list[bytes] = field(default_factory=list)
 
 
 def _account_address(tag: bytes) -> bytes:
-    import hashlib
-
     return hashlib.sha256(b"account|" + tag).digest()[-20:]
 
 
 class TenderOrchestrator:
     """Drives one tender on one chain; all randomness comes from the seeded rng."""
 
-    def __init__(self, chain: Chain, rng: Random | None = None):
+    def __init__(self, chain: Chain, rng: Random):
         self.chain = chain
-        self.rng = rng or Random()
+        self.rng = rng
         keys = crypto.generate_keypair(self.rng)
         self.to = TenderingOrganisation(keys=keys, address=_account_address(keys.public_key))
         chain.register_account(self.to.address)
         self.bidders: dict[str, Bidder] = {}
         self.rft_address: bytes | None = None
-        self.tender_data_address: bytes | None = None
         self.spec: TenderSpec | None = None
         # the organisation key every bid of the tender is sealed to, prepared once
         self.sealing_key: curve.FixedBase | None = None
-        self.result: TenderResult | None = None
 
     # -- lifecycle --
 
@@ -238,7 +245,7 @@ class TenderOrchestrator:
         ts = at if at is not None else self.chain.now() + self.chain.config.block_interval_ms
         self.chain.advance_to(ts)
         blob = spec.data_blob()
-        data_addr = self.chain.peek_contract_address(self.to.address, 0)
+        data_addr = self.chain.peek_contract_address(self.to.address)
         self.chain.submit_transaction(self.to.address, None,
                                       canonical_json_bytes(contracts.data_deploy_call(blob)))
         rft_call = contracts.rft_deploy_call(spec.scheme, spec.length_ms,
@@ -252,7 +259,6 @@ class TenderOrchestrator:
         if rft_tx.status != "OK":
             raise ScenarioError(f"tender deployment rejected: {rft_tx.error}")
         self.rft_address = rft_tx.created_address
-        self.tender_data_address = data_addr
         self.spec = spec
         self.sealing_key = curve.prepare_public_key(self.to.keys.public_key)
         return self.rft_address, data_addr
@@ -268,17 +274,13 @@ class TenderOrchestrator:
             self.chain.register_account(bidder.address)
             self.bidders[bidder_id] = bidder
         bidder.certificate = cert  # re-registration simply refreshes the certificate
-        self.to.roster[bidder_id] = cert
         return bidder
 
     def submit_sealed_bid(self, bidder_id: str, document: BidDocument,
-                          at: int | None = None,
-                          certificate: crypto.Certificate | None = None) -> BidSubmission:
+                          at: int | None = None) -> BidSubmission:
         """Encrypt, deploy the ciphertext, and place the bid, all in one block."""
         bidder = self.bidders[bidder_id]
-        cert = certificate or bidder.certificate
-        if cert is None:
-            raise ScenarioError(f"bidder {bidder_id} holds no certificate")
+        cert = bidder.certificate
         ts = at if at is not None else self.chain.now() + self.chain.config.block_interval_ms
         self.chain.advance_to(ts)
 
@@ -286,7 +288,7 @@ class TenderOrchestrator:
         ciphertext = crypto.encrypt_bid(document.to_bytes(), bid_key, self.rng)
         sealed = crypto.seal_bid_key(bid_key, self.sealing_key, self.rng)
 
-        data_addr = self.chain.peek_contract_address(bidder.address, 0)
+        data_addr = self.chain.peek_contract_address(bidder.address)
         self.chain.submit_transaction(
             bidder.address, None,
             canonical_json_bytes(contracts.data_deploy_call(ciphertext)))
@@ -301,7 +303,6 @@ class TenderOrchestrator:
         submission = BidSubmission(record_address=bid_tx.created_address,
                                    data_address=data_addr, document=document,
                                    bid_key=bid_key, sealed=sealed)
-        bidder.submissions.append(submission)
         if self.spec.scheme == contracts.SCHEME_STATELESS:
             # Off-ledger handoff: the record address goes to the auctioneer, who
             # signs a receipt so non-delivery can later be proven.
@@ -354,12 +355,9 @@ class TenderOrchestrator:
             return list(self.to.known_bids)
         return list(rft.bids_placed)
 
-    def close_and_evaluate(self, revealed_halves: dict[bytes, bytes] | None = None,
-                           ) -> TenderResult:
-        if revealed_halves is None:
-            revealed_halves = dict(self.to.received_halves)
+    def close_and_evaluate(self) -> TenderResult:
         return evaluate_tender(self.chain, self.rft_address, self.to.keys.private_key,
-                               revealed_halves,
+                               self.to.received_halves,
                                known_bids=self._recorded_bid_addresses())
 
     def publish_results(self, result: TenderResult, at: int | None = None) -> str:
@@ -374,13 +372,12 @@ class TenderOrchestrator:
             if tx.error == RepublishForbidden.code:
                 raise RepublishForbidden("results already published for this tender")
             raise ScenarioError(f"publish rejected: {tx.error}")
-        self.result = result
         return tx_id
 
 
 def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
                     revealed_halves: dict[bytes, bytes],
-                    known_bids: list[bytes] | None = None) -> TenderResult:
+                    known_bids: list[bytes]) -> TenderResult:
     """Decrypt, score, and pick the winner over the recorded bids.
 
     Bids stay out of the ranking when they are invalid, unrevealed, or fail
@@ -392,7 +389,7 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
         raise EvaluationBeforeDeadline(
             f"bidding open until {rft.bidding_end}, now {now}")
     if rft.scheme == contracts.SCHEME_STATELESS:
-        addresses = list(known_bids or [])
+        addresses = known_bids
     else:
         addresses = list(rft.req_bids(now))
 
@@ -419,11 +416,12 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
             continue
         revealed_keys[addr] = {"sealed": sealed, "bid_key": bid_key}
         try:
-            ciphertext = chain.get_contract(record.data_addr).data
+            # a bid may name any contract as its data; only a data contract holds bytes
+            ciphertext = getattr(chain.get_contract(record.data_addr), "data", b"")
             document = BidDocument.from_bytes(crypto.decrypt_bid(ciphertext, bid_key))
             if document.bidder_id != record.bidder_id:
                 raise AuthFailed("document bound to a different bidder id")
-        except (AuthFailed, NoSuchContract, KeyError, ValueError):
+        except (AuthFailed, NoSuchContract, ValueError):
             statuses[addr] = STATUS_MALFORMED
             continue
         if not criteria.feasible(document.fields):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -25,7 +26,7 @@ from random import Random
 from . import audit, contracts
 from .chain import Chain, ChainConfig
 from .encoding import canonical_json, canonical_json_bytes, from_hex, to_hex
-from .errors import ScenarioError
+from .errors import IncomparableScenarios, ScenarioError
 from .orchestrator import (
     BidDocument,
     EvaluationCriteria,
@@ -60,9 +61,10 @@ def _check_offer(source: str, where: str, entry: dict) -> None:
     if not isinstance(fields, dict):
         _fail(source, where + ".fields", "must be an object")
     for name, value in fields.items():
-        # JSON numbers only: true and false are not prices
-        if type(value) not in (int, float):
-            _fail(source, f"{where}.fields.{name}", "must be a number")
+        # finite JSON numbers only: true and false are not prices, and NaN,
+        # Infinity or an int beyond the float range cannot be scored
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            _fail(source, f"{where}.fields.{name}", "must be a finite number")
     if not isinstance(entry.get("free_text", ""), str):
         _fail(source, where + ".free_text", "must be a string")
 
@@ -83,7 +85,7 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
         _fail(source, "$.chain", "must be an object")
     try:
         _chain_config(chain_cfg)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         _fail(source, "$.chain", str(exc))
 
     tender = doc["tender"]
@@ -101,7 +103,7 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
         _fail(source, "$.tender.limit", "must be an integer >= 1")
     try:
         EvaluationCriteria.from_dict(tender["criteria"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         _fail(source, "$.tender.criteria", str(exc))
 
     if not isinstance(doc["bidders"], list):
@@ -193,7 +195,6 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
 class RunOutcome:
     name: str
     exit_code: int
-    out_dir: Path | None
     report: audit.AuditReport
     export: dict
     summary_lines: list[str]
@@ -352,14 +353,15 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
 
     outcome = RunOutcome(
         name=doc["name"], exit_code=0 if not expected_failures else 1,
-        out_dir=Path(out_dir) if out_dir else None, report=report, export=export,
+        report=report, export=export,
         summary_lines=summary_lines, expected_failures=expected_failures,
         bid_gas=bid_gas, deployment_gas=deployment_gas,
         tender_spec={k: tender[k] for k in ("title", "terms", "length_ms",
                                             "limit", "criteria")},
     )
     if out_dir is not None:
-        _write_reports(outcome, doc.get("reports") or list(REPORT_KINDS), gas_rows)
+        _write_reports(outcome, Path(out_dir), doc.get("reports") or list(REPORT_KINDS),
+                       gas_rows)
     return outcome
 
 
@@ -443,8 +445,6 @@ def compare_schemes(sources: list, seed: int | None = None) -> tuple[str, list[d
     The scenarios must agree on everything but the scheme, otherwise the
     comparison would not mean anything.
     """
-    from .errors import IncomparableScenarios
-
     if len(sources) < 2:
         raise IncomparableScenarios("need at least two scenario results to compare")
     outcomes = [run_scenario(src, out_dir=None, seed=seed) for src in sources]
@@ -478,8 +478,7 @@ def compare_schemes(sources: list, seed: int | None = None) -> tuple[str, list[d
     return "\n".join(lines) + "\n", rows
 
 
-def _write_reports(outcome: RunOutcome, kinds: list[str], gas_rows) -> None:
-    out = outcome.out_dir
+def _write_reports(outcome: RunOutcome, out: Path, kinds: list[str], gas_rows) -> None:
     out.mkdir(parents=True, exist_ok=True)
     if "gas_csv" in kinds:
         path = out / "gas.csv"

@@ -111,7 +111,7 @@ def test_criterion_3_immutability_1000_attempts(announce):
     keys = crypto.generate_keypair(rng)
     rft, sender = make_tender(chain, keys, "FULL_TRACK")
     data_addr = ledger_ops.deploy_tender_data(chain, sender, b"the tender text")
-    digest_before = chain.state_digest()
+    state_before = chain.export()["contracts"]
 
     fields = ["bidding_end", "limit", "pubk", "scheme", "data", "owner",
               "bid_count", "bids_placed", "results", "deployer"]
@@ -120,17 +120,17 @@ def test_criterion_3_immutability_1000_attempts(announce):
         target = rft if rng.random() < 0.5 else data_addr
         value = rng.choice([rng.randrange(10**9), "0x" + rng.randbytes(8).hex(),
                             rng.random(), None])
-        call = contracts.mutation_call(rng.choice(fields), value)
+        call = {"op": "set_field", "field": rng.choice(fields), "value": value}
         chain.submit_transaction(sender, target, canonical_json_bytes(call))
         if (i + 1) % 50 == 0:
-            chain.advance_by(chain.config.block_interval_ms)
+            chain.advance_to(chain.now() + chain.config.block_interval_ms)
             block = chain.mine_block(chain.now())
             rejected += sum(1 for t in block.transactions
                             if t.status == "REJECTED" and t.error == "IMMUTABLE_STATE")
     assert rejected == 1000
-    assert chain.state_digest() == digest_before
+    assert chain.export()["contracts"] == state_before
     announce("ACCEPTANCE 3 PASS: 1000/1000 mutation attempts rejected, "
-             "contract state digest unchanged")
+             "disclosed contract state unchanged")
 
 
 # --- 4. R2: sealed until the key half arrives --------------------------------------------
@@ -421,7 +421,7 @@ def _chain_with_bids(n):
         batch = min(50, n - placed)
         for _ in range(batch):
             chain.submit_transaction(sender, rft, payload)
-        chain.advance_by(chain.config.block_interval_ms)
+        chain.advance_to(chain.now() + chain.config.block_interval_ms)
         chain.mine_block(chain.now())
         placed += batch
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)

@@ -15,7 +15,7 @@ from tendersim.chain import (
     compute_tx_hash,
     meter_gas,
 )
-from tendersim.encoding import canonical_json_bytes, to_hex
+from tendersim.encoding import HexMemo, canonical_json_bytes, to_hex
 from tendersim.errors import (
     NoSuchContract,
     TimestampNotMonotonic,
@@ -73,7 +73,7 @@ def test_payload_nested_past_the_decoder_is_rejected_in_its_block(chain):
 
 
 def test_mine_rejects_non_monotonic_timestamp(chain):
-    chain.advance_by(1000)
+    chain.advance_to(chain.now() + 1000)
     chain.mine_block(chain.now())
     parent_ts = chain.head().timestamp
     with pytest.raises(TimestampNotMonotonic):
@@ -92,7 +92,7 @@ def test_mine_rejects_far_future_timestamp(chain):
 
 def test_chain_grows_with_strictly_increasing_timestamps(chain):
     for step in (10, 20, 5000, 5001):
-        chain.advance_by(step)
+        chain.advance_to(chain.now() + step)
         chain.mine_block(chain.now())
     stamps = [b.timestamp for b in chain.blocks]
     assert stamps == sorted(stamps)
@@ -193,16 +193,16 @@ def test_full_track_first_difference_is_exactly_the_copy_cost():
 
 def test_read_state_costs_no_gas(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
-    before = chain.total_gas()
-    snapshot = chain.read_state(rft)
-    assert chain.total_gas() == before
+    gas_before = [t.gas_used for b in chain.blocks for t in b.transactions]
+    snapshot = chain.get_contract(rft).snapshot(HexMemo())
+    assert [t.gas_used for b in chain.blocks for t in b.transactions] == gas_before
     assert snapshot["kind"] == "request_for_tender"
     assert len(chain.blocks) == 2  # reading created no block
 
 
 def test_read_state_unknown_address(chain):
     with pytest.raises(NoSuchContract):
-        chain.read_state(account("ghost"))
+        chain.get_contract(account("ghost"))
 
 
 def test_gas_determinism_on_identical_runs(to_keys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tendersim import contracts, crypto
 from tendersim.chain import Chain, ChainConfig
-from tendersim.encoding import canonical_json_bytes
+from tendersim.encoding import HexMemo, canonical_json_bytes
 from tendersim.errors import (
     BiddingStillOpen,
     CertificateRejected,
@@ -67,11 +67,11 @@ def test_bidding_end_is_deploy_time_plus_length(chain, to_keys):
 def test_data_contract_size_boundary(chain):
     sender = chain.register_account(account("TO"))
     addr = ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 625)  # 5000 bits
-    assert chain.read_state(addr)["data"] == "0x" + "42" * 625
+    assert chain.get_contract(addr).snapshot(HexMemo())["data"] == "0x" + "42" * 625
     with pytest.raises(DataTooLarge):
         ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 626)
     empty = ledger_ops.deploy_tender_data(chain, sender, b"")
-    assert chain.read_state(empty)["data"] == "0x"
+    assert chain.get_contract(empty).snapshot(HexMemo())["data"] == "0x"
 
 
 # --- full track (every bid is recorded) ---------------------------------------------
@@ -85,7 +85,7 @@ def test_full_track_first_valid_bid(chain, to_keys):
     assert record.prior_bids == ()
     assert record.bidding_end_copy == chain.get_contract(rft).bidding_end
     assert chain.blocks[-1].transactions[0].gas_used == 299_501
-    assert chain.read_state(rft)["bids_placed"] == ["0x" + addr.hex()]
+    assert chain.get_contract(rft).snapshot(HexMemo())["bids_placed"] == ["0x" + addr.hex()]
     assert chain.get_contract(rft).bid_count == {"B1": 1}
 
 
@@ -124,10 +124,10 @@ def test_full_track_malformed_certificate_is_a_protocol_error(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
     args = _bid_args(to_keys, "B1", rft)
     args["r"] = args["r"][:-1]  # wrong length
-    digest_before = chain.state_digest()
+    state_before = chain.export()["contracts"]
     with pytest.raises(MalformedCertificate):
         ledger_ops.place_bid_full(chain, rft, sender, **args)
-    assert chain.state_digest() == digest_before
+    assert chain.export()["contracts"] == state_before
     assert chain.get_contract(rft).bids_placed == []
 
 
@@ -147,10 +147,10 @@ def test_full_track_records_carry_growing_snapshots(chain, to_keys):
 
 def test_protected_rejects_bad_certificates_without_recording(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "PROTECTED")
-    digest_before = chain.state_digest()
+    state_before = chain.export()["contracts"]
     with pytest.raises(CertificateRejected):
         ledger_ops.place_bid_protected(chain, rft, sender, **_forged_args("B1"))
-    assert chain.state_digest() == digest_before
+    assert chain.export()["contracts"] == state_before
     assert chain.get_contract(rft).bids_placed == []
     rejected_tx = chain.blocks[-1].transactions[0]
     assert rejected_tx.status == "REJECTED"
@@ -187,8 +187,8 @@ def test_stateless_flat_gas_and_no_array(chain, to_keys):
         record = chain.get_contract(addr)
         assert record.prior_bids is None
         assert record.bidding_end_copy is None
-        assert "prior_bids" not in chain.read_state(addr)
-    assert "bids_placed" not in chain.read_state(rft)
+        assert "prior_bids" not in chain.get_contract(addr).snapshot(HexMemo())
+    assert "bids_placed" not in chain.get_contract(rft).snapshot(HexMemo())
     assert chain.get_contract(rft).bid_count == {"B1": 5}
 
 
@@ -270,16 +270,16 @@ def test_mutation_attempts_always_rejected(field_name, value):
     to_keys = crypto.generate_keypair(Random(5))
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
     data_addr = ledger_ops.deploy_tender_data(chain, sender, b"tender text")
-    digest_before = chain.state_digest()
+    state_before = chain.export()["contracts"]
     for target in (rft, data_addr):
-        call = contracts.mutation_call(field_name, value)
+        call = {"op": "set_field", "field": field_name, "value": value}
         chain.submit_transaction(sender, target, canonical_json_bytes(call))
         chain.mine_block(chain.now() + chain.config.block_interval_ms)
-        chain.advance_by(chain.config.block_interval_ms)
+        chain.advance_to(chain.now() + chain.config.block_interval_ms)
         tx = chain.blocks[-1].transactions[-1]
         assert tx.status == "REJECTED"
         assert tx.error == "IMMUTABLE_STATE"
-    assert chain.state_digest() == digest_before
+    assert chain.export()["contracts"] == state_before
 
 
 def test_bid_array_is_append_only_across_blocks(chain, to_keys):

@@ -23,8 +23,7 @@ def cert(to_keys):
 
 
 def test_certificate_round_trip(to_keys, cert):
-    assert crypto.verify_certificate(to_keys.public_key, cert.msg_hash,
-                                     cert.v, cert.r, cert.s)
+    crypto.check_component_shapes(cert.msg_hash, cert.v, cert.r, cert.s)
     assert crypto.certificate_matches(to_keys.public_key, "B1", RFT_A,
                                       cert.msg_hash, cert.v, cert.r, cert.s)
 
@@ -37,27 +36,27 @@ def test_certificate_bound_to_one_tender(to_keys, cert):
 def test_certificate_bit_flip_fails(to_keys, cert):
     r = bytearray(cert.r)
     r[7] ^= 1
-    assert not crypto.verify_certificate(to_keys.public_key, cert.msg_hash,
-                                         cert.v, bytes(r), cert.s)
+    assert not crypto.certificate_matches(to_keys.public_key, "B1", RFT_A,
+                                          cert.msg_hash, cert.v, bytes(r), cert.s)
 
 
 def test_certificate_from_other_keypair_fails(to_keys, rng):
     other = crypto.generate_keypair(rng)
     stranger = crypto.issue_certificate(other.private_key, "B1", RFT_A)
-    assert not crypto.verify_certificate(to_keys.public_key, stranger.msg_hash,
-                                         stranger.v, stranger.r, stranger.s)
+    assert not crypto.certificate_matches(to_keys.public_key, "B1", RFT_A,
+                                          stranger.msg_hash, stranger.v, stranger.r, stranger.s)
 
 
-def test_malformed_components_raise_not_false(to_keys, cert):
+def test_malformed_components_raise_not_false(cert):
+    # the shape rule place_bid applies before any signature check
     with pytest.raises(MalformedCertificate):
-        crypto.verify_certificate(to_keys.public_key, cert.msg_hash, cert.v,
-                                  cert.r[:-1], cert.s)
+        crypto.check_component_shapes(cert.msg_hash, cert.v, cert.r[:-1], cert.s)
     with pytest.raises(MalformedCertificate):
-        crypto.verify_certificate(to_keys.public_key, cert.msg_hash[:-2], cert.v,
-                                  cert.r, cert.s)
+        crypto.check_component_shapes(cert.msg_hash, cert.v, cert.r, cert.s[:-1])
     with pytest.raises(MalformedCertificate):
-        crypto.verify_certificate(to_keys.public_key, cert.msg_hash, 99,
-                                  cert.r, cert.s)
+        crypto.check_component_shapes(cert.msg_hash[:-2], cert.v, cert.r, cert.s)
+    with pytest.raises(MalformedCertificate):
+        crypto.check_component_shapes(cert.msg_hash, 99, cert.r, cert.s)
 
 
 def test_unforgeability_over_random_keypairs(to_keys):
@@ -80,9 +79,9 @@ def test_unforgeability_over_random_keypairs(to_keys):
 def test_seal_unseal_round_trip(to_keys, rng):
     key = crypto.new_bid_key(rng)
     sealed = crypto.seal_bid_key(key, to_keys.public_key, rng)
-    assert sealed.total_len == len(sealed.half_a) + len(sealed.half_b)
-    assert len(sealed.half_a) == (sealed.total_len + 1) // 2
-    assert crypto.unseal_bid_key(sealed.combined(), to_keys.private_key) == key
+    combined = sealed.half_a + sealed.half_b
+    assert len(sealed.half_a) == (len(combined) + 1) // 2
+    assert crypto.unseal_bid_key(combined, to_keys.private_key) == key
 
 
 def test_sealing_to_prepared_key_gives_the_same_bytes(to_keys):
@@ -91,7 +90,7 @@ def test_sealing_to_prepared_key_gives_the_same_bytes(to_keys):
     raw = crypto.seal_bid_key(key, to_keys.public_key, Random(5))
     table = crypto.seal_bid_key(key, prepared, Random(5))
     assert table == raw
-    assert crypto.unseal_bid_key(table.combined(), to_keys.private_key) == key
+    assert crypto.unseal_bid_key(table.half_a + table.half_b, to_keys.private_key) == key
 
 
 def test_unseal_with_one_half_fails(to_keys, rng):
@@ -107,14 +106,14 @@ def test_sealing_is_randomized(to_keys, rng):
     key = crypto.new_bid_key(rng)
     first = crypto.seal_bid_key(key, to_keys.public_key, rng)
     second = crypto.seal_bid_key(key, to_keys.public_key, rng)
-    assert first.combined() != second.combined()
+    assert first.half_a + first.half_b != second.half_a + second.half_b
 
 
 def test_unseal_with_wrong_private_key_fails(to_keys, rng):
     other = crypto.generate_keypair(rng)
     sealed = crypto.seal_bid_key(crypto.new_bid_key(rng), to_keys.public_key, rng)
     with pytest.raises(DecryptionFailed):
-        crypto.unseal_bid_key(sealed.combined(), other.private_key)
+        crypto.unseal_bid_key(sealed.half_a + sealed.half_b, other.private_key)
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,7 +124,7 @@ def test_split_completeness(payload, tamper, seed):
     rng = Random(seed)
     keys = crypto.generate_keypair(rng)
     sealed = crypto.seal_bid_key(payload, keys.public_key, rng)
-    combined = sealed.combined()
+    combined = sealed.half_a + sealed.half_b
     assert crypto.unseal_bid_key(combined, keys.private_key) == payload
     flipped = bytearray(combined)
     pos = tamper % (len(combined) * 8)

@@ -1,4 +1,5 @@
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,7 +40,7 @@ def _make_orch(scheme="FULL_TRACK", seed=3, criteria=None, limit=2, length_ms=60
 
 def test_open_tender_places_spec_and_key_on_ledger():
     chain, orch, rft, data_addr = _make_orch()
-    rft_state = chain.read_state(rft)
+    rft_state = chain.export()["contracts"][to_hex(rft)]
     assert rft_state["pubk"] == to_hex(orch.to.keys.public_key)
     assert rft_state["tender_data"] == to_hex(data_addr)
     title, terms, criteria = TenderSpec.parse_data_blob(
@@ -121,7 +122,7 @@ def test_evaluation_before_deadline_refused():
 
 def test_minimize_price_winner_matches_brute_force():
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs())
-    result = orch.result
+    result = orch.close_and_evaluate()
     documents = {to_hex(sub.record_address): {"fields": sub.document.fields}
                  for sub in subs.values()}
     oracle = brute_force_winner(documents, {"numeric_fields": [["price", 1.0, "MINIMIZE"]]})
@@ -135,7 +136,7 @@ def test_exact_tie_goes_to_lowest_bid_address():
             BidDocument("B2", {"price": 100.0, "delivery_days": 1.0})]
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", docs)
     lowest = min(subs["B1"].record_address, subs["B2"].record_address)
-    assert orch.result.winner_bid_address == lowest
+    assert orch.close_and_evaluate().winner_bid_address == lowest
 
 
 def test_feasibility_predicate_excludes_bid():
@@ -143,7 +144,7 @@ def test_feasibility_predicate_excludes_bid():
     docs = [BidDocument("B1", {"price": 100.0, "delivery_days": 45.0}),  # infeasible
             BidDocument("B2", {"price": 120.0, "delivery_days": 10.0})]
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", docs, criteria=criteria)
-    result = orch.result
+    result = orch.close_and_evaluate()
     assert result.winner_id == "B2"
     assert result.statuses[subs["B1"].record_address] == STATUS_INFEASIBLE
     documents = {to_hex(s.record_address): {"fields": s.document.fields}
@@ -189,6 +190,43 @@ def test_tampered_ciphertext_flagged_without_aborting():
     assert result.winner_id == "B1"
 
 
+def test_wrongly_shaped_bid_document_is_graded_malformed():
+    chain, orch, rft, _ = _make_orch()
+    orch.register_bidder("B1")
+    orch.register_bidder("B2")
+    s1 = orch.submit_sealed_bid("B1", BidDocument("B1", {"price": 10.0,
+                                                         "delivery_days": 5.0}))
+    # B2 seals JSON that authenticates but is not a bid document
+    raw = b'{"bidder_id":"B2","fields":[],"free_text":"0x"}'
+    s2 = orch.submit_sealed_bid("B2", SimpleNamespace(to_bytes=lambda: raw))
+    chain.advance_to(chain.get_contract(rft).bidding_end + 1)
+    orch.deliver_key_half("B1", s1)
+    orch.deliver_key_half("B2", s2)
+    result = orch.close_and_evaluate()
+    assert result.statuses[s2.record_address] == STATUS_MALFORMED
+    assert result.winner_id == "B1"
+    orch.publish_results(result)
+
+
+def test_bid_naming_a_non_data_contract_is_graded_malformed():
+    chain, orch, rft, _ = _make_orch()
+    orch.register_bidder("B1")
+    b2 = orch.register_bidder("B2")
+    s1 = orch.submit_sealed_bid("B1", BidDocument("B1", {"price": 10.0,
+                                                         "delivery_days": 5.0}))
+    # B2 places a certified bid by hand whose data address is the tender itself
+    cert = b2.certificate
+    sealed = crypto.seal_bid_key(bytes(32), orch.to.keys.public_key, Random(2))
+    addr = ledger_ops.place_bid_full(chain, rft, b2.address, "B2", rft, cert.msg_hash,
+                                     cert.v, cert.r, cert.s, sealed.half_a)
+    chain.advance_to(chain.get_contract(rft).bidding_end + 1)
+    orch.deliver_key_half("B1", s1)
+    orch.deliver_key_half("B2", SimpleNamespace(record_address=addr, sealed=sealed))
+    result = orch.close_and_evaluate()
+    assert result.statuses[addr] == STATUS_MALFORMED
+    assert result.winner_id == "B1"
+
+
 def test_publish_results_and_republish_forbidden():
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs())
     published = chain.get_contract(rft).results
@@ -196,7 +234,7 @@ def test_publish_results_and_republish_forbidden():
     for entry in published["revealed_keys"].values():
         assert entry["bid_key"]  # keys are on the ledger for everyone
     with pytest.raises(RepublishForbidden):
-        orch.publish_results(orch.result)
+        orch.publish_results(orch.close_and_evaluate())
 
 
 def test_published_keys_decrypt_every_valid_bid():
@@ -235,7 +273,7 @@ def test_stateless_flow_uses_receipts_and_handoff():
         assert sub.receipt is not None
         assert ledger_ops.verify_acknowledgement(orch.to.keys.public_key,
                                                  sub.record_address, sub.receipt)
-    assert orch.result.winner_id == "B2"
+    assert orch.close_and_evaluate().winner_id == "B2"
 
 
 def test_identical_runs_produce_byte_identical_chains():

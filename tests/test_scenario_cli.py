@@ -1,16 +1,19 @@
 import copy
 import functools
 import json
+import math
 import os
+from random import Random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tendersim import audit
+from tendersim import audit, crypto
+from tendersim.chain import compute_tx_hash
 from tendersim.cli import main
-from tendersim.encoding import canonical_json_bytes
+from tendersim.encoding import canonical_json_bytes, from_hex, to_hex
 from tendersim.errors import IncomparableScenarios, ScenarioError
 from tendersim.scenario import (
     compare_schemes,
@@ -19,6 +22,7 @@ from tendersim.scenario import (
     validate_scenario,
 )
 
+import chain_surgery
 from conftest import SCENARIO_DIR
 from reference_data import DEPLOY_GAS, PER_PRIOR_BID_COPY
 
@@ -90,6 +94,10 @@ def _late_bid(doc, **extra):
                  "$.bidders[2].fields.price", id="field-value-a-string"),
     pytest.param(lambda d: d["bidders"][2]["fields"].update(price=True),
                  "$.bidders[2].fields.price", id="field-value-a-boolean"),
+    pytest.param(lambda d: d["bidders"][2]["fields"].update(price=math.nan),
+                 "$.bidders[2].fields.price", id="field-value-nan"),
+    pytest.param(lambda d: d["bidders"][2]["fields"].update(price=math.inf),
+                 "$.bidders[2].fields.price", id="field-value-infinity"),
     pytest.param(lambda d: d["bidders"][0].update(id=["B01"]), "$.bidders[0].id",
                  id="bidder-id-not-a-string"),
     pytest.param(lambda d: d["bidders"][0].update(free_text=7), "$.bidders[0].free_text",
@@ -98,6 +106,10 @@ def _late_bid(doc, **extra):
                  id="action-not-an-object"),
     pytest.param(lambda d: _late_bid(d, fields={"price": None}),
                  "$.adversarial[0].fields.price", id="late-bid-field-value-null"),
+    pytest.param(lambda d: _late_bid(d, fields={"price": math.nan}),
+                 "$.adversarial[0].fields.price", id="late-bid-field-value-nan"),
+    pytest.param(lambda d: _late_bid(d, fields={"price": -math.inf}),
+                 "$.adversarial[0].fields.price", id="late-bid-field-value-infinity"),
     pytest.param(lambda d: d.update(adversarial=[{"action": "RIG_WINNER", "winner": []}]),
                  "$.adversarial[0].winner", id="winner-not-a-string"),
     pytest.param(lambda d: d.update(chain=[]), "$.chain", id="chain-not-an-object"),
@@ -105,6 +117,10 @@ def _late_bid(doc, **extra):
                  id="chain-setting-not-an-integer"),
     pytest.param(lambda d: d.update(chain={"genesis_timestamp": -1}), "$.chain",
                  id="chain-genesis-before-zero"),
+    pytest.param(lambda d: d.update(chain={"max_data_bits": 0}), "$.chain",
+                 id="chain-max-data-bits-0"),
+    pytest.param(lambda d: d.update(chain={"max_data_bits": -1}), "$.chain",
+                 id="chain-max-data-bits-negative"),
     pytest.param(lambda d: d.update(expected=[]), "$.expected", id="expected-not-an-object"),
     pytest.param(lambda d: d.update(reports="summary"), "$.reports", id="reports-not-a-list"),
 ])
@@ -288,7 +304,7 @@ _FORMAT = b'{"format": "tendersim-chain/1", '
     *(pytest.param(lambda e, v=value: e["config"].update(max_data_bits=v),
                    id=f"max-data-bits-{name}")
       for name, value in (("x", "x"), ("null", None), ("list", []), ("object", {}),
-                          ("float", 5000.5), ("true", True))),
+                          ("float", 5000.5), ("true", True), ("0", 0), ("minus-1", -1))),
     pytest.param(lambda e: e["gas_schedule"].update(bid_base_full=299501.0),
                  id="gas-schedule-float"),
 ])
@@ -302,6 +318,67 @@ def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
     code = main(["audit", str(path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error[MALFORMED_EXPORT]")
+
+
+def _bid_plaintext(plaintext: bytes):
+    """An export edit: the first published bid's disclosed ciphertext becomes
+    ``plaintext``, encrypted under the bid key the organisation published."""
+    def edit(export):
+        results = next(c["results"] for c in export["contracts"].values()
+                       if c["kind"] == "request_for_tender")
+        record_hex, keys = min(results["revealed_keys"].items())
+        data = export["contracts"][export["contracts"][record_hex]["data_addr"]]
+        data["data"] = to_hex(crypto.encrypt_bid(plaintext, from_hex(keys["bid_key"]),
+                                                 Random(0)))
+    return edit
+
+
+def _tender_data(edit_spec):
+    """An export edit: the tender data deployment carries ``edit_spec`` of its
+    tender-spec document, with hashes, receipt and disclosed state to match."""
+    def edit(export):
+        tx = _first_tx(export)
+        spec = json.loads(from_hex(json.loads(from_hex(tx["payload"]))["data"]))
+        blob = canonical_json_bytes(edit_spec(spec))
+        payload = canonical_json_bytes({"op": "deploy_data", "data": to_hex(blob)})
+        tx_hash = compute_tx_hash(from_hex(tx["sender"]), None, tx["nonce"], payload,
+                                  tx["gas_price"])
+        tx.update(payload=to_hex(payload), tx_hash=to_hex(tx_hash), gas_used=16 * len(blob))
+        export["contracts"][tx["created_address"]]["data"] = to_hex(blob)
+        chain_surgery.remine(export)
+    return edit
+
+
+_UNDECRYPTABLE = ("UNDECRYPTABLE_BID", "published key fails to decrypt bid")
+_NO_CRITERIA = ("R1", "tender data holds no usable evaluation criteria")
+
+
+@pytest.mark.parametrize("content, finding", [
+    pytest.param(_bid_plaintext(b"[]"), _UNDECRYPTABLE, id="bid-document-a-list"),
+    pytest.param(_bid_plaintext(b'{"bidder_id":"B01","fields":[1],"free_text":"0x"}'),
+                 _UNDECRYPTABLE, id="bid-fields-a-list"),
+    pytest.param(_bid_plaintext(b'{"bidder_id":"B01","fields":{"price":{}},"free_text":"0x"}'),
+                 _UNDECRYPTABLE, id="bid-field-value-an-object"),
+    pytest.param(_bid_plaintext(b"[" * 100_000), _UNDECRYPTABLE, id="bid-nested-too-deep"),
+    pytest.param(_tender_data(lambda spec: []), _NO_CRITERIA, id="tender-data-a-list"),
+    pytest.param(_tender_data(lambda spec: {**spec, "criteria": []}), _NO_CRITERIA,
+                 id="criteria-a-list"),
+    pytest.param(_tender_data(lambda spec: {**spec, "criteria": {"numeric_fields": 5}}),
+                 _NO_CRITERIA, id="numeric-fields-5"),
+])
+def test_audit_command_grades_malformed_documents(tmp_path, capsys, content, finding):
+    export = copy.deepcopy(_full_track_10_export())
+    content(export)
+    path = tmp_path / "chain.json"
+    path.write_bytes(canonical_json_bytes(export))
+    code = main(["audit", str(path), "--out", str(tmp_path / "audit.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("AUDIT FAIL")
+    assert "Traceback" not in captured.err
+    [report] = json.loads((tmp_path / "audit.json").read_text())
+    tag, text = finding
+    assert any(v["tag"] == tag and text in v["description"] for v in report["violations"])
 
 
 def test_audit_command_reports_an_unreadable_path(tmp_path, capsys):

@@ -5,6 +5,8 @@ key derivation, ECDH and signature verification. It cannot recover keys,
 so recovery is checked by round trip.
 """
 
+from random import Random
+
 import pytest
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -176,10 +178,11 @@ def test_ecdh_zero_scalar_raises(k):
 
 
 def test_unseal_with_zero_scalar_is_decryption_failure():
-    to_keys = crypto.generate_keypair()
-    sealed = crypto.seal_bid_key(bytes(32), to_keys.public_key).combined()
+    rng = Random(11)
+    to_keys = crypto.generate_keypair(rng)
+    sealed = crypto.seal_bid_key(bytes(32), to_keys.public_key, rng)
     with pytest.raises(DecryptionFailed):
-        crypto.unseal_bid_key(sealed, curve.N.to_bytes(32, "big"))
+        crypto.unseal_bid_key(sealed.half_a + sealed.half_b, curve.N.to_bytes(32, "big"))
 
 
 # --- fixed-base tables ---------------------------------------------------------------
