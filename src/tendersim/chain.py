@@ -208,7 +208,6 @@ class Chain:
         self._contracts: dict[bytes, object] = {}
         self._nonces: dict[bytes, int] = {}
         self._pending: list[_Pending] = []
-        self._tx_index: dict[bytes, Transaction] = {}
         genesis = Block(
             height=0,
             parent_hash=b"\x00" * 32,
@@ -273,7 +272,7 @@ class Chain:
                                    gas_schedule=self.gas_schedule, config=self.config,
                                    chain=self)
             outcome = self._execute(ctx, pending)
-            tx = Transaction(
+            executed.append(Transaction(
                 sender=pending.sender,
                 target=pending.target,
                 payload=pending.payload,
@@ -285,9 +284,7 @@ class Chain:
                 kind=outcome.kind,
                 created_address=outcome.created_address,
                 tx_hash=pending.tx_hash,
-            )
-            executed.append(tx)
-            self._tx_index[tx.tx_hash] = tx
+            ))
         self._pending.clear()
         block = Block(
             height=height,
@@ -326,10 +323,6 @@ class Chain:
         if contract is None:
             raise NoSuchContract(f"no contract at {to_hex(address)}")
         return contract
-
-    def get_transaction(self, tx_id: str) -> Transaction:
-        """The mined transaction with the id ``submit_transaction`` returned."""
-        return self._tx_index[bytes.fromhex(tx_id[2:])]
 
     # --- export ------------------------------------------------------------------
 

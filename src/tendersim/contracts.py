@@ -51,20 +51,11 @@ SCHEME_PROTECTED = "PROTECTED"
 SCHEME_STATELESS = "STATELESS"
 SCHEMES = (SCHEME_FULL, SCHEME_PROTECTED, SCHEME_STATELESS)
 
-_DEPLOY_KIND = {
-    SCHEME_FULL: "deploy_rft_full",
-    SCHEME_PROTECTED: "deploy_rft_protected",
-    SCHEME_STATELESS: "deploy_rft_stateless",
-}
-_BID_KIND = {
-    SCHEME_FULL: "bid_full",
-    SCHEME_PROTECTED: "bid_protected",
-    SCHEME_STATELESS: "bid_stateless",
-}
-_BID_REJECT_KIND = {
-    SCHEME_FULL: "bid_rejected_full",
-    SCHEME_PROTECTED: "bid_rejected_protected",
-    SCHEME_STATELESS: "bid_rejected_stateless",
+# scheme -> receipt kinds of its deployment, a recorded bid and a refused bid
+_KINDS = {
+    SCHEME_FULL: ("deploy_rft_full", "bid_full", "bid_rejected_full"),
+    SCHEME_PROTECTED: ("deploy_rft_protected", "bid_protected", "bid_rejected_protected"),
+    SCHEME_STATELESS: ("deploy_rft_stateless", "bid_stateless", "bid_rejected_stateless"),
 }
 
 # Calls that try to change what a tender fixed at deployment or publication;
@@ -185,6 +176,7 @@ class RequestForTenderContract(Contract):
 
     def place_bid(self, call: dict, ctx: ExecutionContext) -> Transition:
         schedule = ctx.gas_schedule
+        _, bid_kind, refused_kind = _KINDS[self.scheme]
         try:
             bidder_id = call["id"]
             data_addr = from_hex(call["data_addr"])
@@ -197,32 +189,29 @@ class RequestForTenderContract(Contract):
                 raise MalformedCertificate("bad id or data address")
             crypto.check_component_shapes(msg_hash, v, r, s)
         except (KeyError, ValueError, TypeError, MalformedCertificate):
-            return ExecOutcome(kind=_BID_REJECT_KIND[self.scheme],
-                               gas_used=meter_gas(schedule, _BID_REJECT_KIND[self.scheme]),
-                               error=MalformedCertificate.code), None
+            error = MalformedCertificate.code
+        else:
+            valid_hash = crypto.certificate_matches(self.pubk, bidder_id, self.address,
+                                                    msg_hash, v, r, s)
+            # Protected scheme refuses to record certificate failures at all.
+            refused = self.scheme == SCHEME_PROTECTED and not valid_hash
+            error = CertificateRejected.code if refused else None
+        if error is not None:
+            return ExecOutcome(kind=refused_kind, gas_used=meter_gas(schedule, refused_kind),
+                               error=error), None
 
-        valid_hash = crypto.certificate_matches(self.pubk, bidder_id, self.address,
-                                                msg_hash, v, r, s)
         valid_time = ctx.block_timestamp < self.bidding_end
         allowed = self.bid_count.get(bidder_id, 0) < self.limit
-
-        if self.scheme == SCHEME_PROTECTED and not valid_hash:
-            # Protected scheme refuses to record certificate failures at all.
-            return ExecOutcome(kind=_BID_REJECT_KIND[self.scheme],
-                               gas_used=meter_gas(schedule, _BID_REJECT_KIND[self.scheme]),
-                               error=CertificateRejected.code), None
-
         validity = valid_hash and valid_time and allowed
         if validity:
             self.bid_count[bidder_id] = self.bid_count.get(bidder_id, 0) + 1
 
         if self.scheme == SCHEME_STATELESS:
-            gas = meter_gas(schedule, "bid_stateless")
+            gas = meter_gas(schedule, bid_kind)
             prior = None
             end_copy = None
         else:
-            gas = meter_gas(schedule, _BID_KIND[self.scheme],
-                            prior_recorded_bids=len(self.bids_placed))
+            gas = meter_gas(schedule, bid_kind, prior_recorded_bids=len(self.bids_placed))
             prior = tuple(self.bids_placed)
             end_copy = self.bidding_end
 
@@ -234,7 +223,7 @@ class RequestForTenderContract(Contract):
                                    prior_bids=prior, bidding_end_copy=end_copy)
         if self.bids_placed is not None:
             self.bids_placed.append(record_addr)
-        return ExecOutcome(kind=_BID_KIND[self.scheme], gas_used=gas,
+        return ExecOutcome(kind=bid_kind, gas_used=gas,
                            created_address=record_addr), record
 
     def reveal_key_half(self, call: dict, ctx: ExecutionContext) -> ExecOutcome:
@@ -375,8 +364,8 @@ def deploy_rft(call: dict, ctx: ExecutionContext) -> Transition:
         bidding_end=ctx.block_timestamp + length_ms,
         limit=limit, pubk=pubk, tender_data_addr=tender_data_addr,
         deployer=ctx.sender)
-    return (ExecOutcome(kind=_DEPLOY_KIND[scheme],
-                        gas_used=meter_gas(ctx.gas_schedule, _DEPLOY_KIND[scheme]),
+    kind = _KINDS[scheme][0]
+    return (ExecOutcome(kind=kind, gas_used=meter_gas(ctx.gas_schedule, kind),
                         created_address=addr),
             rft)
 
@@ -419,10 +408,6 @@ def data_deploy_call(data: bytes) -> dict:
 
 def rft_deploy_call(scheme: str, length_ms: int, pubk: bytes, limit: int,
                     tender_data_addr: bytes | None = None) -> dict:
-    if scheme not in SCHEMES:
-        raise InvalidTenderParams(f"unknown scheme {scheme!r}")
-    if length_ms <= 0 or limit < 1:
-        raise InvalidTenderParams("length_ms must be > 0 and limit >= 1")
     return {
         "op": "deploy_rft",
         "scheme": scheme,

@@ -115,6 +115,11 @@ class BidDocument:
     fields: dict[str, float]
     free_text: bytes = b""
 
+    def __post_init__(self):
+        for name, value in self.fields.items():
+            if not math.isfinite(value):  # NaN or Infinity cannot be scored
+                raise ValueError(f"bid field {name!r} must be finite")
+
     def to_bytes(self) -> bytes:
         return canonical_json_bytes({
             "bidder_id": self.bidder_id,
@@ -241,21 +246,27 @@ class TenderOrchestrator:
 
     # -- lifecycle --
 
-    def open_tender(self, spec: TenderSpec, at: int | None = None) -> tuple[bytes, bytes]:
+    def _step(self, at: int | None, *calls: tuple[bytes, bytes | None, dict]) -> tuple:
+        """Submit each ``(sender, target, call)`` in order and mine them in one block.
+
+        The block is stamped ``at``, by default one block interval from now.
+        Returns the mined transactions of these calls, in the same order.
+        """
         ts = at if at is not None else self.chain.now() + self.chain.config.block_interval_ms
         self.chain.advance_to(ts)
-        blob = spec.data_blob()
+        for sender, target, call in calls:
+            self.chain.submit_transaction(sender, target, canonical_json_bytes(call))
+        return self.chain.mine_block(ts).transactions[-len(calls):]
+
+    def open_tender(self, spec: TenderSpec, at: int | None = None) -> tuple[bytes, bytes]:
         data_addr = self.chain.peek_contract_address(self.to.address)
-        self.chain.submit_transaction(self.to.address, None,
-                                      canonical_json_bytes(contracts.data_deploy_call(blob)))
         rft_call = contracts.rft_deploy_call(spec.scheme, spec.length_ms,
                                              self.to.keys.public_key, spec.limit, data_addr)
-        rft_id = self.chain.submit_transaction(self.to.address, None,
-                                               canonical_json_bytes(rft_call))
-        self.chain.mine_block(ts)
-        if not self.chain.has_contract(data_addr):
+        data_tx, rft_tx = self._step(
+            at, (self.to.address, None, contracts.data_deploy_call(spec.data_blob())),
+            (self.to.address, None, rft_call))
+        if data_tx.status != "OK":
             raise ScenarioError("tender data deployment rejected (payload too large?)")
-        rft_tx = self.chain.get_transaction(rft_id)
         if rft_tx.status != "OK":
             raise ScenarioError(f"tender deployment rejected: {rft_tx.error}")
         self.rft_address = rft_tx.created_address
@@ -281,23 +292,15 @@ class TenderOrchestrator:
         """Encrypt, deploy the ciphertext, and place the bid, all in one block."""
         bidder = self.bidders[bidder_id]
         cert = bidder.certificate
-        ts = at if at is not None else self.chain.now() + self.chain.config.block_interval_ms
-        self.chain.advance_to(ts)
-
         bid_key = crypto.new_bid_key(self.rng)
         ciphertext = crypto.encrypt_bid(document.to_bytes(), bid_key, self.rng)
         sealed = crypto.seal_bid_key(bid_key, self.sealing_key, self.rng)
 
         data_addr = self.chain.peek_contract_address(bidder.address)
-        self.chain.submit_transaction(
-            bidder.address, None,
-            canonical_json_bytes(contracts.data_deploy_call(ciphertext)))
         bid_call = contracts.place_bid_call(bidder_id, data_addr, cert.msg_hash,
                                             cert.v, cert.r, cert.s, sealed.half_a)
-        bid_id = self.chain.submit_transaction(bidder.address, self.rft_address,
-                                               canonical_json_bytes(bid_call))
-        self.chain.mine_block(ts)
-        bid_tx = self.chain.get_transaction(bid_id)
+        _, bid_tx = self._step(at, (bidder.address, None, contracts.data_deploy_call(ciphertext)),
+                               (bidder.address, self.rft_address, bid_call))
         if bid_tx.status != "OK":
             raise ScenarioError(f"bid placement rejected: {bid_tx.error}")
         submission = BidSubmission(record_address=bid_tx.created_address,
@@ -318,15 +321,10 @@ class TenderOrchestrator:
     def reveal_key_half_on_chain(self, bidder_id: str, submission: BidSubmission,
                                  at: int | None = None) -> str:
         """Post the withheld half to the ledger (also hands it to the organisation)."""
-        bidder = self.bidders[bidder_id]
-        ts = at if at is not None else self.chain.now() + self.chain.config.block_interval_ms
-        self.chain.advance_to(ts)
         call = contracts.reveal_call(submission.record_address, submission.sealed.half_b)
-        tx_id = self.chain.submit_transaction(bidder.address, self.rft_address,
-                                              canonical_json_bytes(call))
-        self.chain.mine_block(ts)
+        [tx] = self._step(at, (self.bidders[bidder_id].address, self.rft_address, call))
         self.to.received_halves[submission.record_address] = submission.sealed.half_b
-        return tx_id
+        return to_hex(tx.tx_hash)
 
     # -- organisation-side probes and evaluation --
 
@@ -361,18 +359,13 @@ class TenderOrchestrator:
                                known_bids=self._recorded_bid_addresses())
 
     def publish_results(self, result: TenderResult, at: int | None = None) -> str:
-        ts = at if at is not None else self.chain.now() + self.chain.config.block_interval_ms
-        self.chain.advance_to(ts)
         call = contracts.publish_results_call(result.to_dict())
-        tx_id = self.chain.submit_transaction(self.to.address, self.rft_address,
-                                              canonical_json_bytes(call))
-        self.chain.mine_block(ts)
-        tx = self.chain.get_transaction(tx_id)
+        [tx] = self._step(at, (self.to.address, self.rft_address, call))
         if tx.status != "OK":
             if tx.error == RepublishForbidden.code:
                 raise RepublishForbidden("results already published for this tender")
             raise ScenarioError(f"publish rejected: {tx.error}")
-        return tx_id
+        return to_hex(tx.tx_hash)
 
 
 def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,

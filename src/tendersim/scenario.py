@@ -84,8 +84,8 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     if not isinstance(chain_cfg, dict):
         _fail(source, "$.chain", "must be an object")
     try:
-        _chain_config(chain_cfg)
-    except ValueError as exc:
+        ChainConfig(**chain_cfg)
+    except (ValueError, TypeError) as exc:  # TypeError: a key ChainConfig does not have
         _fail(source, "$.chain", str(exc))
 
     tender = doc["tender"]
@@ -205,12 +205,6 @@ class RunOutcome:
     written: dict = field(default_factory=dict)
 
 
-def _chain_config(chain_cfg: dict) -> ChainConfig:
-    """The scenario's ``chain`` settings; absent keys take the defaults."""
-    return ChainConfig(**{name: chain_cfg.get(name, default)
-                          for name, default in ChainConfig().as_dict().items()})
-
-
 def _junk_address(rng: Random) -> bytes:
     return hashlib.sha256(b"junk|" + rng.randbytes(8)).digest()[-20:]
 
@@ -233,7 +227,7 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
         doc = source
     rng = Random(seed if seed is not None else doc.get("seed", 0))
 
-    config = _chain_config(doc.get("chain", {}))
+    config = ChainConfig(**doc.get("chain", {}))
     chain = Chain(config)
     orch = TenderOrchestrator(chain, rng)
 
@@ -276,20 +270,15 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
                                    free_text=free_text)
             sub = orch.submit_sealed_bid(bidder_id, document, at=ts)
             submissions[bidder_id].append(sub)
-        elif kind == "SPAM_INVALID_CERTS":
+        elif kind in ("SPAM_INVALID_CERTS", "FORGE_CERT"):
+            forged_ids = ([f"SPAM-{k}" for k in range(payload["count"])]
+                          if kind == "SPAM_INVALID_CERTS" else [payload["target"]])
             chain.advance_to(ts)
-            for k in range(payload["count"]):
+            for forged_id in forged_ids:
                 msg_hash, v, r, s = _forged_components(rng)
-                call = contracts.place_bid_call(f"SPAM-{k}", _junk_address(rng),
+                call = contracts.place_bid_call(forged_id, _junk_address(rng),
                                                 msg_hash, v, r, s, rng.randbytes(62))
                 chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
-            chain.mine_block(ts)
-        elif kind == "FORGE_CERT":
-            chain.advance_to(ts)
-            msg_hash, v, r, s = _forged_components(rng)
-            call = contracts.place_bid_call(payload["target"], _junk_address(rng),
-                                            msg_hash, v, r, s, rng.randbytes(62))
-            chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
             chain.mine_block(ts)
         elif kind == "EARLY_KEY_REVEAL":
             subs = submissions[payload["bidder"]]

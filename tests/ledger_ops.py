@@ -30,9 +30,8 @@ def run_single(chain: Chain, sender: bytes, target: bytes | None, call: dict,
     ts = at if at is not None else max(chain.now(),
                                        chain.head().timestamp + chain.config.block_interval_ms)
     chain.advance_to(ts)
-    tx_id = chain.submit_transaction(sender, target, canonical_json_bytes(call))
-    chain.mine_block(ts)
-    tx = chain.get_transaction(tx_id)
+    chain.submit_transaction(sender, target, canonical_json_bytes(call))
+    tx = chain.mine_block(ts).transactions[-1]
     if tx.status != "OK":
         exc = ERRORS_BY_CODE.get(tx.error, TenderSimError)
         raise exc(f"transaction rejected: {tx.error}")

@@ -316,11 +316,10 @@ def _audit_with_raw_tx(make_payload, target=lambda rft: rft):
     mined after the deadline and before the results; returns the report and
     the raw transaction's receipt."""
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
-    tx_id = chain.submit_transaction(orch.bidders["B1"].address, target(rft),
-                                     make_payload(subs))
-    chain.mine_block(chain.now())
+    chain.submit_transaction(orch.bidders["B1"].address, target(rft), make_payload(subs))
+    tx = chain.mine_block(chain.now()).transactions[-1]
     orch.publish_results(orch.close_and_evaluate())
-    return audit.replay_and_audit(chain.export(), rft), chain.get_transaction(tx_id)
+    return audit.replay_and_audit(chain.export(), rft), tx
 
 
 def test_reveal_with_uppercase_hex_audits_clean():

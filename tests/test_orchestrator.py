@@ -1,3 +1,4 @@
+import math
 from random import Random
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from tendersim.errors import (
     DecryptionFailed,
     EvaluationBeforeDeadline,
     RepublishForbidden,
+    ScenarioError,
 )
 from tendersim.orchestrator import (
     STATUS_INFEASIBLE,
@@ -64,6 +66,27 @@ def test_bid_document_round_trips_byte_exactly():
     assert BidDocument.from_bytes(raw).to_bytes() == raw
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bid_document_refuses_non_finite_fields(value):
+    with pytest.raises(ValueError, match="'price' must be finite"):
+        BidDocument("B1", {"price": value})
+
+
+@pytest.mark.parametrize("config, length_ms, message", [
+    pytest.param(ChainConfig(max_data_bits=8), 600_000, "tender data deployment rejected",
+                 id="data-over-max-data-bits"),
+    pytest.param(ChainConfig(), 0, "tender deployment rejected: INVALID_TENDER_PARAMS",
+                 id="length-ms-0"),
+])
+def test_open_tender_reports_a_rejected_deployment(config, length_ms, message):
+    orch = TenderOrchestrator(Chain(config), Random(3))
+    spec = TenderSpec(title="supply tender", terms=b"deliver the goods",
+                      criteria=price_criteria(), length_ms=length_ms, limit=2,
+                      scheme="FULL_TRACK")
+    with pytest.raises(ScenarioError, match=message):
+        orch.open_tender(spec)
+
+
 def test_register_bidder_and_domain_binding():
     chain, orch, rft, _ = _make_orch()
     bidder = orch.register_bidder("B1")
@@ -88,6 +111,16 @@ def test_submit_sealed_bid_produces_valid_record():
     assert record.sealed_half_a == sub.sealed.half_a
     ciphertext = chain.get_contract(sub.data_address).data
     assert crypto.decrypt_bid(ciphertext, sub.bid_key) == sub.document.to_bytes()
+
+
+def test_protected_bid_with_another_tenders_certificate_is_rejected():
+    chain, orch, _, _ = _make_orch(scheme="PROTECTED")
+    other = TenderOrchestrator(chain, Random(4))
+    other.open_tender(orch.spec)
+    orch.register_bidder("B1").certificate = other.register_bidder("B1").certificate
+    with pytest.raises(ScenarioError, match="bid placement rejected: CERTIFICATE_REJECTED"):
+        orch.submit_sealed_bid("B1", BidDocument("B1", {"price": 10.0,
+                                                        "delivery_days": 5.0}))
 
 
 def test_pre_deadline_secrecy_and_cross_bidder_confidentiality():
@@ -235,6 +268,18 @@ def test_publish_results_and_republish_forbidden():
         assert entry["bid_key"]  # keys are on the ledger for everyone
     with pytest.raises(RepublishForbidden):
         orch.publish_results(orch.close_and_evaluate())
+
+
+def test_reveal_and_publish_return_the_hash_of_the_transaction_they_mined():
+    chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    # a transaction already pending is mined first, in the same block
+    chain.submit_transaction(orch.to.address, rft, b"not a call")
+    reveal_id = orch.reveal_key_half_on_chain("B1", subs["B1"])
+    _, reveal = chain.head().transactions
+    assert (reveal.kind, to_hex(reveal.tx_hash)) == ("reveal_key_half", reveal_id)
+    publish_id = orch.publish_results(orch.close_and_evaluate())
+    [publish] = chain.head().transactions
+    assert (publish.kind, to_hex(publish.tx_hash)) == ("publish_results", publish_id)
 
 
 def test_published_keys_decrypt_every_valid_bid():

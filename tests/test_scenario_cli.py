@@ -121,6 +121,10 @@ def _late_bid(doc, **extra):
                  id="chain-max-data-bits-0"),
     pytest.param(lambda d: d.update(chain={"max_data_bits": -1}), "$.chain",
                  id="chain-max-data-bits-negative"),
+    pytest.param(lambda d: d.update(chain={"max_data_bit": 0}), "$.chain",
+                 id="chain-unknown-key-max-data-bit"),
+    pytest.param(lambda d: d.update(chain={"block_intervall_ms": 1}), "$.chain",
+                 id="chain-unknown-key-block-intervall-ms"),
     pytest.param(lambda d: d.update(expected=[]), "$.expected", id="expected-not-an-object"),
     pytest.param(lambda d: d.update(reports="summary"), "$.reports", id="reports-not-a-list"),
 ])
@@ -359,6 +363,9 @@ _NO_CRITERIA = ("R1", "tender data holds no usable evaluation criteria")
                  _UNDECRYPTABLE, id="bid-fields-a-list"),
     pytest.param(_bid_plaintext(b'{"bidder_id":"B01","fields":{"price":{}},"free_text":"0x"}'),
                  _UNDECRYPTABLE, id="bid-field-value-an-object"),
+    # B06 placed the edited bid, so the NaN is the only thing wrong with it
+    pytest.param(_bid_plaintext(b'{"bidder_id":"B06","fields":{"price":NaN},"free_text":"0x"}'),
+                 _UNDECRYPTABLE, id="bid-field-value-nan"),
     pytest.param(_bid_plaintext(b"[" * 100_000), _UNDECRYPTABLE, id="bid-nested-too-deep"),
     pytest.param(_tender_data(lambda spec: []), _NO_CRITERIA, id="tender-data-a-list"),
     pytest.param(_tender_data(lambda spec: {**spec, "criteria": []}), _NO_CRITERIA,
