@@ -26,10 +26,12 @@ observed on this chain).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, field
 
 from . import contracts, crypto
 from .chain import (
+    ADDRESS_LEN,
     DEPLOY_TARGET,
     EXPORT_FORMAT,
     Block,
@@ -42,7 +44,13 @@ from .chain import (
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
 from .encoding import HexMemo, from_hex, to_hex
-from .errors import AuthFailed, MalformedExport, ResultsNotPublished
+from .errors import (
+    AuthFailed,
+    MalformedAddress,
+    MalformedExport,
+    NoSuchContract,
+    ResultsNotPublished,
+)
 from .orchestrator import STATUS_SCORED, BidDocument, TenderSpec, pick_winner
 
 PASS = "PASS"
@@ -105,6 +113,11 @@ def parse_export(raw: bytes):
     names most addresses many times; the repeats are dropped as each JSON
     object is decoded, not after the whole file is. The lists stay distinct.
 
+    The bytes are decoded and the reference to them dropped before the
+    parse starts, so a caller that passes its only reference, as
+    ``parse_export(path.read_bytes())`` does, has them freed while the
+    tree is built.
+
     Raises MalformedExport only when the bytes are not JSON; ``read_ledger``,
     which ``replay_chain`` calls, checks what the document holds.
     """
@@ -117,7 +130,9 @@ def parse_export(raw: bytes):
         return obj
 
     try:
-        return json.loads(raw.decode("utf-8"), object_hook=share_list_strings)
+        text = raw.decode("utf-8")
+        del raw
+        return json.loads(text, object_hook=share_list_strings)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
 
@@ -270,9 +285,6 @@ class ChainReplay:
     # tender. Each report dates these to its tender's deployment.
     state_findings: list[tuple[set, str, str]] = field(default_factory=list)
     gas_trace: list[tuple[str, int]] = field(default_factory=list)
-
-    def tender_addresses(self) -> list[str]:
-        return [to_hex(addr) for addr in self.tenders]
 
 
 def iter_transactions(blocks: list[Block]):
@@ -630,20 +642,32 @@ def _spam_heights(tender: _Tender) -> list[int]:
 
 # --- entry points ----------------------------------------------------------------------
 
+_ADDRESS_TEXT = re.compile(f"0[xX][0-9a-fA-F]{{{2 * ADDRESS_LEN}}}")
+
+
+def parse_address(text: str) -> bytes:
+    """The address that ``0x`` and 40 hex digits of either case spell."""
+    if not _ADDRESS_TEXT.fullmatch(text):
+        raise MalformedAddress(f"{text!r} is not 0x and {2 * ADDRESS_LEN} hex digits")
+    return bytes.fromhex(text[2:])
+
+
 def replay_and_audit(source, rft_address, presented_receipts=None) -> AuditReport:
     """Audit one tender from public chain data alone.
 
     ``source`` is a Chain, a chain export, or a ChainReplay of one; auditing
     several tenders of one chain from a single ``replay_chain`` replays it once.
+    ``rft_address`` is the tender's address, as bytes or as ``parse_address``
+    reads it. Raises NoSuchContract when no tender was deployed there.
     """
     if isinstance(source, Chain):
         source = source.export()
     replay = source if isinstance(source, ChainReplay) else replay_chain(source)
-    rft_hex = to_hex(rft_address) if isinstance(rft_address, bytes) else rft_address
-    addr = next((a for a in replay.tenders if to_hex(a) == rft_hex), None)
-    if addr is None:
-        raise ResultsNotPublished(f"no tender deployment found at {rft_hex}")
-    tender = replay.tenders[addr]
+    addr = rft_address if isinstance(rft_address, bytes) else parse_address(rft_address)
+    rft_hex = to_hex(addr)
+    tender = replay.tenders.get(addr)
+    if tender is None:
+        raise NoSuchContract(f"no tender deployment found at {rft_hex}")
     rft = tender.contract
     if tender.published is None:
         raise ResultsNotPublished(f"no published results for tender {rft_hex}")

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import audit
-from .encoding import canonical_json
+from .encoding import write_canonical_json
 from .errors import TenderSimError
 from .scenario import compare_schemes, run_scenario
 
@@ -28,8 +28,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    wanted = None if args.tender is None else audit.parse_address(args.tender)
     replay = audit.replay_chain(audit.parse_export(Path(args.chain_export).read_bytes()))
-    tenders = [args.tender] if args.tender else replay.tender_addresses()
+    tenders = list(replay.tenders) if wanted is None else [wanted]
     if not tenders:
         print("no tender deployment found in the export", file=sys.stderr)
         return 2
@@ -42,8 +43,7 @@ def _cmd_audit(args) -> int:
         if not report.ok():
             worst = 1
     if args.out:
-        payload = [r.to_dict() for r in reports]
-        Path(args.out).write_text(canonical_json(payload) + "\n", encoding="utf-8")
+        write_canonical_json(args.out, [r.to_dict() for r in reports])
     return worst
 
 

@@ -3,6 +3,7 @@
 Everything that lands on the ledger or in a report goes through these
 helpers so that identical runs serialize to identical bytes: JSON with
 sorted keys and fixed separators, byte strings as 0x-prefixed lowercase hex.
+Every JSON file the package writes is written by ``write_canonical_json``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,42 @@ def from_hex(s: str) -> bytes:
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def _canonical_chunks(obj: Any, levels: int):
+    """``canonical_json(obj)`` in pieces that join to it: the containers of
+    the top ``levels`` levels are written here, everything below them whole."""
+    if not levels or not obj or type(obj) not in (dict, list):
+        yield canonical_json(obj)
+    elif type(obj) is list:
+        opener = "["
+        for item in obj:
+            yield opener
+            yield from _canonical_chunks(item, levels - 1)
+            opener = ","
+        yield "]"
+    else:
+        opener = "{"
+        for key in sorted(obj):
+            yield opener + json.encoder.encode_basestring(key) + ":"
+            yield from _canonical_chunks(obj[key], levels - 1)
+            opener = ","
+        yield "}"
+
+
+def write_canonical_json(path, obj: Any) -> None:
+    """Write ``canonical_json(obj) + "\n"`` to ``path`` as UTF-8, byte for byte.
+
+    The text is never whole in memory: the top two levels are written piece
+    by piece, and each value below them is encoded on its own (a block or a
+    disclosed contract of a chain export, a row of an audit report's gas
+    trace or timeline, a field of each report in a list). Keys must be
+    strings.
+    """
+    with open(path, "wb") as out:
+        for chunk in _canonical_chunks(obj, 2):
+            out.write(chunk.encode("utf-8"))
+        out.write(b"\n")
 
 
 def canonical_json_bytes(obj: Any) -> bytes:

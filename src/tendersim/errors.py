@@ -96,6 +96,10 @@ class MalformedExport(TenderSimError):
     code = "MALFORMED_EXPORT"
 
 
+class MalformedAddress(TenderSimError):
+    code = "MALFORMED_ADDRESS"
+
+
 class IncomparableScenarios(TenderSimError):
     code = "INCOMPARABLE_SCENARIOS"
 

@@ -25,7 +25,9 @@ from random import Random
 
 from . import audit, contracts
 from .chain import Chain, ChainConfig
-from .encoding import canonical_json, canonical_json_bytes, from_hex, to_hex
+from .encoding import canonical_json_bytes, from_hex, to_hex, write_canonical_json
+# perfbench/test_smoke.py checks that tracing restores this module's binding
+from .encoding import canonical_json  # noqa: F401
 from .errors import IncomparableScenarios, ScenarioError
 from .orchestrator import (
     BidDocument,
@@ -323,7 +325,7 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
         elif action["action"] == "MUTATE_TENDER":
             _apply_tender_mutation(export, rft_hex, action.get("field", "data"))
 
-    report = audit.replay_and_audit(export, rft_hex)
+    report = audit.replay_and_audit(export, rft)
 
     gas_rows = [(i, kind, gas) for i, (kind, gas) in enumerate(report.gas_trace)]
     bid_gas = [g for _, kind, g in gas_rows if kind.startswith("bid_")
@@ -477,7 +479,7 @@ def _write_reports(outcome: RunOutcome, out: Path, kinds: list[str], gas_rows) -
         outcome.written["gas_csv"] = path
     if "audit_json" in kinds:
         path = out / "audit.json"
-        path.write_text(canonical_json(outcome.report.to_dict()) + "\n", encoding="utf-8")
+        write_canonical_json(path, outcome.report.to_dict())
         outcome.written["audit_json"] = path
     if "summary" in kinds:
         path = out / "summary.txt"
@@ -485,5 +487,5 @@ def _write_reports(outcome: RunOutcome, out: Path, kinds: list[str], gas_rows) -
         outcome.written["summary"] = path
     if "chain_export" in kinds:
         path = out / "chain.json"
-        path.write_text(canonical_json(outcome.export) + "\n", encoding="utf-8")
+        write_canonical_json(path, outcome.export)
         outcome.written["chain_export"] = path

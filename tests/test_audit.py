@@ -1,5 +1,6 @@
 import copy
 import gc
+import tracemalloc
 from random import Random
 
 import pytest
@@ -10,7 +11,13 @@ from tendersim import audit, contracts
 from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
 from tendersim.encoding import HexMemo, canonical_json, canonical_json_bytes, to_hex
-from tendersim.errors import MalformedExport, ResultsNotPublished, TenderSimError
+from tendersim.errors import (
+    MalformedAddress,
+    MalformedExport,
+    NoSuchContract,
+    ResultsNotPublished,
+    TenderSimError,
+)
 from tendersim.orchestrator import BidDocument, TenderOrchestrator, TenderSpec
 from tendersim.scenario import run_scenario
 
@@ -55,6 +62,27 @@ def test_audit_requires_published_results():
     chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
     with pytest.raises(ResultsNotPublished):
         audit.replay_and_audit(chain, rft)
+
+
+def test_audit_of_an_address_with_no_tender_names_no_contract():
+    chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs())
+    for address in (bytes(20), to_hex(bytes(20)), rft[:19]):
+        with pytest.raises(NoSuchContract):
+            audit.replay_and_audit(chain, address)
+
+
+@pytest.mark.parametrize("text", ["", "0x", "0x12", "zz" * 21, "0x" + "g" * 40,
+                                  "0x" + "00 " * 20, "0x" + "00" * 21, "00" * 20])
+def test_malformed_tender_address_is_refused(text):
+    with pytest.raises(MalformedAddress):
+        audit.parse_address(text)
+
+
+def test_tender_address_is_read_in_either_case():
+    chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs())
+    assert audit.parse_address(to_hex(rft).upper()) == rft
+    report = audit.replay_and_audit(chain, "0x" + rft.hex().upper())
+    assert report.tender_address == to_hex(rft) and report.ok()
 
 
 def test_audit_consumes_no_gas_and_is_deterministic():
@@ -405,8 +433,7 @@ def test_findings_stay_with_their_tender():
     export, addresses = _three_tender_export("FULL_TRACK")
     rigged = addresses["FULL_TRACK"]
     replay = audit.replay_chain(export)
-    reports = {addr: audit.replay_and_audit(replay, addr)
-               for addr in replay.tender_addresses()}
+    reports = {to_hex(addr): audit.replay_and_audit(replay, addr) for addr in replay.tenders}
     assert len(reports) == 3
     assert [addr for addr, r in reports.items() if not r.ok()] == [rigged]
     assert {v.tag for v in reports[rigged].violations} == {"WINNER_MISMATCH"}
@@ -421,7 +448,7 @@ def test_receipt_findings_go_to_the_tender_or_to_every_report():
     bid["gas_used"] += 1
     deploy["gas_used"] += 1
     replay = audit.replay_chain(export)
-    for addr in replay.tender_addresses():
+    for addr in map(to_hex, replay.tenders):
         hashes = [tx["tx_hash"] for tx in (bid, deploy)
                   if any(tx["tx_hash"] in v.description
                          for v in audit.replay_and_audit(replay, addr).violations)]
@@ -483,6 +510,22 @@ def test_parse_export_shares_the_strings_its_lists_repeat(full_track_10):
         prior = parsed["contracts"][record_hex]["prior_bids"]
         assert prior == array[:k] and prior is not array
         assert all(a is b for a, b in zip(prior, array))
+
+
+def test_parse_export_frees_the_bytes_before_the_parse(tmp_path):
+    # one string of `size` characters: the bytes, the decoded text and the
+    # parsed string are `size` each, and only two need to be alive at once
+    size = 4_000_000
+    path = tmp_path / "blob.json"
+    path.write_text(f'{{"blob": "{"x" * size}"}}', encoding="ascii")
+    tracemalloc.start()
+    try:
+        parsed = audit.parse_export(path.read_bytes())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed["blob"]) == size
+    assert peak < 2.5 * size
 
 
 _json_values = st.recursive(

@@ -6,10 +6,13 @@ pass it. These digests pin the reports themselves: any change to curve
 arithmetic, nonce derivation, encoding or gas shows up here as a failure.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
+from tendersim.cli import main
 from tendersim.scenario import run_scenario
 
 from conftest import SCENARIO_DIR
@@ -75,12 +78,47 @@ GOLDEN = {
 # chain.json and audit.json entries above
 GOLDEN_CROSS_CHECK = "d4cc3b15d5c65d152582321339bebdcb8a268e9ce1ae255f523ece5e876dbc7e"
 
+# SHA-256 of what `tendersim audit <chain.json> --out <file>` writes for each
+# bundled scenario's chain.json
+AUDIT_OUT_GOLDEN = {
+    "early_key_reveal": "f9e2451e550c2609cb53680380a93d4ac19337b5e45e84aee2aedd52f099a690",
+    "erased_bid": "1051af763f1a9b2a547f4b432f2a0673a1838c58609475794e8f93be93bb4ba0",
+    "forged_cert": "f1eb4618e8701238de27eb5c3dd40ceb70fddb6befa9dc9b571c6a0b16366e71",
+    "full_track_10_bids": "b812eb49fe404201a6c9f1ae4a7d3ab07a339ed77e61b705dd5a84ff951e2771",
+    "late_bid": "b14d419230237eb757881b510a8efb09e874172d908982e9bd2bc8b22da18330",
+    "mutated_tender": "d0a4ca237c7f4afab209f718ca0e46242e66900e224fdedf63865910d636e006",
+    "protected_10_bids": "4db81e96e0c75de6c44f98145b6bb9d60fb8052466c246c9d1502042f667d027",
+    "rigged_winner": "3da8d202272cd33e3b9e445cf8fce9fd15b4b81211af647e0f2b9d227e3e54cd",
+    "spam_full_track": "f9cfc8bc8d19729a70fb78e6b49b0942a597570f0875dfe2f97839b7fb2814fa",
+    "spam_protected": "934babe015f0aa01680e48de1674b6b905a46c989804bd8d93ac22a09864066e",
+    "spam_stateless": "15475015c12856591513359e4bee6435317262543f3500bacbfc5cfd719841d5",
+    "stateless_10_bids": "89f86c4a94abbb1e05f7c68f067c1ab8b58faea655e26b8212b1bbd79248ef25",
+    "withheld_key": "e144772c6955c6be9d25f5dfb4a435e26bceef19e60db62c37a3083075576bb8",
+}
+# the scenarios whose chain the citizen's audit fails
+AUDIT_FAILS = {"erased_bid", "forged_cert", "mutated_tender", "rigged_winner",
+               "spam_full_track"}
+
 SCENARIOS = sorted({key.split("/")[0] for key in GOLDEN})
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """The directory of one run_scenario of a bundled scenario, run once per module."""
+    dirs = {}
+
+    def get(scenario):
+        if scenario not in dirs:
+            dirs[scenario] = tmp_path_factory.mktemp(scenario)
+            run_scenario(SCENARIO_DIR / f"{scenario}.json", dirs[scenario])
+        return dirs[scenario]
+    return get
 
 
 def test_every_bundled_scenario_is_pinned():
     assert SCENARIOS == sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
     assert sorted(GOLDEN) == [f"{s}/{r}" for s in SCENARIOS for r in REPORTS]
+    assert sorted(AUDIT_OUT_GOLDEN) == SCENARIOS
 
 
 def test_pinned_digests_match_cross_check():
@@ -90,10 +128,19 @@ def test_pinned_digests_match_cross_check():
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_reports_match_golden_digests(scenario, tmp_path):
-    run_scenario(SCENARIO_DIR / f"{scenario}.json", tmp_path)
-    written = sorted(p.name for p in tmp_path.iterdir())
+def test_reports_match_golden_digests(scenario, run_dir):
+    out = run_dir(scenario)
+    written = sorted(p.name for p in out.iterdir())
     assert written == list(REPORTS)
     for report in REPORTS:
-        digest = hashlib.sha256((tmp_path / report).read_bytes()).hexdigest()
+        digest = hashlib.sha256((out / report).read_bytes()).hexdigest()
         assert digest == GOLDEN[f"{scenario}/{report}"], f"{scenario}/{report}"
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_citizen_audit_report_matches_golden_digest(scenario, run_dir, tmp_path):
+    report = tmp_path / "citizen.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["audit", str(run_dir(scenario) / "chain.json"), "--out", str(report)])
+    assert code == (1 if scenario in AUDIT_FAILS else 0)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == AUDIT_OUT_GOLDEN[scenario]

@@ -395,6 +395,39 @@ def test_audit_command_reports_an_unreadable_path(tmp_path, capsys):
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
+@pytest.fixture(scope="module")
+def protected_run(tmp_path_factory):
+    """(chain.json, tender address) of a protected_10_bids run."""
+    out = tmp_path_factory.mktemp("protected")
+    outcome = run_scenario(SCENARIO_DIR / "protected_10_bids.json", out_dir=out)
+    return out / "chain.json", outcome.report.tender_address
+
+
+@pytest.mark.parametrize("spell", [str, str.upper, lambda a: "0x" + a[2:].upper()],
+                         ids=["lowercase", "uppercase", "uppercase-digits"])
+def test_audit_command_reads_the_tender_address_in_either_case(protected_run, capsys, spell):
+    chain_json, address = protected_run
+    code = main(["audit", str(chain_json), "--tender", spell(address)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"AUDIT PASS tender={address} ")
+
+
+def test_audit_command_names_an_address_with_no_tender(protected_run, capsys):
+    chain_json, _ = protected_run
+    code = main(["audit", str(chain_json), "--tender", "0x" + "00" * 20])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error[NO_SUCH_CONTRACT]")
+
+
+@pytest.mark.parametrize("text", ["", "0x", "0x1234", "0x" + "zz" * 20, "00" * 20,
+                                  "0x" + "00" * 21])
+def test_audit_command_refuses_a_malformed_tender_address(protected_run, capsys, text):
+    chain_json, _ = protected_run
+    code = main(["audit", str(chain_json), "--tender", text])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error[MALFORMED_ADDRESS]")
+
+
 # --- determinism ---------------------------------------------------------------------------
 
 

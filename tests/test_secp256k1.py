@@ -63,10 +63,19 @@ def _from_halves(k1, k2):
 
 
 ONES = 2**126 - 1  # 18 digits of 127 at w = 7; 31 digits of 15 and a 3 at w = 4
+TOP7 = sum(64 << 7 * i for i in range(18))  # 18 digits of exactly 2^6 at w = 7
+TOP4 = sum(8 << 4 * i for i in range(32))  # 32 digits of exactly 2^3 at w = 4
 # GLV halves at the table edges: negative, zero, all-ones digits, the largest
-# digit of the second-to-last row at w = 7, and the first digit of its last row
+# digit of the second-to-last row at w = 7, and the first digit of its last row;
+# signed digits of exactly 2^(w-1), and 2^(w-1) + 1 (TOPw + 1) whose carry
+# ripples through every row into the last; and halves within a few units of
+# the largest the split gives (corners of its rounding domain, 128 bits)
 EDGE_HALVES = [(-5, -7), (0, 3), (12345, 0), (ONES, ONES), (-ONES, ONES), (ONES, -ONES),
-               (127 * 2**119, -(2**126)), (-(2**126), 7 * 2**119)]
+               (127 * 2**119, -(2**126)), (-(2**126), 7 * 2**119),
+               (TOP7, TOP7), (TOP7 + 1, -(TOP7 + 1)),
+               (TOP4, 0), (-(TOP4 + 1), 0), (13 << 123, TOP4 + 1), (-(13 << 123), -TOP4),
+               (0xA2A8918CA85BAFE22016D0B917E4DD76, -0x59DE565A2C9D0E2D4373F7623C1D7CD7),
+               (-0x7221BF6B0087441437AA3FD4855FF261, -0x8A65287BD47179FB2BE08846CEA267EB)]
 EDGE_SCALARS = [1, 2, curve.LAMBDA, curve.N - 1, 2**128, 2**129 - 1, 2**255 + 1,
                 curve.N - 16] + [_from_halves(*h) for h in EDGE_HALVES]
 
@@ -74,6 +83,29 @@ EDGE_SCALARS = [1, 2, curve.LAMBDA, curve.N - 1, 2**128, 2**129 - 1, 2**255 + 1,
 @pytest.mark.parametrize("halves", EDGE_HALVES)
 def test_edge_halves_are_what_the_split_gives(halves):
     assert curve._glv_split(_from_halves(*halves)) == halves
+
+
+def _recoded(half, w):
+    """(w-bit digit with the carry in, carry out) for each row, least
+    significant first, as ``_mul_table`` recodes a GLV half."""
+    steps = []
+    while half:
+        d = half & (2**w - 1)
+        carry = d > 2 ** (w - 1)
+        half = (half >> w) + carry
+        steps.append((d, carry))
+    return steps
+
+
+@pytest.mark.parametrize("w, rows", [(7, 19), (4, 33)])
+def test_edge_halves_reach_every_digit_edge(w, rows):
+    recoded = [_recoded(h, w) for pair in EDGE_HALVES for h in pair]
+    digits = {d for steps in recoded for d, _ in steps}
+    assert {2 ** (w - 1), 2 ** (w - 1) + 1} <= digits
+    assert all(len(steps) <= rows for steps in recoded)
+    # a carry out of every row but the last, which takes it in
+    assert any(len(steps) == rows and all(c for _, c in steps[:-1]) for steps in recoded)
+    assert max(abs(h) for pair in EDGE_HALVES for h in pair).bit_length() == 128
 
 
 @pytest.mark.parametrize("k", EDGE_SCALARS)
@@ -226,9 +258,9 @@ def test_sampled_table_rows_match_double_and_add(base, width, rows, peer_table):
     point = G if base == "G" else curve.scalar_mult(PEER)
     table = curve._G_TABLE if base == "G" else peer_table
     assert (table.width, len(table.rows)) == (width, rows)
-    assert all(len(row) == 2**width for row in table.rows)
-    for i in (0, 1, rows // 2, rows - 1):
-        for j in (1, 2, 3, 2**width - 1):
+    assert all(len(row) == 2 ** (width - 1) + 1 for row in table.rows)
+    for i in (0, rows // 2, rows - 1):
+        for j in (1, 2, 3, 2 ** (width - 1)):
             assert table.rows[i][j] == _double_and_add(j << (width * i), point), (i, j)
 
 
@@ -240,6 +272,18 @@ def test_table_routes_match_variable_base_and_openssl(k, peer_table):
     expected = _openssl_private(k).exchange(ec.ECDH(), _openssl_public(peer_raw))
     assert curve.ecdh_shared_secret(k, peer_table) == expected
     assert curve.ecdh_shared_secret(k, peer_raw) == expected
+
+
+@pytest.mark.parametrize("halves", [(2**129 - 1, 2**129 - 1), (-(2**129 - 1), 2**129 - 1),
+                                    (2**129 - 1, -(2**129 - 1))])
+def test_tables_cover_halves_below_2_129(halves, peer_table, monkeypatch):
+    # the split never gives halves this large; the tables are sized for them
+    k = _from_halves(*halves)
+    numbers = _openssl_private(k).public_key().public_numbers()
+    expected_peer = curve.scalar_mult(k, curve.scalar_mult(PEER))
+    monkeypatch.setattr(curve, "_glv_split", lambda _: halves)
+    assert curve._to_affine(curve._mul_table(curve._G_TABLE, k)) == (numbers.x, numbers.y)
+    assert curve._to_affine(curve._mul_table(peer_table, k)) == expected_peer
 
 
 @fast
