@@ -25,7 +25,6 @@ observed on this chain).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import asdict, dataclass, field
 
@@ -43,7 +42,7 @@ from .chain import (
     compute_tx_hash,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
-from .encoding import HexMemo, from_hex, to_hex
+from .encoding import HexMemo, from_hex, read_json, to_hex
 from .errors import (
     AuthFailed,
     MalformedAddress,
@@ -105,20 +104,15 @@ class AuditReport:
         }
 
 
-def parse_export(raw: bytes):
-    """The JSON document in a chain export's UTF-8 bytes, not yet checked.
+def parse_export(file):
+    """The JSON document in a binary chain export file, read a block or a
+    disclosed contract at a time (``encoding.read_json``), not yet checked.
 
-    Equal strings in lists are decoded to one shared object. A tracked
+    Equal strings in lists are decoded to one shared object: a tracked
     tender's records each repeat the bid array as it stood, so the file
-    names most addresses many times; the repeats are dropped as each JSON
-    object is decoded, not after the whole file is. The lists stay distinct.
+    names most addresses many times. The lists stay distinct.
 
-    The bytes are decoded and the reference to them dropped before the
-    parse starts, so a caller that passes its only reference, as
-    ``parse_export(path.read_bytes())`` does, has them freed while the
-    tree is built.
-
-    Raises MalformedExport only when the bytes are not JSON; ``read_ledger``,
+    Raises MalformedExport only when the file is not UTF-8 JSON; ``read_ledger``,
     which ``replay_chain`` calls, checks what the document holds.
     """
     shared: dict[str, str] = {}
@@ -130,10 +124,8 @@ def parse_export(raw: bytes):
         return obj
 
     try:
-        text = raw.decode("utf-8")
-        del raw
-        return json.loads(text, object_hook=share_list_strings)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        return read_json(file, share_list_strings)
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, an int of 4301+ digits
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
 
 

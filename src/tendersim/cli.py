@@ -29,7 +29,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_audit(args) -> int:
     wanted = None if args.tender is None else audit.parse_address(args.tender)
-    replay = audit.replay_chain(audit.parse_export(Path(args.chain_export).read_bytes()))
+    with open(args.chain_export, "rb") as file:
+        replay = audit.replay_chain(audit.parse_export(file))
     tenders = list(replay.tenders) if wanted is None else [wanted]
     if not tenders:
         print("no tender deployment found in the export", file=sys.stderr)

@@ -44,11 +44,12 @@ MUTATE_FIELDS = ("data", "bidding_end", "limit", "pubk")
 
 def load_scenario(path: str | Path) -> dict:
     """Parse and validate; diagnostics carry the line (parse) or path (semantics)."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, an int of 4301+ digits, deep nesting
+        raise ScenarioError(f"{path}: {exc}")
     validate_scenario(doc, source=str(path))
     return doc
 

@@ -3,6 +3,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import strategies as st
 
 from tendersim import crypto
 from tendersim.chain import Chain, ChainConfig
@@ -16,6 +17,14 @@ from tendersim.orchestrator import (
 import ledger_ops
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# Hostile JSON: every JSON type, nested, with strings that look like addresses.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3) | st.sampled_from(["0x01", "0x02"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=3),
+    max_leaves=12)
 
 
 @pytest.fixture

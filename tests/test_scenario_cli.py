@@ -51,6 +51,21 @@ def test_cli_run_exits_nonzero_on_unparseable_scenario(tmp_path, capsys):
     assert f"{bad}:1:" in err  # line-anchored diagnostic
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"name": "caf\xe9"}', id="invalid-utf-8"),
+    pytest.param(b"[" * 100_000, id="nested-deeper-than-the-decoder-recurses"),
+    pytest.param(b'{"seed": ' + b"7" * 5000 + b"}", id="int-5000-digits"),
+])
+def test_cli_refuses_a_scenario_file_json_cannot_read(tmp_path, capsys, command, content):
+    bad = tmp_path / "broken.json"
+    bad.write_bytes(content)
+    code = main([command, str(bad), str(bad)] if command == "compare" else [command, str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error[SCENARIO_ERROR]: {bad}: ")
+
+
 def test_validation_error_carries_json_path(tmp_path):
     doc = json.loads((SCENARIO_DIR / "full_track_10_bids.json").read_text())
     doc["bidders"][2]["submit_at_ms"] = doc["bidders"][1]["submit_at_ms"]
@@ -311,6 +326,11 @@ _FORMAT = b'{"format": "tendersim-chain/1", '
                           ("float", 5000.5), ("true", True), ("0", 0), ("minus-1", -1))),
     pytest.param(lambda e: e["gas_schedule"].update(bid_base_full=299501.0),
                  id="gas-schedule-float"),
+    # an int beyond the 4300 digits Python converts from text
+    pytest.param(_FORMAT + b'"blocks": [' + b"7" * 5000 + b'], "contracts": {}, '
+                           b'"config": {}, "gas_schedule": {}}', id="block-int-5000-digits"),
+    pytest.param(_FORMAT + b'"blocks": [], "contracts": {"0x01": {"limit": ' + b"7" * 5000
+                 + b'}}, "config": {}, "gas_schedule": {}}', id="contract-int-5000-digits"),
 ])
 def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
     if callable(content):
