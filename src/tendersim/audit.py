@@ -4,13 +4,15 @@ The auditor gets a chain export, nothing else. It replays every
 transaction once, in ledger order, through the contract rules in
 ``contracts`` into its own address-to-contract map, so bid validity is
 recomputed from certificates, block timestamps and tallies rather than
-trusted from stored flags. Every receipt is then compared strictly with
-the re-derived one, and every disclosed contract with the snapshot of its
-re-derived twin; the bid array is also checked against the array
-snapshots embedded in each bid record, which is what makes a silently
-erased entry provable. Published keys must extend the on-ledger half and
-must decrypt the on-ledger ciphertexts, and the winner is recomputed from
-the decrypted documents and compared with the published one.
+trusted from stored flags. A nonce out of its sender's sequence, and a
+contract created over another, are R6 findings; the first contract stays.
+Every receipt is then compared strictly with the re-derived one, and every
+disclosed contract with the snapshot of its re-derived twin; the bid array
+is also checked against the array snapshots embedded in each bid record,
+which is what makes a silently erased entry provable. Published keys must
+extend the on-ledger half and must decrypt the on-ledger ciphertexts, and
+the winner is recomputed from the decrypted documents and compared with
+the published one.
 
 Tenders are found from the deployments the replay accepts, never from the
 ``kind`` labels of the disclosed state. A finding about one tender goes to
@@ -34,7 +36,6 @@ from .chain import (
     DEPLOY_TARGET,
     EXPORT_FORMAT,
     Block,
-    Chain,
     ChainConfig,
     ExecutionContext,
     GasSchedule,
@@ -297,8 +298,15 @@ def replay_chain(export) -> ChainReplay:
     replay = ChainReplay(export=export, schedule=schedule,
                          ledger_findings=verify_ledger_hashes(blocks))
     state = replay.state
+    nonces: dict[bytes, int] = {}  # sender -> the nonce its next transaction must carry
     for block, tx in iter_transactions(blocks):
         height, ts = block.height, block.timestamp
+        expected = nonces.get(tx.sender, 0)
+        if tx.nonce != expected:
+            replay.ledger_findings.append(Violation(
+                "R6", height, f"transaction {to_hex(tx.tx_hash)} carries nonce {tx.nonce} "
+                              f"but its sender's next nonce is {expected}"))
+        nonces[tx.sender] = max(expected, tx.nonce + 1)
         call = contracts.decode_call(tx.payload)
         target = contracts.DEPLOY if tx.target is None else state.get(tx.target)
         ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce,
@@ -306,7 +314,11 @@ def replay_chain(export) -> ChainReplay:
                                gas_schedule=schedule, config=config)
         outcome, created = contracts.transition(target, call, tx.payload, ctx)
         tender = replay.tenders.get(tx.target)
-        if created is not None:
+        if created is not None and created.address in state:
+            replay.ledger_findings.append(Violation(
+                "R6", height, f"transaction {to_hex(tx.tx_hash)} creates a contract at "
+                              f"{to_hex(created.address)}, an address already in use"))
+        elif created is not None:
             state[created.address] = created
             if isinstance(created, RequestForTenderContract):
                 replay.tenders[created.address] = _Tender(created, height, ts)
@@ -647,13 +659,11 @@ def parse_address(text: str) -> bytes:
 def replay_and_audit(source, rft_address, presented_receipts=None) -> AuditReport:
     """Audit one tender from public chain data alone.
 
-    ``source`` is a Chain, a chain export, or a ChainReplay of one; auditing
-    several tenders of one chain from a single ``replay_chain`` replays it once.
+    ``source`` is a chain export or a ChainReplay of one; auditing several
+    tenders of one chain from a single ``replay_chain`` replays it once.
     ``rft_address`` is the tender's address, as bytes or as ``parse_address``
     reads it. Raises NoSuchContract when no tender was deployed there.
     """
-    if isinstance(source, Chain):
-        source = source.export()
     replay = source if isinstance(source, ChainReplay) else replay_chain(source)
     addr = rft_address if isinstance(rft_address, bytes) else parse_address(rft_address)
     rft_hex = to_hex(addr)

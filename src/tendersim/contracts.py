@@ -17,7 +17,8 @@ including block's timestamp is strictly before the deadline, and the
 bidder's tally is strictly below the per-id limit. The tally only moves
 on valid bids, so junk placed under someone else's id cannot lock them out.
 
-This module is the only statement of these rules. Each outcome is a
+This module is the only statement of these rules, and of the error code
+each rejected receipt carries (the constants below). Each outcome is a
 function of the target contract, the decoded call (or the raw payload) and
 the transaction's ExecutionContext, and returns the receipt outcome plus
 the contract the transaction creates, if any. The ledger reaches them
@@ -30,26 +31,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import crypto
+from . import crypto, secp256k1
 from .chain import Chain, ExecOutcome, ExecutionContext, contract_address, meter_gas
 from .encoding import HexMemo, canonical_json_bytes, from_hex, load_json_bytes, to_hex
-from .errors import (
-    BiddingStillOpen,
-    CertificateRejected,
-    DataTooLarge,
-    ImmutableState,
-    InvalidTenderParams,
-    MalformedCertificate,
-    NoSuchContract,
-    RepublishForbidden,
-    SchemeHasNoState,
-    UnknownContractCall,
-)
+from .errors import BiddingStillOpen, NoSuchContract, RepublishForbidden, SchemeHasNoState
 
 SCHEME_FULL = "FULL_TRACK"
 SCHEME_PROTECTED = "PROTECTED"
 SCHEME_STATELESS = "STATELESS"
 SCHEMES = (SCHEME_FULL, SCHEME_PROTECTED, SCHEME_STATELESS)
+
+# The error codes of rejected receipts; a missing target gets NoSuchContract's
+# code and a second publication RepublishForbidden's.
+MALFORMED_PAYLOAD = "MALFORMED_PAYLOAD"
+MALFORMED_CERTIFICATE = "MALFORMED_CERTIFICATE"
+CERTIFICATE_REJECTED = "CERTIFICATE_REJECTED"
+INVALID_TENDER_PARAMS = "INVALID_TENDER_PARAMS"
+DATA_TOO_LARGE = "DATA_TOO_LARGE"
+IMMUTABLE_STATE = "IMMUTABLE_STATE"
+UNKNOWN_CONTRACT_CALL = "UNKNOWN_CONTRACT_CALL"
+UNAUTHORIZED_PUBLISHER = "UNAUTHORIZED_PUBLISHER"
 
 # scheme -> receipt kinds of its deployment, a recorded bid and a refused bid
 _KINDS = {
@@ -185,17 +186,18 @@ class RequestForTenderContract(Contract):
             r = from_hex(call["r"])
             s = from_hex(call["s"])
             sealed_half_a = from_hex(call["sealed_half_a"])
-            if not isinstance(bidder_id, str) or len(data_addr) != 20:
-                raise MalformedCertificate("bad id or data address")
-            crypto.check_component_shapes(msg_hash, v, r, s)
-        except (KeyError, ValueError, TypeError, MalformedCertificate):
-            error = MalformedCertificate.code
+            well_formed = (isinstance(bidder_id, str) and len(data_addr) == 20
+                           and secp256k1.well_formed(msg_hash, v, r, s))
+        except (KeyError, ValueError, TypeError):
+            well_formed = False
+        if not well_formed:
+            error = MALFORMED_CERTIFICATE
         else:
             valid_hash = crypto.certificate_matches(self.pubk, bidder_id, self.address,
                                                     msg_hash, v, r, s)
             # Protected scheme refuses to record certificate failures at all.
             refused = self.scheme == SCHEME_PROTECTED and not valid_hash
-            error = CertificateRejected.code if refused else None
+            error = CERTIFICATE_REJECTED if refused else None
         if error is not None:
             return ExecOutcome(kind=refused_kind, gas_used=meter_gas(schedule, refused_kind),
                                error=error), None
@@ -231,7 +233,7 @@ class RequestForTenderContract(Contract):
             bid_addr = from_hex(call["bid_addr"])
             half_b = from_hex(call["half_b"])
         except (KeyError, ValueError, TypeError):
-            return reject_call(call, ctx, error="MALFORMED_PAYLOAD")
+            return reject_call(call, ctx, error=MALFORMED_PAYLOAD)
         self.reveals.append({
             "bid_addr": to_hex(bid_addr),
             "half_b": to_hex(half_b),
@@ -245,11 +247,11 @@ class RequestForTenderContract(Contract):
     def publish_results(self, call: dict, ctx: ExecutionContext) -> ExecOutcome:
         result = call.get("result")
         if not isinstance(result, dict):
-            return reject_call(call, ctx, error="MALFORMED_PAYLOAD")
+            return reject_call(call, ctx, error=MALFORMED_PAYLOAD)
         if self.results is not None:
             return reject_call(call, ctx, error=RepublishForbidden.code)
         if ctx.sender != self.deployer:
-            return reject_call(call, ctx, error="UNAUTHORIZED_PUBLISHER")
+            return reject_call(call, ctx, error=UNAUTHORIZED_PUBLISHER)
         self.results = result
         return ExecOutcome(kind="publish_results",
                            gas_used=meter_gas(ctx.gas_schedule, "publish_results",
@@ -295,7 +297,7 @@ def decode_call(payload: bytes) -> dict | None:
 
 
 def malformed_payload(payload: bytes, ctx: ExecutionContext) -> ExecOutcome:
-    return _rejected(ctx, len(payload) * 8, "MALFORMED_PAYLOAD")
+    return _rejected(ctx, len(payload) * 8, MALFORMED_PAYLOAD)
 
 
 def missing_target(payload: bytes, ctx: ExecutionContext) -> ExecOutcome:
@@ -305,7 +307,7 @@ def missing_target(payload: bytes, ctx: ExecutionContext) -> ExecOutcome:
 def reject_call(call: dict, ctx: ExecutionContext, error: str | None = None) -> ExecOutcome:
     """A call the target does not accept: immutable state or an unknown op."""
     if error is None:
-        error = ImmutableState.code if call.get("op") == "set_field" else UnknownContractCall.code
+        error = IMMUTABLE_STATE if call.get("op") == "set_field" else UNKNOWN_CONTRACT_CALL
     return _rejected(ctx, _call_bits(call), error)
 
 
@@ -328,17 +330,17 @@ def deploy(call: dict, ctx: ExecutionContext) -> Transition:
         return deploy_data(call, ctx)
     if op == "deploy_rft":
         return deploy_rft(call, ctx)
-    return reject_call(call, ctx, error=UnknownContractCall.code), None
+    return reject_call(call, ctx, error=UNKNOWN_CONTRACT_CALL), None
 
 
 def deploy_data(call: dict, ctx: ExecutionContext) -> Transition:
     try:
         data = from_hex(call["data"])
     except (KeyError, ValueError, TypeError):
-        return reject_call(call, ctx, error="MALFORMED_PAYLOAD"), None
+        return reject_call(call, ctx, error=MALFORMED_PAYLOAD), None
     bits = len(data) * 8
     if bits > ctx.config.max_data_bits:
-        return reject_call(call, ctx, error=DataTooLarge.code), None
+        return reject_call(call, ctx, error=DATA_TOO_LARGE), None
     addr = contract_address(ctx.sender, ctx.tx_nonce)
     return (ExecOutcome(kind="deploy_data",
                         gas_used=meter_gas(ctx.gas_schedule, "deploy_data", data_bits=bits),
@@ -357,7 +359,7 @@ def deploy_rft(call: dict, ctx: ExecutionContext) -> Transition:
         if scheme not in SCHEMES or length_ms <= 0 or limit < 1 or len(pubk) != 64:
             raise ValueError("bad tender parameters")
     except (KeyError, ValueError, TypeError):
-        return reject_call(call, ctx, error=InvalidTenderParams.code), None
+        return reject_call(call, ctx, error=INVALID_TENDER_PARAMS), None
     addr = contract_address(ctx.sender, ctx.tx_nonce)
     rft = RequestForTenderContract(
         address=addr, scheme=scheme,

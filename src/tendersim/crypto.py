@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives import hashes
 
 from . import secp256k1 as curve
-from .errors import AuthFailed, DecryptionFailed, MalformedCertificate
+from .errors import AuthFailed, DecryptionFailed
 
 _SEAL_INFO = b"tendersim/sealed-bid-key"
 _NONCE_LEN = 12
@@ -73,21 +73,12 @@ def issue_certificate(to_private_key: bytes, bidder_id: str, rft_address: bytes)
     return Certificate(bidder_id=bidder_id, msg_hash=msg_hash, v=v, r=r, s=s)
 
 
-def check_component_shapes(msg_hash: bytes, v: int, r: bytes, s: bytes) -> None:
-    if len(msg_hash) != 32:
-        raise MalformedCertificate(f"msg_hash must be 32 bytes, got {len(msg_hash)}")
-    if len(r) != 32 or len(s) != 32:
-        raise MalformedCertificate(f"r/s must be 32 bytes, got {len(r)}/{len(s)}")
-    if v not in (27, 28):
-        raise MalformedCertificate(f"v must be 27 or 28, got {v}")
-
-
 def certificate_matches(public_key: bytes, bidder_id: str, rft_address: bytes,
                         msg_hash: bytes, v: int, r: bytes, s: bytes) -> bool:
     """Full check: signature verifies and hash binds (bidder_id, rft_address).
 
     Components of the wrong shape give False. ``place_bid`` screens them
-    first with ``check_component_shapes``: garbage is a protocol error, a
+    first with ``secp256k1.well_formed``: garbage is a protocol error, a
     well-formed but wrong signature is a failed check.
     """
     if not curve.verify_digest(public_key, msg_hash, v, r, s):

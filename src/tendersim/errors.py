@@ -1,7 +1,9 @@
 """Error taxonomy shared across the simulator.
 
-Every exception carries a stable ``code`` string; transaction receipts and
-reports record the code, not the Python class name.
+Every exception carries a stable ``code`` string; reports record the code,
+not the Python class name. A class exists only for an error that is raised;
+the codes a rejected transaction's receipt carries are constants in
+``contracts``, and two of them are the codes of the classes below.
 """
 
 
@@ -36,22 +38,6 @@ class NoSuchContract(TenderSimError):
 
 # --- contracts ------------------------------------------------------------
 
-class InvalidTenderParams(TenderSimError):
-    code = "INVALID_TENDER_PARAMS"
-
-
-class DataTooLarge(TenderSimError):
-    code = "DATA_TOO_LARGE"
-
-
-class MalformedCertificate(TenderSimError):
-    code = "MALFORMED_CERTIFICATE"
-
-
-class CertificateRejected(TenderSimError):
-    code = "CERTIFICATE_REJECTED"
-
-
 class BiddingStillOpen(TenderSimError):
     code = "BIDDING_STILL_OPEN"
 
@@ -60,16 +46,8 @@ class SchemeHasNoState(TenderSimError):
     code = "SCHEME_HAS_NO_STATE"
 
 
-class ImmutableState(TenderSimError):
-    code = "IMMUTABLE_STATE"
-
-
 class RepublishForbidden(TenderSimError):
     code = "REPUBLISH_FORBIDDEN"
-
-
-class UnknownContractCall(TenderSimError):
-    code = "UNKNOWN_CONTRACT_CALL"
 
 
 # --- crypto ---------------------------------------------------------------

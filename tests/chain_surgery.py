@@ -5,7 +5,7 @@ miner could, optionally re-mining hashes so only the targeted property is
 broken.
 """
 
-from tendersim.chain import compute_block_hash
+from tendersim.chain import compute_block_hash, compute_tx_hash
 from tendersim.encoding import from_hex, to_hex
 
 
@@ -17,6 +17,20 @@ def remine(export: dict, start_height: int = 1) -> None:
         tx_hashes = [from_hex(t["tx_hash"]) for t in block["transactions"]]
         block["block_hash"] = to_hex(compute_block_hash(
             block["height"], from_hex(block["parent_hash"]), block["timestamp"], tx_hashes))
+
+
+def reuse_nonce(export: dict, height: int, tx_index: int, target_hex: str) -> dict:
+    """Append to block ``height`` a copy of its transaction ``tx_index`` sent to
+    ``target_hex``: same sender, nonce and payload, a recomputed tx hash.
+    Re-mines from ``height`` and returns the copy."""
+    block = export["blocks"][height]
+    tx = dict(block["transactions"][tx_index], target=target_hex)
+    tx["tx_hash"] = to_hex(compute_tx_hash(from_hex(tx["sender"]), from_hex(target_hex),
+                                           tx["nonce"], from_hex(tx["payload"]),
+                                           tx["gas_price"]))
+    block["transactions"].append(tx)
+    remine(export, height)
+    return tx
 
 
 def flip_payload_bit(export: dict, height: int, tx_index: int, bit: int) -> None:

@@ -1,28 +1,22 @@
 """One-shot ledger operations for tests: submit one call and mine it alone.
 
-Each helper raises the coded error of a rejected transaction, so a test can
-``pytest.raises`` the contract rule it exercises.
+Each helper raises ``Rejected`` with the receipt's error code when the
+transaction is rejected, so a test can ``pytest.raises(Rejected, match=code)``
+for the contract rule it exercises.
 """
 
 from tendersim import contracts, crypto
 from tendersim.chain import Chain
 from tendersim.encoding import canonical_json_bytes
-from tendersim.errors import (
-    CertificateRejected,
-    DataTooLarge,
-    ImmutableState,
-    InvalidTenderParams,
-    MalformedCertificate,
-    NoSuchContract,
-    RepublishForbidden,
-    TenderSimError,
-    UnknownContractCall,
-)
+from tendersim.errors import TenderSimError
 
-ERRORS_BY_CODE = {e.code: e for e in (
-    MalformedCertificate, CertificateRejected, DataTooLarge, InvalidTenderParams,
-    RepublishForbidden, ImmutableState, NoSuchContract, UnknownContractCall,
-)}
+
+class Rejected(TenderSimError):
+    """A transaction the ledger rejected; ``code`` is its receipt's error."""
+
+    def __init__(self, code: str):
+        super().__init__(f"transaction rejected: {code}")
+        self.code = code
 
 
 def run_single(chain: Chain, sender: bytes, target: bytes | None, call: dict,
@@ -33,8 +27,7 @@ def run_single(chain: Chain, sender: bytes, target: bytes | None, call: dict,
     chain.submit_transaction(sender, target, canonical_json_bytes(call))
     tx = chain.mine_block(ts).transactions[-1]
     if tx.status != "OK":
-        exc = ERRORS_BY_CODE.get(tx.error, TenderSimError)
-        raise exc(f"transaction rejected: {tx.error}")
+        raise Rejected(tx.error)
     return tx
 
 

@@ -352,7 +352,7 @@ def test_criterion_8_auditor_matches_brute_force(announce):
                                                           rng.randrange(2, 21))
         result = orch.close_and_evaluate()
         orch.publish_results(result)
-        report = audit.replay_and_audit(chain, rft)
+        report = audit.replay_and_audit(chain.export(), rft)
         documents = {to_hex(s.record_address): {"fields": s.document.fields}
                      for s in subs.values()}
         oracle_addr = brute_force_winner(documents, criteria.to_dict())
@@ -376,7 +376,7 @@ def test_criterion_8_auditor_matches_brute_force(announce):
             result.winner_id = victim.document.bidder_id
             result.winner_bid_address = victim.record_address
             orch.publish_results(result)
-            report = audit.replay_and_audit(chain, rft)
+            report = audit.replay_and_audit(chain.export(), rft)
             if not report.winner_match and \
                     any(v.tag == "WINNER_MISMATCH" for v in report.violations):
                 rig_detected += 1

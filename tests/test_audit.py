@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import io
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tendersim import audit, contracts
+from tendersim import audit, contracts, crypto
 from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
 from tendersim.encoding import HexMemo, canonical_json, canonical_json_bytes, to_hex
@@ -16,17 +17,25 @@ from tendersim.errors import (
     MalformedAddress,
     MalformedExport,
     NoSuchContract,
+    RepublishForbidden,
     ResultsNotPublished,
     TenderSimError,
 )
-from tendersim.orchestrator import BidDocument, TenderOrchestrator, TenderSpec
+from tendersim.orchestrator import (
+    BidDocument,
+    EvaluationCriteria,
+    TenderOrchestrator,
+    TenderSpec,
+)
 from tendersim.scenario import run_scenario
 
 import chain_surgery
 import ledger_ops
 from conftest import (
     SCENARIO_DIR,
+    account,
     json_values,
+    make_tender,
     price_criteria,
     run_honest_tender,
     two_bid_docs,
@@ -68,14 +77,14 @@ def test_requirement_matrix_matches_scheme():
 def test_audit_requires_published_results():
     chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
     with pytest.raises(ResultsNotPublished):
-        audit.replay_and_audit(chain, rft)
+        audit.replay_and_audit(chain.export(), rft)
 
 
 def test_audit_of_an_address_with_no_tender_names_no_contract():
     chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs())
     for address in (bytes(20), to_hex(bytes(20)), rft[:19]):
         with pytest.raises(NoSuchContract):
-            audit.replay_and_audit(chain, address)
+            audit.replay_and_audit(chain.export(), address)
 
 
 @pytest.mark.parametrize("text", ["", "0x", "0x12", "zz" * 21, "0x" + "g" * 40,
@@ -88,15 +97,15 @@ def test_malformed_tender_address_is_refused(text):
 def test_tender_address_is_read_in_either_case():
     chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs())
     assert audit.parse_address(to_hex(rft).upper()) == rft
-    report = audit.replay_and_audit(chain, "0x" + rft.hex().upper())
+    report = audit.replay_and_audit(chain.export(), "0x" + rft.hex().upper())
     assert report.tender_address == to_hex(rft) and report.ok()
 
 
 def test_audit_consumes_no_gas_and_is_deterministic():
     chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs())
     gas_before = [t.gas_used for b in chain.blocks for t in b.transactions]
-    first = audit.replay_and_audit(chain, rft)
-    second = audit.replay_and_audit(chain, rft)
+    first = audit.replay_and_audit(chain.export(), rft)
+    second = audit.replay_and_audit(chain.export(), rft)
     assert [t.gas_used for b in chain.blocks for t in b.transactions] == gas_before
     assert canonical_json(first.to_dict()) == canonical_json(second.to_dict())
 
@@ -200,7 +209,7 @@ def _run_with_one_spam_bid():
 
 def test_fault_rigged_winner():
     chain, rft, orch = _rigged_run()
-    report = audit.replay_and_audit(chain, rft)
+    report = audit.replay_and_audit(chain.export(), rft)
     assert not report.winner_match
     assert report.recomputed_winner == "B2"
     assert report.published_winner == "B1"
@@ -293,7 +302,7 @@ def test_nonreceipt_detection_in_stateless_scheme():
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
     orch.deliver_key_half("B1", subs["B1"])
     orch.publish_results(orch.close_and_evaluate())
-    report = audit.replay_and_audit(chain, rft, presented_receipts=[receipt])
+    report = audit.replay_and_audit(chain.export(), rft, presented_receipts=[receipt])
     assert any(v.tag == "NONRECEIPT" for v in report.violations)
 
 
@@ -310,7 +319,7 @@ def test_early_reveal_shows_in_r2_evidence():
     assert orch.pre_deadline_decryption_probe()[sub.record_address] is True
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
     orch.publish_results(orch.close_and_evaluate())
-    report = audit.replay_and_audit(chain, rft)
+    report = audit.replay_and_audit(chain.export(), rft)
     assert report.requirements["R2"]["verdict"] == "PARTIAL"
     assert "before the deadline" in report.requirements["R2"]["evidence"]
     assert report.violations == []
@@ -470,6 +479,119 @@ def test_stateless_tender_disclosing_a_bid_array_is_flagged():
         [("R3", "stateless tender discloses a bid array")]
 
 
+# --- every receipt code ---------------------------------------------------------------
+
+
+def _bid_call(to_keys, rft, cert_for=None, **edits):
+    cert = crypto.issue_certificate(to_keys.private_key, "B1", cert_for or rft)
+    call = contracts.place_bid_call("B1", account("data"), cert.msg_hash, cert.v, cert.r,
+                                    cert.s, b"half-a")
+    return {**call, **edits}
+
+
+def _republish(chain, rft, owner, to_keys):
+    ledger_ops.run_single(chain, owner, rft, contracts.publish_results_call({}))
+    return owner, rft, contracts.publish_results_call({})
+
+
+# (scheme of the tender on the chain, (chain, rft, owner, to_keys) -> the
+# rejected transaction's (sender, target, call), its receipt's error code)
+RECEIPT_CASES = [
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, rft, {"no_op": 1}),
+                 contracts.MALFORMED_PAYLOAD, id="no-op"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, rft, {"op": "reveal_key_half", "bid_addr": "0xnot-hex", "half_b": "0x00"}),
+        contracts.MALFORMED_PAYLOAD, id="reveal-fields"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, rft, {"op": "publish_results", "result": []}),
+        contracts.MALFORMED_PAYLOAD, id="publish-fields"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, None, {"op": "deploy_data", "data": "0xzz"}),
+        contracts.MALFORMED_PAYLOAD, id="deploy-data-fields"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, rft, _bid_call(k, rft, r="0x00")),
+                 contracts.MALFORMED_CERTIFICATE, id="short-r"),
+    pytest.param("PROTECTED", lambda c, rft, o, k: (
+        o, rft, _bid_call(k, rft, cert_for=account("other-tender"))),
+        contracts.CERTIFICATE_REJECTED, id="other-tender-cert"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, None, contracts.rft_deploy_call("FULL_TRACK", 1000, k.public_key, 0)),
+        contracts.INVALID_TENDER_PARAMS, id="limit-0"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, None, contracts.data_deploy_call(b"\x42" * 626)),
+        contracts.DATA_TOO_LARGE, id="5008-bits"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, rft, {"op": "set_field", "field": "limit", "value": 9}),
+        contracts.IMMUTABLE_STATE, id="set-field"),
+    pytest.param("STATELESS", lambda c, rft, o, k: (o, rft, {"op": "withdraw"}),
+                 contracts.UNKNOWN_CONTRACT_CALL, id="tender-op"),
+    pytest.param("STATELESS", lambda c, rft, o, k: (o, None, {"op": "deploy_token"}),
+                 contracts.UNKNOWN_CONTRACT_CALL, id="deploy-op"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        c.register_account(account("stranger")), rft, contracts.publish_results_call({})),
+        contracts.UNAUTHORIZED_PUBLISHER, id="stranger-publishes"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, account("ghost"), {"op": "x"}),
+                 NoSuchContract.code, id="no-target"),
+    pytest.param("FULL_TRACK", _republish, RepublishForbidden.code, id="republish"),
+]
+
+
+@pytest.mark.parametrize("scheme, make_tx, code", RECEIPT_CASES)
+def test_every_receipt_code_is_recorded_and_replays_clean(to_keys, scheme, make_tx, code):
+    chain = Chain(ChainConfig())
+    rft, owner = make_tender(chain, to_keys, scheme)
+    sender, target, call = make_tx(chain, rft, owner, to_keys)
+    with pytest.raises(ledger_ops.Rejected, match=code):
+        ledger_ops.run_single(chain, sender, target, call)
+    replay = audit.replay_chain(chain.export())
+    assert replay.receipt_findings == [] and replay.ledger_findings == []
+
+
+# --- reused nonces ----------------------------------------------------------------------
+
+
+def _audit_cli(tmp_path, capsys, export) -> tuple[int, list[str]]:
+    path = tmp_path / "chain.json"
+    path.write_text(canonical_json(export) + "\n", encoding="utf-8")
+    code = main(["audit", str(path)])
+    out = capsys.readouterr()
+    assert out.err == ""
+    return code, out.out.splitlines()
+
+
+def test_bid_replayed_into_another_tender_under_its_nonce_is_flagged(tmp_path, capsys):
+    export, addresses = _three_tender_export()
+    height, index = next((block["height"], j) for block in export["blocks"]
+                         for j, tx in enumerate(block["transactions"])
+                         if tx["kind"] == "bid_protected")
+    copy_tx = chain_surgery.reuse_nonce(export, height, index, addresses["FULL_TRACK"])
+    code, lines = _audit_cli(tmp_path, capsys, export)
+    assert code == 1 and len(lines) == 3
+    assert all(line.startswith("AUDIT FAIL") and " R6=FAIL" in line for line in lines)
+    report = audit.replay_and_audit(export, addresses["FULL_TRACK"])
+    r6 = [v.description for v in report.violations if v.tag == "R6"]
+    assert f"transaction {copy_tx['tx_hash']} carries nonce {copy_tx['nonce']} but its " \
+           f"sender's next nonce is {copy_tx['nonce'] + 1}" in r6
+    assert f"transaction {copy_tx['tx_hash']} creates a contract at " \
+           f"{copy_tx['created_address']}, an address already in use" in r6
+
+
+def test_tender_data_redeployed_under_a_reused_nonce_is_flagged(tmp_path, capsys):
+    chain, rft, orch, _ = run_honest_tender("STATELESS", two_bid_docs(), publish=False)
+    flipped = EvaluationCriteria(numeric_fields=(("price", 1.0, "MAXIMIZE"),),
+                                 feasibility_predicates=())
+    chain._nonces[orch.to.address] = 0  # a host re-mining with the organisation's key
+    ledger_ops.run_single(chain, orch.to.address, None, contracts.data_deploy_call(
+        dataclasses.replace(orch.spec, criteria=flipped).data_blob()))
+    orch.publish_results(orch.close_and_evaluate())
+    export = chain.export()
+    code, lines = _audit_cli(tmp_path, capsys, export)
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith("AUDIT FAIL") and " R6=FAIL" in lines[0]
+    report = audit.replay_and_audit(export, rft)
+    assert (report.published_winner, report.recomputed_winner) == ("B1", "B2")
+    assert {"R1", "R6", "WINNER_MISMATCH"} <= {v.tag for v in report.violations}
+
+
 @pytest.fixture(scope="module")
 def full_track_10():
     outcome = run_scenario(SCENARIO_DIR / "full_track_10_bids.json")
@@ -581,7 +703,7 @@ def test_published_results_with_a_list_for_an_object_are_graded(field):
     result[field] = addrs
     ledger_ops.run_single(chain, chain.get_contract(rft).deployer, rft,
                           contracts.publish_results_call(result))
-    report = audit.replay_and_audit(chain, rft)
+    report = audit.replay_and_audit(chain.export(), rft)
     assert not report.ok()
 
 

@@ -7,15 +7,7 @@ from hypothesis import strategies as st
 from tendersim import contracts, crypto
 from tendersim.chain import Chain, ChainConfig
 from tendersim.encoding import HexMemo, canonical_json_bytes
-from tendersim.errors import (
-    BiddingStillOpen,
-    CertificateRejected,
-    DataTooLarge,
-    InvalidTenderParams,
-    MalformedCertificate,
-    NoSuchContract,
-    SchemeHasNoState,
-)
+from tendersim.errors import BiddingStillOpen, NoSuchContract, SchemeHasNoState
 
 import ledger_ops
 from conftest import account, make_tender
@@ -49,9 +41,9 @@ def test_deployment_gas_constants(chain, to_keys, scheme):
 
 def test_invalid_tender_params(chain, to_keys):
     sender = chain.register_account(account("TO"))
-    with pytest.raises(InvalidTenderParams):
+    with pytest.raises(ledger_ops.Rejected, match=contracts.INVALID_TENDER_PARAMS):
         ledger_ops.init_tender(chain, sender, 0, to_keys.public_key, 2, "FULL_TRACK")
-    with pytest.raises(InvalidTenderParams):
+    with pytest.raises(ledger_ops.Rejected, match=contracts.INVALID_TENDER_PARAMS):
         ledger_ops.init_tender(chain, sender, 1000, to_keys.public_key, 0, "FULL_TRACK")
 
 
@@ -68,7 +60,7 @@ def test_data_contract_size_boundary(chain):
     sender = chain.register_account(account("TO"))
     addr = ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 625)  # 5000 bits
     assert chain.get_contract(addr).snapshot(HexMemo())["data"] == "0x" + "42" * 625
-    with pytest.raises(DataTooLarge):
+    with pytest.raises(ledger_ops.Rejected, match=contracts.DATA_TOO_LARGE):
         ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 626)
     empty = ledger_ops.deploy_tender_data(chain, sender, b"")
     assert chain.get_contract(empty).snapshot(HexMemo())["data"] == "0x"
@@ -125,7 +117,7 @@ def test_full_track_malformed_certificate_is_a_protocol_error(chain, to_keys):
     args = _bid_args(to_keys, "B1", rft)
     args["r"] = args["r"][:-1]  # wrong length
     state_before = chain.export()["contracts"]
-    with pytest.raises(MalformedCertificate):
+    with pytest.raises(ledger_ops.Rejected, match=contracts.MALFORMED_CERTIFICATE):
         ledger_ops.place_bid_full(chain, rft, sender, **args)
     assert chain.export()["contracts"] == state_before
     assert chain.get_contract(rft).bids_placed == []
@@ -148,7 +140,7 @@ def test_full_track_records_carry_growing_snapshots(chain, to_keys):
 def test_protected_rejects_bad_certificates_without_recording(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "PROTECTED")
     state_before = chain.export()["contracts"]
-    with pytest.raises(CertificateRejected):
+    with pytest.raises(ledger_ops.Rejected, match=contracts.CERTIFICATE_REJECTED):
         ledger_ops.place_bid_protected(chain, rft, sender, **_forged_args("B1"))
     assert chain.export()["contracts"] == state_before
     assert chain.get_contract(rft).bids_placed == []

