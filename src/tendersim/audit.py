@@ -10,9 +10,10 @@ Every receipt is then compared strictly with the re-derived one, and every
 disclosed contract with the snapshot of its re-derived twin; the bid array
 is also checked against the array snapshots embedded in each bid record,
 which is what makes a silently erased entry provable. Published keys must
-extend the on-ledger half and must decrypt the on-ledger ciphertexts, and
-the winner is recomputed from the decrypted documents and compared with
-the published one.
+extend the on-ledger half and must decrypt the on-ledger ciphertexts. The
+winner is recomputed by opening and grading each bid through
+``orchestrator.open_bid``, the rule the organisation's evaluation uses, and
+compared with the published one.
 
 Tenders are found from the deployments the replay accepts, never from the
 ``kind`` labels of the disclosed state. A finding about one tender goes to
@@ -45,13 +46,12 @@ from .chain import (
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
 from .encoding import HexMemo, from_hex, read_json, to_hex
 from .errors import (
-    AuthFailed,
     MalformedAddress,
     MalformedExport,
     NoSuchContract,
     ResultsNotPublished,
 )
-from .orchestrator import STATUS_SCORED, BidDocument, TenderSpec, pick_winner
+from .orchestrator import STATUS_MALFORMED, STATUS_SCORED, TenderSpec, open_bid, pick_winner
 
 PASS = "PASS"
 PARTIAL = "PARTIAL"
@@ -546,27 +546,17 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
             violations.append(Violation("R3", height,
                                         f"published sealed key for {addr} does not extend "
                                         f"the on-ledger half"))
-        data_contract = replay.export["contracts"].get(to_hex(record.data_addr))
-        if data_contract is None:
-            violations.append(Violation("UNDECRYPTABLE_BID", height,
-                                        f"bid {addr} points at data address with no "
-                                        f"disclosed contract"))
-            continue
+        disclosed = replay.export["contracts"].get(to_hex(record.data_addr), {})
         try:
-            plaintext = crypto.decrypt_bid(from_hex(data_contract.get("data")), bid_key)
-            document = BidDocument.from_bytes(plaintext)
-        except (AuthFailed, ValueError):
+            ciphertext = from_hex(disclosed.get("data"))
+        except ValueError:  # no data contract, or no hex data, is disclosed there
+            ciphertext = b""
+        status, score = open_bid(criteria, record.bidder_id, ciphertext, bid_key)
+        if status == STATUS_MALFORMED:
             violations.append(Violation("UNDECRYPTABLE_BID", height,
                                         f"published key fails to decrypt bid {addr}"))
+        if score is None:
             continue
-        if document.bidder_id != record.bidder_id:
-            violations.append(Violation("R3", height,
-                                        f"decrypted document for {addr} names a different "
-                                        f"bidder id"))
-            continue
-        if not criteria.feasible(document.fields):
-            continue
-        score = criteria.score(document.fields)
         recomputed_scores[record.address] = score
         if addr in published_scores and published_scores[addr] != score:
             violations.append(Violation("R3", height,

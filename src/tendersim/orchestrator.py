@@ -191,6 +191,22 @@ class TenderResult:
         }
 
 
+def open_bid(criteria: EvaluationCriteria, bidder_id: str, ciphertext: bytes,
+             bid_key: bytes) -> tuple[str, float | None]:
+    """(STATUS_MALFORMED, None) unless ``bid_key`` opens ``ciphertext`` into a
+    bid document of ``bidder_id``; then (STATUS_INFEASIBLE, None) or
+    (STATUS_SCORED, score). The evaluation and the audit both grade bids here."""
+    try:
+        document = BidDocument.from_bytes(crypto.decrypt_bid(ciphertext, bid_key))
+    except (AuthFailed, ValueError):
+        return STATUS_MALFORMED, None
+    if document.bidder_id != bidder_id:
+        return STATUS_MALFORMED, None
+    if not criteria.feasible(document.fields):
+        return STATUS_INFEASIBLE, None
+    return STATUS_SCORED, criteria.score(document.fields)
+
+
 def pick_winner(scored: dict[bytes, float]) -> bytes | None:
     """Highest score wins; exact ties go to the lowest bid-record address."""
     if not scored:
@@ -223,6 +239,14 @@ class TenderingOrganisation:
     address: bytes
     received_halves: dict[bytes, bytes] = field(default_factory=dict)
     known_bids: list[bytes] = field(default_factory=list)
+
+
+def _ciphertext(chain: Chain, record) -> bytes:
+    """A bid may name any address as its data; only a data contract holds bytes."""
+    try:
+        return getattr(chain.get_contract(record.data_addr), "data", b"")
+    except NoSuchContract:
+        return b""
 
 
 def _account_address(tag: bytes) -> bytes:
@@ -340,10 +364,9 @@ class TenderOrchestrator:
             sealed = record.sealed_half_a + self.to.received_halves.get(addr, b"")
             try:
                 key = crypto.unseal_bid_key(sealed, self.to.keys.private_key)
-                ciphertext = self.chain.get_contract(record.data_addr).data
-                crypto.decrypt_bid(ciphertext, key)
+                crypto.decrypt_bid(_ciphertext(self.chain, record), key)
                 outcome[addr] = True
-            except (DecryptionFailed, AuthFailed, NoSuchContract):
+            except (DecryptionFailed, AuthFailed):
                 outcome[addr] = False
         return outcome
 
@@ -408,20 +431,10 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
             statuses[addr] = STATUS_MALFORMED
             continue
         revealed_keys[addr] = {"sealed": sealed, "bid_key": bid_key}
-        try:
-            # a bid may name any contract as its data; only a data contract holds bytes
-            ciphertext = getattr(chain.get_contract(record.data_addr), "data", b"")
-            document = BidDocument.from_bytes(crypto.decrypt_bid(ciphertext, bid_key))
-            if document.bidder_id != record.bidder_id:
-                raise AuthFailed("document bound to a different bidder id")
-        except (AuthFailed, NoSuchContract, ValueError):
-            statuses[addr] = STATUS_MALFORMED
-            continue
-        if not criteria.feasible(document.fields):
-            statuses[addr] = STATUS_INFEASIBLE
-            continue
-        scores[addr] = criteria.score(document.fields)
-        statuses[addr] = STATUS_SCORED
+        statuses[addr], score = open_bid(criteria, record.bidder_id,
+                                         _ciphertext(chain, record), bid_key)
+        if score is not None:
+            scores[addr] = score
 
     winner_addr = pick_winner(scores)
     winner_id = chain.get_contract(winner_addr).bidder_id if winner_addr else None

@@ -35,7 +35,7 @@ Scalar multiplication takes one of two routes, chosen by the base:
   and phi(Q) needs about 128 doublings instead of 256.
 
 Doubling uses the a = 0 formula dbl-2009-l. Table entries are affine, so
-every addition in a multiplication loop is a mixed Jacobian+affine one.
+every addition, recovery's u1*G + u2*R included, is a mixed Jacobian+affine one.
 Precomputed points are made affine together, with a single field
 inversion (Montgomery's batch-inversion trick); a table's rows grow in
 lockstep so that each step's affine additions share one inversion too.
@@ -93,34 +93,6 @@ def _jac_add_affine(pt, q):
     X3 = (R * R - HHH - 2 * V) % P
     Y3 = (R * (V - X3) - Y1 * HHH) % P
     return (X3, Y3, Z1 * H % P)
-
-
-def _jac_add(a, b):
-    if not a[2]:
-        return b
-    if not b[2]:
-        return a
-    X1, Y1, Z1 = a
-    X2, Y2, Z2 = b
-    Z1Z1 = Z1 * Z1 % P
-    Z2Z2 = Z2 * Z2 % P
-    U1 = X1 * Z2Z2 % P
-    U2 = X2 * Z1Z1 % P
-    S1 = Y1 * Z2 * Z2Z2 % P
-    S2 = Y2 * Z1 * Z1Z1 % P
-    if U1 == U2:
-        if S1 != S2:
-            return _JINF
-        return _jac_double(a)
-    H = (U2 - U1) % P
-    I = 4 * H * H % P
-    J = H * I % P
-    R = 2 * (S2 - S1) % P
-    V = U1 * I % P
-    X3 = (R * R - J - 2 * V) % P
-    Y3 = (R * (V - X3) - 2 * S1 * J) % P
-    Z3 = 2 * H * Z1 * Z2 % P
-    return (X3, Y3, Z3)
 
 
 def _to_affine(pt):
@@ -205,8 +177,8 @@ def _glv_split(k):
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _mul_table(table, k):
-    """k * point in Jacobian form, for 0 <= k <= N and the FixedBase of point.
+def _mul_table(table, k, acc=_JINF):
+    """acc + k * point in Jacobian form, for 0 <= k <= N and the FixedBase of point.
 
     Each GLV half is recoded, least significant digit first, into signed
     digits in [-2^(w-1), 2^(w-1)]: a w-bit digit d above 2^(w-1) becomes
@@ -217,7 +189,6 @@ def _mul_table(table, k):
     """
     w = table.width
     mask, top, full = (1 << w) - 1, 1 << (w - 1), 1 << w
-    acc = _JINF
     for half, phi in zip(_glv_split(k), (False, True)):
         for row in table.rows:
             if not half:
@@ -256,12 +227,12 @@ def _wnaf(k):
 
 def _signed_odd_multiples(pt):
     """Affine j*pt at index j for odd j in [-15, 15]; a negative j is read
-    from index 32 + j, which Python's negative indexing does by itself."""
-    jac = (pt[0], pt[1], 1)
-    twice = _jac_double(jac)
-    odd = [jac]
+    from index 32 + j, which Python's negative indexing does by itself.
+    2*pt is made affine first, so every odd step is a mixed addition."""
+    twice = _to_affine(_jac_double((pt[0], pt[1], 1)))
+    odd = [(pt[0], pt[1], 1)]
     for _ in range(7):
-        odd.append(_jac_add(odd[-1], twice))
+        odd.append(_jac_add_affine(odd[-1], twice))
     table = [None] * 32
     for j, (x, y) in zip(range(1, 16, 2), _batch_to_affine(odd)):
         table[j] = (x, y)
@@ -389,7 +360,7 @@ def recover_public_key(digest: bytes, v: int, r: bytes, s: bytes) -> bytes | Non
     # Q = r^-1 (s*R - z*G) = u1*G + u2*R
     u1 = (-z * rinv) % N
     u2 = (si * rinv) % N
-    q = _to_affine(_jac_add(_mul_table(_G_TABLE, u1), _mul_var(u2, ep)))
+    q = _to_affine(_mul_table(_G_TABLE, u1, _mul_var(u2, ep)))
     if q is None or not on_curve(q):
         return None
     return point_to_bytes(q)

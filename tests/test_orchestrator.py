@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
 import pytest
 
-from tendersim import crypto
+import tendersim
+from tendersim import audit, crypto
 from tendersim.chain import Chain, ChainConfig
 from tendersim.encoding import canonical_json, to_hex
 from tendersim.errors import (
@@ -241,23 +244,79 @@ def test_wrongly_shaped_bid_document_is_graded_malformed():
     orch.publish_results(result)
 
 
-def test_bid_naming_a_non_data_contract_is_graded_malformed():
+def test_document_naming_another_bidder_is_graded_malformed():
+    chain, orch, rft, _ = _make_orch()
+    orch.register_bidder("B1")
+    orch.register_bidder("B2")
+    s1 = orch.submit_sealed_bid("B1", BidDocument("B1", {"price": 10.0,
+                                                         "delivery_days": 5.0}))
+    # B2 seals a well-formed, cheaper document that names B1
+    s2 = orch.submit_sealed_bid("B2", BidDocument("B1", {"price": 9.0,
+                                                         "delivery_days": 5.0}))
+    chain.advance_to(chain.get_contract(rft).bidding_end + 1)
+    orch.deliver_key_half("B1", s1)
+    orch.deliver_key_half("B2", s2)
+    result = orch.close_and_evaluate()
+    assert result.statuses[s2.record_address] == STATUS_MALFORMED
+    assert result.winner_id == "B1"
+    orch.publish_results(result)
+    # the citizen grades the same bid by the same rule
+    report = audit.replay_and_audit(chain.export(), rft)
+    assert [v.tag for v in report.violations] == ["UNDECRYPTABLE_BID"]
+    assert report.requirements["R3"]["verdict"] == "FAIL"
+    assert report.winner_match
+
+
+def test_bid_documents_are_opened_only_in_open_bid():
+    # The organisation's evaluation and the citizen's audit must open bids by
+    # one rule; a second caller of BidDocument.from_bytes is a second copy of it.
+    callers = []
+    for path in Path(tendersim.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "from_bytes"
+                    and "BidDocument" in ast.unparse(node.value)):
+                continue
+            scope = parents[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                scope = parents[scope]
+            callers.append((path.stem, getattr(scope, "name", None)))
+    assert callers == [("orchestrator", "open_bid")]
+
+
+def _tender_with_a_bid_naming_itself():
+    """B1's honest bid, and a certified bid B2 placed by hand whose data
+    address is the tender itself; both key halves delivered.
+
+    Returns (chain, orch, rft, B1's record address, B2's record address).
+    """
     chain, orch, rft, _ = _make_orch()
     orch.register_bidder("B1")
     b2 = orch.register_bidder("B2")
     s1 = orch.submit_sealed_bid("B1", BidDocument("B1", {"price": 10.0,
                                                          "delivery_days": 5.0}))
-    # B2 places a certified bid by hand whose data address is the tender itself
     cert = b2.certificate
     sealed = crypto.seal_bid_key(bytes(32), orch.to.keys.public_key, Random(2))
     addr = ledger_ops.place_bid_full(chain, rft, b2.address, "B2", rft, cert.msg_hash,
                                      cert.v, cert.r, cert.s, sealed.half_a)
-    chain.advance_to(chain.get_contract(rft).bidding_end + 1)
     orch.deliver_key_half("B1", s1)
     orch.deliver_key_half("B2", SimpleNamespace(record_address=addr, sealed=sealed))
+    return chain, orch, rft, s1.record_address, addr
+
+
+def test_bid_naming_a_non_data_contract_is_graded_malformed():
+    chain, orch, rft, _, addr = _tender_with_a_bid_naming_itself()
+    chain.advance_to(chain.get_contract(rft).bidding_end + 1)
     result = orch.close_and_evaluate()
     assert result.statuses[addr] == STATUS_MALFORMED
     assert result.winner_id == "B1"
+
+
+def test_probe_finds_no_ciphertext_behind_a_non_data_contract():
+    chain, orch, rft, honest, addr = _tender_with_a_bid_naming_itself()
+    assert orch.pre_deadline_decryption_probe() == {honest: True, addr: False}
 
 
 def test_publish_results_and_republish_forbidden():

@@ -344,16 +344,21 @@ def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("error[MALFORMED_EXPORT]")
 
 
+def _first_published_bid(export) -> tuple[str, dict]:
+    """(data address, published keys) of the lowest bid record the results list."""
+    results = next(c["results"] for c in export["contracts"].values()
+                   if c["kind"] == "request_for_tender")
+    record_hex, keys = min(results["revealed_keys"].items())
+    return export["contracts"][record_hex]["data_addr"], keys
+
+
 def _bid_plaintext(plaintext: bytes):
     """An export edit: the first published bid's disclosed ciphertext becomes
     ``plaintext``, encrypted under the bid key the organisation published."""
     def edit(export):
-        results = next(c["results"] for c in export["contracts"].values()
-                       if c["kind"] == "request_for_tender")
-        record_hex, keys = min(results["revealed_keys"].items())
-        data = export["contracts"][export["contracts"][record_hex]["data_addr"]]
-        data["data"] = to_hex(crypto.encrypt_bid(plaintext, from_hex(keys["bid_key"]),
-                                                 Random(0)))
+        data_hex, keys = _first_published_bid(export)
+        export["contracts"][data_hex]["data"] = to_hex(
+            crypto.encrypt_bid(plaintext, from_hex(keys["bid_key"]), Random(0)))
     return edit
 
 
@@ -387,6 +392,14 @@ _NO_CRITERIA = ("R1", "tender data holds no usable evaluation criteria")
     pytest.param(_bid_plaintext(b'{"bidder_id":"B06","fields":{"price":NaN},"free_text":"0x"}'),
                  _UNDECRYPTABLE, id="bid-field-value-nan"),
     pytest.param(_bid_plaintext(b"[" * 100_000), _UNDECRYPTABLE, id="bid-nested-too-deep"),
+    # a well-formed, feasible document, but of another bidder than B06
+    pytest.param(_bid_plaintext(b'{"bidder_id":"B02","fields":{"delivery_days":1.0,'
+                                b'"price":1.0},"free_text":"0x"}'),
+                 _UNDECRYPTABLE, id="bid-document-of-another-bidder"),
+    pytest.param(lambda e: e["contracts"].pop(_first_published_bid(e)[0]), _UNDECRYPTABLE,
+                 id="bid-data-contract-missing"),
+    pytest.param(lambda e: e["contracts"][_first_published_bid(e)[0]].update(data="zz"),
+                 _UNDECRYPTABLE, id="bid-data-not-hex"),
     pytest.param(_tender_data(lambda spec: []), _NO_CRITERIA, id="tender-data-a-list"),
     pytest.param(_tender_data(lambda spec: {**spec, "criteria": []}), _NO_CRITERIA,
                  id="criteria-a-list"),
