@@ -44,7 +44,7 @@ from .chain import (
     compute_tx_hash,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
-from .encoding import HexMemo, from_hex, read_json, to_hex
+from .encoding import HexMemo, from_hex, from_text, read_json, to_hex
 from .errors import (
     MalformedAddress,
     MalformedExport,
@@ -150,12 +150,14 @@ def read_ledger(export) -> list[Block]:
     """The blocks of a chain export, read once into typed values.
 
     Heights, timestamps, nonces and gas prices must be unsigned 64-bit ints;
-    hashes, senders, targets (or ``DEPLOY``) and payloads hex spelled the way
-    ``to_hex`` writes it. Each transaction keeps its JSON object, unread, as
-    its receipt: the replay compares receipts strictly. Raises MalformedExport
-    for a document that is not a ``tendersim-chain/1`` object, for ``blocks``,
-    ``contracts``, ``config``, ``gas_schedule`` or a disclosed contract of the
-    wrong JSON type, and for a missing or malformed block or transaction field.
+    hashes, senders and targets (or ``DEPLOY``) hex spelled the way ``to_hex``
+    writes it; payloads strings of characters U+0000 to U+00FF, one per byte
+    (``from_text``), which have no second spelling. Each transaction keeps its
+    JSON object, unread, as its receipt: the replay compares receipts
+    strictly. Raises MalformedExport for a document that is not a
+    ``tendersim-chain/2`` object, for ``blocks``, ``contracts``, ``config``,
+    ``gas_schedule`` or a disclosed contract of the wrong JSON type, and for a
+    missing or malformed block or transaction field.
     """
     if type(export) is not dict or export.get("format") != EXPORT_FORMAT:
         raise MalformedExport(f"chain export is not a {EXPORT_FORMAT} object")
@@ -184,7 +186,7 @@ def _read_block(block, where: str) -> Block:
 def _read_tx(tx, where: str) -> LedgerTransaction:
     return LedgerTransaction(sender=_field(tx, "sender", _hex, where),
                              target=_field(tx, "target", _target, where),
-                             payload=_field(tx, "payload", _hex, where),
+                             payload=_field(tx, "payload", from_text, where),
                              nonce=_field(tx, "nonce", _uint64, where),
                              gas_price=_field(tx, "gas_price", _uint64, where),
                              tx_hash=_field(tx, "tx_hash", _hex, where),

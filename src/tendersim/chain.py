@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .encoding import HexMemo, to_hex
+from .encoding import HexMemo, to_hex, to_text
 from .errors import (
     NoSuchContract,
     TimestampNotMonotonic,
@@ -28,7 +28,7 @@ from .errors import (
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
 GAS_PRICE = 1  # no fee market: every transaction offers the same price
-EXPORT_FORMAT = "tendersim-chain/1"
+EXPORT_FORMAT = "tendersim-chain/2"
 
 
 @dataclass(frozen=True)
@@ -329,6 +329,10 @@ class Chain:
     def export(self) -> dict:
         """Whole-chain view: blocks, receipts, and disclosed contract state.
 
+        Payloads are written with ``to_text``, one character per byte. The
+        registered accounts and the clock are left out: no reader of the
+        export could check them against the ledger.
+
         Every address is rendered once per export and the one ``str`` is
         shared by every field and list that names it. A tracked tender's
         records each disclose the bid array as it stood, so the file grows
@@ -341,8 +345,6 @@ class Chain:
             "format": EXPORT_FORMAT,
             "config": self.config.as_dict(),
             "gas_schedule": self.gas_schedule.as_dict(),
-            "clock": self._clock,
-            "accounts": sorted(hexes[a] for a in self._accounts),
             "blocks": [
                 {
                     "height": b.height,
@@ -353,7 +355,7 @@ class Chain:
                         {
                             "sender": hexes[t.sender],
                             "target": DEPLOY_TARGET if t.target is None else hexes[t.target],
-                            "payload": to_hex(t.payload),
+                            "payload": to_text(t.payload),
                             "nonce": t.nonce,
                             "gas_price": t.gas_price,
                             "gas_used": t.gas_used,

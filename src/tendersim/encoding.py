@@ -2,7 +2,9 @@
 
 Everything that lands on the ledger or in a report goes through these
 helpers so that identical runs serialize to identical bytes: JSON with
-sorted keys and fixed separators, byte strings as 0x-prefixed lowercase hex.
+sorted keys and fixed separators, byte strings as 0x-prefixed lowercase hex,
+except transaction payloads, which are text with one character per byte
+(``to_text``) so that the JSON calls they hold stay readable.
 Every JSON file the package writes is written by ``write_canonical_json``.
 """
 
@@ -34,6 +36,17 @@ def from_hex(s: str) -> bytes:
     if not isinstance(s, str) or not s.startswith("0x"):
         raise ValueError(f"expected 0x-prefixed hex string, got {s!r}")
     return bytes.fromhex(s[2:])
+
+
+def to_text(b: bytes) -> str:
+    """``b`` as text with one character per byte, byte 0xNN as U+00NN (Latin-1)."""
+    return b.decode("latin-1")
+
+
+def from_text(s: str) -> bytes:
+    """The bytes ``to_text`` spelled as ``s``: TypeError for anything but a
+    string, ValueError (UnicodeEncodeError) for a character above U+00FF."""
+    return str.encode(s, "latin-1")
 
 
 def canonical_json(obj: Any) -> str:

@@ -6,7 +6,7 @@ broken.
 """
 
 from tendersim.chain import compute_block_hash, compute_tx_hash
-from tendersim.encoding import from_hex, to_hex
+from tendersim.encoding import from_hex, from_text, to_hex, to_text
 
 
 def remine(export: dict, start_height: int = 1) -> None:
@@ -26,7 +26,7 @@ def reuse_nonce(export: dict, height: int, tx_index: int, target_hex: str) -> di
     block = export["blocks"][height]
     tx = dict(block["transactions"][tx_index], target=target_hex)
     tx["tx_hash"] = to_hex(compute_tx_hash(from_hex(tx["sender"]), from_hex(target_hex),
-                                           tx["nonce"], from_hex(tx["payload"]),
+                                           tx["nonce"], from_text(tx["payload"]),
                                            tx["gas_price"]))
     block["transactions"].append(tx)
     remine(export, height)
@@ -35,9 +35,9 @@ def reuse_nonce(export: dict, height: int, tx_index: int, target_hex: str) -> di
 
 def flip_payload_bit(export: dict, height: int, tx_index: int, bit: int) -> None:
     tx = export["blocks"][height]["transactions"][tx_index]
-    raw = bytearray(from_hex(tx["payload"]))
+    raw = bytearray(from_text(tx["payload"]))
     raw[bit // 8] ^= 1 << (bit % 8)
-    tx["payload"] = to_hex(bytes(raw))
+    tx["payload"] = to_text(bytes(raw))
 
 
 def flip_contract_data_bit(export: dict, address_hex: str, bit: int) -> None:

@@ -13,7 +13,7 @@ import pytest
 
 from tendersim import audit, contracts, crypto
 from tendersim.chain import Chain, ChainConfig
-from tendersim.encoding import canonical_json_bytes, to_hex
+from tendersim.encoding import canonical_json_bytes, from_text, to_hex
 from tendersim.errors import (
     AuthFailed,
     TimestampNotMonotonic,
@@ -206,7 +206,7 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
         height = rng.randrange(1, len(tampered["blocks"]))
         txs = tampered["blocks"][height]["transactions"]
         tx = txs[rng.randrange(len(txs))]
-        payload_bits = (len(tx["payload"]) - 2) // 2 * 8
+        payload_bits = len(from_text(tx["payload"])) * 8
         chain_surgery.flip_payload_bit(tampered, height, txs.index(tx),
                                        rng.randrange(payload_bits))
         if not audit.verify_ledger_hashes(audit.read_ledger(tampered)):
@@ -245,10 +245,21 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
         if not any(v.tag in ("UNDECRYPTABLE_BID", "R3") for v in report.violations):
             misses += 1
 
+    # e) a mined transaction's nonce reused by a copy sent to the tender, re-mined
+    mined = [(block["height"], j) for block in export["blocks"]
+             for j in range(len(block["transactions"]))]
+    for _ in range(30):
+        trials += 1
+        tampered = _copy.deepcopy(export)
+        chain_surgery.reuse_nonce(tampered, *rng.choice(mined), rft_hex)
+        report = audit.replay_and_audit(tampered, rft_hex)
+        if not any(v.tag == "R6" for v in report.violations):
+            misses += 1
+
     assert trials >= 1000
     assert misses == 0
     announce(f"ACCEPTANCE 5 PASS: {trials} randomized tampers of ciphertexts, "
-             f"payloads, and bid records all detected (0 misses)")
+             f"payloads, bid records and nonces all detected (0 misses)")
 
 
 # --- 6. R4/R5: spam differentiation ------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import io
+import json
 import tracemalloc
 from random import Random
 
@@ -664,8 +665,9 @@ def test_parse_export_frees_the_bytes_before_the_parse(tmp_path):
 @settings(max_examples=150, deadline=None)
 def test_parse_export_keeps_hostile_lists_as_they_are(values):
     # lists of mixed types, nested lists and objects, wherever the export allows them
-    export = {"blocks": [], "contracts": {"0x01": {"prior_bids": values, "x": {"y": values}}},
-              "config": {}, "gas_schedule": {}, "accounts": values}
+    export = {"blocks": values, "contracts": {"0x01": {"prior_bids": values,
+                                                         "x": {"y": values}}},
+              "config": {}, "gas_schedule": {}}
     parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
     assert canonical_json(parsed) == canonical_json(export)
 
@@ -673,7 +675,7 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/1", "blocks": [block],
+    raw = canonical_json_bytes({"format": "tendersim-chain/2", "blocks": [block],
                                 "contracts": {}, "config": {}, "gas_schedule": {}})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))
@@ -709,8 +711,6 @@ def test_published_results_with_a_list_for_an_object_are_graded(field):
 
 # --- any single edit of an export is seen --------------------------------------------------
 
-# The replay never reads these, so an edit to them may audit clean.
-_UNREAD = ("accounts", "clock")
 # A deleted setting takes its default and an edited one may meter the same
 # gas, so of the edits to these only a change of type must be refused.
 _SETTINGS = ("config", "gas_schedule")
@@ -768,6 +768,51 @@ def test_every_single_field_edit_of_an_export_is_seen(full_track_10, data):
         assert not settings_retyped
         return
     assert not settings_retyped
-    if path[0] in _UNREAD or path[0] in _SETTINGS:
+    if path[0] in _SETTINGS:
         return
     assert report.violations, f"{how} of {path} audits clean"
+
+
+# --- any single byte edit of an export is seen -----------------------------------------------
+
+
+def _outside_settings(doc) -> str:
+    """``doc`` with the values of its settings left out, as canonical JSON."""
+    if type(doc) is dict:
+        doc = {k: sorted(v) if k in _SETTINGS and type(v) is dict else v
+               for k, v in doc.items()}
+    return canonical_json(doc)
+
+
+@pytest.fixture(scope="module")
+def bundled_exports(tmp_path_factory):
+    """The chain.json bytes of two small bundled scenarios."""
+    exports = {}
+    for name in ("forged_cert", "stateless_10_bids"):
+        out = tmp_path_factory.mktemp(name)
+        run_scenario(SCENARIO_DIR / f"{name}.json", out)
+        exports[name] = (out / "chain.json").read_bytes()
+    return exports
+
+
+@pytest.mark.parametrize("name", ["forged_cert", "stateless_10_bids"])
+def test_every_single_byte_edit_of_an_export_is_seen(bundled_exports, tmp_path, capsys, name):
+    # replace, delete or insert one byte: the audit may pass only the
+    # original document, apart from the values of its settings
+    original = bundled_exports[name]
+    original_tree = _outside_settings(json.loads(original))
+    rng = Random(13)
+    path = tmp_path / "chain.json"
+    for _ in range(150):
+        at = rng.randrange(len(original))
+        how = rng.choice(["replace", "delete", "insert"])
+        byte = bytes([rng.randrange(256)])
+        mutated = original[:at] + (b"" if how == "delete" else byte) \
+            + original[at + (how != "insert"):]
+        path.write_bytes(mutated)
+        code = main(["audit", str(path)])
+        capsys.readouterr()
+        assert code in (0, 1, 2), (how, at, byte)
+        if code == 0:
+            tree = json.loads(mutated.decode("utf-8"))
+            assert _outside_settings(tree) == original_tree, (how, at, byte)

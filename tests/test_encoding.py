@@ -9,11 +9,12 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendersim import audit, encoding
+from tendersim import audit, contracts, encoding
+from tendersim.cli import main
 from tendersim.encoding import canonical_json, read_json, write_canonical_json
 from tendersim.scenario import run_scenario
 
-from conftest import SCENARIO_DIR, json_values
+from conftest import SCENARIO_DIR, json_values, run_honest_tender, two_bid_docs
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-2**200, max_value=2**200)
@@ -46,11 +47,12 @@ def _spammed_full_track(honest: int, spam_per_bid: int) -> dict:
 
 
 def test_streamed_writer_holds_no_copy_of_a_full_track_export(tmp_path):
-    # 64 records. The writer's peak is about twice its largest block or
-    # contract; the bid arrays, which grow with the square of the records,
-    # are spread over one record each.
-    export = _spammed_full_track(16, 3)
-    assert sum(c["kind"] == "bid_record" for c in export["contracts"].values()) == 64
+    # 96 records. The writer's peak is about four times its largest block or
+    # contract (json.dumps holds several times what it encodes); the bid
+    # arrays, which grow with the square of the records, are spread over one
+    # record each, so the file outgrows the peak.
+    export = _spammed_full_track(24, 3)
+    assert sum(c["kind"] == "bid_record" for c in export["contracts"].values()) == 96
     path = tmp_path / "chain.json"
     tracemalloc.start()
     try:
@@ -61,6 +63,31 @@ def test_streamed_writer_holds_no_copy_of_a_full_track_export(tmp_path):
     size = path.stat().st_size
     assert path.read_bytes() == (canonical_json(export) + "\n").encode("utf-8")
     assert peak < size / 4, (peak, size)
+
+
+def test_every_byte_of_a_payload_survives_the_export(tmp_path):
+    # one character per byte: the reader's windows cut inside \", \\, \u00XX
+    # and the two UTF-8 bytes of U+0080 to U+00FF
+    raw = bytes(range(256))
+    chain, rft, orch, _ = run_honest_tender("STATELESS", two_bid_docs(), publish=False)
+    chain.submit_transaction(orch.bidders["B1"].address, rft, raw)
+    odd = chain.mine_block(chain.now()).transactions[-1]
+    assert odd.error == contracts.MALFORMED_PAYLOAD
+    orch.publish_results(orch.close_and_evaluate())
+    path = tmp_path / "chain.json"
+    write_canonical_json(path, chain.export())
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    for read_size in (*range(1, 8), 64):
+        with mock.patch.object(encoding, "_READ_SIZE", read_size):
+            with path.open("rb") as file:
+                parsed = audit.parse_export(file)
+            assert parsed == expected
+            payloads = [tx.payload for block in audit.read_ledger(parsed)
+                        for tx in block.transactions]
+            assert payloads == [tx.payload for block in chain.blocks
+                                for tx in block.transactions]
+            assert raw in payloads
+            assert main(["audit", str(path)]) == 0
 
 
 def test_parse_export_holds_no_copy_of_a_full_track_export(tmp_path):

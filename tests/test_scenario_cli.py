@@ -13,7 +13,7 @@ import pytest
 from tendersim import audit, crypto
 from tendersim.chain import compute_tx_hash
 from tendersim.cli import main
-from tendersim.encoding import canonical_json_bytes, from_hex, to_hex
+from tendersim.encoding import canonical_json_bytes, from_hex, from_text, to_hex, to_text
 from tendersim.errors import IncomparableScenarios, ScenarioError
 from tendersim.scenario import (
     compare_schemes,
@@ -283,7 +283,7 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/1", '
+_FORMAT = b'{"format": "tendersim-chain/2", '
 
 
 @pytest.mark.parametrize("content", [
@@ -304,7 +304,9 @@ _FORMAT = b'{"format": "tendersim-chain/1", '
     # one field below the top level of a full_track_10_bids export, edited
     pytest.param(lambda e: e["contracts"].update({next(iter(e["contracts"])): 5}),
                  id="contract-snapshot-5"),
-    pytest.param(lambda e: _first_tx(e).update(payload="zz"), id="payload-not-hex"),
+    pytest.param(lambda e: _first_tx(e).update(payload=[7]), id="payload-not-a-string"),
+    pytest.param(lambda e: _first_tx(e).update(payload=_first_tx(e)["payload"] + "\u0100"),
+                 id="payload-above-u00ff"),
     pytest.param(lambda e: e["blocks"].__setitem__(2, 7), id="block-7"),
     pytest.param(lambda e: _first_tx(e).pop("sender"), id="tx-without-sender"),
     pytest.param(lambda e: e["blocks"][1].update(height="x"), id="height-x"),
@@ -314,12 +316,12 @@ _FORMAT = b'{"format": "tendersim-chain/1", '
     # hex re-spelled: the same bytes, but not as to_hex writes them
     pytest.param(lambda e: _first_tx(e).update(sender=_first_tx(e)["sender"].upper()
                                                .replace("0X", "0x")), id="sender-uppercase"),
-    pytest.param(lambda e: _first_tx(e).update(payload=_spaced(_first_tx(e)["payload"])),
-                 id="payload-spaced"),
+    pytest.param(lambda e: _first_tx(e).update(sender=_spaced(_first_tx(e)["sender"])),
+                 id="sender-spaced"),
     pytest.param(lambda e: _first_tx(e).update(tx_hash=_first_tx(e)["tx_hash"].upper()
                                                .replace("0X", "0x")), id="tx-hash-uppercase"),
     pytest.param(lambda e: e.pop("format"), id="format-missing"),
-    pytest.param(lambda e: e.update(format="tendersim-chain/2"), id="format-changed"),
+    pytest.param(lambda e: e.update(format="tendersim-chain/1"), id="format-1"),
     *(pytest.param(lambda e, v=value: e["config"].update(max_data_bits=v),
                    id=f"max-data-bits-{name}")
       for name, value in (("x", "x"), ("null", None), ("list", []), ("object", {}),
@@ -367,12 +369,12 @@ def _tender_data(edit_spec):
     tender-spec document, with hashes, receipt and disclosed state to match."""
     def edit(export):
         tx = _first_tx(export)
-        spec = json.loads(from_hex(json.loads(from_hex(tx["payload"]))["data"]))
+        spec = json.loads(from_hex(json.loads(from_text(tx["payload"]))["data"]))
         blob = canonical_json_bytes(edit_spec(spec))
         payload = canonical_json_bytes({"op": "deploy_data", "data": to_hex(blob)})
         tx_hash = compute_tx_hash(from_hex(tx["sender"]), None, tx["nonce"], payload,
                                   tx["gas_price"])
-        tx.update(payload=to_hex(payload), tx_hash=to_hex(tx_hash), gas_used=16 * len(blob))
+        tx.update(payload=to_text(payload), tx_hash=to_hex(tx_hash), gas_used=16 * len(blob))
         export["contracts"][tx["created_address"]]["data"] = to_hex(blob)
         chain_surgery.remine(export)
     return edit
