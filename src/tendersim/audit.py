@@ -108,24 +108,14 @@ class AuditReport:
 def parse_export(file):
     """The JSON document in a binary chain export file, read a block or a
     disclosed contract at a time (``encoding.read_json``), not yet checked.
-
-    Equal strings in lists are decoded to one shared object: a tracked
-    tender's records each repeat the bid array as it stood, so the file
-    names most addresses many times. The lists stay distinct.
+    A tracked tender's records each link to the record before it rather than
+    repeat the bid array, so the document grows linearly with the bids.
 
     Raises MalformedExport only when the file is not UTF-8 JSON; ``read_ledger``,
     which ``replay_chain`` calls, checks what the document holds.
     """
-    shared: dict[str, str] = {}
-
-    def share_list_strings(obj: dict) -> dict:
-        for value in obj.values():
-            if type(value) is list:
-                value[:] = [shared.setdefault(v, v) if type(v) is str else v for v in value]
-        return obj
-
     try:
-        return read_json(file, share_list_strings)
+        return read_json(file, lambda obj: obj)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, an int of 4301+ digits
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
 
@@ -154,10 +144,12 @@ def read_ledger(export) -> list[Block]:
     writes it; payloads strings of characters U+0000 to U+00FF, one per byte
     (``from_text``), which have no second spelling. Each transaction keeps its
     JSON object, unread, as its receipt: the replay compares receipts
-    strictly. Raises MalformedExport for a document that is not a
-    ``tendersim-chain/2`` object, for ``blocks``, ``contracts``, ``config``,
-    ``gas_schedule`` or a disclosed contract of the wrong JSON type, and for a
-    missing or malformed block or transaction field.
+    strictly. Disclosed contracts are left as they are: their bid records
+    link to one another, so the export grows linearly with the bids, and
+    ``expand_prior_bids`` reads each link once. Raises MalformedExport for a
+    document that is not a ``tendersim-chain/3`` object, for ``blocks``,
+    ``contracts``, ``config``, ``gas_schedule`` or a disclosed contract of the
+    wrong JSON type, and for a missing or malformed block or transaction field.
     """
     if type(export) is not dict or export.get("format") != EXPORT_FORMAT:
         raise MalformedExport(f"chain export is not a {EXPORT_FORMAT} object")
@@ -169,6 +161,41 @@ def read_ledger(export) -> list[Block]:
         if type(snap) is not dict:
             raise MalformedExport(f"disclosed contract {addr_hex} is not a JSON object")
     return [_read_block(block, f"block {i}") for i, block in enumerate(export["blocks"])]
+
+
+def expand_prior_bids(disclosed: dict) -> dict[str, list]:
+    """The list each disclosed ``prior_bids`` link stands for, by address: the
+    mirror of ``contracts.disclose``, which states the link's form. Links are
+    followed iteratively, each once. A contract is left out when its value is
+    no link, or when its links lead to an address with no link (unknown, or
+    not a tracked bid record) or round a cycle; the state diff grades its value.
+    """
+    lists: dict[str, list | None] = {}  # address -> its list, None when it has none
+    for start in disclosed:
+        path = []  # (address, link) of records whose lists wait on the next one's
+        addr = start
+        while addr is not None and addr not in lists:
+            lists[addr] = None  # until its list is built: a cycle back here finds none
+            link = _link(disclosed.get(addr))
+            if link is None:
+                break
+            path.append((addr, link))
+            addr = link["extends"]
+        prior = [] if addr is None else lists[addr]
+        if prior is not None:
+            for record, link in reversed(path):
+                extends = [] if link["extends"] is None else [link["extends"]]
+                prior = lists[record] = [*prior, *extends, *link["then"]]
+    return {addr: prior for addr, prior in lists.items() if prior is not None}
+
+
+def _link(snap) -> dict | None:
+    """A disclosed contract's ``prior_bids`` link, or None where it has none."""
+    link = snap.get("prior_bids") if type(snap) is dict else None
+    if type(link) is dict and link.keys() == {"extends", "then"} \
+            and type(link["extends"]) in (str, type(None)) and type(link["then"]) is list:
+        return link
+    return None
 
 
 def _read_block(block, where: str) -> Block:
@@ -271,6 +298,7 @@ class ChainReplay:
 
     export: dict
     schedule: GasSchedule
+    prior_bids: dict[str, list]  # record address -> its expanded prior_bids link
     state: dict = field(default_factory=dict)  # address -> re-derived contract
     tenders: dict[bytes, _Tender] = field(default_factory=dict)  # in deployment order
     ledger_findings: list[Violation] = field(default_factory=list)
@@ -298,6 +326,7 @@ def replay_chain(export) -> ChainReplay:
     except (TypeError, ValueError) as exc:
         raise MalformedExport(f"chain export settings are unusable: {exc}")
     replay = ChainReplay(export=export, schedule=schedule,
+                         prior_bids=expand_prior_bids(export["contracts"]),
                          ledger_findings=verify_ledger_hashes(blocks))
     state = replay.state
     nonces: dict[bytes, int] = {}  # sender -> the nonce its next transaction must carry
@@ -397,14 +426,12 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
     for addr, contract in replay.state.items():
         addr_hex = hexes[addr]
         belongs = owners.get(addr, set())
+        expected = contract.snapshot(hexes)
         if isinstance(contract, BidRecordContract) and contract.prior_bids is not None:
             # By construction the prior array is a prefix of the tender's, so
             # compare against that rendered array rather than render each copy.
             (tender,) = belongs  # the one tender that created the record
-            expected = contract.snapshot_without_prior_bids(hexes)
             expected["prior_bids"] = arrays[tender][:len(contract.prior_bids)]
-        else:
-            expected = contract.snapshot(hexes)
         if isinstance(contract, RequestForTenderContract) and "bids_placed" in expected:
             arrays[addr] = expected["bids_placed"]
         disclosed = disclosed_all.get(addr_hex)
@@ -413,6 +440,8 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
             found.append((belongs, tag, f"contract {addr_hex} created on-ledger is missing "
                                         f"from disclosed state"))
             continue
+        if "prior_bids" in expected:  # the list its link stands for; absent if none
+            disclosed = {**disclosed, "prior_bids": replay.prior_bids.get(addr_hex, _ABSENT)}
         for key in [*expected, *(k for k in disclosed if k not in expected)]:
             value = disclosed.get(key, _ABSENT)
             if not _same(expected.get(key, _ABSENT), value):
@@ -484,8 +513,8 @@ def _snapshot_erasure_check(replay: ChainReplay, addr: bytes,
     violations = []
     for record, height, _ in tender.bids:
         record_hex = to_hex(record.address)
-        prior = disclosed_all.get(record_hex, {}).get("prior_bids")
-        if not isinstance(prior, list):
+        prior = replay.prior_bids.get(record_hex)
+        if prior is None:
             continue  # missing or malformed: the state diff reports the record
         if not isinstance(disclosed_array, list) \
                 or disclosed_array[:len(prior) + 1] != prior + [record_hex]:

@@ -28,7 +28,7 @@ from .errors import (
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
 GAS_PRICE = 1  # no fee market: every transaction offers the same price
-EXPORT_FORMAT = "tendersim-chain/2"
+EXPORT_FORMAT = "tendersim-chain/3"
 
 
 @dataclass(frozen=True)
@@ -331,15 +331,16 @@ class Chain:
 
         Payloads are written with ``to_text``, one character per byte. The
         registered accounts and the clock are left out: no reader of the
-        export could check them against the ledger.
+        export could check them against the ledger. Each contract is written
+        by ``contracts.disclose``: a tracked tender's records each keep the
+        bid array as it stood, and each is written as a link to the record
+        before it, so the file grows linearly with the bids.
 
         Every address is rendered once per export and the one ``str`` is
-        shared by every field and list that names it. A tracked tender's
-        records each disclose the bid array as it stood, so the file grows
-        quadratically with the bids, but in memory each of those lists holds
-        only references. The lists themselves are distinct objects, so
-        editing one leaves the others as they were.
+        shared by every field and list that names it.
         """
+        from . import contracts  # avoids an import cycle
+
         hexes = HexMemo()
         return {
             "format": EXPORT_FORMAT,
@@ -371,5 +372,6 @@ class Chain:
                 }
                 for b in self.blocks
             ],
-            "contracts": {hexes[a]: c.snapshot(hexes) for a, c in self._contracts.items()},
+            "contracts": {hexes[a]: contracts.disclose(c, self._contracts, hexes)
+                          for a, c in self._contracts.items()},
         }

@@ -76,9 +76,10 @@ class Contract:
     """A contract answers calls through ``transition``; it rejects every call
     unless a subclass says otherwise.
 
-    ``snapshot(hexes)`` is the disclosed state as a JSON value. Addresses in
-    it are rendered through the memo ``hexes``, so snapshots taken with one
-    memo share one ``str`` per address.
+    ``snapshot(hexes)`` is the disclosed state as a JSON value, apart from a
+    tracked bid record's copy of the bid array (see ``disclose``). Addresses
+    in it are rendered through the memo ``hexes``, so snapshots taken with
+    one memo share one ``str`` per address.
     """
 
     def execute(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
@@ -126,13 +127,9 @@ class BidRecordContract(Contract):
         self.bidding_end_copy = bidding_end_copy
 
     def snapshot(self, hexes: HexMemo) -> dict:
-        snap = self.snapshot_without_prior_bids(hexes)
-        if self.prior_bids is not None:
-            snap["prior_bids"] = [hexes[a] for a in self.prior_bids]
-        return snap
-
-    def snapshot_without_prior_bids(self, hexes: HexMemo) -> dict:
-        """The snapshot less its copy of the bid array, which costs O(bids) to render."""
+        """The record's state less its copy of the bid array, which costs
+        O(bids) to render: ``disclose`` writes that copy as a link, and the
+        auditor compares it with the tender's own array."""
         snap = {
             "kind": self.kind,
             "scheme": self.scheme,
@@ -144,6 +141,30 @@ class BidRecordContract(Contract):
         if self.bidding_end_copy is not None:
             snap["bidding_end_copy"] = self.bidding_end_copy
         return snap
+
+
+def disclose(contract: Contract, state: dict, hexes: HexMemo) -> dict:
+    """``contract``'s state as a chain export writes it: its snapshot, except
+    that a tracked bid record's ``prior_bids`` is a link to the record before it.
+
+    ``{"extends": E, "then": [...]}`` stands for E's own list, then E, then
+    ``then``; ``"extends": None`` stands for the empty list. A record whose list
+    is the list of the record before it plus that record, as on every ledger,
+    is written ``{"extends": <that record>, "then": []}``, so the export grows
+    linearly with the bids; any other list is written whole in ``then``.
+    ``audit.expand_prior_bids`` reads the links back. ``state`` is the
+    address-to-contract map ``contract`` belongs to.
+    """
+    snap = contract.snapshot(hexes)
+    prior = contract.prior_bids if isinstance(contract, BidRecordContract) else None
+    if prior is None:
+        return snap
+    before = state.get(prior[-1]) if prior else None
+    if isinstance(before, BidRecordContract) and before.prior_bids == prior[:-1]:
+        snap["prior_bids"] = {"extends": hexes[prior[-1]], "then": []}
+    else:
+        snap["prior_bids"] = {"extends": None, "then": [hexes[a] for a in prior]}
+    return snap
 
 
 class RequestForTenderContract(Contract):

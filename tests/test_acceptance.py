@@ -221,8 +221,7 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
                                       "0x" + "22" * 8 + snap["sealed_half_a"][18:]),
         lambda snap: snap.__setitem__("bidding_end_copy",
                                       snap["bidding_end_copy"] + 1),
-        lambda snap: snap.__setitem__("prior_bids",
-                                      snap["prior_bids"] + ["0x" + "33" * 20]),
+        lambda snap: snap["prior_bids"]["then"].append("0x" + "33" * 20),
     ]
     for i in range(250):
         trials += 1

@@ -5,6 +5,7 @@ import io
 import json
 import tracemalloc
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -352,7 +353,8 @@ def test_replay_rederives_the_ledger_state(scheme):
     export, _, _, _ = _honest_export(scheme)
     replay = audit.replay_chain(export)
     hexes = HexMemo()
-    assert {hexes[a]: c.snapshot(hexes) for a, c in replay.state.items()} == export["contracts"]
+    assert {hexes[a]: contracts.disclose(c, replay.state, hexes)
+            for a, c in replay.state.items()} == export["contracts"]
     assert replay.receipt_findings == [] and replay.state_findings == []
 
 
@@ -628,20 +630,15 @@ def test_changed_receipt_kind_is_flagged(full_track_10):
     assert any(v.tag == "R6" and tx["tx_hash"] in v.description for v in report.violations)
 
 
-# --- parsing an export: one str per repeated string ---------------------------------------
+# --- parsing an export: one str per repeated key ------------------------------------------
 
 
-def test_parse_export_shares_the_strings_its_lists_repeat(full_track_10):
+def test_parse_export_shares_the_keys_its_blocks_repeat(full_track_10):
     export, rft_hex = full_track_10
     parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
     assert canonical_json(parsed) == canonical_json(export)
     # each block is decoded on its own, and still the blocks share their keys
     assert all(a is b for a, b in zip(parsed["blocks"][1], parsed["blocks"][2]))
-    array = parsed["contracts"][rft_hex]["bids_placed"]
-    for k, record_hex in enumerate(array):
-        prior = parsed["contracts"][record_hex]["prior_bids"]
-        assert prior == array[:k] and prior is not array
-        assert all(a is b for a, b in zip(prior, array))
 
 
 def test_parse_export_frees_the_bytes_before_the_parse(tmp_path):
@@ -675,10 +672,20 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/2", "blocks": [block],
+    raw = canonical_json_bytes({"format": "tendersim-chain/3", "blocks": [block],
                                 "contracts": {}, "config": {}, "gas_schedule": {}})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))
+
+
+def _link(c, rec, **fields):
+    c[rec]["prior_bids"] = {"extends": None, "then": [], **fields}
+
+
+def _cycle(c, rft):
+    first, second = c[rft]["bids_placed"][3:5]
+    _link(c, first, extends=second)
+    _link(c, second, extends=first)
 
 
 @pytest.mark.parametrize("edit", [
@@ -686,14 +693,57 @@ def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
                  id="array-holds-a-list"),
     pytest.param(lambda c, rft, rec: c[rft].update(bids_placed=True), id="array-true"),
     pytest.param(lambda c, rft, rec: c[rec].update(prior_bids=1.5), id="prior-bids-a-float"),
+    pytest.param(lambda c, rft, rec: _link(c, rec, extends=rec), id="extends-itself"),
+    pytest.param(lambda c, rft, rec: _cycle(c, rft), id="two-extend-each-other"),
+    pytest.param(lambda c, rft, rec: _link(c, rec, extends="0x" + "44" * 20),
+                 id="extends-an-unknown-address"),
+    pytest.param(lambda c, rft, rec: _link(c, rec, extends=c[rft]["tender_data"]),
+                 id="extends-the-tender-data"),
+    pytest.param(lambda c, rft, rec: _link(c, rec, extends=7), id="extends-a-number"),
+    pytest.param(lambda c, rft, rec: c[rec]["prior_bids"].pop("then"), id="then-missing"),
+    pytest.param(lambda c, rft, rec: c[rec]["prior_bids"].pop("extends"),
+                 id="extends-missing"),
+    pytest.param(lambda c, rft, rec: c[rec]["prior_bids"].update(x=1), id="extra-key"),
+    pytest.param(lambda c, rft, rec: c[rec]["prior_bids"].update(then=rec),
+                 id="then-a-string"),
+    pytest.param(lambda c, rft, rec: c[rec].update(prior_bids=c[rft]["bids_placed"][:3]),
+                 id="prior-bids-a-plain-list"),
 ])
-def test_hostile_disclosed_arrays_are_graded_not_raised(full_track_10, edit):
+def test_hostile_disclosed_arrays_are_graded_not_raised(full_track_10, tmp_path, capsys, edit):
     export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
     disclosed = export["contracts"]
     edit(disclosed, rft_hex, disclosed[rft_hex]["bids_placed"][3])
     parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
     report = audit.replay_and_audit(parsed, rft_hex)
     assert {"R3", "ERASURE"} & {v.tag for v in report.violations}
+    path = tmp_path / "chain.json"
+    path.write_bytes(canonical_json_bytes(export))
+    assert main(["audit", str(path)]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+def test_a_long_chain_of_links_expands_without_recursion():
+    records = [f"0x{k:040x}" for k in range(5000)]
+    disclosed = {record: {"prior_bids": {"extends": before, "then": []}}
+                 for before, record in zip([None, *records], records)}
+    lists = audit.expand_prior_bids(disclosed)
+    assert len(lists) == len(records)
+    assert lists[records[-1]] == records[:-1]
+    assert all(len(lists[record]) == k for k, record in enumerate(records))
+
+
+@pytest.mark.parametrize("name", ["full_track_10_bids", "protected_10_bids"])
+def test_expanded_export_lists_equal_the_ledger_records(name):
+    chains = []
+    export = Chain.export
+    with mock.patch.object(Chain, "export", lambda self: chains.append(self) or export(self)):
+        outcome = run_scenario(SCENARIO_DIR / f"{name}.json")
+    (chain,) = chains
+    records = [chain.get_contract(a) for a in
+               chain.get_contract(bytes.fromhex(outcome.report.tender_address[2:])).bids_placed]
+    assert len(records) == 10
+    expanded = audit.replay_chain(outcome.export).prior_bids
+    assert expanded == {to_hex(r.address): [to_hex(a) for a in r.prior_bids] for r in records}
 
 
 @pytest.mark.parametrize("field", ["statuses", "revealed_keys", "scores"])

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from random import Random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendersim import contracts, crypto
+from tendersim import audit, contracts, crypto
 
 from tendersim.chain import (
     Chain,
@@ -15,7 +16,7 @@ from tendersim.chain import (
     compute_tx_hash,
     meter_gas,
 )
-from tendersim.encoding import HexMemo, canonical_json_bytes, to_hex
+from tendersim.encoding import HexMemo, canonical_json_bytes, from_hex, to_hex
 from tendersim.errors import (
     NoSuchContract,
     TimestampNotMonotonic,
@@ -239,50 +240,66 @@ def _spammed_full_track(records: int) -> tuple[Chain, str]:
     return chain, to_hex(rft)
 
 
-def test_export_holds_one_string_per_address():
+def test_export_links_each_record_to_the_one_before():
     chain, rft_hex = _spammed_full_track(8)
-    export = chain.export()
-    disclosed = export["contracts"]
+    disclosed = chain.export()["contracts"]
     array = disclosed[rft_hex]["bids_placed"]
     assert len(array) == 8
+    assert disclosed[array[0]]["prior_bids"] == {"extends": None, "then": []}
     keys = {id(key) for key in disclosed}
-    lists = [array]
-    for k, record_hex in enumerate(array):
-        prior = disclosed[record_hex]["prior_bids"]
-        assert prior == array[:k]
-        assert all(a is b for a, b in zip(prior, array))
-        lists.append(prior)
-    assert all(id(a) in keys for a in array)  # the contract keys are the same objects
-    assert len({id(lst) for lst in lists}) == len(lists)  # but every list is its own
+    for before, record_hex in zip(array, array[1:]):
+        link = disclosed[record_hex]["prior_bids"]
+        assert link == {"extends": before, "then": []}
+        assert id(link["extends"]) in keys  # one str per address
+    assert all(id(a) in keys for a in array)
 
 
-def test_editing_one_exported_list_leaves_the_others_unchanged():
+def test_export_writes_a_list_that_extends_no_record_whole():
+    # any state can be written: a record whose list is not the one before it
+    # plus that record is spelled out, and so is the next record's
+    chain, rft_hex = _spammed_full_track(6)
+    records = [chain.get_contract(a) for a in chain.get_contract(from_hex(rft_hex)).bids_placed]
+    records[3].prior_bids = records[3].prior_bids[1:]
+    disclosed = chain.export()["contracts"]
+    for k, record in enumerate(records):
+        link = disclosed[to_hex(record.address)]["prior_bids"]
+        if k in (3, 4):
+            assert link == {"extends": None, "then": [to_hex(a) for a in record.prior_bids]}
+        else:
+            assert link == {"extends": to_hex(records[k - 1].address) if k else None,
+                            "then": []}
+    assert audit.expand_prior_bids(disclosed) == \
+        {to_hex(r.address): [to_hex(a) for a in r.prior_bids] for r in records}
+
+
+def test_editing_one_exported_link_leaves_the_others_unchanged():
     chain, rft_hex = _spammed_full_track(6)
     export = chain.export()
-    records = {a: s for a, s in export["contracts"].items() if "prior_bids" in s}
-    before = {a: list(s["prior_bids"]) for a, s in records.items()}
+    links = [s["prior_bids"] for s in export["contracts"].values() if "prior_bids" in s]
+    before = copy.deepcopy(links)
     array = export["contracts"][rft_hex]["bids_placed"]
     erased = array.pop(2)
     array.append("0x" + "00" * 20)
-    assert erased not in array
-    assert {a: s["prior_bids"] for a, s in records.items()} == before
-    assert chain.export()["contracts"][rft_hex]["bids_placed"] == list(before)
+    links[0]["then"].append(erased)
+    assert links[1:] == before[1:]
+    fresh = chain.export()["contracts"]
+    assert [s["prior_bids"] for s in fresh.values() if "prior_bids" in s] == before
+    assert erased in fresh[rft_hex]["bids_placed"]
 
 
-def test_export_holds_each_prior_bid_entry_as_a_reference():
-    """Rendering every entry anew costs ~95 bytes each; a shared one costs a list slot."""
-    records = 64
+def test_export_holds_one_small_link_per_record():
+    """A copied array costs a list slot per prior bid; a link costs the same at any size."""
+    records = 128
     chain, _ = _spammed_full_track(records)
     tracemalloc.start()
     try:
         export = chain.export()
         snapshots = [s for s in export["contracts"].values() if "prior_bids" in s]
-        entries = sum(len(s["prior_bids"]) for s in snapshots)
         held = tracemalloc.get_traced_memory()[0]
         for snap in snapshots:
             del snap["prior_bids"]
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert entries == records * (records - 1) // 2
-    assert freed / entries < 16
+    assert len(snapshots) == records
+    assert freed / records < 200, freed / records

@@ -4,17 +4,21 @@ the same tree as json.loads, with less memory."""
 import io
 import json
 import tracemalloc
+from random import Random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tendersim import audit, contracts, encoding
+from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
 from tendersim.encoding import canonical_json, read_json, write_canonical_json
+from tendersim.orchestrator import BidDocument, TenderOrchestrator, TenderSpec
 from tendersim.scenario import run_scenario
 
-from conftest import SCENARIO_DIR, json_values, run_honest_tender, two_bid_docs
+from conftest import SCENARIO_DIR, json_values, price_criteria, run_honest_tender, two_bid_docs
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-2**200, max_value=2**200)
@@ -46,12 +50,46 @@ def _spammed_full_track(honest: int, spam_per_bid: int) -> dict:
     return run_scenario(doc).export
 
 
-def test_streamed_writer_holds_no_copy_of_a_full_track_export(tmp_path):
+@pytest.fixture(scope="module")
+def four_tenders():
+    """The export of four FULL_TRACK tenders run at once on one chain, 24
+    honest bids each: 96 records, and no value much larger than another."""
+    chain = Chain(ChainConfig())
+    rng = Random(5)
+    runs = []
+    for t in range(4):
+        orch = TenderOrchestrator(chain, Random(rng.getrandbits(64)))
+        rft, _ = orch.open_tender(TenderSpec(title=f"tender {t}", terms=b"deliver the goods",
+                                             criteria=price_criteria(), length_ms=3_600_000,
+                                             limit=2, scheme="FULL_TRACK"))
+        runs.append((orch, rft, {}))
+    for i in range(24):
+        for orch, _, subs in runs:
+            orch.register_bidder(f"B{i}")
+            subs[f"B{i}"] = orch.submit_sealed_bid(
+                f"B{i}", BidDocument(f"B{i}", {"price": 100.0 + i, "delivery_days": 10.0}))
+    chain.advance_to(max(chain.get_contract(rft).bidding_end for _, rft, _ in runs) + 1)
+    for orch, _, subs in runs:
+        for bidder_id, sub in subs.items():
+            orch.deliver_key_half(bidder_id, sub)
+        orch.publish_results(orch.close_and_evaluate())
+    return chain.export()
+
+
+def test_export_grows_linearly_with_the_bids():
+    # each record links to the one before it instead of repeating the bid
+    # array, so twice the records make about twice the file (3.0x when every
+    # record wrote its array out)
+    small, large = (len(canonical_json(_spammed_full_track(honest, 3)).encode("utf-8"))
+                    for honest in (24, 48))
+    assert large < 2.2 * small, (small, large)
+
+
+def test_streamed_writer_holds_no_copy_of_a_full_track_export(tmp_path, four_tenders):
     # 96 records. The writer's peak is about four times its largest block or
-    # contract (json.dumps holds several times what it encodes); the bid
-    # arrays, which grow with the square of the records, are spread over one
-    # record each, so the file outgrows the peak.
-    export = _spammed_full_track(24, 3)
+    # contract (json.dumps holds several times what it encodes); the file is
+    # made of many such values, so it outgrows the peak.
+    export = four_tenders
     assert sum(c["kind"] == "bid_record" for c in export["contracts"].values()) == 96
     path = tmp_path / "chain.json"
     tracemalloc.start()
@@ -61,8 +99,11 @@ def test_streamed_writer_holds_no_copy_of_a_full_track_export(tmp_path):
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
+    largest = max(len(canonical_json(value).encode("utf-8"))
+                  for value in (*export["blocks"], *export["contracts"].values()))
     assert path.read_bytes() == (canonical_json(export) + "\n").encode("utf-8")
     assert peak < size / 4, (peak, size)
+    assert peak < 5 * largest, (peak, largest)
 
 
 def test_every_byte_of_a_payload_survives_the_export(tmp_path):
@@ -90,12 +131,12 @@ def test_every_byte_of_a_payload_survives_the_export(tmp_path):
             assert main(["audit", str(path)]) == 0
 
 
-def test_parse_export_holds_no_copy_of_a_full_track_export(tmp_path):
-    # 64 records, read the way `tendersim audit` reads them: from the file.
-    # At this size the finished tree is larger than the file (1.1x), so the
-    # bound is on what the parse holds beyond the tree it returns: a read
-    # window, not a copy of the bytes or the text (1.0x at a whole-text parse).
-    export = _spammed_full_track(16, 3)
+def test_parse_export_holds_no_copy_of_a_full_track_export(tmp_path, four_tenders):
+    # 96 records, read the way `tendersim audit` reads them: from the file.
+    # The finished tree is larger than the file, so the bound is on what the
+    # parse holds beyond the tree it returns: a read window, not a copy of
+    # the bytes or the text (1.0x at a whole-text parse).
+    export = four_tenders
     path = tmp_path / "chain.json"
     write_canonical_json(path, export)
     tracemalloc.start()

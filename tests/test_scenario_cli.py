@@ -283,7 +283,7 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/2", '
+_FORMAT = b'{"format": "tendersim-chain/3", '
 
 
 @pytest.mark.parametrize("content", [
@@ -322,6 +322,7 @@ _FORMAT = b'{"format": "tendersim-chain/2", '
                                                .replace("0X", "0x")), id="tx-hash-uppercase"),
     pytest.param(lambda e: e.pop("format"), id="format-missing"),
     pytest.param(lambda e: e.update(format="tendersim-chain/1"), id="format-1"),
+    pytest.param(lambda e: e.update(format="tendersim-chain/2"), id="format-2"),
     *(pytest.param(lambda e, v=value: e["config"].update(max_data_bits=v),
                    id=f"max-data-bits-{name}")
       for name, value in (("x", "x"), ("null", None), ("list", []), ("object", {}),
