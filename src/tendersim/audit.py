@@ -115,7 +115,7 @@ def parse_export(file):
     which ``replay_chain`` calls, checks what the document holds.
     """
     try:
-        return read_json(file, lambda obj: obj)
+        return read_json(file)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, an int of 4301+ digits
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
 
@@ -144,9 +144,10 @@ def read_ledger(export) -> list[Block]:
     writes it; payloads strings of characters U+0000 to U+00FF, one per byte
     (``from_text``), which have no second spelling. Each transaction keeps its
     JSON object, unread, as its receipt: the replay compares receipts
-    strictly. Disclosed contracts are left as they are: their bid records
-    link to one another, so the export grows linearly with the bids, and
-    ``expand_prior_bids`` reads each link once. Raises MalformedExport for a
+    strictly. Disclosed contracts are left as they are: the state diff
+    compares each with ``contracts.disclose`` of its re-derived twin, so a
+    bid record's ``prior_bids`` link must be spelled as the export writes it,
+    and the audit stays linear in the bids. Raises MalformedExport for a
     document that is not a ``tendersim-chain/3`` object, for ``blocks``,
     ``contracts``, ``config``, ``gas_schedule`` or a disclosed contract of the
     wrong JSON type, and for a missing or malformed block or transaction field.
@@ -161,41 +162,6 @@ def read_ledger(export) -> list[Block]:
         if type(snap) is not dict:
             raise MalformedExport(f"disclosed contract {addr_hex} is not a JSON object")
     return [_read_block(block, f"block {i}") for i, block in enumerate(export["blocks"])]
-
-
-def expand_prior_bids(disclosed: dict) -> dict[str, list]:
-    """The list each disclosed ``prior_bids`` link stands for, by address: the
-    mirror of ``contracts.disclose``, which states the link's form. Links are
-    followed iteratively, each once. A contract is left out when its value is
-    no link, or when its links lead to an address with no link (unknown, or
-    not a tracked bid record) or round a cycle; the state diff grades its value.
-    """
-    lists: dict[str, list | None] = {}  # address -> its list, None when it has none
-    for start in disclosed:
-        path = []  # (address, link) of records whose lists wait on the next one's
-        addr = start
-        while addr is not None and addr not in lists:
-            lists[addr] = None  # until its list is built: a cycle back here finds none
-            link = _link(disclosed.get(addr))
-            if link is None:
-                break
-            path.append((addr, link))
-            addr = link["extends"]
-        prior = [] if addr is None else lists[addr]
-        if prior is not None:
-            for record, link in reversed(path):
-                extends = [] if link["extends"] is None else [link["extends"]]
-                prior = lists[record] = [*prior, *extends, *link["then"]]
-    return {addr: prior for addr, prior in lists.items() if prior is not None}
-
-
-def _link(snap) -> dict | None:
-    """A disclosed contract's ``prior_bids`` link, or None where it has none."""
-    link = snap.get("prior_bids") if type(snap) is dict else None
-    if type(link) is dict and link.keys() == {"extends", "then"} \
-            and type(link["extends"]) in (str, type(None)) and type(link["then"]) is list:
-        return link
-    return None
 
 
 def _read_block(block, where: str) -> Block:
@@ -298,7 +264,6 @@ class ChainReplay:
 
     export: dict
     schedule: GasSchedule
-    prior_bids: dict[str, list]  # record address -> its expanded prior_bids link
     state: dict = field(default_factory=dict)  # address -> re-derived contract
     tenders: dict[bytes, _Tender] = field(default_factory=dict)  # in deployment order
     ledger_findings: list[Violation] = field(default_factory=list)
@@ -326,7 +291,6 @@ def replay_chain(export) -> ChainReplay:
     except (TypeError, ValueError) as exc:
         raise MalformedExport(f"chain export settings are unusable: {exc}")
     replay = ChainReplay(export=export, schedule=schedule,
-                         prior_bids=expand_prior_bids(export["contracts"]),
                          ledger_findings=verify_ledger_hashes(blocks))
     state = replay.state
     nonces: dict[bytes, int] = {}  # sender -> the nonce its next transaction must carry
@@ -421,27 +385,17 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
     owners = _owners(replay)
     tender_data = {t.contract.tender_data_addr for t in replay.tenders.values()}
     hexes = HexMemo()
-    arrays: dict[bytes, list[str]] = {}  # tender -> its rendered bid array
     found = []
     for addr, contract in replay.state.items():
         addr_hex = hexes[addr]
         belongs = owners.get(addr, set())
-        expected = contract.snapshot(hexes)
-        if isinstance(contract, BidRecordContract) and contract.prior_bids is not None:
-            # By construction the prior array is a prefix of the tender's, so
-            # compare against that rendered array rather than render each copy.
-            (tender,) = belongs  # the one tender that created the record
-            expected["prior_bids"] = arrays[tender][:len(contract.prior_bids)]
-        if isinstance(contract, RequestForTenderContract) and "bids_placed" in expected:
-            arrays[addr] = expected["bids_placed"]
+        expected = contracts.disclose(contract, replay.state, hexes)
         disclosed = disclosed_all.get(addr_hex)
         if disclosed is None:
             tag = "ERASURE" if isinstance(contract, BidRecordContract) else "R1"
             found.append((belongs, tag, f"contract {addr_hex} created on-ledger is missing "
                                         f"from disclosed state"))
             continue
-        if "prior_bids" in expected:  # the list its link stands for; absent if none
-            disclosed = {**disclosed, "prior_bids": replay.prior_bids.get(addr_hex, _ABSENT)}
         for key in [*expected, *(k for k in disclosed if k not in expected)]:
             value = disclosed.get(key, _ABSENT)
             if not _same(expected.get(key, _ABSENT), value):
@@ -503,26 +457,24 @@ def _grade_difference(contract, addr_hex: str, key: str, expected: dict, value,
 
 def _snapshot_erasure_check(replay: ChainReplay, addr: bytes,
                             tender: _Tender) -> list[Violation]:
-    """The defining cross-check: each record's embedded array snapshot must be a
-    prefix of the disclosed array, and the record itself must sit right after it."""
-    disclosed_all = replay.export["contracts"]
-    disclosed_rft = disclosed_all.get(to_hex(addr))
+    """The defining cross-check: each record holds the bid array as it stood,
+    which must be a prefix of the disclosed array, with the record right after
+    it. The state diff holds every disclosed record to its re-derived twin, whose
+    array is the re-derived tender's up to the record, so a record is flagged
+    when the disclosed array departs from the re-derived one at or before it."""
+    disclosed_rft = replay.export["contracts"].get(to_hex(addr))
     if tender.contract.scheme == contracts.SCHEME_STATELESS or disclosed_rft is None:
         return []
     disclosed_array = disclosed_rft.get("bids_placed")
-    violations = []
-    for record, height, _ in tender.bids:
-        record_hex = to_hex(record.address)
-        prior = replay.prior_bids.get(record_hex)
-        if prior is None:
-            continue  # missing or malformed: the state diff reports the record
-        if not isinstance(disclosed_array, list) \
-                or disclosed_array[:len(prior) + 1] != prior + [record_hex]:
-            violations.append(Violation(
-                "ERASURE", height,
-                f"disclosed bid array is inconsistent with the snapshot held by "
-                f"record {record_hex}"))
-    return violations
+    if not isinstance(disclosed_array, list):
+        disclosed_array = []
+    array = [to_hex(a) for a in tender.contract.bids_placed]
+    agree = next((k for k, (a, b) in enumerate(zip(array, disclosed_array)) if a != b),
+                 min(len(array), len(disclosed_array)))  # entries the two arrays share
+    return [Violation("ERASURE", height,
+                      f"disclosed bid array is inconsistent with the snapshot held by "
+                      f"record {to_hex(record.address)}")
+            for record, height, _ in tender.bids if len(record.prior_bids) >= agree]
 
 
 # --- result re-evaluation -----------------------------------------------------------

@@ -151,9 +151,10 @@ def disclose(contract: Contract, state: dict, hexes: HexMemo) -> dict:
     ``then``; ``"extends": None`` stands for the empty list. A record whose list
     is the list of the record before it plus that record, as on every ledger,
     is written ``{"extends": <that record>, "then": []}``, so the export grows
-    linearly with the bids; any other list is written whole in ``then``.
-    ``audit.expand_prior_bids`` reads the links back. ``state`` is the
-    address-to-contract map ``contract`` belongs to.
+    linearly with the bids; any other list is written whole in ``then``. The
+    auditor calls it on its re-derived state and compares strictly, so a list
+    has one spelling. ``state`` is the address-to-contract map ``contract``
+    belongs to.
     """
     snap = contract.snapshot(hexes)
     prior = contract.prior_bids if isinstance(contract, BidRecordContract) else None

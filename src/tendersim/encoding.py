@@ -95,9 +95,9 @@ _READ_SIZE = 1 << 16
 class _Reader:
     """A JSON document read from a binary UTF-8 file one window at a time."""
 
-    def __init__(self, file, object_hook):
+    def __init__(self, file):
         keys: dict[str, str] = {}  # one str per distinct key, as json.loads keeps them
-        self.make_object = lambda pairs: object_hook({keys.setdefault(k, k): v for k, v in pairs})
+        self.make_object = lambda pairs: {keys.setdefault(k, k): v for k, v in pairs}
         self.scan = json.JSONDecoder(object_pairs_hook=self.make_object).raw_decode
         self.decode = codecs.getincrementaldecoder("utf-8")().decode
         self.file, self.text, self.pos, self.offset, self.eof = file, "", 0, 0, False
@@ -156,13 +156,14 @@ class _Reader:
                 return value
 
 
-def read_json(file, object_hook) -> Any:
-    """``json.loads(file.read().decode("utf-8"), object_hook=object_hook)``, the
-    mirror of ``write_canonical_json``: the top two levels are read token by
-    token and each value below them (a block or a disclosed contract of an
-    export) is decoded on its own, so neither the bytes nor the text is ever
-    whole. Raises ValueError, or RecursionError, where json.loads would."""
-    reader = _Reader(file, object_hook)
+def read_json(file) -> Any:
+    """``json.loads(file.read().decode("utf-8"))``, the mirror of
+    ``write_canonical_json``: the top two levels are read token by token and
+    each value below them (a block or a disclosed contract of an export) is
+    decoded on its own, so neither the bytes nor the text is ever whole.
+    Objects share one ``str`` per distinct key. Raises ValueError, or
+    RecursionError, where json.loads would."""
+    reader = _Reader(file)
     doc = reader.value(2)
     if reader.next():
         raise ValueError(f"extra data at character {reader.offset + reader.pos}")

@@ -89,3 +89,16 @@ def two_bid_docs():
         BidDocument("B1", {"price": 100.0, "delivery_days": 10.0}),
         BidDocument("B2", {"price": 90.0, "delivery_days": 20.0}),
     ]
+
+
+def expand_prior_bids(disclosed: dict, record_hex: str) -> list[str]:
+    """The list an exported record's ``prior_bids`` link stands for: the
+    ``extends`` chain followed back to the record that extends nothing."""
+    parts = []
+    while record_hex is not None:
+        link = disclosed[record_hex]["prior_bids"]
+        parts.append(link["then"])
+        record_hex = link["extends"]
+        if record_hex is not None:
+            parts.append([record_hex])
+    return [a for part in reversed(parts) for a in part]

@@ -36,6 +36,7 @@ import ledger_ops
 from conftest import (
     SCENARIO_DIR,
     account,
+    expand_prior_bids,
     json_values,
     make_tender,
     price_criteria,
@@ -722,14 +723,30 @@ def test_hostile_disclosed_arrays_are_graded_not_raised(full_track_10, tmp_path,
     capsys.readouterr()
 
 
-def test_a_long_chain_of_links_expands_without_recursion():
-    records = [f"0x{k:040x}" for k in range(5000)]
-    disclosed = {record: {"prior_bids": {"extends": before, "then": []}}
-                 for before, record in zip([None, *records], records)}
-    lists = audit.expand_prior_bids(disclosed)
-    assert len(lists) == len(records)
-    assert lists[records[-1]] == records[:-1]
-    assert all(len(lists[record]) == k for k, record in enumerate(records))
+def test_a_long_chain_of_forged_links_is_graded_in_linear_memory(full_track_10):
+    # a disclosed link is compared with the ledger's, never followed, so
+    # links that no transaction created cost memory in proportion to their number
+    export, rft_hex = full_track_10
+
+    def audit_with_forged_links(count):
+        forged = copy.deepcopy(export)
+        fakes = [f"0x{k:040x}" for k in range(1, count + 1)]
+        for before, fake in zip([None, *fakes], fakes):
+            forged["contracts"][fake] = {"prior_bids": {"extends": before, "then": []}}
+        raw = canonical_json_bytes(forged)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = audit.replay_and_audit(audit.parse_export(io.BytesIO(raw)), rft_hex)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum("never created" in v.description for v in report.violations) == count
+        return peak
+
+    honest = audit_with_forged_links(0)
+    growth = (audit_with_forged_links(3000) - honest) / (audit_with_forged_links(1500) - honest)
+    assert growth < 2.2, growth
 
 
 @pytest.mark.parametrize("name", ["full_track_10_bids", "protected_10_bids"])
@@ -742,8 +759,9 @@ def test_expanded_export_lists_equal_the_ledger_records(name):
     records = [chain.get_contract(a) for a in
                chain.get_contract(bytes.fromhex(outcome.report.tender_address[2:])).bids_placed]
     assert len(records) == 10
-    expanded = audit.replay_chain(outcome.export).prior_bids
-    assert expanded == {to_hex(r.address): [to_hex(a) for a in r.prior_bids] for r in records}
+    for record in records:
+        assert expand_prior_bids(outcome.export["contracts"], to_hex(record.address)) == \
+            [to_hex(a) for a in record.prior_bids]
 
 
 @pytest.mark.parametrize("field", ["statuses", "revealed_keys", "scores"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendersim import audit, contracts, crypto
+from tendersim import contracts, crypto
 
 from tendersim.chain import (
     Chain,
@@ -26,7 +26,7 @@ from tendersim.errors import (
 )
 
 import ledger_ops
-from conftest import account, make_tender
+from conftest import account, expand_prior_bids, make_tender
 from reference_data import (
     DEPLOY_GAS,
     FULL_TRACK_BID_SERIES,
@@ -268,8 +268,8 @@ def test_export_writes_a_list_that_extends_no_record_whole():
         else:
             assert link == {"extends": to_hex(records[k - 1].address) if k else None,
                             "then": []}
-    assert audit.expand_prior_bids(disclosed) == \
-        {to_hex(r.address): [to_hex(a) for a in r.prior_bids] for r in records}
+    assert all(expand_prior_bids(disclosed, to_hex(r.address)) ==
+               [to_hex(a) for a in r.prior_bids] for r in records)
 
 
 def test_editing_one_exported_link_leaves_the_others_unchanged():

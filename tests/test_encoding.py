@@ -219,12 +219,9 @@ def _outcome(parse):
 @given(_hostile_documents(), st.integers(1, 7) | st.sampled_from([16, 64]))
 @settings(max_examples=400, deadline=None)
 def test_streamed_reader_equals_json_loads(raw, read_size):
-    def hook(obj):  # every object passes through it once
-        return {"hooked": obj}
-
-    expected = _outcome(lambda: json.loads(raw.decode("utf-8"), object_hook=hook))
+    expected = _outcome(lambda: json.loads(raw.decode("utf-8")))
     with mock.patch.object(encoding, "_READ_SIZE", read_size):
-        assert _outcome(lambda: read_json(io.BytesIO(raw), hook)) == expected
+        assert _outcome(lambda: read_json(io.BytesIO(raw))) == expected
 
 
 def test_a_long_value_is_read_in_reads_that_grow_geometrically():
@@ -238,6 +235,6 @@ def test_a_long_value_is_read_in_reads_that_grow_geometrically():
             return super().read(size)
 
     with mock.patch.object(encoding, "_READ_SIZE", 1):
-        parsed = read_json(File(b'{"blob": "' + b"x" * 100_000 + b'"}'), dict)
+        parsed = read_json(File(b'{"blob": "' + b"x" * 100_000 + b'"}'))
     assert parsed == {"blob": "x" * 100_000}
     assert len(reads) < 40, len(reads)
