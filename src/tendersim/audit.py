@@ -28,6 +28,7 @@ observed on this chain).
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import asdict, dataclass, field
 
@@ -44,7 +45,7 @@ from .chain import (
     compute_tx_hash,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
-from .encoding import HexMemo, from_hex, from_text, read_json, to_hex
+from .encoding import HexMemo, canonical_json_bytes, from_hex, from_text, to_hex
 from .errors import (
     MalformedAddress,
     MalformedExport,
@@ -105,19 +106,27 @@ class AuditReport:
         }
 
 
-def parse_export(file):
-    """The JSON document in a binary chain export file, read a block or a
-    disclosed contract at a time (``encoding.read_json``), not yet checked.
-    A tracked tender's records each link to the record before it rather than
-    repeat the bid array, so the document grows linearly with the bids.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800-\uDFFF; payloads hold \u00XX
 
-    Raises MalformedExport only when the file is not UTF-8 JSON; ``read_ledger``,
-    which ``replay_chain`` calls, checks what the document holds.
+
+def parse_export(file):
+    """The JSON document in a binary chain export file, not yet checked:
+    decoded strictly as UTF-8, the bytes freed, then parsed by ``json.loads``,
+    which keeps one ``str`` per distinct key. Each tracked bid record links to
+    the one before it, so the document grows linearly with the bids.
+
+    Raises MalformedExport only when the file is not UTF-8 JSON or holds a
+    lone surrogate (a ``\\u`` escape ``write_canonical_json`` never writes);
+    ``read_ledger``, which ``replay_chain`` calls, checks what the document holds.
     """
     try:
-        return read_json(file)
+        text = file.read().decode("utf-8")
+        doc = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            canonical_json_bytes(doc)  # UnicodeEncodeError on a lone surrogate
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, an int of 4301+ digits
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
+    return doc
 
 
 # --- reading the ledger ----------------------------------------------------------------

@@ -313,7 +313,9 @@ def decode_call(payload: bytes) -> dict | None:
     """The call object a payload encodes, or None if it encodes none."""
     try:
         call = load_json_bytes(payload)
-    except (ValueError, RecursionError):  # ValueError covers UnicodeDecodeError
+        if b"\\u" in payload:  # an escape may spell a lone surrogate, which UTF-8 cannot hold
+            canonical_json_bytes(call)
+    except (ValueError, RecursionError):  # ValueError covers UnicodeDecodeError and -EncodeError
         return None
     return call if isinstance(call, dict) and "op" in call else None
 

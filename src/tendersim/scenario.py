@@ -192,6 +192,10 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     for i, kind in enumerate(doc.get("reports", [])):
         if kind not in REPORT_KINDS:
             _fail(source, f"$.reports[{i}]", f"unknown report kind {kind!r}")
+    try:
+        canonical_json_bytes(doc)
+    except UnicodeEncodeError:  # a \ud800 escape parses to a lone surrogate
+        _fail(source, "$", "a string holds a lone surrogate, which UTF-8 cannot encode")
 
 
 @dataclass

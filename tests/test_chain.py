@@ -73,6 +73,24 @@ def test_payload_nested_past_the_decoder_is_rejected_in_its_block(chain):
     assert block.transactions[1].gas_used == 2 * 8 * 100_000
 
 
+@pytest.mark.parametrize("payload, error", [
+    (b'{"op":"publish_results","result":{"winner_id":"\\ud800"}}', "MALFORMED_PAYLOAD"),
+    (b'{"op":"bogus","x":"\\ud800"}', "MALFORMED_PAYLOAD"),
+    (b'{"op":"bogus","x":"\\udc00\\ud800"}', "MALFORMED_PAYLOAD"),
+    # a pair of escapes spells one character, which UTF-8 holds
+    (b'{"op":"bogus","x":"\\ud83d\\ude00"}', "UNKNOWN_CONTRACT_CALL"),
+], ids=["publish-lone-high", "unknown-op-lone-high", "unknown-op-reversed-pair", "valid-pair"])
+def test_a_call_holding_a_lone_surrogate_is_rejected_in_its_block(chain, to_keys, payload,
+                                                                  error):
+    # json.loads turns a lone \ud800 escape into a str that UTF-8 cannot encode again
+    rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
+    chain.submit_transaction(sender, None, _noop_payload())
+    chain.submit_transaction(sender, rft, payload)
+    block = chain.mine_block(chain.now() + 1000)
+    assert [t.status for t in block.transactions] == ["OK", "REJECTED"]
+    assert block.transactions[1].error == error
+
+
 def test_mine_rejects_non_monotonic_timestamp(chain):
     chain.advance_to(chain.now() + 1000)
     chain.mine_block(chain.now())

@@ -13,7 +13,14 @@ import pytest
 from tendersim import audit, crypto
 from tendersim.chain import compute_tx_hash
 from tendersim.cli import main
-from tendersim.encoding import canonical_json_bytes, from_hex, from_text, to_hex, to_text
+from tendersim.encoding import (
+    canonical_json,
+    canonical_json_bytes,
+    from_hex,
+    from_text,
+    to_hex,
+    to_text,
+)
 from tendersim.errors import IncomparableScenarios, ScenarioError
 from tendersim.scenario import (
     compare_schemes,
@@ -51,11 +58,32 @@ def test_cli_run_exits_nonzero_on_unparseable_scenario(tmp_path, capsys):
     assert f"{bad}:1:" in err  # line-anchored diagnostic
 
 
+def _full_track_doc() -> dict:
+    return json.loads((SCENARIO_DIR / "full_track_10_bids.json").read_text())
+
+
+def _full_track_file_with(edit) -> bytes:
+    """full_track_10_bids edited by ``edit``, as JSON that spells every
+    character above U+007F, a lone surrogate too, as a \\u escape."""
+    doc = _full_track_doc()
+    edit(doc)
+    return json.dumps(doc).encode("ascii")
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("content", [
     pytest.param(b'{"name": "caf\xe9"}', id="invalid-utf-8"),
     pytest.param(b"[" * 100_000, id="nested-deeper-than-the-decoder-recurses"),
     pytest.param(b'{"seed": ' + b"7" * 5000 + b"}", id="int-5000-digits"),
+    # json.loads reads a lone surrogate escape as a str that UTF-8 cannot encode again
+    pytest.param(_full_track_file_with(lambda d: d["tender"].update(title="\ud800")),
+                 id="title-lone-surrogate"),
+    pytest.param(_full_track_file_with(lambda d: d["tender"].update(terms="\ud800")),
+                 id="terms-lone-surrogate"),
+    pytest.param(_full_track_file_with(lambda d: d["bidders"][0].update(id="\ud800")),
+                 id="bidder-id-lone-surrogate"),
+    pytest.param(_full_track_file_with(lambda d: d["bidders"][0].update(free_text="x\udfff")),
+                 id="free-text-lone-surrogate"),
 ])
 def test_cli_refuses_a_scenario_file_json_cannot_read(tmp_path, capsys, command, content):
     bad = tmp_path / "broken.json"
@@ -85,10 +113,6 @@ def test_unknown_action_rejected(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(p)
     assert "$.adversarial[0]" in str(err.value)
-
-
-def _full_track_doc() -> dict:
-    return json.loads((SCENARIO_DIR / "full_track_10_bids.json").read_text())
 
 
 def _late_bid(doc, **extra):
@@ -334,17 +358,43 @@ _FORMAT = b'{"format": "tendersim-chain/3", '
                            b'"config": {}, "gas_schedule": {}}', id="block-int-5000-digits"),
     pytest.param(_FORMAT + b'"blocks": [], "contracts": {"0x01": {"limit": ' + b"7" * 5000
                  + b'}}, "config": {}, "gas_schedule": {}}', id="contract-int-5000-digits"),
+    # a string UTF-8 cannot hold: the lone surrogate is written as its \u escape
+    pytest.param(lambda e: _first_tx(e).update(error="\ud800"), id="receipt-error-lone-surrogate"),
+    # bytes around a valid export
+    pytest.param((b"\xef\xbb\xbf", b""), id="bom-before-a-valid-export"),
+    pytest.param((b"", b"x"), id="x-after-a-valid-export"),
+    pytest.param((b"", b"{}"), id="object-after-a-valid-export"),
 ])
 def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
-    if callable(content):
+    if isinstance(content, tuple):
+        prefix, suffix = content
+        content = prefix + canonical_json_bytes(_full_track_10_export()) + suffix
+    elif callable(content):
         export = copy.deepcopy(_full_track_10_export())
         content(export)
-        content = canonical_json_bytes(export)
+        content = canonical_json(export).encode("utf-8", "backslashreplace")
     path = tmp_path / "chain.json"
     path.write_bytes(content)
-    code = main(["audit", str(path)])
+    code = main(["audit", str(path), "--out", str(tmp_path / "audit.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error[MALFORMED_EXPORT]")
+    assert not (tmp_path / "audit.json").exists()
+
+
+def test_audit_command_replays_a_call_holding_a_lone_surrogate(tmp_path, capsys):
+    # the publish transaction, re-signed and re-mined with a payload whose
+    # \ud800 escape json.loads reads as a str UTF-8 cannot encode again
+    export = copy.deepcopy(_full_track_10_export())
+    tx = export["blocks"][-1]["transactions"][-1]
+    payload = b'{"op":"publish_results","result":{"winner_id":"\\ud800"}}'
+    tx_hash = compute_tx_hash(from_hex(tx["sender"]), from_hex(tx["target"]), tx["nonce"],
+                              payload, tx["gas_price"])
+    tx.update(payload=to_text(payload), tx_hash=to_hex(tx_hash))
+    chain_surgery.remine(export)
+    path = tmp_path / "chain.json"
+    path.write_bytes(canonical_json_bytes(export))
+    assert main(["audit", str(path)]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _first_published_bid(export) -> tuple[str, dict]:
