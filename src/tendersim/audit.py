@@ -45,7 +45,7 @@ from .chain import (
     compute_tx_hash,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
-from .encoding import HexMemo, canonical_json_bytes, from_hex, from_text, to_hex
+from .encoding import from_hex, from_text, to_hex
 from .errors import (
     MalformedAddress,
     MalformedExport,
@@ -107,6 +107,8 @@ class AuditReport:
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800-\uDFFF; payloads hold \u00XX
+# each escape of a JSON text in turn, a surrogate pair as one; group 1 is a lone surrogate
+_ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)")
 
 
 def parse_export(file):
@@ -116,16 +118,23 @@ def parse_export(file):
     the one before it, so the document grows linearly with the bids.
 
     Raises MalformedExport only when the file is not UTF-8 JSON or holds a
-    lone surrogate (a ``\\u`` escape ``write_canonical_json`` never writes);
+    lone surrogate (a ``\\u`` escape ``write_canonical_json`` never writes),
+    named at its line, column and character offset in the file;
     ``read_ledger``, which ``replay_chain`` calls, checks what the document holds.
     """
     try:
         text = file.read().decode("utf-8")
         doc = json.loads(text)
-        if _SURROGATE_ESCAPE.search(text):
-            canonical_json_bytes(doc)  # UnicodeEncodeError on a lone surrogate
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, an int of 4301+ digits
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
+    if _SURROGATE_ESCAPE.search(text):
+        lone = next((m for m in _ESCAPE.finditer(text) if m[1]), None)
+        if lone is not None:
+            at = lone.start()
+            line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+            raise MalformedExport(f"chain export holds a lone surrogate \\{lone[1]}, which "
+                                  f"UTF-8 cannot encode: line {line} column {column} "
+                                  f"(char {at})")
     return doc
 
 
@@ -393,12 +402,11 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
     disclosed_all = replay.export["contracts"]
     owners = _owners(replay)
     tender_data = {t.contract.tender_data_addr for t in replay.tenders.values()}
-    hexes = HexMemo()
     found = []
     for addr, contract in replay.state.items():
-        addr_hex = hexes[addr]
+        addr_hex = to_hex(addr)
         belongs = owners.get(addr, set())
-        expected = contracts.disclose(contract, replay.state, hexes)
+        expected = contracts.disclose(contract, replay.state)
         disclosed = disclosed_all.get(addr_hex)
         if disclosed is None:
             tag = "ERASURE" if isinstance(contract, BidRecordContract) else "R1"
@@ -411,7 +419,7 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
                 tag, text = _grade_difference(contract, addr_hex, key, expected, value,
                                               addr in tender_data)
                 found.append((belongs, tag, text))
-    created = {hexes[addr] for addr in replay.state}
+    created = {to_hex(addr) for addr in replay.state}
     for addr_hex in disclosed_all:
         if addr_hex not in created:
             found.append((set(), "R6", f"disclosed contract {addr_hex} was never created "

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .encoding import HexMemo, to_hex, to_text
+from .encoding import to_hex, to_text
 from .errors import (
     NoSuchContract,
     TimestampNotMonotonic,
@@ -335,13 +335,9 @@ class Chain:
         by ``contracts.disclose``: a tracked tender's records each keep the
         bid array as it stood, and each is written as a link to the record
         before it, so the file grows linearly with the bids.
-
-        Every address is rendered once per export and the one ``str`` is
-        shared by every field and list that names it.
         """
         from . import contracts  # avoids an import cycle
 
-        hexes = HexMemo()
         return {
             "format": EXPORT_FORMAT,
             "config": self.config.as_dict(),
@@ -354,8 +350,8 @@ class Chain:
                     "block_hash": to_hex(b.block_hash),
                     "transactions": [
                         {
-                            "sender": hexes[t.sender],
-                            "target": DEPLOY_TARGET if t.target is None else hexes[t.target],
+                            "sender": to_hex(t.sender),
+                            "target": DEPLOY_TARGET if t.target is None else to_hex(t.target),
                             "payload": to_text(t.payload),
                             "nonce": t.nonce,
                             "gas_price": t.gas_price,
@@ -363,7 +359,7 @@ class Chain:
                             "status": t.status,
                             "error": t.error,
                             "kind": t.kind,
-                            "created_address": hexes[t.created_address]
+                            "created_address": to_hex(t.created_address)
                             if t.created_address else None,
                             "tx_hash": to_hex(t.tx_hash),
                         }
@@ -372,6 +368,6 @@ class Chain:
                 }
                 for b in self.blocks
             ],
-            "contracts": {hexes[a]: contracts.disclose(c, self._contracts, hexes)
+            "contracts": {to_hex(a): contracts.disclose(c, self._contracts)
                           for a, c in self._contracts.items()},
         }

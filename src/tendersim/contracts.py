@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import crypto, secp256k1
 from .chain import Chain, ExecOutcome, ExecutionContext, contract_address, meter_gas
-from .encoding import HexMemo, canonical_json_bytes, from_hex, load_json_bytes, to_hex
+from .encoding import canonical_json_bytes, from_hex, load_json_bytes, to_hex
 from .errors import BiddingStillOpen, NoSuchContract, RepublishForbidden, SchemeHasNoState
 
 SCHEME_FULL = "FULL_TRACK"
@@ -76,10 +76,8 @@ class Contract:
     """A contract answers calls through ``transition``; it rejects every call
     unless a subclass says otherwise.
 
-    ``snapshot(hexes)`` is the disclosed state as a JSON value, apart from a
-    tracked bid record's copy of the bid array (see ``disclose``). Addresses
-    in it are rendered through the memo ``hexes``, so snapshots taken with
-    one memo share one ``str`` per address.
+    ``snapshot()`` is the disclosed state as a JSON value, apart from a
+    tracked bid record's copy of the bid array (see ``disclose``).
     """
 
     def execute(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
@@ -100,8 +98,8 @@ class TenderDataContract(Contract):
         self.owner = owner
         self.data = data
 
-    def snapshot(self, hexes: HexMemo) -> dict:
-        return {"kind": self.kind, "owner": hexes[self.owner], "data": to_hex(self.data)}
+    def snapshot(self) -> dict:
+        return {"kind": self.kind, "owner": to_hex(self.owner), "data": to_hex(self.data)}
 
 
 class BidRecordContract(Contract):
@@ -126,7 +124,7 @@ class BidRecordContract(Contract):
         self.prior_bids = prior_bids
         self.bidding_end_copy = bidding_end_copy
 
-    def snapshot(self, hexes: HexMemo) -> dict:
+    def snapshot(self) -> dict:
         """The record's state less its copy of the bid array, which costs
         O(bids) to render: ``disclose`` writes that copy as a link, and the
         auditor compares it with the tender's own array."""
@@ -134,7 +132,7 @@ class BidRecordContract(Contract):
             "kind": self.kind,
             "scheme": self.scheme,
             "id": self.bidder_id,
-            "data_addr": hexes[self.data_addr],
+            "data_addr": to_hex(self.data_addr),
             "validity": self.validity,
             "sealed_half_a": to_hex(self.sealed_half_a),
         }
@@ -143,7 +141,7 @@ class BidRecordContract(Contract):
         return snap
 
 
-def disclose(contract: Contract, state: dict, hexes: HexMemo) -> dict:
+def disclose(contract: Contract, state: dict) -> dict:
     """``contract``'s state as a chain export writes it: its snapshot, except
     that a tracked bid record's ``prior_bids`` is a link to the record before it.
 
@@ -156,15 +154,15 @@ def disclose(contract: Contract, state: dict, hexes: HexMemo) -> dict:
     has one spelling. ``state`` is the address-to-contract map ``contract``
     belongs to.
     """
-    snap = contract.snapshot(hexes)
+    snap = contract.snapshot()
     prior = contract.prior_bids if isinstance(contract, BidRecordContract) else None
     if prior is None:
         return snap
     before = state.get(prior[-1]) if prior else None
     if isinstance(before, BidRecordContract) and before.prior_bids == prior[:-1]:
-        snap["prior_bids"] = {"extends": hexes[prior[-1]], "then": []}
+        snap["prior_bids"] = {"extends": to_hex(prior[-1]), "then": []}
     else:
-        snap["prior_bids"] = {"extends": None, "then": [hexes[a] for a in prior]}
+        snap["prior_bids"] = {"extends": None, "then": [to_hex(a) for a in prior]}
     return snap
 
 
@@ -289,21 +287,21 @@ class RequestForTenderContract(Contract):
             raise BiddingStillOpen(f"bidding open until {self.bidding_end}")
         return tuple(self.bids_placed)
 
-    def snapshot(self, hexes: HexMemo) -> dict:
+    def snapshot(self) -> dict:
         snap = {
             "kind": self.kind,
             "scheme": self.scheme,
             "bidding_end": self.bidding_end,
             "limit": self.limit,
             "pubk": to_hex(self.pubk),
-            "tender_data": hexes[self.tender_data_addr] if self.tender_data_addr else None,
-            "deployer": hexes[self.deployer],
+            "tender_data": to_hex(self.tender_data_addr) if self.tender_data_addr else None,
+            "deployer": to_hex(self.deployer),
             "bid_count": dict(sorted(self.bid_count.items())),
             "reveals": [dict(r) for r in self.reveals],
             "results": self.results,
         }
         if self.bids_placed is not None:
-            snap["bids_placed"] = [hexes[a] for a in self.bids_placed]
+            snap["bids_placed"] = [to_hex(a) for a in self.bids_placed]
         return snap
 
 

@@ -5,9 +5,9 @@ helpers so that identical runs serialize to identical bytes: JSON with
 sorted keys and fixed separators, byte strings as 0x-prefixed lowercase hex,
 except transaction payloads, which are text with one character per byte
 (``to_text``) so that the JSON calls they hold stay readable.
-Every JSON file the package writes is written by ``write_canonical_json``,
-which streams it; a chain export is read back whole, with ``json.loads``
-(``audit.parse_export``).
+Every JSON file the package writes is written whole by
+``write_canonical_json``; a chain export is read back whole, with
+``json.loads`` (``audit.parse_export``).
 """
 
 from __future__ import annotations
@@ -18,18 +18,6 @@ from typing import Any
 
 def to_hex(b: bytes) -> str:
     return "0x" + b.hex()
-
-
-class HexMemo(dict):
-    """``memo[raw]`` is ``to_hex(raw)``, rendered once per distinct ``raw``.
-
-    Equal inputs get the same ``str`` object back, so an address named in
-    many lists is held in memory once for as long as the memo lives.
-    """
-
-    def __missing__(self, raw: bytes) -> str:
-        text = self[raw] = to_hex(raw)
-        return text
 
 
 def from_hex(s: str) -> bytes:
@@ -53,39 +41,10 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def _canonical_chunks(obj: Any, levels: int):
-    """``canonical_json(obj)`` in pieces that join to it: the containers of
-    the top ``levels`` levels are written here, everything below them whole."""
-    if not levels or not obj or type(obj) not in (dict, list):
-        yield canonical_json(obj)
-    elif type(obj) is list:
-        opener = "["
-        for item in obj:
-            yield opener
-            yield from _canonical_chunks(item, levels - 1)
-            opener = ","
-        yield "]"
-    else:
-        opener = "{"
-        for key in sorted(obj):
-            yield opener + json.encoder.encode_basestring(key) + ":"
-            yield from _canonical_chunks(obj[key], levels - 1)
-            opener = ","
-        yield "}"
-
-
 def write_canonical_json(path, obj: Any) -> None:
-    """Write ``canonical_json(obj) + "\n"`` to ``path`` as UTF-8, byte for byte.
-
-    The text is never whole in memory: the top two levels are written piece
-    by piece, and each value below them is encoded on its own (a block or a
-    disclosed contract of a chain export, a row of an audit report's gas
-    trace or timeline, a field of each report in a list). Keys must be
-    strings.
-    """
+    """Write ``canonical_json(obj) + "\n"`` to ``path`` as UTF-8, byte for byte."""
     with open(path, "wb") as out:
-        for chunk in _canonical_chunks(obj, 2):
-            out.write(chunk.encode("utf-8"))
+        out.write(canonical_json(obj).encode("utf-8"))
         out.write(b"\n")
 
 

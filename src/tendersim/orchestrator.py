@@ -358,8 +358,10 @@ class TenderOrchestrator:
         Honest runs must come back all-False before key delivery; an early
         on-ledger revelation flips its bid to True.
         """
+        rft = self.chain.get_contract(self.rft_address)
+        stateless = rft.scheme == contracts.SCHEME_STATELESS
         outcome = {}
-        for addr in self._recorded_bid_addresses():
+        for addr in self.to.known_bids if stateless else rft.bids_placed:
             record = self.chain.get_contract(addr)
             sealed = record.sealed_half_a + self.to.received_halves.get(addr, b"")
             try:
@@ -370,16 +372,10 @@ class TenderOrchestrator:
                 outcome[addr] = False
         return outcome
 
-    def _recorded_bid_addresses(self) -> list[bytes]:
-        rft = self.chain.get_contract(self.rft_address)
-        if rft.scheme == contracts.SCHEME_STATELESS:
-            return list(self.to.known_bids)
-        return list(rft.bids_placed)
-
     def close_and_evaluate(self) -> TenderResult:
         return evaluate_tender(self.chain, self.rft_address, self.to.keys.private_key,
                                self.to.received_halves,
-                               known_bids=self._recorded_bid_addresses())
+                               known_bids=self.to.known_bids)
 
     def publish_results(self, result: TenderResult, at: int | None = None) -> str:
         call = contracts.publish_results_call(result.to_dict())
@@ -397,7 +393,9 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
     """Decrypt, score, and pick the winner over the recorded bids.
 
     Bids stay out of the ranking when they are invalid, unrevealed, or fail
-    decryption; each gets a status instead of aborting the evaluation.
+    decryption; each gets a status instead of aborting the evaluation. A
+    stateless tender's bids are ``known_bids``, the record addresses handed to
+    the organisation off-ledger; a tracked tender's are its own bid array.
     """
     rft = chain.get_contract(rft_address)
     now = chain.now()

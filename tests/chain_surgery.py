@@ -14,9 +14,22 @@ def remine(export: dict, start_height: int = 1) -> None:
     blocks = export["blocks"]
     for block in blocks[start_height:]:
         block["parent_hash"] = blocks[block["height"] - 1]["block_hash"]
-        tx_hashes = [from_hex(t["tx_hash"]) for t in block["transactions"]]
-        block["block_hash"] = to_hex(compute_block_hash(
-            block["height"], from_hex(block["parent_hash"]), block["timestamp"], tx_hashes))
+        _rehash(block)
+
+
+def reseal(export: dict, index: int, **fields) -> None:
+    """Set ``fields`` on block ``index`` and recompute its hash, then re-mine
+    the blocks after it, so the edit breaks no hash and no later link."""
+    block = export["blocks"][index]
+    block.update(fields)
+    _rehash(block)
+    remine(export, index + 1)
+
+
+def _rehash(block: dict) -> None:
+    tx_hashes = [from_hex(t["tx_hash"]) for t in block["transactions"]]
+    block["block_hash"] = to_hex(compute_block_hash(
+        block["height"], from_hex(block["parent_hash"]), block["timestamp"], tx_hashes))
 
 
 def reuse_nonce(export: dict, height: int, tx_index: int, target_hex: str) -> dict:

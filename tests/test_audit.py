@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import json
+import re
 import tracemalloc
 from random import Random
 from unittest import mock
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from tendersim import audit, contracts, crypto
 from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
-from tendersim.encoding import HexMemo, canonical_json, canonical_json_bytes, to_hex
+from tendersim.encoding import canonical_json, canonical_json_bytes, to_hex
 from tendersim.errors import (
     MalformedAddress,
     MalformedExport,
@@ -24,6 +25,7 @@ from tendersim.errors import (
     TenderSimError,
 )
 from tendersim.orchestrator import (
+    STATUS_SCORED,
     BidDocument,
     EvaluationCriteria,
     TenderOrchestrator,
@@ -186,8 +188,9 @@ def test_fault_forged_certificate_accepted():
     assert any(v.tag == "R3" and spam_addr in v.description for v in report.violations)
 
 
-def _run_with_one_spam_bid():
-    # honest tender plus one certificate-invalid bid placed before the deadline
+def _run_with_one_spam_bid(rig=lambda result, spam: None):
+    # honest tender plus one certificate-invalid bid placed before the deadline;
+    # rig(result, spam) may edit the evaluation before it is published
     rng = Random(44)
     chain = Chain(ChainConfig())
     orch = TenderOrchestrator(chain, rng)
@@ -203,11 +206,13 @@ def _run_with_one_spam_bid():
                                     rng.randbytes(32), rng.randbytes(32), b"aa")
     chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
     block = chain.mine_block(chain.now() + 30_000)
-    spam_addr = to_hex(block.transactions[0].created_address)
+    spam = block.transactions[0].created_address
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
     orch.deliver_key_half("B1", s1)
-    orch.publish_results(orch.close_and_evaluate())
-    return chain.export(), spam_addr, to_hex(rft)
+    result = orch.close_and_evaluate()
+    rig(result, spam)
+    orch.publish_results(result)
+    return chain.export(), to_hex(spam), to_hex(rft)
 
 
 def test_fault_rigged_winner():
@@ -274,6 +279,95 @@ def test_payload_tamper_breaks_hash_chain():
     assert any("hash mismatch" in v.description for v in violations)
     report = audit.replay_and_audit(export, rft_hex)
     assert report.requirements["R6"]["verdict"] == "FAIL"
+
+
+def _r6_findings(export, rft_hex) -> set[str]:
+    return {v.description for v in audit.replay_and_audit(export, rft_hex).violations
+            if v.tag == "R6"}
+
+
+def test_block_hash_edited_without_re_mining_is_flagged():
+    export, rft_hex, _, _ = _honest_export()
+    head = export["blocks"][-1]
+    head["block_hash"] = to_hex(bytes(32))
+    assert _r6_findings(export, rft_hex) == {"block hash mismatch"}
+
+
+def test_genesis_block_with_a_parent_is_flagged():
+    export, rft_hex, _, _ = _honest_export()
+    chain_surgery.reseal(export, 0, parent_hash=to_hex(b"\x01" * 32))
+    assert _r6_findings(export, rft_hex) == {"malformed genesis block"}
+
+
+def test_block_linked_to_the_wrong_parent_is_flagged():
+    export, rft_hex, _, _ = _honest_export()
+    chain_surgery.reseal(export, 2, parent_hash=export["blocks"][0]["block_hash"])
+    assert _r6_findings(export, rft_hex) == {"broken parent hash link"}
+
+
+def test_block_with_a_skipped_height_is_flagged():
+    export, rft_hex, _, _ = _honest_export()
+    head = export["blocks"][-1]
+    chain_surgery.reseal(export, len(export["blocks"]) - 1, height=head["height"] + 1)
+    assert _r6_findings(export, rft_hex) == {"non-sequential block height"}
+
+
+def _findings(export, rft_hex) -> set[tuple[str, str]]:
+    return {(v.tag, v.description)
+            for v in audit.replay_and_audit(export, rft_hex).violations}
+
+
+def test_invalid_bid_published_as_scored_is_flagged():
+    def rig(result, spam):
+        result.statuses[spam] = STATUS_SCORED
+    export, spam_hex, rft_hex = _run_with_one_spam_bid(rig)
+    assert ("R3", f"invalid bid {spam_hex} was scored by the published evaluation") \
+        in _findings(export, rft_hex)
+
+
+def _published_export(rig) -> tuple[dict, str, str]:
+    """An honest two-bid tender whose organisation edits the published
+    results with ``rig(results, loser)`` before publishing them, where loser
+    is the losing bid's address: (export, tender address, loser)."""
+    chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    results = orch.close_and_evaluate().to_dict()
+    loser = to_hex(subs["B1"].record_address)
+    assert results["winner_id"] == "B2" and results["statuses"][loser] == STATUS_SCORED
+    rig(results, loser)
+    orch.publish_results(mock.Mock(to_dict=lambda: results))
+    return chain.export(), to_hex(rft), loser
+
+
+def test_bid_scored_without_a_published_key_is_flagged():
+    export, rft_hex, loser = _published_export(
+        lambda results, loser: results["revealed_keys"].pop(loser))
+    assert ("R3", f"bid {loser} scored without a published key") in _findings(export, rft_hex)
+
+
+@pytest.mark.parametrize("entry", [{"sealed": "0x00"}, {"sealed": "0x00", "bid_key": 7},
+                                   "0x00"])
+def test_malformed_published_key_entry_is_flagged(entry):
+    export, rft_hex, loser = _published_export(
+        lambda results, loser: results["revealed_keys"].update({loser: entry}))
+    assert ("R3", f"published key entry for {loser} is malformed") \
+        in _findings(export, rft_hex)
+
+
+def test_published_score_that_keeps_the_winner_is_still_checked():
+    export, rft_hex, loser = _published_export(
+        lambda results, loser: results["scores"].update({loser: results["scores"][loser] - 1}))
+    report = audit.replay_and_audit(export, rft_hex)
+    assert report.winner_match
+    assert any(v.tag == "R3" and v.description == f"published score for {loser} differs "
+               f"from recomputation" for v in report.violations)
+
+
+def test_disclosed_tender_data_deleted_from_the_export_is_flagged():
+    export, rft_hex, _, _ = _honest_export()
+    data_hex = export["contracts"][rft_hex]["tender_data"]
+    del export["contracts"][data_hex]
+    assert ("R1", f"contract {data_hex} created on-ledger is missing from disclosed state") \
+        in _findings(export, rft_hex)
 
 
 def test_ciphertext_tamper_detected_via_published_key():
@@ -353,8 +447,7 @@ def test_read_ledger_gives_the_ledger_blocks_field_by_field(scheme):
 def test_replay_rederives_the_ledger_state(scheme):
     export, _, _, _ = _honest_export(scheme)
     replay = audit.replay_chain(export)
-    hexes = HexMemo()
-    assert {hexes[a]: contracts.disclose(c, replay.state, hexes)
+    assert {to_hex(a): contracts.disclose(c, replay.state)
             for a, c in replay.state.items()} == export["contracts"]
     assert replay.receipt_findings == [] and replay.state_findings == []
 
@@ -657,6 +750,22 @@ def test_parse_export_frees_the_bytes_before_the_parse(tmp_path):
         tracemalloc.stop()
     assert len(parsed["blob"]) == size
     assert peak < 2.5 * size
+
+
+@pytest.mark.parametrize("text, where", [
+    (r'["\ud83d\ude00", "\\ud800"]', None),  # a surrogate pair; a backslash, then text
+    (r'["\\\ud800"]', "line 1 column 5 (char 4)"),
+    ('{"a":\n "\\ud800\\u0041"}', "line 2 column 3 (char 8)"),  # high, then no low
+    (r'["\udc00"]', "line 1 column 3 (char 2)"),
+    (r'{"\ud800": 1}', "line 1 column 3 (char 2)"),
+])
+def test_parse_export_names_the_first_lone_surrogate_where_the_file_holds_it(text, where):
+    file = io.BytesIO(text.encode("ascii"))
+    if where is None:
+        canonical_json_bytes(audit.parse_export(file))
+    else:
+        with pytest.raises(MalformedExport, match=re.escape(where)):
+            audit.parse_export(file)
 
 
 @given(st.lists(json_values, max_size=6))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tendersim import contracts, crypto
 from tendersim.chain import Chain, ChainConfig
-from tendersim.encoding import HexMemo, canonical_json_bytes, to_hex
+from tendersim.encoding import canonical_json_bytes, to_hex
 from tendersim.errors import BiddingStillOpen, NoSuchContract, SchemeHasNoState
 
 import ledger_ops
@@ -59,11 +59,11 @@ def test_bidding_end_is_deploy_time_plus_length(chain, to_keys):
 def test_data_contract_size_boundary(chain):
     sender = chain.register_account(account("TO"))
     addr = ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 625)  # 5000 bits
-    assert chain.get_contract(addr).snapshot(HexMemo())["data"] == "0x" + "42" * 625
+    assert chain.get_contract(addr).snapshot()["data"] == "0x" + "42" * 625
     with pytest.raises(ledger_ops.Rejected, match=contracts.DATA_TOO_LARGE):
         ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 626)
     empty = ledger_ops.deploy_tender_data(chain, sender, b"")
-    assert chain.get_contract(empty).snapshot(HexMemo())["data"] == "0x"
+    assert chain.get_contract(empty).snapshot()["data"] == "0x"
 
 
 # --- full track (every bid is recorded) ---------------------------------------------
@@ -77,7 +77,7 @@ def test_full_track_first_valid_bid(chain, to_keys):
     assert record.prior_bids == ()
     assert record.bidding_end_copy == chain.get_contract(rft).bidding_end
     assert chain.blocks[-1].transactions[0].gas_used == 299_501
-    assert chain.get_contract(rft).snapshot(HexMemo())["bids_placed"] == ["0x" + addr.hex()]
+    assert chain.get_contract(rft).snapshot()["bids_placed"] == ["0x" + addr.hex()]
     assert chain.get_contract(rft).bid_count == {"B1": 1}
 
 
@@ -180,7 +180,7 @@ def test_stateless_flat_gas_and_no_array(chain, to_keys):
         assert record.prior_bids is None
         assert record.bidding_end_copy is None
         assert "prior_bids" not in chain.export()["contracts"][to_hex(addr)]
-    assert "bids_placed" not in chain.get_contract(rft).snapshot(HexMemo())
+    assert "bids_placed" not in chain.get_contract(rft).snapshot()
     assert chain.get_contract(rft).bid_count == {"B1": 5}
 
 

@@ -1,22 +1,17 @@
-"""The streamed JSON writer, which writes the same bytes as canonical_json
-with less memory, and the chain export it writes, read back whole."""
+"""The JSON writer, which writes canonical_json's text and a newline, and
+the chain export it writes, read back whole."""
 
 import json
-import tracemalloc
-from random import Random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tendersim import audit, contracts
-from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
 from tendersim.encoding import canonical_json, write_canonical_json
-from tendersim.orchestrator import BidDocument, TenderOrchestrator, TenderSpec
 from tendersim.scenario import run_scenario
 
-from conftest import SCENARIO_DIR, price_criteria, run_honest_tender, two_bid_docs
+from conftest import SCENARIO_DIR, run_honest_tender, two_bid_docs
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(min_value=-2**200, max_value=2**200)
@@ -48,32 +43,6 @@ def _spammed_full_track(honest: int, spam_per_bid: int) -> dict:
     return run_scenario(doc).export
 
 
-@pytest.fixture(scope="module")
-def four_tenders():
-    """The export of four FULL_TRACK tenders run at once on one chain, 24
-    honest bids each: 96 records, and no value much larger than another."""
-    chain = Chain(ChainConfig())
-    rng = Random(5)
-    runs = []
-    for t in range(4):
-        orch = TenderOrchestrator(chain, Random(rng.getrandbits(64)))
-        rft, _ = orch.open_tender(TenderSpec(title=f"tender {t}", terms=b"deliver the goods",
-                                             criteria=price_criteria(), length_ms=3_600_000,
-                                             limit=2, scheme="FULL_TRACK"))
-        runs.append((orch, rft, {}))
-    for i in range(24):
-        for orch, _, subs in runs:
-            orch.register_bidder(f"B{i}")
-            subs[f"B{i}"] = orch.submit_sealed_bid(
-                f"B{i}", BidDocument(f"B{i}", {"price": 100.0 + i, "delivery_days": 10.0}))
-    chain.advance_to(max(chain.get_contract(rft).bidding_end for _, rft, _ in runs) + 1)
-    for orch, _, subs in runs:
-        for bidder_id, sub in subs.items():
-            orch.deliver_key_half(bidder_id, sub)
-        orch.publish_results(orch.close_and_evaluate())
-    return chain.export()
-
-
 def test_export_grows_linearly_with_the_bids():
     # each record links to the one before it instead of repeating the bid
     # array, so twice the records make about twice the file (3.0x when every
@@ -81,27 +50,6 @@ def test_export_grows_linearly_with_the_bids():
     small, large = (len(canonical_json(_spammed_full_track(honest, 3)).encode("utf-8"))
                     for honest in (24, 48))
     assert large < 2.2 * small, (small, large)
-
-
-def test_streamed_writer_holds_no_copy_of_a_full_track_export(tmp_path, four_tenders):
-    # 96 records. The writer's peak is about four times its largest block or
-    # contract (json.dumps holds several times what it encodes); the file is
-    # made of many such values, so it outgrows the peak.
-    export = four_tenders
-    assert sum(c["kind"] == "bid_record" for c in export["contracts"].values()) == 96
-    path = tmp_path / "chain.json"
-    tracemalloc.start()
-    try:
-        write_canonical_json(path, export)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = path.stat().st_size
-    largest = max(len(canonical_json(value).encode("utf-8"))
-                  for value in (*export["blocks"], *export["contracts"].values()))
-    assert path.read_bytes() == (canonical_json(export) + "\n").encode("utf-8")
-    assert peak < size / 4, (peak, size)
-    assert peak < 5 * largest, (peak, largest)
 
 
 def test_every_byte_of_a_payload_survives_the_export(tmp_path):

@@ -360,25 +360,40 @@ _FORMAT = b'{"format": "tendersim-chain/3", '
                  + b'}}, "config": {}, "gas_schedule": {}}', id="contract-int-5000-digits"),
     # a string UTF-8 cannot hold: the lone surrogate is written as its \u escape
     pytest.param(lambda e: _first_tx(e).update(error="\ud800"), id="receipt-error-lone-surrogate"),
+    # the same in an indented file, named where the file holds it, not where
+    # the compact re-encoding would
+    pytest.param((lambda e: _first_tx(e).update(error="\ud800"), 1),
+                 id="indented-receipt-error-lone-surrogate"),
     # bytes around a valid export
     pytest.param((b"\xef\xbb\xbf", b""), id="bom-before-a-valid-export"),
     pytest.param((b"", b"x"), id="x-after-a-valid-export"),
     pytest.param((b"", b"{}"), id="object-after-a-valid-export"),
 ])
 def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
+    indent = None
+    if isinstance(content, tuple) and callable(content[0]):  # an edit, and the file's indent
+        content, indent = content
     if isinstance(content, tuple):
         prefix, suffix = content
         content = prefix + canonical_json_bytes(_full_track_10_export()) + suffix
     elif callable(content):
         export = copy.deepcopy(_full_track_10_export())
         content(export)
-        content = canonical_json(export).encode("utf-8", "backslashreplace")
+        text = json.dumps(export, indent=indent, ensure_ascii=False) if indent \
+            else canonical_json(export)
+        content = text.encode("utf-8", "backslashreplace")
     path = tmp_path / "chain.json"
     path.write_bytes(content)
     code = main(["audit", str(path), "--out", str(tmp_path / "audit.json")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error[MALFORMED_EXPORT]")
+    err = capsys.readouterr().err
+    assert err.startswith("error[MALFORMED_EXPORT]")
     assert not (tmp_path / "audit.json").exists()
+    if b"\\ud800" in content:
+        text = content.decode("utf-8")
+        at = text.index("\\ud800")
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        assert f"line {line} column {column} (char {at})" in err, err
 
 
 def test_audit_command_replays_a_call_holding_a_lone_surrogate(tmp_path, capsys):
