@@ -1,0 +1,106 @@
+"""Mutation check of one module: does some test fail for each small change?
+
+    python scripts/mutate_audit.py src/tendersim/audit.py [--only disclose,linked] [--jobs 2]
+
+Three kinds of mutant, one change each: an ``if``/``while`` test negated, a
+returned comparison negated, and a statement that appends a finding replaced
+by ``None``. ``--only`` keeps the mutants inside the named functions. Each
+mutant runs ``pytest -x`` over ``tests/``, fast modules first, in a copy of
+the tree; it is killed when a test fails or the run takes over 10 minutes.
+Prints one line per mutant, then the counts; exits 1 if any mutant survives.
+Standard library only; run by hand, not part of the test suite.
+"""
+
+import argparse
+import ast
+import os
+import queue
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+          "tests/test_audit.py", "tests/test_contracts.py", "tests/test_chain.py", "tests"]
+
+
+def candidates(tree: ast.AST, only: set[str]):
+    """(node, kind) for each place a mutant can change, in a fixed order."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def scope(node):
+        while node in parents and not isinstance(node, ast.FunctionDef):
+            node = parents[node]
+        return getattr(node, "name", None)
+
+    for node in ast.walk(tree):
+        if only and scope(node) not in only:
+            continue
+        if isinstance(node, (ast.If, ast.While)):
+            yield node, "negate test"
+        elif isinstance(node, ast.Return) and isinstance(node.value, ast.Compare):
+            yield node, "negate returned comparison"
+        elif (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Attribute)
+              and node.value.func.attr in ("append", "extend")
+              and any(name in ast.unparse(node.value.func.value)
+                      for name in ("violations", "found", "findings"))):
+            yield node, "drop finding"
+
+
+def mutant(source: str, index: int, only: set[str]) -> tuple[int, str, str]:
+    """(line, kind, mutated source) of mutant ``index`` of ``source``."""
+    tree = ast.parse(source)
+    node, kind = list(candidates(tree, only))[index]
+    if kind == "negate test":
+        node.test = ast.UnaryOp(ast.Not(), node.test)
+    elif kind == "negate returned comparison":
+        node.value = ast.UnaryOp(ast.Not(), node.value)
+    else:
+        node.value = ast.Constant(None)
+    return node.lineno, kind, ast.unparse(ast.fix_missing_locations(tree))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("module", help="path of the module, relative to the repository")
+    parser.add_argument("--only", default="", help="comma-separated function names")
+    parser.add_argument("--jobs", type=int, default=2)
+    args = parser.parse_args()
+    only = {name for name in args.only.split(",") if name}
+    source = (ROOT / args.module).read_text()
+    count = len(list(candidates(ast.parse(source), only)))
+    work = Path(tempfile.mkdtemp(prefix="mutants-"))
+    lanes: queue.Queue = queue.Queue()
+    for k in range(args.jobs):
+        lanes.put(Path(shutil.copytree(ROOT, work / str(k), ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))))
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def run(index: int) -> tuple[int, str, bool]:
+        line, kind, text = mutant(source, index, only)
+        lane = lanes.get()
+        (lane / args.module).write_text(text)
+        try:
+            killed = subprocess.run(PYTEST, cwd=lane, env=env, capture_output=True,
+                                    timeout=600).returncode != 0
+        except subprocess.TimeoutExpired:
+            killed = True
+        (lane / args.module).write_text(source)
+        lanes.put(lane)
+        print(f"{args.module}:{line} {kind}: {'killed' if killed else 'SURVIVED'}", flush=True)
+        return line, kind, killed
+
+    with ThreadPoolExecutor(args.jobs) as pool:
+        results = list(pool.map(run, range(count)))
+    shutil.rmtree(work)
+    survivors = [(line, kind) for line, kind, killed in results if not killed]
+    print(f"{count} mutants, {count - len(survivors)} killed, {len(survivors)} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,7 +32,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, field
 
-from . import contracts, crypto
+from . import contracts
 from .chain import (
     ADDRESS_LEN,
     DEPLOY_TARGET,
@@ -45,7 +45,7 @@ from .chain import (
     compute_tx_hash,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
-from .encoding import from_hex, from_text, to_hex
+from .encoding import from_hex, from_text, same_json, to_hex
 from .errors import (
     MalformedAddress,
     MalformedExport,
@@ -115,7 +115,10 @@ def parse_export(file):
     """The JSON document in a binary chain export file, not yet checked:
     decoded strictly as UTF-8, the bytes freed, then parsed by ``json.loads``,
     which keeps one ``str`` per distinct key. Each tracked bid record links to
-    the one before it, so the document grows linearly with the bids.
+    the one before it, and each data contract's bytes and tender's results to
+    the transaction that carried them (``contracts.disclose``), so the document
+    grows linearly with the bids and holds no payload twice. Links are left as
+    they are: the audit compares them and never follows one.
 
     Raises MalformedExport only when the file is not UTF-8 JSON or holds a
     lone surrogate (a ``\\u`` escape ``write_canonical_json`` never writes),
@@ -164,9 +167,10 @@ def read_ledger(export) -> list[Block]:
     JSON object, unread, as its receipt: the replay compares receipts
     strictly. Disclosed contracts are left as they are: the state diff
     compares each with ``contracts.disclose`` of its re-derived twin, so a
-    bid record's ``prior_bids`` link must be spelled as the export writes it,
-    and the audit stays linear in the bids. Raises MalformedExport for a
-    document that is not a ``tendersim-chain/3`` object, for ``blocks``,
+    bid record's ``prior_bids`` link, and a ``data`` or ``results`` link to a
+    transaction, must be spelled as the export writes it, and the audit stays
+    linear in the bids. Raises MalformedExport for a document that is not a
+    ``tendersim-chain/4`` object (earlier formats included), for ``blocks``,
     ``contracts``, ``config``, ``gas_schedule`` or a disclosed contract of the
     wrong JSON type, and for a missing or malformed block or transaction field.
     """
@@ -283,6 +287,8 @@ class ChainReplay:
     export: dict
     schedule: GasSchedule
     state: dict = field(default_factory=dict)  # address -> re-derived contract
+    # recomputed tx hash -> decoded call, for the calls the export links to
+    calls: dict[bytes, dict] = field(default_factory=dict)
     tenders: dict[bytes, _Tender] = field(default_factory=dict)  # in deployment order
     ledger_findings: list[Violation] = field(default_factory=list)
     # (address of the tender the transaction was sent to or None, finding)
@@ -321,8 +327,12 @@ def replay_chain(export) -> ChainReplay:
                               f"but its sender's next nonce is {expected}"))
         nonces[tx.sender] = max(expected, tx.nonce + 1)
         call = contracts.decode_call(tx.payload)
+        op = call.get("op") if call else None
+        tx_hash = compute_tx_hash(tx.sender, tx.target, tx.nonce, tx.payload, tx.gas_price)
+        if op in contracts.LINKED_OPS:
+            replay.calls[tx_hash] = call
         target = contracts.DEPLOY if tx.target is None else state.get(tx.target)
-        ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce,
+        ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce, tx_hash=tx_hash,
                                block_timestamp=ts, block_height=height,
                                gas_schedule=schedule, config=config)
         outcome, created = contracts.transition(target, call, tx.payload, ctx)
@@ -340,7 +350,6 @@ def replay_chain(export) -> ChainReplay:
         if tender is not None and tender.published is None \
                 and tender.contract.results is not None:
             tender.published = (height, ts)
-        op = call.get("op") if call else None
         for finding in _receipt_findings(tx.receipt, outcome, op, height):
             replay.receipt_findings.append((tx.target if tender else None, finding))
         replay.gas_trace.append((tx.receipt.get("kind") or "unknown",
@@ -356,24 +365,24 @@ def _receipt_findings(tx: dict, outcome, op, height: int) -> list[Violation]:
     created = to_hex(outcome.created_address) if outcome.created_address else None
     tx_hash = tx["tx_hash"]
     found = []
-    if not (_same(outcome.status, tx.get("status", _ABSENT))
-            and _same(outcome.error, tx.get("error", _ABSENT))):
+    if not (same_json(outcome.status, tx.get("status", _ABSENT))
+            and same_json(outcome.error, tx.get("error", _ABSENT))):
         tag = "R1" if op in contracts.OUTCOME_FIXING_OPS else "R3"
         found.append(Violation(
             tag, height,
             f"transaction {tx_hash} recorded as {tx.get('status')}/{tx.get('error')} "
             f"but re-execution gives {outcome.status}/{outcome.error}"))
-    if not _same(outcome.gas_used, tx.get("gas_used", _ABSENT)):
+    if not same_json(outcome.gas_used, tx.get("gas_used", _ABSENT)):
         found.append(Violation(
             "R6", height,
             f"gas_used {tx.get('gas_used')} differs from re-metered {outcome.gas_used} "
             f"for {tx_hash}"))
-    if not _same(outcome.kind, tx.get("kind", _ABSENT)):
+    if not same_json(outcome.kind, tx.get("kind", _ABSENT)):
         found.append(Violation(
             "R6", height,
             f"transaction {tx_hash} recorded as kind {tx.get('kind')} but re-execution "
             f"gives {outcome.kind}"))
-    if not _same(created, tx.get("created_address", _ABSENT)):
+    if not same_json(created, tx.get("created_address", _ABSENT)):
         found.append(Violation(
             "R3", height, f"created address of {tx_hash} does not match re-execution"))
     return found
@@ -382,18 +391,6 @@ def _receipt_findings(tx: dict, outcome, op, height: int) -> list[Violation]:
 # --- disclosed state --------------------------------------------------------------------
 
 _ABSENT = object()  # a key the disclosed JSON does not have
-
-
-def _same(expected, actual) -> bool:
-    """JSON equality that also tells true from 1 and 1 from 1.0."""
-    if type(expected) is not type(actual) or expected != actual:
-        return False
-    if type(expected) is dict:
-        return all(_same(value, actual[key]) for key, value in expected.items())
-    if type(expected) is list:
-        # equal strings are strictly equal; only other values need a look
-        return set(map(type, expected)) <= {str} or all(map(_same, expected, actual))
-    return True
 
 
 def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
@@ -406,7 +403,7 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
     for addr, contract in replay.state.items():
         addr_hex = to_hex(addr)
         belongs = owners.get(addr, set())
-        expected = contracts.disclose(contract, replay.state)
+        expected = contracts.disclose(contract, replay.state, replay.calls)
         disclosed = disclosed_all.get(addr_hex)
         if disclosed is None:
             tag = "ERASURE" if isinstance(contract, BidRecordContract) else "R1"
@@ -415,7 +412,7 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
             continue
         for key in [*expected, *(k for k in disclosed if k not in expected)]:
             value = disclosed.get(key, _ABSENT)
-            if not _same(expected.get(key, _ABSENT), value):
+            if not same_json(expected.get(key, _ABSENT), value):
                 tag, text = _grade_difference(contract, addr_hex, key, expected, value,
                                               addr in tender_data)
                 found.append((belongs, tag, text))
@@ -542,15 +539,11 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
             violations.append(Violation("R3", height,
                                         f"published key entry for {addr} is malformed"))
             continue
+        ciphertext = _disclosed_data(replay, record.data_addr)
         if not sealed.startswith(record.sealed_half_a):
             violations.append(Violation("R3", height,
                                         f"published sealed key for {addr} does not extend "
                                         f"the on-ledger half"))
-        disclosed = replay.export["contracts"].get(to_hex(record.data_addr), {})
-        try:
-            ciphertext = from_hex(disclosed.get("data"))
-        except ValueError:  # no data contract, or no hex data, is disclosed there
-            ciphertext = b""
         status, score = open_bid(criteria, record.bidder_id, ciphertext, bid_key)
         if status == STATUS_MALFORMED:
             violations.append(Violation("UNDECRYPTABLE_BID", height,
@@ -567,6 +560,22 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
     if winner_addr is None:
         return None, None, violations
     return to_hex(winner_addr), replay.state[winner_addr].bidder_id, violations
+
+
+def _disclosed_data(replay: ChainReplay, addr: bytes) -> bytes:
+    """The bytes the export discloses at ``addr``: the re-derived data contract's
+    when the disclosed ``data`` is the link the ledger writes for it, else the
+    hex written whole, else none. No other link is followed."""
+    disclosed = replay.export["contracts"].get(to_hex(addr), {}).get("data")
+    contract = replay.state.get(addr)
+    if isinstance(contract, TenderDataContract) and same_json(
+            contracts.linked(to_hex(contract.data), contract.tx_hash, replay.calls, "data"),
+            disclosed):
+        return contract.data
+    try:
+        return from_hex(disclosed)
+    except ValueError:  # no data contract, or no hex data, is disclosed there
+        return b""
 
 
 def _object_field(result: dict, key: str) -> dict:
@@ -646,7 +655,7 @@ def parse_address(text: str) -> bytes:
     return bytes.fromhex(text[2:])
 
 
-def replay_and_audit(source, rft_address, presented_receipts=None) -> AuditReport:
+def replay_and_audit(source, rft_address) -> AuditReport:
     """Audit one tender from public chain data alone.
 
     ``source`` is a chain export or a ChainReplay of one; auditing several
@@ -695,19 +704,6 @@ def replay_and_audit(source, rft_address, presented_receipts=None) -> AuditRepor
             "R5", spam[0],
             f"{len(spam)} certificate-invalid bid(s) were recorded; each "
             f"inflates every later bid by {replay.schedule.per_prior_bid_copy} gas"))
-
-    if presented_receipts:
-        statuses = _object_field(result, "statuses")
-        for receipt in presented_receipts:
-            addr_hex = to_hex(receipt.bid_address)
-            if not crypto.verify_receipt(rft.pubk, receipt.bid_address,
-                                         receipt.v, receipt.r, receipt.s):
-                continue  # not the organisation's signature; no claim to answer
-            if addr_hex not in statuses:
-                violations.append(Violation(
-                    "NONRECEIPT", published_height,
-                    f"bid {addr_hex} carries a signed acknowledgement but is missing "
-                    f"from the disclosed evaluation"))
 
     unique = list(dict.fromkeys(violations))  # exact repeats dropped, order kept
 

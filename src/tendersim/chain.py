@@ -28,7 +28,7 @@ from .errors import (
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
 GAS_PRICE = 1  # no fee market: every transaction offers the same price
-EXPORT_FORMAT = "tendersim-chain/3"
+EXPORT_FORMAT = "tendersim-chain/4"
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,7 @@ class ExecutionContext:
 
     sender: bytes
     tx_nonce: int
+    tx_hash: bytes  # names the transaction in the fields it sets (contracts.disclose)
     block_timestamp: int
     block_height: int
     gas_schedule: GasSchedule
@@ -268,9 +269,9 @@ class Chain:
         executed = []
         for pending in self._pending:
             ctx = ExecutionContext(sender=pending.sender, tx_nonce=pending.nonce,
-                                   block_timestamp=proposed_timestamp, block_height=height,
-                                   gas_schedule=self.gas_schedule, config=self.config,
-                                   chain=self)
+                                   tx_hash=pending.tx_hash, block_timestamp=proposed_timestamp,
+                                   block_height=height, gas_schedule=self.gas_schedule,
+                                   config=self.config, chain=self)
             outcome = self._execute(ctx, pending)
             executed.append(Transaction(
                 sender=pending.sender,
@@ -334,10 +335,15 @@ class Chain:
         export could check them against the ledger. Each contract is written
         by ``contracts.disclose``: a tracked tender's records each keep the
         bid array as it stood, and each is written as a link to the record
-        before it, so the file grows linearly with the bids.
+        before it, so the file grows linearly with the bids; a data
+        contract's bytes and a tender's published results are written as a
+        link to the transaction that carried them, so the export does not
+        hold them twice.
         """
         from . import contracts  # avoids an import cycle
 
+        calls = {t.tx_hash: contracts.decode_call(t.payload)
+                 for b in self.blocks for t in b.transactions if t.kind in contracts.LINKED_OPS}
         return {
             "format": EXPORT_FORMAT,
             "config": self.config.as_dict(),
@@ -368,6 +374,6 @@ class Chain:
                 }
                 for b in self.blocks
             ],
-            "contracts": {to_hex(a): contracts.disclose(c, self._contracts)
+            "contracts": {to_hex(a): contracts.disclose(c, self._contracts, calls)
                           for a, c in self._contracts.items()},
         }

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import crypto, secp256k1
 from .chain import Chain, ExecOutcome, ExecutionContext, contract_address, meter_gas
-from .encoding import canonical_json_bytes, from_hex, load_json_bytes, to_hex
+from .encoding import canonical_json_bytes, from_hex, load_json_bytes, same_json, to_hex
 from .errors import BiddingStillOpen, NoSuchContract, RepublishForbidden, SchemeHasNoState
 
 SCHEME_FULL = "FULL_TRACK"
@@ -63,6 +63,10 @@ _KINDS = {
 # the auditor grades a wrong receipt for one as an immutability breach.
 OUTCOME_FIXING_OPS = ("publish_results", "set_field")
 
+# The calls whose argument a contract keeps, which the export writes as a link
+# to the transaction (``disclose``); each is also its accepted receipt's kind.
+LINKED_OPS = ("deploy_data", "publish_results")
+
 # The target of a deployment transaction.
 DEPLOY = object()
 
@@ -89,14 +93,17 @@ class Contract:
 
 
 class TenderDataContract(Contract):
-    """Immutable byte blob, used for tender terms and encrypted bid documents."""
+    """Immutable byte blob, used for tender terms and encrypted bid documents.
+
+    ``tx_hash`` names the deployment that carried the bytes."""
 
     kind = "tender_data"
 
-    def __init__(self, address: bytes, owner: bytes, data: bytes):
+    def __init__(self, address: bytes, owner: bytes, data: bytes, tx_hash: bytes):
         self.address = address
         self.owner = owner
         self.data = data
+        self.tx_hash = tx_hash
 
     def snapshot(self) -> dict:
         return {"kind": self.kind, "owner": to_hex(self.owner), "data": to_hex(self.data)}
@@ -141,20 +148,33 @@ class BidRecordContract(Contract):
         return snap
 
 
-def disclose(contract: Contract, state: dict) -> dict:
+def disclose(contract: Contract, state: dict, calls: dict) -> dict:
     """``contract``'s state as a chain export writes it: its snapshot, except
-    that a tracked bid record's ``prior_bids`` is a link to the record before it.
+    that a value the export already holds elsewhere is written as a link.
 
-    ``{"extends": E, "then": [...]}`` stands for E's own list, then E, then
-    ``then``; ``"extends": None`` stands for the empty list. A record whose list
-    is the list of the record before it plus that record, as on every ledger,
-    is written ``{"extends": <that record>, "then": []}``, so the export grows
-    linearly with the bids; any other list is written whole in ``then``. The
-    auditor calls it on its re-derived state and compares strictly, so a list
-    has one spelling. ``state`` is the address-to-contract map ``contract``
-    belongs to.
+    A data contract's ``data`` and a tender's ``results`` are written as
+    ``{"in_tx": <hash of the transaction that set it>}`` when they equal, as
+    strictly as the auditor compares, what that transaction carried: its
+    call's ``data`` or ``result``. ``calls`` maps transaction hashes to decoded
+    calls and must hold every accepted ``deploy_data`` and ``publish_results``
+    call. A value that differs, as after an edit of the ledger, is written whole.
+
+    A tracked bid record's ``prior_bids`` is ``{"extends": E, "then": [...]}``,
+    which stands for E's own list, then E, then ``then``; ``"extends": None``
+    stands for the empty list. A record whose list is the list of the record
+    before it plus that record, as on every ledger, is written
+    ``{"extends": <that record>, "then": []}``, so the export grows linearly
+    with the bids; any other list is written whole in ``then``.
+
+    The auditor calls it on its re-derived state and compares strictly, never
+    following a link, so each value has one spelling. ``state`` is the
+    address-to-contract map ``contract`` belongs to.
     """
     snap = contract.snapshot()
+    if isinstance(contract, TenderDataContract):
+        snap["data"] = linked(snap["data"], contract.tx_hash, calls, "data")
+    elif isinstance(contract, RequestForTenderContract):
+        snap["results"] = linked(snap["results"], contract.results_tx, calls, "result")
     prior = contract.prior_bids if isinstance(contract, BidRecordContract) else None
     if prior is None:
         return snap
@@ -164,6 +184,15 @@ def disclose(contract: Contract, state: dict) -> dict:
     else:
         snap["prior_bids"] = {"extends": None, "then": [to_hex(a) for a in prior]}
     return snap
+
+
+def linked(value, tx_hash: bytes | None, calls: dict, arg: str):
+    """A link to transaction ``tx_hash`` if its call carried ``value`` as ``arg``,
+    else ``value``."""
+    call = calls.get(tx_hash)
+    if call is not None and same_json(call.get(arg), value):
+        return {"in_tx": to_hex(tx_hash)}
+    return value
 
 
 class RequestForTenderContract(Contract):
@@ -184,6 +213,7 @@ class RequestForTenderContract(Contract):
         self.bids_placed: list[bytes] | None = None if scheme == SCHEME_STATELESS else []
         self.reveals: list[dict] = []
         self.results: dict | None = None
+        self.results_tx: bytes | None = None  # the publication that set ``results``
 
     def transition(self, call: dict, ctx: ExecutionContext) -> Transition:
         op = call.get("op")
@@ -273,6 +303,7 @@ class RequestForTenderContract(Contract):
         if ctx.sender != self.deployer:
             return reject_call(call, ctx, error=UNAUTHORIZED_PUBLISHER)
         self.results = result
+        self.results_tx = ctx.tx_hash
         return ExecOutcome(kind="publish_results",
                            gas_used=meter_gas(ctx.gas_schedule, "publish_results",
                                               data_bits=_call_bits(call)))
@@ -367,7 +398,7 @@ def deploy_data(call: dict, ctx: ExecutionContext) -> Transition:
     return (ExecOutcome(kind="deploy_data",
                         gas_used=meter_gas(ctx.gas_schedule, "deploy_data", data_bits=bits),
                         created_address=addr),
-            TenderDataContract(addr, ctx.sender, data))
+            TenderDataContract(addr, ctx.sender, data, ctx.tx_hash))
 
 
 def deploy_rft(call: dict, ctx: ExecutionContext) -> Transition:

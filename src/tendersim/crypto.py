@@ -153,7 +153,3 @@ def receipt_digest(bid_address: bytes) -> bytes:
 
 def sign_receipt(private_key: bytes, bid_address: bytes) -> tuple[int, bytes, bytes]:
     return curve.sign_digest(int.from_bytes(private_key, "big"), receipt_digest(bid_address))
-
-
-def verify_receipt(public_key: bytes, bid_address: bytes, v: int, r: bytes, s: bytes) -> bool:
-    return curve.verify_digest(public_key, receipt_digest(bid_address), v, r, s)

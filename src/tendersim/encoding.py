@@ -54,3 +54,15 @@ def canonical_json_bytes(obj: Any) -> bytes:
 
 def load_json_bytes(raw: bytes) -> Any:
     return json.loads(raw.decode("utf-8"))
+
+
+def same_json(expected: Any, actual: Any) -> bool:
+    """JSON equality that also tells true from 1 and 1 from 1.0."""
+    if type(expected) is not type(actual) or expected != actual:
+        return False
+    if type(expected) is dict:
+        return all(same_json(value, actual[key]) for key, value in expected.items())
+    if type(expected) is list:
+        # equal strings are strictly equal; only other values need a look
+        return set(map(type, expected)) <= {str} or all(map(same_json, expected, actual))
+    return True

@@ -328,7 +328,7 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
                 raise ScenarioError(f"ERASE_BID index {action['index']} out of range")
             array.pop(action["index"])
         elif action["action"] == "MUTATE_TENDER":
-            _apply_tender_mutation(export, rft_hex, action.get("field", "data"))
+            _apply_tender_mutation(chain, export, rft_hex, action.get("field", "data"))
 
     report = audit.replay_and_audit(export, rft)
 
@@ -361,11 +361,11 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
     return outcome
 
 
-def _apply_tender_mutation(export: dict, rft_hex: str, field_name: str) -> None:
+def _apply_tender_mutation(chain: Chain, export: dict, rft_hex: str, field_name: str) -> None:
     rft_snap = export["contracts"][rft_hex]
-    if field_name == "data":
+    if field_name == "data":  # the export links to the deployment; write the edit whole
         data_addr = rft_snap["tender_data"]
-        raw = bytearray(from_hex(export["contracts"][data_addr]["data"]))
+        raw = bytearray(chain.get_contract(from_hex(data_addr)).data)
         raw[0] ^= 0xFF
         export["contracts"][data_addr]["data"] = to_hex(bytes(raw))
     elif field_name == "bidding_end":

@@ -5,6 +5,8 @@ miner could, optionally re-mining hashes so only the targeted property is
 broken.
 """
 
+import json
+
 from tendersim.chain import compute_block_hash, compute_tx_hash
 from tendersim.encoding import from_hex, from_text, to_hex, to_text
 
@@ -53,11 +55,35 @@ def flip_payload_bit(export: dict, height: int, tx_index: int, bit: int) -> None
     tx["payload"] = to_text(bytes(raw))
 
 
+def carried(export: dict, tx_hash_hex: str) -> dict:
+    """The call that transaction ``tx_hash_hex`` of ``export`` carries."""
+    tx = next(tx for block in export["blocks"] for tx in block["transactions"]
+              if tx["tx_hash"] == tx_hash_hex)
+    return json.loads(from_text(tx["payload"]))
+
+
+def contract_data(export: dict, address_hex: str) -> bytes:
+    """The bytes of the data contract at ``address_hex``, read through the link
+    to its deployment when the export writes one."""
+    data = export["contracts"][address_hex]["data"]
+    if isinstance(data, dict):
+        data = carried(export, data["in_tx"])["data"]
+    return from_hex(data)
+
+
+def published_results(export: dict, rft_hex: str) -> dict:
+    """The results the accepted publication to tender ``rft_hex`` carried."""
+    tx = next(tx for block in export["blocks"] for tx in block["transactions"]
+              if tx["target"] == rft_hex and tx["status"] == "OK"
+              and tx["kind"] == "publish_results")
+    return json.loads(from_text(tx["payload"]))["result"]
+
+
 def flip_contract_data_bit(export: dict, address_hex: str, bit: int) -> None:
-    snap = export["contracts"][address_hex]
-    raw = bytearray(from_hex(snap["data"]))
+    """Flip one bit of a data contract's bytes and write them whole."""
+    raw = bytearray(contract_data(export, address_hex))
     raw[bit // 8] ^= 1 << (bit % 8)
-    snap["data"] = to_hex(bytes(raw))
+    export["contracts"][address_hex]["data"] = to_hex(bytes(raw))
 
 
 def backdate_block(export: dict, height: int, new_timestamp: int) -> None:

@@ -5,7 +5,7 @@ transaction is rejected, so a test can ``pytest.raises(Rejected, match=code)``
 for the contract rule it exercises.
 """
 
-from tendersim import contracts, crypto
+from tendersim import contracts, crypto, secp256k1
 from tendersim.chain import Chain
 from tendersim.encoding import canonical_json_bytes
 from tendersim.errors import TenderSimError
@@ -84,6 +84,10 @@ def collect_valid_bid_data(chain: Chain, rft_addr: bytes) -> list[bytes]:
     return out
 
 
+def verify_receipt(public_key: bytes, bid_address: bytes, v: int, r: bytes, s: bytes) -> bool:
+    return secp256k1.verify_digest(public_key, crypto.receipt_digest(bid_address), v, r, s)
+
+
 def verify_acknowledgement(public_key: bytes, bid_address: bytes,
                            receipt: contracts.Receipt) -> bool:
-    return crypto.verify_receipt(public_key, bid_address, receipt.v, receipt.r, receipt.s)
+    return verify_receipt(public_key, bid_address, receipt.v, receipt.r, receipt.s)

@@ -174,7 +174,7 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), seed=505)
     export = chain.export()
     rft_hex = to_hex(rft)
-    published = export["contracts"][rft_hex]["results"]["revealed_keys"]
+    published = chain_surgery.published_results(export, rft_hex)["revealed_keys"]
     rng = Random(505)
     record_addrs = export["contracts"][rft_hex]["bids_placed"]
     data_addrs = [export["contracts"][a]["data_addr"] for a in record_addrs]
@@ -187,7 +187,7 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
         trials += 1
         victim = rng.choice(record_addrs)
         data_hex = export["contracts"][victim]["data_addr"]
-        raw = bytearray(bytes.fromhex(export["contracts"][data_hex]["data"][2:]))
+        raw = bytearray(chain_surgery.contract_data(export, data_hex))
         bit = rng.randrange(len(raw) * 8)
         raw[bit // 8] ^= 1 << (bit % 8)
         key = bytes.fromhex(published[victim]["bid_key"][2:])
@@ -237,7 +237,7 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
         trials += 1
         tampered = _copy.deepcopy(export)
         data_hex = rng.choice(data_addrs)
-        raw_len = (len(tampered["contracts"][data_hex]["data"]) - 2) // 2
+        raw_len = len(chain_surgery.contract_data(tampered, data_hex))
         chain_surgery.flip_contract_data_bit(tampered, data_hex,
                                              rng.randrange(raw_len * 8))
         report = audit.replay_and_audit(tampered, rft_hex)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from tendersim import audit, contracts, crypto
 from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
-from tendersim.encoding import canonical_json, canonical_json_bytes, to_hex
+from tendersim.encoding import canonical_json, canonical_json_bytes, from_hex, to_hex
 from tendersim.errors import (
     MalformedAddress,
     MalformedExport,
@@ -353,6 +353,24 @@ def test_malformed_published_key_entry_is_flagged(entry):
         in _findings(export, rft_hex)
 
 
+def test_published_sealed_key_that_does_not_extend_the_ledger_half_is_flagged():
+    def rig(results, loser):
+        sealed = results["revealed_keys"][loser]["sealed"]
+        results["revealed_keys"][loser]["sealed"] = \
+            f"0x{int(sealed[2:4], 16) ^ 1:02x}{sealed[4:]}"
+    export, rft_hex, loser = _published_export(rig)
+    assert ("R3", f"published sealed key for {loser} does not extend the on-ledger half") \
+        in _findings(export, rft_hex)
+
+
+def test_bid_record_disclosing_an_unexpected_field_is_flagged():
+    export, rft_hex, _, _ = _honest_export()
+    record = export["contracts"][rft_hex]["bids_placed"][0]
+    export["contracts"][record]["note"] = 1
+    assert _findings(export, rft_hex) == \
+        {("R3", f"bid record {record} discloses unexpected field note")}
+
+
 def test_published_score_that_keeps_the_winner_is_still_checked():
     export, rft_hex, loser = _published_export(
         lambda results, loser: results["scores"].update({loser: results["scores"][loser] - 1}))
@@ -381,7 +399,8 @@ def test_ciphertext_tamper_detected_via_published_key():
 
 
 def test_nonreceipt_detection_in_stateless_scheme():
-    # the auctioneer acknowledges a bid, then leaves it out of the evaluation
+    # the auctioneer acknowledges a bid, then leaves it out of the evaluation;
+    # the replay finds the bid from its placement on the ledger alone
     rng = Random(61)
     chain = Chain(ChainConfig())
     orch = TenderOrchestrator(chain, rng)
@@ -399,8 +418,8 @@ def test_nonreceipt_detection_in_stateless_scheme():
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
     orch.deliver_key_half("B1", subs["B1"])
     orch.publish_results(orch.close_and_evaluate())
-    report = audit.replay_and_audit(chain.export(), rft, presented_receipts=[receipt])
-    assert any(v.tag == "NONRECEIPT" for v in report.violations)
+    report = audit.replay_and_audit(chain.export(), rft)
+    assert [v.tag for v in report.violations] == ["NONRECEIPT"]
 
 
 def test_early_reveal_shows_in_r2_evidence():
@@ -447,7 +466,7 @@ def test_read_ledger_gives_the_ledger_blocks_field_by_field(scheme):
 def test_replay_rederives_the_ledger_state(scheme):
     export, _, _, _ = _honest_export(scheme)
     replay = audit.replay_chain(export)
-    assert {to_hex(a): contracts.disclose(c, replay.state)
+    assert {to_hex(a): contracts.disclose(c, replay.state, replay.calls)
             for a, c in replay.state.items()} == export["contracts"]
     assert replay.receipt_findings == [] and replay.state_findings == []
 
@@ -782,7 +801,7 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/3", "blocks": [block],
+    raw = canonical_json_bytes({"format": "tendersim-chain/4", "blocks": [block],
                                 "contracts": {}, "config": {}, "gas_schedule": {}})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))
@@ -830,6 +849,110 @@ def test_hostile_disclosed_arrays_are_graded_not_raised(full_track_10, tmp_path,
     path.write_bytes(canonical_json_bytes(export))
     assert main(["audit", str(path)]) in (0, 1, 2)
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def two_tenders():
+    """(export, first tender, second tender) of two published FULL_TRACK tenders
+    on one chain, with a rejected second publication of the first."""
+    chain = Chain(ChainConfig())
+    spec = TenderSpec(title="t", terms=b"x", criteria=price_criteria(), length_ms=600_000,
+                      limit=2, scheme="FULL_TRACK")
+    orchs = [TenderOrchestrator(chain, Random(seed)) for seed in (81, 82)]
+    rfts = [orch.open_tender(spec)[0] for orch in orchs]
+    subs = []
+    for orch in orchs:
+        for doc in two_bid_docs():
+            orch.register_bidder(doc.bidder_id)
+            subs.append((orch, doc.bidder_id, orch.submit_sealed_bid(doc.bidder_id, doc)))
+    chain.advance_to(max(chain.get_contract(rft).bidding_end for rft in rfts) + 1)
+    for orch, bidder_id, sub in subs:
+        orch.deliver_key_half(bidder_id, sub)
+    results = [orch.close_and_evaluate() for orch in orchs]
+    for orch, result in zip(orchs, results):
+        orch.publish_results(result)
+    with pytest.raises(RepublishForbidden):
+        orchs[0].publish_results(results[0])
+    export = chain.export()
+    for rft in rfts:
+        assert audit.replay_and_audit(export, rft).violations == []
+    return export, to_hex(rfts[0]), to_hex(rfts[1])
+
+
+def _tx_hash_of(export, **fields) -> str:
+    return next(tx["tx_hash"] for b in export["blocks"] for tx in b["transactions"]
+                if all(tx[k] == v for k, v in fields.items()))
+
+
+def _first_ciphertext(c, rft):
+    return c[c[rft]["bids_placed"][0]]["data_addr"]
+
+
+# each linked field: where it sits for a given tender, as (address, key), and
+# the finding an edit of it gives
+_LINKED_FIELDS = {
+    "results": (lambda c, rft: (rft, "results"),
+                ("R1", "disclosed results differ from the published payload")),
+    "tender-data": (lambda c, rft: (c[rft]["tender_data"], "data"),
+                    ("R1", "tender data at {addr} differs from the bytes in its deployment")),
+    "bid-ciphertext": (lambda c, rft: (_first_ciphertext(c, rft), "data"),
+                       ("R3", "bid ciphertext at {addr} differs from the bytes in its "
+                              "deployment")),
+}
+_LINK_EDITS = {
+    "unknown-tx": lambda e, own, other: {"in_tx": "0x" + "55" * 32},
+    "rejected-tx": lambda e, own, other: {"in_tx": _tx_hash_of(e, status="REJECTED")},
+    "other-tenders-tx": lambda e, own, other: other,
+    "place-bid-tx": lambda e, own, other: {"in_tx": _tx_hash_of(e, kind="bid_full")},
+    "in-tx-a-number": lambda e, own, other: {"in_tx": 7},
+    "in-tx-missing": lambda e, own, other: {},
+    "extra-key": lambda e, own, other: {**own, "x": 1},
+    "a-list": lambda e, own, other: [own],
+}
+
+
+@pytest.mark.parametrize("field", list(_LINKED_FIELDS))
+@pytest.mark.parametrize("edit", [*_LINK_EDITS, "written-whole"])
+def test_hostile_transaction_links_are_graded_not_raised(two_tenders, tmp_path, capsys,
+                                                         field, edit):
+    export, first, second = copy.deepcopy(two_tenders[0]), two_tenders[1], two_tenders[2]
+    locate, (tag, text) = _LINKED_FIELDS[field]
+    addr, key = locate(export["contracts"], first)
+    other_addr, _ = locate(export["contracts"], second)
+    own, other = export["contracts"][addr][key], export["contracts"][other_addr][key]
+    assert set(own) == {"in_tx"} and own != other
+    if edit == "written-whole":  # the tendersim-chain/3 spelling
+        value = chain_surgery.carried(export, own["in_tx"])["result" if key == "results"
+                                                             else "data"]
+    else:
+        value = _LINK_EDITS[edit](export, own, other)
+    export["contracts"][addr][key] = value
+    parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
+    report = audit.replay_and_audit(parsed, first)
+    assert any(v.tag == tag and v.description.startswith(text.format(addr=addr))
+               for v in report.violations), report.violations
+    path = tmp_path / "chain.json"
+    path.write_bytes(canonical_json_bytes(export))
+    assert main(["audit", str(path)]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", list(_LINKED_FIELDS))
+def test_a_ledger_edit_of_linked_state_is_written_whole_and_flagged(field):
+    chain, rft, _, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), seed=21)
+    contracts_before = chain.export()["contracts"]
+    locate, (tag, text) = _LINKED_FIELDS[field]
+    addr, key = locate(contracts_before, to_hex(rft))
+    contract = chain.get_contract(from_hex(addr))
+    if key == "results":
+        contract.results["winner_id"] = "B9"
+    else:
+        contract.data = bytes([contract.data[0] ^ 1]) + contract.data[1:]
+    disclosed = chain.export()["contracts"][addr][key]
+    assert disclosed == (contract.results if key == "results" else to_hex(contract.data))
+    report = audit.replay_and_audit(chain.export(), rft)
+    assert any(v.tag == tag and v.description.startswith(text.format(addr=addr))
+               for v in report.violations), report.violations
 
 
 def test_a_long_chain_of_forged_links_is_graded_in_linear_memory(full_track_10):

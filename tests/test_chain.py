@@ -26,7 +26,7 @@ from tendersim.errors import (
 )
 
 import ledger_ops
-from conftest import account, expand_prior_bids, make_tender
+from conftest import account, expand_prior_bids, make_tender, run_honest_tender, two_bid_docs
 from reference_data import (
     DEPLOY_GAS,
     FULL_TRACK_BID_SERIES,
@@ -318,3 +318,36 @@ def test_export_holds_one_small_link_per_record():
         tracemalloc.stop()
     assert len(snapshots) == records
     assert freed / records < 200, freed / records
+
+
+@pytest.mark.parametrize("scheme", contracts.SCHEMES)
+def test_export_links_data_and_results_to_the_transactions_that_carried_them(scheme):
+    chain, rft, _, _ = run_honest_tender(scheme, two_bid_docs())
+    export = chain.export()
+    assert export["format"] == "tendersim-chain/4"
+    created = {tx.created_address: tx for b in chain.blocks for tx in b.transactions
+               if tx.created_address}
+    publish = next(tx for b in chain.blocks for tx in b.transactions
+                   if tx.kind == "publish_results")
+    data_contracts = [a for a, c in chain._contracts.items()
+                      if isinstance(c, contracts.TenderDataContract)]
+    assert len(data_contracts) == 3  # the tender data and two ciphertexts
+    for addr in data_contracts:
+        assert export["contracts"][to_hex(addr)]["data"] == \
+            {"in_tx": to_hex(created[addr].tx_hash)}
+    assert export["contracts"][to_hex(rft)]["results"] == {"in_tx": to_hex(publish.tx_hash)}
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda c: setattr(c, "results", {**c.results, "winner_id": "B9"}),
+                 id="results-replaced"),
+    pytest.param(lambda c: c.results["scores"].update(
+        {k: int(v) if v == int(v) else v for k, v in c.results["scores"].items()}),
+        id="a-float-score-made-an-int"),
+])
+def test_export_writes_results_edited_on_the_ledger_whole(edit):
+    chain, rft, _, _ = run_honest_tender("FULL_TRACK", two_bid_docs())
+    rft_contract = chain.get_contract(rft)
+    edit(rft_contract)
+    assert chain.export()["contracts"][to_hex(rft)]["results"] == rft_contract.results
+

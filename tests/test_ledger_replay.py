@@ -1,0 +1,172 @@
+"""Random transaction programs: the ledger and the auditor's replay must agree.
+
+A Hypothesis state machine seeds one to three valid tenders under the
+organisation's key, then submits any mix of data deployments, tender
+deployments with good or bad parameters, bids whose certificate is valid,
+bound to another tender, random or junk, key reveals, publications with a
+result object or without one and by the organisation or a stranger,
+``set_field`` and unknown calls, and raw payloads: bytes that are not UTF-8,
+JSON that is not a call, and calls holding lone surrogates. Blocks come 1 ms,
+5 s or past a deadline apart. After the last block, every contract the replay
+re-derives must be disclosed exactly as the ledger's export discloses it, and
+the replay of that export must find no ledger, receipt or state fault.
+"""
+
+import io
+import json
+from random import Random
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+
+from tendersim import audit, contracts, crypto
+from tendersim.chain import Chain, ChainConfig
+from tendersim.encoding import canonical_json_bytes, to_hex
+
+from conftest import account, json_values
+
+ORG_KEYS = crypto.generate_keypair(Random(606))
+ORG = account("org")
+STRANGER = account("stranger")
+BIDDERS = [account(f"bidder-{k}") for k in range(3)]
+SENDERS = [ORG, STRANGER, *BIDDERS]
+GAPS_MS = (1, 5_000, 700_000)  # 700 s is past every seeded tender's deadline
+SCHEMES = st.sampled_from(contracts.SCHEMES)
+BIDDER_IDS = st.sampled_from(["B1", "B2", "B3"])
+# strings that hold lone surrogates, which st.text() never draws
+SURROGATE_TEXT = st.text(st.characters(categories=["Cs"]) | st.characters(max_codepoint=0x7F),
+                         min_size=1, max_size=4)
+
+
+class LedgerAgainstReplay(RuleBasedStateMachine):
+
+    def __init__(self):
+        super().__init__()
+        self.chain = Chain(ChainConfig())
+        for sender in SENDERS:
+            self.chain.register_account(sender)
+        self.tenders: list[bytes] = []
+        self.data: list[bytes] = []
+        self.records: list[bytes] = []
+
+    def _submit(self, sender: bytes, target: bytes | None, payload: bytes) -> bytes:
+        """Queue a transaction; the address it creates if it is accepted."""
+        created = self.chain.peek_contract_address(sender)
+        self.chain.submit_transaction(sender, target, payload)
+        return created
+
+    def _call(self, sender, target, call: dict) -> bytes:
+        return self._submit(sender, target, canonical_json_bytes(call))
+
+    def _mine(self, gap_ms: int) -> None:
+        ts = self.chain.head().timestamp + gap_ms
+        self.chain.advance_to(ts)
+        self.chain.mine_block(ts)
+
+    def _any(self, data, pool: list[bytes]) -> bytes:
+        """An address from ``pool``, or now and then one where no contract lives."""
+        if pool and data.draw(st.integers(0, 4)):
+            return data.draw(st.sampled_from(pool))
+        return data.draw(st.binary(min_size=20, max_size=20))
+
+    @initialize(schemes=st.lists(SCHEMES, min_size=1, max_size=3))
+    def seed_tenders(self, schemes):
+        spec = self._call(ORG, None, contracts.data_deploy_call(b'{"terms": "deliver"}'))
+        self.data.append(spec)
+        for scheme in schemes:
+            call = contracts.rft_deploy_call(scheme, 600_000, ORG_KEYS.public_key, 2, spec)
+            self.tenders.append(self._call(ORG, None, call))
+        self._mine(1)
+
+    @rule(gap=st.sampled_from(GAPS_MS))
+    def mine(self, gap):
+        self._mine(gap)
+
+    @rule(sender=st.sampled_from(SENDERS),
+          blob=st.binary(max_size=40) | st.binary(min_size=620, max_size=640),
+          upper=st.booleans())
+    def deploy_data(self, sender, blob, upper):
+        call = contracts.data_deploy_call(blob)
+        if upper:  # the same bytes, spelled with uppercase hex digits
+            call["data"] = "0x" + blob.hex().upper()
+        self.data.append(self._call(sender, None, call))
+
+    @rule(sender=st.sampled_from(SENDERS), scheme=SCHEMES | st.just("BOGUS"),
+          length_ms=st.sampled_from([-1, 0, 1, 600_000]), limit=st.integers(0, 2),
+          own_key=st.booleans())
+    def deploy_tender(self, sender, scheme, length_ms, limit, own_key):
+        pubk = ORG_KEYS.public_key if own_key else b"\x01" * 63
+        call = contracts.rft_deploy_call(scheme, length_ms, pubk, limit)
+        self.tenders.append(self._call(sender, None, call))
+
+    @rule(data=st.data(), sender=st.sampled_from(SENDERS), bidder_id=BIDDER_IDS,
+          certificate=st.sampled_from(["valid", "other-tender", "random", "junk"]))
+    def place_bid(self, data, sender, bidder_id, certificate):
+        rft = self._any(data, self.tenders)
+        if certificate in ("valid", "other-tender"):
+            bound = rft if certificate == "valid" else self._any(data, self.tenders)
+            cert = crypto.issue_certificate(ORG_KEYS.private_key, bidder_id, bound)
+            msg_hash, v, r, s = cert.msg_hash, cert.v, cert.r, cert.s
+        else:
+            rng = Random(data.draw(st.integers(0, 2**32)))
+            msg_hash, v, r, s = (rng.randbytes(32), 27 + rng.randrange(2),
+                                 rng.randbytes(32), rng.randbytes(32))
+        call = contracts.place_bid_call(bidder_id, self._any(data, self.data), msg_hash, v,
+                                        r, s, data.draw(st.binary(max_size=8)))
+        if certificate == "junk":
+            call[data.draw(st.sampled_from(["v", "r", "id", "data_addr"]))] = \
+                data.draw(json_values)
+        self.records.append(self._call(sender, rft, call))
+
+    @rule(data=st.data(), sender=st.sampled_from(SENDERS), half_b=st.binary(max_size=8))
+    def reveal(self, data, sender, half_b):
+        call = contracts.reveal_call(self._any(data, self.records), half_b)
+        self._call(sender, self._any(data, self.tenders), call)
+
+    @rule(data=st.data(), sender=st.sampled_from([ORG, ORG, STRANGER]),
+          result=st.dictionaries(st.sampled_from(["winner_id", "statuses", "scores"]),
+                                 json_values, max_size=3) | json_values)
+    def publish(self, data, sender, result):
+        self._call(sender, self._any(data, self.tenders),
+                   contracts.publish_results_call(result))
+
+    @rule(data=st.data(), sender=st.sampled_from(SENDERS),
+          op=st.sampled_from(["set_field", "frobnicate"]), value=json_values)
+    def other_call(self, data, sender, op, value):
+        target = self._any(data, self.tenders + self.data + self.records)
+        self._call(sender, target, {"op": op, "field": "data", "value": value})
+
+    @rule(data=st.data(), sender=st.sampled_from(SENDERS), text=SURROGATE_TEXT,
+          shape=st.sampled_from(["escaped", "surrogatepass", "raw", "not-a-call"]))
+    def raw_payload(self, data, sender, text, shape):
+        call = {"op": data.draw(st.sampled_from(["place_bid", "publish_results",
+                                                 "deploy_data"])),
+                "id": text, "result": {text: 1}, "data": text}
+        if shape == "escaped":  # valid UTF-8 JSON whose \u escapes may spell a lone surrogate
+            payload = json.dumps(call).encode("ascii")
+        elif shape == "surrogatepass":  # surrogates encoded as bytes UTF-8 forbids
+            payload = json.dumps(call, ensure_ascii=False).encode("utf-8", "surrogatepass")
+        elif shape == "raw":
+            payload = data.draw(st.binary(max_size=24))
+        else:
+            payload = data.draw(st.sampled_from([b"[1]", b"5", b"null", b'{"no": "op"}']))
+        target = None if data.draw(st.booleans()) else self._any(data, self.tenders)
+        self._submit(sender, target, payload)
+
+    def teardown(self):
+        self._mine(1)
+        export = self.chain.export()
+        parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
+        replay = audit.replay_chain(parsed)
+        assert {to_hex(a): contracts.disclose(c, replay.state, replay.calls)
+                for a, c in replay.state.items()} == export["contracts"]
+        assert replay.ledger_findings == []
+        assert replay.receipt_findings == []
+        assert replay.state_findings == []
+
+
+LedgerAgainstReplay.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=15, derandomize=True, database=None,
+    deadline=None, suppress_health_check=[HealthCheck.too_slow])
+TestLedgerAgainstReplay = LedgerAgainstReplay.TestCase

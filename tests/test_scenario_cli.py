@@ -307,7 +307,7 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/3", '
+_FORMAT = b'{"format": "tendersim-chain/4", '
 
 
 @pytest.mark.parametrize("content", [
@@ -347,6 +347,7 @@ _FORMAT = b'{"format": "tendersim-chain/3", '
     pytest.param(lambda e: e.pop("format"), id="format-missing"),
     pytest.param(lambda e: e.update(format="tendersim-chain/1"), id="format-1"),
     pytest.param(lambda e: e.update(format="tendersim-chain/2"), id="format-2"),
+    pytest.param(lambda e: e.update(format="tendersim-chain/3"), id="format-3"),
     *(pytest.param(lambda e, v=value: e["config"].update(max_data_bits=v),
                    id=f"max-data-bits-{name}")
       for name, value in (("x", "x"), ("null", None), ("list", []), ("object", {}),
@@ -414,8 +415,9 @@ def test_audit_command_replays_a_call_holding_a_lone_surrogate(tmp_path, capsys)
 
 def _first_published_bid(export) -> tuple[str, dict]:
     """(data address, published keys) of the lowest bid record the results list."""
-    results = next(c["results"] for c in export["contracts"].values()
+    rft_hex = next(a for a, c in export["contracts"].items()
                    if c["kind"] == "request_for_tender")
+    results = chain_surgery.published_results(export, rft_hex)
     record_hex, keys = min(results["revealed_keys"].items())
     return export["contracts"][record_hex]["data_addr"], keys
 
@@ -441,7 +443,7 @@ def _tender_data(edit_spec):
         tx_hash = compute_tx_hash(from_hex(tx["sender"]), None, tx["nonce"], payload,
                                   tx["gas_price"])
         tx.update(payload=to_text(payload), tx_hash=to_hex(tx_hash), gas_used=16 * len(blob))
-        export["contracts"][tx["created_address"]]["data"] = to_hex(blob)
+        export["contracts"][tx["created_address"]]["data"] = {"in_tx": to_hex(tx_hash)}
         chain_surgery.remine(export)
     return edit
 
