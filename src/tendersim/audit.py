@@ -37,10 +37,10 @@ from .chain import (
     ADDRESS_LEN,
     DEPLOY_TARGET,
     EXPORT_FORMAT,
+    GAS_PER_PRIOR_BID_COPY,
     Block,
     ChainConfig,
     ExecutionContext,
-    GasSchedule,
     compute_block_hash,
     compute_tx_hash,
 )
@@ -145,8 +145,9 @@ def parse_export(file):
 
 @dataclass(frozen=True)
 class LedgerTransaction:
-    """A transaction as an export records it: the six fields its hash signs,
-    decoded, and its disclosed receipt, the JSON object as it came."""
+    """A transaction as an export records it: its hash and the five fields the
+    hash signs, decoded; the hash those five give (``compute_tx_hash``); and
+    its disclosed receipt, the JSON object as it came."""
 
     sender: bytes
     target: bytes | None  # None marks a deployment
@@ -154,7 +155,15 @@ class LedgerTransaction:
     nonce: int
     gas_price: int
     tx_hash: bytes
+    recomputed_hash: bytes
     receipt: dict
+
+
+# the keys the audit reads of an export, of a block and of a transaction
+_EXPORT_KEYS = frozenset({"format", "max_data_bits", "blocks", "contracts"})
+_BLOCK_KEYS = frozenset({"height", "parent_hash", "timestamp", "block_hash", "transactions"})
+_TX_KEYS = frozenset({"sender", "target", "payload", "nonce", "gas_price", "tx_hash",
+                      "status", "error", "gas_used", "kind", "created_address"})
 
 
 def read_ledger(export) -> list[Block]:
@@ -163,21 +172,23 @@ def read_ledger(export) -> list[Block]:
     Heights, timestamps, nonces and gas prices must be unsigned 64-bit ints;
     hashes, senders and targets (or ``DEPLOY``) hex spelled the way ``to_hex``
     writes it; payloads strings of characters U+0000 to U+00FF, one per byte
-    (``from_text``), which have no second spelling. Each transaction keeps its
-    JSON object, unread, as its receipt: the replay compares receipts
-    strictly. Disclosed contracts are left as they are: the state diff
-    compares each with ``contracts.disclose`` of its re-derived twin, so a
-    bid record's ``prior_bids`` link, and a ``data`` or ``results`` link to a
-    transaction, must be spelled as the export writes it, and the audit stays
-    linear in the bids. Raises MalformedExport for a document that is not a
-    ``tendersim-chain/4`` object (earlier formats included), for ``blocks``,
-    ``contracts``, ``config``, ``gas_schedule`` or a disclosed contract of the
-    wrong JSON type, and for a missing or malformed block or transaction field.
+    (``from_text``), which have no second spelling. Each transaction's hash is
+    recomputed here, once, and its JSON object kept, unread, as its receipt: the
+    replay compares receipts strictly. Disclosed contracts are left as they are:
+    the state diff compares each with ``contracts.disclose`` of its re-derived
+    twin, so a bid record's ``prior_bids`` link, and a ``data`` or ``results``
+    link to a transaction, must be spelled as the export writes it, and the
+    audit stays linear in the bids. Raises MalformedExport for a document that
+    is not a ``tendersim-chain/5`` object (earlier formats included), for
+    ``blocks``, ``contracts`` or a disclosed contract of the wrong JSON type,
+    for a missing or malformed block or transaction field, and for a key of the
+    document, a block or a transaction that the audit does not read.
+    ``replay_chain`` reads ``max_data_bits``.
     """
     if type(export) is not dict or export.get("format") != EXPORT_FORMAT:
         raise MalformedExport(f"chain export is not a {EXPORT_FORMAT} object")
-    for key, kind in (("blocks", list), ("contracts", dict), ("config", dict),
-                      ("gas_schedule", dict)):
+    _known_keys(export, _EXPORT_KEYS, "chain export")
+    for key, kind in (("blocks", list), ("contracts", dict)):
         if type(export.get(key)) is not kind:
             raise MalformedExport(f"chain export field '{key}' is missing or malformed")
     for addr_hex, snap in export["contracts"].items():
@@ -190,6 +201,7 @@ def _read_block(block, where: str) -> Block:
     txs = block.get("transactions") if type(block) is dict else None
     if type(txs) is not list:
         raise MalformedExport(f"{where} field 'transactions' is missing or malformed")
+    _known_keys(block, _BLOCK_KEYS, where)
     return Block(height=_field(block, "height", _uint64, where),
                  parent_hash=_field(block, "parent_hash", _hex, where),
                  timestamp=_field(block, "timestamp", _uint64, where),
@@ -199,13 +211,23 @@ def _read_block(block, where: str) -> Block:
 
 
 def _read_tx(tx, where: str) -> LedgerTransaction:
-    return LedgerTransaction(sender=_field(tx, "sender", _hex, where),
-                             target=_field(tx, "target", _target, where),
-                             payload=_field(tx, "payload", from_text, where),
-                             nonce=_field(tx, "nonce", _uint64, where),
-                             gas_price=_field(tx, "gas_price", _uint64, where),
-                             tx_hash=_field(tx, "tx_hash", _hex, where),
+    sender = _field(tx, "sender", _hex, where)
+    target = _field(tx, "target", _target, where)
+    payload = _field(tx, "payload", from_text, where)
+    nonce = _field(tx, "nonce", _uint64, where)
+    gas_price = _field(tx, "gas_price", _uint64, where)
+    tx_hash = _field(tx, "tx_hash", _hex, where)
+    _known_keys(tx, _TX_KEYS, where)
+    return LedgerTransaction(sender, target, payload, nonce, gas_price, tx_hash,
+                             compute_tx_hash(sender, target, nonce, payload, gas_price),
                              receipt=tx)
+
+
+def _known_keys(obj: dict, keys: frozenset, where: str) -> None:
+    """MalformedExport naming the first key of ``obj`` outside ``keys``."""
+    extra = next((key for key in obj if key not in keys), None)
+    if extra is not None:
+        raise MalformedExport(f"{where} field '{extra}' is not one the audit reads")
 
 
 def _field(obj, key: str, read, where: str):
@@ -236,15 +258,15 @@ def _target(value) -> bytes | None:
 # --- ledger structure -----------------------------------------------------------
 
 def verify_ledger_hashes(blocks: list[Block]) -> list[Violation]:
-    """Recompute every transaction and block hash of ``read_ledger``'s blocks
-    and check the parent links, heights and timestamps, all as bytes and ints."""
+    """Check every transaction hash of ``read_ledger``'s blocks against the one
+    it recomputed, recompute every block hash, and check the parent links,
+    heights and timestamps, all as bytes and ints."""
     violations = []
     prev = None
     for block in blocks:
         height = block.height
         for tx in block.transactions:
-            if compute_tx_hash(tx.sender, tx.target, tx.nonce, tx.payload,
-                               tx.gas_price) != tx.tx_hash:
+            if tx.recomputed_hash != tx.tx_hash:
                 violations.append(Violation("R6", height, f"transaction hash mismatch at "
                                                           f"{to_hex(tx.tx_hash)}"))
         if compute_block_hash(height, block.parent_hash, block.timestamp,
@@ -285,7 +307,6 @@ class ChainReplay:
     """A chain export replayed once through the contract rules."""
 
     export: dict
-    schedule: GasSchedule
     state: dict = field(default_factory=dict)  # address -> re-derived contract
     # recomputed tx hash -> decoded call, for the calls the export links to
     calls: dict[bytes, dict] = field(default_factory=dict)
@@ -309,13 +330,11 @@ def replay_chain(export) -> ChainReplay:
     """Read a chain export with ``read_ledger``, re-derive every receipt and
     contract, and diff both against what the export discloses."""
     blocks = read_ledger(export)
-    try:
-        schedule = GasSchedule(**export["gas_schedule"])
-        config = ChainConfig(**export["config"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedExport(f"chain export settings are unusable: {exc}")
-    replay = ChainReplay(export=export, schedule=schedule,
-                         ledger_findings=verify_ledger_hashes(blocks))
+    # the one setting a contract rule reads, held to what a scenario may set
+    max_data_bits = _field(export, "max_data_bits",
+                           lambda bits: ChainConfig(max_data_bits=bits).max_data_bits,
+                           "chain export")
+    replay = ChainReplay(export=export, ledger_findings=verify_ledger_hashes(blocks))
     state = replay.state
     nonces: dict[bytes, int] = {}  # sender -> the nonce its next transaction must carry
     for block, tx in iter_transactions(blocks):
@@ -328,13 +347,12 @@ def replay_chain(export) -> ChainReplay:
         nonces[tx.sender] = max(expected, tx.nonce + 1)
         call = contracts.decode_call(tx.payload)
         op = call.get("op") if call else None
-        tx_hash = compute_tx_hash(tx.sender, tx.target, tx.nonce, tx.payload, tx.gas_price)
         if op in contracts.LINKED_OPS:
-            replay.calls[tx_hash] = call
+            replay.calls[tx.recomputed_hash] = call
         target = contracts.DEPLOY if tx.target is None else state.get(tx.target)
-        ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce, tx_hash=tx_hash,
+        ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce, tx_hash=tx.recomputed_hash,
                                block_timestamp=ts, block_height=height,
-                               gas_schedule=schedule, config=config)
+                               max_data_bits=max_data_bits)
         outcome, created = contracts.transition(target, call, tx.payload, ctx)
         tender = replay.tenders.get(tx.target)
         if created is not None and created.address in state:
@@ -703,7 +721,7 @@ def replay_and_audit(source, rft_address) -> AuditReport:
         violations.append(Violation(
             "R5", spam[0],
             f"{len(spam)} certificate-invalid bid(s) were recorded; each "
-            f"inflates every later bid by {replay.schedule.per_prior_bid_copy} gas"))
+            f"inflates every later bid by {GAS_PER_PRIOR_BID_COPY} gas"))
 
     unique = list(dict.fromkeys(violations))  # exact repeats dropped, order kept
 

@@ -8,7 +8,7 @@ advanced explicitly by the driving scenario, never from wall time.
 Gas is a closed-form model, not an instruction-level meter: deployments
 cost a per-scheme constant, a tracked bid costs its base plus one array
 copy per previously recorded bid, a stateless bid costs a flat amount.
-The constants reproduce measured reference costs; see GasSchedule.
+The figures are fixed constants that reproduce measured reference costs.
 """
 
 from __future__ import annotations
@@ -28,53 +28,43 @@ from .errors import (
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
 GAS_PRICE = 1  # no fee market: every transaction offers the same price
-EXPORT_FORMAT = "tendersim-chain/4"
+EXPORT_FORMAT = "tendersim-chain/5"
 
 
-@dataclass(frozen=True)
-class GasSchedule:
-    deploy_rft_full: int = 892160
-    deploy_rft_protected: int = 874791
-    deploy_rft_stateless: int = 352819
-    bid_base_full: int = 299501
-    bid_base_protected: int = 332788
-    bid_flat_stateless: int = 156601
-    per_prior_bid_copy: int = 20781
-    data_contract_per_bit: int = 2  # 16 gas per stored byte
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if type(value) is not int or value <= 0:
-                raise ValueError(f"gas schedule field {name} must be a positive integer")
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
+# The calibrated gas figures
+GAS_DEPLOY_RFT_FULL = 892160
+GAS_DEPLOY_RFT_PROTECTED = 874791
+GAS_DEPLOY_RFT_STATELESS = 352819
+GAS_BID_BASE_FULL = 299501
+GAS_BID_BASE_PROTECTED = 332788
+GAS_BID_FLAT_STATELESS = 156601
+GAS_PER_PRIOR_BID_COPY = 20781
+GAS_DATA_CONTRACT_PER_BIT = 2  # 16 gas per stored byte
 
 
-def meter_gas(schedule: GasSchedule, kind: str, *, prior_recorded_bids: int = 0,
-              data_bits: int = 0) -> int:
+def meter_gas(kind: str, *, prior_recorded_bids: int = 0, data_bits: int = 0) -> int:
     """Deterministic gas for one operation kind against a state snapshot."""
     if kind == "deploy_rft_full":
-        return schedule.deploy_rft_full
+        return GAS_DEPLOY_RFT_FULL
     if kind == "deploy_rft_protected":
-        return schedule.deploy_rft_protected
+        return GAS_DEPLOY_RFT_PROTECTED
     if kind == "deploy_rft_stateless":
-        return schedule.deploy_rft_stateless
+        return GAS_DEPLOY_RFT_STATELESS
     if kind == "bid_full":
-        return schedule.bid_base_full + schedule.per_prior_bid_copy * prior_recorded_bids
+        return GAS_BID_BASE_FULL + GAS_PER_PRIOR_BID_COPY * prior_recorded_bids
     if kind == "bid_protected":
-        return schedule.bid_base_protected + schedule.per_prior_bid_copy * prior_recorded_bids
+        return GAS_BID_BASE_PROTECTED + GAS_PER_PRIOR_BID_COPY * prior_recorded_bids
     if kind == "bid_stateless":
-        return schedule.bid_flat_stateless
+        return GAS_BID_FLAT_STATELESS
     # rejected bids never copy the bid array, so they cost the scheme base
     if kind == "bid_rejected_full":
-        return schedule.bid_base_full
+        return GAS_BID_BASE_FULL
     if kind == "bid_rejected_protected":
-        return schedule.bid_base_protected
+        return GAS_BID_BASE_PROTECTED
     if kind == "bid_rejected_stateless":
-        return schedule.bid_flat_stateless
+        return GAS_BID_FLAT_STATELESS
     if kind in ("deploy_data", "publish_results", "reveal_key_half", "rejected_call"):
-        return schedule.data_contract_per_bit * data_bits
+        return GAS_DATA_CONTRACT_PER_BIT * data_bits
     raise UnmeteredOperation(f"no gas rule for operation kind {kind!r}")
 
 
@@ -97,9 +87,6 @@ class ChainConfig:
             raise ValueError("genesis_timestamp must be >= 0")
         if self.max_data_bits < 1:
             raise ValueError("max_data_bits must be >= 1")
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -166,8 +153,7 @@ class ExecutionContext:
     tx_hash: bytes  # names the transaction in the fields it sets (contracts.disclose)
     block_timestamp: int
     block_height: int
-    gas_schedule: GasSchedule
-    config: ChainConfig
+    max_data_bits: int  # the most bits a deploy_data may store
     # the ledger applying the transaction, which installs what it creates;
     # None when the contract rules are replayed off-ledger
     chain: "Chain | None" = None
@@ -203,7 +189,6 @@ class Chain:
 
     def __init__(self, config: ChainConfig):
         self.config = config
-        self.gas_schedule = GasSchedule()
         self._clock = self.config.genesis_timestamp
         self._accounts: set[bytes] = set()
         self._contracts: dict[bytes, object] = {}
@@ -270,8 +255,8 @@ class Chain:
         for pending in self._pending:
             ctx = ExecutionContext(sender=pending.sender, tx_nonce=pending.nonce,
                                    tx_hash=pending.tx_hash, block_timestamp=proposed_timestamp,
-                                   block_height=height, gas_schedule=self.gas_schedule,
-                                   config=self.config, chain=self)
+                                   block_height=height,
+                                   max_data_bits=self.config.max_data_bits, chain=self)
             outcome = self._execute(ctx, pending)
             executed.append(Transaction(
                 sender=pending.sender,
@@ -303,12 +288,12 @@ class Chain:
 
         call = contracts.decode_call(pending.payload)
         if call is None:
-            return contracts.malformed_payload(pending.payload, ctx)
+            return contracts.malformed_payload(pending.payload)
         if pending.target is None:
             return contracts.execute_deploy(ctx, call)
         target = self._contracts.get(pending.target)
         if target is None:
-            return contracts.missing_target(pending.payload, ctx)
+            return contracts.missing_target(pending.payload)
         return target.execute(ctx, call)
 
     # --- state access -----------------------------------------------------------
@@ -328,11 +313,13 @@ class Chain:
     # --- export ------------------------------------------------------------------
 
     def export(self) -> dict:
-        """Whole-chain view: blocks, receipts, and disclosed contract state.
+        """Whole-chain view: blocks, receipts, disclosed contract state, and
+        ``max_data_bits``, the one setting a contract rule reads.
 
         Payloads are written with ``to_text``, one character per byte. The
-        registered accounts and the clock are left out: no reader of the
-        export could check them against the ledger. Each contract is written
+        registered accounts, the clock and its settings are left out: no
+        reader of the export could check them against the ledger. Nor are the
+        gas figures, which are constants of this module. Each contract is written
         by ``contracts.disclose``: a tracked tender's records each keep the
         bid array as it stood, and each is written as a link to the record
         before it, so the file grows linearly with the bids; a data
@@ -346,8 +333,7 @@ class Chain:
                  for b in self.blocks for t in b.transactions if t.kind in contracts.LINKED_OPS}
         return {
             "format": EXPORT_FORMAT,
-            "config": self.config.as_dict(),
-            "gas_schedule": self.gas_schedule.as_dict(),
+            "max_data_bits": self.config.max_data_bits,
             "blocks": [
                 {
                     "height": b.height,

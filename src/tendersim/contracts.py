@@ -89,7 +89,7 @@ class Contract:
         return _install(ctx, self.transition(call, ctx))
 
     def transition(self, call: dict, ctx: ExecutionContext) -> Transition:
-        return reject_call(call, ctx), None
+        return reject_call(call), None
 
 
 class TenderDataContract(Contract):
@@ -223,10 +223,9 @@ class RequestForTenderContract(Contract):
             return self.reveal_key_half(call, ctx), None
         if op == "publish_results":
             return self.publish_results(call, ctx), None
-        return reject_call(call, ctx), None
+        return reject_call(call), None
 
     def place_bid(self, call: dict, ctx: ExecutionContext) -> Transition:
-        schedule = ctx.gas_schedule
         _, bid_kind, refused_kind = _KINDS[self.scheme]
         try:
             bidder_id = call["id"]
@@ -249,7 +248,7 @@ class RequestForTenderContract(Contract):
             refused = self.scheme == SCHEME_PROTECTED and not valid_hash
             error = CERTIFICATE_REJECTED if refused else None
         if error is not None:
-            return ExecOutcome(kind=refused_kind, gas_used=meter_gas(schedule, refused_kind),
+            return ExecOutcome(kind=refused_kind, gas_used=meter_gas(refused_kind),
                                error=error), None
 
         valid_time = ctx.block_timestamp < self.bidding_end
@@ -259,11 +258,11 @@ class RequestForTenderContract(Contract):
             self.bid_count[bidder_id] = self.bid_count.get(bidder_id, 0) + 1
 
         if self.scheme == SCHEME_STATELESS:
-            gas = meter_gas(schedule, bid_kind)
+            gas = meter_gas(bid_kind)
             prior = None
             end_copy = None
         else:
-            gas = meter_gas(schedule, bid_kind, prior_recorded_bids=len(self.bids_placed))
+            gas = meter_gas(bid_kind, prior_recorded_bids=len(self.bids_placed))
             prior = tuple(self.bids_placed)
             end_copy = self.bidding_end
 
@@ -283,7 +282,7 @@ class RequestForTenderContract(Contract):
             bid_addr = from_hex(call["bid_addr"])
             half_b = from_hex(call["half_b"])
         except (KeyError, ValueError, TypeError):
-            return reject_call(call, ctx, error=MALFORMED_PAYLOAD)
+            return reject_call(call, error=MALFORMED_PAYLOAD)
         self.reveals.append({
             "bid_addr": to_hex(bid_addr),
             "half_b": to_hex(half_b),
@@ -291,22 +290,20 @@ class RequestForTenderContract(Contract):
             "timestamp": ctx.block_timestamp,
         })
         return ExecOutcome(kind="reveal_key_half",
-                           gas_used=meter_gas(ctx.gas_schedule, "reveal_key_half",
-                                              data_bits=len(half_b) * 8))
+                           gas_used=meter_gas("reveal_key_half", data_bits=len(half_b) * 8))
 
     def publish_results(self, call: dict, ctx: ExecutionContext) -> ExecOutcome:
         result = call.get("result")
         if not isinstance(result, dict):
-            return reject_call(call, ctx, error=MALFORMED_PAYLOAD)
+            return reject_call(call, error=MALFORMED_PAYLOAD)
         if self.results is not None:
-            return reject_call(call, ctx, error=RepublishForbidden.code)
+            return reject_call(call, error=RepublishForbidden.code)
         if ctx.sender != self.deployer:
-            return reject_call(call, ctx, error=UNAUTHORIZED_PUBLISHER)
+            return reject_call(call, error=UNAUTHORIZED_PUBLISHER)
         self.results = result
         self.results_tx = ctx.tx_hash
         return ExecOutcome(kind="publish_results",
-                           gas_used=meter_gas(ctx.gas_schedule, "publish_results",
-                                              data_bits=_call_bits(call)))
+                           gas_used=meter_gas("publish_results", data_bits=_call_bits(call)))
 
     # -- zero-gas reads --
 
@@ -349,26 +346,24 @@ def decode_call(payload: bytes) -> dict | None:
     return call if isinstance(call, dict) and "op" in call else None
 
 
-def malformed_payload(payload: bytes, ctx: ExecutionContext) -> ExecOutcome:
-    return _rejected(ctx, len(payload) * 8, MALFORMED_PAYLOAD)
+def malformed_payload(payload: bytes) -> ExecOutcome:
+    return _rejected(len(payload) * 8, MALFORMED_PAYLOAD)
 
 
-def missing_target(payload: bytes, ctx: ExecutionContext) -> ExecOutcome:
-    return _rejected(ctx, len(payload) * 8, NoSuchContract.code)
+def missing_target(payload: bytes) -> ExecOutcome:
+    return _rejected(len(payload) * 8, NoSuchContract.code)
 
 
-def reject_call(call: dict, ctx: ExecutionContext, error: str | None = None) -> ExecOutcome:
+def reject_call(call: dict, error: str | None = None) -> ExecOutcome:
     """A call the target does not accept: immutable state or an unknown op."""
     if error is None:
         error = IMMUTABLE_STATE if call.get("op") == "set_field" else UNKNOWN_CONTRACT_CALL
-    return _rejected(ctx, _call_bits(call), error)
+    return _rejected(_call_bits(call), error)
 
 
-def _rejected(ctx: ExecutionContext, data_bits: int, error: str) -> ExecOutcome:
+def _rejected(data_bits: int, error: str) -> ExecOutcome:
     return ExecOutcome(kind="rejected_call",
-                       gas_used=meter_gas(ctx.gas_schedule, "rejected_call",
-                                          data_bits=data_bits),
-                       error=error)
+                       gas_used=meter_gas("rejected_call", data_bits=data_bits), error=error)
 
 
 def _call_bits(call: dict) -> int:
@@ -383,20 +378,20 @@ def deploy(call: dict, ctx: ExecutionContext) -> Transition:
         return deploy_data(call, ctx)
     if op == "deploy_rft":
         return deploy_rft(call, ctx)
-    return reject_call(call, ctx, error=UNKNOWN_CONTRACT_CALL), None
+    return reject_call(call, error=UNKNOWN_CONTRACT_CALL), None
 
 
 def deploy_data(call: dict, ctx: ExecutionContext) -> Transition:
     try:
         data = from_hex(call["data"])
     except (KeyError, ValueError, TypeError):
-        return reject_call(call, ctx, error=MALFORMED_PAYLOAD), None
+        return reject_call(call, error=MALFORMED_PAYLOAD), None
     bits = len(data) * 8
-    if bits > ctx.config.max_data_bits:
-        return reject_call(call, ctx, error=DATA_TOO_LARGE), None
+    if bits > ctx.max_data_bits:
+        return reject_call(call, error=DATA_TOO_LARGE), None
     addr = contract_address(ctx.sender, ctx.tx_nonce)
     return (ExecOutcome(kind="deploy_data",
-                        gas_used=meter_gas(ctx.gas_schedule, "deploy_data", data_bits=bits),
+                        gas_used=meter_gas("deploy_data", data_bits=bits),
                         created_address=addr),
             TenderDataContract(addr, ctx.sender, data, ctx.tx_hash))
 
@@ -412,7 +407,7 @@ def deploy_rft(call: dict, ctx: ExecutionContext) -> Transition:
         if scheme not in SCHEMES or length_ms <= 0 or limit < 1 or len(pubk) != 64:
             raise ValueError("bad tender parameters")
     except (KeyError, ValueError, TypeError):
-        return reject_call(call, ctx, error=INVALID_TENDER_PARAMS), None
+        return reject_call(call, error=INVALID_TENDER_PARAMS), None
     addr = contract_address(ctx.sender, ctx.tx_nonce)
     rft = RequestForTenderContract(
         address=addr, scheme=scheme,
@@ -420,7 +415,7 @@ def deploy_rft(call: dict, ctx: ExecutionContext) -> Transition:
         limit=limit, pubk=pubk, tender_data_addr=tender_data_addr,
         deployer=ctx.sender)
     kind = _KINDS[scheme][0]
-    return (ExecOutcome(kind=kind, gas_used=meter_gas(ctx.gas_schedule, kind),
+    return (ExecOutcome(kind=kind, gas_used=meter_gas(kind),
                         created_address=addr),
             rft)
 
@@ -435,11 +430,11 @@ def transition(target, call: dict | None, payload: bytes, ctx: ExecutionContext)
     ``decode_call(payload)``. ``Chain._execute`` makes the same choices.
     """
     if call is None:
-        return malformed_payload(payload, ctx), None
+        return malformed_payload(payload), None
     if target is DEPLOY:
         return deploy(call, ctx)
     if target is None:
-        return missing_target(payload, ctx), None
+        return missing_target(payload), None
     return target.transition(call, ctx)
 
 

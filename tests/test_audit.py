@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tendersim import audit, contracts, crypto
+from tendersim import chain as chain_module
 from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
 from tendersim.encoding import canonical_json, canonical_json_bytes, from_hex, to_hex
@@ -793,7 +794,7 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
     # lists of mixed types, nested lists and objects, wherever the export allows them
     export = {"blocks": values, "contracts": {"0x01": {"prior_bids": values,
                                                          "x": {"y": values}}},
-              "config": {}, "gas_schedule": {}}
+              "max_data_bits": 5000}
     parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
     assert canonical_json(parsed) == canonical_json(export)
 
@@ -801,8 +802,8 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/4", "blocks": [block],
-                                "contracts": {}, "config": {}, "gas_schedule": {}})
+    raw = canonical_json_bytes({"format": "tendersim-chain/5", "blocks": [block],
+                                "contracts": {}, "max_data_bits": 5000})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))
 
@@ -1011,9 +1012,9 @@ def test_published_results_with_a_list_for_an_object_are_graded(field):
 
 # --- any single edit of an export is seen --------------------------------------------------
 
-# A deleted setting takes its default and an edited one may meter the same
-# gas, so of the edits to these only a change of type must be refused.
-_SETTINGS = ("config", "gas_schedule")
+# A deleted or retyped setting is refused, but an edited one may admit the
+# same data contracts, so its edits need not be seen.
+_SETTINGS = ("max_data_bits",)
 _OTHER_TYPES = [None, True, 7, 7.5, "x", [], {}]
 
 
@@ -1031,7 +1032,11 @@ def _mutate(export: dict, path: tuple, how: str, pick: int) -> None:
     for key in path[:-1]:
         parent = parent[key]
     key, value = path[-1], parent[path[-1]]
-    if how == "delete":
+    if how == "add":  # a key next to the value
+        if type(parent) is not dict:
+            assume(False)
+        parent[f"added{pick}"] = pick
+    elif how == "delete":
         del parent[key]
     elif how == "retype":
         others = [v for v in _OTHER_TYPES if type(v) is not type(value)]
@@ -1056,21 +1061,48 @@ def test_every_single_field_edit_of_an_export_is_seen(full_track_10, data):
     export, rft_hex = full_track_10
     raw = canonical_json_bytes(export)
     path = data.draw(st.sampled_from(list(_value_paths(export))), label="path")
-    how = data.draw(st.sampled_from(["retype", "delete", "edit"]), label="how")
+    how = data.draw(st.sampled_from(["retype", "delete", "edit", "add"]), label="how")
     mutated = audit.parse_export(io.BytesIO(raw))
     _mutate(mutated, path, how, data.draw(st.integers(0, 1 << 16), label="pick"))
-    settings_retyped = path[0] in _SETTINGS and how == "retype"
+    settings_refused = path[0] in _SETTINGS and how in ("retype", "delete")
     try:
         report = audit.replay_and_audit(audit.replay_chain(mutated), rft_hex)
     except MalformedExport:
         return
     except TenderSimError:
-        assert not settings_retyped
+        assert not settings_refused
         return
-    assert not settings_retyped
-    if path[0] in _SETTINGS:
+    assert not settings_refused
+    if path[0] in _SETTINGS and how == "edit":
         return
     assert report.violations, f"{how} of {path} audits clean"
+
+
+def test_gas_tripled_with_the_schedule_that_meters_it_is_not_passed(full_track_10, tmp_path,
+                                                                     capsys):
+    # every receipt's gas tripled, and the gas schedule a tendersim-chain/4
+    # export carried (each GAS_ figure of chain, named without its prefix)
+    # tripled with it: the replay meters with its own figures, not the file's
+    export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
+    txs = [tx for block in export["blocks"] for tx in block["transactions"]]
+    for tx in txs:
+        tx["gas_used"] *= 3
+    export["gas_schedule"] = {name[4:].lower(): 3 * value for name, value in
+                              vars(chain_module).items()
+                              if name.startswith("GAS_") and name != "GAS_PRICE"}
+    assert len(export["gas_schedule"]) == 8
+    path = tmp_path / "chain.json"
+    path.write_bytes(canonical_json_bytes(export))
+    assert main(["audit", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error[MALFORMED_EXPORT]")
+    del export["gas_schedule"]
+    path.write_bytes(canonical_json_bytes(export))
+    assert main(["audit", str(path)]) == 1
+    assert "R6=FAIL" in capsys.readouterr().out
+    report = audit.replay_and_audit(export, rft_hex)
+    gas_findings = [v.description for v in report.violations
+                    if v.tag == "R6" and v.description.startswith("gas_used")]
+    assert [text.split()[-1] for text in gas_findings] == [tx["tx_hash"] for tx in txs]
 
 
 # --- any single byte edit of an export is seen -----------------------------------------------
@@ -1079,8 +1111,7 @@ def test_every_single_field_edit_of_an_export_is_seen(full_track_10, data):
 def _outside_settings(doc) -> str:
     """``doc`` with the values of its settings left out, as canonical JSON."""
     if type(doc) is dict:
-        doc = {k: sorted(v) if k in _SETTINGS and type(v) is dict else v
-               for k, v in doc.items()}
+        doc = {k: None if k in _SETTINGS else v for k, v in doc.items()}
     return canonical_json(doc)
 
 

@@ -11,7 +11,6 @@ from tendersim import contracts, crypto
 from tendersim.chain import (
     Chain,
     ChainConfig,
-    GasSchedule,
     compute_block_hash,
     compute_tx_hash,
     meter_gas,
@@ -165,44 +164,34 @@ def test_hash_chain_links_and_tamper_evidence(chain, to_keys):
 
 
 def test_deploy_gas_constants():
-    schedule = GasSchedule()
-    assert meter_gas(schedule, "deploy_rft_full") == DEPLOY_GAS["FULL_TRACK"]
-    assert meter_gas(schedule, "deploy_rft_protected") == DEPLOY_GAS["PROTECTED"]
-    assert meter_gas(schedule, "deploy_rft_stateless") == DEPLOY_GAS["STATELESS"]
+    assert meter_gas("deploy_rft_full") == DEPLOY_GAS["FULL_TRACK"]
+    assert meter_gas("deploy_rft_protected") == DEPLOY_GAS["PROTECTED"]
+    assert meter_gas("deploy_rft_stateless") == DEPLOY_GAS["STATELESS"]
 
 
 def test_bid_gas_examples():
-    schedule = GasSchedule()
-    assert meter_gas(schedule, "bid_full", prior_recorded_bids=0) == 299_501
-    assert meter_gas(schedule, "bid_full", prior_recorded_bids=1) == 320_282
+    assert meter_gas("bid_full", prior_recorded_bids=0) == 299_501
+    assert meter_gas("bid_full", prior_recorded_bids=1) == 320_282
     for prior in (0, 3, 99):
-        assert meter_gas(schedule, "bid_stateless",
-                         prior_recorded_bids=prior) == STATELESS_BID_GAS
+        assert meter_gas("bid_stateless", prior_recorded_bids=prior) == STATELESS_BID_GAS
 
 
 def test_unknown_kind_is_unmetered():
     with pytest.raises(UnmeteredOperation):
-        meter_gas(GasSchedule(), "teleport")
-
-
-def test_gas_schedule_fields_strictly_positive():
-    with pytest.raises(ValueError):
-        GasSchedule(per_prior_bid_copy=0)
+        meter_gas("teleport")
 
 
 def test_linear_model_tracks_reference_series():
-    schedule = GasSchedule()
     for i, measured in enumerate(FULL_TRACK_BID_SERIES):
-        predicted = meter_gas(schedule, "bid_full", prior_recorded_bids=i)
+        predicted = meter_gas("bid_full", prior_recorded_bids=i)
         assert abs(predicted - measured) / measured < MODEL_TOLERANCE
     for i, measured in enumerate(PROTECTED_BID_SERIES):
-        predicted = meter_gas(schedule, "bid_protected", prior_recorded_bids=i)
+        predicted = meter_gas("bid_protected", prior_recorded_bids=i)
         assert abs(predicted - measured) / measured < MODEL_TOLERANCE
 
 
 def test_full_track_first_difference_is_exactly_the_copy_cost():
-    schedule = GasSchedule()
-    series = [meter_gas(schedule, "bid_full", prior_recorded_bids=i) for i in range(10)]
+    series = [meter_gas("bid_full", prior_recorded_bids=i) for i in range(10)]
     diffs = {b - a for a, b in zip(series, series[1:])}
     assert diffs == {PER_PRIOR_BID_COPY}
 
@@ -324,7 +313,7 @@ def test_export_holds_one_small_link_per_record():
 def test_export_links_data_and_results_to_the_transactions_that_carried_them(scheme):
     chain, rft, _, _ = run_honest_tender(scheme, two_bid_docs())
     export = chain.export()
-    assert export["format"] == "tendersim-chain/4"
+    assert export["format"] == "tendersim-chain/5"
     created = {tx.created_address: tx for b in chain.blocks for tx in b.transactions
                if tx.created_address}
     publish = next(tx for b in chain.blocks for tx in b.transactions

@@ -21,62 +21,62 @@ REPORTS = ("audit.json", "chain.json", "gas.csv", "summary.txt")
 
 GOLDEN = {
     "early_key_reveal/audit.json": "d9f6da450ada68c8e75df7446bc755a4098203040d12b203fbe50fa5231fb41b",
-    "early_key_reveal/chain.json": "f3becf2ab34ebaacae8fa2ee50123a8927030563f2c2109eb141fd140392ed8c",
+    "early_key_reveal/chain.json": "9d215c2efbfa231f1bef35341fb10b73059da625741f430290da5bbd9bda1e2c",
     "early_key_reveal/gas.csv": "76904294894527e9feafbe9f65d532af9e123b2bbab572e11bd2236f6ddacbd6",
     "early_key_reveal/summary.txt": "5ba861ed4baae425328eebae31169557c270b8e4f5d5ddc99b468cba32cae7f5",
     "erased_bid/audit.json": "e45a59096e2420b7048254fb1e5e13e988c2dedb7527c288a12b62cf5a09ecca",
-    "erased_bid/chain.json": "de298b3a8b6f07420bbad200a9f25c41210fa289e0bf9e957e7f5d2d1d0f29b8",
+    "erased_bid/chain.json": "980269315597756e65128519e5ed9682b97159e5e6eb748927742806df6b3ec4",
     "erased_bid/gas.csv": "7a05f9152abb74d0a87dcc3a309576bbfb2198c9b919c128dc3f05180ad03c39",
     "erased_bid/summary.txt": "556d78f40c30c360cfea5769e5ca39bf251f67bb38c58c2504e5efa7303b111e",
     "forged_cert/audit.json": "5a778f691333962567999146689fc4a0717a480f7a47928b930c950816dac46c",
-    "forged_cert/chain.json": "9f08194c38fc8d21bc68af49f319066256cbc5074d30885f9e06b3b8dae197cb",
+    "forged_cert/chain.json": "11e3fbab1214309241c94e5834cd849fc0a49e13c562070be23d70fb55ae1dd3",
     "forged_cert/gas.csv": "ee85bd2d9d9a69375863b46a64fdfb65855276efd4e65a7a51b50e7b5fb58d93",
     "forged_cert/summary.txt": "502108da42df59ec22170260de90b30d8874353705472ea733c616797ba1c984",
     "full_track_10_bids/audit.json": "68e973424f1b2d631573d15e78c9e451e68a13bcae803340d0adbda0597902a1",
-    "full_track_10_bids/chain.json": "09e6a3e4a8972abee984d4a2334d2b38dbcb320cd22ec855990f3a3c255b0eb3",
+    "full_track_10_bids/chain.json": "e03a83932ad3ef834f550fc48cdbbced20046d499ef955263929687aa5d59c8f",
     "full_track_10_bids/gas.csv": "7a05f9152abb74d0a87dcc3a309576bbfb2198c9b919c128dc3f05180ad03c39",
     "full_track_10_bids/summary.txt": "86e3eeff5627985a8465e79e5f0ef1343bba13da088c16b2dc88fcd31e772d13",
     "late_bid/audit.json": "be02bcd29296ea876b758c99ed91f107d26b2608a6cdb708eda47425b943fe11",
-    "late_bid/chain.json": "22a390db8cbcb998e37206388a42bcc47da67639a012d62b7cb389cef780dffb",
+    "late_bid/chain.json": "82615fc43c22dda58d59f995da85d9ae8b71a8979f37f5bbcf3d8758c32f531b",
     "late_bid/gas.csv": "1e2cf1024b4d1c8c9dd92af8add38ea85c454300b30d52b8476f912e0f27ccfd",
     "late_bid/summary.txt": "61c384c31bc56741a9d9377924e8c22fdafe2d45aeb6596148dda77ce131ecc0",
     "mutated_tender/audit.json": "c421e11260dd5e0786280c7948420f34ea2ba4465ffabd429d7a7019f54bea27",
-    "mutated_tender/chain.json": "db2a13042359594599d56569bf54759df4c1260463fb4a348b717637a24d330f",
+    "mutated_tender/chain.json": "2fd124429b78268d09a3129ffaaddba539398285899fda36f0f4ad9b84a71b4d",
     "mutated_tender/gas.csv": "61d4ff5a192738b021f6bbf58c24eb44919e6445a89c5c2b29ded07d567db00b",
     "mutated_tender/summary.txt": "ea4d145cad2bef55f6d0e4af6a4ee9ea73ab77d3c30ed7a3202cbbca8bd68836",
     "protected_10_bids/audit.json": "69612096f6952416c67510ab7c5dbb4d1fc7d9a10f240f2a44609c0a2e99d21a",
-    "protected_10_bids/chain.json": "c7860317d33678afb060438233a4f06451420f18cb622f801528f1664e6f8615",
+    "protected_10_bids/chain.json": "47b10433ab5ac08bcbf4e013bb3cd4f29aa5309ae63ca86f7ec0d781102162fc",
     "protected_10_bids/gas.csv": "61d4ff5a192738b021f6bbf58c24eb44919e6445a89c5c2b29ded07d567db00b",
     "protected_10_bids/summary.txt": "b166cc4b4ca2ddc5ea4ec4d886539e6da5b5a632c9c6c3a70b9805df852908b1",
     "rigged_winner/audit.json": "8867234935392d2f7e26df44ed924bd719a09869707c6335aa39d065cc9509f4",
-    "rigged_winner/chain.json": "e63d13884caf75fe908fd14bcde9c362fc0001f37c99445cbc720983b5af2389",
+    "rigged_winner/chain.json": "d3b7884b8021b4dab306d486c9e9e893b4717c2c45bbcc1747e7a41b0a38d074",
     "rigged_winner/gas.csv": "7a05f9152abb74d0a87dcc3a309576bbfb2198c9b919c128dc3f05180ad03c39",
     "rigged_winner/summary.txt": "a28a23ea49de33762e40219f0614f6f19ea86aacd51e947240310c8c2086f34c",
     "spam_full_track/audit.json": "d478c421cd724576092f5dd7b2677282d7ea2639c60e7c38c357286ff3f4f53e",
-    "spam_full_track/chain.json": "d73ddfb9132411cf5994163259410bebf9a76ca68731413199052ea3796b3271",
+    "spam_full_track/chain.json": "b95e081f08d42487d293d9b3f47a741fe1cc587b02d91724f5dff379c892851a",
     "spam_full_track/gas.csv": "a5517fe9e586030aaf8fd12892daa3a59055dcb31a734b7b747b364a5a26b647",
     "spam_full_track/summary.txt": "c2ad370736e23e1dd208ffd9c007e23b15e8b76851ee98e282b43c15928e6197",
     "spam_protected/audit.json": "ebd7a4d1a9b753629288422bf4be2b214fc9c5ba6a6e3995b288cb613813ad47",
-    "spam_protected/chain.json": "fec67c876e4dc009d81cd600a23672937da79d67ffd37cb070686fdb82a7a336",
+    "spam_protected/chain.json": "c4d07d387b60fb5c35dd71ab86600720a4a69cebf82901bbb5ab85ea3f3130a2",
     "spam_protected/gas.csv": "42e672170ff40f4543ad754636b8dfd3f3b44195205c092d17ed614f86d181ac",
     "spam_protected/summary.txt": "e750a3a114fc39072659e7a17d721a3ec93ce399d3b4f939345c22083b6d0d59",
     "spam_stateless/audit.json": "67892fae9b4694a802b89be7c3625e3ed85e13d917ef673fc92744024eb2d9df",
-    "spam_stateless/chain.json": "bc11b6757f102b18ee707e9bd95d8119fb8c3e170003579db0b5614f7618a77d",
+    "spam_stateless/chain.json": "a6b8d7533d80bdb683ad8d413dcf3378ce4be27a9d273c8d2778cd8365962e3c",
     "spam_stateless/gas.csv": "98fe07217cd1086756db994b4a5ab3fb53453adcfa75a9122be50c1b273292c3",
     "spam_stateless/summary.txt": "e63c33672245e4fe28278f558b491268208e074e0c39ad7ec855b6e36dc5a1da",
     "stateless_10_bids/audit.json": "542c2bcfaa125b8383c4e316520036319c7830beded39cd404257df6ade0057e",
-    "stateless_10_bids/chain.json": "214db19fc6ee5d7c1e71ce43528e3f22ae79abbd9ef3c6d94d825c1382f5eb42",
+    "stateless_10_bids/chain.json": "66439c8da1234b4bf6ac5b07bbce8fc8a5300411472ef9b10713707e4d566ffd",
     "stateless_10_bids/gas.csv": "68d0a5b0dc0b8de13e1f86b9d3f05956f1abdc08d368f5353d283ec5e0fe4115",
     "stateless_10_bids/summary.txt": "3b2ee749cc1f2ef44ded7f56c7303a5715942565ac272d0d19a8c2e5d6613f7d",
     "withheld_key/audit.json": "021d082a27f806d65d89f5664e2992a8ea1ed461876ee79a44a6f5fcdc63e797",
-    "withheld_key/chain.json": "95f76fc17133d1b1fc186c33e5f692ed979d99f570f73f7ec9dd1a0111c62d0f",
+    "withheld_key/chain.json": "a669beb02766578f71101591a5169e15b591fdc87aba5a291132d019715043d2",
     "withheld_key/gas.csv": "f105abadcc16aeb0ee28b8b9338f2b4976626be35b235b870210f98c3add553c",
     "withheld_key/summary.txt": "e8237135423bd849b5e6f4e92f6ea4e36fa05a3075cb692f1bd8667aa8de0722",
 }
 
 # SHA-256 over the sorted "<scenario>/<file> <sha256hex>\n" lines of the
 # chain.json and audit.json entries above
-GOLDEN_CROSS_CHECK = "19b583000c3e53110164c0303eaffe078ac83dc1c998a533f350f53a6b5cf142"
+GOLDEN_CROSS_CHECK = "66a88a185f71671c2fa713434ba7fe5a7263a4bf1cd85c2409941f361ba12efd"
 
 # SHA-256 of what `tendersim audit <chain.json> --out <file>` writes for each
 # bundled scenario's chain.json

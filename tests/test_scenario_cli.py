@@ -307,24 +307,21 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/4", '
+_FORMAT = b'{"format": "tendersim-chain/5", '
 
 
 @pytest.mark.parametrize("content", [
     b'{"blocks": [',  # truncated JSON
-    pytest.param(_FORMAT + b'"contracts": {}, "config": {}, "gas_schedule": {}}',
-                 id='{"contracts": {}, "config": {}, "gas_schedule": {}}'),  # no blocks
+    pytest.param(_FORMAT + b'"contracts": {}, "max_data_bits": 5000}',
+                 id='{"contracts": {}, "max_data_bits": 5000}'),  # no blocks
     b'[]',
     b'\xff\xfe',
     b'[' * 100_000,  # nested deeper than the decoder recurses
-    pytest.param(_FORMAT + b'"blocks": [], "contracts": {}, "config": {"bogus": 1}, '
-                           b'"gas_schedule": {}}',
-                 id='{"blocks": [], "contracts": {}, "config": {"bogus": 1}, '
-                    '"gas_schedule": {}}'),
-    pytest.param(_FORMAT + b'"blocks": [], "contracts": {}, "config": {}, '
-                           b'"gas_schedule": {"deploy_rft_full": 0}}',
-                 id='{"blocks": [], "contracts": {}, "config": {}, '
-                    '"gas_schedule": {"deploy_rft_full": 0}}'),
+    pytest.param(_FORMAT + b'"blocks": [], "contracts": {}, "max_data_bits": 5000, '
+                           b'"bogus": 1}',
+                 id='{"blocks": [], "contracts": {}, "max_data_bits": 5000, "bogus": 1}'),
+    pytest.param(_FORMAT + b'"blocks": [], "contracts": {}, "max_data_bits": 0}',
+                 id='{"blocks": [], "contracts": {}, "max_data_bits": 0}'),
     # one field below the top level of a full_track_10_bids export, edited
     pytest.param(lambda e: e["contracts"].update({next(iter(e["contracts"])): 5}),
                  id="contract-snapshot-5"),
@@ -333,6 +330,8 @@ _FORMAT = b'{"format": "tendersim-chain/4", '
                  id="payload-above-u00ff"),
     pytest.param(lambda e: e["blocks"].__setitem__(2, 7), id="block-7"),
     pytest.param(lambda e: _first_tx(e).pop("sender"), id="tx-without-sender"),
+    pytest.param(lambda e: _first_tx(e).update(note="x"), id="tx-with-an-unread-key"),
+    pytest.param(lambda e: e["blocks"][1].update(note="x"), id="block-with-an-unread-key"),
     pytest.param(lambda e: e["blocks"][1].update(height="x"), id="height-x"),
     pytest.param(lambda e: _first_tx(e).update(nonce=-1), id="nonce-negative"),
     pytest.param(lambda e: e["blocks"][3].update(timestamp=2 ** 64), id="timestamp-2-64"),
@@ -348,17 +347,22 @@ _FORMAT = b'{"format": "tendersim-chain/4", '
     pytest.param(lambda e: e.update(format="tendersim-chain/1"), id="format-1"),
     pytest.param(lambda e: e.update(format="tendersim-chain/2"), id="format-2"),
     pytest.param(lambda e: e.update(format="tendersim-chain/3"), id="format-3"),
-    *(pytest.param(lambda e, v=value: e["config"].update(max_data_bits=v),
+    pytest.param(lambda e: e.update(format="tendersim-chain/4"), id="format-4"),
+    *(pytest.param(lambda e, v=value: e.update(max_data_bits=v),
                    id=f"max-data-bits-{name}")
-      for name, value in (("x", "x"), ("null", None), ("list", []), ("object", {}),
-                          ("float", 5000.5), ("true", True), ("0", 0), ("minus-1", -1))),
-    pytest.param(lambda e: e["gas_schedule"].update(bid_base_full=299501.0),
-                 id="gas-schedule-float"),
+      for name, value in (("x", "x"), ("string", "5000"), ("null", None), ("list", []),
+                          ("object", {}), ("float", 5000.5), ("true", True), ("0", 0),
+                          ("minus-1", -1))),
+    pytest.param(lambda e: e.pop("max_data_bits"), id="max-data-bits-missing"),
+    # the settings a tendersim-chain/4 export carried, which no rule reads
+    pytest.param(lambda e: e.update(gas_schedule={"per_prior_bid_copy": 20781}),
+                 id="carries-gas-schedule"),
+    pytest.param(lambda e: e.update(config={"max_data_bits": 5000}), id="carries-config"),
     # an int beyond the 4300 digits Python converts from text
     pytest.param(_FORMAT + b'"blocks": [' + b"7" * 5000 + b'], "contracts": {}, '
-                           b'"config": {}, "gas_schedule": {}}', id="block-int-5000-digits"),
+                           b'"max_data_bits": 5000}', id="block-int-5000-digits"),
     pytest.param(_FORMAT + b'"blocks": [], "contracts": {"0x01": {"limit": ' + b"7" * 5000
-                 + b'}}, "config": {}, "gas_schedule": {}}', id="contract-int-5000-digits"),
+                 + b'}}, "max_data_bits": 5000}', id="contract-int-5000-digits"),
     # a string UTF-8 cannot hold: the lone surrogate is written as its \u escape
     pytest.param(lambda e: _first_tx(e).update(error="\ud800"), id="receipt-error-lone-surrogate"),
     # the same in an indented file, named where the file holds it, not where
