@@ -115,10 +115,11 @@ def parse_export(file):
     """The JSON document in a binary chain export file, not yet checked:
     decoded strictly as UTF-8, the bytes freed, then parsed by ``json.loads``,
     which keeps one ``str`` per distinct key. Each tracked bid record links to
-    the one before it, and each data contract's bytes and tender's results to
-    the transaction that carried them (``contracts.disclose``), so the document
-    grows linearly with the bids and holds no payload twice. Links are left as
-    they are: the audit compares them and never follows one.
+    the one before it, and each bid record's call arguments, data contract's
+    bytes and tender's results to the transaction that carried them
+    (``contracts.disclose``), so the document grows linearly with the bids and
+    holds no payload twice. Links are left as they are: the audit compares
+    them and never follows one.
 
     Raises MalformedExport only when the file is not UTF-8 JSON or holds a
     lone surrogate (a ``\\u`` escape ``write_canonical_json`` never writes),
@@ -145,15 +146,14 @@ def parse_export(file):
 
 @dataclass(frozen=True)
 class LedgerTransaction:
-    """A transaction as an export records it: its hash and the five fields the
-    hash signs, decoded; the hash those five give (``compute_tx_hash``); and
-    its disclosed receipt, the JSON object as it came."""
+    """A transaction as an export records it: its hash and the four fields the
+    hash signs besides the fixed ``GAS_PRICE``, decoded; the hash those give
+    (``compute_tx_hash``); and its disclosed receipt, the JSON object as it came."""
 
     sender: bytes
     target: bytes | None  # None marks a deployment
     payload: bytes
     nonce: int
-    gas_price: int
     tx_hash: bytes
     recomputed_hash: bytes
     receipt: dict
@@ -161,29 +161,33 @@ class LedgerTransaction:
 
 # the keys the audit reads of an export, of a block and of a transaction
 _EXPORT_KEYS = frozenset({"format", "max_data_bits", "blocks", "contracts"})
-_BLOCK_KEYS = frozenset({"height", "parent_hash", "timestamp", "block_hash", "transactions"})
-_TX_KEYS = frozenset({"sender", "target", "payload", "nonce", "gas_price", "tx_hash",
+_BLOCK_KEYS = frozenset({"height", "timestamp", "block_hash", "transactions"})
+_TX_KEYS = frozenset({"sender", "target", "payload", "nonce", "tx_hash",
                       "status", "error", "gas_used", "kind", "created_address"})
 
 
 def read_ledger(export) -> list[Block]:
     """The blocks of a chain export, read once into typed values.
 
-    Heights, timestamps, nonces and gas prices must be unsigned 64-bit ints;
-    hashes, senders and targets (or ``DEPLOY``) hex spelled the way ``to_hex``
-    writes it; payloads strings of characters U+0000 to U+00FF, one per byte
-    (``from_text``), which have no second spelling. Each transaction's hash is
-    recomputed here, once, and its JSON object kept, unread, as its receipt: the
-    replay compares receipts strictly. Disclosed contracts are left as they are:
-    the state diff compares each with ``contracts.disclose`` of its re-derived
-    twin, so a bid record's ``prior_bids`` link, and a ``data`` or ``results``
+    Heights, timestamps and nonces must be unsigned 64-bit ints; hashes,
+    senders and targets (or ``DEPLOY``) hex spelled the way ``to_hex`` writes
+    it; payloads strings of characters U+0000 to U+00FF, one per byte
+    (``from_text``), which have no second spelling. The export writes no parent
+    hash: each block's parent is the ``block_hash`` the block before it
+    discloses (32 zero bytes for genesis), so a block mined over another parent
+    fails its own hash check. Each transaction's hash is recomputed here, once,
+    and its JSON object kept, unread, as its receipt: the replay compares
+    receipts strictly. Disclosed contracts are left as they are: the state diff
+    compares each with ``contracts.disclose`` of its re-derived twin, so a bid
+    record's ``prior_bids`` or ``placed_by`` link, and a ``data`` or ``results``
     link to a transaction, must be spelled as the export writes it, and the
     audit stays linear in the bids. Raises MalformedExport for a document that
-    is not a ``tendersim-chain/5`` object (earlier formats included), for
+    is not a ``tendersim-chain/6`` object (earlier formats included), for
     ``blocks``, ``contracts`` or a disclosed contract of the wrong JSON type,
     for a missing or malformed block or transaction field, and for a key of the
-    document, a block or a transaction that the audit does not read.
-    ``replay_chain`` reads ``max_data_bits``.
+    document, a block or a transaction that the audit does not read (such as
+    the ``parent_hash`` and ``gas_price`` of ``/5``). ``replay_chain`` reads
+    ``max_data_bits``.
     """
     if type(export) is not dict or export.get("format") != EXPORT_FORMAT:
         raise MalformedExport(f"chain export is not a {EXPORT_FORMAT} object")
@@ -194,16 +198,21 @@ def read_ledger(export) -> list[Block]:
     for addr_hex, snap in export["contracts"].items():
         if type(snap) is not dict:
             raise MalformedExport(f"disclosed contract {addr_hex} is not a JSON object")
-    return [_read_block(block, f"block {i}") for i, block in enumerate(export["blocks"])]
+    blocks = []
+    parent_hash = bytes(32)
+    for i, block in enumerate(export["blocks"]):
+        blocks.append(_read_block(block, parent_hash, f"block {i}"))
+        parent_hash = blocks[-1].block_hash
+    return blocks
 
 
-def _read_block(block, where: str) -> Block:
+def _read_block(block, parent_hash: bytes, where: str) -> Block:
     txs = block.get("transactions") if type(block) is dict else None
     if type(txs) is not list:
         raise MalformedExport(f"{where} field 'transactions' is missing or malformed")
     _known_keys(block, _BLOCK_KEYS, where)
     return Block(height=_field(block, "height", _uint64, where),
-                 parent_hash=_field(block, "parent_hash", _hex, where),
+                 parent_hash=parent_hash,
                  timestamp=_field(block, "timestamp", _uint64, where),
                  transactions=tuple(_read_tx(tx, f"{where} transaction {j}")
                                     for j, tx in enumerate(txs)),
@@ -215,12 +224,10 @@ def _read_tx(tx, where: str) -> LedgerTransaction:
     target = _field(tx, "target", _target, where)
     payload = _field(tx, "payload", from_text, where)
     nonce = _field(tx, "nonce", _uint64, where)
-    gas_price = _field(tx, "gas_price", _uint64, where)
     tx_hash = _field(tx, "tx_hash", _hex, where)
     _known_keys(tx, _TX_KEYS, where)
-    return LedgerTransaction(sender, target, payload, nonce, gas_price, tx_hash,
-                             compute_tx_hash(sender, target, nonce, payload, gas_price),
-                             receipt=tx)
+    return LedgerTransaction(sender, target, payload, nonce, tx_hash,
+                             compute_tx_hash(sender, target, nonce, payload), receipt=tx)
 
 
 def _known_keys(obj: dict, keys: frozenset, where: str) -> None:
@@ -259,7 +266,7 @@ def _target(value) -> bytes | None:
 
 def verify_ledger_hashes(blocks: list[Block]) -> list[Violation]:
     """Check every transaction hash of ``read_ledger``'s blocks against the one
-    it recomputed, recompute every block hash, and check the parent links,
+    it recomputed, recompute every block hash over its parent's, and check the
     heights and timestamps, all as bytes and ints."""
     violations = []
     prev = None
@@ -273,11 +280,9 @@ def verify_ledger_hashes(blocks: list[Block]) -> list[Violation]:
                               [tx.tx_hash for tx in block.transactions]) != block.block_hash:
             violations.append(Violation("R6", height, "block hash mismatch"))
         if prev is None:
-            if height != 0 or block.parent_hash != bytes(32):
+            if height != 0:
                 violations.append(Violation("R6", height, "malformed genesis block"))
         else:
-            if block.parent_hash != prev.block_hash:
-                violations.append(Violation("R6", height, "broken parent hash link"))
             if height != prev.height + 1:
                 violations.append(Violation("R6", height, "non-sequential block height"))
             if block.timestamp <= prev.timestamp:
@@ -308,7 +313,7 @@ class ChainReplay:
 
     export: dict
     state: dict = field(default_factory=dict)  # address -> re-derived contract
-    # recomputed tx hash -> decoded call, for the calls the export links to
+    # recomputed tx hash -> decoded call, for the accepted calls the export links to
     calls: dict[bytes, dict] = field(default_factory=dict)
     tenders: dict[bytes, _Tender] = field(default_factory=dict)  # in deployment order
     ledger_findings: list[Violation] = field(default_factory=list)
@@ -347,13 +352,13 @@ def replay_chain(export) -> ChainReplay:
         nonces[tx.sender] = max(expected, tx.nonce + 1)
         call = contracts.decode_call(tx.payload)
         op = call.get("op") if call else None
-        if op in contracts.LINKED_OPS:
-            replay.calls[tx.recomputed_hash] = call
         target = contracts.DEPLOY if tx.target is None else state.get(tx.target)
         ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce, tx_hash=tx.recomputed_hash,
                                block_timestamp=ts, block_height=height,
                                max_data_bits=max_data_bits)
         outcome, created = contracts.transition(target, call, tx.payload, ctx)
+        if outcome.kind in contracts.LINKED_KINDS:
+            replay.calls[tx.recomputed_hash] = call
         tender = replay.tenders.get(tx.target)
         if created is not None and created.address in state:
             replay.ledger_findings.append(Violation(
@@ -421,7 +426,7 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
     for addr, contract in replay.state.items():
         addr_hex = to_hex(addr)
         belongs = owners.get(addr, set())
-        expected = contracts.disclose(contract, replay.state, replay.calls)
+        expected = contracts.disclose(contract, replay.state, replay.calls.get)
         disclosed = disclosed_all.get(addr_hex)
         if disclosed is None:
             tag = "ERASURE" if isinstance(contract, BidRecordContract) else "R1"
@@ -582,13 +587,12 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
 
 def _disclosed_data(replay: ChainReplay, addr: bytes) -> bytes:
     """The bytes the export discloses at ``addr``: the re-derived data contract's
-    when the disclosed ``data`` is the link the ledger writes for it, else the
-    hex written whole, else none. No other link is followed."""
+    when the disclosed ``data`` is what the ledger writes for it, else the hex
+    written whole, else none. No other link is followed."""
     disclosed = replay.export["contracts"].get(to_hex(addr), {}).get("data")
     contract = replay.state.get(addr)
     if isinstance(contract, TenderDataContract) and same_json(
-            contracts.linked(to_hex(contract.data), contract.tx_hash, replay.calls, "data"),
-            disclosed):
+            contracts.disclose(contract, replay.state, replay.calls.get)["data"], disclosed):
         return contract.data
     try:
         return from_hex(disclosed)

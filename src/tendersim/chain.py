@@ -28,7 +28,7 @@ from .errors import (
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
 GAS_PRICE = 1  # no fee market: every transaction offers the same price
-EXPORT_FORMAT = "tendersim-chain/5"
+EXPORT_FORMAT = "tendersim-chain/6"
 
 
 # The calibrated gas figures
@@ -95,7 +95,6 @@ class Transaction:
     target: bytes | None  # None marks a deployment
     payload: bytes
     nonce: int
-    gas_price: int
     gas_used: int
     status: str  # "OK" | "REJECTED"
     error: str | None
@@ -107,15 +106,15 @@ class Transaction:
 @dataclass(frozen=True)
 class Block:
     height: int
-    parent_hash: bytes
+    parent_hash: bytes  # the block_hash of the block before; zeros for genesis
     timestamp: int
     # Transaction on the ledger; audit.LedgerTransaction when read from an export
     transactions: tuple
     block_hash: bytes
 
 
-def compute_tx_hash(sender: bytes, target: bytes | None, nonce: int, payload: bytes,
-                    gas_price: int) -> bytes:
+def compute_tx_hash(sender: bytes, target: bytes | None, nonce: int, payload: bytes) -> bytes:
+    """The hash of a transaction's signed fields, ``GAS_PRICE`` among them."""
     h = hashlib.sha256()
     h.update(b"tx|")
     h.update(sender)
@@ -123,7 +122,7 @@ def compute_tx_hash(sender: bytes, target: bytes | None, nonce: int, payload: by
     h.update(nonce.to_bytes(8, "big"))
     h.update(len(payload).to_bytes(8, "big"))
     h.update(payload)
-    h.update(gas_price.to_bytes(8, "big"))
+    h.update(GAS_PRICE.to_bytes(8, "big"))
     return h.digest()
 
 
@@ -180,8 +179,7 @@ class _Pending:
     tx_hash: bytes = field(init=False)
 
     def __post_init__(self):
-        self.tx_hash = compute_tx_hash(self.sender, self.target, self.nonce,
-                                       self.payload, GAS_PRICE)
+        self.tx_hash = compute_tx_hash(self.sender, self.target, self.nonce, self.payload)
 
 
 class Chain:
@@ -263,7 +261,6 @@ class Chain:
                 target=pending.target,
                 payload=pending.payload,
                 nonce=pending.nonce,
-                gas_price=GAS_PRICE,
                 gas_used=outcome.gas_used,
                 status=outcome.status,
                 error=outcome.error,
@@ -319,25 +316,32 @@ class Chain:
         Payloads are written with ``to_text``, one character per byte. The
         registered accounts, the clock and its settings are left out: no
         reader of the export could check them against the ledger. Nor are the
-        gas figures, which are constants of this module. Each contract is written
-        by ``contracts.disclose``: a tracked tender's records each keep the
-        bid array as it stood, and each is written as a link to the record
-        before it, so the file grows linearly with the bids; a data
-        contract's bytes and a tender's published results are written as a
-        link to the transaction that carried them, so the export does not
-        hold them twice.
+        gas figures and ``GAS_PRICE``, which are constants of this module, nor
+        each block's parent hash, which is the ``block_hash`` of the block
+        before it (zeros for genesis) and which the block hash commits to.
+        Each contract is written by ``contracts.disclose``: a tracked tender's
+        records each keep the bid array as it stood, and each is written as a
+        link to the record before it, so the file grows linearly with the bids;
+        a bid record's call arguments, a data contract's bytes and a tender's
+        published results are written as a link to the transaction that
+        carried them, so the export does not hold them twice.
         """
         from . import contracts  # avoids an import cycle
 
-        calls = {t.tx_hash: contracts.decode_call(t.payload)
-                 for b in self.blocks for t in b.transactions if t.kind in contracts.LINKED_OPS}
+        payloads = {t.tx_hash: t.payload for b in self.blocks for t in b.transactions
+                    if t.kind in contracts.LINKED_KINDS}
+
+        def call_of(tx_hash):
+            # decoded at each lookup, so the export never holds every call at once
+            payload = payloads.get(tx_hash)
+            return None if payload is None else contracts.decode_call(payload)
+
         return {
             "format": EXPORT_FORMAT,
             "max_data_bits": self.config.max_data_bits,
             "blocks": [
                 {
                     "height": b.height,
-                    "parent_hash": to_hex(b.parent_hash),
                     "timestamp": b.timestamp,
                     "block_hash": to_hex(b.block_hash),
                     "transactions": [
@@ -346,7 +350,6 @@ class Chain:
                             "target": DEPLOY_TARGET if t.target is None else to_hex(t.target),
                             "payload": to_text(t.payload),
                             "nonce": t.nonce,
-                            "gas_price": t.gas_price,
                             "gas_used": t.gas_used,
                             "status": t.status,
                             "error": t.error,
@@ -360,6 +363,6 @@ class Chain:
                 }
                 for b in self.blocks
             ],
-            "contracts": {to_hex(a): contracts.disclose(c, self._contracts, calls)
+            "contracts": {to_hex(a): contracts.disclose(c, self._contracts, call_of)
                           for a, c in self._contracts.items()},
         }

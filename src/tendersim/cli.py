@@ -8,7 +8,7 @@ from pathlib import Path
 
 from . import audit
 from .encoding import write_canonical_json
-from .errors import TenderSimError
+from .errors import NoSuchContract, TenderSimError
 from .scenario import compare_schemes, run_scenario
 
 
@@ -33,8 +33,7 @@ def _cmd_audit(args) -> int:
         replay = audit.replay_chain(audit.parse_export(file))
     tenders = list(replay.tenders) if wanted is None else [wanted]
     if not tenders:
-        print("no tender deployment found in the export", file=sys.stderr)
-        return 2
+        raise NoSuchContract("no tender deployment found in the export")
     worst = 0
     reports = []
     for addr in tenders:

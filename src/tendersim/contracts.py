@@ -63,9 +63,12 @@ _KINDS = {
 # the auditor grades a wrong receipt for one as an immutability breach.
 OUTCOME_FIXING_OPS = ("publish_results", "set_field")
 
-# The calls whose argument a contract keeps, which the export writes as a link
-# to the transaction (``disclose``); each is also its accepted receipt's kind.
-LINKED_OPS = ("deploy_data", "publish_results")
+# The accepted receipt kinds of the calls whose arguments a contract keeps,
+# which the export writes as a link to the transaction (``disclose``).
+LINKED_KINDS = ("deploy_data", "publish_results") + tuple(k[1] for k in _KINDS.values())
+
+# The arguments of a ``place_bid`` call that its bid record keeps, by snapshot key.
+PLACED_ARGS = ("id", "data_addr", "sealed_half_a")
 
 # The target of a deployment transaction.
 DEPLOY = object()
@@ -113,14 +116,16 @@ class BidRecordContract(Contract):
     """One placed bid; immutable after creation.
 
     ``certificate_valid`` remembers the certificate half of the validity
-    check; it is not part of the disclosed state.
+    check; it is not part of the disclosed state. ``tx_hash`` names the
+    ``place_bid`` transaction that created the record.
     """
 
     kind = "bid_record"
 
     def __init__(self, address: bytes, scheme: str, bidder_id: str, data_addr: bytes,
                  validity: bool, certificate_valid: bool, sealed_half_a: bytes,
-                 prior_bids: tuple[bytes, ...] | None, bidding_end_copy: int | None):
+                 prior_bids: tuple[bytes, ...] | None, bidding_end_copy: int | None,
+                 tx_hash: bytes):
         self.address = address
         self.scheme = scheme
         self.bidder_id = bidder_id
@@ -130,6 +135,7 @@ class BidRecordContract(Contract):
         self.sealed_half_a = sealed_half_a
         self.prior_bids = prior_bids
         self.bidding_end_copy = bidding_end_copy
+        self.tx_hash = tx_hash
 
     def snapshot(self) -> dict:
         """The record's state less its copy of the bid array, which costs
@@ -148,16 +154,20 @@ class BidRecordContract(Contract):
         return snap
 
 
-def disclose(contract: Contract, state: dict, calls: dict) -> dict:
+def disclose(contract: Contract, state: dict, call_of) -> dict:
     """``contract``'s state as a chain export writes it: its snapshot, except
     that a value the export already holds elsewhere is written as a link.
 
     A data contract's ``data`` and a tender's ``results`` are written as
     ``{"in_tx": <hash of the transaction that set it>}`` when they equal, as
     strictly as the auditor compares, what that transaction carried: its
-    call's ``data`` or ``result``. ``calls`` maps transaction hashes to decoded
-    calls and must hold every accepted ``deploy_data`` and ``publish_results``
-    call. A value that differs, as after an edit of the ledger, is written whole.
+    call's ``data`` or ``result``. A bid record's ``id``, ``data_addr`` and
+    ``sealed_half_a`` are written as one ``"placed_by": {"in_tx": <hash>}``
+    when all three equal the arguments of the ``place_bid`` call that created
+    it. ``call_of`` gives the decoded call of a transaction hash, and must
+    give it for every accepted ``deploy_data``, ``publish_results`` and
+    ``place_bid`` transaction (``LINKED_KINDS``), else None. A value that
+    differs, as after an edit of the ledger, is written whole.
 
     A tracked bid record's ``prior_bids`` is ``{"extends": E, "then": [...]}``,
     which stands for E's own list, then E, then ``then``; ``"extends": None``
@@ -172,10 +182,16 @@ def disclose(contract: Contract, state: dict, calls: dict) -> dict:
     """
     snap = contract.snapshot()
     if isinstance(contract, TenderDataContract):
-        snap["data"] = linked(snap["data"], contract.tx_hash, calls, "data")
+        snap["data"] = linked(contract.tx_hash, call_of, data=snap["data"]) or snap["data"]
     elif isinstance(contract, RequestForTenderContract):
-        snap["results"] = linked(snap["results"], contract.results_tx, calls, "result")
-    prior = contract.prior_bids if isinstance(contract, BidRecordContract) else None
+        snap["results"] = linked(contract.results_tx, call_of,
+                                 result=snap["results"]) or snap["results"]
+    if not isinstance(contract, BidRecordContract):
+        return snap
+    placed = {arg: snap.pop(arg) for arg in PLACED_ARGS}
+    link = linked(contract.tx_hash, call_of, **placed)
+    snap.update({"placed_by": link} if link else placed)
+    prior = contract.prior_bids
     if prior is None:
         return snap
     before = state.get(prior[-1]) if prior else None
@@ -186,13 +202,13 @@ def disclose(contract: Contract, state: dict, calls: dict) -> dict:
     return snap
 
 
-def linked(value, tx_hash: bytes | None, calls: dict, arg: str):
-    """A link to transaction ``tx_hash`` if its call carried ``value`` as ``arg``,
-    else ``value``."""
-    call = calls.get(tx_hash)
-    if call is not None and same_json(call.get(arg), value):
+def linked(tx_hash: bytes | None, call_of, **args) -> dict | None:
+    """A link to transaction ``tx_hash`` if its call, ``call_of(tx_hash)``,
+    carried each of ``args``, else None."""
+    call = call_of(tx_hash)
+    if call is not None and all(same_json(call.get(arg), value) for arg, value in args.items()):
         return {"in_tx": to_hex(tx_hash)}
-    return value
+    return None
 
 
 class RequestForTenderContract(Contract):
@@ -271,7 +287,8 @@ class RequestForTenderContract(Contract):
                                    bidder_id=bidder_id, data_addr=data_addr,
                                    validity=validity, certificate_valid=valid_hash,
                                    sealed_half_a=sealed_half_a,
-                                   prior_bids=prior, bidding_end_copy=end_copy)
+                                   prior_bids=prior, bidding_end_copy=end_copy,
+                                   tx_hash=ctx.tx_hash)
         if self.bids_placed is not None:
             self.bids_placed.append(record_addr)
         return ExecOutcome(kind=bid_kind, gas_used=gas,

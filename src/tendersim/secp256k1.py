@@ -12,22 +12,23 @@ Scalar multiplication takes one of two routes, chosen by the base:
 
 * Fixed base, for a point known in advance: a FixedBase table. The GLV
   endomorphism phi(x, y) = (BETA*x, y) = LAMBDA*(x, y) splits k into
-  k1 + k2*LAMBDA with both halves below 2^129 (Gallant, Lambert and
-  Vanstone, CRYPTO 2001). Each half is recoded into signed w-bit digits
-  in [-2^(w-1), 2^(w-1)], so row i of the table holds j * 2^(w*i) * point
-  only for 1 <= j <= 2^(w-1), over ceil(130 / w) rows (Brickell, Gordon,
-  McCurley and Wilson, EUROCRYPT '92). k*point then adds one entry per
-  non-zero digit of each half, reading phi(entry) as (BETA*x, y) for k2
-  and negating y for a negative digit: no doubling. Against unsigned
-  digits, a table has half the points and takes half the time to build,
-  for about the same number of additions.
-  - G (key generation, signing, the u1*G half of recovery): w = 7, 19
-    rows of 64 points (1216), built at import in about 9 ms; k*G is at
-    most 38 mixed additions.
+  k1 + k2*LAMBDA with both halves below 2.55 * 2^126 in size (Gallant,
+  Lambert and Vanstone, CRYPTO 2001). Each half is recoded into signed
+  w-bit digits in [-2^(w-1), 2^(w-1)], so row i of the table holds
+  j * 2^(w*i) * point only for 1 <= j <= 2^(w-1), and the top row only up
+  to the largest digit a half can leave it (Brickell, Gordon, McCurley and
+  Wilson, EUROCRYPT '92). k*point then adds one entry per non-zero digit
+  of each half, reading phi(entry) as (BETA*x, y) for k2 and negating y
+  for a negative digit: no doubling. Against unsigned digits, a table has
+  half the points and takes half the time to build, for about the same
+  number of additions.
+  - G (key generation, signing, the u1*G half of recovery): w = 7, 18
+    rows of 64 points and a top row of 3 (1155), built at import in about
+    9 ms; k*G is at most 38 mixed additions.
   - A public key that many ECDH calls share, such as the organisation
     key every bid of a tender is sealed to: ``prepare_public_key`` builds
-    a w = 4 table, 33 rows of 8 points (264), in about 2.5 ms; each ECDH
-    against it is at most 66 mixed additions.
+    a w = 4 table, 32 rows of 8 points and a top row of 1 (257), in about
+    2.5 ms; each ECDH against it is at most 66 mixed additions.
   Build times are medians on a 2-vCPU machine under Python 3.11, where
   the unsigned tables took 18 ms and 4.1 ms.
 * Variable base, k*Q (ECDH against a raw public key, the u2*R half of
@@ -59,6 +60,8 @@ _A1 = 0x3086D221A7D46BCDE86C90E49284EB15
 _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _B2 = _A1
+# the largest |k1| or |k2| that _glv_split gives (see _build_table)
+_HALF_MAX = (_A1 + _A2) // 2
 
 _JINF = (0, 0, 0)
 
@@ -132,8 +135,9 @@ class FixedBase:
     """Precomputed multiples of one curve point, for many multiplications by it.
 
     Row i holds j * 2^(w*i) * point at index j, for 1 <= j <= 2^(w-1)
-    (index 0 is unused). ceil(130 / w) rows cover the signed w-bit digits
-    of either half of a GLV-split scalar.
+    (index 0 is unused); the top row stops at the largest digit it is read
+    at. The rows cover the signed w-bit digits of either half of a
+    GLV-split scalar.
     """
 
     __slots__ = ("width", "rows")
@@ -145,10 +149,26 @@ class FixedBase:
 
 def _build_table(point, w):
     """The FixedBase table of an affine point with w-bit digits, w >= 2."""
-    # A half below 2^129 leaves at most 2^(129 - w*(n-1)) for the top row once
-    # n - 1 digits and their carry are taken; n = ceil(130 / w) makes that
-    # at most 2^(w-1), a digit the row holds.
-    count = -(-130 // w)
+    # How large a half gets: _glv_split rounds the real coefficients c1', c2'
+    # of (k, 0) in the basis (A1, B1), (A2, B2) to the nearest integers c1, c2.
+    # As A1*B2 - A2*B1 == N, (k, 0) == c1'*(A1, B1) + c2'*(A2, B2) exactly, so
+    # (k1, k2) == (c1' - c1)*(A1, B1) + (c2' - c2)*(A2, B2) with both
+    # differences in [-1/2, 1/2]: |k1| <= (|A1| + |A2|) / 2 = _HALF_MAX,
+    # under 2.55 * 2^126, and |k2| <= (|B1| + |B2|) / 2, under 2^128 and
+    # under _HALF_MAX.
+    # What a half leaves the top row: once the signed digits of the n - 1
+    # rows below it are taken, whose value S lies between
+    # -(2^(w-1) - 1) * R and 2^(w-1) * R for R = (2^(w*(n-1)) - 1) / (2^w - 1),
+    # a half h leaves r = (h - S) / 2^(w*(n-1)), so
+    # |r| <= (_HALF_MAX + 2^(w-1) * R) / 2^(w*(n-1)). The table has the fewest
+    # rows n for which that is a digit a row holds, and its top row holds
+    # only the entries up to it: at w = 7, 19 rows, the top one read only at
+    # digits 1 to 3; at w = 4, 33 rows, the top one read only at digit 1.
+    top = 1 << (w - 1)
+    span, count = 1, 1  # span = 2^(w*(count-1))
+    while (last := (_HALF_MAX + top * ((span - 1) // ((1 << w) - 1))) // span) > top:
+        span <<= w
+        count += 1
     jac = [(point[0], point[1], 1)]
     for _ in range(count - 1):
         base = jac[-1]
@@ -156,14 +176,15 @@ def _build_table(point, w):
             base = _jac_double(base)
         jac.append(base)
     affine = _batch_to_affine(jac + [_jac_double(b) for b in jac])
-    bases = affine[:count]
-    rows = [[None, b, d] for b, d in zip(bases, affine[count:])]
-    # Every row grows by its own base in lockstep, so the affine additions
-    # of one step share a single inversion.
-    for _ in range(3, (1 << (w - 1)) + 1):
-        invs = _batch_inverse([row[-1][0] - b[0] for row, b in zip(rows, bases)])
-        for row, (bx, by), inv in zip(rows, bases, invs):
-            qx, qy = row[-1]
+    rows = [[None, b, d] for b, d in zip(affine[:count], affine[count:])]
+    rows[-1] = rows[-1][:last + 1]
+    # Every row grows by its own base, row[1], in lockstep, so the affine
+    # additions of one step share a single inversion; the top row stops at last.
+    for j in range(3, top + 1):
+        growing = rows if j <= last else rows[:-1]
+        invs = _batch_inverse([row[-1][0] - row[1][0] for row in growing])
+        for row, inv in zip(growing, invs):
+            (bx, by), (qx, qy) = row[1], row[-1]
             s = (qy - by) * inv % P
             x = (s * s - qx - bx) % P
             row.append((x, (s * (bx - x) - by) % P))
@@ -171,7 +192,7 @@ def _build_table(point, w):
 
 
 def _glv_split(k):
-    """(k1, k2) with k1 + k2*LAMBDA == k (mod N) and |k1|, |k2| < 2^129."""
+    """(k1, k2) with k1 + k2*LAMBDA == k (mod N) and |k1|, |k2| <= _HALF_MAX."""
     c1 = (2 * _B2 * k + N) // (2 * N)
     c2 = (-2 * _B1 * k + N) // (2 * N)
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2

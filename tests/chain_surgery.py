@@ -7,31 +7,35 @@ broken.
 
 import json
 
+from tendersim import contracts
 from tendersim.chain import compute_block_hash, compute_tx_hash
 from tendersim.encoding import from_hex, from_text, to_hex, to_text
 
 
 def remine(export: dict, start_height: int = 1) -> None:
-    """Recompute block hashes and parent links from start_height onward."""
-    blocks = export["blocks"]
-    for block in blocks[start_height:]:
-        block["parent_hash"] = blocks[block["height"] - 1]["block_hash"]
-        _rehash(block)
+    """Recompute block hashes from start_height onward, each over the hash of
+    the block before it."""
+    for index in range(start_height, len(export["blocks"])):
+        _rehash(export, index)
 
 
-def reseal(export: dict, index: int, **fields) -> None:
-    """Set ``fields`` on block ``index`` and recompute its hash, then re-mine
-    the blocks after it, so the edit breaks no hash and no later link."""
-    block = export["blocks"][index]
-    block.update(fields)
-    _rehash(block)
+def reseal(export: dict, index: int, parent_hash: bytes | None = None, **fields) -> None:
+    """Set ``fields`` on block ``index`` and recompute its hash, over
+    ``parent_hash`` when given (a block mined over another parent) and else
+    over the block before it; then re-mine the blocks after it, so the edit
+    breaks no later hash."""
+    export["blocks"][index].update(fields)
+    _rehash(export, index, parent_hash)
     remine(export, index + 1)
 
 
-def _rehash(block: dict) -> None:
+def _rehash(export: dict, index: int, parent_hash: bytes | None = None) -> None:
+    block = export["blocks"][index]
+    if parent_hash is None:
+        parent_hash = from_hex(export["blocks"][index - 1]["block_hash"]) if index else bytes(32)
     tx_hashes = [from_hex(t["tx_hash"]) for t in block["transactions"]]
     block["block_hash"] = to_hex(compute_block_hash(
-        block["height"], from_hex(block["parent_hash"]), block["timestamp"], tx_hashes))
+        block["height"], parent_hash, block["timestamp"], tx_hashes))
 
 
 def reuse_nonce(export: dict, height: int, tx_index: int, target_hex: str) -> dict:
@@ -41,8 +45,7 @@ def reuse_nonce(export: dict, height: int, tx_index: int, target_hex: str) -> di
     block = export["blocks"][height]
     tx = dict(block["transactions"][tx_index], target=target_hex)
     tx["tx_hash"] = to_hex(compute_tx_hash(from_hex(tx["sender"]), from_hex(target_hex),
-                                           tx["nonce"], from_text(tx["payload"]),
-                                           tx["gas_price"]))
+                                           tx["nonce"], from_text(tx["payload"])))
     block["transactions"].append(tx)
     remine(export, height)
     return tx
@@ -60,6 +63,17 @@ def carried(export: dict, tx_hash_hex: str) -> dict:
     tx = next(tx for block in export["blocks"] for tx in block["transactions"]
               if tx["tx_hash"] == tx_hash_hex)
     return json.loads(from_text(tx["payload"]))
+
+
+def bid_record(export: dict, address_hex: str) -> dict:
+    """The disclosed bid record at ``address_hex``, with the call arguments it
+    links to read from the ``place_bid`` transaction that created it."""
+    record = dict(export["contracts"][address_hex])
+    link = record.pop("placed_by", None)
+    if link is not None:
+        call = carried(export, link["in_tx"])
+        record.update({arg: call[arg] for arg in contracts.PLACED_ARGS})
+    return record
 
 
 def contract_data(export: dict, address_hex: str) -> bytes:
@@ -103,7 +117,6 @@ def duplicate_publish(export: dict, rft_hex: str) -> None:
     head = export["blocks"][-1]
     export["blocks"].append({
         "height": head["height"] + 1,
-        "parent_hash": head["block_hash"],
         "timestamp": head["timestamp"] + 1,
         "block_hash": "0x" + "00" * 32,
         "transactions": [publish],

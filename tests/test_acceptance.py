@@ -177,7 +177,9 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
     published = chain_surgery.published_results(export, rft_hex)["revealed_keys"]
     rng = Random(505)
     record_addrs = export["contracts"][rft_hex]["bids_placed"]
-    data_addrs = [export["contracts"][a]["data_addr"] for a in record_addrs]
+    # each record with the call arguments it links to written whole
+    whole = {a: chain_surgery.bid_record(export, a) for a in record_addrs}
+    data_addrs = [whole[a]["data_addr"] for a in record_addrs]
 
     misses = 0
     trials = 0
@@ -186,7 +188,7 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
     for _ in range(400):
         trials += 1
         victim = rng.choice(record_addrs)
-        data_hex = export["contracts"][victim]["data_addr"]
+        data_hex = whole[victim]["data_addr"]
         raw = bytearray(chain_surgery.contract_data(export, data_hex))
         bit = rng.randrange(len(raw) * 8)
         raw[bit // 8] ^= 1 << (bit % 8)
@@ -212,22 +214,27 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
         if not audit.verify_ledger_hashes(audit.read_ledger(tampered)):
             misses += 1
 
-    # c) bid record field tampers, detected by full replay
+    # c) bid record field tampers, detected by full replay; a call argument the
+    # record links to can only be edited with the record written whole
+    def edit_whole(snap, record, key, value):
+        snap.clear()
+        snap.update(record, **{key: value})
+
     field_mutators = [
-        lambda snap: snap.__setitem__("validity", not snap["validity"]),
-        lambda snap: snap.__setitem__("id", snap["id"] + "X"),
-        lambda snap: snap.__setitem__("data_addr", "0x" + "11" * 20),
-        lambda snap: snap.__setitem__("sealed_half_a",
-                                      "0x" + "22" * 8 + snap["sealed_half_a"][18:]),
-        lambda snap: snap.__setitem__("bidding_end_copy",
-                                      snap["bidding_end_copy"] + 1),
-        lambda snap: snap["prior_bids"]["then"].append("0x" + "33" * 20),
+        lambda snap, record: snap.__setitem__("validity", not snap["validity"]),
+        lambda snap, record: edit_whole(snap, record, "id", record["id"] + "X"),
+        lambda snap, record: edit_whole(snap, record, "data_addr", "0x" + "11" * 20),
+        lambda snap, record: edit_whole(snap, record, "sealed_half_a",
+                                        "0x" + "22" * 8 + record["sealed_half_a"][18:]),
+        lambda snap, record: snap.__setitem__("bidding_end_copy",
+                                              snap["bidding_end_copy"] + 1),
+        lambda snap, record: snap["prior_bids"]["then"].append("0x" + "33" * 20),
     ]
     for i in range(250):
         trials += 1
         tampered = _copy.deepcopy(export)
         victim = rng.choice(record_addrs)
-        rng.choice(field_mutators)(tampered["contracts"][victim])
+        rng.choice(field_mutators)(tampered["contracts"][victim], whole[victim])
         report = audit.replay_and_audit(tampered, rft_hex)
         if not report.violations:
             misses += 1

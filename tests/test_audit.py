@@ -294,16 +294,28 @@ def test_block_hash_edited_without_re_mining_is_flagged():
     assert _r6_findings(export, rft_hex) == {"block hash mismatch"}
 
 
+# An export writes no parent hash: a block mined over another parent fails
+# its own hash check, since the auditor hashes it over the block before it.
 def test_genesis_block_with_a_parent_is_flagged():
     export, rft_hex, _, _ = _honest_export()
-    chain_surgery.reseal(export, 0, parent_hash=to_hex(b"\x01" * 32))
-    assert _r6_findings(export, rft_hex) == {"malformed genesis block"}
+    chain_surgery.reseal(export, 0, parent_hash=b"\x01" * 32)
+    assert _r6_findings(export, rft_hex) == {"block hash mismatch"}
+    assert [v.height for v in audit.verify_ledger_hashes(audit.read_ledger(export))] == [0]
 
 
 def test_block_linked_to_the_wrong_parent_is_flagged():
     export, rft_hex, _, _ = _honest_export()
-    chain_surgery.reseal(export, 2, parent_hash=export["blocks"][0]["block_hash"])
-    assert _r6_findings(export, rft_hex) == {"broken parent hash link"}
+    chain_surgery.reseal(export, 2, parent_hash=from_hex(export["blocks"][0]["block_hash"]))
+    assert _r6_findings(export, rft_hex) == {"block hash mismatch"}
+    assert [v.height for v in audit.verify_ledger_hashes(audit.read_ledger(export))] == [2]
+
+
+def test_chain_that_starts_above_height_0_is_flagged():
+    export, rft_hex, _, _ = _honest_export()
+    for block in export["blocks"]:
+        block["height"] += 1
+    chain_surgery.remine(export, 0)
+    assert _r6_findings(export, rft_hex) == {"malformed genesis block"}
 
 
 def test_block_with_a_skipped_height_is_flagged():
@@ -457,9 +469,9 @@ def test_read_ledger_gives_the_ledger_blocks_field_by_field(scheme):
         assert len(read.transactions) == len(block.transactions)
         for tx, ledger_tx, receipt in zip(read.transactions, block.transactions,
                                           disclosed["transactions"]):
-            assert (tx.sender, tx.target, tx.payload, tx.nonce, tx.gas_price, tx.tx_hash) == \
+            assert (tx.sender, tx.target, tx.payload, tx.nonce, tx.tx_hash) == \
                 (ledger_tx.sender, ledger_tx.target, ledger_tx.payload, ledger_tx.nonce,
-                 ledger_tx.gas_price, ledger_tx.tx_hash)
+                 ledger_tx.tx_hash)
             assert tx.receipt is receipt
 
 
@@ -467,7 +479,7 @@ def test_read_ledger_gives_the_ledger_blocks_field_by_field(scheme):
 def test_replay_rederives_the_ledger_state(scheme):
     export, _, _, _ = _honest_export(scheme)
     replay = audit.replay_chain(export)
-    assert {to_hex(a): contracts.disclose(c, replay.state, replay.calls)
+    assert {to_hex(a): contracts.disclose(c, replay.state, replay.calls.get)
             for a, c in replay.state.items()} == export["contracts"]
     assert replay.receipt_findings == [] and replay.state_findings == []
 
@@ -728,7 +740,7 @@ def test_bid_validity_must_be_a_json_boolean(full_track_10):
 def test_changed_data_contract_owner_is_flagged(full_track_10):
     export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
     record = export["contracts"][rft_hex]["bids_placed"][0]
-    data_hex = export["contracts"][record]["data_addr"]
+    data_hex = chain_surgery.bid_record(export, record)["data_addr"]
     export["contracts"][data_hex]["owner"] = "0x" + "11" * 20
     report = audit.replay_and_audit(export, rft_hex)
     assert any(v.tag == "R3" and data_hex in v.description and "owner" in v.description
@@ -802,10 +814,22 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/5", "blocks": [block],
+    raw = canonical_json_bytes({"format": "tendersim-chain/6", "blocks": [block],
                                 "contracts": {}, "max_data_bits": 5000})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))
+
+
+@pytest.mark.parametrize("key, where", [("parent_hash", "block 1"),
+                                        ("gas_price", "block 1 transaction 0")])
+def test_a_field_tendersim_chain_5_wrote_is_named_and_refused(full_track_10, key, where):
+    export = copy.deepcopy(full_track_10[0])
+    owner = export["blocks"][1]
+    if key == "gas_price":
+        owner = owner["transactions"][0]
+    owner[key] = 1
+    with pytest.raises(MalformedExport, match=f"^{where} field '{key}' is not one the audit"):
+        audit.replay_chain(export)
 
 
 def _link(c, rec, **fields):
@@ -880,31 +904,35 @@ def two_tenders():
     return export, to_hex(rfts[0]), to_hex(rfts[1])
 
 
-def _tx_hash_of(export, **fields) -> str:
+def _tx_hash_of(export, other_than=None, **fields) -> str:
     return next(tx["tx_hash"] for b in export["blocks"] for tx in b["transactions"]
-                if all(tx[k] == v for k, v in fields.items()))
+                if all(tx[k] == v for k, v in fields.items()) and tx["tx_hash"] != other_than)
 
 
-def _first_ciphertext(c, rft):
-    return c[c[rft]["bids_placed"][0]]["data_addr"]
+def _first_record(e, rft):
+    return e["contracts"][rft]["bids_placed"][0]
 
 
-# each linked field: where it sits for a given tender, as (address, key), and
-# the finding an edit of it gives
+# each linked field: where it sits in an export for a given tender, as
+# (address, key), and the finding an edit of it gives
 _LINKED_FIELDS = {
-    "results": (lambda c, rft: (rft, "results"),
+    "results": (lambda e, rft: (rft, "results"),
                 ("R1", "disclosed results differ from the published payload")),
-    "tender-data": (lambda c, rft: (c[rft]["tender_data"], "data"),
+    "tender-data": (lambda e, rft: (e["contracts"][rft]["tender_data"], "data"),
                     ("R1", "tender data at {addr} differs from the bytes in its deployment")),
-    "bid-ciphertext": (lambda c, rft: (_first_ciphertext(c, rft), "data"),
+    "bid-ciphertext": (lambda e, rft: (chain_surgery.bid_record(e, _first_record(e, rft))
+                                       ["data_addr"], "data"),
                        ("R3", "bid ciphertext at {addr} differs from the bytes in its "
                               "deployment")),
+    "bid-record": (lambda e, rft: (_first_record(e, rft), "placed_by"),
+                   ("R3", "bid record {addr} field placed_by differs from recomputed value")),
 }
 _LINK_EDITS = {
     "unknown-tx": lambda e, own, other: {"in_tx": "0x" + "55" * 32},
     "rejected-tx": lambda e, own, other: {"in_tx": _tx_hash_of(e, status="REJECTED")},
     "other-tenders-tx": lambda e, own, other: other,
-    "place-bid-tx": lambda e, own, other: {"in_tx": _tx_hash_of(e, kind="bid_full")},
+    "place-bid-tx": lambda e, own, other: {"in_tx": _tx_hash_of(e, own["in_tx"],
+                                                                kind="bid_full")},
     "in-tx-a-number": lambda e, own, other: {"in_tx": 7},
     "in-tx-missing": lambda e, own, other: {},
     "extra-key": lambda e, own, other: {**own, "x": 1},
@@ -918,16 +946,17 @@ def test_hostile_transaction_links_are_graded_not_raised(two_tenders, tmp_path, 
                                                          field, edit):
     export, first, second = copy.deepcopy(two_tenders[0]), two_tenders[1], two_tenders[2]
     locate, (tag, text) = _LINKED_FIELDS[field]
-    addr, key = locate(export["contracts"], first)
-    other_addr, _ = locate(export["contracts"], second)
+    addr, key = locate(export, first)
+    other_addr, _ = locate(export, second)
     own, other = export["contracts"][addr][key], export["contracts"][other_addr][key]
     assert set(own) == {"in_tx"} and own != other
-    if edit == "written-whole":  # the tendersim-chain/3 spelling
-        value = chain_surgery.carried(export, own["in_tx"])["result" if key == "results"
-                                                             else "data"]
-    else:
-        value = _LINK_EDITS[edit](export, own, other)
-    export["contracts"][addr][key] = value
+    if edit != "written-whole":
+        export["contracts"][addr][key] = _LINK_EDITS[edit](export, own, other)
+    elif key == "placed_by":  # the tendersim-chain/5 spelling
+        export["contracts"][addr] = chain_surgery.bid_record(export, addr)
+    else:  # the tendersim-chain/3 spelling
+        export["contracts"][addr][key] = chain_surgery.carried(export, own["in_tx"])[
+            "result" if key == "results" else "data"]
     parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
     report = audit.replay_and_audit(parsed, first)
     assert any(v.tag == tag and v.description.startswith(text.format(addr=addr))
@@ -941,16 +970,21 @@ def test_hostile_transaction_links_are_graded_not_raised(two_tenders, tmp_path, 
 @pytest.mark.parametrize("field", list(_LINKED_FIELDS))
 def test_a_ledger_edit_of_linked_state_is_written_whole_and_flagged(field):
     chain, rft, _, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), seed=21)
-    contracts_before = chain.export()["contracts"]
     locate, (tag, text) = _LINKED_FIELDS[field]
-    addr, key = locate(contracts_before, to_hex(rft))
+    addr, key = locate(chain.export(), to_hex(rft))
     contract = chain.get_contract(from_hex(addr))
     if key == "results":
         contract.results["winner_id"] = "B9"
+    elif key == "placed_by":  # one of the three arguments the record keeps
+        contract.bidder_id = "B9"
     else:
         contract.data = bytes([contract.data[0] ^ 1]) + contract.data[1:]
-    disclosed = chain.export()["contracts"][addr][key]
-    assert disclosed == (contract.results if key == "results" else to_hex(contract.data))
+    disclosed = chain.export()["contracts"][addr]
+    if key == "placed_by":
+        assert key not in disclosed and disclosed["id"] == "B9"
+    else:
+        assert disclosed[key] == (contract.results if key == "results"
+                                  else to_hex(contract.data))
     report = audit.replay_and_audit(chain.export(), rft)
     assert any(v.tag == tag and v.description.startswith(text.format(addr=addr))
                for v in report.violations), report.violations

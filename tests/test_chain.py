@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendersim import contracts, crypto
+from tendersim import audit, contracts, crypto
 
 from tendersim.chain import (
     Chain,
@@ -147,7 +147,7 @@ def test_hash_chain_links_and_tamper_evidence(chain, to_keys):
     # recomputing with a mutated payload must change this and every later block hash
     victim = blocks[1].transactions[0]
     mutated_tx_hash = compute_tx_hash(victim.sender, victim.target, victim.nonce,
-                                      victim.payload + b"x", victim.gas_price)
+                                      victim.payload + b"x")
     assert mutated_tx_hash != victim.tx_hash
     mutated_block = compute_block_hash(blocks[1].height, blocks[1].parent_hash,
                                        blocks[1].timestamp,
@@ -313,7 +313,7 @@ def test_export_holds_one_small_link_per_record():
 def test_export_links_data_and_results_to_the_transactions_that_carried_them(scheme):
     chain, rft, _, _ = run_honest_tender(scheme, two_bid_docs())
     export = chain.export()
-    assert export["format"] == "tendersim-chain/5"
+    assert export["format"] == "tendersim-chain/6"
     created = {tx.created_address: tx for b in chain.blocks for tx in b.transactions
                if tx.created_address}
     publish = next(tx for b in chain.blocks for tx in b.transactions
@@ -325,6 +325,48 @@ def test_export_links_data_and_results_to_the_transactions_that_carried_them(sch
         assert export["contracts"][to_hex(addr)]["data"] == \
             {"in_tx": to_hex(created[addr].tx_hash)}
     assert export["contracts"][to_hex(rft)]["results"] == {"in_tx": to_hex(publish.tx_hash)}
+
+
+@pytest.mark.parametrize("scheme", contracts.SCHEMES)
+def test_export_links_each_bid_record_to_the_transaction_that_placed_it(scheme):
+    chain, _, _, _ = run_honest_tender(scheme, two_bid_docs())
+    export = chain.export()
+    placed = [tx for b in chain.blocks for tx in b.transactions if tx.kind.startswith("bid_")]
+    assert len(placed) == 2
+    for tx in placed:
+        disclosed = export["contracts"][to_hex(tx.created_address)]
+        assert disclosed["placed_by"] == {"in_tx": to_hex(tx.tx_hash)}
+        assert not set(contracts.PLACED_ARGS) & set(disclosed)
+    assert all("parent_hash" not in b for b in export["blocks"])
+    assert all("gas_price" not in tx for b in export["blocks"] for tx in b["transactions"])
+
+
+def _bid_spelled(spell) -> tuple[Chain, bytes]:
+    """A FULL_TRACK chain holding one bid whose call is ``spell`` of the usual
+    one, and the address of its record."""
+    chain = Chain(ChainConfig())
+    rft, sender = make_tender(chain, crypto.generate_keypair(Random(3)), "FULL_TRACK")
+    call = contracts.place_bid_call("B1", account("data"), bytes(32), 27, bytes(32),
+                                    bytes(32), b"half-a")
+    chain.submit_transaction(sender, rft, canonical_json_bytes(spell(call)))
+    block = chain.mine_block(chain.head().timestamp + chain.config.block_interval_ms)
+    return chain, block.transactions[0].created_address
+
+
+@pytest.mark.parametrize("spell", [
+    pytest.param(lambda call: {**call, "data_addr": call["data_addr"].upper().replace("X", "x")},
+                 id="data-addr-in-uppercase-hex"),
+    pytest.param(lambda call: {**call, "sealed_half_a": call["sealed_half_a"].upper()
+                               .replace("X", "x")}, id="sealed-half-in-uppercase-hex"),
+])
+def test_export_writes_a_record_whose_call_spells_an_argument_otherwise_whole(spell):
+    chain, record = _bid_spelled(spell)
+    disclosed = chain.export()["contracts"][to_hex(record)]
+    assert "placed_by" not in disclosed
+    assert disclosed["data_addr"] == to_hex(account("data"))
+    assert disclosed["sealed_half_a"] == to_hex(b"half-a")
+    assert audit.replay_chain(chain.export()).state_findings == []
+
 
 
 @pytest.mark.parametrize("edit", [

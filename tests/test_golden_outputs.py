@@ -9,6 +9,7 @@ arithmetic, nonce derivation, encoding or gas shows up here as a failure.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -21,62 +22,62 @@ REPORTS = ("audit.json", "chain.json", "gas.csv", "summary.txt")
 
 GOLDEN = {
     "early_key_reveal/audit.json": "d9f6da450ada68c8e75df7446bc755a4098203040d12b203fbe50fa5231fb41b",
-    "early_key_reveal/chain.json": "9d215c2efbfa231f1bef35341fb10b73059da625741f430290da5bbd9bda1e2c",
+    "early_key_reveal/chain.json": "5c39ccc1e8a734f9020e6575ed7d07c20bc8ad5a386d7319b49132ab6cec5bc9",
     "early_key_reveal/gas.csv": "76904294894527e9feafbe9f65d532af9e123b2bbab572e11bd2236f6ddacbd6",
     "early_key_reveal/summary.txt": "5ba861ed4baae425328eebae31169557c270b8e4f5d5ddc99b468cba32cae7f5",
     "erased_bid/audit.json": "e45a59096e2420b7048254fb1e5e13e988c2dedb7527c288a12b62cf5a09ecca",
-    "erased_bid/chain.json": "980269315597756e65128519e5ed9682b97159e5e6eb748927742806df6b3ec4",
+    "erased_bid/chain.json": "0179c9acd390f3b8250dd89b43ec56cc0b71c89958cc7eba0a3008e4755d7bd9",
     "erased_bid/gas.csv": "7a05f9152abb74d0a87dcc3a309576bbfb2198c9b919c128dc3f05180ad03c39",
     "erased_bid/summary.txt": "556d78f40c30c360cfea5769e5ca39bf251f67bb38c58c2504e5efa7303b111e",
     "forged_cert/audit.json": "5a778f691333962567999146689fc4a0717a480f7a47928b930c950816dac46c",
-    "forged_cert/chain.json": "11e3fbab1214309241c94e5834cd849fc0a49e13c562070be23d70fb55ae1dd3",
+    "forged_cert/chain.json": "27a0b5327acd91091a9b6ba425d9a785049d601b991db82ac584fa216ac08e1a",
     "forged_cert/gas.csv": "ee85bd2d9d9a69375863b46a64fdfb65855276efd4e65a7a51b50e7b5fb58d93",
     "forged_cert/summary.txt": "502108da42df59ec22170260de90b30d8874353705472ea733c616797ba1c984",
     "full_track_10_bids/audit.json": "68e973424f1b2d631573d15e78c9e451e68a13bcae803340d0adbda0597902a1",
-    "full_track_10_bids/chain.json": "e03a83932ad3ef834f550fc48cdbbced20046d499ef955263929687aa5d59c8f",
+    "full_track_10_bids/chain.json": "15041fe07d33924415f7ef66e194f8f19f58a880b868ce5f20462b2519fd255b",
     "full_track_10_bids/gas.csv": "7a05f9152abb74d0a87dcc3a309576bbfb2198c9b919c128dc3f05180ad03c39",
     "full_track_10_bids/summary.txt": "86e3eeff5627985a8465e79e5f0ef1343bba13da088c16b2dc88fcd31e772d13",
     "late_bid/audit.json": "be02bcd29296ea876b758c99ed91f107d26b2608a6cdb708eda47425b943fe11",
-    "late_bid/chain.json": "82615fc43c22dda58d59f995da85d9ae8b71a8979f37f5bbcf3d8758c32f531b",
+    "late_bid/chain.json": "3789367b6ce1808cb7304dafeceb439f1458b43d71f78b3935099050c997c8ac",
     "late_bid/gas.csv": "1e2cf1024b4d1c8c9dd92af8add38ea85c454300b30d52b8476f912e0f27ccfd",
     "late_bid/summary.txt": "61c384c31bc56741a9d9377924e8c22fdafe2d45aeb6596148dda77ce131ecc0",
     "mutated_tender/audit.json": "c421e11260dd5e0786280c7948420f34ea2ba4465ffabd429d7a7019f54bea27",
-    "mutated_tender/chain.json": "2fd124429b78268d09a3129ffaaddba539398285899fda36f0f4ad9b84a71b4d",
+    "mutated_tender/chain.json": "28d9143ce6873820ac5d5667ba88e8b0dea5acbca0e90efcbf0abba1703a3961",
     "mutated_tender/gas.csv": "61d4ff5a192738b021f6bbf58c24eb44919e6445a89c5c2b29ded07d567db00b",
     "mutated_tender/summary.txt": "ea4d145cad2bef55f6d0e4af6a4ee9ea73ab77d3c30ed7a3202cbbca8bd68836",
     "protected_10_bids/audit.json": "69612096f6952416c67510ab7c5dbb4d1fc7d9a10f240f2a44609c0a2e99d21a",
-    "protected_10_bids/chain.json": "47b10433ab5ac08bcbf4e013bb3cd4f29aa5309ae63ca86f7ec0d781102162fc",
+    "protected_10_bids/chain.json": "916194446af2a66aa7f3b235b162ac43779b6b93c26aa7be0ff0a936b4c039e6",
     "protected_10_bids/gas.csv": "61d4ff5a192738b021f6bbf58c24eb44919e6445a89c5c2b29ded07d567db00b",
     "protected_10_bids/summary.txt": "b166cc4b4ca2ddc5ea4ec4d886539e6da5b5a632c9c6c3a70b9805df852908b1",
     "rigged_winner/audit.json": "8867234935392d2f7e26df44ed924bd719a09869707c6335aa39d065cc9509f4",
-    "rigged_winner/chain.json": "d3b7884b8021b4dab306d486c9e9e893b4717c2c45bbcc1747e7a41b0a38d074",
+    "rigged_winner/chain.json": "9e27181a648115edde87527aeae71caed65381df7d88e145bb38bdfdc071eba3",
     "rigged_winner/gas.csv": "7a05f9152abb74d0a87dcc3a309576bbfb2198c9b919c128dc3f05180ad03c39",
     "rigged_winner/summary.txt": "a28a23ea49de33762e40219f0614f6f19ea86aacd51e947240310c8c2086f34c",
     "spam_full_track/audit.json": "d478c421cd724576092f5dd7b2677282d7ea2639c60e7c38c357286ff3f4f53e",
-    "spam_full_track/chain.json": "b95e081f08d42487d293d9b3f47a741fe1cc587b02d91724f5dff379c892851a",
+    "spam_full_track/chain.json": "d61c3016ef004d06956dbeff2f11a5b86900b5c1ec7c5f425053e71b754fd564",
     "spam_full_track/gas.csv": "a5517fe9e586030aaf8fd12892daa3a59055dcb31a734b7b747b364a5a26b647",
     "spam_full_track/summary.txt": "c2ad370736e23e1dd208ffd9c007e23b15e8b76851ee98e282b43c15928e6197",
     "spam_protected/audit.json": "ebd7a4d1a9b753629288422bf4be2b214fc9c5ba6a6e3995b288cb613813ad47",
-    "spam_protected/chain.json": "c4d07d387b60fb5c35dd71ab86600720a4a69cebf82901bbb5ab85ea3f3130a2",
+    "spam_protected/chain.json": "15cad36f1d7dca3136b974e948f2f243593b62b1e5e0ac0fde4fd52a3935a4a3",
     "spam_protected/gas.csv": "42e672170ff40f4543ad754636b8dfd3f3b44195205c092d17ed614f86d181ac",
     "spam_protected/summary.txt": "e750a3a114fc39072659e7a17d721a3ec93ce399d3b4f939345c22083b6d0d59",
     "spam_stateless/audit.json": "67892fae9b4694a802b89be7c3625e3ed85e13d917ef673fc92744024eb2d9df",
-    "spam_stateless/chain.json": "a6b8d7533d80bdb683ad8d413dcf3378ce4be27a9d273c8d2778cd8365962e3c",
+    "spam_stateless/chain.json": "1aa52e285145cf6da27d551caf2d166d8634d1793d2a73b5431da28c42ee9f6c",
     "spam_stateless/gas.csv": "98fe07217cd1086756db994b4a5ab3fb53453adcfa75a9122be50c1b273292c3",
     "spam_stateless/summary.txt": "e63c33672245e4fe28278f558b491268208e074e0c39ad7ec855b6e36dc5a1da",
     "stateless_10_bids/audit.json": "542c2bcfaa125b8383c4e316520036319c7830beded39cd404257df6ade0057e",
-    "stateless_10_bids/chain.json": "66439c8da1234b4bf6ac5b07bbce8fc8a5300411472ef9b10713707e4d566ffd",
+    "stateless_10_bids/chain.json": "facee34006765e091a78847a7e8b108c9d1ee7abbf83e0c09cc97b3b544e8e1f",
     "stateless_10_bids/gas.csv": "68d0a5b0dc0b8de13e1f86b9d3f05956f1abdc08d368f5353d283ec5e0fe4115",
     "stateless_10_bids/summary.txt": "3b2ee749cc1f2ef44ded7f56c7303a5715942565ac272d0d19a8c2e5d6613f7d",
     "withheld_key/audit.json": "021d082a27f806d65d89f5664e2992a8ea1ed461876ee79a44a6f5fcdc63e797",
-    "withheld_key/chain.json": "a669beb02766578f71101591a5169e15b591fdc87aba5a291132d019715043d2",
+    "withheld_key/chain.json": "c7fa5091cb950602f92fb1020a511ed0970e44ec6dc27c0cb7639f4739575d21",
     "withheld_key/gas.csv": "f105abadcc16aeb0ee28b8b9338f2b4976626be35b235b870210f98c3add553c",
     "withheld_key/summary.txt": "e8237135423bd849b5e6f4e92f6ea4e36fa05a3075cb692f1bd8667aa8de0722",
 }
 
 # SHA-256 over the sorted "<scenario>/<file> <sha256hex>\n" lines of the
 # chain.json and audit.json entries above
-GOLDEN_CROSS_CHECK = "66a88a185f71671c2fa713434ba7fe5a7263a4bf1cd85c2409941f361ba12efd"
+GOLDEN_CROSS_CHECK = "2b2df7c6d81a5d68bef2655d9b114dda48e08b86c805d96192f286244a8a4b4b"
 
 # SHA-256 of what `tendersim audit <chain.json> --out <file>` writes for each
 # bundled scenario's chain.json
@@ -95,6 +96,25 @@ AUDIT_OUT_GOLDEN = {
     "stateless_10_bids": "89f86c4a94abbb1e05f7c68f067c1ab8b58faea655e26b8212b1bbd79248ef25",
     "withheld_key": "e144772c6955c6be9d25f5dfb4a435e26bceef19e60db62c37a3083075576bb8",
 }
+# The head block hash of each bundled scenario's chain. It commits to every
+# block and transaction hash before it, so it pins the ledger itself, apart
+# from how an export spells it.
+HEAD_BLOCK_HASH = {
+    "early_key_reveal": "0x651088646a86f36f02447b3083a821947b4b022f34efaafd82fe986fe5477c8c",
+    "erased_bid": "0x94728aa08ee4b5150cc29399d36522e6fba4157fd7ca4a57c27c77572d4c09f2",
+    "forged_cert": "0x6a9c8accff358ce0cb6786b87bb61f53697a0800d1aeb1fe94338152f6b9a700",
+    "full_track_10_bids": "0x0e58735d43360ca2094ddd4457ee46093c04ffc40c54ee44cfd329cea800e733",
+    "late_bid": "0xd43a03599c610c8336a3b3a4aea82a056c8925960d9115467fc3e0e5cef6c3c1",
+    "mutated_tender": "0x8ba1e312f240ac89151030112a7c9c3ef36069d12ce2d77c420ac619918bd51e",
+    "protected_10_bids": "0xee61bda321090574c975648dff8512dd0cac0813f6461305727df637be20c894",
+    "rigged_winner": "0x237a6ea2ded45496a9bcbcb764fe50e03922726a0f5e217ba22d00a2aa0d35cb",
+    "spam_full_track": "0x35d009e7da13fb183f2b7ab9c3751aa1a5d9e02e2b05635821bc0a0567d320e5",
+    "spam_protected": "0xb054526d1133946b9997bdede8f1b231fb39c7736e535c1bb21dd84559da3b3b",
+    "spam_stateless": "0x98788807265a6da22f2913b43cb068dcfa07cff0068214db0aeb0e8ed8572a14",
+    "stateless_10_bids": "0x97f3d9e393cfbbdea8f586143b62b305b44db9c4d38be9aa429489032e9e5629",
+    "withheld_key": "0x088b0fea23808e5b62c6ce71e1588c56fb9f4cb0f7611a73b5951f465952a38d",
+}
+
 # the scenarios whose chain the citizen's audit fails
 AUDIT_FAILS = {"erased_bid", "forged_cert", "mutated_tender", "rigged_winner",
                "spam_full_track"}
@@ -119,6 +139,7 @@ def test_every_bundled_scenario_is_pinned():
     assert SCENARIOS == sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
     assert sorted(GOLDEN) == [f"{s}/{r}" for s in SCENARIOS for r in REPORTS]
     assert sorted(AUDIT_OUT_GOLDEN) == SCENARIOS
+    assert sorted(HEAD_BLOCK_HASH) == SCENARIOS
 
 
 def test_pinned_digests_match_cross_check():
@@ -135,6 +156,12 @@ def test_reports_match_golden_digests(scenario, run_dir):
     for report in REPORTS:
         digest = hashlib.sha256((out / report).read_bytes()).hexdigest()
         assert digest == GOLDEN[f"{scenario}/{report}"], f"{scenario}/{report}"
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_head_block_hash_matches_golden(scenario, run_dir):
+    export = json.loads((run_dir(scenario) / "chain.json").read_bytes())
+    assert export["blocks"][-1]["block_hash"] == HEAD_BLOCK_HASH[scenario]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

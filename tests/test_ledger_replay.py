@@ -9,20 +9,26 @@ result object or without one and by the organisation or a stranger,
 JSON that is not a call, and calls holding lone surrogates. Blocks come 1 ms,
 5 s or past a deadline apart. After the last block, every contract the replay
 re-derives must be disclosed exactly as the ledger's export discloses it, and
-the replay of that export must find no ledger, receipt or state fault.
+the replay of that export must find no ledger, receipt or state fault. The
+citizen's ``tendersim audit`` of the written export must exit 0, 1 or 2
+without raising, and name an error code whenever it exits 2.
 """
 
+import contextlib
 import io
 import json
+import re
+import tempfile
+from pathlib import Path
 from random import Random
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from tendersim import audit, contracts, crypto
+from tendersim import audit, cli, contracts, crypto
 from tendersim.chain import Chain, ChainConfig
-from tendersim.encoding import canonical_json_bytes, to_hex
+from tendersim.encoding import canonical_json_bytes, to_hex, write_canonical_json
 
 from conftest import account, json_values
 
@@ -159,11 +165,20 @@ class LedgerAgainstReplay(RuleBasedStateMachine):
         export = self.chain.export()
         parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
         replay = audit.replay_chain(parsed)
-        assert {to_hex(a): contracts.disclose(c, replay.state, replay.calls)
+        assert {to_hex(a): contracts.disclose(c, replay.state, replay.calls.get)
                 for a, c in replay.state.items()} == export["contracts"]
         assert replay.ledger_findings == []
         assert replay.receipt_findings == []
         assert replay.state_findings == []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "chain.json"
+            write_canonical_json(path, export)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["audit", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert re.match(r"error\[[A-Z_]+\]: ", err.getvalue()), err.getvalue()
 
 
 LedgerAgainstReplay.TestCase.settings = settings(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tendersim import audit, crypto
-from tendersim.chain import compute_tx_hash
+from tendersim.chain import Chain, ChainConfig, compute_tx_hash
 from tendersim.cli import main
 from tendersim.encoding import (
     canonical_json,
@@ -20,6 +20,7 @@ from tendersim.encoding import (
     from_text,
     to_hex,
     to_text,
+    write_canonical_json,
 )
 from tendersim.errors import IncomparableScenarios, ScenarioError
 from tendersim.scenario import (
@@ -307,7 +308,21 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/5", '
+_FORMAT = b'{"format": "tendersim-chain/6", '
+
+
+def _as_format_5(export: dict) -> None:
+    """Re-spell a tendersim-chain/6 export as /5 wrote it: each block with its
+    parent hash, each transaction with its gas price, bid records whole."""
+    export["format"] = "tendersim-chain/5"
+    parent = "0x" + "00" * 32
+    for block in export["blocks"]:
+        block["parent_hash"], parent = parent, block["block_hash"]
+        for tx in block["transactions"]:
+            tx["gas_price"] = 1
+    for addr, snap in export["contracts"].items():
+        if "placed_by" in snap:
+            export["contracts"][addr] = chain_surgery.bid_record(export, addr)
 
 
 @pytest.mark.parametrize("content", [
@@ -348,6 +363,11 @@ _FORMAT = b'{"format": "tendersim-chain/5", '
     pytest.param(lambda e: e.update(format="tendersim-chain/2"), id="format-2"),
     pytest.param(lambda e: e.update(format="tendersim-chain/3"), id="format-3"),
     pytest.param(lambda e: e.update(format="tendersim-chain/4"), id="format-4"),
+    pytest.param(_as_format_5, id="format-5"),
+    # a field tendersim-chain/5 wrote, which /6 leaves out
+    pytest.param(lambda e: e["blocks"][1].update(parent_hash=e["blocks"][0]["block_hash"]),
+                 id="block-carries-parent-hash"),
+    pytest.param(lambda e: _first_tx(e).update(gas_price=1), id="tx-carries-gas-price"),
     *(pytest.param(lambda e, v=value: e.update(max_data_bits=v),
                    id=f"max-data-bits-{name}")
       for name, value in (("x", "x"), ("string", "5000"), ("null", None), ("list", []),
@@ -408,7 +428,7 @@ def test_audit_command_replays_a_call_holding_a_lone_surrogate(tmp_path, capsys)
     tx = export["blocks"][-1]["transactions"][-1]
     payload = b'{"op":"publish_results","result":{"winner_id":"\\ud800"}}'
     tx_hash = compute_tx_hash(from_hex(tx["sender"]), from_hex(tx["target"]), tx["nonce"],
-                              payload, tx["gas_price"])
+                              payload)
     tx.update(payload=to_text(payload), tx_hash=to_hex(tx_hash))
     chain_surgery.remine(export)
     path = tmp_path / "chain.json"
@@ -423,7 +443,7 @@ def _first_published_bid(export) -> tuple[str, dict]:
                    if c["kind"] == "request_for_tender")
     results = chain_surgery.published_results(export, rft_hex)
     record_hex, keys = min(results["revealed_keys"].items())
-    return export["contracts"][record_hex]["data_addr"], keys
+    return chain_surgery.bid_record(export, record_hex)["data_addr"], keys
 
 
 def _bid_plaintext(plaintext: bytes):
@@ -444,8 +464,7 @@ def _tender_data(edit_spec):
         spec = json.loads(from_hex(json.loads(from_text(tx["payload"]))["data"]))
         blob = canonical_json_bytes(edit_spec(spec))
         payload = canonical_json_bytes({"op": "deploy_data", "data": to_hex(blob)})
-        tx_hash = compute_tx_hash(from_hex(tx["sender"]), None, tx["nonce"], payload,
-                                  tx["gas_price"])
+        tx_hash = compute_tx_hash(from_hex(tx["sender"]), None, tx["nonce"], payload)
         tx.update(payload=to_text(payload), tx_hash=to_hex(tx_hash), gas_used=16 * len(blob))
         export["contracts"][tx["created_address"]]["data"] = {"in_tx": to_hex(tx_hash)}
         chain_surgery.remine(export)
@@ -524,6 +543,15 @@ def test_audit_command_names_an_address_with_no_tender(protected_run, capsys):
     code = main(["audit", str(chain_json), "--tender", "0x" + "00" * 20])
     assert code == 2
     assert capsys.readouterr().err.startswith("error[NO_SUCH_CONTRACT]")
+
+
+def test_audit_command_names_an_export_with_no_tender(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    write_canonical_json(path, Chain(ChainConfig()).export())
+    code = main(["audit", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error[NO_SUCH_CONTRACT]: no tender deployment found in the export\n"
 
 
 @pytest.mark.parametrize("text", ["", "0x", "0x1234", "0x" + "zz" * 20, "00" * 20,

@@ -5,6 +5,7 @@ key derivation, ECDH and signature verification. It cannot recover keys,
 so recovery is checked by round trip.
 """
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -253,15 +254,17 @@ def _double_and_add(k, pt):
     return acc
 
 
-@pytest.mark.parametrize("base, width, rows", [("G", 7, 19), ("peer", 4, 33)])
-def test_sampled_table_rows_match_double_and_add(base, width, rows, peer_table):
+@pytest.mark.parametrize("base, width, rows, top_entries", [("G", 7, 19, 3), ("peer", 4, 33, 1)])
+def test_sampled_table_rows_match_double_and_add(base, width, rows, top_entries, peer_table):
     point = G if base == "G" else curve.scalar_mult(PEER)
     table = curve._G_TABLE if base == "G" else peer_table
     assert (table.width, len(table.rows)) == (width, rows)
-    assert all(len(row) == 2 ** (width - 1) + 1 for row in table.rows)
+    assert all(len(row) == 2 ** (width - 1) + 1 for row in table.rows[:-1])
+    assert len(table.rows[-1]) == top_entries + 1
     for i in (0, rows // 2, rows - 1):
         for j in (1, 2, 3, 2 ** (width - 1)):
-            assert table.rows[i][j] == _double_and_add(j << (width * i), point), (i, j)
+            if j < len(table.rows[i]):
+                assert table.rows[i][j] == _double_and_add(j << (width * i), point), (i, j)
 
 
 @pytest.mark.parametrize("k", EDGE_SCALARS)
@@ -274,16 +277,48 @@ def test_table_routes_match_variable_base_and_openssl(k, peer_table):
     assert curve.ecdh_shared_secret(k, peer_raw) == expected
 
 
-@pytest.mark.parametrize("halves", [(2**129 - 1, 2**129 - 1), (-(2**129 - 1), 2**129 - 1),
-                                    (2**129 - 1, -(2**129 - 1))])
-def test_tables_cover_halves_below_2_129(halves, peer_table, monkeypatch):
-    # the split never gives halves this large; the tables are sized for them
+def _corner(s1, s2):
+    """The GLV halves t1*(A1, B1) + t2*(A2, B2) nearest the corner (s1/2, s2/2)
+    of the square [-1/2, 1/2) that _glv_split's rounding leaves t1 and t2 in."""
+    t1, t2 = (Fraction(s, 2) * (1 - Fraction(1, 2**64)) for s in (s1, s2))
+    return round(t1 * curve._A1 + t2 * curve._A2), round(t1 * curve._B1 + t2 * curve._B2)
+
+
+CORNER_HALVES = [_corner(s1, s2) for s1 in (1, -1) for s2 in (1, -1)]
+
+
+def _top_digit(half, w, rows):
+    """The signed digit the last of ``rows`` rows of a w-bit table is read at
+    for ``half``, 0 when ``half`` needs fewer rows."""
+    steps = _recoded(half, w)
+    d, carry = steps[-1]
+    return (d - 2**w if carry else d) if len(steps) == rows else 0
+
+
+def test_glv_halves_are_bounded_by_the_rounding():
+    a1, b1, a2, b2 = curve._A1, curve._B1, curve._A2, curve._B2
+    assert a1 * b2 - a2 * b1 == curve.N
+    assert curve._HALF_MAX == (abs(a1) + abs(a2)) // 2 < Fraction(255, 100) * 2**126
+    assert (abs(b1) + abs(b2)) // 2 < 2**128 and (abs(b1) + abs(b2)) // 2 <= curve._HALF_MAX
+    for halves in CORNER_HALVES:
+        assert curve._glv_split(_from_halves(*halves)) == halves
+    # the corners come within 2^64 of the bound on |k1| and |k2|, and read
+    # the top rows at the largest digit they hold, 3 at w = 7 and 1 at w = 4
+    assert curve._HALF_MAX - max(abs(k1) for k1, _ in CORNER_HALVES) < 2**64
+    assert (abs(b1) + abs(b2)) // 2 - max(abs(k2) for _, k2 in CORNER_HALVES) < 2**64
+    digits = [(_top_digit(h, 7, 19), _top_digit(h, 4, 33)) for pair in CORNER_HALVES
+              for h in pair]
+    assert {3, -3} <= {d7 for d7, _ in digits} and {1, -1} <= {d4 for _, d4 in digits}
+    assert max(abs(d7) for d7, _ in digits) == 3 and max(abs(d4) for _, d4 in digits) == 1
+
+
+@pytest.mark.parametrize("halves", CORNER_HALVES)
+def test_tables_cover_the_largest_halves_the_split_gives(halves, peer_table):
     k = _from_halves(*halves)
     numbers = _openssl_private(k).public_key().public_numbers()
-    expected_peer = curve.scalar_mult(k, curve.scalar_mult(PEER))
-    monkeypatch.setattr(curve, "_glv_split", lambda _: halves)
     assert curve._to_affine(curve._mul_table(curve._G_TABLE, k)) == (numbers.x, numbers.y)
-    assert curve._to_affine(curve._mul_table(peer_table, k)) == expected_peer
+    assert curve._to_affine(curve._mul_table(peer_table, k)) == \
+        curve.scalar_mult(k, curve.scalar_mult(PEER))
 
 
 @fast
@@ -307,7 +342,7 @@ def test_order_times_table_is_infinity(peer_table):
 def test_glv_split_is_short_and_exact(k):
     k1, k2 = curve._glv_split(k)
     assert (k1 + k2 * curve.LAMBDA - k) % curve.N == 0
-    assert abs(k1) < 2**129 and abs(k2) < 2**129
+    assert abs(k1) <= curve._HALF_MAX and abs(k2) <= curve._HALF_MAX
 
 
 def test_endomorphism_constants():
