@@ -83,8 +83,8 @@ class ChainConfig:
             raise ValueError("block_interval_ms must be > 0")
         if self.max_future_drift_ms < 0:
             raise ValueError("max_future_drift_ms must be >= 0")
-        if self.genesis_timestamp < 0:
-            raise ValueError("genesis_timestamp must be >= 0")
+        if not 0 <= self.genesis_timestamp < 1 << 64:  # a block hash holds it in 8 bytes
+            raise ValueError("genesis_timestamp must be >= 0 and < 2**64")
         if self.max_data_bits < 1:
             raise ValueError("max_data_bits must be >= 1")
 
@@ -248,6 +248,8 @@ class Chain:
             raise TimestampTooFarAhead(
                 f"proposed {proposed_timestamp} beyond now+drift "
                 f"{self._clock + self.config.max_future_drift_ms}")
+        if proposed_timestamp >= 1 << 64:  # a block hash holds it in 8 bytes
+            raise TimestampTooFarAhead(f"proposed {proposed_timestamp} >= 2**64")
         height = parent.height + 1
         executed = []
         for pending in self._pending:
@@ -297,9 +299,6 @@ class Chain:
 
     def install_contract(self, address: bytes, contract: object) -> None:
         self._contracts[address] = contract
-
-    def has_contract(self, address: bytes) -> bool:
-        return address in self._contracts
 
     def get_contract(self, address: bytes):
         contract = self._contracts.get(address)

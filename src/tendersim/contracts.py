@@ -7,9 +7,10 @@ Three bid-placement schemes over the same request-for-tender shape:
   of the array as it stood at creation, so an erased entry stays provable.
 * PROTECTED refuses to record a bid whose certificate fails, otherwise
   behaves like FULL_TRACK (late or over-limit bids are recorded invalid).
-* STATELESS keeps no bid array at all; records hold only id, data address
-  and validity, and record addresses are handed to the auctioneer
-  off-ledger, acknowledged with a signed receipt.
+* STATELESS keeps no bid array at all; records hold only id, data address,
+  validity and the on-ledger key half, and record addresses are handed to
+  the auctioneer off-ledger, with no receipt: each record is created by a
+  ``place_bid`` sent to the tender, so the auditor finds it on the ledger.
 
 Validity of a bid is the conjunction of: certificate verifies against the
 tender's public key (and binds this bidder id to this tender address), the
@@ -29,10 +30,8 @@ through ``transition`` into its own address-to-contract map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import crypto, secp256k1
-from .chain import Chain, ExecOutcome, ExecutionContext, contract_address, meter_gas
+from .chain import ExecOutcome, ExecutionContext, contract_address, meter_gas
 from .encoding import canonical_json_bytes, from_hex, load_json_bytes, same_json, to_hex
 from .errors import BiddingStillOpen, NoSuchContract, RepublishForbidden, SchemeHasNoState
 
@@ -506,19 +505,3 @@ def reveal_call(bid_addr: bytes, half_b: bytes) -> dict:
 def publish_results_call(result: dict) -> dict:
     return {"op": "publish_results", "result": result}
 
-
-# --- stateless-scheme acknowledgements -------------------------------------------
-
-@dataclass(frozen=True)
-class Receipt:
-    bid_address: bytes
-    v: int
-    r: bytes
-    s: bytes
-
-
-def acknowledge_bid(chain: Chain, auctioneer_private_key: bytes, bid_address: bytes) -> Receipt:
-    if not chain.has_contract(bid_address):
-        raise NoSuchContract(f"no bid record at {to_hex(bid_address)}")
-    v, r, s = crypto.sign_receipt(auctioneer_private_key, bid_address)
-    return Receipt(bid_address=bid_address, v=v, r=r, s=s)

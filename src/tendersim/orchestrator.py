@@ -3,8 +3,8 @@
 The orchestrator plays every actor. The tendering organisation holds the
 curve key pair; bidders hold their certificates, bid keys and withheld key
 halves. Actors talk only through ledger
-transactions and direct off-ledger handoffs (record addresses, receipts,
-key halves), so nothing privileged leaks into what the auditor later reads.
+transactions and direct off-ledger handoffs (record addresses, key
+halves), so nothing privileged leaks into what the auditor later reads.
 
 Evaluation criteria are declarative (weighted numeric fields plus
 feasibility predicates) rather than arbitrary code: a citizen re-running
@@ -223,7 +223,6 @@ class BidSubmission:
     document: BidDocument
     bid_key: bytes
     sealed: crypto.SealedBidKey
-    receipt: contracts.Receipt | None = None
 
 
 @dataclass
@@ -327,16 +326,12 @@ class TenderOrchestrator:
                                (bidder.address, self.rft_address, bid_call))
         if bid_tx.status != "OK":
             raise ScenarioError(f"bid placement rejected: {bid_tx.error}")
-        submission = BidSubmission(record_address=bid_tx.created_address,
-                                   data_address=data_addr, document=document,
-                                   bid_key=bid_key, sealed=sealed)
         if self.spec.scheme == contracts.SCHEME_STATELESS:
-            # Off-ledger handoff: the record address goes to the auctioneer, who
-            # signs a receipt so non-delivery can later be proven.
+            # Off-ledger handoff: the tender keeps no bid array, so the record
+            # address goes to the auctioneer directly.
             self.to.known_bids.append(bid_tx.created_address)
-            submission.receipt = contracts.acknowledge_bid(
-                self.chain, self.to.keys.private_key, bid_tx.created_address)
-        return submission
+        return BidSubmission(record_address=bid_tx.created_address, data_address=data_addr,
+                             document=document, bid_key=bid_key, sealed=sealed)
 
     def deliver_key_half(self, bidder_id: str, submission: BidSubmission) -> None:
         """Off-ledger delivery of the withheld half to the tendering organisation."""

@@ -80,7 +80,7 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
             _fail(source, "$", f"missing required key {key!r}")
     if doc["scheme"] not in contracts.SCHEMES:
         _fail(source, "$.scheme", f"unknown scheme {doc['scheme']!r}")
-    if not isinstance(doc.get("seed", 0), int):
+    if type(doc.get("seed", 0)) is not int:
         _fail(source, "$.seed", "seed must be an integer")
 
     chain_cfg = doc.get("chain", {})
@@ -100,9 +100,9 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     for key in ("title", "terms"):
         if not isinstance(tender[key], str):
             _fail(source, f"$.tender.{key}", "must be a string")
-    if not isinstance(tender["length_ms"], int) or tender["length_ms"] <= 0:
+    if type(tender["length_ms"]) is not int or tender["length_ms"] <= 0:
         _fail(source, "$.tender.length_ms", "must be a positive integer")
-    if not isinstance(tender["limit"], int) or tender["limit"] < 1:
+    if type(tender["limit"]) is not int or tender["limit"] < 1:
         _fail(source, "$.tender.limit", "must be an integer >= 1")
     try:
         EvaluationCriteria.from_dict(tender["criteria"])
@@ -125,7 +125,7 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
         if bidder["id"] in ids:
             _fail(source, where, f"duplicate bidder id {bidder['id']!r}")
         ids.add(bidder["id"])
-        if not isinstance(bidder["submit_at_ms"], int) or bidder["submit_at_ms"] < 1:
+        if type(bidder["submit_at_ms"]) is not int or bidder["submit_at_ms"] < 1:
             _fail(source, where + ".submit_at_ms", "must be an integer >= 1")
         _check_offer(source, where, bidder)
         timed.append((bidder["submit_at_ms"], where))
@@ -143,10 +143,10 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
         if kind not in TIMED_ACTIONS + POST_ACTIONS:
             _fail(source, where, f"unknown action {kind!r}")
         if kind in TIMED_ACTIONS:
-            if not isinstance(action.get("at_ms"), int) or action["at_ms"] < 1:
+            if type(action.get("at_ms")) is not int or action["at_ms"] < 1:
                 _fail(source, where + ".at_ms", "timed actions need at_ms >= 1")
             timed.append((action["at_ms"], where))
-        if kind == "SPAM_INVALID_CERTS" and (not isinstance(action.get("count"), int)
+        if kind == "SPAM_INVALID_CERTS" and (type(action.get("count")) is not int
                                              or action["count"] < 1):
             _fail(source, where + ".count", "spam needs a positive count")
         if kind == "LATE_BID":
@@ -168,7 +168,7 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
         if kind == "ERASE_BID":
             if doc["scheme"] == contracts.SCHEME_STATELESS:
                 _fail(source, where, "stateless tenders hold no bid array to erase from")
-            if not isinstance(action.get("index"), int) or action["index"] < 0:
+            if type(action.get("index")) is not int or action["index"] < 0:
                 _fail(source, where + ".index", "must be a non-negative integer")
         if kind == "MUTATE_TENDER" and action.get("field", "data") not in MUTATE_FIELDS:
             _fail(source, where + ".field", f"must be one of {MUTATE_FIELDS}")

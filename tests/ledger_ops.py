@@ -86,8 +86,3 @@ def collect_valid_bid_data(chain: Chain, rft_addr: bytes) -> list[bytes]:
 
 def verify_receipt(public_key: bytes, bid_address: bytes, v: int, r: bytes, s: bytes) -> bool:
     return secp256k1.verify_digest(public_key, crypto.receipt_digest(bid_address), v, r, s)
-
-
-def verify_acknowledgement(public_key: bytes, bid_address: bytes,
-                           receipt: contracts.Receipt) -> bool:
-    return verify_receipt(public_key, bid_address, receipt.v, receipt.r, receipt.s)

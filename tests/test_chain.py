@@ -1,5 +1,5 @@
 import copy
-import tracemalloc
+import sys
 from random import Random
 
 import pytest
@@ -292,21 +292,20 @@ def test_editing_one_exported_link_leaves_the_others_unchanged():
 
 
 def test_export_holds_one_small_link_per_record():
-    """A copied array costs a list slot per prior bid; a link costs the same at any size."""
-    records = 128
-    chain, _ = _spammed_full_track(records)
-    tracemalloc.start()
-    try:
-        export = chain.export()
-        snapshots = [s for s in export["contracts"].values() if "prior_bids" in s]
-        held = tracemalloc.get_traced_memory()[0]
-        for snap in snapshots:
-            del snap["prior_bids"]
-        freed = held - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(snapshots) == records
-    assert freed / records < 200, freed / records
+    """A copied array costs a list slot and a string per prior bid; a link
+    costs the same at any size."""
+    def link_sizes(records: int) -> set[int]:
+        chain, _ = _spammed_full_track(records)
+        links = [s["prior_bids"] for s in chain.export()["contracts"].values()
+                 if "prior_bids" in s]
+        assert len(links) == records
+        # the link's dict, its extends string, its then list and that list's strings
+        return {sum(map(sys.getsizeof, (link, link["extends"], link["then"], *link["then"])))
+                for link in links}
+
+    sizes = link_sizes(32)
+    assert sizes == link_sizes(128)
+    assert max(sizes) < 400, sizes
 
 
 @pytest.mark.parametrize("scheme", contracts.SCHEMES)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tendersim import contracts, crypto
 from tendersim.chain import Chain, ChainConfig
 from tendersim.encoding import canonical_json_bytes, to_hex
-from tendersim.errors import BiddingStillOpen, NoSuchContract, SchemeHasNoState
+from tendersim.errors import BiddingStillOpen, SchemeHasNoState
 
 import ledger_ops
 from conftest import account, make_tender
@@ -188,20 +188,8 @@ def test_stateless_bid_address_returned_for_offline_handoff(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "STATELESS")
     addr = ledger_ops.place_bid_stateless(chain, rft, sender,
                                           **_bid_args(to_keys, "B1", rft))
-    assert chain.has_contract(addr)
+    assert chain.get_contract(addr).bidder_id == "B1"
     assert chain.blocks[-1].transactions[0].created_address == addr
-
-
-def test_acknowledgement_receipts(chain, to_keys):
-    rft, sender = make_tender(chain, to_keys, "STATELESS")
-    addr = ledger_ops.place_bid_stateless(chain, rft, sender,
-                                          **_bid_args(to_keys, "B1", rft))
-    receipt = contracts.acknowledge_bid(chain, to_keys.private_key, addr)
-    assert ledger_ops.verify_acknowledgement(to_keys.public_key, addr, receipt)
-    assert not ledger_ops.verify_acknowledgement(to_keys.public_key,
-                                                 account("other"), receipt)
-    with pytest.raises(NoSuchContract):
-        contracts.acknowledge_bid(chain, to_keys.private_key, account("ghost"))
 
 
 # --- retrieval (tracked schemes only) --------------------------------------------------

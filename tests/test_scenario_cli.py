@@ -95,6 +95,28 @@ def test_cli_refuses_a_scenario_file_json_cannot_read(tmp_path, capsys, command,
     assert err.startswith(f"error[SCENARIO_ERROR]: {bad}: ")
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("edit, code", [
+    pytest.param(lambda d: d["bidders"][0].update(submit_at_ms=2**64),
+                 "TIMESTAMP_TOO_FAR_AHEAD", id="submit-at-2**64"),
+    pytest.param(lambda d: d["tender"].update(length_ms=2**64),
+                 "TIMESTAMP_TOO_FAR_AHEAD", id="length-2**64"),
+    pytest.param(lambda d: d.update(chain={"genesis_timestamp": 2**64 - 1}),
+                 "TIMESTAMP_TOO_FAR_AHEAD", id="genesis-2**64-1"),
+    pytest.param(lambda d: d.update(chain={"genesis_timestamp": 2**64}),
+                 "SCENARIO_ERROR", id="genesis-2**64"),
+])
+def test_cli_refuses_a_block_timestamp_beyond_64_bits(tmp_path, capsys, command, edit, code):
+    bad = tmp_path / "far.json"
+    bad.write_bytes(_full_track_file_with(edit))
+    exit_code = main([command, str(bad), str(bad)] if command == "compare"
+                     else [command, str(bad)])
+    err = capsys.readouterr().err
+    assert exit_code == 2
+    assert err.startswith(f"error[{code}]: ")
+    assert "Traceback" not in err
+
+
 def test_validation_error_carries_json_path(tmp_path):
     doc = json.loads((SCENARIO_DIR / "full_track_10_bids.json").read_text())
     doc["bidders"][2]["submit_at_ms"] = doc["bidders"][1]["submit_at_ms"]
@@ -165,6 +187,22 @@ def _late_bid(doc, **extra):
                  id="chain-unknown-key-max-data-bit"),
     pytest.param(lambda d: d.update(chain={"block_intervall_ms": 1}), "$.chain",
                  id="chain-unknown-key-block-intervall-ms"),
+    # JSON true is a Python bool, and a bool is an int to isinstance
+    pytest.param(lambda d: d.update(seed=True), "$.seed", id="seed-a-boolean"),
+    pytest.param(lambda d: d["tender"].update(length_ms=True), "$.tender.length_ms",
+                 id="length-ms-a-boolean"),
+    pytest.param(lambda d: d["tender"].update(limit=True), "$.tender.limit",
+                 id="limit-a-boolean"),
+    pytest.param(lambda d: d["bidders"][0].update(submit_at_ms=True),
+                 "$.bidders[0].submit_at_ms", id="submit-at-ms-a-boolean"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "EARLY_KEY_REVEAL",
+                                                  "bidder": "B01", "at_ms": True}]),
+                 "$.adversarial[0].at_ms", id="at-ms-a-boolean"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "SPAM_INVALID_CERTS",
+                                                  "at_ms": 30_000, "count": True}]),
+                 "$.adversarial[0].count", id="count-a-boolean"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": True}]),
+                 "$.adversarial[0].index", id="index-a-boolean"),
     pytest.param(lambda d: d.update(expected=[]), "$.expected", id="expected-not-an-object"),
     pytest.param(lambda d: d.update(reports="summary"), "$.reports", id="reports-not-a-list"),
 ])
