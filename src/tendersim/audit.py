@@ -1,8 +1,8 @@
 """Citizen auditor: replay the public ledger and grade every tender on it.
 
-The auditor gets a chain export, nothing else. It replays every
-transaction once, in ledger order, through the contract rules in
-``contracts`` into its own address-to-contract map, so bid validity is
+The auditor gets a chain export, nothing else, and reads no setting from it.
+It replays every transaction once, in ledger order, through the contract
+rules in ``contracts`` into its own address-to-contract map, so bid validity is
 recomputed from certificates, block timestamps and tallies rather than
 trusted from stored flags. A nonce out of its sender's sequence, and a
 contract created over another, are R6 findings; the first contract stays.
@@ -39,7 +39,6 @@ from .chain import (
     EXPORT_FORMAT,
     GAS_PER_PRIOR_BID_COPY,
     Block,
-    ChainConfig,
     ExecutionContext,
     compute_block_hash,
     compute_tx_hash,
@@ -160,7 +159,7 @@ class LedgerTransaction:
 
 
 # the keys the audit reads of an export, of a block and of a transaction
-_EXPORT_KEYS = frozenset({"format", "max_data_bits", "blocks", "contracts"})
+_EXPORT_KEYS = frozenset({"format", "blocks", "contracts"})
 _BLOCK_KEYS = frozenset({"height", "timestamp", "block_hash", "transactions"})
 _TX_KEYS = frozenset({"sender", "target", "payload", "nonce", "tx_hash",
                       "status", "error", "gas_used", "kind", "created_address"})
@@ -182,12 +181,12 @@ def read_ledger(export) -> list[Block]:
     record's ``prior_bids`` or ``placed_by`` link, and a ``data`` or ``results``
     link to a transaction, must be spelled as the export writes it, and the
     audit stays linear in the bids. Raises MalformedExport for a document that
-    is not a ``tendersim-chain/6`` object (earlier formats included), for
+    is not a ``tendersim-chain/7`` object (earlier formats included), for
     ``blocks``, ``contracts`` or a disclosed contract of the wrong JSON type,
     for a missing or malformed block or transaction field, and for a key of the
     document, a block or a transaction that the audit does not read (such as
-    the ``parent_hash`` and ``gas_price`` of ``/5``). ``replay_chain`` reads
-    ``max_data_bits``.
+    the ``parent_hash`` and ``gas_price`` of ``/5``, or the data limit of
+    ``/6``, now the constant ``chain.MAX_DATA_BITS``).
     """
     if type(export) is not dict or export.get("format") != EXPORT_FORMAT:
         raise MalformedExport(f"chain export is not a {EXPORT_FORMAT} object")
@@ -333,12 +332,9 @@ def iter_transactions(blocks: list[Block]):
 
 def replay_chain(export) -> ChainReplay:
     """Read a chain export with ``read_ledger``, re-derive every receipt and
-    contract, and diff both against what the export discloses."""
+    contract, and diff both against what the export discloses. The rules it
+    applies, the gas figures and ``MAX_DATA_BITS`` too, are constants."""
     blocks = read_ledger(export)
-    # the one setting a contract rule reads, held to what a scenario may set
-    max_data_bits = _field(export, "max_data_bits",
-                           lambda bits: ChainConfig(max_data_bits=bits).max_data_bits,
-                           "chain export")
     replay = ChainReplay(export=export, ledger_findings=verify_ledger_hashes(blocks))
     state = replay.state
     nonces: dict[bytes, int] = {}  # sender -> the nonce its next transaction must carry
@@ -354,8 +350,7 @@ def replay_chain(export) -> ChainReplay:
         op = call.get("op") if call else None
         target = contracts.DEPLOY if tx.target is None else state.get(tx.target)
         ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce, tx_hash=tx.recomputed_hash,
-                               block_timestamp=ts, block_height=height,
-                               max_data_bits=max_data_bits)
+                               block_timestamp=ts, block_height=height)
         outcome, created = contracts.transition(target, call, tx.payload, ctx)
         if outcome.kind in contracts.LINKED_KINDS:
             replay.calls[tx.recomputed_hash] = call

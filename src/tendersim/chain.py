@@ -8,7 +8,8 @@ advanced explicitly by the driving scenario, never from wall time.
 Gas is a closed-form model, not an instruction-level meter: deployments
 cost a per-scheme constant, a tracked bid costs its base plus one array
 copy per previously recorded bid, a stateless bid costs a flat amount.
-The figures are fixed constants that reproduce measured reference costs.
+The figures are fixed constants that reproduce measured reference costs;
+``MAX_DATA_BITS``, the most a data contract may store, is a constant too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
 GAS_PRICE = 1  # no fee market: every transaction offers the same price
-EXPORT_FORMAT = "tendersim-chain/6"
+EXPORT_FORMAT = "tendersim-chain/7"
 
 
 # The calibrated gas figures
@@ -40,6 +41,7 @@ GAS_BID_BASE_PROTECTED = 332788
 GAS_BID_FLAT_STATELESS = 156601
 GAS_PER_PRIOR_BID_COPY = 20781
 GAS_DATA_CONTRACT_PER_BIT = 2  # 16 gas per stored byte
+MAX_DATA_BITS = 5_000  # the most bits a deploy_data may store: 625 bytes
 
 
 def meter_gas(kind: str, *, prior_recorded_bids: int = 0, data_bits: int = 0) -> int:
@@ -73,7 +75,6 @@ class ChainConfig:
     block_interval_ms: int = 15_000
     max_future_drift_ms: int = 900_000
     genesis_timestamp: int = 1_600_000_000_000
-    max_data_bits: int = 5_000
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
@@ -85,8 +86,6 @@ class ChainConfig:
             raise ValueError("max_future_drift_ms must be >= 0")
         if not 0 <= self.genesis_timestamp < 1 << 64:  # a block hash holds it in 8 bytes
             raise ValueError("genesis_timestamp must be >= 0 and < 2**64")
-        if self.max_data_bits < 1:
-            raise ValueError("max_data_bits must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ class ExecutionContext:
     tx_hash: bytes  # names the transaction in the fields it sets (contracts.disclose)
     block_timestamp: int
     block_height: int
-    max_data_bits: int  # the most bits a deploy_data may store
     # the ledger applying the transaction, which installs what it creates;
     # None when the contract rules are replayed off-ledger
     chain: "Chain | None" = None
@@ -255,8 +253,7 @@ class Chain:
         for pending in self._pending:
             ctx = ExecutionContext(sender=pending.sender, tx_nonce=pending.nonce,
                                    tx_hash=pending.tx_hash, block_timestamp=proposed_timestamp,
-                                   block_height=height,
-                                   max_data_bits=self.config.max_data_bits, chain=self)
+                                   block_height=height, chain=self)
             outcome = self._execute(ctx, pending)
             executed.append(Transaction(
                 sender=pending.sender,
@@ -309,15 +306,15 @@ class Chain:
     # --- export ------------------------------------------------------------------
 
     def export(self) -> dict:
-        """Whole-chain view: blocks, receipts, disclosed contract state, and
-        ``max_data_bits``, the one setting a contract rule reads.
+        """Whole-chain view: the ``format``, the ``blocks`` with their
+        receipts, and the disclosed ``contracts``; no setting.
 
         Payloads are written with ``to_text``, one character per byte. The
         registered accounts, the clock and its settings are left out: no
         reader of the export could check them against the ledger. Nor are the
-        gas figures and ``GAS_PRICE``, which are constants of this module, nor
-        each block's parent hash, which is the ``block_hash`` of the block
-        before it (zeros for genesis) and which the block hash commits to.
+        gas figures, ``GAS_PRICE`` and ``MAX_DATA_BITS``, constants of this
+        module, nor each block's parent hash, which is the ``block_hash`` of
+        the block before it (zeros for genesis) and which its hash commits to.
         Each contract is written by ``contracts.disclose``: a tracked tender's
         records each keep the bid array as it stood, and each is written as a
         link to the record before it, so the file grows linearly with the bids;
@@ -337,7 +334,6 @@ class Chain:
 
         return {
             "format": EXPORT_FORMAT,
-            "max_data_bits": self.config.max_data_bits,
             "blocks": [
                 {
                     "height": b.height,

@@ -31,7 +31,7 @@ through ``transition`` into its own address-to-contract map.
 from __future__ import annotations
 
 from . import crypto, secp256k1
-from .chain import ExecOutcome, ExecutionContext, contract_address, meter_gas
+from .chain import MAX_DATA_BITS, ExecOutcome, ExecutionContext, contract_address, meter_gas
 from .encoding import canonical_json_bytes, from_hex, load_json_bytes, same_json, to_hex
 from .errors import BiddingStillOpen, NoSuchContract, RepublishForbidden, SchemeHasNoState
 
@@ -403,7 +403,7 @@ def deploy_data(call: dict, ctx: ExecutionContext) -> Transition:
     except (KeyError, ValueError, TypeError):
         return reject_call(call, error=MALFORMED_PAYLOAD), None
     bits = len(data) * 8
-    if bits > ctx.max_data_bits:
+    if bits > MAX_DATA_BITS:
         return reject_call(call, error=DATA_TOO_LARGE), None
     addr = contract_address(ctx.sender, ctx.tx_nonce)
     return (ExecOutcome(kind="deploy_data",

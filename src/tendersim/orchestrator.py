@@ -288,10 +288,9 @@ class TenderOrchestrator:
         data_tx, rft_tx = self._step(
             at, (self.to.address, None, contracts.data_deploy_call(spec.data_blob())),
             (self.to.address, None, rft_call))
-        if data_tx.status != "OK":
-            raise ScenarioError("tender data deployment rejected (payload too large?)")
-        if rft_tx.status != "OK":
-            raise ScenarioError(f"tender deployment rejected: {rft_tx.error}")
+        for what, tx in (("tender data deployment", data_tx), ("tender deployment", rft_tx)):
+            if tx.status != "OK":
+                raise ScenarioError(f"{what} rejected: {tx.error}")
         self.rft_address = rft_tx.created_address
         self.spec = spec
         self.sealing_key = curve.prepare_public_key(self.to.keys.public_key)
@@ -322,10 +321,12 @@ class TenderOrchestrator:
         data_addr = self.chain.peek_contract_address(bidder.address)
         bid_call = contracts.place_bid_call(bidder_id, data_addr, cert.msg_hash,
                                             cert.v, cert.r, cert.s, sealed.half_a)
-        _, bid_tx = self._step(at, (bidder.address, None, contracts.data_deploy_call(ciphertext)),
-                               (bidder.address, self.rft_address, bid_call))
-        if bid_tx.status != "OK":
-            raise ScenarioError(f"bid placement rejected: {bid_tx.error}")
+        data_tx, bid_tx = self._step(
+            at, (bidder.address, None, contracts.data_deploy_call(ciphertext)),
+            (bidder.address, self.rft_address, bid_call))
+        for what, tx in (("bid ciphertext deployment", data_tx), ("bid placement", bid_tx)):
+            if tx.status != "OK":
+                raise ScenarioError(f"{what} rejected: {tx.error}")
         if self.spec.scheme == contracts.SCHEME_STATELESS:
             # Off-ledger handoff: the tender keeps no bid array, so the record
             # address goes to the auctioneer directly.

@@ -803,8 +803,7 @@ def test_parse_export_names_the_first_lone_surrogate_where_the_file_holds_it(tex
 def test_parse_export_keeps_hostile_lists_as_they_are(values):
     # lists of mixed types, nested lists and objects, wherever the export allows them
     export = {"blocks": values, "contracts": {"0x01": {"prior_bids": values,
-                                                         "x": {"y": values}}},
-              "max_data_bits": 5000}
+                                                         "x": {"y": values}}}}
     parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
     assert canonical_json(parsed) == canonical_json(export)
 
@@ -812,8 +811,8 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/6", "blocks": [block],
-                                "contracts": {}, "max_data_bits": 5000})
+    raw = canonical_json_bytes({"format": "tendersim-chain/7", "blocks": [block],
+                                "contracts": {}})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))
 
@@ -827,6 +826,17 @@ def test_a_field_tendersim_chain_5_wrote_is_named_and_refused(full_track_10, key
         owner = owner["transactions"][0]
     owner[key] = 1
     with pytest.raises(MalformedExport, match=f"^{where} field '{key}' is not one the audit"):
+        audit.replay_chain(export)
+
+
+@pytest.mark.parametrize("bits", [5000, 5001, 100_000])
+def test_the_data_limit_tendersim_chain_6_wrote_is_named_and_refused(full_track_10, bits):
+    # the limit is chain.MAX_DATA_BITS: a value in the file, even the right
+    # one, is a field the audit would not check
+    export = copy.deepcopy(full_track_10[0])
+    export["max_data_bits"] = bits
+    with pytest.raises(MalformedExport,
+                       match="^chain export field 'max_data_bits' is not one the audit"):
         audit.replay_chain(export)
 
 
@@ -1044,9 +1054,6 @@ def test_published_results_with_a_list_for_an_object_are_graded(field):
 
 # --- any single edit of an export is seen --------------------------------------------------
 
-# A deleted or retyped setting is refused, but an edited one may admit the
-# same data contracts, so its edits need not be seen.
-_SETTINGS = ("max_data_bits",)
 _OTHER_TYPES = [None, True, 7, 7.5, "x", [], {}]
 
 
@@ -1096,16 +1103,9 @@ def test_every_single_field_edit_of_an_export_is_seen(full_track_10, data):
     how = data.draw(st.sampled_from(["retype", "delete", "edit", "add"]), label="how")
     mutated = audit.parse_export(io.BytesIO(raw))
     _mutate(mutated, path, how, data.draw(st.integers(0, 1 << 16), label="pick"))
-    settings_refused = path[0] in _SETTINGS and how in ("retype", "delete")
     try:
         report = audit.replay_and_audit(audit.replay_chain(mutated), rft_hex)
-    except MalformedExport:
-        return
     except TenderSimError:
-        assert not settings_refused
-        return
-    assert not settings_refused
-    if path[0] in _SETTINGS and how == "edit":
         return
     assert report.violations, f"{how} of {path} audits clean"
 
@@ -1140,13 +1140,6 @@ def test_gas_tripled_with_the_schedule_that_meters_it_is_not_passed(full_track_1
 # --- any single byte edit of an export is seen -----------------------------------------------
 
 
-def _outside_settings(doc) -> str:
-    """``doc`` with the values of its settings left out, as canonical JSON."""
-    if type(doc) is dict:
-        doc = {k: None if k in _SETTINGS else v for k, v in doc.items()}
-    return canonical_json(doc)
-
-
 @pytest.fixture(scope="module")
 def bundled_exports(tmp_path_factory):
     """The chain.json bytes of two small bundled scenarios."""
@@ -1161,9 +1154,9 @@ def bundled_exports(tmp_path_factory):
 @pytest.mark.parametrize("name", ["forged_cert", "stateless_10_bids"])
 def test_every_single_byte_edit_of_an_export_is_seen(bundled_exports, tmp_path, capsys, name):
     # replace, delete or insert one byte: the audit may pass only the
-    # original document, apart from the values of its settings
+    # original document
     original = bundled_exports[name]
-    original_tree = _outside_settings(json.loads(original))
+    original_tree = canonical_json(json.loads(original))
     rng = Random(13)
     path = tmp_path / "chain.json"
     for _ in range(150):
@@ -1178,4 +1171,4 @@ def test_every_single_byte_edit_of_an_export_is_seen(bundled_exports, tmp_path, 
         assert code in (0, 1, 2), (how, at, byte)
         if code == 0:
             tree = json.loads(mutated.decode("utf-8"))
-            assert _outside_settings(tree) == original_tree, (how, at, byte)
+            assert canonical_json(tree) == original_tree, (how, at, byte)

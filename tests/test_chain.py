@@ -108,6 +108,19 @@ def test_mine_rejects_far_future_timestamp(chain):
     assert block.timestamp == limit
 
 
+@pytest.mark.parametrize("setting", [
+    {"block_interval_ms": "fast"}, {"block_interval_ms": 0}, {"max_future_drift_ms": True},
+    {"max_future_drift_ms": -1}, {"genesis_timestamp": -1}, {"genesis_timestamp": 2**64},
+], ids=lambda setting: "".join(f"{k}={v!r}" for k, v in setting.items()))
+def test_chain_config_refuses_a_clock_setting_out_of_range(setting):
+    # the clock is all a ChainConfig sets: the gas and the data limit are constants
+    assert list(ChainConfig.__dataclass_fields__) == ["block_interval_ms",
+                                                     "max_future_drift_ms",
+                                                     "genesis_timestamp"]
+    with pytest.raises(ValueError):
+        ChainConfig(**setting)
+
+
 def test_chain_grows_with_strictly_increasing_timestamps(chain):
     for step in (10, 20, 5000, 5001):
         chain.advance_to(chain.now() + step)
@@ -312,7 +325,8 @@ def test_export_holds_one_small_link_per_record():
 def test_export_links_data_and_results_to_the_transactions_that_carried_them(scheme):
     chain, rft, _, _ = run_honest_tender(scheme, two_bid_docs())
     export = chain.export()
-    assert export["format"] == "tendersim-chain/6"
+    assert export["format"] == "tendersim-chain/7"
+    assert list(export) == ["format", "blocks", "contracts"]  # no setting of the ledger
     created = {tx.created_address: tx for b in chain.blocks for tx in b.transactions
                if tx.created_address}
     publish = next(tx for b in chain.blocks for tx in b.transactions

@@ -22,62 +22,62 @@ REPORTS = ("audit.json", "chain.json", "gas.csv", "summary.txt")
 
 GOLDEN = {
     "early_key_reveal/audit.json": "d9f6da450ada68c8e75df7446bc755a4098203040d12b203fbe50fa5231fb41b",
-    "early_key_reveal/chain.json": "5c39ccc1e8a734f9020e6575ed7d07c20bc8ad5a386d7319b49132ab6cec5bc9",
+    "early_key_reveal/chain.json": "f06cdde6e725ca57fcb68380fc0e34b29d06fdf226e86552d6e3fac4333a0899",
     "early_key_reveal/gas.csv": "76904294894527e9feafbe9f65d532af9e123b2bbab572e11bd2236f6ddacbd6",
     "early_key_reveal/summary.txt": "5ba861ed4baae425328eebae31169557c270b8e4f5d5ddc99b468cba32cae7f5",
     "erased_bid/audit.json": "e45a59096e2420b7048254fb1e5e13e988c2dedb7527c288a12b62cf5a09ecca",
-    "erased_bid/chain.json": "0179c9acd390f3b8250dd89b43ec56cc0b71c89958cc7eba0a3008e4755d7bd9",
+    "erased_bid/chain.json": "d149758102687a7f07354c6a21f33db394858ce02c0aa9bcf7d6201be4d7e1c6",
     "erased_bid/gas.csv": "7a05f9152abb74d0a87dcc3a309576bbfb2198c9b919c128dc3f05180ad03c39",
     "erased_bid/summary.txt": "556d78f40c30c360cfea5769e5ca39bf251f67bb38c58c2504e5efa7303b111e",
     "forged_cert/audit.json": "5a778f691333962567999146689fc4a0717a480f7a47928b930c950816dac46c",
-    "forged_cert/chain.json": "27a0b5327acd91091a9b6ba425d9a785049d601b991db82ac584fa216ac08e1a",
+    "forged_cert/chain.json": "b6a7156e5ab4d1abc124ed41057a6f34a9d42a5558b317ca501c37c687d86b1f",
     "forged_cert/gas.csv": "ee85bd2d9d9a69375863b46a64fdfb65855276efd4e65a7a51b50e7b5fb58d93",
     "forged_cert/summary.txt": "502108da42df59ec22170260de90b30d8874353705472ea733c616797ba1c984",
     "full_track_10_bids/audit.json": "68e973424f1b2d631573d15e78c9e451e68a13bcae803340d0adbda0597902a1",
-    "full_track_10_bids/chain.json": "15041fe07d33924415f7ef66e194f8f19f58a880b868ce5f20462b2519fd255b",
+    "full_track_10_bids/chain.json": "75be172bc68aa9bbfce68423ee9f279919fcc9d06e7cd48875249520a262f576",
     "full_track_10_bids/gas.csv": "7a05f9152abb74d0a87dcc3a309576bbfb2198c9b919c128dc3f05180ad03c39",
     "full_track_10_bids/summary.txt": "86e3eeff5627985a8465e79e5f0ef1343bba13da088c16b2dc88fcd31e772d13",
     "late_bid/audit.json": "be02bcd29296ea876b758c99ed91f107d26b2608a6cdb708eda47425b943fe11",
-    "late_bid/chain.json": "3789367b6ce1808cb7304dafeceb439f1458b43d71f78b3935099050c997c8ac",
+    "late_bid/chain.json": "8ed9b5ddad1beb05bdb162406837261fbaf1e046fa04a94e9a65fc4d840d1062",
     "late_bid/gas.csv": "1e2cf1024b4d1c8c9dd92af8add38ea85c454300b30d52b8476f912e0f27ccfd",
     "late_bid/summary.txt": "61c384c31bc56741a9d9377924e8c22fdafe2d45aeb6596148dda77ce131ecc0",
     "mutated_tender/audit.json": "c421e11260dd5e0786280c7948420f34ea2ba4465ffabd429d7a7019f54bea27",
-    "mutated_tender/chain.json": "28d9143ce6873820ac5d5667ba88e8b0dea5acbca0e90efcbf0abba1703a3961",
+    "mutated_tender/chain.json": "1a5ad079af4522619f074bc00e698c379fef0993229fda8165f8a856345f4324",
     "mutated_tender/gas.csv": "61d4ff5a192738b021f6bbf58c24eb44919e6445a89c5c2b29ded07d567db00b",
     "mutated_tender/summary.txt": "ea4d145cad2bef55f6d0e4af6a4ee9ea73ab77d3c30ed7a3202cbbca8bd68836",
     "protected_10_bids/audit.json": "69612096f6952416c67510ab7c5dbb4d1fc7d9a10f240f2a44609c0a2e99d21a",
-    "protected_10_bids/chain.json": "916194446af2a66aa7f3b235b162ac43779b6b93c26aa7be0ff0a936b4c039e6",
+    "protected_10_bids/chain.json": "c7465b0cbaa6d1e13c9599d7215a06bdc52392f85a7d9298cebac1f074d50c24",
     "protected_10_bids/gas.csv": "61d4ff5a192738b021f6bbf58c24eb44919e6445a89c5c2b29ded07d567db00b",
     "protected_10_bids/summary.txt": "b166cc4b4ca2ddc5ea4ec4d886539e6da5b5a632c9c6c3a70b9805df852908b1",
     "rigged_winner/audit.json": "8867234935392d2f7e26df44ed924bd719a09869707c6335aa39d065cc9509f4",
-    "rigged_winner/chain.json": "9e27181a648115edde87527aeae71caed65381df7d88e145bb38bdfdc071eba3",
+    "rigged_winner/chain.json": "c44b826912c6698dd27b7f64ce06a3e9ac95afe05bf8cd0550951d53eab10586",
     "rigged_winner/gas.csv": "7a05f9152abb74d0a87dcc3a309576bbfb2198c9b919c128dc3f05180ad03c39",
     "rigged_winner/summary.txt": "a28a23ea49de33762e40219f0614f6f19ea86aacd51e947240310c8c2086f34c",
     "spam_full_track/audit.json": "d478c421cd724576092f5dd7b2677282d7ea2639c60e7c38c357286ff3f4f53e",
-    "spam_full_track/chain.json": "d61c3016ef004d06956dbeff2f11a5b86900b5c1ec7c5f425053e71b754fd564",
+    "spam_full_track/chain.json": "e8a992aaf6df85b5c18c6ef09da27bf7c413c69515c48367883819f1f312de6e",
     "spam_full_track/gas.csv": "a5517fe9e586030aaf8fd12892daa3a59055dcb31a734b7b747b364a5a26b647",
     "spam_full_track/summary.txt": "c2ad370736e23e1dd208ffd9c007e23b15e8b76851ee98e282b43c15928e6197",
     "spam_protected/audit.json": "ebd7a4d1a9b753629288422bf4be2b214fc9c5ba6a6e3995b288cb613813ad47",
-    "spam_protected/chain.json": "15cad36f1d7dca3136b974e948f2f243593b62b1e5e0ac0fde4fd52a3935a4a3",
+    "spam_protected/chain.json": "db0b3631691f4be87f07db6720b786838850fc0a7912dc5bb49ae08c1e383a07",
     "spam_protected/gas.csv": "42e672170ff40f4543ad754636b8dfd3f3b44195205c092d17ed614f86d181ac",
     "spam_protected/summary.txt": "e750a3a114fc39072659e7a17d721a3ec93ce399d3b4f939345c22083b6d0d59",
     "spam_stateless/audit.json": "67892fae9b4694a802b89be7c3625e3ed85e13d917ef673fc92744024eb2d9df",
-    "spam_stateless/chain.json": "1aa52e285145cf6da27d551caf2d166d8634d1793d2a73b5431da28c42ee9f6c",
+    "spam_stateless/chain.json": "0e00efce68d58680b8a1ef3a2687f6c52a6e40597ea58947c21cd994827e4b3c",
     "spam_stateless/gas.csv": "98fe07217cd1086756db994b4a5ab3fb53453adcfa75a9122be50c1b273292c3",
     "spam_stateless/summary.txt": "e63c33672245e4fe28278f558b491268208e074e0c39ad7ec855b6e36dc5a1da",
     "stateless_10_bids/audit.json": "542c2bcfaa125b8383c4e316520036319c7830beded39cd404257df6ade0057e",
-    "stateless_10_bids/chain.json": "facee34006765e091a78847a7e8b108c9d1ee7abbf83e0c09cc97b3b544e8e1f",
+    "stateless_10_bids/chain.json": "e148d81fb86e8ba39ca6f196e00e0b85ad244d1a536ac66f97f863a11b04235b",
     "stateless_10_bids/gas.csv": "68d0a5b0dc0b8de13e1f86b9d3f05956f1abdc08d368f5353d283ec5e0fe4115",
     "stateless_10_bids/summary.txt": "3b2ee749cc1f2ef44ded7f56c7303a5715942565ac272d0d19a8c2e5d6613f7d",
     "withheld_key/audit.json": "021d082a27f806d65d89f5664e2992a8ea1ed461876ee79a44a6f5fcdc63e797",
-    "withheld_key/chain.json": "c7fa5091cb950602f92fb1020a511ed0970e44ec6dc27c0cb7639f4739575d21",
+    "withheld_key/chain.json": "03cb65f6739a5d5c8b90e6dc6c258c0157c20fbc652efb1a6db43e816fe2e9c1",
     "withheld_key/gas.csv": "f105abadcc16aeb0ee28b8b9338f2b4976626be35b235b870210f98c3add553c",
     "withheld_key/summary.txt": "e8237135423bd849b5e6f4e92f6ea4e36fa05a3075cb692f1bd8667aa8de0722",
 }
 
 # SHA-256 over the sorted "<scenario>/<file> <sha256hex>\n" lines of the
 # chain.json and audit.json entries above
-GOLDEN_CROSS_CHECK = "2b2df7c6d81a5d68bef2655d9b114dda48e08b86c805d96192f286244a8a4b4b"
+GOLDEN_CROSS_CHECK = "184b5f288255499a27d0c809b7a996a40d14d9f4447e73cbf3487ce5302379bd"
 
 # SHA-256 of what `tendersim audit <chain.json> --out <file>` writes for each
 # bundled scenario's chain.json

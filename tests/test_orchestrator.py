@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 import tendersim
-from tendersim import audit, crypto
-from tendersim.chain import Chain, ChainConfig
-from tendersim.encoding import canonical_json, to_hex
+from tendersim import audit, contracts, crypto
+from tendersim.chain import MAX_DATA_BITS, Chain, ChainConfig
+from tendersim.encoding import canonical_json, canonical_json_bytes, to_hex
 from tendersim.errors import (
     AuthFailed,
     DecryptionFailed,
@@ -75,19 +75,43 @@ def test_bid_document_refuses_non_finite_fields(value):
         BidDocument("B1", {"price": value})
 
 
-@pytest.mark.parametrize("config, length_ms, message", [
-    pytest.param(ChainConfig(max_data_bits=8), 600_000, "tender data deployment rejected",
+@pytest.mark.parametrize("title, length_ms, message", [
+    pytest.param("t" * 700, 600_000, "tender data deployment rejected: DATA_TOO_LARGE",
                  id="data-over-max-data-bits"),
-    pytest.param(ChainConfig(), 0, "tender deployment rejected: INVALID_TENDER_PARAMS",
+    pytest.param("supply tender", 0, "tender deployment rejected: INVALID_TENDER_PARAMS",
                  id="length-ms-0"),
 ])
-def test_open_tender_reports_a_rejected_deployment(config, length_ms, message):
-    orch = TenderOrchestrator(Chain(config), Random(3))
-    spec = TenderSpec(title="supply tender", terms=b"deliver the goods",
+def test_open_tender_reports_a_rejected_deployment(title, length_ms, message):
+    orch = TenderOrchestrator(Chain(ChainConfig()), Random(3))
+    spec = TenderSpec(title=title, terms=b"deliver the goods",
                       criteria=price_criteria(), length_ms=length_ms, limit=2,
                       scheme="FULL_TRACK")
     with pytest.raises(ScenarioError, match=message):
         orch.open_tender(spec)
+
+
+def test_data_deployment_holds_at_most_max_data_bits_on_ledger_and_in_replay():
+    assert MAX_DATA_BITS == 5000
+    chain = Chain(ChainConfig())
+    sender = chain.register_account(b"\x01" * 20)
+    txs = {}
+    for size in (MAX_DATA_BITS // 8, MAX_DATA_BITS // 8 + 1):  # 625 and 626 bytes
+        chain.submit_transaction(sender, None,
+                                 canonical_json_bytes(contracts.data_deploy_call(b"d" * size)))
+        txs[size] = chain.mine_block(chain.head().timestamp + 1).transactions[0]
+    assert (txs[625].status, txs[625].error) == ("OK", None)
+    assert (txs[626].status, txs[626].error) == ("REJECTED", "DATA_TOO_LARGE")
+    replay = audit.replay_chain(chain.export())
+    assert replay.receipt_findings == [] and replay.ledger_findings == []
+    assert list(replay.state) == [txs[625].created_address]
+    assert len(replay.state[txs[625].created_address].data) == 625
+
+
+def test_a_rejected_bid_ciphertext_stops_the_bid():
+    chain, orch, _, _ = _make_orch()
+    orch.register_bidder("B1")
+    with pytest.raises(ScenarioError, match="bid ciphertext deployment rejected: DATA_TOO_LARGE"):
+        orch.submit_sealed_bid("B1", BidDocument("B1", {"price": 10.0}, b"x" * 400))
 
 
 def test_register_bidder_and_domain_binding():

@@ -1,14 +1,20 @@
+import contextlib
 import copy
 import functools
+import io
 import json
 import math
+import operator
 import os
+import re
 from random import Random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tendersim import audit, crypto
 from tendersim.chain import Chain, ChainConfig, compute_tx_hash
@@ -24,6 +30,7 @@ from tendersim.encoding import (
 )
 from tendersim.errors import IncomparableScenarios, ScenarioError
 from tendersim.scenario import (
+    MAX_BIDS,
     compare_schemes,
     load_scenario,
     run_scenario,
@@ -101,10 +108,6 @@ def test_cli_refuses_a_scenario_file_json_cannot_read(tmp_path, capsys, command,
                  "TIMESTAMP_TOO_FAR_AHEAD", id="submit-at-2**64"),
     pytest.param(lambda d: d["tender"].update(length_ms=2**64),
                  "TIMESTAMP_TOO_FAR_AHEAD", id="length-2**64"),
-    pytest.param(lambda d: d.update(chain={"genesis_timestamp": 2**64 - 1}),
-                 "TIMESTAMP_TOO_FAR_AHEAD", id="genesis-2**64-1"),
-    pytest.param(lambda d: d.update(chain={"genesis_timestamp": 2**64}),
-                 "SCENARIO_ERROR", id="genesis-2**64"),
 ])
 def test_cli_refuses_a_block_timestamp_beyond_64_bits(tmp_path, capsys, command, edit, code):
     bad = tmp_path / "far.json"
@@ -174,19 +177,23 @@ def _late_bid(doc, **extra):
                  "$.adversarial[0].fields.price", id="late-bid-field-value-infinity"),
     pytest.param(lambda d: d.update(adversarial=[{"action": "RIG_WINNER", "winner": []}]),
                  "$.adversarial[0].winner", id="winner-not-a-string"),
-    pytest.param(lambda d: d.update(chain=[]), "$.chain", id="chain-not-an-object"),
-    pytest.param(lambda d: d.update(chain={"block_interval_ms": "fast"}), "$.chain",
-                 id="chain-setting-not-an-integer"),
-    pytest.param(lambda d: d.update(chain={"genesis_timestamp": -1}), "$.chain",
-                 id="chain-genesis-before-zero"),
-    pytest.param(lambda d: d.update(chain={"max_data_bits": 0}), "$.chain",
-                 id="chain-max-data-bits-0"),
-    pytest.param(lambda d: d.update(chain={"max_data_bits": -1}), "$.chain",
-                 id="chain-max-data-bits-negative"),
-    pytest.param(lambda d: d.update(chain={"max_data_bit": 0}), "$.chain",
-                 id="chain-unknown-key-max-data-bit"),
-    pytest.param(lambda d: d.update(chain={"block_intervall_ms": 1}), "$.chain",
-                 id="chain-unknown-key-block-intervall-ms"),
+    # a key the scenario reader does not read: the ledger's settings are fixed
+    pytest.param(lambda d: d.update(chain={"block_interval_ms": 15_000}), "$.chain",
+                 id="chain-block"),
+    pytest.param(lambda d: d.update(adversrial=[]), "$.adversrial",
+                 id="adversarial-misspelt"),
+    # the bid cap: honest, late, forged and spam bids together
+    pytest.param(lambda d: d.update(adversarial=[{"action": "SPAM_INVALID_CERTS",
+                                                  "at_ms": 30_000, "count": 2**63}]),
+                 "$.adversarial[0]", id="spam-count-2**63"),
+    pytest.param(lambda d: d.update(adversarial=[
+        {"action": "SPAM_INVALID_CERTS", "at_ms": 30_000, "count": MAX_BIDS - 11},
+        {"action": "FORGE_CERT", "at_ms": 40_000, "target": "B01"},
+        {"action": "LATE_BID", "bidder": "B01", "at_ms": 3_700_000}]),
+                 "$.adversarial[2]", id="late-bid-one-over-the-cap"),
+    pytest.param(lambda d: d["bidders"].extend(
+        {"id": f"X{i}", "submit_at_ms": 10**7 + i, "fields": {}} for i in range(MAX_BIDS)),
+                 f"$.bidders[{MAX_BIDS}]", id="bidders-over-the-cap"),
     # JSON true is a Python bool, and a bool is an int to isinstance
     pytest.param(lambda d: d.update(seed=True), "$.seed", id="seed-a-boolean"),
     pytest.param(lambda d: d["tender"].update(length_ms=True), "$.tender.length_ms",
@@ -205,6 +212,8 @@ def _late_bid(doc, **extra):
                  "$.adversarial[0].index", id="index-a-boolean"),
     pytest.param(lambda d: d.update(expected=[]), "$.expected", id="expected-not-an-object"),
     pytest.param(lambda d: d.update(reports="summary"), "$.reports", id="reports-not-a-list"),
+    pytest.param(lambda d: d.update(reports=["summary", "gas"]), "$.reports[1]",
+                 id="report-kind-unknown"),
 ])
 def test_validation_rejects_wrong_shapes_at_their_json_path(edit, where):
     doc = _full_track_doc()
@@ -218,6 +227,26 @@ def test_validation_accepts_a_late_bid_with_numeric_fields():
     doc = _full_track_doc()
     _late_bid(doc, fields={"price": 1, "delivery_days": 2.5}, free_text="late")
     validate_scenario(doc)
+
+
+def test_validation_accepts_a_scenario_of_max_bids():
+    doc = _full_track_doc()  # 10 honest bids
+    doc["adversarial"] = [{"action": "SPAM_INVALID_CERTS", "at_ms": 30_000,
+                           "count": MAX_BIDS - 11},
+                          {"action": "FORGE_CERT", "at_ms": 40_000, "target": "B01"}]
+    validate_scenario(doc)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_refuses_a_bid_whose_ciphertext_the_ledger_rejects(tmp_path, capsys, command):
+    # a 400-byte free text makes a ciphertext larger than MAX_DATA_BITS: the
+    # run stops instead of placing a bid that points at no data
+    path = tmp_path / "long_text.json"
+    path.write_bytes(_full_track_file_with(lambda d: d["bidders"][0].update(free_text="x" * 400)))
+    assert main([command, str(path), str(path)] if command == "compare"
+                else [command, str(path)]) == 2
+    assert capsys.readouterr().err == ("error[SCENARIO_ERROR]: bid ciphertext deployment "
+                                       "rejected: DATA_TOO_LARGE\n")
 
 
 def test_erase_bid_invalid_for_stateless(tmp_path):
@@ -346,12 +375,18 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/6", '
+_FORMAT = b'{"format": "tendersim-chain/7", '
+
+
+def _as_format_6(export: dict) -> None:
+    """Re-spell a tendersim-chain/7 export as /6 wrote it: with its data limit."""
+    export.update(format="tendersim-chain/6", max_data_bits=5000)
 
 
 def _as_format_5(export: dict) -> None:
-    """Re-spell a tendersim-chain/6 export as /5 wrote it: each block with its
-    parent hash, each transaction with its gas price, bid records whole."""
+    """Re-spell a tendersim-chain/7 export as /5 wrote it: as /6 did, and with
+    each block's parent hash, each transaction's gas price, bid records whole."""
+    _as_format_6(export)
     export["format"] = "tendersim-chain/5"
     parent = "0x" + "00" * 32
     for block in export["blocks"]:
@@ -365,16 +400,12 @@ def _as_format_5(export: dict) -> None:
 
 @pytest.mark.parametrize("content", [
     b'{"blocks": [',  # truncated JSON
-    pytest.param(_FORMAT + b'"contracts": {}, "max_data_bits": 5000}',
-                 id='{"contracts": {}, "max_data_bits": 5000}'),  # no blocks
+    pytest.param(_FORMAT + b'"contracts": {}}', id='{"contracts": {}}'),  # no blocks
     b'[]',
     b'\xff\xfe',
     b'[' * 100_000,  # nested deeper than the decoder recurses
-    pytest.param(_FORMAT + b'"blocks": [], "contracts": {}, "max_data_bits": 5000, '
-                           b'"bogus": 1}',
-                 id='{"blocks": [], "contracts": {}, "max_data_bits": 5000, "bogus": 1}'),
-    pytest.param(_FORMAT + b'"blocks": [], "contracts": {}, "max_data_bits": 0}',
-                 id='{"blocks": [], "contracts": {}, "max_data_bits": 0}'),
+    pytest.param(_FORMAT + b'"blocks": [], "contracts": {}, "bogus": 1}',
+                 id='{"blocks": [], "contracts": {}, "bogus": 1}'),
     # one field below the top level of a full_track_10_bids export, edited
     pytest.param(lambda e: e["contracts"].update({next(iter(e["contracts"])): 5}),
                  id="contract-snapshot-5"),
@@ -402,25 +433,21 @@ def _as_format_5(export: dict) -> None:
     pytest.param(lambda e: e.update(format="tendersim-chain/3"), id="format-3"),
     pytest.param(lambda e: e.update(format="tendersim-chain/4"), id="format-4"),
     pytest.param(_as_format_5, id="format-5"),
-    # a field tendersim-chain/5 wrote, which /6 leaves out
+    pytest.param(_as_format_6, id="format-6"),
+    # a field an earlier format wrote, which /7 leaves out
     pytest.param(lambda e: e["blocks"][1].update(parent_hash=e["blocks"][0]["block_hash"]),
                  id="block-carries-parent-hash"),
     pytest.param(lambda e: _first_tx(e).update(gas_price=1), id="tx-carries-gas-price"),
-    *(pytest.param(lambda e, v=value: e.update(max_data_bits=v),
-                   id=f"max-data-bits-{name}")
-      for name, value in (("x", "x"), ("string", "5000"), ("null", None), ("list", []),
-                          ("object", {}), ("float", 5000.5), ("true", True), ("0", 0),
-                          ("minus-1", -1))),
-    pytest.param(lambda e: e.pop("max_data_bits"), id="max-data-bits-missing"),
+    pytest.param(lambda e: e.update(max_data_bits=5000), id="carries-max-data-bits"),
     # the settings a tendersim-chain/4 export carried, which no rule reads
     pytest.param(lambda e: e.update(gas_schedule={"per_prior_bid_copy": 20781}),
                  id="carries-gas-schedule"),
     pytest.param(lambda e: e.update(config={"max_data_bits": 5000}), id="carries-config"),
     # an int beyond the 4300 digits Python converts from text
-    pytest.param(_FORMAT + b'"blocks": [' + b"7" * 5000 + b'], "contracts": {}, '
-                           b'"max_data_bits": 5000}', id="block-int-5000-digits"),
+    pytest.param(_FORMAT + b'"blocks": [' + b"7" * 5000 + b'], "contracts": {}}',
+                 id="block-int-5000-digits"),
     pytest.param(_FORMAT + b'"blocks": [], "contracts": {"0x01": {"limit": ' + b"7" * 5000
-                 + b'}}, "max_data_bits": 5000}', id="contract-int-5000-digits"),
+                 + b'}}}', id="contract-int-5000-digits"),
     # a string UTF-8 cannot hold: the lone surrogate is written as its \u escape
     pytest.param(lambda e: _first_tx(e).update(error="\ud800"), id="receipt-error-lone-surrogate"),
     # the same in an indented file, named where the file holds it, not where
@@ -599,6 +626,38 @@ def test_audit_command_refuses_a_malformed_tender_address(protected_run, capsys,
     code = main(["audit", str(chain_json), "--tender", text])
     assert code == 2
     assert capsys.readouterr().err.startswith("error[MALFORMED_ADDRESS]")
+
+
+# --- one hostile value in a bundled scenario -------------------------------------------------
+
+_HOSTILE_VALUES = [2**64, -1, 0.5, math.nan, True, None, "\ud800", [1], {"x": 1}]
+_BUNDLED = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
+
+
+def _leaf_paths(node, path=()):
+    """The path to every value below ``node`` that is neither an object nor a list."""
+    if type(node) not in (dict, list):
+        yield path
+        return
+    for key, child in node.items() if type(node) is dict else enumerate(node):
+        yield from _leaf_paths(child, path + (key,))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_cli_run_exits_0_1_or_2_with_one_hostile_value_anywhere(tmp_path_factory, data):
+    doc = copy.deepcopy(_BUNDLED[data.draw(st.sampled_from(sorted(_BUNDLED)), label="scenario")])
+    path = data.draw(st.sampled_from(list(_leaf_paths(doc))), label="path")
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    parent[path[-1]] = data.draw(st.sampled_from(_HOSTILE_VALUES), label="value")
+    file = tmp_path_factory.getbasetemp() / "hostile.json"
+    file.write_text(json.dumps(doc), encoding="ascii")  # a lone surrogate as its \u escape
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", str(file)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert re.match(r"error\[[A-Z_]+\]: ", err.getvalue()), err.getvalue()
 
 
 # --- determinism ---------------------------------------------------------------------------
