@@ -9,11 +9,10 @@ contract created over another, are R6 findings; the first contract stays.
 Every receipt is then compared strictly with the re-derived one, and every
 disclosed contract with the snapshot of its re-derived twin; the bid array
 is also checked against the array snapshots embedded in each bid record,
-which is what makes a silently erased entry provable. Published keys must
-extend the on-ledger half and must decrypt the on-ledger ciphertexts. The
-winner is recomputed by opening and grading each bid through
-``orchestrator.open_bid``, the rule the organisation's evaluation uses, and
-compared with the published one.
+which is what makes a silently erased entry provable. Each published bid key
+must decrypt its on-ledger ciphertext. The winner is recomputed by opening and
+grading each bid through ``orchestrator.open_bid``, the rule the
+organisation's evaluation uses, and compared with the published one.
 
 Tenders are found from the deployments the replay accepts, never from the
 ``kind`` labels of the disclosed state. A finding about one tender goes to
@@ -180,16 +179,19 @@ def read_ledger(export) -> list[Block]:
     compares each with ``contracts.disclose`` of its re-derived twin, so a bid
     record's ``prior_bids`` or ``placed_by`` link, and a ``data`` or ``results``
     link to a transaction, must be spelled as the export writes it, and the
-    audit stays linear in the bids. Raises MalformedExport for a document that
-    is not a ``tendersim-chain/7`` object (earlier formats included), for
+    audit stays linear in the bids. Raises MalformedExport, naming the format,
+    for a document that is not a ``tendersim-chain/8`` object (earlier formats
+    included: ``/7`` published ``tender-result/1`` results), for
     ``blocks``, ``contracts`` or a disclosed contract of the wrong JSON type,
     for a missing or malformed block or transaction field, and for a key of the
     document, a block or a transaction that the audit does not read (such as
     the ``parent_hash`` and ``gas_price`` of ``/5``, or the data limit of
     ``/6``, now the constant ``chain.MAX_DATA_BITS``).
     """
-    if type(export) is not dict or export.get("format") != EXPORT_FORMAT:
-        raise MalformedExport(f"chain export is not a {EXPORT_FORMAT} object")
+    found = export.get("format") if type(export) is dict else None
+    if found != EXPORT_FORMAT:
+        named = f"format {found[:40]!r}" if type(found) is str else "no format"
+        raise MalformedExport(f"chain export has {named}, not {EXPORT_FORMAT}")
     _known_keys(export, _EXPORT_KEYS, "chain export")
     for key, kind in (("blocks", list), ("contracts", dict)):
         if type(export.get(key)) is not kind:
@@ -512,6 +514,12 @@ def _snapshot_erasure_check(replay: ChainReplay, addr: bytes,
 # --- result re-evaluation -----------------------------------------------------------
 
 def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
+    """(winner address, winner id, findings) of re-grading every bid the tender
+    created against the published ``tender-result/2`` entry for it: each valid
+    bid needs an entry; a scored one a ``bid_key`` and ``half_b``, the second
+    half of its sealed key (the first is the record's ``sealed_half_a``), whose
+    ``bid_key`` must open the disclosed ciphertext through ``open_bid`` to the
+    published ``score``. The winner is picked from the recomputed scores."""
     violations: list[Violation] = []
     rft = tender.contract
     criteria = None
@@ -526,50 +534,53 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
                                     "tender data holds no usable evaluation criteria"))
         return None, None, violations
 
-    statuses = _object_field(result, "statuses")
-    revealed = _object_field(result, "revealed_keys")
-    published_scores = _object_field(result, "scores")
-
+    published = result.get("bids", {})
+    if not isinstance(published, dict):  # then it lists no bid, and each is missing
+        violations.append(Violation("R3", tender.published[0],
+                                    "published results field bids is not an object"))
+        published = {}
     recomputed_scores: dict[bytes, float] = {}
     for record, height, _ in tender.bids:
         addr = to_hex(record.address)
+        entry = published.get(addr, _ABSENT)
+        if entry is _ABSENT:
+            if record.validity:
+                violations.append(Violation("NONRECEIPT", height,
+                                            f"valid bid {addr} is absent from the disclosed "
+                                            f"evaluation"))
+            continue
+        if not isinstance(entry, dict):
+            violations.append(Violation("R3", height,
+                                        f"published entry for {addr} is malformed"))
+            continue
+        scored = entry.get("status") == STATUS_SCORED
         if not record.validity:
-            if statuses.get(addr) == STATUS_SCORED:
+            if scored:
                 violations.append(Violation("R3", height,
                                             f"invalid bid {addr} was scored by the "
                                             f"published evaluation"))
             continue
-        if addr not in statuses:
-            violations.append(Violation("NONRECEIPT", height,
-                                        f"valid bid {addr} is absent from the disclosed "
-                                        f"evaluation"))
-            continue
-        key_entry = revealed.get(addr)
-        if key_entry is None:
-            if statuses.get(addr) == STATUS_SCORED:
+        if "bid_key" not in entry and "half_b" not in entry:
+            if scored:
                 violations.append(Violation("R3", height,
                                             f"bid {addr} scored without a published key"))
             continue
         try:
-            sealed = from_hex(key_entry["sealed"])
-            bid_key = from_hex(key_entry["bid_key"])
-        except (KeyError, ValueError, TypeError):
+            bid_key = from_hex(entry["bid_key"])
+            from_hex(entry["half_b"])  # the sealed key's second half; the first is on-ledger
+        except (KeyError, ValueError):
             violations.append(Violation("R3", height,
-                                        f"published key entry for {addr} is malformed"))
+                                        f"published entry for {addr} is malformed"))
             continue
-        ciphertext = _disclosed_data(replay, record.data_addr)
-        if not sealed.startswith(record.sealed_half_a):
-            violations.append(Violation("R3", height,
-                                        f"published sealed key for {addr} does not extend "
-                                        f"the on-ledger half"))
-        status, score = open_bid(criteria, record.bidder_id, ciphertext, bid_key)
+        status, score = open_bid(criteria, record.bidder_id,
+                                 _disclosed_data(replay, record.data_addr), bid_key)
         if status == STATUS_MALFORMED:
             violations.append(Violation("UNDECRYPTABLE_BID", height,
                                         f"published key fails to decrypt bid {addr}"))
         if score is None:
             continue
         recomputed_scores[record.address] = score
-        if addr in published_scores and published_scores[addr] != score:
+        if not same_json(entry.get("score", score), score):
             violations.append(Violation("R3", height,
                                         f"published score for {addr} differs from "
                                         f"recomputation"))
@@ -593,13 +604,6 @@ def _disclosed_data(replay: ChainReplay, addr: bytes) -> bytes:
         return from_hex(disclosed)
     except ValueError:  # no data contract, or no hex data, is disclosed there
         return b""
-
-
-def _object_field(result: dict, key: str) -> dict:
-    """A field of the published results that should be an object; anything
-    else counts as empty, so what it should have listed is reported missing."""
-    value = result.get(key)
-    return value if isinstance(value, dict) else {}
 
 
 # --- requirement grading -------------------------------------------------------------

@@ -170,24 +170,25 @@ class TenderSpec:
 
 @dataclass
 class TenderResult:
+    """The outcome the organisation publishes: the winner, and one entry per bid,
+    address -> {"status", "score"?, "bid_key"?, "half_b"?}. ``score`` is there
+    for a scored bid; ``bid_key`` and ``half_b``, the withheld half of the
+    sealed key, for an opened one. The sealed key's first half is already on
+    the ledger, in the bid record, so it is not written again."""
+
     winner_id: str | None
     winner_bid_address: bytes | None
-    scores: dict[bytes, float]
-    statuses: dict[bytes, str]
-    revealed_keys: dict[bytes, dict]  # addr -> {"sealed": bytes, "bid_key": bytes}
+    bids: dict[bytes, dict]
 
     def to_dict(self) -> dict:
         return {
-            "format": "tender-result/1",
+            "format": "tender-result/2",
             "winner_id": self.winner_id,
             "winner_bid_address": to_hex(self.winner_bid_address)
             if self.winner_bid_address else None,
-            "scores": {to_hex(a): s for a, s in sorted(self.scores.items())},
-            "statuses": {to_hex(a): s for a, s in sorted(self.statuses.items())},
-            "revealed_keys": {
-                to_hex(a): {"sealed": to_hex(k["sealed"]), "bid_key": to_hex(k["bid_key"])}
-                for a, k in sorted(self.revealed_keys.items())
-            },
+            "bids": {to_hex(a): {k: to_hex(v) if isinstance(v, bytes) else v
+                                 for k, v in entry.items()}
+                     for a, entry in sorted(self.bids.items())},
         }
 
 
@@ -406,31 +407,27 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
     _, _, criteria = TenderSpec.parse_data_blob(
         chain.get_contract(rft.tender_data_addr).data)
 
-    scores: dict[bytes, float] = {}
-    statuses: dict[bytes, str] = {}
-    revealed_keys: dict[bytes, dict] = {}
+    bids: dict[bytes, dict] = {}
     for addr in addresses:
         record = chain.get_contract(addr)
-        if not record.validity:
-            statuses[addr] = STATUS_INVALID
-            continue
         half_b = revealed_halves.get(addr)
+        if not record.validity:
+            bids[addr] = {"status": STATUS_INVALID}
+            continue
         if half_b is None:
-            statuses[addr] = STATUS_UNREVEALED
+            bids[addr] = {"status": STATUS_UNREVEALED}
             continue
-        sealed = record.sealed_half_a + half_b
         try:
-            bid_key = crypto.unseal_bid_key(sealed, to_private_key)
+            bid_key = crypto.unseal_bid_key(record.sealed_half_a + half_b, to_private_key)
         except DecryptionFailed:
-            statuses[addr] = STATUS_MALFORMED
+            bids[addr] = {"status": STATUS_MALFORMED}
             continue
-        revealed_keys[addr] = {"sealed": sealed, "bid_key": bid_key}
-        statuses[addr], score = open_bid(criteria, record.bidder_id,
-                                         _ciphertext(chain, record), bid_key)
+        status, score = open_bid(criteria, record.bidder_id, _ciphertext(chain, record),
+                                 bid_key)
+        bids[addr] = {"status": status, "bid_key": bid_key, "half_b": half_b}
         if score is not None:
-            scores[addr] = score
+            bids[addr]["score"] = score
 
-    winner_addr = pick_winner(scores)
+    winner_addr = pick_winner({a: e["score"] for a, e in bids.items() if "score" in e})
     winner_id = chain.get_contract(winner_addr).bidder_id if winner_addr else None
-    return TenderResult(winner_id=winner_id, winner_bid_address=winner_addr,
-                        scores=scores, statuses=statuses, revealed_keys=revealed_keys)
+    return TenderResult(winner_id=winner_id, winner_bid_address=winner_addr, bids=bids)

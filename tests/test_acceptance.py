@@ -155,7 +155,7 @@ def test_criterion_4_pre_deadline_secrecy_and_early_reveal(announce):
         for bidder_id, sub in subs.items():
             orch.deliver_key_half(bidder_id, sub)
         result = orch.close_and_evaluate()
-        statuses = set(result.statuses.values())
+        statuses = {entry["status"] for entry in result.bids.values()}
         assert statuses == {"SCORED"}  # decryption succeeds after delivery
 
     outcome = run_scenario(SCENARIO_DIR / "early_key_reveal.json")
@@ -174,7 +174,7 @@ def test_criterion_5_tamper_detection_1000_trials(announce):
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), seed=505)
     export = chain.export()
     rft_hex = to_hex(rft)
-    published = chain_surgery.published_results(export, rft_hex)["revealed_keys"]
+    published = chain_surgery.published_results(export, rft_hex)["bids"]
     rng = Random(505)
     record_addrs = export["contracts"][rft_hex]["bids_placed"]
     # each record with the call arguments it links to written whole

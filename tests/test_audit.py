@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import re
 import tracemalloc
 from random import Random
@@ -332,7 +333,7 @@ def _findings(export, rft_hex) -> set[tuple[str, str]]:
 
 def test_invalid_bid_published_as_scored_is_flagged():
     def rig(result, spam):
-        result.statuses[spam] = STATUS_SCORED
+        result.bids[spam]["status"] = STATUS_SCORED
     export, spam_hex, rft_hex = _run_with_one_spam_bid(rig)
     assert ("R3", f"invalid bid {spam_hex} was scored by the published evaluation") \
         in _findings(export, rft_hex)
@@ -345,34 +346,35 @@ def _published_export(rig) -> tuple[dict, str, str]:
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
     results = orch.close_and_evaluate().to_dict()
     loser = to_hex(subs["B1"].record_address)
-    assert results["winner_id"] == "B2" and results["statuses"][loser] == STATUS_SCORED
+    assert results["winner_id"] == "B2" and results["bids"][loser]["status"] == STATUS_SCORED
     rig(results, loser)
     orch.publish_results(mock.Mock(to_dict=lambda: results))
     return chain.export(), to_hex(rft), loser
 
 
 def test_bid_scored_without_a_published_key_is_flagged():
-    export, rft_hex, loser = _published_export(
-        lambda results, loser: results["revealed_keys"].pop(loser))
+    def rig(results, loser):
+        del results["bids"][loser]["bid_key"], results["bids"][loser]["half_b"]
+    export, rft_hex, loser = _published_export(rig)
     assert ("R3", f"bid {loser} scored without a published key") in _findings(export, rft_hex)
 
 
-@pytest.mark.parametrize("entry", [{"sealed": "0x00"}, {"sealed": "0x00", "bid_key": 7},
-                                   "0x00"])
+# each dict is written over the loser's published entry; anything else replaces it
+@pytest.mark.parametrize("entry", [{"bid_key": "0xzz"}, {"half_b": "0x123"}, "0x00",
+                                   {"half_b": 7}, {"bid_key": None}, [], None])
 def test_malformed_published_key_entry_is_flagged(entry):
-    export, rft_hex, loser = _published_export(
-        lambda results, loser: results["revealed_keys"].update({loser: entry}))
-    assert ("R3", f"published key entry for {loser} is malformed") \
-        in _findings(export, rft_hex)
-
-
-def test_published_sealed_key_that_does_not_extend_the_ledger_half_is_flagged():
     def rig(results, loser):
-        sealed = results["revealed_keys"][loser]["sealed"]
-        results["revealed_keys"][loser]["sealed"] = \
-            f"0x{int(sealed[2:4], 16) ^ 1:02x}{sealed[4:]}"
+        bids = results["bids"]
+        bids[loser] = {**bids[loser], **entry} if isinstance(entry, dict) else entry
     export, rft_hex, loser = _published_export(rig)
-    assert ("R3", f"published sealed key for {loser} does not extend the on-ledger half") \
+    assert ("R3", f"published entry for {loser} is malformed") in _findings(export, rft_hex)
+
+
+@pytest.mark.parametrize("score", [math.nan, True, "x"])
+def test_published_score_of_another_type_is_flagged(score):
+    export, rft_hex, loser = _published_export(
+        lambda results, loser: results["bids"][loser].update(score=score))
+    assert ("R3", f"published score for {loser} differs from recomputation") \
         in _findings(export, rft_hex)
 
 
@@ -386,7 +388,8 @@ def test_bid_record_disclosing_an_unexpected_field_is_flagged():
 
 def test_published_score_that_keeps_the_winner_is_still_checked():
     export, rft_hex, loser = _published_export(
-        lambda results, loser: results["scores"].update({loser: results["scores"][loser] - 1}))
+        lambda results, loser: results["bids"][loser].update(
+            score=results["bids"][loser]["score"] - 1))
     report = audit.replay_and_audit(export, rft_hex)
     assert report.winner_match
     assert any(v.tag == "R3" and v.description == f"published score for {loser} differs "
@@ -811,7 +814,7 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/7", "blocks": [block],
+    raw = canonical_json_bytes({"format": "tendersim-chain/8", "blocks": [block],
                                 "contracts": {}})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))
@@ -1039,17 +1042,17 @@ def test_expanded_export_lists_equal_the_ledger_records(name):
             [to_hex(a) for a in record.prior_bids]
 
 
-@pytest.mark.parametrize("field", ["statuses", "revealed_keys", "scores"])
+@pytest.mark.parametrize("field", ["bids"])
 def test_published_results_with_a_list_for_an_object_are_graded(field):
     chain, rft, _, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
     addrs = [to_hex(a) for a in chain.get_contract(rft).bids_placed]
-    result = {"statuses": {a: "SCORED" for a in addrs},
-              "revealed_keys": {a: {"sealed": "0x00", "bid_key": "0x00"} for a in addrs}}
-    result[field] = addrs
+    result = {field: addrs}
     ledger_ops.run_single(chain, chain.get_contract(rft).deployer, rft,
                           contracts.publish_results_call(result))
     report = audit.replay_and_audit(chain.export(), rft)
-    assert not report.ok()
+    assert ("R3", f"published results field {field} is not an object") in \
+        {(v.tag, v.description) for v in report.violations}
+    assert report.requirements["R3"]["verdict"] == "FAIL"
 
 
 # --- any single edit of an export is seen --------------------------------------------------

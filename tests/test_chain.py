@@ -325,7 +325,7 @@ def test_export_holds_one_small_link_per_record():
 def test_export_links_data_and_results_to_the_transactions_that_carried_them(scheme):
     chain, rft, _, _ = run_honest_tender(scheme, two_bid_docs())
     export = chain.export()
-    assert export["format"] == "tendersim-chain/7"
+    assert export["format"] == "tendersim-chain/8"
     assert list(export) == ["format", "blocks", "contracts"]  # no setting of the ledger
     created = {tx.created_address: tx for b in chain.blocks for tx in b.transactions
                if tx.created_address}
@@ -385,9 +385,9 @@ def test_export_writes_a_record_whose_call_spells_an_argument_otherwise_whole(sp
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda c: setattr(c, "results", {**c.results, "winner_id": "B9"}),
                  id="results-replaced"),
-    pytest.param(lambda c: c.results["scores"].update(
-        {k: int(v) if v == int(v) else v for k, v in c.results["scores"].items()}),
-        id="a-float-score-made-an-int"),
+    pytest.param(lambda c: [entry.update(score=int(entry["score"]))
+                            for entry in c.results["bids"].values() if "score" in entry],
+                 id="a-float-score-made-an-int"),
 ])
 def test_export_writes_results_edited_on_the_ledger_whole(edit):
     chain, rft, _, _ = run_honest_tender("FULL_TRACK", two_bid_docs())

@@ -131,7 +131,7 @@ class LedgerAgainstReplay(RuleBasedStateMachine):
         self._call(sender, self._any(data, self.tenders), call)
 
     @rule(data=st.data(), sender=st.sampled_from([ORG, ORG, STRANGER]),
-          result=st.dictionaries(st.sampled_from(["winner_id", "statuses", "scores"]),
+          result=st.dictionaries(st.sampled_from(["winner_id", "winner_bid_address", "bids"]),
                                  json_values, max_size=3) | json_values)
     def publish(self, data, sender, result):
         self._call(sender, self._any(data, self.tenders),

@@ -9,7 +9,7 @@ import pytest
 import tendersim
 from tendersim import audit, contracts, crypto
 from tendersim.chain import MAX_DATA_BITS, Chain, ChainConfig
-from tendersim.encoding import canonical_json, canonical_json_bytes, to_hex
+from tendersim.encoding import canonical_json, canonical_json_bytes, from_hex, to_hex
 from tendersim.errors import (
     AuthFailed,
     DecryptionFailed,
@@ -188,7 +188,7 @@ def test_minimize_price_winner_matches_brute_force():
     oracle = brute_force_winner(documents, {"numeric_fields": [["price", 1.0, "MINIMIZE"]]})
     assert to_hex(result.winner_bid_address) == oracle
     assert result.winner_id == "B2"
-    assert result.statuses[subs["B1"].record_address] == STATUS_SCORED
+    assert result.bids[subs["B1"].record_address]["status"] == STATUS_SCORED
 
 
 def test_exact_tie_goes_to_lowest_bid_address():
@@ -206,7 +206,7 @@ def test_feasibility_predicate_excludes_bid():
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", docs, criteria=criteria)
     result = orch.close_and_evaluate()
     assert result.winner_id == "B2"
-    assert result.statuses[subs["B1"].record_address] == STATUS_INFEASIBLE
+    assert result.bids[subs["B1"].record_address]["status"] == STATUS_INFEASIBLE
     documents = {to_hex(s.record_address): {"fields": s.document.fields}
                  for s in subs.values()}
     oracle = brute_force_winner(documents, {
@@ -226,7 +226,7 @@ def test_unrevealed_bid_excluded_not_failed():
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
     orch.deliver_key_half("B1", s1)  # B2 withholds
     result = orch.close_and_evaluate()
-    assert result.statuses[s2.record_address] == STATUS_UNREVEALED
+    assert result.bids[s2.record_address]["status"] == STATUS_UNREVEALED
     assert result.winner_id == "B1"
 
 
@@ -246,7 +246,7 @@ def test_tampered_ciphertext_flagged_without_aborting():
     orch.deliver_key_half("B1", s1)
     orch.deliver_key_half("B2", s2)
     result = orch.close_and_evaluate()
-    assert result.statuses[s2.record_address] == STATUS_MALFORMED
+    assert result.bids[s2.record_address]["status"] == STATUS_MALFORMED
     assert result.winner_id == "B1"
 
 
@@ -263,7 +263,7 @@ def test_wrongly_shaped_bid_document_is_graded_malformed():
     orch.deliver_key_half("B1", s1)
     orch.deliver_key_half("B2", s2)
     result = orch.close_and_evaluate()
-    assert result.statuses[s2.record_address] == STATUS_MALFORMED
+    assert result.bids[s2.record_address]["status"] == STATUS_MALFORMED
     assert result.winner_id == "B1"
     orch.publish_results(result)
 
@@ -281,7 +281,7 @@ def test_document_naming_another_bidder_is_graded_malformed():
     orch.deliver_key_half("B1", s1)
     orch.deliver_key_half("B2", s2)
     result = orch.close_and_evaluate()
-    assert result.statuses[s2.record_address] == STATUS_MALFORMED
+    assert result.bids[s2.record_address]["status"] == STATUS_MALFORMED
     assert result.winner_id == "B1"
     orch.publish_results(result)
     # the citizen grades the same bid by the same rule
@@ -334,7 +334,7 @@ def test_bid_naming_a_non_data_contract_is_graded_malformed():
     chain, orch, rft, _, addr = _tender_with_a_bid_naming_itself()
     chain.advance_to(chain.get_contract(rft).bidding_end + 1)
     result = orch.close_and_evaluate()
-    assert result.statuses[addr] == STATUS_MALFORMED
+    assert result.bids[addr]["status"] == STATUS_MALFORMED
     assert result.winner_id == "B1"
 
 
@@ -347,7 +347,7 @@ def test_publish_results_and_republish_forbidden():
     chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs())
     published = chain.get_contract(rft).results
     assert published["winner_id"] == "B2"
-    for entry in published["revealed_keys"].values():
+    for entry in published["bids"].values():
         assert entry["bid_key"]  # keys are on the ledger for everyone
     with pytest.raises(RepublishForbidden):
         orch.publish_results(orch.close_and_evaluate())
@@ -366,13 +366,23 @@ def test_reveal_and_publish_return_the_hash_of_the_transaction_they_mined():
 
 
 def test_published_keys_decrypt_every_valid_bid():
-    chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs())
-    published = chain.get_contract(rft).results
-    for sub in subs.values():
-        entry = published["revealed_keys"][to_hex(sub.record_address)]
-        ciphertext = chain.get_contract(sub.data_address).data
-        plaintext = crypto.decrypt_bid(ciphertext, bytes.fromhex(entry["bid_key"][2:]))
-        assert BidDocument.from_bytes(plaintext) == sub.document
+    # Each opened bid publishes only the withheld half of its sealed key: the
+    # record's on-ledger half and that half unseal to the published bid key.
+    for scheme in contracts.SCHEMES:
+        chain, rft, orch, subs = run_honest_tender(scheme, two_bid_docs())
+        published = chain.get_contract(rft).results
+        assert published["format"] == "tender-result/2"
+        for sub in subs.values():
+            entry = published["bids"][to_hex(sub.record_address)]
+            assert sorted(entry) == ["bid_key", "half_b", "score", "status"], scheme
+            assert from_hex(entry["half_b"]) == sub.sealed.half_b
+            record = chain.get_contract(sub.record_address)
+            bid_key = from_hex(entry["bid_key"])
+            assert crypto.unseal_bid_key(record.sealed_half_a + from_hex(entry["half_b"]),
+                                         orch.to.keys.private_key) == bid_key, scheme
+            ciphertext = chain.get_contract(sub.data_address).data
+            plaintext = crypto.decrypt_bid(ciphertext, bid_key)
+            assert BidDocument.from_bytes(plaintext) == sub.document, scheme
 
 
 def test_rigged_publication_is_accepted_on_ledger():

@@ -375,16 +375,17 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/7", '
+_FORMAT = b'{"format": "tendersim-chain/8", '
 
 
 def _as_format_6(export: dict) -> None:
-    """Re-spell a tendersim-chain/7 export as /6 wrote it: with its data limit."""
+    """Re-spell the top level of a tendersim-chain/8 export as /6 wrote it: with
+    its data limit."""
     export.update(format="tendersim-chain/6", max_data_bits=5000)
 
 
 def _as_format_5(export: dict) -> None:
-    """Re-spell a tendersim-chain/7 export as /5 wrote it: as /6 did, and with
+    """Re-spell a tendersim-chain/8 export as /5 wrote it: as /6 did, and with
     each block's parent hash, each transaction's gas price, bid records whole."""
     _as_format_6(export)
     export["format"] = "tendersim-chain/5"
@@ -434,7 +435,9 @@ def _as_format_5(export: dict) -> None:
     pytest.param(lambda e: e.update(format="tendersim-chain/4"), id="format-4"),
     pytest.param(_as_format_5, id="format-5"),
     pytest.param(_as_format_6, id="format-6"),
-    # a field an earlier format wrote, which /7 leaves out
+    # /7 published tender-result/1 results, in which /8 would find no bid
+    pytest.param(lambda e: e.update(format="tendersim-chain/7"), id="format-7"),
+    # a field an earlier format wrote, which /8 leaves out
     pytest.param(lambda e: e["blocks"][1].update(parent_hash=e["blocks"][0]["block_hash"]),
                  id="block-carries-parent-hash"),
     pytest.param(lambda e: _first_tx(e).update(gas_price=1), id="tx-carries-gas-price"),
@@ -486,6 +489,15 @@ def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
         assert f"line {line} column {column} (char {at})" in err, err
 
 
+def test_audit_command_names_the_format_it_refuses(tmp_path, capsys):
+    export = copy.deepcopy(_full_track_10_export())
+    export["format"] = "tendersim-chain/7"
+    path = tmp_path / "chain.json"
+    path.write_bytes(canonical_json_bytes(export))
+    assert main(["audit", str(path)]) == 2
+    assert "format 'tendersim-chain/7', not tendersim-chain/8" in capsys.readouterr().err
+
+
 def test_audit_command_replays_a_call_holding_a_lone_surrogate(tmp_path, capsys):
     # the publish transaction, re-signed and re-mined with a payload whose
     # \ud800 escape json.loads reads as a str UTF-8 cannot encode again
@@ -507,7 +519,7 @@ def _first_published_bid(export) -> tuple[str, dict]:
     rft_hex = next(a for a, c in export["contracts"].items()
                    if c["kind"] == "request_for_tender")
     results = chain_surgery.published_results(export, rft_hex)
-    record_hex, keys = min(results["revealed_keys"].items())
+    record_hex, keys = min((a, e) for a, e in results["bids"].items() if "bid_key" in e)
     return chain_surgery.bid_record(export, record_hex)["data_addr"], keys
 
 
