@@ -521,9 +521,8 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
     ``bid_key`` must open the disclosed ciphertext through ``open_bid`` to the
     published ``score``. The winner is picked from the recomputed scores."""
     violations: list[Violation] = []
-    rft = tender.contract
     criteria = None
-    data = replay.state.get(rft.tender_data_addr)
+    data = replay.state.get(tender.contract.tender_data_addr)
     if isinstance(data, TenderDataContract):
         try:
             _, _, criteria = TenderSpec.parse_data_blob(data.data)

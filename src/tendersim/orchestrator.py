@@ -410,10 +410,10 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
     bids: dict[bytes, dict] = {}
     for addr in addresses:
         record = chain.get_contract(addr)
-        half_b = revealed_halves.get(addr)
         if not record.validity:
             bids[addr] = {"status": STATUS_INVALID}
             continue
+        half_b = revealed_halves.get(addr)
         if half_b is None:
             bids[addr] = {"status": STATUS_UNREVEALED}
             continue
@@ -422,8 +422,7 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
         except DecryptionFailed:
             bids[addr] = {"status": STATUS_MALFORMED}
             continue
-        status, score = open_bid(criteria, record.bidder_id, _ciphertext(chain, record),
-                                 bid_key)
+        status, score = open_bid(criteria, record.bidder_id, _ciphertext(chain, record), bid_key)
         bids[addr] = {"status": status, "bid_key": bid_key, "half_b": half_b}
         if score is not None:
             bids[addr]["score"] = score

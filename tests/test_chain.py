@@ -382,12 +382,16 @@ def test_export_writes_a_record_whose_call_spells_an_argument_otherwise_whole(sp
 
 
 
+def _scores_made_ints(rft_contract):
+    for entry in rft_contract.results["bids"].values():
+        if "score" in entry:
+            entry["score"] = int(entry["score"])
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda c: setattr(c, "results", {**c.results, "winner_id": "B9"}),
                  id="results-replaced"),
-    pytest.param(lambda c: [entry.update(score=int(entry["score"]))
-                            for entry in c.results["bids"].values() if "score" in entry],
-                 id="a-float-score-made-an-int"),
+    pytest.param(_scores_made_ints, id="a-float-score-made-an-int"),
 ])
 def test_export_writes_results_edited_on_the_ledger_whole(edit):
     chain, rft, _, _ = run_honest_tender("FULL_TRACK", two_bid_docs())

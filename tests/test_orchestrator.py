@@ -375,10 +375,10 @@ def test_published_keys_decrypt_every_valid_bid():
         for sub in subs.values():
             entry = published["bids"][to_hex(sub.record_address)]
             assert sorted(entry) == ["bid_key", "half_b", "score", "status"], scheme
-            assert from_hex(entry["half_b"]) == sub.sealed.half_b
+            half_b, bid_key = from_hex(entry["half_b"]), from_hex(entry["bid_key"])
+            assert half_b == sub.sealed.half_b
             record = chain.get_contract(sub.record_address)
-            bid_key = from_hex(entry["bid_key"])
-            assert crypto.unseal_bid_key(record.sealed_half_a + from_hex(entry["half_b"]),
+            assert crypto.unseal_bid_key(record.sealed_half_a + half_b,
                                          orch.to.keys.private_key) == bid_key, scheme
             ciphertext = chain.get_contract(sub.data_address).data
             plaintext = crypto.decrypt_bid(ciphertext, bid_key)
