@@ -44,12 +44,7 @@ from .chain import (
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
 from .encoding import from_hex, from_text, same_json, to_hex
-from .errors import (
-    MalformedAddress,
-    MalformedExport,
-    NoSuchContract,
-    ResultsNotPublished,
-)
+from .errors import MalformedAddress, MalformedExport, NoSuchContract, ResultsNotPublished
 from .orchestrator import STATUS_MALFORMED, STATUS_SCORED, TenderSpec, open_bid, pick_winner
 
 PASS = "PASS"
@@ -519,7 +514,8 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
     bid needs an entry; a scored one a ``bid_key`` and ``half_b``, the second
     half of its sealed key (the first is the record's ``sealed_half_a``), whose
     ``bid_key`` must open the disclosed ciphertext through ``open_bid`` to the
-    published ``score``. The winner is picked from the recomputed scores."""
+    published ``status`` and ``score``. The winner is picked from the recomputed
+    scores."""
     violations: list[Violation] = []
     criteria = None
     data = replay.state.get(tender.contract.tender_data_addr)
@@ -576,10 +572,13 @@ def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
         if status == STATUS_MALFORMED:
             violations.append(Violation("UNDECRYPTABLE_BID", height,
                                         f"published key fails to decrypt bid {addr}"))
+        elif entry.get("status") != status:
+            violations.append(Violation("R3", height, f"published status for {addr} "
+                                                      f"differs from recomputation"))
         if score is None:
             continue
         recomputed_scores[record.address] = score
-        if not same_json(entry.get("score", score), score):
+        if not same_json(entry.get("score"), score):
             violations.append(Violation("R3", height,
                                         f"published score for {addr} differs from "
                                         f"recomputation"))

@@ -1042,16 +1042,26 @@ def test_expanded_export_lists_equal_the_ledger_records(name):
             [to_hex(a) for a in record.prior_bids]
 
 
-@pytest.mark.parametrize("field", ["bids"])
+# tender-result/1's statuses, scores and revealed_keys maps are now fields of each bid's
+# entry in tender-result/2: a list for the bids map, or for those fields, is graded R3
+_LISTED = {"bids": ([], "published results field bids is not an object"),
+           "statuses": (["status"], "published status for {} differs from recomputation"),
+           "scores": (["score"], "published score for {} differs from recomputation"),
+           "revealed_keys": (["bid_key", "half_b"], "published entry for {} is malformed")}
+
+
+@pytest.mark.parametrize("field", ["bids", "statuses", "revealed_keys", "scores"])
 def test_published_results_with_a_list_for_an_object_are_graded(field):
-    chain, rft, _, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
-    addrs = [to_hex(a) for a in chain.get_contract(rft).bids_placed]
-    result = {field: addrs}
-    ledger_ops.run_single(chain, chain.get_contract(rft).deployer, rft,
-                          contracts.publish_results_call(result))
-    report = audit.replay_and_audit(chain.export(), rft)
-    assert ("R3", f"published results field {field} is not an object") in \
-        {(v.tag, v.description) for v in report.violations}
+    keys, finding = _LISTED[field]
+
+    def rig(results, loser):
+        entry = results["bids"][loser]
+        entry.update({key: [entry[key]] for key in keys})
+        if not keys:
+            results["bids"] = list(results["bids"])
+    export, rft_hex, loser = _published_export(rig)
+    report = audit.replay_and_audit(export, rft_hex)
+    assert ("R3", finding.format(loser)) in {(v.tag, v.description) for v in report.violations}
     assert report.requirements["R3"]["verdict"] == "FAIL"
 
 
