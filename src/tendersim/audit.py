@@ -18,7 +18,9 @@ Tenders are found from the deployments the replay accepts, never from the
 ``kind`` labels of the disclosed state. A finding about one tender goes to
 that tender's report; a finding about the chain as a whole (hash chain,
 receipts of transactions sent to no tender, contracts nobody created)
-goes to every report.
+goes to every report. So does the gas trace: each report lists the gas of
+the transactions that created or were sent to its tender's contracts, and
+of those that touched no tender's.
 
 Requirement grades use a tri-state: PASS, PARTIAL (the scheme meets the
 requirement structurally but not absolutely), FAIL (a concrete breach was
@@ -318,7 +320,9 @@ class ChainReplay:
     # (tenders the contract belongs to, tag, description); none means every
     # tender. Each report dates these to its tender's deployment.
     state_findings: list[tuple[set, str, str]] = field(default_factory=list)
-    gas_trace: list[tuple[str, int]] = field(default_factory=list)
+    # (address the transaction created or was sent to, kind, gas_used), in ledger order
+    gas_trace: list[tuple[bytes | None, str, int]] = field(default_factory=list)
+    owners: dict[bytes, set] = field(default_factory=dict)  # see ``_owners``
 
 
 def iter_transactions(blocks: list[Block]):
@@ -367,8 +371,9 @@ def replay_chain(export) -> ChainReplay:
             tender.published = (height, ts)
         for finding in _receipt_findings(tx.receipt, outcome, op, height):
             replay.receipt_findings.append((tx.target if tender else None, finding))
-        replay.gas_trace.append((tx.receipt.get("kind") or "unknown",
-                                 tx.receipt.get("gas_used")))
+        replay.gas_trace.append((tx.target or outcome.created_address,
+                                 tx.receipt.get("kind") or "unknown", tx.receipt.get("gas_used")))
+    replay.owners = _owners(replay)
     replay.state_findings = _state_findings(replay)
     return replay
 
@@ -412,12 +417,11 @@ def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
     """Every re-derived contract's snapshot against its disclosed state, in
     creation order, then the disclosed contracts nobody created."""
     disclosed_all = replay.export["contracts"]
-    owners = _owners(replay)
     tender_data = {t.contract.tender_data_addr for t in replay.tenders.values()}
     found = []
     for addr, contract in replay.state.items():
         addr_hex = to_hex(addr)
-        belongs = owners.get(addr, set())
+        belongs = replay.owners.get(addr, set())
         expected = contracts.disclose(contract, replay.state, replay.calls.get)
         disclosed = disclosed_all.get(addr_hex)
         if disclosed is None:
@@ -733,7 +737,9 @@ def replay_and_audit(source, rft_address) -> AuditReport:
         published_winner=published_winner,
         winner_match=winner_match,
         violations=unique,
-        gas_trace=replay.gas_trace,
+        # the rows of this tender's contracts and of no tender's
+        gas_trace=[(kind, gas) for at, kind, gas in replay.gas_trace
+                   if addr in replay.owners.get(at, {addr})],
         timeline=_build_timeline(tender),
         requirements=_grade_requirements(tender, unique),
     )

@@ -23,7 +23,6 @@ from .errors import (
     TimestampNotMonotonic,
     TimestampTooFarAhead,
     UnknownSender,
-    UnmeteredOperation,
 )
 
 ADDRESS_LEN = 20
@@ -32,7 +31,7 @@ GAS_PRICE = 1  # no fee market: every transaction offers the same price
 EXPORT_FORMAT = "tendersim-chain/8"
 
 
-# The calibrated gas figures
+# The calibrated gas figures, which ``contracts`` charges where it picks each receipt kind
 GAS_DEPLOY_RFT_FULL = 892160
 GAS_DEPLOY_RFT_PROTECTED = 874791
 GAS_DEPLOY_RFT_STATELESS = 352819
@@ -42,32 +41,6 @@ GAS_BID_FLAT_STATELESS = 156601
 GAS_PER_PRIOR_BID_COPY = 20781
 GAS_DATA_CONTRACT_PER_BIT = 2  # 16 gas per stored byte
 MAX_DATA_BITS = 5_000  # the most bits a deploy_data may store: 625 bytes
-
-
-def meter_gas(kind: str, *, prior_recorded_bids: int = 0, data_bits: int = 0) -> int:
-    """Deterministic gas for one operation kind against a state snapshot."""
-    if kind == "deploy_rft_full":
-        return GAS_DEPLOY_RFT_FULL
-    if kind == "deploy_rft_protected":
-        return GAS_DEPLOY_RFT_PROTECTED
-    if kind == "deploy_rft_stateless":
-        return GAS_DEPLOY_RFT_STATELESS
-    if kind == "bid_full":
-        return GAS_BID_BASE_FULL + GAS_PER_PRIOR_BID_COPY * prior_recorded_bids
-    if kind == "bid_protected":
-        return GAS_BID_BASE_PROTECTED + GAS_PER_PRIOR_BID_COPY * prior_recorded_bids
-    if kind == "bid_stateless":
-        return GAS_BID_FLAT_STATELESS
-    # rejected bids never copy the bid array, so they cost the scheme base
-    if kind == "bid_rejected_full":
-        return GAS_BID_BASE_FULL
-    if kind == "bid_rejected_protected":
-        return GAS_BID_BASE_PROTECTED
-    if kind == "bid_rejected_stateless":
-        return GAS_BID_FLAT_STATELESS
-    if kind in ("deploy_data", "publish_results", "reveal_key_half", "rejected_call"):
-        return GAS_DATA_CONTRACT_PER_BIT * data_bits
-    raise UnmeteredOperation(f"no gas rule for operation kind {kind!r}")
 
 
 @dataclass(frozen=True)

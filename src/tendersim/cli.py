@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import audit
 from .encoding import write_canonical_json
@@ -13,17 +12,15 @@ from .scenario import compare_schemes, run_scenario
 
 
 def _cmd_run(args) -> int:
-    outcome = run_scenario(args.scenario, out_dir=args.out, seed=args.seed)
+    outcome = run_scenario(args.scenario, out_dir=args.out)
     for line in outcome.summary_lines:
         print(line)
     return outcome.exit_code
 
 
 def _cmd_compare(args) -> int:
-    table, _ = compare_schemes(args.scenarios, seed=args.seed)
+    table, _ = compare_schemes(args.scenarios)
     print(table, end="")
-    if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
     return 0
 
 
@@ -56,14 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a scenario file and write its reports")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--out", default=None, help="directory for report files")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario's seed")
     run_p.set_defaults(func=_cmd_run)
 
     cmp_p = sub.add_parser("compare", help="run scenarios and tabulate scheme differences")
     cmp_p.add_argument("scenarios", nargs="+", help="two or more scenario files")
-    cmp_p.add_argument("--out", default=None, help="file for the comparison table")
-    cmp_p.add_argument("--seed", type=int, default=None)
     cmp_p.set_defaults(func=_cmd_compare)
 
     audit_p = sub.add_parser("audit", help="audit a chain export as a citizen would")

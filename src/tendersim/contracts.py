@@ -18,20 +18,25 @@ including block's timestamp is strictly before the deadline, and the
 bidder's tally is strictly below the per-id limit. The tally only moves
 on valid bids, so junk placed under someone else's id cannot lock them out.
 
-This module is the only statement of these rules, and of the error code
-each rejected receipt carries (the constants below). Each outcome is a
-function of the target contract, the decoded call (or the raw payload) and
-the transaction's ExecutionContext, and returns the receipt outcome plus
-the contract the transaction creates, if any. The ledger reaches them
-through ``Chain._execute``, ``execute_deploy`` and ``Contract.execute``,
-which also install what was created; the auditor replays a chain export
-through ``transition`` into its own address-to-contract map.
+This module is the only statement of these rules, of the gas each receipt
+charges (the ``chain.GAS_*`` figures, applied where its kind is chosen), and
+of the error code each rejected receipt carries (the constants below). Each
+outcome is a function of the target contract, the decoded call (or the raw
+payload) and the transaction's ExecutionContext, and returns the receipt
+outcome plus the contract the transaction creates, if any. The ledger
+reaches them through ``Chain._execute``, ``execute_deploy`` and
+``Contract.execute``, which also install what was created; the auditor
+replays a chain export through ``transition`` into its own
+address-to-contract map.
 """
 
 from __future__ import annotations
 
 from . import crypto, secp256k1
-from .chain import MAX_DATA_BITS, ExecOutcome, ExecutionContext, contract_address, meter_gas
+from .chain import (GAS_BID_BASE_FULL, GAS_BID_BASE_PROTECTED, GAS_BID_FLAT_STATELESS,
+                    GAS_DATA_CONTRACT_PER_BIT, GAS_DEPLOY_RFT_FULL, GAS_DEPLOY_RFT_PROTECTED,
+                    GAS_DEPLOY_RFT_STATELESS, GAS_PER_PRIOR_BID_COPY, MAX_DATA_BITS,
+                    ExecOutcome, ExecutionContext, contract_address)
 from .encoding import canonical_json_bytes, from_hex, load_json_bytes, same_json, to_hex
 from .errors import BiddingStillOpen, NoSuchContract, RepublishForbidden, SchemeHasNoState
 
@@ -51,11 +56,16 @@ IMMUTABLE_STATE = "IMMUTABLE_STATE"
 UNKNOWN_CONTRACT_CALL = "UNKNOWN_CONTRACT_CALL"
 UNAUTHORIZED_PUBLISHER = "UNAUTHORIZED_PUBLISHER"
 
-# scheme -> receipt kinds of its deployment, a recorded bid and a refused bid
+# scheme -> receipt kinds of its deployment, a recorded bid and a refused bid, then
+# the deployment's gas and a bid's base gas: a refused or stateless bid pays the base,
+# a recorded tracked bid the base plus one array copy per bid recorded before it
 _KINDS = {
-    SCHEME_FULL: ("deploy_rft_full", "bid_full", "bid_rejected_full"),
-    SCHEME_PROTECTED: ("deploy_rft_protected", "bid_protected", "bid_rejected_protected"),
-    SCHEME_STATELESS: ("deploy_rft_stateless", "bid_stateless", "bid_rejected_stateless"),
+    SCHEME_FULL: ("deploy_rft_full", "bid_full", "bid_rejected_full",
+                  GAS_DEPLOY_RFT_FULL, GAS_BID_BASE_FULL),
+    SCHEME_PROTECTED: ("deploy_rft_protected", "bid_protected", "bid_rejected_protected",
+                       GAS_DEPLOY_RFT_PROTECTED, GAS_BID_BASE_PROTECTED),
+    SCHEME_STATELESS: ("deploy_rft_stateless", "bid_stateless", "bid_rejected_stateless",
+                       GAS_DEPLOY_RFT_STATELESS, GAS_BID_FLAT_STATELESS),
 }
 
 # Calls that try to change what a tender fixed at deployment or publication;
@@ -241,7 +251,7 @@ class RequestForTenderContract(Contract):
         return reject_call(call), None
 
     def place_bid(self, call: dict, ctx: ExecutionContext) -> Transition:
-        _, bid_kind, refused_kind = _KINDS[self.scheme]
+        _, bid_kind, refused_kind, _, base_gas = _KINDS[self.scheme]
         try:
             bidder_id = call["id"]
             data_addr = from_hex(call["data_addr"])
@@ -263,8 +273,7 @@ class RequestForTenderContract(Contract):
             refused = self.scheme == SCHEME_PROTECTED and not valid_hash
             error = CERTIFICATE_REJECTED if refused else None
         if error is not None:
-            return ExecOutcome(kind=refused_kind, gas_used=meter_gas(refused_kind),
-                               error=error), None
+            return ExecOutcome(kind=refused_kind, gas_used=base_gas, error=error), None
 
         valid_time = ctx.block_timestamp < self.bidding_end
         allowed = self.bid_count.get(bidder_id, 0) < self.limit
@@ -273,11 +282,11 @@ class RequestForTenderContract(Contract):
             self.bid_count[bidder_id] = self.bid_count.get(bidder_id, 0) + 1
 
         if self.scheme == SCHEME_STATELESS:
-            gas = meter_gas(bid_kind)
+            gas = base_gas
             prior = None
             end_copy = None
         else:
-            gas = meter_gas(bid_kind, prior_recorded_bids=len(self.bids_placed))
+            gas = base_gas + GAS_PER_PRIOR_BID_COPY * len(self.bids_placed)
             prior = tuple(self.bids_placed)
             end_copy = self.bidding_end
 
@@ -306,7 +315,7 @@ class RequestForTenderContract(Contract):
             "timestamp": ctx.block_timestamp,
         })
         return ExecOutcome(kind="reveal_key_half",
-                           gas_used=meter_gas("reveal_key_half", data_bits=len(half_b) * 8))
+                           gas_used=GAS_DATA_CONTRACT_PER_BIT * len(half_b) * 8)
 
     def publish_results(self, call: dict, ctx: ExecutionContext) -> ExecOutcome:
         result = call.get("result")
@@ -319,7 +328,7 @@ class RequestForTenderContract(Contract):
         self.results = result
         self.results_tx = ctx.tx_hash
         return ExecOutcome(kind="publish_results",
-                           gas_used=meter_gas("publish_results", data_bits=_call_bits(call)))
+                           gas_used=GAS_DATA_CONTRACT_PER_BIT * _call_bits(call))
 
     # -- zero-gas reads --
 
@@ -378,8 +387,8 @@ def reject_call(call: dict, error: str | None = None) -> ExecOutcome:
 
 
 def _rejected(data_bits: int, error: str) -> ExecOutcome:
-    return ExecOutcome(kind="rejected_call",
-                       gas_used=meter_gas("rejected_call", data_bits=data_bits), error=error)
+    return ExecOutcome(kind="rejected_call", gas_used=GAS_DATA_CONTRACT_PER_BIT * data_bits,
+                       error=error)
 
 
 def _call_bits(call: dict) -> int:
@@ -406,8 +415,7 @@ def deploy_data(call: dict, ctx: ExecutionContext) -> Transition:
     if bits > MAX_DATA_BITS:
         return reject_call(call, error=DATA_TOO_LARGE), None
     addr = contract_address(ctx.sender, ctx.tx_nonce)
-    return (ExecOutcome(kind="deploy_data",
-                        gas_used=meter_gas("deploy_data", data_bits=bits),
+    return (ExecOutcome(kind="deploy_data", gas_used=GAS_DATA_CONTRACT_PER_BIT * bits,
                         created_address=addr),
             TenderDataContract(addr, ctx.sender, data, ctx.tx_hash))
 
@@ -430,10 +438,8 @@ def deploy_rft(call: dict, ctx: ExecutionContext) -> Transition:
         bidding_end=ctx.block_timestamp + length_ms,
         limit=limit, pubk=pubk, tender_data_addr=tender_data_addr,
         deployer=ctx.sender)
-    kind = _KINDS[scheme][0]
-    return (ExecOutcome(kind=kind, gas_used=meter_gas(kind),
-                        created_address=addr),
-            rft)
+    kind, _, _, gas, _ = _KINDS[scheme]
+    return ExecOutcome(kind=kind, gas_used=gas, created_address=addr), rft
 
 
 # --- one transaction, on the ledger or off it -----------------------------------------

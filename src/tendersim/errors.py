@@ -28,10 +28,6 @@ class TimestampTooFarAhead(TenderSimError):
     code = "TIMESTAMP_TOO_FAR_AHEAD"
 
 
-class UnmeteredOperation(TenderSimError):
-    code = "UNMETERED_OPERATION"
-
-
 class NoSuchContract(TenderSimError):
     code = "NO_SUCH_CONTRACT"
 

@@ -36,7 +36,6 @@ MAXIMIZE = "MAXIMIZE"
 TIE_LOWEST_ADDRESS = "LOWEST_BID_ADDRESS"
 
 STATUS_SCORED = "SCORED"
-STATUS_INVALID = "INVALID"
 STATUS_UNREVEALED = "UNREVEALED"
 STATUS_MALFORMED = "MALFORMED_CIPHERTEXT"
 STATUS_INFEASIBLE = "INFEASIBLE"
@@ -67,9 +66,11 @@ class EvaluationCriteria:
                 raise ValueError(f"weight for {name!r} must be finite")
             if direction not in (MINIMIZE, MAXIMIZE):
                 raise ValueError(f"direction for {name!r} must be MINIMIZE or MAXIMIZE")
-        for name, comparator, _ in self.feasibility_predicates:
+        for name, comparator, threshold in self.feasibility_predicates:
             if comparator not in _COMPARATORS:
                 raise ValueError(f"unknown comparator {comparator!r} for {name!r}")
+            if not math.isfinite(threshold):
+                raise ValueError(f"threshold for {name!r} must be finite")
         if self.tie_break != TIE_LOWEST_ADDRESS:
             raise ValueError(f"unknown tie break {self.tie_break!r}")
 
@@ -170,8 +171,8 @@ class TenderSpec:
 
 @dataclass
 class TenderResult:
-    """The outcome the organisation publishes: the winner, and one entry per bid,
-    address -> {"status", "score"?, "bid_key"?, "half_b"?}. ``score`` is there
+    """The outcome the organisation publishes: the winner, and one entry per valid
+    bid, address -> {"status", "score"?, "bid_key"?, "half_b"?}. ``score`` is there
     for a scored bid; ``bid_key`` and ``half_b``, the withheld half of the
     sealed key, for an opened one. The sealed key's first half is already on
     the ledger, in the bid record, so it is not written again."""
@@ -195,17 +196,20 @@ class TenderResult:
 def open_bid(criteria: EvaluationCriteria, bidder_id: str, ciphertext: bytes,
              bid_key: bytes) -> tuple[str, float | None]:
     """(STATUS_MALFORMED, None) unless ``bid_key`` opens ``ciphertext`` into a
-    bid document of ``bidder_id``; then (STATUS_INFEASIBLE, None) or
-    (STATUS_SCORED, score). The evaluation and the audit both grade bids here."""
+    bid document of ``bidder_id``; then (STATUS_SCORED, score), or
+    (STATUS_INFEASIBLE, None) for a document that fails the criteria or whose
+    weighted sum overflows to a score that is not finite, which JSON cannot
+    hold. The evaluation and the audit both grade bids here."""
     try:
         document = BidDocument.from_bytes(crypto.decrypt_bid(ciphertext, bid_key))
     except (AuthFailed, ValueError):
         return STATUS_MALFORMED, None
     if document.bidder_id != bidder_id:
         return STATUS_MALFORMED, None
-    if not criteria.feasible(document.fields):
+    score = criteria.score(document.fields) if criteria.feasible(document.fields) else math.nan
+    if not math.isfinite(score):
         return STATUS_INFEASIBLE, None
-    return STATUS_SCORED, criteria.score(document.fields)
+    return STATUS_SCORED, score
 
 
 def pick_winner(scored: dict[bytes, float]) -> bytes | None:
@@ -389,8 +393,9 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
                     known_bids: list[bytes]) -> TenderResult:
     """Decrypt, score, and pick the winner over the recorded bids.
 
-    Bids stay out of the ranking when they are invalid, unrevealed, or fail
-    decryption; each gets a status instead of aborting the evaluation. A
+    Each valid bid gets an entry with its status; it stays out of the ranking
+    when it is unrevealed, fails decryption or is infeasible. An invalid bid
+    gets no entry: the auditor re-derives validity from the ledger. A
     stateless tender's bids are ``known_bids``, the record addresses handed to
     the organisation off-ledger; a tracked tender's are its own bid array.
     """
@@ -411,7 +416,6 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
     for addr in addresses:
         record = chain.get_contract(addr)
         if not record.validity:
-            bids[addr] = {"status": STATUS_INVALID}
             continue
         half_b = revealed_halves.get(addr)
         if half_b is None:

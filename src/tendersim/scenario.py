@@ -2,11 +2,12 @@
 
 A scenario is a JSON document naming the scheme, the tender terms, a
 bidder roster with submission offsets (milliseconds after the tender
-opens), adversarial actions, reports and an expected block, no setting of
-the ledger and no other key (``SCENARIO_KEYS``). Runs are
-deterministic: every byte of randomness comes from the scenario seed, the
-clock is virtual, and reports are canonically serialized, so running the
-same file twice produces identical files.
+opens), adversarial actions and an expected block, no setting of the
+ledger and, at any level, no key the run does not read (``SCENARIO_KEYS``
+and the tables after it). Runs are deterministic: every byte of randomness
+comes from the scenario seed, the clock is virtual, and reports are
+canonically serialized, so running the same file twice produces identical
+files.
 
 Timed adversarial actions (spam, forgery, late bids, early key reveals)
 are executed on the ledger as part of the run. Post-hoc actions (erasing
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
@@ -37,12 +38,23 @@ from .orchestrator import (
     TenderSpec,
 )
 
-TIMED_ACTIONS = ("SPAM_INVALID_CERTS", "LATE_BID", "FORGE_CERT", "EARLY_KEY_REVEAL")
-POST_ACTIONS = ("ERASE_BID", "RIG_WINNER", "MUTATE_TENDER")
-REPORT_KINDS = ("gas_csv", "audit_json", "summary", "chain_export")
-MUTATE_FIELDS = ("data", "bidding_end", "limit", "pubk")
-SCENARIO_KEYS = ("name", "seed", "scheme", "tender", "bidders", "adversarial", "reports",
-                 "expected")
+# The keys a run reads of each object in a scenario; of an action, by its kind.
+SCENARIO_KEYS = ("name", "seed", "scheme", "tender", "bidders", "adversarial", "expected")
+TENDER_KEYS = ("title", "terms", "length_ms", "limit", "criteria")
+CRITERIA_KEYS = ("numeric_fields", "feasibility", "tie_break")
+BIDDER_KEYS = ("id", "submit_at_ms", "fields", "free_text", "withhold_key")
+ACTION_KEYS = {
+    "SPAM_INVALID_CERTS": ("action", "at_ms", "count"),
+    "LATE_BID": ("action", "at_ms", "bidder", "fields", "free_text"),
+    "FORGE_CERT": ("action", "at_ms", "target"),
+    "EARLY_KEY_REVEAL": ("action", "at_ms", "bidder"),
+    "ERASE_BID": ("action", "index"),
+    "RIG_WINNER": ("action", "winner"),
+    "MUTATE_TENDER": ("action",),  # flips the first byte of the disclosed tender data
+}
+TIMED_ACTIONS = tuple(kind for kind, keys in ACTION_KEYS.items() if "at_ms" in keys)
+EXPECTED_KEYS = ("winner_id", "recomputed_winner", "winner_match", "violations_empty",
+                 "violation_tags_include", "requirements", "audit_pass")
 MAX_BIDS = 1000  # honest, late, forged and spam: twice the largest benchmark workload
 
 
@@ -62,6 +74,13 @@ def _fail(source: str, where: str, message: str) -> None:
     raise ScenarioError(f"{source}: at {where}: {message}")
 
 
+def _read_keys(source: str, where: str, obj: dict, keys: tuple) -> None:
+    """Refuse the first key of ``obj`` that a run does not read, at its JSON path."""
+    for key in obj:
+        if key not in keys:
+            _fail(source, f"{where}.{key}", f"not read here; the keys read are {', '.join(keys)}")
+
+
 def _check_offer(source: str, where: str, entry: dict) -> None:
     """The document fields and free text a bid entry carries, where present."""
     fields = entry.get("fields", {})
@@ -79,9 +98,7 @@ def _check_offer(source: str, where: str, entry: dict) -> None:
 def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     if not isinstance(doc, dict):
         _fail(source, "$", "scenario must be a JSON object")
-    for key in doc:
-        if key not in SCENARIO_KEYS:
-            _fail(source, f"$.{key}", f"not a scenario key; those are {', '.join(SCENARIO_KEYS)}")
+    _read_keys(source, "$", doc, SCENARIO_KEYS)
     for key in ("name", "scheme", "tender", "bidders"):
         if key not in doc:
             _fail(source, "$", f"missing required key {key!r}")
@@ -93,7 +110,8 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     tender = doc["tender"]
     if not isinstance(tender, dict):
         _fail(source, "$.tender", "must be an object")
-    for key in ("title", "terms", "length_ms", "limit", "criteria"):
+    _read_keys(source, "$.tender", tender, TENDER_KEYS)
+    for key in TENDER_KEYS:
         if key not in tender:
             _fail(source, "$.tender", f"missing required key {key!r}")
     for key in ("title", "terms"):
@@ -107,6 +125,7 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
         EvaluationCriteria.from_dict(tender["criteria"])
     except ValueError as exc:
         _fail(source, "$.tender.criteria", str(exc))
+    _read_keys(source, "$.tender.criteria", tender["criteria"], CRITERIA_KEYS)
 
     if not isinstance(doc["bidders"], list):
         _fail(source, "$.bidders", "must be a list")
@@ -119,6 +138,7 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
             _fail(source, where, too_many)
         if not isinstance(bidder, dict):
             _fail(source, where, "must be an object")
+        _read_keys(source, where, bidder, BIDDER_KEYS)
         for key in ("id", "submit_at_ms", "fields"):
             if key not in bidder:
                 _fail(source, where, f"missing required key {key!r}")
@@ -143,8 +163,9 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
         if not isinstance(action, dict):
             _fail(source, where, "must be an object")
         kind = action.get("action")
-        if kind not in TIMED_ACTIONS + POST_ACTIONS:
+        if type(kind) is not str or kind not in ACTION_KEYS:
             _fail(source, where, f"unknown action {kind!r}")
+        _read_keys(source, where, action, ACTION_KEYS[kind])
         if kind in TIMED_ACTIONS:
             if type(action.get("at_ms")) is not int or action["at_ms"] < 1:
                 _fail(source, where + ".at_ms", "timed actions need at_ms >= 1")
@@ -173,8 +194,6 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
                 _fail(source, where, "stateless tenders hold no bid array to erase from")
             if type(action.get("index")) is not int or action["index"] < 0:
                 _fail(source, where + ".index", "must be a non-negative integer")
-        if kind == "MUTATE_TENDER" and action.get("field", "data") not in MUTATE_FIELDS:
-            _fail(source, where + ".field", f"must be one of {MUTATE_FIELDS}")
         bids += {"SPAM_INVALID_CERTS": action.get("count"), "LATE_BID": 1,
                  "FORGE_CERT": 1}.get(kind, 0)
         if bids > MAX_BIDS:
@@ -189,16 +208,11 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     expected = doc.get("expected", {})
     if not isinstance(expected, dict):
         _fail(source, "$.expected", "must be an object")
+    _read_keys(source, "$.expected", expected, EXPECTED_KEYS)
     if not isinstance(expected.get("violation_tags_include", []), list):
         _fail(source, "$.expected.violation_tags_include", "must be a list")
     if not isinstance(expected.get("requirements", {}), dict):
         _fail(source, "$.expected.requirements", "must be an object")
-
-    if not isinstance(doc.get("reports", []), list):
-        _fail(source, "$.reports", "must be a list")
-    for i, kind in enumerate(doc.get("reports", [])):
-        if kind not in REPORT_KINDS:
-            _fail(source, f"$.reports[{i}]", f"unknown report kind {kind!r}")
     try:
         canonical_json_bytes(doc)
     except UnicodeEncodeError:  # a \ud800 escape parses to a lone surrogate
@@ -216,7 +230,6 @@ class RunOutcome:
     bid_gas: list[int]
     deployment_gas: int
     tender_spec: dict
-    written: dict = field(default_factory=dict)
 
 
 def _junk_address(rng: Random) -> bytes:
@@ -227,9 +240,8 @@ def _forged_components(rng: Random) -> tuple[bytes, int, bytes, bytes]:
     return rng.randbytes(32), 27 + rng.randrange(2), rng.randbytes(32), rng.randbytes(32)
 
 
-def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
-                 seed: int | None = None) -> RunOutcome:
-    """Execute a scenario, audit the outcome, and write the requested reports.
+def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -> RunOutcome:
+    """Execute a scenario, audit the outcome, and write its four reports to ``out_dir``.
 
     Exit code 0 means the run completed and every check in the scenario's
     ``expected`` block held.
@@ -239,7 +251,7 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
     else:
         validate_scenario(source)
         doc = source
-    rng = Random(seed if seed is not None else doc.get("seed", 0))
+    rng = Random(doc.get("seed", 0))
 
     config = ChainConfig()
     chain = Chain(config)
@@ -334,8 +346,11 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
             if action["index"] >= len(array):
                 raise ScenarioError(f"ERASE_BID index {action['index']} out of range")
             array.pop(action["index"])
-        elif action["action"] == "MUTATE_TENDER":
-            _apply_tender_mutation(chain, export, rft_hex, action.get("field", "data"))
+        elif action["action"] == "MUTATE_TENDER":  # the export links to the data; write it whole
+            data_addr = export["contracts"][rft_hex]["tender_data"]
+            raw = bytearray(chain.get_contract(from_hex(data_addr)).data)
+            raw[0] ^= 0xFF
+            export["contracts"][data_addr]["data"] = to_hex(bytes(raw))
 
     report = audit.replay_and_audit(export, rft)
 
@@ -363,26 +378,8 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None,
                                             "limit", "criteria")},
     )
     if out_dir is not None:
-        _write_reports(outcome, Path(out_dir), doc.get("reports") or list(REPORT_KINDS),
-                       gas_rows)
+        _write_reports(outcome, Path(out_dir), gas_rows)
     return outcome
-
-
-def _apply_tender_mutation(chain: Chain, export: dict, rft_hex: str, field_name: str) -> None:
-    rft_snap = export["contracts"][rft_hex]
-    if field_name == "data":  # the export links to the deployment; write the edit whole
-        data_addr = rft_snap["tender_data"]
-        raw = bytearray(chain.get_contract(from_hex(data_addr)).data)
-        raw[0] ^= 0xFF
-        export["contracts"][data_addr]["data"] = to_hex(bytes(raw))
-    elif field_name == "bidding_end":
-        rft_snap["bidding_end"] += 3_600_000
-    elif field_name == "limit":
-        rft_snap["limit"] += 1
-    elif field_name == "pubk":
-        raw = bytearray(from_hex(rft_snap["pubk"]))
-        raw[0] ^= 0xFF
-        rft_snap["pubk"] = to_hex(bytes(raw))
 
 
 def _check_expected(expected: dict, report: audit.AuditReport) -> list[str]:
@@ -442,7 +439,7 @@ def _summary_lines(doc, report, deployment_gas, bid_gas, probe_fail, probe_expec
     return lines
 
 
-def compare_schemes(sources: list, seed: int | None = None) -> tuple[str, list[dict]]:
+def compare_schemes(sources: list) -> tuple[str, list[dict]]:
     """Run scenarios over the same tender and tabulate cost and verdicts per scheme.
 
     The scenarios must agree on everything but the scheme, otherwise the
@@ -450,7 +447,7 @@ def compare_schemes(sources: list, seed: int | None = None) -> tuple[str, list[d
     """
     if len(sources) < 2:
         raise IncomparableScenarios("need at least two scenario results to compare")
-    outcomes = [run_scenario(src, out_dir=None, seed=seed) for src in sources]
+    outcomes = [run_scenario(src) for src in sources]
     reference = outcomes[0].tender_spec
     for outcome in outcomes[1:]:
         if outcome.tender_spec != reference:
@@ -481,23 +478,11 @@ def compare_schemes(sources: list, seed: int | None = None) -> tuple[str, list[d
     return "\n".join(lines) + "\n", rows
 
 
-def _write_reports(outcome: RunOutcome, out: Path, kinds: list[str], gas_rows) -> None:
+def _write_reports(outcome: RunOutcome, out: Path, gas_rows) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    if "gas_csv" in kinds:
-        path = out / "gas.csv"
-        rows = ["tx_index,kind,gas_used"]
-        rows.extend(f"{i},{kind},{gas}" for i, kind, gas in gas_rows)
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        outcome.written["gas_csv"] = path
-    if "audit_json" in kinds:
-        path = out / "audit.json"
-        write_canonical_json(path, outcome.report.to_dict())
-        outcome.written["audit_json"] = path
-    if "summary" in kinds:
-        path = out / "summary.txt"
-        path.write_text("\n".join(outcome.summary_lines) + "\n", encoding="utf-8")
-        outcome.written["summary"] = path
-    if "chain_export" in kinds:
-        path = out / "chain.json"
-        write_canonical_json(path, outcome.export)
-        outcome.written["chain_export"] = path
+    rows = ["tx_index,kind,gas_used"]
+    rows.extend(f"{i},{kind},{gas}" for i, kind, gas in gas_rows)
+    (out / "gas.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_canonical_json(out / "audit.json", outcome.report.to_dict())
+    (out / "summary.txt").write_text("\n".join(outcome.summary_lines) + "\n", encoding="utf-8")
+    write_canonical_json(out / "chain.json", outcome.export)

@@ -501,8 +501,8 @@ def test_criterion_10_bundled_scenarios_are_deterministic(tmp_path, announce):
     for name in names:
         first = run_scenario(SCENARIO_DIR / name, out_dir=tmp_path / "a" / name)
         second = run_scenario(SCENARIO_DIR / name, out_dir=tmp_path / "b" / name)
-        for kind in ("gas_csv", "audit_json", "summary", "chain_export"):
-            assert first.written[kind].read_bytes() == \
-                second.written[kind].read_bytes(), (name, kind)
+        for report in ("gas.csv", "audit.json", "summary.txt", "chain.json"):
+            assert (tmp_path / "a" / name / report).read_bytes() == \
+                (tmp_path / "b" / name / report).read_bytes(), (name, report)
     announce(f"ACCEPTANCE 10 PASS: {len(names)} bundled scenarios produce "
              f"byte-identical chain exports and reports on repeat runs")

@@ -295,6 +295,26 @@ def test_block_hash_edited_without_re_mining_is_flagged():
     assert _r6_findings(export, rft_hex) == {"block hash mismatch"}
 
 
+def test_each_report_lists_the_gas_of_its_own_tender_and_of_no_tender():
+    chain = Chain(ChainConfig())
+    orchs = [TenderOrchestrator(chain, Random(seed)) for seed in (1, 2)]
+    for orch, title in zip(orchs, ("t", "a longer title")):
+        orch.open_tender(TenderSpec(title=title, terms=b"x", criteria=price_criteria(),
+                                    length_ms=600_000, limit=2, scheme="STATELESS"))
+    stranger = chain.register_account(account("stranger"))
+    chain.submit_transaction(stranger, None, b"not a call")  # touches no tender
+    chain.mine_block(chain.now() + chain.config.block_interval_ms)
+    chain.advance_to(max(chain.get_contract(o.rft_address).bidding_end for o in orchs) + 1)
+    for orch in orchs:
+        orch.publish_results(orch.close_and_evaluate())
+    replay = audit.replay_chain(chain.export())
+    for orch in orchs:
+        trace = audit.replay_and_audit(replay, orch.rft_address).gas_trace
+        assert [k for k, _ in trace] == ["deploy_data", "deploy_rft_stateless",
+                                          "rejected_call", "publish_results"]
+        assert trace[0][1] == 16 * len(orch.spec.data_blob())  # its own tender data
+
+
 # An export writes no parent hash: a block mined over another parent fails
 # its own hash check, since the auditor hashes it over the block before it.
 def test_genesis_block_with_a_parent_is_flagged():
@@ -333,7 +353,8 @@ def _findings(export, rft_hex) -> set[tuple[str, str]]:
 
 def test_invalid_bid_published_as_scored_is_flagged():
     def rig(result, spam):
-        result.bids[spam]["status"] = STATUS_SCORED
+        assert spam not in result.bids  # an invalid bid gets no entry
+        result.bids[spam] = {"status": STATUS_SCORED}
     export, spam_hex, rft_hex = _run_with_one_spam_bid(rig)
     assert ("R3", f"invalid bid {spam_hex} was scored by the published evaluation") \
         in _findings(export, rft_hex)

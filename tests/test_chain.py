@@ -13,7 +13,6 @@ from tendersim.chain import (
     ChainConfig,
     compute_block_hash,
     compute_tx_hash,
-    meter_gas,
 )
 from tendersim.encoding import canonical_json_bytes, from_hex, to_hex
 from tendersim.errors import (
@@ -21,7 +20,6 @@ from tendersim.errors import (
     TimestampNotMonotonic,
     TimestampTooFarAhead,
     UnknownSender,
-    UnmeteredOperation,
 )
 
 import ledger_ops
@@ -176,40 +174,50 @@ def test_hash_chain_links_and_tamper_evidence(chain, to_keys):
 # --- gas model -----------------------------------------------------------------
 
 
-def test_deploy_gas_constants():
-    assert meter_gas("deploy_rft_full") == DEPLOY_GAS["FULL_TRACK"]
-    assert meter_gas("deploy_rft_protected") == DEPLOY_GAS["PROTECTED"]
-    assert meter_gas("deploy_rft_stateless") == DEPLOY_GAS["STATELESS"]
+def _bid_gas(scheme: str, bids: int) -> list[int]:
+    """The receipt gas of ``bids`` certificate-valid bids placed in turn on a new tender."""
+    chain = Chain(ChainConfig())
+    keys = crypto.generate_keypair(Random(5))
+    rft, sender = make_tender(chain, keys, scheme)
+    gas = []
+    for i in range(bids):
+        cert = crypto.issue_certificate(keys.private_key, f"B{i}", rft)
+        call = contracts.place_bid_call(f"B{i}", account("data"), cert.msg_hash, cert.v,
+                                        cert.r, cert.s, b"half")
+        gas.append(ledger_ops.run_single(chain, sender, rft, call).gas_used)
+    return gas
 
 
-def test_bid_gas_examples():
-    assert meter_gas("bid_full", prior_recorded_bids=0) == 299_501
-    assert meter_gas("bid_full", prior_recorded_bids=1) == 320_282
-    for prior in (0, 3, 99):
-        assert meter_gas("bid_stateless", prior_recorded_bids=prior) == STATELESS_BID_GAS
+def test_deploy_gas_constants(to_keys):
+    for scheme, expected in DEPLOY_GAS.items():
+        chain = Chain(ChainConfig())
+        make_tender(chain, to_keys, scheme)
+        assert chain.head().transactions[0].gas_used == expected
 
 
-def test_unknown_kind_is_unmetered():
-    with pytest.raises(UnmeteredOperation):
-        meter_gas("teleport")
+def test_bid_gas_examples(chain, to_keys):
+    assert _bid_gas("FULL_TRACK", 2) == [299_501, 320_282]
+    assert _bid_gas("STATELESS", 4) == [STATELESS_BID_GAS] * 4
+    # a refused bid copies no bid array, so it pays the scheme's base
+    rft, sender = make_tender(chain, to_keys, "PROTECTED")
+    call = contracts.place_bid_call("B1", account("data"), bytes(32), 27, bytes(32),
+                                    bytes(32), b"half")
+    with pytest.raises(ledger_ops.Rejected):
+        ledger_ops.run_single(chain, sender, rft, call)
+    tx = chain.head().transactions[0]
+    assert (tx.kind, tx.gas_used) == ("bid_rejected_protected", PROTECTED_BID_SERIES[0])
 
 
 def test_linear_model_tracks_reference_series():
-    for i, measured in enumerate(FULL_TRACK_BID_SERIES):
-        predicted = meter_gas("bid_full", prior_recorded_bids=i)
-        assert abs(predicted - measured) / measured < MODEL_TOLERANCE
-    for i, measured in enumerate(PROTECTED_BID_SERIES):
-        predicted = meter_gas("bid_protected", prior_recorded_bids=i)
-        assert abs(predicted - measured) / measured < MODEL_TOLERANCE
+    for scheme, series in (("FULL_TRACK", FULL_TRACK_BID_SERIES),
+                           ("PROTECTED", PROTECTED_BID_SERIES)):
+        for predicted, measured in zip(_bid_gas(scheme, len(series)), series):
+            assert abs(predicted - measured) / measured < MODEL_TOLERANCE
 
 
 def test_full_track_first_difference_is_exactly_the_copy_cost():
-    series = [meter_gas("bid_full", prior_recorded_bids=i) for i in range(10)]
-    diffs = {b - a for a, b in zip(series, series[1:])}
-    assert diffs == {PER_PRIOR_BID_COPY}
-
-
-# --- state reads ------------------------------------------------------------------
+    series = _bid_gas("FULL_TRACK", 10)
+    assert {b - a for a, b in zip(series, series[1:])} == {PER_PRIOR_BID_COPY}
 
 
 def test_read_state_costs_no_gas(chain, to_keys):

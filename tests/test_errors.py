@@ -26,5 +26,5 @@ def test_every_error_class_is_raised_in_the_package():
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name):
                 raised.add(exc.id)
-    assert len(subclasses) >= 16  # the walk found the package's error classes
+    assert len(subclasses) >= 15  # the walk found the package's error classes
     assert sorted(subclasses - raised) == []

@@ -29,17 +29,17 @@ GOLDEN = {
     "erased_bid/chain.json": "bd3d5d5c960c7b377e3d7527fa6cd760912d06d5d76d86c94c10e2b093164828",
     "erased_bid/gas.csv": "ee99b3b80aa06360054f972556e809fa7718bd0740d9e44b162b0ae80c52582b",
     "erased_bid/summary.txt": "556d78f40c30c360cfea5769e5ca39bf251f67bb38c58c2504e5efa7303b111e",
-    "forged_cert/audit.json": "b98303b915a39fedd72521616f3f0bb5d45027faf1b966294376e581d8cc287c",
-    "forged_cert/chain.json": "ca9a83072d9bb9fa3d62b21b9855309b6b406e1264c6315458b7f4501745660e",
-    "forged_cert/gas.csv": "4adb531692a14f4b6dfd96c6756372f079e845c33624f9e819dbe651b70b7233",
+    "forged_cert/audit.json": "1f6ca48d44d968cccdb11bb3c8e1ddbb2fbd3c4b2b9bd259e25584413a0c93ce",
+    "forged_cert/chain.json": "a031d973fc68bf003e2e60d4c78acbb5f5dd95ba065b73c19de173544965791e",
+    "forged_cert/gas.csv": "150b85dce81dec1e8ad404ec603b76cf80842be57032abd3d206cbb55657f84c",
     "forged_cert/summary.txt": "502108da42df59ec22170260de90b30d8874353705472ea733c616797ba1c984",
     "full_track_10_bids/audit.json": "d354c88d673e0c2cebf9f5a7be056c595089b1c25c464cde1590ad801232b54a",
     "full_track_10_bids/chain.json": "edcb6505487d73785020943db40df640adb7a52d41acafeaeeeabaf6d5d6dfbf",
     "full_track_10_bids/gas.csv": "ee99b3b80aa06360054f972556e809fa7718bd0740d9e44b162b0ae80c52582b",
     "full_track_10_bids/summary.txt": "86e3eeff5627985a8465e79e5f0ef1343bba13da088c16b2dc88fcd31e772d13",
-    "late_bid/audit.json": "2f90c640bdcda7fd03d9b4f0435468b6eab2130a53caf14323b3fece8b714f1f",
-    "late_bid/chain.json": "5290cfc964a65459029146bcb91c5c88dbf787dfebe5ddd5a5d8693d46576622",
-    "late_bid/gas.csv": "d8bace0941ec84c2dc26f002b2bf01b2799ad7204257ab9fd2750d9c6c44e51d",
+    "late_bid/audit.json": "61ac2fc2477b2c49c5d5755564d3c8800d66bb18aa16791d9746544cf5edef4d",
+    "late_bid/chain.json": "f6d6571635c3b2a23e50ba7769adc5b5d2306f6e553b8bdb70e1ccc11f4c00c0",
+    "late_bid/gas.csv": "c8d2c53e4419d7e782ee6569c9f2e9bbda18b34fc16eaa33aafda0400851ad19",
     "late_bid/summary.txt": "61c384c31bc56741a9d9377924e8c22fdafe2d45aeb6596148dda77ce131ecc0",
     "mutated_tender/audit.json": "22b9b9af2cb92c00eafc081e0983b5d1f87d3e6f59cc63f5cd6c256ba13ca9d0",
     "mutated_tender/chain.json": "bd875775f6cbf2a7d30e82250cdae67a921e765588d233a8c36ab0780bef1d38",
@@ -53,9 +53,9 @@ GOLDEN = {
     "rigged_winner/chain.json": "e02e5378c8cac70a611e29b7eac7f73a54474173df7f2c83aa2a64b56b17683c",
     "rigged_winner/gas.csv": "ee99b3b80aa06360054f972556e809fa7718bd0740d9e44b162b0ae80c52582b",
     "rigged_winner/summary.txt": "a28a23ea49de33762e40219f0614f6f19ea86aacd51e947240310c8c2086f34c",
-    "spam_full_track/audit.json": "0c2851da8409ef382559e1991ee29bd29d5ef755890b520189329db27b970a83",
-    "spam_full_track/chain.json": "9970ae6523cebef39f6cdbb7fca3cc0238b0094ce073fab5015dbb284b99b7ac",
-    "spam_full_track/gas.csv": "963dd9e667ece0d5365bb2ed14423cbde1221ab4ba94fc906a40299cafc9576d",
+    "spam_full_track/audit.json": "8641ec1f4ecf952154c84593233fdceb8631aa7303c2e4c95b1d813e18a1c216",
+    "spam_full_track/chain.json": "cf7242923eba80ab3567aa8c70d9763f7e01ebba366b8dbb0983265bc5648d61",
+    "spam_full_track/gas.csv": "eca358f00ca6a9e77e6d622bf5b531481641cdfa9f0a682713920af03df527ac",
     "spam_full_track/summary.txt": "c2ad370736e23e1dd208ffd9c007e23b15e8b76851ee98e282b43c15928e6197",
     "spam_protected/audit.json": "a3831c2a856841aec296e7449e2111c577ad00e12307d32c49d0ed4e880773a3",
     "spam_protected/chain.json": "5218b4f7f8460067c7af0a08c3b6c90db29050b79c2cb7cd8c5e1c5162a71508",
@@ -77,20 +77,20 @@ GOLDEN = {
 
 # SHA-256 over the sorted "<scenario>/<file> <sha256hex>\n" lines of the
 # chain.json and audit.json entries above
-GOLDEN_CROSS_CHECK = "88f6ce96dc5eff6c00861c44155f45ec1a5b549fd4a1a37e5e7c97bfa1887e9c"
+GOLDEN_CROSS_CHECK = "30544df476dc732b5b5cab5ebecc6363ac6962252edd59d2610317323bff997e"
 
 # SHA-256 of what `tendersim audit <chain.json> --out <file>` writes for each
 # bundled scenario's chain.json
 AUDIT_OUT_GOLDEN = {
     "early_key_reveal": "6d79c8e881da3a093d553ad02c01f8ca9507c948e3d8f3d78a158847e00824f4",
     "erased_bid": "fbf0d9cf3dad4e354c2f3fe0ca6e0a437c8b4dd42e2a4c1c50b4a00b13a30cc4",
-    "forged_cert": "fb93e1799de9198c46af986ef0d8682e43beafd4221463e82bb598b717e31927",
+    "forged_cert": "eb77e1df7265ab02a2b2da37651b0c0747a9269b9b7ee49fd539e6f0032b2542",
     "full_track_10_bids": "fdc0c5f2b5d3fcebf0d7ee6c52fb6421cea06c5ce739e61f0ae6bc91a21b447a",
-    "late_bid": "3eff7c21182243070b26423d5caf1ede63afcb02dbe766e68263a2f5bc3cd3b2",
+    "late_bid": "d937185d439a7dcbbf090e15facd3360612d0b1cafa977c6553f9866ee1a2a73",
     "mutated_tender": "8d6b3d71694aac6a5ec413b5de3c492f5ac93b49266b979dfca885c14090682b",
     "protected_10_bids": "09b33f8a464bd9e191f3573456283a8b19c2f859718da2be71592b98076cb2df",
     "rigged_winner": "48cc24f357f11b1bd372a2ab2bbb4eb095faa9264c51fc75f7101cebf68d16de",
-    "spam_full_track": "fe0f5c45648bc205e68fd9960a37450a0b0b2e085605663d696953e20f094e3f",
+    "spam_full_track": "d1cda96e307e0f9ca07cf4249dbf80cf9b1346ae488fad6be37b0990916c8431",
     "spam_protected": "6127dbcd3ba357a7ecc53ed9401405b9515622c3bb21f1397ce060ee3e8cfaad",
     "spam_stateless": "60946f4016bb95ba0f3a19acf7848a8aa273cbaf161167f52a3cac17c20bc822",
     "stateless_10_bids": "c95908d55075fd001e7a40e2b82b7a8d1a5606eb6dae89f0268424ac8aaa443f",
@@ -102,13 +102,13 @@ AUDIT_OUT_GOLDEN = {
 HEAD_BLOCK_HASH = {
     "early_key_reveal": "0x52ce92dd83816715629d09d7c52a0686991fc3074fc99d001dd7541d4d745f1e",
     "erased_bid": "0xa1c0a3bfec6d9957992421c8ba01e905ada1d386896aac14e808edaaeb120863",
-    "forged_cert": "0xe195bd63ed3d8a33647a02d1e36789b2489d68129b15e17d78f6e993ff8ac594",
+    "forged_cert": "0x85f8989b9b8e4f0f5f57a65e1e0f242cebd9279d0bb6e89a17fd94eb7e3649c4",
     "full_track_10_bids": "0xf92ab4e02637bead0e71cb55dbc35766689c1d588f30045a5d24584c065c5e1d",
-    "late_bid": "0x99fd087baccff93e91d7da6e1307f3c05b4e2140f8c4955d44ab16038a3f36ab",
+    "late_bid": "0xfe1405226019ff5c96a8b575f0fe98295e73e15f00e1ade7721789e22df3d0db",
     "mutated_tender": "0x76c3cfc6f2b83cb192b94ab745426ab5a9087de130e5c0b7d800f98776a8378d",
     "protected_10_bids": "0xca307252336e5a84fc98fbdfef8e5ce84caa99d873e1f9976ec7ef45e0784159",
     "rigged_winner": "0xb4c6291004afb84ce7b00aa3a0f04423fd6d373ec5da5beedffe9e2d43fd03a1",
-    "spam_full_track": "0x11a2b4c1a3ee8b59b2f9caa3b3c7cdaf52cc0c32f0b64c0d8d0853c32e6216cc",
+    "spam_full_track": "0x6bdbc507b19b07762bf3879a42ee4376e9aa9a7e4d4d79fa6bd32b51bb9f2fc8",
     "spam_protected": "0xaa58c8603e2bff55959e3adff494432212d6b565b0eba46d13be082bc1d4e761",
     "spam_stateless": "0x535bfd28acc3a78dabb8bbaf66984377ed52ad494e45ea429e61e12559990f18",
     "stateless_10_bids": "0x077a169527606f68a0df65f4e11d13d49dc0181a1a2f2cd48b8bf0d5f430b76c",

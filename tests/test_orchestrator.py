@@ -75,6 +75,29 @@ def test_bid_document_refuses_non_finite_fields(value):
         BidDocument("B1", {"price": value})
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -math.inf, "nan"],
+                         ids=["nan", "minus-infinity", "nan-string"])
+def test_criteria_refuse_a_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold for 'days' must be finite"):
+        EvaluationCriteria.from_dict({"numeric_fields": [["price", 1, "MINIMIZE"]],
+                                      "feasibility": [["days", "<=", threshold]]})
+
+
+@pytest.mark.parametrize("fields", [{"price": 1e308, "q": -1e308}, {"price": -1e308, "q": 0.0}],
+                         ids=["nan", "overflow"])
+def test_a_score_that_is_not_finite_is_graded_infeasible(fields):
+    # each field is finite, but the weighted sum is NaN or overflows
+    criteria = EvaluationCriteria(numeric_fields=(("price", 10.0, "MINIMIZE"),
+                                                  ("q", 10.0, "MINIMIZE")))
+    docs = [BidDocument("B1", fields), BidDocument("B2", {"price": 5.0, "q": 1.0})]
+    chain, rft, orch, subs = run_honest_tender("FULL_TRACK", docs, criteria=criteria)
+    result = orch.close_and_evaluate()
+    entry = result.bids[subs["B1"].record_address]
+    assert entry["status"] == STATUS_INFEASIBLE and "score" not in entry
+    assert result.winner_id == "B2"
+    assert audit.replay_and_audit(chain.export(), rft).ok()
+
+
 @pytest.mark.parametrize("title, length_ms, message", [
     pytest.param("t" * 700, 600_000, "tender data deployment rejected: DATA_TOO_LARGE",
                  id="data-over-max-data-bits"),

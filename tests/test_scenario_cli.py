@@ -182,6 +182,23 @@ def _late_bid(doc, **extra):
                  id="chain-block"),
     pytest.param(lambda d: d.update(adversrial=[]), "$.adversrial",
                  id="adversarial-misspelt"),
+    # nor at any level below: each object is read for the keys of its kind
+    pytest.param(lambda d: d["tender"].update(deadline=5), "$.tender.deadline",
+                 id="tender-key-unread"),
+    pytest.param(lambda d: d["tender"]["criteria"].update(
+        feasability=d["tender"]["criteria"].pop("feasibility")),
+                 "$.tender.criteria.feasability", id="feasibility-misspelt"),
+    pytest.param(lambda d: d["bidders"][3].update(withold_key=True),
+                 "$.bidders[3].withold_key", id="withhold-key-misspelt"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "SPAM_INVALID_CERTS",
+                                                  "at_ms": 30_000, "count": 2,
+                                                  "target": "B01"}]),
+                 "$.adversarial[0].target", id="spam-with-a-target"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "MUTATE_TENDER", "field": "data"}]),
+                 "$.adversarial[0].field", id="mutate-tender-field"),
+    pytest.param(lambda d: d["tender"]["criteria"].update(feasibility=[["delivery_days", "<=",
+                                                                        "nan"]]),
+                 "$.tender.criteria", id="threshold-nan"),
     # the bid cap: honest, late, forged and spam bids together
     pytest.param(lambda d: d.update(adversarial=[{"action": "SPAM_INVALID_CERTS",
                                                   "at_ms": 30_000, "count": 2**63}]),
@@ -211,9 +228,8 @@ def _late_bid(doc, **extra):
     pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": True}]),
                  "$.adversarial[0].index", id="index-a-boolean"),
     pytest.param(lambda d: d.update(expected=[]), "$.expected", id="expected-not-an-object"),
+    # run writes all four reports: a list of them is not read
     pytest.param(lambda d: d.update(reports="summary"), "$.reports", id="reports-not-a-list"),
-    pytest.param(lambda d: d.update(reports=["summary", "gas"]), "$.reports[1]",
-                 id="report-kind-unknown"),
 ])
 def test_validation_rejects_wrong_shapes_at_their_json_path(edit, where):
     doc = _full_track_doc()
@@ -221,6 +237,14 @@ def test_validation_rejects_wrong_shapes_at_their_json_path(edit, where):
     with pytest.raises(ScenarioError) as err:
         validate_scenario(doc)
     assert f"at {where}:" in str(err.value)
+
+
+def test_cli_run_refuses_an_expected_key_it_does_not_read(tmp_path, capsys):
+    # a misspelt check would otherwise never run, and the run exit 0
+    path = tmp_path / "typo.json"
+    path.write_bytes(_full_track_file_with(lambda d: d["expected"].update(audit_passs=False)))
+    assert main(["run", str(path)]) == 2
+    assert "at $.expected.audit_passs: not read here" in capsys.readouterr().err
 
 
 def test_validation_accepts_a_late_bid_with_numeric_fields():
@@ -297,6 +321,20 @@ def test_wrong_expectation_gives_nonzero_exit(tmp_path):
     outcome = run_scenario(doc, out_dir=tmp_path)
     assert outcome.exit_code == 1
     assert any("winner" in f for f in outcome.expected_failures)
+
+
+@pytest.mark.parametrize("price, q", [(1e308, -1e308), (-1e308, 0)], ids=["nan", "overflow"])
+def test_a_score_that_is_not_finite_is_never_published(tmp_path, price, q):
+    # B01's weighted sum is NaN or overflows; the other bids lack q and are infeasible
+    doc = json.loads((SCENARIO_DIR / "stateless_10_bids.json").read_text())
+    doc["tender"]["criteria"]["numeric_fields"] = [["price", 10, "MINIMIZE"],
+                                                   ["q", 10, "MINIMIZE"]]
+    doc["bidders"][0]["fields"].update(price=price, q=q)
+    doc["expected"] = {"audit_pass": True}
+    outcome = run_scenario(doc, out_dir=tmp_path)
+    assert outcome.exit_code == 0, outcome.expected_failures
+    export = (tmp_path / "chain.json").read_bytes()
+    assert b"NaN" not in export and b"Infinity" not in export
 
 
 def test_every_bundled_scenario_meets_its_expectations(tmp_path):
@@ -676,12 +714,10 @@ def test_cli_run_exits_0_1_or_2_with_one_hostile_value_anywhere(tmp_path_factory
 
 
 def test_identical_scenario_runs_are_byte_identical(tmp_path):
-    first = run_scenario(SCENARIO_DIR / "early_key_reveal.json",
-                         out_dir=tmp_path / "a")
-    second = run_scenario(SCENARIO_DIR / "early_key_reveal.json",
-                          out_dir=tmp_path / "b")
-    for kind in ("gas_csv", "audit_json", "summary", "chain_export"):
-        assert _read(first.written[kind]) == _read(second.written[kind])
+    for run in ("a", "b"):
+        run_scenario(SCENARIO_DIR / "early_key_reveal.json", out_dir=tmp_path / run)
+    for report in ("gas.csv", "audit.json", "summary.txt", "chain.json"):
+        assert _read(tmp_path / "a" / report) == _read(tmp_path / "b" / report)
 
 
 # --- experiment scripts ----------------------------------------------------------------------
