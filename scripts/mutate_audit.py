@@ -2,11 +2,12 @@
 
     python scripts/mutate_audit.py src/tendersim/audit.py [--only disclose,linked] [--jobs 2]
 
-Three kinds of mutant, one change each: an ``if``/``while`` test negated, a
-returned comparison negated, and a statement that appends a finding replaced
-by ``None``. ``--only`` keeps the mutants inside the named functions. Each
-mutant runs ``pytest -x`` over ``tests/``, fast modules first, in a copy of
-the tree; it is killed when a test fails or the run takes over 10 minutes.
+Four kinds of mutant, one change each: an ``if``/``while`` test negated, an
+``if`` filter of a comprehension negated alone, a returned comparison
+negated, and a statement that appends a finding replaced by ``None``.
+``--only`` keeps the mutants inside the named functions. Each mutant runs
+``pytest -x`` over ``tests/``, fast modules first, in a copy of the tree; it
+is killed when a test fails or the run takes over 10 minutes.
 Prints one line per mutant, then the counts; exits 1 if any mutant survives.
 Standard library only; run by hand, not part of the test suite.
 """
@@ -41,6 +42,9 @@ def candidates(tree: ast.AST, only: set[str]):
             continue
         if isinstance(node, (ast.If, ast.While)):
             yield node, "negate test"
+        elif isinstance(node, ast.comprehension):
+            for test in node.ifs:
+                yield test, "negate filter"
         elif isinstance(node, ast.Return) and isinstance(node.value, ast.Compare):
             yield node, "negate returned comparison"
         elif (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
@@ -57,6 +61,10 @@ def mutant(source: str, index: int, only: set[str]) -> tuple[int, str, str]:
     node, kind = list(candidates(tree, only))[index]
     if kind == "negate test":
         node.test = ast.UnaryOp(ast.Not(), node.test)
+    elif kind == "negate filter":
+        comp = next(c for c in ast.walk(tree) if isinstance(c, ast.comprehension)
+                    and any(test is node for test in c.ifs))
+        comp.ifs = [ast.UnaryOp(ast.Not(), t) if t is node else t for t in comp.ifs]
     elif kind == "negate returned comparison":
         node.value = ast.UnaryOp(ast.Not(), node.value)
     else:

@@ -6,21 +6,26 @@ rules in ``contracts`` into its own address-to-contract map, so bid validity is
 recomputed from certificates, block timestamps and tallies rather than
 trusted from stored flags. A nonce out of its sender's sequence, and a
 contract created over another, are R6 findings; the first contract stays.
-Every receipt is then compared strictly with the re-derived one, and every
-disclosed contract with the snapshot of its re-derived twin; the bid array
-is also checked against the array snapshots embedded in each bid record,
-which is what makes a silently erased entry provable. Each published bid key
-must decrypt its on-ledger ciphertext. The winner is recomputed by opening and
-grading each bid through ``orchestrator.open_bid``, the rule the
-organisation's evaluation uses, and compared with the published one.
+Each transaction is re-derived through ``chain.transaction_json``, the writer
+the export uses, and each block hashed over the re-derived transaction hashes.
+One diff (``_differing``) then compares every disclosed transaction with its
+re-derived one, and every disclosed contract with the snapshot of its
+re-derived twin, key by key; the bid array is also checked against the array
+snapshots embedded in each bid record, which is what makes a silently erased
+entry provable. Each published bid key must decrypt its on-ledger ciphertext.
+The winner is recomputed by opening and grading each bid through
+``orchestrator.open_bid``, the rule the organisation's evaluation uses, and
+compared with the published one.
 
 Tenders are found from the deployments the replay accepts, never from the
-``kind`` labels of the disclosed state. A finding about one tender goes to
-that tender's report; a finding about the chain as a whole (hash chain,
-receipts of transactions sent to no tender, contracts nobody created)
-goes to every report. So does the gas trace: each report lists the gas of
-the transactions that created or were sent to its tender's contracts, and
-of those that touched no tender's.
+``kind`` labels of the disclosed state. Every finding and gas row is filed
+by one rule. It is about an address: the contract a disclosed state is of, or
+the one a transaction created or was sent to; or about none, for the ledger
+as a whole (hash chain, nonces, occupied addresses, contracts nobody
+created). It goes to the report of each tender that owns the address (the
+tender, its bid records and the data contracts they name), or to every
+report when no tender does. A finding is dated to its transaction's block, a
+state finding to its contract's creation.
 
 Requirement grades use a tri-state: PASS, PARTIAL (the scheme meets the
 requirement structurally but not absolutely), FAIL (a concrete breach was
@@ -43,6 +48,7 @@ from .chain import (
     ExecutionContext,
     compute_block_hash,
     compute_tx_hash,
+    transaction_json,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
 from .encoding import from_hex, from_text, same_json, to_hex
@@ -141,16 +147,16 @@ def parse_export(file):
 
 @dataclass(frozen=True)
 class LedgerTransaction:
-    """A transaction as an export records it: its hash and the four fields the
-    hash signs besides the fixed ``GAS_PRICE``, decoded; the hash those give
-    (``compute_tx_hash``); and its disclosed receipt, the JSON object as it came."""
+    """A transaction as an export records it: the four fields its hash signs
+    besides the fixed ``GAS_PRICE``, decoded; the hash those give
+    (``compute_tx_hash``); and its disclosed receipt, the JSON object as it
+    came, disclosed hash included."""
 
     sender: bytes
     target: bytes | None  # None marks a deployment
     payload: bytes
     nonce: int
     tx_hash: bytes
-    recomputed_hash: bytes
     receipt: dict
 
 
@@ -171,12 +177,12 @@ def read_ledger(export) -> list[Block]:
     hash: each block's parent is the ``block_hash`` the block before it
     discloses (32 zero bytes for genesis), so a block mined over another parent
     fails its own hash check. Each transaction's hash is recomputed here, once,
-    and its JSON object kept, unread, as its receipt: the replay compares
-    receipts strictly. Disclosed contracts are left as they are: the state diff
-    compares each with ``contracts.disclose`` of its re-derived twin, so a bid
-    record's ``prior_bids`` or ``placed_by`` link, and a ``data`` or ``results``
-    link to a transaction, must be spelled as the export writes it, and the
-    audit stays linear in the bids. Raises MalformedExport, naming the format,
+    and its JSON object kept as its receipt: the replay compares receipts,
+    disclosed hash included, strictly. Disclosed contracts are left as they
+    are: the state diff compares each with ``contracts.disclose`` of its
+    re-derived twin, so a bid record's ``prior_bids`` or ``placed_by`` link,
+    and a ``data`` or ``results`` link to a transaction, must be spelled as
+    the export writes it, and the audit stays linear in the bids. Raises MalformedExport, naming the format,
     for a document that is not a ``tendersim-chain/8`` object (earlier formats
     included: ``/7`` published ``tender-result/1`` results), for
     ``blocks``, ``contracts`` or a disclosed contract of the wrong JSON type,
@@ -222,9 +228,9 @@ def _read_tx(tx, where: str) -> LedgerTransaction:
     target = _field(tx, "target", _target, where)
     payload = _field(tx, "payload", from_text, where)
     nonce = _field(tx, "nonce", _uint64, where)
-    tx_hash = _field(tx, "tx_hash", _hex, where)
+    _field(tx, "tx_hash", _hex, where)
     _known_keys(tx, _TX_KEYS, where)
-    return LedgerTransaction(sender, target, payload, nonce, tx_hash,
+    return LedgerTransaction(sender, target, payload, nonce,
                              compute_tx_hash(sender, target, nonce, payload), receipt=tx)
 
 
@@ -263,17 +269,13 @@ def _target(value) -> bytes | None:
 # --- ledger structure -----------------------------------------------------------
 
 def verify_ledger_hashes(blocks: list[Block]) -> list[Violation]:
-    """Check every transaction hash of ``read_ledger``'s blocks against the one
-    it recomputed, recompute every block hash over its parent's, and check the
-    heights and timestamps, all as bytes and ints."""
+    """Recompute the hash of each of ``read_ledger``'s blocks over its parent's
+    and its transactions' recomputed hashes, and check the heights and
+    timestamps, all as bytes and ints."""
     violations = []
     prev = None
     for block in blocks:
         height = block.height
-        for tx in block.transactions:
-            if tx.recomputed_hash != tx.tx_hash:
-                violations.append(Violation("R6", height, f"transaction hash mismatch at "
-                                                          f"{to_hex(tx.tx_hash)}"))
         if compute_block_hash(height, block.parent_hash, block.timestamp,
                               [tx.tx_hash for tx in block.transactions]) != block.block_hash:
             violations.append(Violation("R6", height, "block hash mismatch"))
@@ -314,12 +316,9 @@ class ChainReplay:
     # recomputed tx hash -> decoded call, for the accepted calls the export links to
     calls: dict[bytes, dict] = field(default_factory=dict)
     tenders: dict[bytes, _Tender] = field(default_factory=dict)  # in deployment order
-    ledger_findings: list[Violation] = field(default_factory=list)
-    # (address of the tender the transaction was sent to or None, finding)
-    receipt_findings: list[tuple[bytes | None, Violation]] = field(default_factory=list)
-    # (tenders the contract belongs to, tag, description); none means every
-    # tender. Each report dates these to its tender's deployment.
-    state_findings: list[tuple[set, str, str]] = field(default_factory=list)
+    heights: dict[bytes, int] = field(default_factory=dict)  # address -> height created at
+    # (address the finding is about or None, finding); see ``replay_and_audit``
+    findings: list[tuple[bytes | None, Violation]] = field(default_factory=list)
     # (address the transaction created or was sent to, kind, gas_used), in ledger order
     gas_trace: list[tuple[bytes | None, str, int]] = field(default_factory=list)
     owners: dict[bytes, set] = field(default_factory=dict)  # see ``_owners``
@@ -332,36 +331,38 @@ def iter_transactions(blocks: list[Block]):
 
 
 def replay_chain(export) -> ChainReplay:
-    """Read a chain export with ``read_ledger``, re-derive every receipt and
-    contract, and diff both against what the export discloses. The rules it
+    """Read a chain export with ``read_ledger``, re-derive every transaction,
+    written by the export's ``transaction_json``, and every contract, and diff
+    each with ``_differing`` against what the export discloses. The rules it
     applies, the gas figures and ``MAX_DATA_BITS`` too, are constants."""
     blocks = read_ledger(export)
-    replay = ChainReplay(export=export, ledger_findings=verify_ledger_hashes(blocks))
+    replay = ChainReplay(export, findings=[(None, v) for v in verify_ledger_hashes(blocks)])
     state = replay.state
     nonces: dict[bytes, int] = {}  # sender -> the nonce its next transaction must carry
     for block, tx in iter_transactions(blocks):
         height, ts = block.height, block.timestamp
         expected = nonces.get(tx.sender, 0)
         if tx.nonce != expected:
-            replay.ledger_findings.append(Violation(
+            replay.findings.append((None, Violation(
                 "R6", height, f"transaction {to_hex(tx.tx_hash)} carries nonce {tx.nonce} "
-                              f"but its sender's next nonce is {expected}"))
+                              f"but its sender's next nonce is {expected}")))
         nonces[tx.sender] = max(expected, tx.nonce + 1)
         call = contracts.decode_call(tx.payload)
         op = call.get("op") if call else None
         target = contracts.DEPLOY if tx.target is None else state.get(tx.target)
-        ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce, tx_hash=tx.recomputed_hash,
+        ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce, tx_hash=tx.tx_hash,
                                block_timestamp=ts, block_height=height)
         outcome, created = contracts.transition(target, call, tx.payload, ctx)
         if outcome.kind in contracts.LINKED_KINDS:
-            replay.calls[tx.recomputed_hash] = call
+            replay.calls[tx.tx_hash] = call
         tender = replay.tenders.get(tx.target)
         if created is not None and created.address in state:
-            replay.ledger_findings.append(Violation(
+            replay.findings.append((None, Violation(
                 "R6", height, f"transaction {to_hex(tx.tx_hash)} creates a contract at "
-                              f"{to_hex(created.address)}, an address already in use"))
+                              f"{to_hex(created.address)}, an address already in use")))
         elif created is not None:
             state[created.address] = created
+            replay.heights[created.address] = height
             if isinstance(created, RequestForTenderContract):
                 replay.tenders[created.address] = _Tender(created, height, ts)
             elif tender is not None:
@@ -369,77 +370,60 @@ def replay_chain(export) -> ChainReplay:
         if tender is not None and tender.published is None \
                 and tender.contract.results is not None:
             tender.published = (height, ts)
-        for finding in _receipt_findings(tx.receipt, outcome, op, height):
-            replay.receipt_findings.append((tx.target if tender else None, finding))
-        replay.gas_trace.append((tx.target or outcome.created_address,
-                                 tx.receipt.get("kind") or "unknown", tx.receipt.get("gas_used")))
+        at = tx.target or outcome.created_address
+        status_tag = "R1" if op in contracts.OUTCOME_FIXING_OPS else "R3"
+        rederived = transaction_json(tx, outcome)
+        replay.findings.extend((at, Violation(
+            _RECEIPT_TAGS.get(key, status_tag), height,
+            f"transaction {rederived['tx_hash']} field {key} is "
+            f"{json.dumps(tx.receipt[key]) if key in tx.receipt else 'absent'} but the replay "
+            f"gives {json.dumps(rederived[key])}")) for key in _differing(rederived, tx.receipt))
+        replay.gas_trace.append((at, tx.receipt.get("kind") or "unknown",
+                                 tx.receipt.get("gas_used")))
     replay.owners = _owners(replay)
-    replay.state_findings = _state_findings(replay)
+    replay.findings.extend(_state_findings(replay, blocks[-1].height if blocks else 0))
     return replay
 
 
-# --- receipts ---------------------------------------------------------------------------
+# the requirement a receipt field breaches; ``status`` and ``error`` breach R1
+# for a call that fixes an outcome (``OUTCOME_FIXING_OPS``), else R3
+_RECEIPT_TAGS = {"tx_hash": "R6", "gas_used": "R6", "kind": "R6", "created_address": "R3"}
+_ABSENT = object()  # a key the disclosed JSON does not have
 
-def _receipt_findings(tx: dict, outcome, op, height: int) -> list[Violation]:
-    """A disclosed receipt against the re-derived outcome, field by field."""
-    created = to_hex(outcome.created_address) if outcome.created_address else None
-    tx_hash = tx["tx_hash"]
-    found = []
-    if not (same_json(outcome.status, tx.get("status", _ABSENT))
-            and same_json(outcome.error, tx.get("error", _ABSENT))):
-        tag = "R1" if op in contracts.OUTCOME_FIXING_OPS else "R3"
-        found.append(Violation(
-            tag, height,
-            f"transaction {tx_hash} recorded as {tx.get('status')}/{tx.get('error')} "
-            f"but re-execution gives {outcome.status}/{outcome.error}"))
-    if not same_json(outcome.gas_used, tx.get("gas_used", _ABSENT)):
-        found.append(Violation(
-            "R6", height,
-            f"gas_used {tx.get('gas_used')} differs from re-metered {outcome.gas_used} "
-            f"for {tx_hash}"))
-    if not same_json(outcome.kind, tx.get("kind", _ABSENT)):
-        found.append(Violation(
-            "R6", height,
-            f"transaction {tx_hash} recorded as kind {tx.get('kind')} but re-execution "
-            f"gives {outcome.kind}"))
-    if not same_json(created, tx.get("created_address", _ABSENT)):
-        found.append(Violation(
-            "R3", height, f"created address of {tx_hash} does not match re-execution"))
-    return found
+
+def _differing(expected: dict, disclosed: dict) -> list[str]:
+    """The keys at which ``disclosed`` is not ``expected``, the expected keys first."""
+    return [key for key in [*expected, *(k for k in disclosed if k not in expected)]
+            if not same_json(expected.get(key, _ABSENT), disclosed.get(key, _ABSENT))]
 
 
 # --- disclosed state --------------------------------------------------------------------
 
-_ABSENT = object()  # a key the disclosed JSON does not have
-
-
-def _state_findings(replay: ChainReplay) -> list[tuple[set, str, str]]:
+def _state_findings(replay: ChainReplay, head: int) -> list[tuple[bytes | None, Violation]]:
     """Every re-derived contract's snapshot against its disclosed state, in
-    creation order, then the disclosed contracts nobody created."""
+    creation order and dated to its creation, then the disclosed contracts
+    nobody created, dated to the ``head`` block."""
     disclosed_all = replay.export["contracts"]
     tender_data = {t.contract.tender_data_addr for t in replay.tenders.values()}
     found = []
     for addr, contract in replay.state.items():
-        addr_hex = to_hex(addr)
-        belongs = replay.owners.get(addr, set())
+        addr_hex, height = to_hex(addr), replay.heights[addr]
         expected = contracts.disclose(contract, replay.state, replay.calls.get)
         disclosed = disclosed_all.get(addr_hex)
         if disclosed is None:
             tag = "ERASURE" if isinstance(contract, BidRecordContract) else "R1"
-            found.append((belongs, tag, f"contract {addr_hex} created on-ledger is missing "
-                                        f"from disclosed state"))
+            found.append((addr, Violation(tag, height, f"contract {addr_hex} created on-ledger "
+                                                       f"is missing from disclosed state")))
             continue
-        for key in [*expected, *(k for k in disclosed if k not in expected)]:
-            value = disclosed.get(key, _ABSENT)
-            if not same_json(expected.get(key, _ABSENT), value):
-                tag, text = _grade_difference(contract, addr_hex, key, expected, value,
-                                              addr in tender_data)
-                found.append((belongs, tag, text))
+        for key in _differing(expected, disclosed):
+            tag, text = _grade_difference(contract, addr_hex, key, expected,
+                                          disclosed.get(key, _ABSENT), addr in tender_data)
+            found.append((addr, Violation(tag, height, text)))
     created = {to_hex(addr) for addr in replay.state}
     for addr_hex in disclosed_all:
         if addr_hex not in created:
-            found.append((set(), "R6", f"disclosed contract {addr_hex} was never created "
-                                       f"by any transaction"))
+            found.append((None, Violation("R6", head, f"disclosed contract {addr_hex} was never "
+                                                      f"created by any transaction")))
     return found
 
 
@@ -697,11 +681,8 @@ def replay_and_audit(source, rft_address) -> AuditReport:
         raise ResultsNotPublished(f"no published results for tender {rft_hex}")
     published_height = tender.published[0]
 
-    violations = list(replay.ledger_findings)
-    violations.extend(v for owner, v in replay.receipt_findings if owner in (None, addr))
-    violations.extend(Violation(tag, tender.height, text)
-                      for owners, tag, text in replay.state_findings
-                      if not owners or addr in owners)
+    # the findings and gas rows about this tender's contracts and about no tender's
+    violations = [v for at, v in replay.findings if addr in replay.owners.get(at, {addr})]
     violations.extend(_snapshot_erasure_check(replay, addr, tender))
 
     result = rft.results
@@ -737,7 +718,6 @@ def replay_and_audit(source, rft_address) -> AuditReport:
         published_winner=published_winner,
         winner_match=winner_match,
         violations=unique,
-        # the rows of this tender's contracts and of no tender's
         gas_trace=[(kind, gas) for at, kind, gas in replay.gas_trace
                    if addr in replay.owners.get(at, {addr})],
         timeline=_build_timeline(tender),

@@ -110,6 +110,17 @@ def compute_block_hash(height: int, parent_hash: bytes, timestamp: int,
     return h.digest()
 
 
+def transaction_json(tx, outcome) -> dict:
+    """A transaction as an export writes it: the fields ``tx`` signs, with
+    ``to_text`` payload, its ``tx_hash``, and the receipt ``outcome`` gives."""
+    created = outcome.created_address
+    return {"sender": to_hex(tx.sender),
+            "target": DEPLOY_TARGET if tx.target is None else to_hex(tx.target),
+            "payload": to_text(tx.payload), "nonce": tx.nonce, "tx_hash": to_hex(tx.tx_hash),
+            "status": outcome.status, "error": outcome.error, "gas_used": outcome.gas_used,
+            "kind": outcome.kind, "created_address": to_hex(created) if created else None}
+
+
 def contract_address(creator: bytes, nonce: int) -> bytes:
     digest = hashlib.sha256(b"contract|" + creator + nonce.to_bytes(8, "big")).digest()
     return digest[-ADDRESS_LEN:]
@@ -312,22 +323,7 @@ class Chain:
                     "height": b.height,
                     "timestamp": b.timestamp,
                     "block_hash": to_hex(b.block_hash),
-                    "transactions": [
-                        {
-                            "sender": to_hex(t.sender),
-                            "target": DEPLOY_TARGET if t.target is None else to_hex(t.target),
-                            "payload": to_text(t.payload),
-                            "nonce": t.nonce,
-                            "gas_used": t.gas_used,
-                            "status": t.status,
-                            "error": t.error,
-                            "kind": t.kind,
-                            "created_address": to_hex(t.created_address)
-                            if t.created_address else None,
-                            "tx_hash": to_hex(t.tx_hash),
-                        }
-                        for t in b.transactions
-                    ],
+                    "transactions": [transaction_json(t, t) for t in b.transactions],
                 }
                 for b in self.blocks
             ],

@@ -149,6 +149,8 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
         ids.add(bidder["id"])
         if type(bidder["submit_at_ms"]) is not int or bidder["submit_at_ms"] < 1:
             _fail(source, where + ".submit_at_ms", "must be an integer >= 1")
+        if type(bidder.get("withhold_key", False)) is not bool:  # "no" would read as true
+            _fail(source, where + ".withhold_key", "must be true or false")
         _check_offer(source, where, bidder)
         timed.append((bidder["submit_at_ms"], where))
 
@@ -209,6 +211,9 @@ def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
     if not isinstance(expected, dict):
         _fail(source, "$.expected", "must be an object")
     _read_keys(source, "$.expected", expected, EXPECTED_KEYS)
+    for key in ("winner_match", "violations_empty", "audit_pass"):
+        if type(expected.get(key, False)) is not bool:
+            _fail(source, f"$.expected.{key}", "must be true or false")
     if not isinstance(expected.get("violation_tags_include", []), list):
         _fail(source, "$.expected.violation_tags_include", "must be a list")
     if not isinstance(expected.get("requirements", {}), dict):

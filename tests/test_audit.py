@@ -503,7 +503,7 @@ def test_replay_rederives_the_ledger_state(scheme):
     replay = audit.replay_chain(export)
     assert {to_hex(a): contracts.disclose(c, replay.state, replay.calls.get)
             for a, c in replay.state.items()} == export["contracts"]
-    assert replay.receipt_findings == [] and replay.state_findings == []
+    assert replay.findings == []
 
 
 def _audit_with_raw_tx(make_payload, target=lambda rft: rft):
@@ -606,12 +606,12 @@ def test_findings_stay_with_their_tender():
     assert {v.tag for v in reports[rigged].violations} == {"WINNER_MISMATCH"}
 
 
-def test_receipt_findings_go_to_the_tender_or_to_every_report():
+def test_receipt_findings_go_to_the_tender_whose_contract_they_concern():
     export, addresses = _three_tender_export()
-    tampered = addresses["PROTECTED"]
+    tampered, first = addresses["PROTECTED"], addresses[contracts.SCHEMES[0]]
     txs = [tx for block in export["blocks"] for tx in block["transactions"]]
     bid = next(tx for tx in txs if tx["target"] == tampered)
-    deploy = next(tx for tx in txs if tx["kind"] == "deploy_data")
+    deploy = next(tx for tx in txs if tx["kind"] == "deploy_data")  # the first tender's data
     bid["gas_used"] += 1
     deploy["gas_used"] += 1
     replay = audit.replay_chain(export)
@@ -619,7 +619,8 @@ def test_receipt_findings_go_to_the_tender_or_to_every_report():
         hashes = [tx["tx_hash"] for tx in (bid, deploy)
                   if any(tx["tx_hash"] in v.description
                          for v in audit.replay_and_audit(replay, addr).violations)]
-        assert hashes == ([bid["tx_hash"]] if addr == tampered else []) + [deploy["tx_hash"]]
+        assert hashes == [tx["tx_hash"] for tx, owner in ((bid, tampered), (deploy, first))
+                          if addr == owner]
 
 
 def test_stateless_tender_disclosing_a_bid_array_is_flagged():
@@ -694,7 +695,7 @@ def test_every_receipt_code_is_recorded_and_replays_clean(to_keys, scheme, make_
     with pytest.raises(ledger_ops.Rejected, match=code):
         ledger_ops.run_single(chain, sender, target, call)
     replay = audit.replay_chain(chain.export())
-    assert replay.receipt_findings == [] and replay.ledger_findings == []
+    assert replay.findings == []
 
 
 # --- reused nonces ----------------------------------------------------------------------
@@ -757,6 +758,15 @@ def test_bid_validity_must_be_a_json_boolean(full_track_10):
     report = audit.replay_and_audit(export, rft_hex)
     assert any(v.tag == "R3" and record in v.description and "validity" in v.description
                for v in report.violations)
+
+
+def test_a_state_finding_is_dated_to_its_contracts_creation(full_track_10):
+    export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
+    record = export["contracts"][rft_hex]["bids_placed"][-1]
+    export["contracts"][record]["validity"] = not export["contracts"][record]["validity"]
+    report = audit.replay_and_audit(export, rft_hex)
+    assert [(v.tag, v.height) for v in report.violations if record in v.description] == \
+        [("R3", 11)]
 
 
 def test_changed_data_contract_owner_is_flagged(full_track_10):
@@ -1166,9 +1176,10 @@ def test_gas_tripled_with_the_schedule_that_meters_it_is_not_passed(full_track_1
     assert main(["audit", str(path)]) == 1
     assert "R6=FAIL" in capsys.readouterr().out
     report = audit.replay_and_audit(export, rft_hex)
-    gas_findings = [v.description for v in report.violations
-                    if v.tag == "R6" and v.description.startswith("gas_used")]
-    assert [text.split()[-1] for text in gas_findings] == [tx["tx_hash"] for tx in txs]
+    # "transaction <hash> field <key> is ...", one finding per differing receipt field
+    words = [v.description.split() for v in report.violations if v.tag == "R6"]
+    flagged = [text[1] for text in words if text[2:4] == ["field", "gas_used"]]
+    assert flagged == [tx["tx_hash"] for tx in txs]
 
 
 # --- any single byte edit of an export is seen -----------------------------------------------

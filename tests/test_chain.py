@@ -386,7 +386,7 @@ def test_export_writes_a_record_whose_call_spells_an_argument_otherwise_whole(sp
     assert "placed_by" not in disclosed
     assert disclosed["data_addr"] == to_hex(account("data"))
     assert disclosed["sealed_half_a"] == to_hex(b"half-a")
-    assert audit.replay_chain(chain.export()).state_findings == []
+    assert audit.replay_chain(chain.export()).findings == []
 
 
 

@@ -167,9 +167,7 @@ class LedgerAgainstReplay(RuleBasedStateMachine):
         replay = audit.replay_chain(parsed)
         assert {to_hex(a): contracts.disclose(c, replay.state, replay.calls.get)
                 for a, c in replay.state.items()} == export["contracts"]
-        assert replay.ledger_findings == []
-        assert replay.receipt_findings == []
-        assert replay.state_findings == []
+        assert replay.findings == []
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "chain.json"
             write_canonical_json(path, export)

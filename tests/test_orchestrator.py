@@ -125,7 +125,7 @@ def test_data_deployment_holds_at_most_max_data_bits_on_ledger_and_in_replay():
     assert (txs[625].status, txs[625].error) == ("OK", None)
     assert (txs[626].status, txs[626].error) == ("REJECTED", "DATA_TOO_LARGE")
     replay = audit.replay_chain(chain.export())
-    assert replay.receipt_findings == [] and replay.ledger_findings == []
+    assert replay.findings == []
     assert list(replay.state) == [txs[625].created_address]
     assert len(replay.state[txs[625].created_address].data) == 625
 

@@ -228,6 +228,15 @@ def _late_bid(doc, **extra):
     pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": True}]),
                  "$.adversarial[0].index", id="index-a-boolean"),
     pytest.param(lambda d: d.update(expected=[]), "$.expected", id="expected-not-an-object"),
+    # a flag is read for its truth, so only JSON true and false are flags
+    pytest.param(lambda d: d["bidders"][4].update(withhold_key="no"),
+                 "$.bidders[4].withhold_key", id="withhold-key-a-string"),
+    pytest.param(lambda d: d["expected"].update(winner_match="yes"), "$.expected.winner_match",
+                 id="winner-match-a-string"),
+    pytest.param(lambda d: d["expected"].update(violations_empty="no"),
+                 "$.expected.violations_empty", id="violations-empty-a-string"),
+    pytest.param(lambda d: d["expected"].update(audit_pass=1), "$.expected.audit_pass",
+                 id="audit-pass-an-int"),
     # run writes all four reports: a list of them is not read
     pytest.param(lambda d: d.update(reports="summary"), "$.reports", id="reports-not-a-list"),
 ])
