@@ -183,8 +183,11 @@ def read_ledger(export) -> list[Block]:
     re-derived twin, so a bid record's ``prior_bids`` or ``placed_by`` link,
     and a ``data`` or ``results`` link to a transaction, must be spelled as
     the export writes it, and the audit stays linear in the bids. Raises MalformedExport, naming the format,
-    for a document that is not a ``tendersim-chain/8`` object (earlier formats
-    included: ``/7`` published ``tender-result/1`` results), for
+    for a document that is not a ``tendersim-chain/9`` object (earlier formats
+    included: a ``/8`` ``place_bid`` call carried its certificate's hash as
+    ``msg_hash``, which ``/9`` rebuilds and never reads, so a ``/8`` call whose
+    ``msg_hash`` was not hex would replay to another receipt; ``/7`` published
+    ``tender-result/1`` results), for
     ``blocks``, ``contracts`` or a disclosed contract of the wrong JSON type,
     for a missing or malformed block or transaction field, and for a key of the
     document, a block or a transaction that the audit does not read (such as

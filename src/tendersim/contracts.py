@@ -12,9 +12,10 @@ Three bid-placement schemes over the same request-for-tender shape:
   the auctioneer off-ledger, with no receipt: each record is created by a
   ``place_bid`` sent to the tender, so the auditor finds it on the ledger.
 
-Validity of a bid is the conjunction of: certificate verifies against the
-tender's public key (and binds this bidder id to this tender address), the
-including block's timestamp is strictly before the deadline, and the
+Validity of a bid is the conjunction of: the call's certificate ``(v, r, s)``
+is the tender key's signature over ``crypto.cert_message_hash`` of the call's
+id and this tender's address (the call carries no hash; the contract rebuilds
+it), the including block's timestamp is strictly before the deadline, and the
 bidder's tally is strictly below the per-id limit. The tally only moves
 on valid bids, so junk placed under someone else's id cannot lock them out.
 
@@ -255,29 +256,27 @@ class RequestForTenderContract(Contract):
         try:
             bidder_id = call["id"]
             data_addr = from_hex(call["data_addr"])
-            msg_hash = from_hex(call["msg_hash"])
-            v = int(call["v"])
+            v = call["v"]
             r = from_hex(call["r"])
             s = from_hex(call["s"])
             sealed_half_a = from_hex(call["sealed_half_a"])
             well_formed = (isinstance(bidder_id, str) and len(data_addr) == 20
-                           and secp256k1.well_formed(msg_hash, v, r, s))
+                           and secp256k1.well_formed(v, r, s))
         except (KeyError, ValueError, TypeError):
             well_formed = False
         if not well_formed:
             error = MALFORMED_CERTIFICATE
         else:
-            valid_hash = crypto.certificate_matches(self.pubk, bidder_id, self.address,
-                                                    msg_hash, v, r, s)
+            certified = crypto.certificate_matches(self.pubk, bidder_id, self.address, v, r, s)
             # Protected scheme refuses to record certificate failures at all.
-            refused = self.scheme == SCHEME_PROTECTED and not valid_hash
+            refused = self.scheme == SCHEME_PROTECTED and not certified
             error = CERTIFICATE_REJECTED if refused else None
         if error is not None:
             return ExecOutcome(kind=refused_kind, gas_used=base_gas, error=error), None
 
         valid_time = ctx.block_timestamp < self.bidding_end
         allowed = self.bid_count.get(bidder_id, 0) < self.limit
-        validity = valid_hash and valid_time and allowed
+        validity = certified and valid_time and allowed
         if validity:
             self.bid_count[bidder_id] = self.bid_count.get(bidder_id, 0) + 1
 
@@ -293,7 +292,7 @@ class RequestForTenderContract(Contract):
         record_addr = contract_address(ctx.sender, ctx.tx_nonce)
         record = BidRecordContract(address=record_addr, scheme=self.scheme,
                                    bidder_id=bidder_id, data_addr=data_addr,
-                                   validity=validity, certificate_valid=valid_hash,
+                                   validity=validity, certificate_valid=certified,
                                    sealed_half_a=sealed_half_a,
                                    prior_bids=prior, bidding_end_copy=end_copy,
                                    tx_hash=ctx.tx_hash)
@@ -423,12 +422,13 @@ def deploy_data(call: dict, ctx: ExecutionContext) -> Transition:
 def deploy_rft(call: dict, ctx: ExecutionContext) -> Transition:
     try:
         scheme = call["scheme"]
-        length_ms = int(call["length_ms"])
+        length_ms = call["length_ms"]
         pubk = from_hex(call["pubk"])
-        limit = int(call["limit"])
+        limit = call["limit"]
         data_field = call.get("tender_data")
         tender_data_addr = from_hex(data_field) if data_field else None
-        if scheme not in SCHEMES or length_ms <= 0 or limit < 1 or len(pubk) != 64:
+        if (scheme not in SCHEMES or type(length_ms) is not int or length_ms <= 0
+                or type(limit) is not int or limit < 1 or len(pubk) != 64):
             raise ValueError("bad tender parameters")
     except (KeyError, ValueError, TypeError):
         return reject_call(call, error=INVALID_TENDER_PARAMS), None
@@ -490,13 +490,12 @@ def rft_deploy_call(scheme: str, length_ms: int, pubk: bytes, limit: int,
     }
 
 
-def place_bid_call(bidder_id: str, data_addr: bytes, msg_hash: bytes, v: int,
-                   r: bytes, s: bytes, sealed_half_a: bytes) -> dict:
+def place_bid_call(bidder_id: str, data_addr: bytes, v: int, r: bytes, s: bytes,
+                   sealed_half_a: bytes) -> dict:
     return {
         "op": "place_bid",
         "id": bidder_id,
         "data_addr": to_hex(data_addr),
-        "msg_hash": to_hex(msg_hash),
         "v": v,
         "r": to_hex(r),
         "s": to_hex(s),

@@ -1,9 +1,11 @@
 """Keys, bidder certificates, and the split sealed-key scheme.
 
-A tendering organisation owns one curve key pair. Certificates are
-recoverable signatures over a hash binding the bidder id to one specific
-tender contract address, so a certificate issued for one tender never
-verifies against another. Bid documents are encrypted under a fresh
+A tendering organisation owns one curve key pair. A certificate is its
+recoverable signature over ``cert_message_hash``, a hash binding one bidder
+id to one tender contract address. The hash itself is never handed over:
+whoever checks a certificate rebuilds it from the id presented and the
+tender's own address, so a certificate issued under another id or for
+another tender never verifies. Bid documents are encrypted under a fresh
 256-bit symmetric key; that key is sealed to the organisation's public key
 (ephemeral ECDH + AES-GCM) and the sealed bytes are split down the middle:
 the first half rides on the ledger with the bid, the second half stays
@@ -56,7 +58,6 @@ def generate_keypair(rng: Random) -> KeyPair:
 @dataclass(frozen=True)
 class Certificate:
     bidder_id: str
-    msg_hash: bytes
     v: int
     r: bytes
     s: bytes
@@ -68,22 +69,21 @@ def cert_message_hash(bidder_id: str, rft_address: bytes) -> bytes:
 
 
 def issue_certificate(to_private_key: bytes, bidder_id: str, rft_address: bytes) -> Certificate:
-    msg_hash = cert_message_hash(bidder_id, rft_address)
-    v, r, s = curve.sign_digest(int.from_bytes(to_private_key, "big"), msg_hash)
-    return Certificate(bidder_id=bidder_id, msg_hash=msg_hash, v=v, r=r, s=s)
+    digest = cert_message_hash(bidder_id, rft_address)
+    v, r, s = curve.sign_digest(int.from_bytes(to_private_key, "big"), digest)
+    return Certificate(bidder_id=bidder_id, v=v, r=r, s=s)
 
 
 def certificate_matches(public_key: bytes, bidder_id: str, rft_address: bytes,
-                        msg_hash: bytes, v: int, r: bytes, s: bytes) -> bool:
-    """Full check: signature verifies and hash binds (bidder_id, rft_address).
+                        v: int, r: bytes, s: bytes) -> bool:
+    """Whether ``(v, r, s)`` is ``public_key``'s signature over
+    ``cert_message_hash(bidder_id, rft_address)``: one recovery.
 
     Components of the wrong shape give False. ``place_bid`` screens them
     first with ``secp256k1.well_formed``: garbage is a protocol error, a
     well-formed but wrong signature is a failed check.
     """
-    if not curve.verify_digest(public_key, msg_hash, v, r, s):
-        return False
-    return msg_hash == cert_message_hash(bidder_id, rft_address)
+    return curve.verify_digest(public_key, cert_message_hash(bidder_id, rft_address), v, r, s)
 
 
 # --- sealed bid keys --------------------------------------------------------

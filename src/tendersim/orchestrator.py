@@ -324,8 +324,8 @@ class TenderOrchestrator:
         sealed = crypto.seal_bid_key(bid_key, self.sealing_key, self.rng)
 
         data_addr = self.chain.peek_contract_address(bidder.address)
-        bid_call = contracts.place_bid_call(bidder_id, data_addr, cert.msg_hash,
-                                            cert.v, cert.r, cert.s, sealed.half_a)
+        bid_call = contracts.place_bid_call(bidder_id, data_addr, cert.v, cert.r, cert.s,
+                                            sealed.half_a)
         data_tx, bid_tx = self._step(
             at, (bidder.address, None, contracts.data_deploy_call(ciphertext)),
             (bidder.address, self.rft_address, bid_call))

@@ -241,8 +241,8 @@ def _junk_address(rng: Random) -> bytes:
     return hashlib.sha256(b"junk|" + rng.randbytes(8)).digest()[-20:]
 
 
-def _forged_components(rng: Random) -> tuple[bytes, int, bytes, bytes]:
-    return rng.randbytes(32), 27 + rng.randrange(2), rng.randbytes(32), rng.randbytes(32)
+def _forged_components(rng: Random) -> tuple[int, bytes, bytes]:
+    return 27 + rng.randrange(2), rng.randbytes(32), rng.randbytes(32)
 
 
 def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -> RunOutcome:
@@ -306,9 +306,9 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -
                           if kind == "SPAM_INVALID_CERTS" else [payload["target"]])
             chain.advance_to(ts)
             for forged_id in forged_ids:
-                msg_hash, v, r, s = _forged_components(rng)
-                call = contracts.place_bid_call(forged_id, _junk_address(rng),
-                                                msg_hash, v, r, s, rng.randbytes(62))
+                v, r, s = _forged_components(rng)
+                call = contracts.place_bid_call(forged_id, _junk_address(rng), v, r, s,
+                                                rng.randbytes(62))
                 chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
             chain.mine_block(ts)
         elif kind == "EARLY_KEY_REVEAL":

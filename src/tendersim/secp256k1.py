@@ -353,15 +353,15 @@ def sign_digest(private_scalar: int, digest: bytes) -> tuple[int, bytes, bytes]:
         return v, int(r).to_bytes(32, "big"), int(s).to_bytes(32, "big")
 
 
-def well_formed(digest: bytes, v: int, r: bytes, s: bytes) -> bool:
-    """Whether a signature has the shape recovery reads: a 32-byte digest,
-    32-byte r and s, and v of 27 or 28."""
-    return len(digest) == 32 and len(r) == 32 and len(s) == 32 and v in (27, 28)
+def well_formed(v: int, r: bytes, s: bytes) -> bool:
+    """Whether a signature has the shape recovery reads: 32-byte r and s, and
+    v the int 27 or 28 (not a float or a bool that equals one)."""
+    return len(r) == 32 and len(s) == 32 and type(v) is int and v in (27, 28)
 
 
 def recover_public_key(digest: bytes, v: int, r: bytes, s: bytes) -> bytes | None:
     """Recover the signing public key, or None when the triple is invalid."""
-    if not well_formed(digest, v, r, s):
+    if len(digest) != 32 or not well_formed(v, r, s):
         return None
     ri = int.from_bytes(r, "big")
     si = int.from_bytes(s, "big")

@@ -43,31 +43,31 @@ def deploy_tender_data(chain: Chain, sender: bytes, data: bytes, at: int | None 
 
 
 def _place_bid(chain: Chain, rft_addr: bytes, sender: bytes, expect_scheme: str,
-               bidder_id: str, data_addr: bytes, msg_hash: bytes, v: int, r: bytes,
-               s: bytes, sealed_half_a: bytes, at: int | None = None) -> bytes:
+               bidder_id: str, data_addr: bytes, v: int, r: bytes, s: bytes,
+               sealed_half_a: bytes, at: int | None = None) -> bytes:
     rft = chain.get_contract(rft_addr)
     if rft.kind != "request_for_tender" or rft.scheme != expect_scheme:
         raise TenderSimError(f"target is not a {expect_scheme} tender")
-    call = contracts.place_bid_call(bidder_id, data_addr, msg_hash, v, r, s, sealed_half_a)
+    call = contracts.place_bid_call(bidder_id, data_addr, v, r, s, sealed_half_a)
     return run_single(chain, sender, rft_addr, call, at).created_address
 
 
-def place_bid_full(chain, rft_addr, sender, bidder_id, data_addr, msg_hash, v, r, s,
-                   sealed_half_a, at=None) -> bytes:
+def place_bid_full(chain, rft_addr, sender, bidder_id, data_addr, v, r, s, sealed_half_a,
+                   at=None) -> bytes:
     return _place_bid(chain, rft_addr, sender, contracts.SCHEME_FULL, bidder_id, data_addr,
-                      msg_hash, v, r, s, sealed_half_a, at)
+                      v, r, s, sealed_half_a, at)
 
 
-def place_bid_protected(chain, rft_addr, sender, bidder_id, data_addr, msg_hash, v, r, s,
+def place_bid_protected(chain, rft_addr, sender, bidder_id, data_addr, v, r, s,
                         sealed_half_a, at=None) -> bytes:
     return _place_bid(chain, rft_addr, sender, contracts.SCHEME_PROTECTED, bidder_id,
-                      data_addr, msg_hash, v, r, s, sealed_half_a, at)
+                      data_addr, v, r, s, sealed_half_a, at)
 
 
-def place_bid_stateless(chain, rft_addr, sender, bidder_id, data_addr, msg_hash, v, r, s,
+def place_bid_stateless(chain, rft_addr, sender, bidder_id, data_addr, v, r, s,
                         sealed_half_a, at=None) -> bytes:
     return _place_bid(chain, rft_addr, sender, contracts.SCHEME_STATELESS, bidder_id,
-                      data_addr, msg_hash, v, r, s, sealed_half_a, at)
+                      data_addr, v, r, s, sealed_half_a, at)
 
 
 def req_bids(chain: Chain, rft_addr: bytes) -> tuple[bytes, ...]:

@@ -430,8 +430,7 @@ def _chain_with_bids(n):
     rft = ledger_ops.init_tender(chain, sender, 10_000_000, keys.public_key,
                                  n, "FULL_TRACK")
     cert = crypto.issue_certificate(keys.private_key, "B1", rft)
-    call = contracts.place_bid_call("B1", account("data"), cert.msg_hash,
-                                    cert.v, cert.r, cert.s, b"aa")
+    call = contracts.place_bid_call("B1", account("data"), cert.v, cert.r, cert.s, b"aa")
     payload = canonical_json_bytes(call)
     placed = 0
     while placed < n:

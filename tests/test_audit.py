@@ -204,8 +204,8 @@ def _run_with_one_spam_bid(rig=lambda result, spam: None):
     from tendersim.encoding import canonical_json_bytes
 
     spammer = chain.register_account(b"\x66" * 20)
-    call = contracts.place_bid_call("EVE", b"\x01" * 20, rng.randbytes(32), 27,
-                                    rng.randbytes(32), rng.randbytes(32), b"aa")
+    call = contracts.place_bid_call("EVE", b"\x01" * 20, 27, rng.randbytes(32),
+                                    rng.randbytes(32), b"aa")
     chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
     block = chain.mine_block(chain.now() + 30_000)
     spam = block.transactions[0].created_address
@@ -634,10 +634,10 @@ def test_stateless_tender_disclosing_a_bid_array_is_flagged():
 # --- every receipt code ---------------------------------------------------------------
 
 
-def _bid_call(to_keys, rft, cert_for=None, **edits):
+def _bid_call(to_keys, rft, cert_for=None, v_as=int, **edits):
     cert = crypto.issue_certificate(to_keys.private_key, "B1", cert_for or rft)
-    call = contracts.place_bid_call("B1", account("data"), cert.msg_hash, cert.v, cert.r,
-                                    cert.s, b"half-a")
+    call = contracts.place_bid_call("B1", account("data"), v_as(cert.v), cert.r, cert.s,
+                                    b"half-a")
     return {**call, **edits}
 
 
@@ -662,12 +662,32 @@ RECEIPT_CASES = [
         contracts.MALFORMED_PAYLOAD, id="deploy-data-fields"),
     pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, rft, _bid_call(k, rft, r="0x00")),
                  contracts.MALFORMED_CERTIFICATE, id="short-r"),
+    # a JSON number or string that equals a valid v is not the int v
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, rft, _bid_call(k, rft, v_as=float)),
+                 contracts.MALFORMED_CERTIFICATE, id="v-float"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, rft, _bid_call(k, rft, v_as=str)),
+                 contracts.MALFORMED_CERTIFICATE, id="v-string"),
     pytest.param("PROTECTED", lambda c, rft, o, k: (
         o, rft, _bid_call(k, rft, cert_for=account("other-tender"))),
         contracts.CERTIFICATE_REJECTED, id="other-tender-cert"),
+    pytest.param("PROTECTED", lambda c, rft, o, k: (o, rft, _bid_call(k, rft, id="B2")),
+                 contracts.CERTIFICATE_REJECTED, id="other-id-cert"),
     pytest.param("FULL_TRACK", lambda c, rft, o, k: (
         o, None, contracts.rft_deploy_call("FULL_TRACK", 1000, k.public_key, 0)),
         contracts.INVALID_TENDER_PARAMS, id="limit-0"),
+    # deployment numbers must be JSON integers: true is not 1, nor "900000" 900000
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, None, contracts.rft_deploy_call("FULL_TRACK", 1000, k.public_key, True)),
+        contracts.INVALID_TENDER_PARAMS, id="limit-true"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, None, contracts.rft_deploy_call("FULL_TRACK", 1000, k.public_key, 2.0)),
+        contracts.INVALID_TENDER_PARAMS, id="limit-float"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, None, contracts.rft_deploy_call("FULL_TRACK", "900000", k.public_key, 2)),
+        contracts.INVALID_TENDER_PARAMS, id="length-ms-string"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
+        o, None, contracts.rft_deploy_call("FULL_TRACK", 900000.7, k.public_key, 2)),
+        contracts.INVALID_TENDER_PARAMS, id="length-ms-float"),
     pytest.param("FULL_TRACK", lambda c, rft, o, k: (
         o, None, contracts.data_deploy_call(b"\x42" * 626)),
         contracts.DATA_TOO_LARGE, id="5008-bits"),
@@ -845,7 +865,7 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/8", "blocks": [block],
+    raw = canonical_json_bytes({"format": "tendersim-chain/9", "blocks": [block],
                                 "contracts": {}})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))

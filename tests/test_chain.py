@@ -182,8 +182,8 @@ def _bid_gas(scheme: str, bids: int) -> list[int]:
     gas = []
     for i in range(bids):
         cert = crypto.issue_certificate(keys.private_key, f"B{i}", rft)
-        call = contracts.place_bid_call(f"B{i}", account("data"), cert.msg_hash, cert.v,
-                                        cert.r, cert.s, b"half")
+        call = contracts.place_bid_call(f"B{i}", account("data"), cert.v, cert.r, cert.s,
+                                        b"half")
         gas.append(ledger_ops.run_single(chain, sender, rft, call).gas_used)
     return gas
 
@@ -200,8 +200,7 @@ def test_bid_gas_examples(chain, to_keys):
     assert _bid_gas("STATELESS", 4) == [STATELESS_BID_GAS] * 4
     # a refused bid copies no bid array, so it pays the scheme's base
     rft, sender = make_tender(chain, to_keys, "PROTECTED")
-    call = contracts.place_bid_call("B1", account("data"), bytes(32), 27, bytes(32),
-                                    bytes(32), b"half")
+    call = contracts.place_bid_call("B1", account("data"), 27, bytes(32), bytes(32), b"half")
     with pytest.raises(ledger_ops.Rejected):
         ledger_ops.run_single(chain, sender, rft, call)
     tx = chain.head().transactions[0]
@@ -243,8 +242,8 @@ def test_gas_determinism_on_identical_runs(to_keys):
         data = ledger_ops.deploy_tender_data(chain, sender, b"doc-bytes")
         cert = crypto.issue_certificate(to_keys.private_key, "B1", rft)
         for _ in range(3):
-            ledger_ops.place_bid_full(chain, rft, sender, "B1", data, cert.msg_hash,
-                                      cert.v, cert.r, cert.s, b"half")
+            ledger_ops.place_bid_full(chain, rft, sender, "B1", data, cert.v, cert.r,
+                                      cert.s, b"half")
         return [t.gas_used for b in chain.blocks for t in b.transactions]
 
     assert run() == run()
@@ -260,9 +259,8 @@ def _spammed_full_track(records: int) -> tuple[Chain, str]:
     spammer = chain.register_account(account("spammer"))
     rng = Random(4)
     for k in range(records):
-        call = contracts.place_bid_call(f"SPAM-{k}", rng.randbytes(20), rng.randbytes(32), 27,
-                                        rng.randbytes(32), rng.randbytes(32),
-                                        rng.randbytes(62))
+        call = contracts.place_bid_call(f"SPAM-{k}", rng.randbytes(20), 27, rng.randbytes(32),
+                                        rng.randbytes(32), rng.randbytes(62))
         chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
     chain.mine_block(chain.head().timestamp + chain.config.block_interval_ms)
     return chain, to_hex(rft)
@@ -333,7 +331,7 @@ def test_export_holds_one_small_link_per_record():
 def test_export_links_data_and_results_to_the_transactions_that_carried_them(scheme):
     chain, rft, _, _ = run_honest_tender(scheme, two_bid_docs())
     export = chain.export()
-    assert export["format"] == "tendersim-chain/8"
+    assert export["format"] == "tendersim-chain/9"
     assert list(export) == ["format", "blocks", "contracts"]  # no setting of the ledger
     created = {tx.created_address: tx for b in chain.blocks for tx in b.transactions
                if tx.created_address}
@@ -367,8 +365,8 @@ def _bid_spelled(spell) -> tuple[Chain, bytes]:
     one, and the address of its record."""
     chain = Chain(ChainConfig())
     rft, sender = make_tender(chain, crypto.generate_keypair(Random(3)), "FULL_TRACK")
-    call = contracts.place_bid_call("B1", account("data"), bytes(32), 27, bytes(32),
-                                    bytes(32), b"half-a")
+    call = contracts.place_bid_call("B1", account("data"), 27, bytes(32), bytes(32),
+                                    b"half-a")
     chain.submit_transaction(sender, rft, canonical_json_bytes(spell(call)))
     block = chain.mine_block(chain.head().timestamp + chain.config.block_interval_ms)
     return chain, block.transactions[0].created_address

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendersim import contracts, crypto
+from tendersim import audit, contracts, crypto, secp256k1
 from tendersim.chain import Chain, ChainConfig
 from tendersim.encoding import canonical_json_bytes, to_hex
 from tendersim.errors import BiddingStillOpen, SchemeHasNoState
@@ -17,14 +17,14 @@ from reference_data import DEPLOY_GAS, STATELESS_BID_GAS
 def _bid_args(to_keys, bidder_id, rft, data=None):
     cert = crypto.issue_certificate(to_keys.private_key, bidder_id, rft)
     return dict(bidder_id=bidder_id, data_addr=data or account("some-data"),
-                msg_hash=cert.msg_hash, v=cert.v, r=cert.r, s=cert.s,
+                v=cert.v, r=cert.r, s=cert.s,
                 sealed_half_a=b"half-a")
 
 
 def _forged_args(bidder_id, rng=None):
     rng = rng or Random(99)
     return dict(bidder_id=bidder_id, data_addr=account("junk"),
-                msg_hash=rng.randbytes(32), v=27, r=rng.randbytes(32),
+                v=27, r=rng.randbytes(32),
                 s=rng.randbytes(32), sealed_half_a=b"half-a")
 
 
@@ -115,10 +115,12 @@ def test_full_track_limit_enforced(chain, to_keys):
 def test_full_track_malformed_certificate_is_a_protocol_error(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
     args = _bid_args(to_keys, "B1", rft)
-    args["r"] = args["r"][:-1]  # wrong length
     state_before = chain.export()["contracts"]
-    with pytest.raises(ledger_ops.Rejected, match=contracts.MALFORMED_CERTIFICATE):
-        ledger_ops.place_bid_full(chain, rft, sender, **args)
+    # r or s of the wrong length; v a float or a string that equals it
+    for edit in ({"r": args["r"][:-1]}, {"s": args["s"][:-1]},
+                 {"v": float(args["v"])}, {"v": str(args["v"])}):
+        with pytest.raises(ledger_ops.Rejected, match=contracts.MALFORMED_CERTIFICATE):
+            ledger_ops.place_bid_full(chain, rft, sender, **{**args, **edit})
     assert chain.export()["contracts"] == state_before
     assert chain.get_contract(rft).bids_placed == []
 
@@ -132,6 +134,46 @@ def test_full_track_records_carry_growing_snapshots(chain, to_keys):
         record = chain.get_contract(addr)
         assert record.prior_bids == tuple(placed)
         placed.append(addr)
+
+
+# --- the certificate hash the tender rebuilds -------------------------------------------
+
+
+def _replayed(chain):
+    """The auditor's replay of ``chain``'s export, which must agree with the ledger."""
+    replay = audit.replay_chain(chain.export())
+    assert replay.findings == []
+    return replay.state
+
+
+def test_a_bid_call_carries_no_hash_and_the_tender_rebuilds_it(chain, to_keys):
+    rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
+    v, r, s = secp256k1.sign_digest(to_keys.private_scalar, crypto.cert_message_hash("B1", rft))
+    call = {"op": "place_bid", "id": "B1", "data_addr": to_hex(account("data")),
+            "v": v, "r": to_hex(r), "s": to_hex(s), "sealed_half_a": to_hex(b"half-a")}
+    addr = ledger_ops.run_single(chain, sender, rft, call).created_address
+    assert chain.get_contract(addr).validity is True
+    assert _replayed(chain)[addr].validity is True
+
+
+@pytest.mark.parametrize("scheme", contracts.SCHEMES)
+def test_a_valid_certificate_under_another_id_or_for_another_tender_is_refused(
+        chain, to_keys, scheme):
+    rft, sender = make_tender(chain, to_keys, scheme)
+    other_rft, _ = make_tender(chain, to_keys, scheme)
+    b1 = _bid_args(to_keys, "B1", rft)
+    # B1's certificate presented by B2, and B1's certificate for the other tender
+    for args in ({**b1, "bidder_id": "B2"}, _bid_args(to_keys, "B1", other_rft)):
+        call = contracts.place_bid_call(**args)
+        if scheme == contracts.SCHEME_PROTECTED:
+            with pytest.raises(ledger_ops.Rejected, match=contracts.CERTIFICATE_REJECTED):
+                ledger_ops.run_single(chain, sender, rft, call)
+            continue
+        addr = ledger_ops.run_single(chain, sender, rft, call).created_address
+        assert chain.get_contract(addr).validity is False
+        assert _replayed(chain)[addr].validity is False
+    assert chain.get_contract(rft).bid_count == {}
+    assert _replayed(chain)[rft].bid_count == {}
 
 
 # --- protected state ------------------------------------------------------------------

@@ -24,36 +24,39 @@ def cert(to_keys):
 
 
 def test_certificate_round_trip(to_keys, cert):
-    assert curve.well_formed(cert.msg_hash, cert.v, cert.r, cert.s)
-    assert crypto.certificate_matches(to_keys.public_key, "B1", RFT_A,
-                                      cert.msg_hash, cert.v, cert.r, cert.s)
+    assert curve.well_formed(cert.v, cert.r, cert.s)
+    assert crypto.certificate_matches(to_keys.public_key, "B1", RFT_A, cert.v, cert.r, cert.s)
 
 
 def test_certificate_bound_to_one_tender(to_keys, cert):
     assert not crypto.certificate_matches(to_keys.public_key, "B1", RFT_B,
-                                          cert.msg_hash, cert.v, cert.r, cert.s)
+                                          cert.v, cert.r, cert.s)
 
 
 def test_certificate_bit_flip_fails(to_keys, cert):
     r = bytearray(cert.r)
     r[7] ^= 1
     assert not crypto.certificate_matches(to_keys.public_key, "B1", RFT_A,
-                                          cert.msg_hash, cert.v, bytes(r), cert.s)
+                                          cert.v, bytes(r), cert.s)
 
 
 def test_certificate_from_other_keypair_fails(to_keys, rng):
     other = crypto.generate_keypair(rng)
     stranger = crypto.issue_certificate(other.private_key, "B1", RFT_A)
     assert not crypto.certificate_matches(to_keys.public_key, "B1", RFT_A,
-                                          stranger.msg_hash, stranger.v, stranger.r, stranger.s)
+                                          stranger.v, stranger.r, stranger.s)
 
 
 def test_malformed_components_are_not_well_formed(cert):
     # the shape rule place_bid applies before any signature check
-    assert not curve.well_formed(cert.msg_hash, cert.v, cert.r[:-1], cert.s)
-    assert not curve.well_formed(cert.msg_hash, cert.v, cert.r, cert.s[:-1])
-    assert not curve.well_formed(cert.msg_hash[:-2], cert.v, cert.r, cert.s)
-    assert not curve.well_formed(cert.msg_hash, 99, cert.r, cert.s)
+    assert not curve.well_formed(cert.v, cert.r[:-1], cert.s)
+    assert not curve.well_formed(cert.v, cert.r, cert.s[:-1])
+    assert not curve.well_formed(99, cert.r, cert.s)
+    # v must be the int itself, not a value that equals it
+    assert not curve.well_formed(float(cert.v), cert.r, cert.s)
+    assert not curve.well_formed(True, cert.r, cert.s)
+    # the digest is no component: recovery refuses one of the wrong length itself
+    assert curve.recover_public_key(bytes(31), cert.v, cert.r, cert.s) is None
 
 
 def test_unforgeability_over_random_keypairs(to_keys):
@@ -65,7 +68,7 @@ def test_unforgeability_over_random_keypairs(to_keys):
         other = crypto.generate_keypair(rng)
         forged = crypto.issue_certificate(other.private_key, f"B{i}", RFT_A)
         if crypto.certificate_matches(to_keys.public_key, f"B{i}", RFT_A,
-                                      forged.msg_hash, forged.v, forged.r, forged.s):
+                                      forged.v, forged.r, forged.s):
             accepts += 1
     assert accepts == 0
 

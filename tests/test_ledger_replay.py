@@ -2,9 +2,10 @@
 
 A Hypothesis state machine seeds one to three valid tenders under the
 organisation's key, then submits any mix of data deployments, tender
-deployments with good or bad parameters, bids whose certificate is valid,
-bound to another tender, random or junk, key reveals, publications with a
-result object or without one and by the organisation or a stranger,
+deployments with good or bad parameters (a float, bool or string where an
+int goes among them), bids whose certificate is valid, issued for another
+tender or another bidder id, random or junk, key reveals, publications with
+a result object or without one and by the organisation or a stranger,
 ``set_field`` and unknown calls, and raw payloads: bytes that are not UTF-8,
 JSON that is not a call, and calls holding lone surrogates. Blocks come 1 ms,
 5 s or past a deadline apart. After the last block, every contract the replay
@@ -99,7 +100,8 @@ class LedgerAgainstReplay(RuleBasedStateMachine):
         self.data.append(self._call(sender, None, call))
 
     @rule(sender=st.sampled_from(SENDERS), scheme=SCHEMES | st.just("BOGUS"),
-          length_ms=st.sampled_from([-1, 0, 1, 600_000]), limit=st.integers(0, 2),
+          length_ms=st.sampled_from([-1, 0, 1, 600_000, 600_000.0, "600000"]),
+          limit=st.integers(0, 2) | st.sampled_from([True, 2.0]),
           own_key=st.booleans())
     def deploy_tender(self, sender, scheme, length_ms, limit, own_key):
         pubk = ORG_KEYS.public_key if own_key else b"\x01" * 63
@@ -107,19 +109,20 @@ class LedgerAgainstReplay(RuleBasedStateMachine):
         self.tenders.append(self._call(sender, None, call))
 
     @rule(data=st.data(), sender=st.sampled_from(SENDERS), bidder_id=BIDDER_IDS,
-          certificate=st.sampled_from(["valid", "other-tender", "random", "junk"]))
+          certificate=st.sampled_from(["valid", "other-tender", "other-id", "random", "junk"]))
     def place_bid(self, data, sender, bidder_id, certificate):
         rft = self._any(data, self.tenders)
-        if certificate in ("valid", "other-tender"):
-            bound = rft if certificate == "valid" else self._any(data, self.tenders)
-            cert = crypto.issue_certificate(ORG_KEYS.private_key, bidder_id, bound)
-            msg_hash, v, r, s = cert.msg_hash, cert.v, cert.r, cert.s
-        else:
+        if certificate == "random":
             rng = Random(data.draw(st.integers(0, 2**32)))
-            msg_hash, v, r, s = (rng.randbytes(32), 27 + rng.randrange(2),
-                                 rng.randbytes(32), rng.randbytes(32))
-        call = contracts.place_bid_call(bidder_id, self._any(data, self.data), msg_hash, v,
-                                        r, s, data.draw(st.binary(max_size=8)))
+            v, r, s = 27 + rng.randrange(2), rng.randbytes(32), rng.randbytes(32)
+        else:  # the organisation's signature, maybe for another tender or another id
+            bound = rft if certificate != "other-tender" else self._any(data, self.tenders)
+            holder = bidder_id if certificate != "other-id" else \
+                data.draw(BIDDER_IDS.filter(lambda other: other != bidder_id))
+            cert = crypto.issue_certificate(ORG_KEYS.private_key, holder, bound)
+            v, r, s = cert.v, cert.r, cert.s
+        call = contracts.place_bid_call(bidder_id, self._any(data, self.data), v, r, s,
+                                        data.draw(st.binary(max_size=8)))
         if certificate == "junk":
             call[data.draw(st.sampled_from(["v", "r", "id", "data_addr"]))] = \
                 data.draw(json_values)

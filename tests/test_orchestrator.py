@@ -142,13 +142,13 @@ def test_register_bidder_and_domain_binding():
     bidder = orch.register_bidder("B1")
     cert = bidder.certificate
     assert crypto.certificate_matches(orch.to.keys.public_key, "B1", rft,
-                                      cert.msg_hash, cert.v, cert.r, cert.s)
+                                      cert.v, cert.r, cert.s)
     again = orch.register_bidder("B1")  # re-registration is allowed
     assert again is bidder
 
     chain2, orch2, rft2, _ = _make_orch(seed=4)
     assert not crypto.certificate_matches(orch.to.keys.public_key, "B1", rft2,
-                                          cert.msg_hash, cert.v, cert.r, cert.s)
+                                          cert.v, cert.r, cert.s)
 
 
 def test_submit_sealed_bid_produces_valid_record():
@@ -346,8 +346,8 @@ def _tender_with_a_bid_naming_itself():
                                                          "delivery_days": 5.0}))
     cert = b2.certificate
     sealed = crypto.seal_bid_key(bytes(32), orch.to.keys.public_key, Random(2))
-    addr = ledger_ops.place_bid_full(chain, rft, b2.address, "B2", rft, cert.msg_hash,
-                                     cert.v, cert.r, cert.s, sealed.half_a)
+    addr = ledger_ops.place_bid_full(chain, rft, b2.address, "B2", rft, cert.v, cert.r,
+                                     cert.s, sealed.half_a)
     orch.deliver_key_half("B1", s1)
     orch.deliver_key_half("B2", SimpleNamespace(record_address=addr, sealed=sealed))
     return chain, orch, rft, s1.record_address, addr

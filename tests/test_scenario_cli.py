@@ -422,17 +422,17 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/8", '
+_FORMAT = b'{"format": "tendersim-chain/9", '
 
 
 def _as_format_6(export: dict) -> None:
-    """Re-spell the top level of a tendersim-chain/8 export as /6 wrote it: with
+    """Re-spell the top level of a tendersim-chain/9 export as /6 wrote it: with
     its data limit."""
     export.update(format="tendersim-chain/6", max_data_bits=5000)
 
 
 def _as_format_5(export: dict) -> None:
-    """Re-spell a tendersim-chain/8 export as /5 wrote it: as /6 did, and with
+    """Re-spell a tendersim-chain/9 export as /5 wrote it: as /6 did, and with
     each block's parent hash, each transaction's gas price, bid records whole."""
     _as_format_6(export)
     export["format"] = "tendersim-chain/5"
@@ -482,9 +482,12 @@ def _as_format_5(export: dict) -> None:
     pytest.param(lambda e: e.update(format="tendersim-chain/4"), id="format-4"),
     pytest.param(_as_format_5, id="format-5"),
     pytest.param(_as_format_6, id="format-6"),
-    # /7 published tender-result/1 results, in which /8 would find no bid
+    # /7 published tender-result/1 results, in which /9 would find no bid
     pytest.param(lambda e: e.update(format="tendersim-chain/7"), id="format-7"),
-    # a field an earlier format wrote, which /8 leaves out
+    # /8 bids carried a msg_hash, which /9 rebuilds: a malformed one would replay
+    # to another receipt
+    pytest.param(lambda e: e.update(format="tendersim-chain/8"), id="format-8"),
+    # a field an earlier format wrote, which /9 leaves out
     pytest.param(lambda e: e["blocks"][1].update(parent_hash=e["blocks"][0]["block_hash"]),
                  id="block-carries-parent-hash"),
     pytest.param(lambda e: _first_tx(e).update(gas_price=1), id="tx-carries-gas-price"),
@@ -538,11 +541,14 @@ def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
 
 def test_audit_command_names_the_format_it_refuses(tmp_path, capsys):
     export = copy.deepcopy(_full_track_10_export())
-    export["format"] = "tendersim-chain/7"
     path = tmp_path / "chain.json"
-    path.write_bytes(canonical_json_bytes(export))
-    assert main(["audit", str(path)]) == 2
-    assert "format 'tendersim-chain/7', not tendersim-chain/8" in capsys.readouterr().err
+    for earlier in ("tendersim-chain/7", "tendersim-chain/8"):
+        export["format"] = earlier
+        path.write_bytes(canonical_json_bytes(export))
+        assert main(["audit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[MALFORMED_EXPORT]")
+        assert f"format '{earlier}', not tendersim-chain/9" in err
 
 
 def test_audit_command_replays_a_call_holding_a_lone_surrogate(tmp_path, capsys):
