@@ -2,9 +2,12 @@
 
     python scripts/mutate_audit.py src/tendersim/audit.py [--only disclose,linked] [--jobs 2]
 
-Four kinds of mutant, one change each: an ``if``/``while`` test negated, an
-``if`` filter of a comprehension negated alone, a returned comparison
-negated, and a statement that appends a finding replaced by ``None``.
+Six kinds of mutant, one change each: the test of an ``if``, a ``while`` or a
+conditional expression negated, an ``if`` filter of a comprehension negated
+alone, a returned comparison negated, a statement that appends a finding
+replaced by ``None``, one operand of an ``and``/``or`` dropped, and the first
+operator of a comparison moved across its boundary (``<`` with ``<=``, ``>``
+with ``>=``).
 ``--only`` keeps the mutants inside the named functions. Each mutant runs
 ``pytest -x`` over ``tests/``, fast modules first, in a copy of the tree; it
 is killed when a test fails or the run takes over 10 minutes.
@@ -26,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "tests/test_audit.py", "tests/test_contracts.py", "tests/test_chain.py", "tests"]
+BOUNDARY_SHIFTS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 
 
 def candidates(tree: ast.AST, only: set[str]):
@@ -40,13 +44,18 @@ def candidates(tree: ast.AST, only: set[str]):
     for node in ast.walk(tree):
         if only and scope(node) not in only:
             continue
-        if isinstance(node, (ast.If, ast.While)):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp)):
             yield node, "negate test"
         elif isinstance(node, ast.comprehension):
             for test in node.ifs:
                 yield test, "negate filter"
         elif isinstance(node, ast.Return) and isinstance(node.value, ast.Compare):
             yield node, "negate returned comparison"
+        elif isinstance(node, ast.BoolOp):
+            for operand in node.values:
+                yield operand, "drop operand"
+        elif isinstance(node, ast.Compare) and type(node.ops[0]) in BOUNDARY_SHIFTS:
+            yield node, "shift boundary"
         elif (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
               and isinstance(node.value.func, ast.Attribute)
               and node.value.func.attr in ("append", "extend")
@@ -67,6 +76,12 @@ def mutant(source: str, index: int, only: set[str]) -> tuple[int, str, str]:
         comp.ifs = [ast.UnaryOp(ast.Not(), t) if t is node else t for t in comp.ifs]
     elif kind == "negate returned comparison":
         node.value = ast.UnaryOp(ast.Not(), node.value)
+    elif kind == "drop operand":
+        op = next(b for b in ast.walk(tree) if isinstance(b, ast.BoolOp)
+                  and any(value is node for value in b.values))
+        op.values = [value for value in op.values if value is not node]
+    elif kind == "shift boundary":
+        node.ops[0] = BOUNDARY_SHIFTS[type(node.ops[0])]()
     else:
         node.value = ast.Constant(None)
     return node.lineno, kind, ast.unparse(ast.fix_missing_locations(tree))

@@ -12,10 +12,10 @@ One diff (``_differing``) then compares every disclosed transaction with its
 re-derived one, and every disclosed contract with the snapshot of its
 re-derived twin, key by key; the bid array is also checked against the array
 snapshots embedded in each bid record, which is what makes a silently erased
-entry provable. Each published bid key must decrypt its on-ledger ciphertext.
-The winner is recomputed by opening and grading each bid through
-``orchestrator.open_bid``, the rule the organisation's evaluation uses, and
-compared with the published one.
+entry provable. The published results are re-derived with the writer of the
+organisation's evaluation too: each bid opened and graded with its published
+key by ``orchestrator.open_bid``, the result written by
+``orchestrator.tender_result``, then diffed with the published one.
 
 Tenders are found from the deployments the replay accepts, never from the
 ``kind`` labels of the disclosed state. Every finding and gas row is filed
@@ -53,7 +53,13 @@ from .chain import (
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
 from .encoding import from_hex, from_text, same_json, to_hex
 from .errors import MalformedAddress, MalformedExport, NoSuchContract, ResultsNotPublished
-from .orchestrator import STATUS_MALFORMED, STATUS_SCORED, TenderSpec, open_bid, pick_winner
+from .orchestrator import (
+    STATUS_MALFORMED,
+    STATUS_UNREVEALED,
+    TenderSpec,
+    open_bid,
+    tender_result,
+)
 
 PASS = "PASS"
 PARTIAL = "PARTIAL"
@@ -82,7 +88,7 @@ class AuditReport:
     requirements: dict[str, dict]
 
     def ok(self) -> bool:
-        return self.winner_match and not self.violations
+        return not self.violations
 
     def one_line(self) -> str:
         reqs = " ".join(f"{tag}={self.requirements[tag]['verdict']}"
@@ -377,10 +383,9 @@ def replay_chain(export) -> ChainReplay:
         status_tag = "R1" if op in contracts.OUTCOME_FIXING_OPS else "R3"
         rederived = transaction_json(tx, outcome)
         replay.findings.extend((at, Violation(
-            _RECEIPT_TAGS.get(key, status_tag), height,
-            f"transaction {rederived['tx_hash']} field {key} is "
-            f"{json.dumps(tx.receipt[key]) if key in tx.receipt else 'absent'} but the replay "
-            f"gives {json.dumps(rederived[key])}")) for key in _differing(rederived, tx.receipt))
+            _RECEIPT_TAGS.get(key, status_tag), height, f"transaction {rederived['tx_hash']} "
+            f"field {key} {_mismatch(rederived, tx.receipt, key)}"))
+            for key in _differing(rederived, tx.receipt))
         replay.gas_trace.append((at, tx.receipt.get("kind") or "unknown",
                                  tx.receipt.get("gas_used")))
     replay.owners = _owners(replay)
@@ -398,6 +403,14 @@ def _differing(expected: dict, disclosed: dict) -> list[str]:
     """The keys at which ``disclosed`` is not ``expected``, the expected keys first."""
     return [key for key in [*expected, *(k for k in disclosed if k not in expected)]
             if not same_json(expected.get(key, _ABSENT), disclosed.get(key, _ABSENT))]
+
+
+def _mismatch(expected: dict, disclosed: dict, key: str) -> str:
+    """"is X but the replay gives Y": the values of ``key`` in ``disclosed`` and
+    ``expected``, each as JSON with sorted keys, or "absent"."""
+    spelled = [json.dumps(obj[key], sort_keys=True) if key in obj else "absent"
+               for obj in (disclosed, expected)]
+    return "is {} but the replay gives {}".format(*spelled)
 
 
 # --- disclosed state --------------------------------------------------------------------
@@ -497,87 +510,69 @@ def _snapshot_erasure_check(replay: ChainReplay, addr: bytes,
             for record, height, _ in tender.bids if len(record.prior_bids) >= agree]
 
 
-# --- result re-evaluation -----------------------------------------------------------
+# --- result re-derivation -----------------------------------------------------------
 
-def _recompute_outcome(replay: ChainReplay, tender: _Tender, result: dict):
-    """(winner address, winner id, findings) of re-grading every bid the tender
-    created against the published ``tender-result/2`` entry for it: each valid
-    bid needs an entry; a scored one a ``bid_key`` and ``half_b``, the second
-    half of its sealed key (the first is the record's ``sealed_half_a``), whose
-    ``bid_key`` must open the disclosed ciphertext through ``open_bid`` to the
-    published ``status`` and ``score``. The winner is picked from the recomputed
-    scores."""
-    violations: list[Violation] = []
-    criteria = None
+def _rederive_result(replay: ChainReplay, tender: _Tender, result: dict):
+    """(the result the replay gives, findings) for the published ``result``.
+
+    Each valid bid's entry is re-derived, the result written by
+    ``tender_result``, the organisation's writer, and diffed with ``_differing``
+    against the published one, one level into ``bids``, the winner keys aside
+    for the winner check. An entry with a ``bid_key`` re-derives to ``open_bid``
+    with that key; one without keeps its published status only where the
+    auditor, who cannot unseal, cannot disprove it: MALFORMED_CIPHERTEXT, or
+    UNREVEALED for a bid whose half no reveal put on the ledger in a block
+    before the publication; else it re-derives to UNREVEALED, or
+    MALFORMED_CIPHERTEXT once the half is on the ledger. A valid bid with no
+    entry is NONRECEIPT, a key that fails to open its bid UNDECRYPTABLE_BID,
+    any other difference R3."""
     data = replay.state.get(tender.contract.tender_data_addr)
-    if isinstance(data, TenderDataContract):
-        try:
-            _, _, criteria = TenderSpec.parse_data_blob(data.data)
-        except ValueError:
-            criteria = None
-    if criteria is None:
-        violations.append(Violation("R1", tender.height,
-                                    "tender data holds no usable evaluation criteria"))
-        return None, None, violations
+    try:  # only a data contract holds bytes
+        _, _, criteria = TenderSpec.parse_data_blob(getattr(data, "data", b""))
+    except ValueError:
+        return {}, [Violation("R1", tender.height,
+                              "tender data holds no usable evaluation criteria")]
 
-    published = result.get("bids", {})
-    if not isinstance(published, dict):  # then it lists no bid, and each is missing
-        violations.append(Violation("R3", tender.published[0],
-                                    "published results field bids is not an object"))
-        published = {}
-    recomputed_scores: dict[bytes, float] = {}
+    published_height = tender.published[0]
+    published = result.get("bids")
+    entries = published if isinstance(published, dict) else {}
+    revealed = {r["bid_addr"] for r in tender.contract.reveals
+                if r["height"] < published_height}
+    violations: list[Violation] = []
+    bids: dict[bytes, dict] = {}
     for record, height, _ in tender.bids:
-        addr = to_hex(record.address)
-        entry = published.get(addr, _ABSENT)
-        if entry is _ABSENT:
-            if record.validity:
-                violations.append(Violation("NONRECEIPT", height,
-                                            f"valid bid {addr} is absent from the disclosed "
-                                            f"evaluation"))
-            continue
-        if not isinstance(entry, dict):
-            violations.append(Violation("R3", height,
-                                        f"published entry for {addr} is malformed"))
-            continue
-        scored = entry.get("status") == STATUS_SCORED
         if not record.validity:
-            if scored:
-                violations.append(Violation("R3", height,
-                                            f"invalid bid {addr} was scored by the "
-                                            f"published evaluation"))
             continue
-        if "bid_key" not in entry and "half_b" not in entry:
-            if scored:
-                violations.append(Violation("R3", height,
-                                            f"bid {addr} scored without a published key"))
+        addr = to_hex(record.address)
+        if addr not in entries:
+            violations.append(Violation("NONRECEIPT", height, f"valid bid {addr} is absent "
+                                                              f"from the disclosed evaluation"))
             continue
+        entry = entries[addr] if isinstance(entries[addr], dict) else {}
         try:
-            bid_key = from_hex(entry["bid_key"])
-            from_hex(entry["half_b"])  # the sealed key's second half; the first is on-ledger
-        except (KeyError, ValueError):
-            violations.append(Violation("R3", height,
-                                        f"published entry for {addr} is malformed"))
+            bid_key = from_hex(entry.get("bid_key"))
+        except ValueError:
+            keyless = STATUS_MALFORMED if addr in revealed else STATUS_UNREVEALED
+            status = entry.get("status")
+            bids[record.address] = {"status": status if status in (STATUS_MALFORMED, keyless)
+                                    else keyless}
             continue
-        status, score = open_bid(criteria, record.bidder_id,
-                                 _disclosed_data(replay, record.data_addr), bid_key)
-        if status == STATUS_MALFORMED:
+        bids[record.address] = open_bid(criteria, record.bidder_id,
+                                        _disclosed_data(replay, record.data_addr), bid_key)
+        if bids[record.address]["status"] == STATUS_MALFORMED:
             violations.append(Violation("UNDECRYPTABLE_BID", height,
                                         f"published key fails to decrypt bid {addr}"))
-        elif entry.get("status") != status:
-            violations.append(Violation("R3", height, f"published status for {addr} "
-                                                      f"differs from recomputation"))
-        if score is None:
-            continue
-        recomputed_scores[record.address] = score
-        if not same_json(entry.get("score"), score):
-            violations.append(Violation("R3", height,
-                                        f"published score for {addr} differs from "
-                                        f"recomputation"))
 
-    winner_addr = pick_winner(recomputed_scores)
-    if winner_addr is None:
-        return None, None, violations
-    return to_hex(winner_addr), replay.state[winner_addr].bidder_id, violations
+    expected = tender_result(bids, lambda a: replay.state[a].bidder_id).to_dict()
+    for key in _differing(expected, result):
+        if key not in ("winner_id", "winner_bid_address") and \
+                not (key == "bids" and isinstance(published, dict)):
+            violations.append(Violation("R3", published_height, f"published results field "
+                                        f"{key} {_mismatch(expected, result, key)}"))
+    violations.extend(Violation("R3", published_height, f"published results field "
+                                f"bids.{addr} {_mismatch(expected['bids'], entries, addr)}")
+                      for addr in _differing(expected["bids"], entries))
+    return expected, violations
 
 
 def _disclosed_data(replay: ChainReplay, addr: bytes) -> bytes:
@@ -608,7 +603,9 @@ def _grade_requirements(tender: _Tender, violations: list[Violation]) -> dict[st
                                        "deployment and publication transactions",
                          "post-deployment mutation detected")}
 
-    early = [r for r in rft.reveals if r["timestamp"] < rft.bidding_end]
+    records = {to_hex(record.address) for record, _, _ in tender.bids}
+    early = [r for r in rft.reveals
+             if r["timestamp"] < rft.bidding_end and r["bid_addr"] in records]
     if early:
         r2_evidence = (f"{len(early)} key half(s) revealed on-ledger before the deadline; "
                        f"early sharing is not prevented by the scheme")
@@ -643,7 +640,9 @@ def _grade_requirements(tender: _Tender, violations: list[Violation]) -> dict[st
         reqs["R5"] = {"verdict": PARTIAL, "evidence": r5_evidence}
 
     reqs["R6"] = graded("R6" in tags,
-                        "hash chain intact and block timestamps strictly increasing",
+                        "hash chain intact, block timestamps strictly increasing, every "
+                        "nonce in its sender's sequence, no contract created at an occupied "
+                        "address, and every receipt's hash, kind and gas re-derived",
                         "ledger structure or timing rule breached")
     return reqs
 
@@ -689,9 +688,10 @@ def replay_and_audit(source, rft_address) -> AuditReport:
     violations.extend(_snapshot_erasure_check(replay, addr, tender))
 
     result = rft.results
-    recomputed_addr, recomputed_winner, outcome_violations = \
-        _recompute_outcome(replay, tender, result)
-    violations.extend(outcome_violations)
+    expected, result_violations = _rederive_result(replay, tender, result)
+    violations.extend(result_violations)
+    recomputed_winner = expected.get("winner_id")
+    recomputed_addr = expected.get("winner_bid_address")
 
     published_winner = result.get("winner_id")
     published_addr = result.get("winner_bid_address")

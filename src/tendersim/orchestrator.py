@@ -172,10 +172,9 @@ class TenderSpec:
 @dataclass
 class TenderResult:
     """The outcome the organisation publishes: the winner, and one entry per valid
-    bid, address -> {"status", "score"?, "bid_key"?, "half_b"?}. ``score`` is there
-    for a scored bid; ``bid_key`` and ``half_b``, the withheld half of the
-    sealed key, for an opened one. The sealed key's first half is already on
-    the ledger, in the bid record, so it is not written again."""
+    bid, address -> {"status", "bid_key"?, "score"?}: ``bid_key`` for a bid whose
+    key was unsealed, ``score`` for a scored one. No key half is written: the first
+    is on the ledger, and only the organisation's key could check the second."""
 
     winner_id: str | None
     winner_bid_address: bytes | None
@@ -183,7 +182,7 @@ class TenderResult:
 
     def to_dict(self) -> dict:
         return {
-            "format": "tender-result/2",
+            "format": "tender-result/3",
             "winner_id": self.winner_id,
             "winner_bid_address": to_hex(self.winner_bid_address)
             if self.winner_bid_address else None,
@@ -194,29 +193,33 @@ class TenderResult:
 
 
 def open_bid(criteria: EvaluationCriteria, bidder_id: str, ciphertext: bytes,
-             bid_key: bytes) -> tuple[str, float | None]:
-    """(STATUS_MALFORMED, None) unless ``bid_key`` opens ``ciphertext`` into a
-    bid document of ``bidder_id``; then (STATUS_SCORED, score), or
-    (STATUS_INFEASIBLE, None) for a document that fails the criteria or whose
-    weighted sum overflows to a score that is not finite, which JSON cannot
+             bid_key: bytes) -> dict:
+    """The published entry of a bid whose key unsealed to ``bid_key``: status
+    STATUS_MALFORMED unless the key opens ``ciphertext`` into a bid document of
+    ``bidder_id``; then STATUS_SCORED with its score, or STATUS_INFEASIBLE for one
+    that fails the criteria or whose weighted sum is not finite, which JSON cannot
     hold. The evaluation and the audit both grade bids here."""
+    entry = {"status": STATUS_MALFORMED, "bid_key": bid_key}
     try:
         document = BidDocument.from_bytes(crypto.decrypt_bid(ciphertext, bid_key))
     except (AuthFailed, ValueError):
-        return STATUS_MALFORMED, None
+        return entry
     if document.bidder_id != bidder_id:
-        return STATUS_MALFORMED, None
+        return entry
     score = criteria.score(document.fields) if criteria.feasible(document.fields) else math.nan
     if not math.isfinite(score):
-        return STATUS_INFEASIBLE, None
-    return STATUS_SCORED, score
+        return {**entry, "status": STATUS_INFEASIBLE}
+    return {**entry, "status": STATUS_SCORED, "score": score}
 
 
-def pick_winner(scored: dict[bytes, float]) -> bytes | None:
-    """Highest score wins; exact ties go to the lowest bid-record address."""
-    if not scored:
-        return None
-    return min(scored, key=lambda a: (-scored[a], a))
+def tender_result(bids: dict[bytes, dict], bidder_id_of) -> TenderResult:
+    """The result of the entries ``bids``: the highest score wins, exact ties go
+    to the lowest bid-record address; ``bidder_id_of(address)`` names the
+    winner. The evaluation and the audit both write results here."""
+    scored = [a for a, entry in bids.items() if "score" in entry]
+    winner = min(scored, key=lambda a: (-bids[a]["score"], a), default=None)
+    return TenderResult(winner_id=None if winner is None else bidder_id_of(winner),
+                        winner_bid_address=winner, bids=bids)
 
 
 # --- actors -------------------------------------------------------------------
@@ -394,10 +397,11 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
     """Decrypt, score, and pick the winner over the recorded bids.
 
     Each valid bid gets an entry with its status; it stays out of the ranking
-    when it is unrevealed, fails decryption or is infeasible. An invalid bid
-    gets no entry: the auditor re-derives validity from the ledger. A
-    stateless tender's bids are ``known_bids``, the record addresses handed to
-    the organisation off-ledger; a tracked tender's are its own bid array.
+    when it is unrevealed, fails decryption or is infeasible. Its withheld half
+    is the one in ``revealed_halves``, else the last revealed on the ledger. An
+    invalid bid gets no entry: the auditor re-derives validity from the ledger.
+    A stateless tender's bids are ``known_bids``, the record addresses handed
+    to the organisation off-ledger; a tracked tender's are its own bid array.
     """
     rft = chain.get_contract(rft_address)
     now = chain.now()
@@ -412,12 +416,13 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
     _, _, criteria = TenderSpec.parse_data_blob(
         chain.get_contract(rft.tender_data_addr).data)
 
+    on_ledger = {from_hex(r["bid_addr"]): from_hex(r["half_b"]) for r in rft.reveals}
     bids: dict[bytes, dict] = {}
     for addr in addresses:
         record = chain.get_contract(addr)
         if not record.validity:
             continue
-        half_b = revealed_halves.get(addr)
+        half_b = revealed_halves.get(addr, on_ledger.get(addr))
         if half_b is None:
             bids[addr] = {"status": STATUS_UNREVEALED}
             continue
@@ -426,11 +431,5 @@ def evaluate_tender(chain: Chain, rft_address: bytes, to_private_key: bytes,
         except DecryptionFailed:
             bids[addr] = {"status": STATUS_MALFORMED}
             continue
-        status, score = open_bid(criteria, record.bidder_id, _ciphertext(chain, record), bid_key)
-        bids[addr] = {"status": status, "bid_key": bid_key, "half_b": half_b}
-        if score is not None:
-            bids[addr]["score"] = score
-
-    winner_addr = pick_winner({a: e["score"] for a, e in bids.items() if "score" in e})
-    winner_id = chain.get_contract(winner_addr).bidder_id if winner_addr else None
-    return TenderResult(winner_id=winner_id, winner_bid_address=winner_addr, bids=bids)
+        bids[addr] = open_bid(criteria, record.bidder_id, _ciphertext(chain, record), bid_key)
+    return tender_result(bids, lambda addr: chain.get_contract(addr).bidder_id)

@@ -27,7 +27,9 @@ from tendersim.errors import (
     TenderSimError,
 )
 from tendersim.orchestrator import (
+    STATUS_MALFORMED,
     STATUS_SCORED,
+    STATUS_UNREVEALED,
     BidDocument,
     EvaluationCriteria,
     TenderOrchestrator,
@@ -288,6 +290,12 @@ def _r6_findings(export, rft_hex) -> set[str]:
             if v.tag == "R6"}
 
 
+def test_two_blocks_with_one_timestamp_are_flagged():
+    export, rft_hex, _, _ = _honest_export()
+    chain_surgery.backdate_block(export, 3, export["blocks"][2]["timestamp"])
+    assert _r6_findings(export, rft_hex) == {"block timestamp not strictly increasing"}
+
+
 def test_block_hash_edited_without_re_mining_is_flagged():
     export, rft_hex, _, _ = _honest_export()
     head = export["blocks"][-1]
@@ -351,51 +359,69 @@ def _findings(export, rft_hex) -> set[tuple[str, str]]:
             for v in audit.replay_and_audit(export, rft_hex).violations}
 
 
+def _entry_finding(addr: str, published, replayed) -> tuple[str, str]:
+    """The R3 finding of a published entry that is not the re-derived one; an
+    export is canonical JSON, so the audit reads every object with sorted keys."""
+    return ("R3", f"published results field bids.{addr} is {json.dumps(published, sort_keys=True)}"
+                  f" but the replay gives {json.dumps(replayed, sort_keys=True)}")
+
+
 def test_invalid_bid_published_as_scored_is_flagged():
     def rig(result, spam):
         assert spam not in result.bids  # an invalid bid gets no entry
         result.bids[spam] = {"status": STATUS_SCORED}
     export, spam_hex, rft_hex = _run_with_one_spam_bid(rig)
-    assert ("R3", f"invalid bid {spam_hex} was scored by the published evaluation") \
-        in _findings(export, rft_hex)
+    assert ("R3", f'published results field bids.{spam_hex} is {{"status": "SCORED"}} but the '
+                  f'replay gives absent') in _findings(export, rft_hex)
 
 
-def _published_export(rig) -> tuple[dict, str, str]:
+def _published_export(rig, scheme="FULL_TRACK") -> tuple[dict, str, str, dict]:
     """An honest two-bid tender whose organisation edits the published
     results with ``rig(results, loser)`` before publishing them, where loser
-    is the losing bid's address: (export, tender address, loser)."""
-    chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    is the losing bid's address: (export, tender address, loser, the honest
+    results)."""
+    chain, rft, orch, subs = run_honest_tender(scheme, two_bid_docs(), publish=False)
     results = orch.close_and_evaluate().to_dict()
+    honest = copy.deepcopy(results)
     loser = to_hex(subs["B1"].record_address)
     assert results["winner_id"] == "B2" and results["bids"][loser]["status"] == STATUS_SCORED
     rig(results, loser)
     orch.publish_results(mock.Mock(to_dict=lambda: results))
-    return chain.export(), to_hex(rft), loser
+    return chain.export(), to_hex(rft), loser, honest
 
 
 def test_bid_scored_without_a_published_key_is_flagged():
-    def rig(results, loser):
-        del results["bids"][loser]["bid_key"], results["bids"][loser]["half_b"]
-    export, rft_hex, loser = _published_export(rig)
-    assert ("R3", f"bid {loser} scored without a published key") in _findings(export, rft_hex)
+    export, rft_hex, loser, honest = _published_export(
+        lambda results, loser: results["bids"][loser].pop("bid_key"))
+    entry = {**honest["bids"][loser]}
+    del entry["bid_key"]
+    assert _entry_finding(loser, entry, {"status": STATUS_UNREVEALED}) \
+        in _findings(export, rft_hex)
 
 
-# each dict is written over the loser's published entry; anything else replaces it
+# each dict is written over the loser's published entry; anything else replaces it. A
+# tender-result/2 entry's half_b is a key tender-result/3 does not have; any other edit
+# leaves the entry with no usable key, so the replay gives the keyless UNREVEALED
 @pytest.mark.parametrize("entry", [{"bid_key": "0xzz"}, {"half_b": "0x123"}, "0x00",
                                    {"half_b": 7}, {"bid_key": None}, [], None])
 def test_malformed_published_key_entry_is_flagged(entry):
     def rig(results, loser):
         bids = results["bids"]
         bids[loser] = {**bids[loser], **entry} if isinstance(entry, dict) else entry
-    export, rft_hex, loser = _published_export(rig)
-    assert ("R3", f"published entry for {loser} is malformed") in _findings(export, rft_hex)
+    export, rft_hex, loser, honest = _published_export(rig)
+    honest_entry = honest["bids"][loser]
+    published = {**honest_entry, **entry} if isinstance(entry, dict) else entry
+    keyed = isinstance(entry, dict) and "half_b" in entry
+    replayed = honest_entry if keyed else {"status": STATUS_UNREVEALED}
+    assert _entry_finding(loser, published, replayed) in _findings(export, rft_hex)
 
 
 @pytest.mark.parametrize("score", [math.nan, True, "x"])
 def test_published_score_of_another_type_is_flagged(score):
-    export, rft_hex, loser = _published_export(
+    export, rft_hex, loser, honest = _published_export(
         lambda results, loser: results["bids"][loser].update(score=score))
-    assert ("R3", f"published score for {loser} differs from recomputation") \
+    honest_entry = honest["bids"][loser]
+    assert _entry_finding(loser, {**honest_entry, "score": score}, honest_entry) \
         in _findings(export, rft_hex)
 
 
@@ -408,13 +434,121 @@ def test_bid_record_disclosing_an_unexpected_field_is_flagged():
 
 
 def test_published_score_that_keeps_the_winner_is_still_checked():
-    export, rft_hex, loser = _published_export(
+    export, rft_hex, loser, honest = _published_export(
         lambda results, loser: results["bids"][loser].update(
             score=results["bids"][loser]["score"] - 1))
     report = audit.replay_and_audit(export, rft_hex)
     assert report.winner_match
-    assert any(v.tag == "R3" and v.description == f"published score for {loser} differs "
-               f"from recomputation" for v in report.violations)
+    entry = honest["bids"][loser]
+    assert [(v.tag, v.description) for v in report.violations] == \
+        [_entry_finding(loser, {**entry, "score": entry["score"] - 1}, entry)]
+
+
+# Edits of honest results that audited PASS while the audit checked the published
+# results one field at a time: (edit, the findings it gives from the honest results)
+_RESULT_EDITS = {
+    "format": (lambda results: results.update(format="anything"), lambda honest: {
+        ("R3", 'published results field format is "anything" but the replay gives '
+               '"tender-result/3"')}),
+    "extra-key": (lambda results: results.update(note=1), lambda honest: {
+        ("R3", "published results field note is 1 but the replay gives absent")}),
+    "extra-key-in-every-entry": (
+        lambda results: [entry.update(note=1) for entry in results["bids"].values()],
+        lambda honest: {_entry_finding(addr, {**entry, "note": 1}, entry)
+                        for addr, entry in honest["bids"].items()}),
+    "entry-for-a-non-record": (
+        lambda results: results["bids"].update({to_hex(bytes(20)): {"status": "UNREVEALED"}}),
+        lambda honest: {("R3", f'published results field bids.{to_hex(bytes(20))} is '
+                               f'{{"status": "UNREVEALED"}} but the replay gives absent')}),
+    # tender-result/2 published the withheld key half, which no one but the
+    # organisation can check; /3 has no such field
+    "half-b-0x00": (
+        lambda results: [entry.update(half_b="0x00") for entry in results["bids"].values()],
+        lambda honest: {_entry_finding(addr, {**entry, "half_b": "0x00"}, entry)
+                        for addr, entry in honest["bids"].items()}),
+}
+
+
+@pytest.mark.parametrize("scheme", ["FULL_TRACK", "STATELESS"])
+@pytest.mark.parametrize("edit", list(_RESULT_EDITS))
+def test_an_edit_of_the_published_results_is_graded(scheme, edit):
+    rig, findings = _RESULT_EDITS[edit]
+    export, rft_hex, _, honest = _published_export(lambda results, loser: rig(results), scheme)
+    report = audit.replay_and_audit(export, rft_hex)
+    assert {(v.tag, v.description) for v in report.violations} == findings(honest)
+    assert report.winner_match and report.requirements["R3"]["verdict"] == "FAIL"
+
+
+@pytest.mark.parametrize("scheme", ["FULL_TRACK", "STATELESS"])
+def test_a_bid_revealed_on_the_ledger_cannot_be_published_unrevealed(scheme):
+    chain, rft, orch, subs = run_honest_tender(scheme, two_bid_docs(), publish=False)
+    orch.reveal_key_half_on_chain("B2", subs["B2"])  # the best bid, before the publication
+    result = orch.close_and_evaluate()
+    best = subs["B2"].record_address
+    result.bids[best] = {"status": STATUS_UNREVEALED}
+    result.winner_id, result.winner_bid_address = "B1", subs["B1"].record_address
+    orch.publish_results(result)
+    report = audit.replay_and_audit(chain.export(), rft)
+    assert report.winner_match  # the next bid does win once the best has no score
+    assert [(v.tag, v.description) for v in report.violations] == [_entry_finding(
+        to_hex(best), {"status": STATUS_UNREVEALED}, {"status": STATUS_MALFORMED})]
+
+
+@pytest.mark.parametrize("revealer, status", [("B2", STATUS_SCORED),
+                                               ("stranger", STATUS_MALFORMED)])
+def test_the_evaluation_reads_a_half_revealed_only_on_the_ledger(revealer, status):
+    # B2 hands nothing over off the ledger; its own half, or a stranger's junk
+    # one, is revealed on it, so the organisation cannot publish it UNREVEALED
+    chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    b2 = subs["B2"].record_address
+    del orch.to.received_halves[b2]
+    sender = orch.bidders["B2"].address if revealer == "B2" \
+        else chain.register_account(account("stranger"))
+    half = subs["B2"].sealed.half_b if revealer == "B2" else bytes(62)
+    ledger_ops.run_single(chain, sender, rft, contracts.reveal_call(b2, half))
+    result = orch.close_and_evaluate()
+    assert result.bids[b2]["status"] == status
+    orch.publish_results(result)
+    assert audit.replay_and_audit(chain.export(), rft).ok()
+
+
+def test_a_half_revealed_in_the_block_of_the_publication_came_too_late_for_it():
+    chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    del orch.to.received_halves[subs["B2"].record_address]
+    result = orch.close_and_evaluate()
+    assert result.bids[subs["B2"].record_address] == {"status": STATUS_UNREVEALED}
+    # B2 reveals while the publication is pending: both are mined in one block
+    call = contracts.reveal_call(subs["B2"].record_address, subs["B2"].sealed.half_b)
+    chain.submit_transaction(orch.bidders["B2"].address, rft, canonical_json_bytes(call))
+    orch.publish_results(result)
+    assert [tx.kind for tx in chain.head().transactions] == ["reveal_key_half",
+                                                             "publish_results"]
+    report = audit.replay_and_audit(chain.export(), rft)
+    assert report.ok() and report.recomputed_winner == "B1"
+
+
+def test_a_keyless_status_the_auditor_cannot_disprove_is_taken():
+    # B1 hands over a half that does not unseal, so the organisation publishes
+    # its bid keyless as MALFORMED_CIPHERTEXT; B2 never hands its half over
+    chain, rft, orch, subs = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    orch.to.received_halves[subs["B1"].record_address] = b"\x00" * 62
+    del orch.to.received_halves[subs["B2"].record_address]
+    result = orch.close_and_evaluate()
+    assert result.bids == {subs["B1"].record_address: {"status": STATUS_MALFORMED},
+                           subs["B2"].record_address: {"status": STATUS_UNREVEALED}}
+    orch.publish_results(result)
+    report = audit.replay_and_audit(chain.export(), rft)
+    assert report.ok() and report.recomputed_winner is None
+
+
+@pytest.mark.parametrize("wrong", ["winner_id", "winner_bid_address"])
+def test_a_published_winner_whose_id_and_address_name_different_bids_is_flagged(wrong):
+    export, rft_hex, loser, _ = _published_export(
+        lambda results, loser: results.update({wrong: {"winner_id": "B1",
+                                                       "winner_bid_address": loser}[wrong]}))
+    report = audit.replay_and_audit(export, rft_hex)
+    assert not report.winner_match
+    assert [v.tag for v in report.violations] == ["WINNER_MISMATCH"]
 
 
 def test_disclosed_tender_data_deleted_from_the_export_is_flagged():
@@ -473,6 +607,28 @@ def test_early_reveal_shows_in_r2_evidence():
     report = audit.replay_and_audit(chain.export(), rft)
     assert report.requirements["R2"]["verdict"] == "PARTIAL"
     assert "before the deadline" in report.requirements["R2"]["evidence"]
+    assert report.violations == []
+
+
+def test_r2_counts_only_reveals_of_the_tenders_bids_before_the_deadline():
+    chain = Chain(ChainConfig())
+    orch = TenderOrchestrator(chain, Random(71))
+    spec = TenderSpec(title="t", terms=b"x", criteria=price_criteria(),
+                      length_ms=600_000, limit=2, scheme="FULL_TRACK")
+    rft, _ = orch.open_tender(spec)
+    orch.register_bidder("B1")
+    sub = orch.submit_sealed_bid("B1", BidDocument("B1", {"price": 5.0}))
+    stranger = chain.register_account(account("stranger"))
+    end = chain.get_contract(rft).bidding_end
+    # the ledger logs a reveal whatever it names; this one names no bid record
+    ledger_ops.run_single(chain, stranger, rft, contracts.reveal_call(b"\x05" * 20, b"\x01"))
+    orch.reveal_key_half_on_chain("B1", sub, at=end)  # B1's own, at the deadline itself
+    assert [r["timestamp"] < end for r in chain.get_contract(rft).reveals] == [True, False]
+    chain.advance_to(end + 1)
+    orch.publish_results(orch.close_and_evaluate())
+    report = audit.replay_and_audit(chain.export(), rft)
+    assert report.requirements["R2"]["evidence"].startswith(
+        "key halves appeared at or after the deadline")
     assert report.violations == []
 
 
@@ -1094,25 +1250,33 @@ def test_expanded_export_lists_equal_the_ledger_records(name):
 
 
 # tender-result/1's statuses, scores and revealed_keys maps are now fields of each bid's
-# entry in tender-result/2: a list for the bids map, or for those fields, is graded R3
-_LISTED = {"bids": ([], "published results field bids is not an object"),
-           "statuses": (["status"], "published status for {} differs from recomputation"),
-           "scores": (["score"], "published score for {} differs from recomputation"),
-           "revealed_keys": (["bid_key", "half_b"], "published entry for {} is malformed")}
+# entry: a list for the bids map, or for those fields, is graded R3. A listed key leaves
+# its entry keyless, which the replay gives as UNREVEALED
+_LISTED = {"bids": [], "statuses": ["status"], "scores": ["score"], "revealed_keys": ["bid_key"]}
 
 
 @pytest.mark.parametrize("field", ["bids", "statuses", "revealed_keys", "scores"])
 def test_published_results_with_a_list_for_an_object_are_graded(field):
-    keys, finding = _LISTED[field]
+    keys = _LISTED[field]
 
     def rig(results, loser):
         entry = results["bids"][loser]
         entry.update({key: [entry[key]] for key in keys})
         if not keys:
             results["bids"] = list(results["bids"])
-    export, rft_hex, loser = _published_export(rig)
+    export, rft_hex, loser, honest = _published_export(rig)
     report = audit.replay_and_audit(export, rft_hex)
-    assert ("R3", finding.format(loser)) in {(v.tag, v.description) for v in report.violations}
+    found = {(v.tag, v.description) for v in report.violations}
+    entry = honest["bids"][loser]
+    if field == "bids":  # no entry is published, so each bid is a nonreceipt
+        assert ("R3", f"published results field bids is {json.dumps(sorted(honest['bids']))} "
+                      f"but the replay gives {{}}") in found
+        assert {v.description for v in report.violations if v.tag == "NONRECEIPT"} == {
+            f"valid bid {addr} is absent from the disclosed evaluation" for addr in honest["bids"]}
+    else:
+        listed = {**entry, **{key: [entry[key]] for key in keys}}
+        replayed = {"status": STATUS_UNREVEALED} if field == "revealed_keys" else entry
+        assert _entry_finding(loser, listed, replayed) in found
     assert report.requirements["R3"]["verdict"] == "FAIL"
 
 

@@ -45,6 +45,8 @@ def test_invalid_tender_params(chain, to_keys):
         ledger_ops.init_tender(chain, sender, 0, to_keys.public_key, 2, "FULL_TRACK")
     with pytest.raises(ledger_ops.Rejected, match=contracts.INVALID_TENDER_PARAMS):
         ledger_ops.init_tender(chain, sender, 1000, to_keys.public_key, 0, "FULL_TRACK")
+    with pytest.raises(ledger_ops.Rejected, match=contracts.INVALID_TENDER_PARAMS):
+        ledger_ops.init_tender(chain, sender, 1000, to_keys.public_key[:63], 2, "FULL_TRACK")
 
 
 def test_bidding_end_is_deploy_time_plus_length(chain, to_keys):
@@ -116,8 +118,9 @@ def test_full_track_malformed_certificate_is_a_protocol_error(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
     args = _bid_args(to_keys, "B1", rft)
     state_before = chain.export()["contracts"]
-    # r or s of the wrong length; v a float or a string that equals it
+    # r, s or the data address of the wrong length; v a float or a string that equals it
     for edit in ({"r": args["r"][:-1]}, {"s": args["s"][:-1]},
+                 {"data_addr": args["data_addr"][:-1]},
                  {"v": float(args["v"])}, {"v": str(args["v"])}):
         with pytest.raises(ledger_ops.Rejected, match=contracts.MALFORMED_CERTIFICATE):
             ledger_ops.place_bid_full(chain, rft, sender, **{**args, **edit})

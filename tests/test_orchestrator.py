@@ -389,19 +389,18 @@ def test_reveal_and_publish_return_the_hash_of_the_transaction_they_mined():
 
 
 def test_published_keys_decrypt_every_valid_bid():
-    # Each opened bid publishes only the withheld half of its sealed key: the
-    # record's on-ledger half and that half unseal to the published bid key.
+    # Each opened bid publishes its key and no key half: the record's on-ledger
+    # half and the half its bidder handed over unseal to the published bid key.
     for scheme in contracts.SCHEMES:
         chain, rft, orch, subs = run_honest_tender(scheme, two_bid_docs())
         published = chain.get_contract(rft).results
-        assert published["format"] == "tender-result/2"
+        assert published["format"] == "tender-result/3"
         for sub in subs.values():
             entry = published["bids"][to_hex(sub.record_address)]
-            assert sorted(entry) == ["bid_key", "half_b", "score", "status"], scheme
-            half_b, bid_key = from_hex(entry["half_b"]), from_hex(entry["bid_key"])
-            assert half_b == sub.sealed.half_b
+            assert sorted(entry) == ["bid_key", "score", "status"], scheme
+            bid_key = from_hex(entry["bid_key"])
             record = chain.get_contract(sub.record_address)
-            assert crypto.unseal_bid_key(record.sealed_half_a + half_b,
+            assert crypto.unseal_bid_key(record.sealed_half_a + sub.sealed.half_b,
                                          orch.to.keys.private_key) == bid_key, scheme
             ciphertext = chain.get_contract(sub.data_address).data
             plaintext = crypto.decrypt_bid(ciphertext, bid_key)
