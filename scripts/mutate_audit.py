@@ -28,7 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-          "tests/test_audit.py", "tests/test_contracts.py", "tests/test_chain.py", "tests"]
+          "tests/test_audit.py", "tests/test_contracts.py", "tests/test_chain.py",
+          "tests/test_scenario_cli.py", "tests"]
 BOUNDARY_SHIFTS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 
 

@@ -628,8 +628,8 @@ def _grade_requirements(tender: _Tender, violations: list[Violation]) -> dict[st
         reqs["R4"] = {"verdict": PARTIAL,
                       "evidence": "bid record addresses accumulate in the tender state "
                                   "before the deadline"}
-        spam = _spam_heights(tender)
-        if rft.scheme == contracts.SCHEME_FULL and spam:
+        spam = _spam_heights(tender)  # PROTECTED records no certificate failure
+        if spam:
             r5_evidence = (f"{len(spam)} certificate-invalid bid(s) were recorded and "
                            f"inflate every later bid's cost")
         elif rft.scheme == contracts.SCHEME_PROTECTED:

@@ -56,6 +56,9 @@ DATA_TOO_LARGE = "DATA_TOO_LARGE"
 IMMUTABLE_STATE = "IMMUTABLE_STATE"
 UNKNOWN_CONTRACT_CALL = "UNKNOWN_CONTRACT_CALL"
 UNAUTHORIZED_PUBLISHER = "UNAUTHORIZED_PUBLISHER"
+# A call nesting arrays and objects deeper than this, itself the first level, is a
+# MALFORMED_PAYLOAD: an honest publication nests 4.
+MAX_CALL_DEPTH = 32
 
 # scheme -> receipt kinds of its deployment, a recorded bid and a refused bid, then
 # the deployment's gas and a bid's base gas: a refused or stateless bid pays the base,
@@ -367,7 +370,22 @@ def decode_call(payload: bytes) -> dict | None:
             canonical_json_bytes(call)
     except (ValueError, RecursionError):  # ValueError covers UnicodeDecodeError and -EncodeError
         return None
-    return call if isinstance(call, dict) and "op" in call else None
+    if not isinstance(call, dict) or "op" not in call or _nests_deeper(call, MAX_CALL_DEPTH):
+        return None
+    return call
+
+
+def _nests_deeper(call: dict, limit: int) -> bool:
+    """Whether arrays and objects nest in ``call`` more than ``limit`` levels deep, the call
+    itself the first; counted a level at a time, since the export and the audit walk a
+    call's values by recursion."""
+    layer = [call]
+    for _ in range(limit):
+        values = [v for node in layer for v in (node.values() if isinstance(node, dict) else node)]
+        layer = [v for v in values if isinstance(v, (dict, list))]
+        if not layer:
+            return False
+    return True
 
 
 def malformed_payload(payload: bytes) -> ExecOutcome:

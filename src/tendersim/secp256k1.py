@@ -294,10 +294,9 @@ def prepare_public_key(public_key: bytes) -> FixedBase:
     return _build_table(point_from_bytes(public_key), 4)
 
 
-def scalar_mult(k: int, point=None):
-    """k * point in affine coordinates (generator when point is None)."""
-    k = k % N or N
-    return _to_affine(_mul_table(_G_TABLE, k) if point is None else _mul_var(k, point))
+def scalar_mult(k: int):
+    """k * G in affine coordinates."""
+    return _to_affine(_mul_table(_G_TABLE, k % N or N))
 
 
 def on_curve(pt) -> bool:

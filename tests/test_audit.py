@@ -479,6 +479,18 @@ def test_an_edit_of_the_published_results_is_graded(scheme, edit):
     assert report.winner_match and report.requirements["R3"]["verdict"] == "FAIL"
 
 
+def test_results_findings_stay_dated_to_the_publication_a_refused_one_follows():
+    chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    results = orch.close_and_evaluate().to_dict()
+    results["format"] = "anything"
+    orch.publish_results(mock.Mock(to_dict=lambda: results))
+    published = chain.head().height
+    with pytest.raises(ledger_ops.Rejected, match=RepublishForbidden.code):
+        ledger_ops.run_single(chain, orch.to.address, rft, contracts.publish_results_call({}))
+    report = audit.replay_and_audit(chain.export(), rft)
+    assert [(v.tag, v.height) for v in report.violations] == [("R3", published)]
+
+
 @pytest.mark.parametrize("scheme", ["FULL_TRACK", "STATELESS"])
 def test_a_bid_revealed_on_the_ledger_cannot_be_published_unrevealed(scheme):
     chain, rft, orch, subs = run_honest_tender(scheme, two_bid_docs(), publish=False)
@@ -557,6 +569,28 @@ def test_disclosed_tender_data_deleted_from_the_export_is_flagged():
     del export["contracts"][data_hex]
     assert ("R1", f"contract {data_hex} created on-ledger is missing from disclosed state") \
         in _findings(export, rft_hex)
+
+
+@pytest.mark.parametrize("scheme", contracts.SCHEMES)
+def test_the_tender_deleted_from_the_export_is_one_r1_finding(tmp_path, capsys, scheme):
+    # the erasure check then has no disclosed array to read, and must not read one
+    export, rft_hex, _, _ = _honest_export(scheme)
+    del export["contracts"][rft_hex]
+    code, lines = _audit_cli(tmp_path, capsys, export)
+    assert code == 1 and lines[0].startswith("AUDIT FAIL")
+    report = audit.replay_and_audit(export, rft_hex)
+    assert [(v.tag, v.height, v.description) for v in report.violations] == [
+        ("R1", 1, f"contract {rft_hex} created on-ledger is missing from disclosed state")]
+
+
+def test_a_disclosed_contract_nobody_created_is_dated_to_the_head_block():
+    export, rft_hex, _, _ = _honest_export()
+    ghost = to_hex(bytes(20))
+    export["contracts"][ghost] = {"kind": "tender_data", "data": "0x00"}
+    report = audit.replay_and_audit(export, rft_hex)
+    assert [(v.tag, v.height, v.description) for v in report.violations] == [
+        ("R6", export["blocks"][-1]["height"],
+         f"disclosed contract {ghost} was never created by any transaction")]
 
 
 def test_ciphertext_tamper_detected_via_published_key():
@@ -920,6 +954,46 @@ def test_tender_data_redeployed_under_a_reused_nonce_is_flagged(tmp_path, capsys
     assert {"R1", "R6", "WINNER_MISMATCH"} <= {v.tag for v in report.violations}
 
 
+# --- deep nesting ------------------------------------------------------------------------
+
+
+def _deep(depth: int) -> str:
+    return "[" * depth + "1" + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [500, 980])
+def test_a_publication_nested_past_the_bound_is_refused_and_the_chain_exports(
+        tmp_path, capsys, depth):
+    # the export and the audit walk a call's values by recursion: a publication
+    # nested this deep must be refused on the ledger, not raise in Chain.export
+    chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
+    result = orch.close_and_evaluate()
+    call = canonical_json_bytes(contracts.publish_results_call({**result.to_dict(), "note": 0}))
+    deep = call.replace(b'"note":0', b'"note":' + _deep(depth).encode())
+    chain.submit_transaction(orch.to.address, rft, deep)
+    assert chain.mine_block(chain.now()).transactions[-1].error == contracts.MALFORMED_PAYLOAD
+    orch.publish_results(result)
+    code, lines = _audit_cli(tmp_path, capsys, chain.export())
+    assert code == 0 and lines[0].startswith("AUDIT PASS")
+
+
+@pytest.mark.parametrize("depth", [500, 980])
+@pytest.mark.parametrize("field", ["status", "gas_used", "created_address"])
+def test_a_receipt_field_nested_deep_is_graded(full_track_10, tmp_path, capsys, field, depth):
+    export = copy.deepcopy(full_track_10[0])
+    export["blocks"][2]["transactions"][0][field] = "deep"
+    path = tmp_path / "chain.json"
+    path.write_text(canonical_json(export).replace('"deep"', _deep(depth)), encoding="utf-8")
+    code = main(["audit", str(path)])
+    out = capsys.readouterr()
+    # graded, or refused where the parse meets Python's recursion limit first (the
+    # caller's stack decides which at 980); never a traceback
+    if code == 1:
+        assert out.err == "" and out.out.startswith("AUDIT FAIL")
+    else:
+        assert code == 2 and out.err.startswith("error[MALFORMED_EXPORT]: ")
+
+
 @pytest.fixture(scope="module")
 def full_track_10():
     outcome = run_scenario(SCENARIO_DIR / "full_track_10_bids.json")
@@ -962,6 +1036,17 @@ def test_changed_receipt_kind_is_flagged(full_track_10):
     tx["kind"] = "bid_stateless"
     report = audit.replay_and_audit(export, rft_hex)
     assert any(v.tag == "R6" and tx["tx_hash"] in v.description for v in report.violations)
+
+
+def test_a_receipt_with_no_kind_is_graded_and_traced_as_unknown(full_track_10):
+    export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
+    bids = [tx for block in export["blocks"] for tx in block["transactions"]
+            if tx["kind"] == "bid_full"]
+    del bids[0]["kind"]
+    report = audit.replay_and_audit(export, rft_hex)
+    assert any(v.tag == "R6" and bids[0]["tx_hash"] in v.description for v in report.violations)
+    kinds = [kind for kind, _ in report.gas_trace]
+    assert kinds.count("unknown") == 1 and kinds.count("bid_full") == len(bids) - 1
 
 
 # --- parsing an export: one str per repeated key ------------------------------------------

@@ -316,3 +316,25 @@ def test_bid_array_is_append_only_across_blocks(chain, to_keys):
     for earlier, later in zip(snapshots, snapshots[1:]):
         assert later[:len(earlier)] == earlier
         assert len(later) == len(earlier) + 1
+
+
+# --- call nesting --------------------------------------------------------------------------
+
+
+def _publication_nested(depth: int) -> bytes:
+    """A ``publish_results`` call nesting arrays and objects ``depth`` levels deep,
+    counting the call itself, its result and the innermost ``{}``."""
+    lists = depth - 3
+    return (b'{"op":"publish_results","result":{"note":' + b"[" * lists + b"{}"
+            + b"]" * lists + b"}}")
+
+
+@pytest.mark.parametrize("depth, error", [(32, None), (33, contracts.MALFORMED_PAYLOAD)])
+def test_a_call_nests_at_most_32_levels(chain, to_keys, depth, error):
+    rft, owner = make_tender(chain, to_keys, "FULL_TRACK")
+    chain.advance_to(chain.get_contract(rft).bidding_end + 1)
+    chain.submit_transaction(owner, rft, _publication_nested(depth))
+    tx = chain.mine_block(chain.now()).transactions[-1]
+    assert tx.error == error
+    assert (contracts.decode_call(_publication_nested(depth)) is None) == (error is not None)
+    _replayed(chain)

@@ -239,6 +239,13 @@ def _late_bid(doc, **extra):
                  id="audit-pass-an-int"),
     # run writes all four reports: a list of them is not read
     pytest.param(lambda d: d.update(reports="summary"), "$.reports", id="reports-not-a-list"),
+    # the bounds of a range, and an action kind that cannot be looked up
+    pytest.param(lambda d: d["tender"].update(limit=0), "$.tender.limit", id="limit-zero"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": ["LATE_BID"]}]), "$.adversarial[0]",
+                 id="action-kind-a-list"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "EARLY_KEY_REVEAL", "bidder": "B01",
+                                                  "at_ms": d["tender"]["length_ms"]}]),
+                 "$.adversarial[0].at_ms", id="early-reveal-at-the-deadline"),
 ])
 def test_validation_rejects_wrong_shapes_at_their_json_path(edit, where):
     doc = _full_track_doc()
@@ -259,6 +266,18 @@ def test_cli_run_refuses_an_expected_key_it_does_not_read(tmp_path, capsys):
 def test_validation_accepts_a_late_bid_with_numeric_fields():
     doc = _full_track_doc()
     _late_bid(doc, fields={"price": 1, "delivery_days": 2.5}, free_text="late")
+    validate_scenario(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: _late_bid(d, at_ms=d["tender"]["length_ms"]),
+                 id="late-bid-at-the-length"),
+    pytest.param(lambda d: d["bidders"][0]["fields"].update(price=sys.float_info.max),
+                 id="field-value-the-largest-float"),
+])
+def test_validation_accepts_values_at_their_bounds(edit):
+    doc = _full_track_doc()
+    edit(doc)
     validate_scenario(doc)
 
 
