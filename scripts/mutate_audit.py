@@ -8,7 +8,8 @@ alone, a returned comparison negated, a statement that appends a finding
 replaced by ``None``, one operand of an ``and``/``or`` dropped, and the first
 operator of a comparison moved across its boundary (``<`` with ``<=``, ``>``
 with ``>=``).
-``--only`` keeps the mutants inside the named functions. Each mutant runs
+``--only`` keeps the mutants inside the named functions, or module-level
+assignments such as a table of readers (named by their target). Each mutant runs
 ``pytest -x`` over ``tests/``, fast modules first, in a copy of the tree; it
 is killed when a test fails or the run takes over 10 minutes.
 Prints one line per mutant, then the counts; exits 1 if any mutant survives.
@@ -38,9 +39,14 @@ def candidates(tree: ast.AST, only: set[str]):
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
 
     def scope(node):
-        while node in parents and not isinstance(node, ast.FunctionDef):
+        # the innermost function that holds ``node``, else its module-level assignment
+        while node in parents:
+            if isinstance(node, ast.FunctionDef):
+                return node.name
+            if isinstance(node, ast.Assign) and isinstance(parents[node], ast.Module):
+                return ast.unparse(node.targets[0])
             node = parents[node]
-        return getattr(node, "name", None)
+        return None
 
     for node in ast.walk(tree):
         if only and scope(node) not in only:
@@ -91,7 +97,8 @@ def mutant(source: str, index: int, only: set[str]) -> tuple[int, str, str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="path of the module, relative to the repository")
-    parser.add_argument("--only", default="", help="comma-separated function names")
+    parser.add_argument("--only", default="",
+                        help="comma-separated names of functions or module-level assignments")
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
     only = {name for name in args.only.split(",") if name}

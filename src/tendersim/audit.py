@@ -51,7 +51,7 @@ from .chain import (
     transaction_json,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
-from .encoding import from_hex, from_text, same_json, to_hex
+from .encoding import from_hex, from_text, load_json, same_json, to_hex
 from .errors import MalformedAddress, MalformedExport, NoSuchContract, ResultsNotPublished
 from .orchestrator import (
     STATUS_MALFORMED,
@@ -120,7 +120,7 @@ _ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)
 
 def parse_export(file):
     """The JSON document in a binary chain export file, not yet checked:
-    decoded strictly as UTF-8, the bytes freed, then parsed by ``json.loads``,
+    decoded strictly as UTF-8, the bytes freed, then parsed by ``load_json``,
     which keeps one ``str`` per distinct key. Each tracked bid record links to
     the one before it, and each bid record's call arguments, data contract's
     bytes and tender's results to the transaction that carried them
@@ -128,15 +128,15 @@ def parse_export(file):
     holds no payload twice. Links are left as they are: the audit compares
     them and never follows one.
 
-    Raises MalformedExport only when the file is not UTF-8 JSON or holds a
-    lone surrogate (a ``\\u`` escape ``write_canonical_json`` never writes),
-    named at its line, column and character offset in the file;
+    Raises MalformedExport only when the file is not UTF-8 JSON, nests past
+    ``encoding.MAX_JSON_DEPTH``, or holds a lone surrogate (a ``\\u`` escape that
+    ``write_canonical_json`` never writes, named at its line, column and character offset);
     ``read_ledger``, which ``replay_chain`` calls, checks what the document holds.
     """
     try:
         text = file.read().decode("utf-8")
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also bad UTF-8, an int of 4301+ digits
+        doc = load_json(text)
+    except ValueError as exc:  # also bad UTF-8, an int of 4301+ digits, deep nesting
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
     if _SURROGATE_ESCAPE.search(text):
         lone = next((m for m in _ESCAPE.finditer(text) if m[1]), None)
@@ -188,17 +188,15 @@ def read_ledger(export) -> list[Block]:
     are: the state diff compares each with ``contracts.disclose`` of its
     re-derived twin, so a bid record's ``prior_bids`` or ``placed_by`` link,
     and a ``data`` or ``results`` link to a transaction, must be spelled as
-    the export writes it, and the audit stays linear in the bids. Raises MalformedExport, naming the format,
-    for a document that is not a ``tendersim-chain/9`` object (earlier formats
-    included: a ``/8`` ``place_bid`` call carried its certificate's hash as
-    ``msg_hash``, which ``/9`` rebuilds and never reads, so a ``/8`` call whose
-    ``msg_hash`` was not hex would replay to another receipt; ``/7`` published
-    ``tender-result/1`` results), for
-    ``blocks``, ``contracts`` or a disclosed contract of the wrong JSON type,
-    for a missing or malformed block or transaction field, and for a key of the
-    document, a block or a transaction that the audit does not read (such as
-    the ``parent_hash`` and ``gas_price`` of ``/5``, or the data limit of
-    ``/6``, now the constant ``chain.MAX_DATA_BITS``).
+    the export writes it, and the audit stays linear in the bids.
+
+    Raises MalformedExport for a document whose ``format`` is not
+    ``EXPORT_FORMAT``, naming the format it has: the replay applies only this
+    format's rules, and under another format's a ledger may have given a call
+    another receipt. It raises it too for ``blocks``, ``contracts`` or a
+    disclosed contract of the wrong JSON type, for a missing or malformed block
+    or transaction field, and for a key of the document, a block or a
+    transaction that the audit does not read.
     """
     found = export.get("format") if type(export) is dict else None
     if found != EXPORT_FORMAT:
@@ -266,7 +264,7 @@ def _uint64(value) -> int:
 
 def _hex(value) -> bytes:
     raw = from_hex(value)
-    if to_hex(raw) != value:  # uppercase digits or spaces would decode too
+    if to_hex(raw) != value:  # uppercase digits would decode too
         raise ValueError("hex not spelled as to_hex writes it")
     return raw
 

@@ -28,7 +28,7 @@ from .errors import (
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
 GAS_PRICE = 1  # no fee market: every transaction offers the same price
-EXPORT_FORMAT = "tendersim-chain/9"
+EXPORT_FORMAT = "tendersim-chain/10"
 
 
 # The calibrated gas figures, which ``contracts`` charges where it picks each receipt kind

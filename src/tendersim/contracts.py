@@ -20,11 +20,13 @@ bidder's tally is strictly below the per-id limit. The tally only moves
 on valid bids, so junk placed under someone else's id cannot lock them out.
 
 This module is the only statement of these rules, of the gas each receipt
-charges (the ``chain.GAS_*`` figures, applied where its kind is chosen), and
-of the error code each rejected receipt carries (the constants below). Each
-outcome is a function of the target contract, the decoded call (or the raw
-payload) and the transaction's ExecutionContext, and returns the receipt
-outcome plus the contract the transaction creates, if any. The ledger
+charges (the ``chain.GAS_*`` figures, applied where its kind is chosen), of
+the error code each rejected receipt carries (the constants below), and of
+the format of each op's call (``CALLS``, which ``call`` writes and one
+dispatcher reads for every target). Each outcome is a function of the target
+contract, the decoded call (or the raw payload) and the transaction's
+ExecutionContext, and returns the receipt outcome plus the contract the
+transaction creates, if any. The ledger
 reaches them through ``Chain._execute``, ``execute_deploy`` and
 ``Contract.execute``, which also install what was created; the auditor
 replays a chain export through ``transition`` into its own
@@ -33,11 +35,11 @@ address-to-contract map.
 
 from __future__ import annotations
 
-from . import crypto, secp256k1
-from .chain import (GAS_BID_BASE_FULL, GAS_BID_BASE_PROTECTED, GAS_BID_FLAT_STATELESS,
-                    GAS_DATA_CONTRACT_PER_BIT, GAS_DEPLOY_RFT_FULL, GAS_DEPLOY_RFT_PROTECTED,
-                    GAS_DEPLOY_RFT_STATELESS, GAS_PER_PRIOR_BID_COPY, MAX_DATA_BITS,
-                    ExecOutcome, ExecutionContext, contract_address)
+from . import crypto
+from .chain import (ADDRESS_LEN, GAS_BID_BASE_FULL, GAS_BID_BASE_PROTECTED,
+                    GAS_BID_FLAT_STATELESS, GAS_DATA_CONTRACT_PER_BIT, GAS_DEPLOY_RFT_FULL,
+                    GAS_DEPLOY_RFT_PROTECTED, GAS_DEPLOY_RFT_STATELESS, GAS_PER_PRIOR_BID_COPY,
+                    MAX_DATA_BITS, ExecOutcome, ExecutionContext, contract_address)
 from .encoding import canonical_json_bytes, from_hex, load_json_bytes, same_json, to_hex
 from .errors import BiddingStillOpen, NoSuchContract, RepublishForbidden, SchemeHasNoState
 
@@ -49,16 +51,12 @@ SCHEMES = (SCHEME_FULL, SCHEME_PROTECTED, SCHEME_STATELESS)
 # The error codes of rejected receipts; a missing target gets NoSuchContract's
 # code and a second publication RepublishForbidden's.
 MALFORMED_PAYLOAD = "MALFORMED_PAYLOAD"
-MALFORMED_CERTIFICATE = "MALFORMED_CERTIFICATE"
 CERTIFICATE_REJECTED = "CERTIFICATE_REJECTED"
-INVALID_TENDER_PARAMS = "INVALID_TENDER_PARAMS"
 DATA_TOO_LARGE = "DATA_TOO_LARGE"
 IMMUTABLE_STATE = "IMMUTABLE_STATE"
 UNKNOWN_CONTRACT_CALL = "UNKNOWN_CONTRACT_CALL"
 UNAUTHORIZED_PUBLISHER = "UNAUTHORIZED_PUBLISHER"
-# A call nesting arrays and objects deeper than this, itself the first level, is a
-# MALFORMED_PAYLOAD: an honest publication nests 4.
-MAX_CALL_DEPTH = 32
+MAX_ID_BYTES = 64  # the longest bidder id, in UTF-8 bytes
 
 # scheme -> receipt kinds of its deployment, a recorded bid and a refused bid, then
 # the deployment's gas and a bid's base gas: a refused or stateless bid pays the base,
@@ -245,43 +243,25 @@ class RequestForTenderContract(Contract):
         self.results_tx: bytes | None = None  # the publication that set ``results``
 
     def transition(self, call: dict, ctx: ExecutionContext) -> Transition:
-        op = call.get("op")
-        if op == "place_bid":
-            return self.place_bid(call, ctx)
-        if op == "reveal_key_half":
-            return self.reveal_key_half(call, ctx), None
-        if op == "publish_results":
-            return self.publish_results(call, ctx), None
-        return reject_call(call), None
+        return _dispatch(call, ctx, {"place_bid": self.place_bid,
+                                     "reveal_key_half": self.reveal_key_half,
+                                     "publish_results": self.publish_results}) \
+            or super().transition(call, ctx)
 
-    def place_bid(self, call: dict, ctx: ExecutionContext) -> Transition:
+    def place_bid(self, call: dict, ctx: ExecutionContext, *, id: str, data_addr: bytes,
+                  v: int, r: bytes, s: bytes, sealed_half_a: bytes) -> Transition:
         _, bid_kind, refused_kind, _, base_gas = _KINDS[self.scheme]
-        try:
-            bidder_id = call["id"]
-            data_addr = from_hex(call["data_addr"])
-            v = call["v"]
-            r = from_hex(call["r"])
-            s = from_hex(call["s"])
-            sealed_half_a = from_hex(call["sealed_half_a"])
-            well_formed = (isinstance(bidder_id, str) and len(data_addr) == 20
-                           and secp256k1.well_formed(v, r, s))
-        except (KeyError, ValueError, TypeError):
-            well_formed = False
-        if not well_formed:
-            error = MALFORMED_CERTIFICATE
-        else:
-            certified = crypto.certificate_matches(self.pubk, bidder_id, self.address, v, r, s)
+        certified = crypto.certificate_matches(self.pubk, id, self.address, v, r, s)
+        if self.scheme == SCHEME_PROTECTED and not certified:
             # Protected scheme refuses to record certificate failures at all.
-            refused = self.scheme == SCHEME_PROTECTED and not certified
-            error = CERTIFICATE_REJECTED if refused else None
-        if error is not None:
-            return ExecOutcome(kind=refused_kind, gas_used=base_gas, error=error), None
+            return ExecOutcome(kind=refused_kind, gas_used=base_gas,
+                               error=CERTIFICATE_REJECTED), None
 
         valid_time = ctx.block_timestamp < self.bidding_end
-        allowed = self.bid_count.get(bidder_id, 0) < self.limit
+        allowed = self.bid_count.get(id, 0) < self.limit
         validity = certified and valid_time and allowed
         if validity:
-            self.bid_count[bidder_id] = self.bid_count.get(bidder_id, 0) + 1
+            self.bid_count[id] = self.bid_count.get(id, 0) + 1
 
         if self.scheme == SCHEME_STATELESS:
             gas = base_gas
@@ -294,7 +274,7 @@ class RequestForTenderContract(Contract):
 
         record_addr = contract_address(ctx.sender, ctx.tx_nonce)
         record = BidRecordContract(address=record_addr, scheme=self.scheme,
-                                   bidder_id=bidder_id, data_addr=data_addr,
+                                   bidder_id=id, data_addr=data_addr,
                                    validity=validity, certificate_valid=certified,
                                    sealed_half_a=sealed_half_a,
                                    prior_bids=prior, bidding_end_copy=end_copy,
@@ -304,12 +284,8 @@ class RequestForTenderContract(Contract):
         return ExecOutcome(kind=bid_kind, gas_used=gas,
                            created_address=record_addr), record
 
-    def reveal_key_half(self, call: dict, ctx: ExecutionContext) -> ExecOutcome:
-        try:
-            bid_addr = from_hex(call["bid_addr"])
-            half_b = from_hex(call["half_b"])
-        except (KeyError, ValueError, TypeError):
-            return reject_call(call, error=MALFORMED_PAYLOAD)
+    def reveal_key_half(self, call: dict, ctx: ExecutionContext, *, bid_addr: bytes,
+                        half_b: bytes) -> Transition:
         self.reveals.append({
             "bid_addr": to_hex(bid_addr),
             "half_b": to_hex(half_b),
@@ -317,20 +293,17 @@ class RequestForTenderContract(Contract):
             "timestamp": ctx.block_timestamp,
         })
         return ExecOutcome(kind="reveal_key_half",
-                           gas_used=GAS_DATA_CONTRACT_PER_BIT * len(half_b) * 8)
+                           gas_used=GAS_DATA_CONTRACT_PER_BIT * len(half_b) * 8), None
 
-    def publish_results(self, call: dict, ctx: ExecutionContext) -> ExecOutcome:
-        result = call.get("result")
-        if not isinstance(result, dict):
-            return reject_call(call, error=MALFORMED_PAYLOAD)
+    def publish_results(self, call: dict, ctx: ExecutionContext, *, result: dict) -> Transition:
         if self.results is not None:
-            return reject_call(call, error=RepublishForbidden.code)
+            return reject_call(call, error=RepublishForbidden.code), None
         if ctx.sender != self.deployer:
-            return reject_call(call, error=UNAUTHORIZED_PUBLISHER)
+            return reject_call(call, error=UNAUTHORIZED_PUBLISHER), None
         self.results = result
         self.results_tx = ctx.tx_hash
         return ExecOutcome(kind="publish_results",
-                           gas_used=GAS_DATA_CONTRACT_PER_BIT * _call_bits(call))
+                           gas_used=GAS_DATA_CONTRACT_PER_BIT * _call_bits(call)), None
 
     # -- zero-gas reads --
 
@@ -360,32 +333,80 @@ class RequestForTenderContract(Contract):
         return snap
 
 
+# --- calls ----------------------------------------------------------------------------
+
+def _reader(test, parse=lambda value: value):
+    """The reader that gives ``parse(value)`` when ``test`` accepts it; ValueError else."""
+    def read(value):
+        if not test(value := parse(value)):
+            raise ValueError("value refused")
+        return value
+    return read
+
+
+def _hex(size: int):
+    return _reader(lambda raw: len(raw) == size, from_hex)
+
+
+_ADDRESS = _hex(ADDRESS_LEN)
+_COUNT = _reader(lambda value: type(value) is int and value >= 1)  # JSON true is no count
+
+# Each op's call: every key but ``op``, mapped to the reader of its value, which gives
+# the value the handler gets or raises ValueError. ``from_hex`` reads a ``data`` of
+# any size; its size is DATA_TOO_LARGE's rule.
+CALLS = {
+    "deploy_data": {"data": from_hex},
+    "deploy_rft": {"scheme": _reader(lambda value: value in SCHEMES), "length_ms": _COUNT,
+                   "pubk": _hex(64), "limit": _COUNT,
+                   "tender_data": lambda value: None if value is None else _ADDRESS(value)},
+    "place_bid": {"id": _reader(lambda value: type(value) is str
+                                and len(value.encode("utf-8")) <= MAX_ID_BYTES),
+                  "data_addr": _ADDRESS,
+                  "v": _reader(lambda value: type(value) is int and value in (27, 28)),
+                  "r": _hex(32), "s": _hex(32), "sealed_half_a": _hex(crypto.SEALED_HALF_LEN)},
+    "reveal_key_half": {"bid_addr": _ADDRESS, "half_b": _hex(crypto.SEALED_HALF_LEN)},
+    "publish_results": {"result": _reader(lambda value: type(value) is dict)},
+}
+
+
+def _dispatch(call: dict, ctx: ExecutionContext, handlers: dict) -> Transition | None:
+    """The one reading of a call, for a target whose ``handlers`` map each op it answers
+    to its handler: None for another op; a MALFORMED_PAYLOAD when the call's keys are not
+    exactly its op's and ``op``, or a reader of ``CALLS`` refuses a value; else what the
+    handler makes of the call and the values read."""
+    op = call["op"]
+    if type(op) is not str or op not in handlers:
+        return None
+    table = CALLS[op]
+    try:
+        if call.keys() != table.keys() | {"op"}:
+            raise ValueError("unread or missing key")
+        values = {key: read(call[key]) for key, read in table.items()}
+    except ValueError:
+        return reject_call(call, error=MALFORMED_PAYLOAD), None
+    return handlers[op](call, ctx, **values)
+
+
+def call(op: str, **values) -> dict:
+    """The call of ``op`` with ``values``, bytes written as hex and any other value as it
+    is, so a hostile one can be written too; TypeError when the keys are not ``CALLS[op]``'s."""
+    if values.keys() != CALLS[op].keys():
+        raise TypeError(f"{op} takes {', '.join(CALLS[op])}, not {', '.join(values)}")
+    return {"op": op, **{key: to_hex(value) if isinstance(value, bytes) else value
+                         for key, value in values.items()}}
+
+
 # --- decoding and rejection -------------------------------------------------------
 
 def decode_call(payload: bytes) -> dict | None:
     """The call object a payload encodes, or None if it encodes none."""
     try:
-        call = load_json_bytes(payload)
+        call = load_json_bytes(payload)  # refuses nesting deeper than MAX_JSON_DEPTH
         if b"\\u" in payload:  # an escape may spell a lone surrogate, which UTF-8 cannot hold
             canonical_json_bytes(call)
-    except (ValueError, RecursionError):  # ValueError covers UnicodeDecodeError and -EncodeError
+    except ValueError:  # covers UnicodeDecodeError and -EncodeError
         return None
-    if not isinstance(call, dict) or "op" not in call or _nests_deeper(call, MAX_CALL_DEPTH):
-        return None
-    return call
-
-
-def _nests_deeper(call: dict, limit: int) -> bool:
-    """Whether arrays and objects nest in ``call`` more than ``limit`` levels deep, the call
-    itself the first; counted a level at a time, since the export and the audit walk a
-    call's values by recursion."""
-    layer = [call]
-    for _ in range(limit):
-        values = [v for node in layer for v in (node.values() if isinstance(node, dict) else node)]
-        layer = [v for v in values if isinstance(v, (dict, list))]
-        if not layer:
-            return False
-    return True
+    return call if isinstance(call, dict) and "op" in call else None
 
 
 def malformed_payload(payload: bytes) -> ExecOutcome:
@@ -415,19 +436,11 @@ def _call_bits(call: dict) -> int:
 # --- deployments ------------------------------------------------------------------
 
 def deploy(call: dict, ctx: ExecutionContext) -> Transition:
-    op = call.get("op")
-    if op == "deploy_data":
-        return deploy_data(call, ctx)
-    if op == "deploy_rft":
-        return deploy_rft(call, ctx)
-    return reject_call(call, error=UNKNOWN_CONTRACT_CALL), None
+    return (_dispatch(call, ctx, {"deploy_data": deploy_data, "deploy_rft": deploy_rft})
+            or (reject_call(call, error=UNKNOWN_CONTRACT_CALL), None))
 
 
-def deploy_data(call: dict, ctx: ExecutionContext) -> Transition:
-    try:
-        data = from_hex(call["data"])
-    except (KeyError, ValueError, TypeError):
-        return reject_call(call, error=MALFORMED_PAYLOAD), None
+def deploy_data(call: dict, ctx: ExecutionContext, *, data: bytes) -> Transition:
     bits = len(data) * 8
     if bits > MAX_DATA_BITS:
         return reject_call(call, error=DATA_TOO_LARGE), None
@@ -437,24 +450,13 @@ def deploy_data(call: dict, ctx: ExecutionContext) -> Transition:
             TenderDataContract(addr, ctx.sender, data, ctx.tx_hash))
 
 
-def deploy_rft(call: dict, ctx: ExecutionContext) -> Transition:
-    try:
-        scheme = call["scheme"]
-        length_ms = call["length_ms"]
-        pubk = from_hex(call["pubk"])
-        limit = call["limit"]
-        data_field = call.get("tender_data")
-        tender_data_addr = from_hex(data_field) if data_field else None
-        if (scheme not in SCHEMES or type(length_ms) is not int or length_ms <= 0
-                or type(limit) is not int or limit < 1 or len(pubk) != 64):
-            raise ValueError("bad tender parameters")
-    except (KeyError, ValueError, TypeError):
-        return reject_call(call, error=INVALID_TENDER_PARAMS), None
+def deploy_rft(call: dict, ctx: ExecutionContext, *, scheme: str, length_ms: int,
+               pubk: bytes, limit: int, tender_data: bytes | None) -> Transition:
     addr = contract_address(ctx.sender, ctx.tx_nonce)
     rft = RequestForTenderContract(
         address=addr, scheme=scheme,
         bidding_end=ctx.block_timestamp + length_ms,
-        limit=limit, pubk=pubk, tender_data_addr=tender_data_addr,
+        limit=limit, pubk=pubk, tender_data_addr=tender_data,
         deployer=ctx.sender)
     kind, _, _, gas, _ = _KINDS[scheme]
     return ExecOutcome(kind=kind, gas_used=gas, created_address=addr), rft
@@ -488,43 +490,3 @@ def _install(ctx: ExecutionContext, result: Transition) -> ExecOutcome:
     if created is not None:
         ctx.chain.install_contract(created.address, created)
     return outcome
-
-
-# --- call payload builders -------------------------------------------------------
-
-def data_deploy_call(data: bytes) -> dict:
-    return {"op": "deploy_data", "data": to_hex(data)}
-
-
-def rft_deploy_call(scheme: str, length_ms: int, pubk: bytes, limit: int,
-                    tender_data_addr: bytes | None = None) -> dict:
-    return {
-        "op": "deploy_rft",
-        "scheme": scheme,
-        "length_ms": length_ms,
-        "pubk": to_hex(pubk),
-        "limit": limit,
-        "tender_data": to_hex(tender_data_addr) if tender_data_addr else None,
-    }
-
-
-def place_bid_call(bidder_id: str, data_addr: bytes, v: int, r: bytes, s: bytes,
-                   sealed_half_a: bytes) -> dict:
-    return {
-        "op": "place_bid",
-        "id": bidder_id,
-        "data_addr": to_hex(data_addr),
-        "v": v,
-        "r": to_hex(r),
-        "s": to_hex(s),
-        "sealed_half_a": to_hex(sealed_half_a),
-    }
-
-
-def reveal_call(bid_addr: bytes, half_b: bytes) -> dict:
-    return {"op": "reveal_key_half", "bid_addr": to_hex(bid_addr), "half_b": to_hex(half_b)}
-
-
-def publish_results_call(result: dict) -> dict:
-    return {"op": "publish_results", "result": result}
-

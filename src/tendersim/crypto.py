@@ -30,6 +30,9 @@ _SEAL_INFO = b"tendersim/sealed-bid-key"
 _NONCE_LEN = 12
 _GCM_TAG_LEN = 16
 _PUB_LEN = 64
+_BID_KEY_LEN = 32
+# each half of a sealed bid key: ephemeral public key, nonce, sealed key and tag, cut in two
+SEALED_HALF_LEN = (_PUB_LEN + _NONCE_LEN + _BID_KEY_LEN + _GCM_TAG_LEN) // 2
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,8 @@ def certificate_matches(public_key: bytes, bidder_id: str, rft_address: bytes,
     """Whether ``(v, r, s)`` is ``public_key``'s signature over
     ``cert_message_hash(bidder_id, rft_address)``: one recovery.
 
-    Components of the wrong shape give False. ``place_bid`` screens them
-    first with ``secp256k1.well_formed``: garbage is a protocol error, a
-    well-formed but wrong signature is a failed check.
+    Components of the wrong shape give False: ``secp256k1.recover_public_key``
+    refuses them.
     """
     return curve.verify_digest(public_key, cert_message_hash(bidder_id, rft_address), v, r, s)
 
@@ -95,7 +97,7 @@ class SealedBidKey:
 
 
 def new_bid_key(rng: Random) -> bytes:
-    return rng.randbytes(32)
+    return rng.randbytes(_BID_KEY_LEN)
 
 
 def _seal_key_material(shared_x: bytes) -> bytes:
@@ -112,8 +114,7 @@ def seal_bid_key(bid_key: bytes, to_public_key: bytes | curve.FixedBase,
     nonce = rng.randbytes(_NONCE_LEN)
     ct = AESGCM(_seal_key_material(shared)).encrypt(nonce, bid_key, None)
     sealed = eph.public_key + nonce + ct
-    cut = (len(sealed) + 1) // 2
-    return SealedBidKey(half_a=sealed[:cut], half_b=sealed[cut:])
+    return SealedBidKey(half_a=sealed[:SEALED_HALF_LEN], half_b=sealed[SEALED_HALF_LEN:])
 
 
 def unseal_bid_key(sealed: bytes, to_private_key: bytes) -> bytes:

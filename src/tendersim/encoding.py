@@ -6,8 +6,9 @@ sorted keys and fixed separators, byte strings as 0x-prefixed lowercase hex,
 except transaction payloads, which are text with one character per byte
 (``to_text``) so that the JSON calls they hold stay readable.
 Every JSON file the package writes is written whole by
-``write_canonical_json``; a chain export is read back whole, with
-``json.loads`` (``audit.parse_export``).
+``write_canonical_json``; every JSON text it reads, a chain export, a
+scenario or a call, is read whole by ``load_json``, which refuses one that
+nests deeper than ``MAX_JSON_DEPTH``.
 """
 
 from __future__ import annotations
@@ -15,15 +16,22 @@ from __future__ import annotations
 import json
 from typing import Any
 
+# How deep a JSON text the package reads may nest arrays and objects, its top level the
+# first (an honest call nests 4, an export or a scenario 5): the audit recurses into values.
+MAX_JSON_DEPTH = 32
+
 
 def to_hex(b: bytes) -> str:
     return "0x" + b.hex()
 
 
 def from_hex(s: str) -> bytes:
+    """The bytes of ``0x`` and two hex digits per byte; ValueError for a space between."""
     if not isinstance(s, str) or not s.startswith("0x"):
         raise ValueError(f"expected 0x-prefixed hex string, got {s!r}")
-    return bytes.fromhex(s[2:])
+    if len(raw := bytes.fromhex(s[2:])) * 2 + 2 != len(s):
+        raise ValueError("expected two hex digits per byte, and no space")
+    return raw
 
 
 def to_text(b: bytes) -> str:
@@ -52,8 +60,32 @@ def canonical_json_bytes(obj: Any) -> bytes:
     return canonical_json(obj).encode("utf-8")
 
 
+def load_json(text: str) -> Any:
+    """``json.loads(text)``; ValueError for a text that is not JSON or that nests deeper
+    than ``MAX_JSON_DEPTH``, the same however deep the caller's stack is."""
+    try:
+        deep = nests_deeper(value := json.loads(text), MAX_JSON_DEPTH)
+    except RecursionError:  # json.loads met Python's limit on the caller's stack first
+        deep = True
+    if deep:
+        raise ValueError(f"nests arrays and objects more than {MAX_JSON_DEPTH} levels deep")
+    return value
+
+
 def load_json_bytes(raw: bytes) -> Any:
-    return json.loads(raw.decode("utf-8"))
+    return load_json(raw.decode("utf-8"))
+
+
+def nests_deeper(value: Any, limit: int) -> bool:
+    """Whether arrays and objects in ``value``, as ``json.loads`` gives it, nest more than
+    ``limit`` levels deep, ``value`` the first; counted a level at a time, not recursively."""
+    layer = [value] if type(value) is dict or type(value) is list else []
+    for _ in range(limit):
+        layer = [v for node in layer for v in (node.values() if type(node) is dict else node)
+                 if type(v) is dict or type(v) is list]
+        if not layer:
+            return False
+    return True
 
 
 def same_json(expected: Any, actual: Any) -> bool:

@@ -291,10 +291,11 @@ class TenderOrchestrator:
 
     def open_tender(self, spec: TenderSpec, at: int | None = None) -> tuple[bytes, bytes]:
         data_addr = self.chain.peek_contract_address(self.to.address)
-        rft_call = contracts.rft_deploy_call(spec.scheme, spec.length_ms,
-                                             self.to.keys.public_key, spec.limit, data_addr)
+        rft_call = contracts.call("deploy_rft", scheme=spec.scheme, length_ms=spec.length_ms,
+                                  pubk=self.to.keys.public_key, limit=spec.limit,
+                                  tender_data=data_addr)
         data_tx, rft_tx = self._step(
-            at, (self.to.address, None, contracts.data_deploy_call(spec.data_blob())),
+            at, (self.to.address, None, contracts.call("deploy_data", data=spec.data_blob())),
             (self.to.address, None, rft_call))
         for what, tx in (("tender data deployment", data_tx), ("tender deployment", rft_tx)):
             if tx.status != "OK":
@@ -327,10 +328,10 @@ class TenderOrchestrator:
         sealed = crypto.seal_bid_key(bid_key, self.sealing_key, self.rng)
 
         data_addr = self.chain.peek_contract_address(bidder.address)
-        bid_call = contracts.place_bid_call(bidder_id, data_addr, cert.v, cert.r, cert.s,
-                                            sealed.half_a)
+        bid_call = contracts.call("place_bid", id=bidder_id, data_addr=data_addr, v=cert.v,
+                                  r=cert.r, s=cert.s, sealed_half_a=sealed.half_a)
         data_tx, bid_tx = self._step(
-            at, (bidder.address, None, contracts.data_deploy_call(ciphertext)),
+            at, (bidder.address, None, contracts.call("deploy_data", data=ciphertext)),
             (bidder.address, self.rft_address, bid_call))
         for what, tx in (("bid ciphertext deployment", data_tx), ("bid placement", bid_tx)):
             if tx.status != "OK":
@@ -349,7 +350,8 @@ class TenderOrchestrator:
     def reveal_key_half_on_chain(self, bidder_id: str, submission: BidSubmission,
                                  at: int | None = None) -> str:
         """Post the withheld half to the ledger (also hands it to the organisation)."""
-        call = contracts.reveal_call(submission.record_address, submission.sealed.half_b)
+        call = contracts.call("reveal_key_half", bid_addr=submission.record_address,
+                              half_b=submission.sealed.half_b)
         [tx] = self._step(at, (self.bidders[bidder_id].address, self.rft_address, call))
         self.to.received_halves[submission.record_address] = submission.sealed.half_b
         return to_hex(tx.tx_hash)
@@ -382,7 +384,7 @@ class TenderOrchestrator:
                                known_bids=self.to.known_bids)
 
     def publish_results(self, result: TenderResult, at: int | None = None) -> str:
-        call = contracts.publish_results_call(result.to_dict())
+        call = contracts.call("publish_results", result=result.to_dict())
         [tx] = self._step(at, (self.to.address, self.rft_address, call))
         if tx.status != "OK":
             if tx.error == RepublishForbidden.code:

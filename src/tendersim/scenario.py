@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
-from . import audit, contracts
+from . import audit, contracts, crypto
 from .chain import Chain, ChainConfig
-from .encoding import canonical_json_bytes, from_hex, to_hex, write_canonical_json
+from .encoding import canonical_json_bytes, from_hex, load_json, to_hex, write_canonical_json
 # perfbench/test_smoke.py checks that tracing restores this module's binding
 from .encoding import canonical_json  # noqa: F401
 from .errors import IncomparableScenarios, ScenarioError
@@ -44,10 +44,10 @@ MAX_BIDS = 1000  # honest, late, forged and spam: twice the largest benchmark wo
 def load_scenario(path: str | Path) -> dict:
     """Parse and validate; diagnostics carry the line (parse) or path (semantics)."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = load_json(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, an int of 4301+ digits, deep nesting
+    except ValueError as exc:  # bad UTF-8, an int of 4301+ digits, deep nesting
         raise ScenarioError(f"{path}: {exc}")
     validate_scenario(doc, source=str(path))
     return doc
@@ -118,7 +118,10 @@ TENDER = {
     "criteria": (True, _criteria),
 }
 BIDDER = {
-    "id": (True, _STRING),
+    # a lone surrogate is refused below, at the whole document
+    "id": (True, _is(lambda value: isinstance(value, str) and len(value.encode(
+        "utf-8", "surrogatepass")) <= contracts.MAX_ID_BYTES,
+        f"must be a string of at most {contracts.MAX_ID_BYTES} UTF-8 bytes")),
     "submit_at_ms": (True, _whole(1, "must be an integer >= 1")),
     "fields": (True, _fields),
     "free_text": (False, _STRING),
@@ -292,8 +295,9 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -
             chain.advance_to(ts)
             for forged_id in forged_ids:
                 v, r, s = _forged_components(rng)
-                call = contracts.place_bid_call(forged_id, _junk_address(rng), v, r, s,
-                                                rng.randbytes(62))
+                call = contracts.call("place_bid", id=forged_id, data_addr=_junk_address(rng),
+                                      v=v, r=r, s=s,
+                                      sealed_half_a=rng.randbytes(crypto.SEALED_HALF_LEN))
                 chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
             chain.mine_block(ts)
         elif kind == "EARLY_KEY_REVEAL":

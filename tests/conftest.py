@@ -46,6 +46,11 @@ def account(tag: str) -> bytes:
     return hashlib.sha256(b"account|" + tag.encode()).digest()[-20:]
 
 
+# A stand-in for the half of a sealed bid key a bid puts on the ledger, of the length
+# the ledger reads.
+HALF_A = b"half-a".ljust(crypto.SEALED_HALF_LEN, b".")
+
+
 def make_tender(chain, to_keys, scheme, length_ms=600_000, limit=2):
     """Deploy a bare tender (no orchestrator); returns (rft_address, to_account)."""
     sender = account("TO")

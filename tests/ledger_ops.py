@@ -34,12 +34,14 @@ def run_single(chain: Chain, sender: bytes, target: bytes | None, call: dict,
 def init_tender(chain: Chain, sender: bytes, length_ms: int, pubk: bytes, limit: int,
                 scheme: str, tender_data_addr: bytes | None = None,
                 at: int | None = None) -> bytes:
-    call = contracts.rft_deploy_call(scheme, length_ms, pubk, limit, tender_data_addr)
+    call = contracts.call("deploy_rft", scheme=scheme, length_ms=length_ms, pubk=pubk,
+                          limit=limit, tender_data=tender_data_addr)
     return run_single(chain, sender, None, call, at).created_address
 
 
 def deploy_tender_data(chain: Chain, sender: bytes, data: bytes, at: int | None = None) -> bytes:
-    return run_single(chain, sender, None, contracts.data_deploy_call(data), at).created_address
+    return run_single(chain, sender, None, contracts.call("deploy_data", data=data),
+                      at).created_address
 
 
 def _place_bid(chain: Chain, rft_addr: bytes, sender: bytes, expect_scheme: str,
@@ -48,7 +50,8 @@ def _place_bid(chain: Chain, rft_addr: bytes, sender: bytes, expect_scheme: str,
     rft = chain.get_contract(rft_addr)
     if rft.kind != "request_for_tender" or rft.scheme != expect_scheme:
         raise TenderSimError(f"target is not a {expect_scheme} tender")
-    call = contracts.place_bid_call(bidder_id, data_addr, v, r, s, sealed_half_a)
+    call = contracts.call("place_bid", id=bidder_id, data_addr=data_addr, v=v, r=r, s=s,
+                          sealed_half_a=sealed_half_a)
     return run_single(chain, sender, rft_addr, call, at).created_address
 
 

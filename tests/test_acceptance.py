@@ -29,7 +29,7 @@ from tendersim.scenario import run_scenario
 
 import chain_surgery
 import ledger_ops
-from conftest import SCENARIO_DIR, account, make_tender, price_criteria
+from conftest import HALF_A, SCENARIO_DIR, account, make_tender, price_criteria
 from reference_data import (
     DEPLOY_GAS,
     FULL_TRACK_BID_SERIES,
@@ -430,7 +430,8 @@ def _chain_with_bids(n):
     rft = ledger_ops.init_tender(chain, sender, 10_000_000, keys.public_key,
                                  n, "FULL_TRACK")
     cert = crypto.issue_certificate(keys.private_key, "B1", rft)
-    call = contracts.place_bid_call("B1", account("data"), cert.v, cert.r, cert.s, b"aa")
+    call = contracts.call("place_bid", id="B1", data_addr=account("data"), v=cert.v, r=cert.r,
+                          s=cert.s, sealed_half_a=HALF_A)
     payload = canonical_json_bytes(call)
     placed = 0
     while placed < n:

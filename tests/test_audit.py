@@ -17,7 +17,8 @@ from tendersim import audit, contracts, crypto
 from tendersim import chain as chain_module
 from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
-from tendersim.encoding import canonical_json, canonical_json_bytes, from_hex, to_hex
+from tendersim.encoding import (MAX_JSON_DEPTH, canonical_json, canonical_json_bytes, from_hex,
+                                to_hex)
 from tendersim.errors import (
     MalformedAddress,
     MalformedExport,
@@ -40,6 +41,7 @@ from tendersim.scenario import run_scenario
 import chain_surgery
 import ledger_ops
 from conftest import (
+    HALF_A,
     SCENARIO_DIR,
     account,
     expand_prior_bids,
@@ -206,8 +208,8 @@ def _run_with_one_spam_bid(rig=lambda result, spam: None):
     from tendersim.encoding import canonical_json_bytes
 
     spammer = chain.register_account(b"\x66" * 20)
-    call = contracts.place_bid_call("EVE", b"\x01" * 20, 27, rng.randbytes(32),
-                                    rng.randbytes(32), b"aa")
+    call = contracts.call("place_bid", id="EVE", data_addr=b"\x01" * 20, v=27,
+                          r=rng.randbytes(32), s=rng.randbytes(32), sealed_half_a=HALF_A)
     chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
     block = chain.mine_block(chain.now() + 30_000)
     spam = block.transactions[0].created_address
@@ -486,7 +488,8 @@ def test_results_findings_stay_dated_to_the_publication_a_refused_one_follows():
     orch.publish_results(mock.Mock(to_dict=lambda: results))
     published = chain.head().height
     with pytest.raises(ledger_ops.Rejected, match=RepublishForbidden.code):
-        ledger_ops.run_single(chain, orch.to.address, rft, contracts.publish_results_call({}))
+        ledger_ops.run_single(chain, orch.to.address, rft,
+                              contracts.call("publish_results", result={}))
     report = audit.replay_and_audit(chain.export(), rft)
     assert [(v.tag, v.height) for v in report.violations] == [("R3", published)]
 
@@ -517,7 +520,8 @@ def test_the_evaluation_reads_a_half_revealed_only_on_the_ledger(revealer, statu
     sender = orch.bidders["B2"].address if revealer == "B2" \
         else chain.register_account(account("stranger"))
     half = subs["B2"].sealed.half_b if revealer == "B2" else bytes(62)
-    ledger_ops.run_single(chain, sender, rft, contracts.reveal_call(b2, half))
+    ledger_ops.run_single(chain, sender, rft,
+                          contracts.call("reveal_key_half", bid_addr=b2, half_b=half))
     result = orch.close_and_evaluate()
     assert result.bids[b2]["status"] == status
     orch.publish_results(result)
@@ -530,7 +534,8 @@ def test_a_half_revealed_in_the_block_of_the_publication_came_too_late_for_it():
     result = orch.close_and_evaluate()
     assert result.bids[subs["B2"].record_address] == {"status": STATUS_UNREVEALED}
     # B2 reveals while the publication is pending: both are mined in one block
-    call = contracts.reveal_call(subs["B2"].record_address, subs["B2"].sealed.half_b)
+    call = contracts.call("reveal_key_half", bid_addr=subs["B2"].record_address,
+                          half_b=subs["B2"].sealed.half_b)
     chain.submit_transaction(orch.bidders["B2"].address, rft, canonical_json_bytes(call))
     orch.publish_results(result)
     assert [tx.kind for tx in chain.head().transactions] == ["reveal_key_half",
@@ -655,7 +660,8 @@ def test_r2_counts_only_reveals_of_the_tenders_bids_before_the_deadline():
     stranger = chain.register_account(account("stranger"))
     end = chain.get_contract(rft).bidding_end
     # the ledger logs a reveal whatever it names; this one names no bid record
-    ledger_ops.run_single(chain, stranger, rft, contracts.reveal_call(b"\x05" * 20, b"\x01"))
+    ledger_ops.run_single(chain, stranger, rft, contracts.call(
+        "reveal_key_half", bid_addr=b"\x05" * 20, half_b=bytes(crypto.SEALED_HALF_LEN)))
     orch.reveal_key_half_on_chain("B1", sub, at=end)  # B1's own, at the deadline itself
     assert [r["timestamp"] < end for r in chain.get_contract(rft).reveals] == [True, False]
     chain.advance_to(end + 1)
@@ -735,11 +741,11 @@ def test_reveal_with_non_hex_bid_address_audits_clean():
 
 
 def test_tender_deployment_with_non_hex_data_address_audits_clean():
-    call = contracts.rft_deploy_call("FULL_TRACK", 600_000, b"\x01" * 64, 2)
-    call["tender_data"] = "0xnot-hex"
+    call = contracts.call("deploy_rft", scheme="FULL_TRACK", length_ms=600_000,
+                          pubk=b"\x01" * 64, limit=2, tender_data="0xnot-hex")
     report, tx = _audit_with_raw_tx(lambda subs: canonical_json_bytes(call),
                                     target=lambda rft: None)
-    assert tx.error == "INVALID_TENDER_PARAMS"
+    assert tx.error == "MALFORMED_PAYLOAD"
     assert report.violations == []
 
 
@@ -826,14 +832,61 @@ def test_stateless_tender_disclosing_a_bid_array_is_flagged():
 
 def _bid_call(to_keys, rft, cert_for=None, v_as=int, **edits):
     cert = crypto.issue_certificate(to_keys.private_key, "B1", cert_for or rft)
-    call = contracts.place_bid_call("B1", account("data"), v_as(cert.v), cert.r, cert.s,
-                                    b"half-a")
+    call = contracts.call("place_bid", id="B1", data_addr=account("data"), v=v_as(cert.v),
+                          r=cert.r, s=cert.s, sealed_half_a=HALF_A)
     return {**call, **edits}
 
 
 def _republish(chain, rft, owner, to_keys):
-    ledger_ops.run_single(chain, owner, rft, contracts.publish_results_call({}))
-    return owner, rft, contracts.publish_results_call({})
+    ledger_ops.run_single(chain, owner, rft, contracts.call("publish_results", result={}))
+    return owner, rft, contracts.call("publish_results", result={})
+
+
+def _rft_call(to_keys, **edits):
+    return {**contracts.call("deploy_rft", scheme="FULL_TRACK", length_ms=1000,
+                             pubk=to_keys.public_key, limit=2, tender_data=account("terms")),
+            **edits}
+
+
+# (chain, rft, owner, to_keys) -> (sender, target, call) of a call of each op that a
+# FULL_TRACK tender on the chain accepts
+ACCEPTED = {
+    "deploy_data": lambda c, rft, o, k: (o, None, contracts.call("deploy_data", data=b"terms")),
+    "deploy_rft": lambda c, rft, o, k: (o, None, _rft_call(k)),
+    "place_bid": lambda c, rft, o, k: (o, rft, _bid_call(k, rft)),
+    "reveal_key_half": lambda c, rft, o, k: (o, rft, contracts.call(
+        "reveal_key_half", bid_addr=account("record"), half_b=HALF_A)),
+    "publish_results": lambda c, rft, o, k: (
+        o, rft, contracts.call("publish_results", result={})),
+}
+
+# the values of fixed length: (op, key, bytes)
+FIXED_LENGTHS = [("deploy_rft", "tender_data", 20), ("deploy_rft", "pubk", 64),
+                 ("place_bid", "data_addr", 20), ("place_bid", "r", 32), ("place_bid", "s", 32),
+                 ("place_bid", "sealed_half_a", crypto.SEALED_HALF_LEN),
+                 ("reveal_key_half", "bid_addr", 20),
+                 ("reveal_key_half", "half_b", crypto.SEALED_HALF_LEN)]
+
+
+def _edited(op, **edits):
+    """The ``ACCEPTED`` call of ``op`` with ``edits``."""
+    def make_tx(chain, rft, owner, to_keys):
+        sender, target, call = ACCEPTED[op](chain, rft, owner, to_keys)
+        return sender, target, {**call, **edits}
+    return make_tx
+
+
+@pytest.mark.parametrize("make_tx", [
+    *[pytest.param(ACCEPTED[op], id=op) for op in ACCEPTED],
+    pytest.param(_edited("place_bid", id="\u00e9" * (contracts.MAX_ID_BYTES // 2)),
+                 id="id-of-max-id-bytes"),
+    pytest.param(_edited("deploy_rft", tender_data=None), id="tender-data-null"),
+])
+def test_a_call_of_exactly_its_keys_and_lengths_is_accepted(to_keys, make_tx):
+    chain = Chain(ChainConfig())
+    rft, owner = make_tender(chain, to_keys, "FULL_TRACK")
+    assert ledger_ops.run_single(chain, *make_tx(chain, rft, owner, to_keys)).error is None
+    assert audit.replay_chain(chain.export()).findings == []
 
 
 # (scheme of the tender on the chain, (chain, rft, owner, to_keys) -> the
@@ -851,36 +904,34 @@ RECEIPT_CASES = [
         o, None, {"op": "deploy_data", "data": "0xzz"}),
         contracts.MALFORMED_PAYLOAD, id="deploy-data-fields"),
     pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, rft, _bid_call(k, rft, r="0x00")),
-                 contracts.MALFORMED_CERTIFICATE, id="short-r"),
+                 contracts.MALFORMED_PAYLOAD, id="short-r"),
     # a JSON number or string that equals a valid v is not the int v
     pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, rft, _bid_call(k, rft, v_as=float)),
-                 contracts.MALFORMED_CERTIFICATE, id="v-float"),
+                 contracts.MALFORMED_PAYLOAD, id="v-float"),
     pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, rft, _bid_call(k, rft, v_as=str)),
-                 contracts.MALFORMED_CERTIFICATE, id="v-string"),
+                 contracts.MALFORMED_PAYLOAD, id="v-string"),
+    pytest.param("FULL_TRACK", _edited("place_bid", v=29), contracts.MALFORMED_PAYLOAD,
+                 id="v-29"),
+    pytest.param("FULL_TRACK", _edited("place_bid", id=7), contracts.MALFORMED_PAYLOAD,
+                 id="id-a-number"),
     pytest.param("PROTECTED", lambda c, rft, o, k: (
         o, rft, _bid_call(k, rft, cert_for=account("other-tender"))),
         contracts.CERTIFICATE_REJECTED, id="other-tender-cert"),
     pytest.param("PROTECTED", lambda c, rft, o, k: (o, rft, _bid_call(k, rft, id="B2")),
                  contracts.CERTIFICATE_REJECTED, id="other-id-cert"),
-    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
-        o, None, contracts.rft_deploy_call("FULL_TRACK", 1000, k.public_key, 0)),
-        contracts.INVALID_TENDER_PARAMS, id="limit-0"),
+    pytest.param("FULL_TRACK", _edited("deploy_rft", limit=0),
+                 contracts.MALFORMED_PAYLOAD, id="limit-0"),
     # deployment numbers must be JSON integers: true is not 1, nor "900000" 900000
-    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
-        o, None, contracts.rft_deploy_call("FULL_TRACK", 1000, k.public_key, True)),
-        contracts.INVALID_TENDER_PARAMS, id="limit-true"),
-    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
-        o, None, contracts.rft_deploy_call("FULL_TRACK", 1000, k.public_key, 2.0)),
-        contracts.INVALID_TENDER_PARAMS, id="limit-float"),
-    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
-        o, None, contracts.rft_deploy_call("FULL_TRACK", "900000", k.public_key, 2)),
-        contracts.INVALID_TENDER_PARAMS, id="length-ms-string"),
-    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
-        o, None, contracts.rft_deploy_call("FULL_TRACK", 900000.7, k.public_key, 2)),
-        contracts.INVALID_TENDER_PARAMS, id="length-ms-float"),
-    pytest.param("FULL_TRACK", lambda c, rft, o, k: (
-        o, None, contracts.data_deploy_call(b"\x42" * 626)),
-        contracts.DATA_TOO_LARGE, id="5008-bits"),
+    pytest.param("FULL_TRACK", _edited("deploy_rft", limit=True),
+                 contracts.MALFORMED_PAYLOAD, id="limit-true"),
+    pytest.param("FULL_TRACK", _edited("deploy_rft", limit=2.0),
+                 contracts.MALFORMED_PAYLOAD, id="limit-float"),
+    pytest.param("FULL_TRACK", _edited("deploy_rft", length_ms="900000"),
+                 contracts.MALFORMED_PAYLOAD, id="length-ms-string"),
+    pytest.param("FULL_TRACK", _edited("deploy_rft", length_ms=900000.7),
+                 contracts.MALFORMED_PAYLOAD, id="length-ms-float"),
+    pytest.param("FULL_TRACK", _edited("deploy_data", data=to_hex(b"\x42" * 626)),
+                 contracts.DATA_TOO_LARGE, id="5008-bits"),
     pytest.param("FULL_TRACK", lambda c, rft, o, k: (
         o, rft, {"op": "set_field", "field": "limit", "value": 9}),
         contracts.IMMUTABLE_STATE, id="set-field"),
@@ -888,12 +939,39 @@ RECEIPT_CASES = [
                  contracts.UNKNOWN_CONTRACT_CALL, id="tender-op"),
     pytest.param("STATELESS", lambda c, rft, o, k: (o, None, {"op": "deploy_token"}),
                  contracts.UNKNOWN_CONTRACT_CALL, id="deploy-op"),
+    # an op that is no string names no op, and cannot be looked up
+    pytest.param("STATELESS", lambda c, rft, o, k: (o, rft, {"op": ["place_bid"]}),
+                 contracts.UNKNOWN_CONTRACT_CALL, id="tender-op-a-list"),
+    pytest.param("STATELESS", lambda c, rft, o, k: (o, None, {"op": {"deploy_data": 1}}),
+                 contracts.UNKNOWN_CONTRACT_CALL, id="deploy-op-an-object"),
     pytest.param("FULL_TRACK", lambda c, rft, o, k: (
-        c.register_account(account("stranger")), rft, contracts.publish_results_call({})),
+        c.register_account(account("stranger")), rft,
+        contracts.call("publish_results", result={})),
         contracts.UNAUTHORIZED_PUBLISHER, id="stranger-publishes"),
     pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, account("ghost"), {"op": "x"}),
                  NoSuchContract.code, id="no-target"),
     pytest.param("FULL_TRACK", _republish, RepublishForbidden.code, id="republish"),
+    # every value a call carries is read: no key but its op's, each of its length
+    *[pytest.param("FULL_TRACK", _edited(op, pad="x"), contracts.MALFORMED_PAYLOAD,
+                   id=f"{op}-unread-key") for op in ACCEPTED],
+    *[pytest.param("FULL_TRACK", _edited(op, **{key: to_hex(bytes(size + by))}),
+                   contracts.MALFORMED_PAYLOAD, id=f"{key}-{size + by}-bytes")
+      for op, key, size in FIXED_LENGTHS for by in (-1, 1)],
+    pytest.param("FULL_TRACK", _edited("deploy_rft", tender_data="0x"),
+                 contracts.MALFORMED_PAYLOAD, id="tender_data-0-bytes"),
+    pytest.param("FULL_TRACK", lambda c, rft, o, k: (o, None, {
+        key: value for key, value in _rft_call(k).items() if key != "tender_data"}),
+        contracts.MALFORMED_PAYLOAD, id="tender-data-missing"),
+    pytest.param("FULL_TRACK", _edited("place_bid", id="B" * (contracts.MAX_ID_BYTES + 1)),
+                 contracts.MALFORMED_PAYLOAD, id="id-over-max-id-bytes"),
+    pytest.param("FULL_TRACK", _edited("place_bid", pad="x" * 20_000),
+                 contracts.MALFORMED_PAYLOAD, id="bid-padded-with-20000-characters"),
+    # bytes.fromhex skips spaces between digit pairs, which would go unread and unmetered
+    pytest.param("FULL_TRACK", _edited("place_bid", data_addr="0x" + " ".join(
+        "ab" for _ in range(20)) + " " * 20_000), contracts.MALFORMED_PAYLOAD,
+                 id="data_addr-spaced"),
+    pytest.param("FULL_TRACK", _edited("deploy_data", data="0x" + " " * 20_000 + "74"),
+                 contracts.MALFORMED_PAYLOAD, id="data-spaced"),
 ]
 
 
@@ -942,8 +1020,8 @@ def test_tender_data_redeployed_under_a_reused_nonce_is_flagged(tmp_path, capsys
     flipped = EvaluationCriteria(numeric_fields=(("price", 1.0, "MAXIMIZE"),),
                                  feasibility_predicates=())
     chain._nonces[orch.to.address] = 0  # a host re-mining with the organisation's key
-    ledger_ops.run_single(chain, orch.to.address, None, contracts.data_deploy_call(
-        dataclasses.replace(orch.spec, criteria=flipped).data_blob()))
+    ledger_ops.run_single(chain, orch.to.address, None, contracts.call(
+        "deploy_data", data=dataclasses.replace(orch.spec, criteria=flipped).data_blob()))
     orch.publish_results(orch.close_and_evaluate())
     export = chain.export()
     code, lines = _audit_cli(tmp_path, capsys, export)
@@ -968,7 +1046,8 @@ def test_a_publication_nested_past_the_bound_is_refused_and_the_chain_exports(
     # nested this deep must be refused on the ledger, not raise in Chain.export
     chain, rft, orch, _ = run_honest_tender("FULL_TRACK", two_bid_docs(), publish=False)
     result = orch.close_and_evaluate()
-    call = canonical_json_bytes(contracts.publish_results_call({**result.to_dict(), "note": 0}))
+    call = canonical_json_bytes(contracts.call("publish_results",
+                                               result={**result.to_dict(), "note": 0}))
     deep = call.replace(b'"note":0', b'"note":' + _deep(depth).encode())
     chain.submit_transaction(orch.to.address, rft, deep)
     assert chain.mine_block(chain.now()).transactions[-1].error == contracts.MALFORMED_PAYLOAD
@@ -986,12 +1065,10 @@ def test_a_receipt_field_nested_deep_is_graded(full_track_10, tmp_path, capsys, 
     path.write_text(canonical_json(export).replace('"deep"', _deep(depth)), encoding="utf-8")
     code = main(["audit", str(path)])
     out = capsys.readouterr()
-    # graded, or refused where the parse meets Python's recursion limit first (the
-    # caller's stack decides which at 980); never a traceback
-    if code == 1:
-        assert out.err == "" and out.out.startswith("AUDIT FAIL")
-    else:
-        assert code == 2 and out.err.startswith("error[MALFORMED_EXPORT]: ")
+    # refused for its depth, the same whatever the caller's stack; never a traceback
+    assert code == 2 and out.out == ""
+    assert out.err == (f"error[MALFORMED_EXPORT]: chain export is not a JSON document: nests "
+                       f"arrays and objects more than {MAX_JSON_DEPTH} levels deep\n")
 
 
 @pytest.fixture(scope="module")
@@ -1106,7 +1183,7 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/9", "blocks": [block],
+    raw = canonical_json_bytes({"format": "tendersim-chain/10", "blocks": [block],
                                 "contracts": {}})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))

@@ -23,7 +23,8 @@ from tendersim.errors import (
 )
 
 import ledger_ops
-from conftest import account, expand_prior_bids, make_tender, run_honest_tender, two_bid_docs
+from conftest import (HALF_A, account, expand_prior_bids, make_tender, run_honest_tender,
+                      two_bid_docs)
 from reference_data import (
     DEPLOY_GAS,
     FULL_TRACK_BID_SERIES,
@@ -119,6 +120,23 @@ def test_chain_config_refuses_a_clock_setting_out_of_range(setting):
         ChainConfig(**setting)
 
 
+@pytest.mark.parametrize("setting", [{"max_future_drift_ms": 0}, {"genesis_timestamp": 0}],
+                         ids=lambda setting: "".join(f"{k}={v!r}" for k, v in setting.items()))
+def test_chain_config_accepts_a_clock_setting_at_its_bound(setting):
+    chain = Chain(ChainConfig(**setting))
+    chain.advance_to(chain.now() + 1)
+    assert chain.mine_block(chain.now()).height == 1
+
+
+def test_a_block_timestamp_is_below_2_to_the_64():
+    # a block hash holds the timestamp in 8 bytes
+    chain = Chain(ChainConfig(genesis_timestamp=2**64 - 2))
+    chain.advance_to(2**64)
+    with pytest.raises(TimestampTooFarAhead):
+        chain.mine_block(2**64)
+    assert chain.mine_block(2**64 - 1).timestamp == 2**64 - 1
+
+
 def test_chain_grows_with_strictly_increasing_timestamps(chain):
     for step in (10, 20, 5000, 5001):
         chain.advance_to(chain.now() + step)
@@ -182,8 +200,8 @@ def _bid_gas(scheme: str, bids: int) -> list[int]:
     gas = []
     for i in range(bids):
         cert = crypto.issue_certificate(keys.private_key, f"B{i}", rft)
-        call = contracts.place_bid_call(f"B{i}", account("data"), cert.v, cert.r, cert.s,
-                                        b"half")
+        call = contracts.call("place_bid", id=f"B{i}", data_addr=account("data"), v=cert.v,
+                              r=cert.r, s=cert.s, sealed_half_a=HALF_A)
         gas.append(ledger_ops.run_single(chain, sender, rft, call).gas_used)
     return gas
 
@@ -200,7 +218,8 @@ def test_bid_gas_examples(chain, to_keys):
     assert _bid_gas("STATELESS", 4) == [STATELESS_BID_GAS] * 4
     # a refused bid copies no bid array, so it pays the scheme's base
     rft, sender = make_tender(chain, to_keys, "PROTECTED")
-    call = contracts.place_bid_call("B1", account("data"), 27, bytes(32), bytes(32), b"half")
+    call = contracts.call("place_bid", id="B1", data_addr=account("data"), v=27, r=bytes(32),
+                          s=bytes(32), sealed_half_a=HALF_A)
     with pytest.raises(ledger_ops.Rejected):
         ledger_ops.run_single(chain, sender, rft, call)
     tx = chain.head().transactions[0]
@@ -243,7 +262,7 @@ def test_gas_determinism_on_identical_runs(to_keys):
         cert = crypto.issue_certificate(to_keys.private_key, "B1", rft)
         for _ in range(3):
             ledger_ops.place_bid_full(chain, rft, sender, "B1", data, cert.v, cert.r,
-                                      cert.s, b"half")
+                                      cert.s, HALF_A)
         return [t.gas_used for b in chain.blocks for t in b.transactions]
 
     assert run() == run()
@@ -259,8 +278,9 @@ def _spammed_full_track(records: int) -> tuple[Chain, str]:
     spammer = chain.register_account(account("spammer"))
     rng = Random(4)
     for k in range(records):
-        call = contracts.place_bid_call(f"SPAM-{k}", rng.randbytes(20), 27, rng.randbytes(32),
-                                        rng.randbytes(32), rng.randbytes(62))
+        call = contracts.call("place_bid", id=f"SPAM-{k}", data_addr=rng.randbytes(20), v=27,
+                              r=rng.randbytes(32), s=rng.randbytes(32),
+                              sealed_half_a=rng.randbytes(62))
         chain.submit_transaction(spammer, rft, canonical_json_bytes(call))
     chain.mine_block(chain.head().timestamp + chain.config.block_interval_ms)
     return chain, to_hex(rft)
@@ -331,7 +351,7 @@ def test_export_holds_one_small_link_per_record():
 def test_export_links_data_and_results_to_the_transactions_that_carried_them(scheme):
     chain, rft, _, _ = run_honest_tender(scheme, two_bid_docs())
     export = chain.export()
-    assert export["format"] == "tendersim-chain/9"
+    assert export["format"] == "tendersim-chain/10"
     assert list(export) == ["format", "blocks", "contracts"]  # no setting of the ledger
     created = {tx.created_address: tx for b in chain.blocks for tx in b.transactions
                if tx.created_address}
@@ -365,8 +385,8 @@ def _bid_spelled(spell) -> tuple[Chain, bytes]:
     one, and the address of its record."""
     chain = Chain(ChainConfig())
     rft, sender = make_tender(chain, crypto.generate_keypair(Random(3)), "FULL_TRACK")
-    call = contracts.place_bid_call("B1", account("data"), 27, bytes(32), bytes(32),
-                                    b"half-a")
+    call = contracts.call("place_bid", id="B1", data_addr=account("data"), v=27, r=bytes(32),
+                          s=bytes(32), sealed_half_a=HALF_A)
     chain.submit_transaction(sender, rft, canonical_json_bytes(spell(call)))
     block = chain.mine_block(chain.head().timestamp + chain.config.block_interval_ms)
     return chain, block.transactions[0].created_address
@@ -383,7 +403,7 @@ def test_export_writes_a_record_whose_call_spells_an_argument_otherwise_whole(sp
     disclosed = chain.export()["contracts"][to_hex(record)]
     assert "placed_by" not in disclosed
     assert disclosed["data_addr"] == to_hex(account("data"))
-    assert disclosed["sealed_half_a"] == to_hex(b"half-a")
+    assert disclosed["sealed_half_a"] == to_hex(HALF_A)
     assert audit.replay_chain(chain.export()).findings == []
 
 

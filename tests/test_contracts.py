@@ -10,7 +10,7 @@ from tendersim.encoding import canonical_json_bytes, to_hex
 from tendersim.errors import BiddingStillOpen, SchemeHasNoState
 
 import ledger_ops
-from conftest import account, make_tender
+from conftest import HALF_A, account, make_tender
 from reference_data import DEPLOY_GAS, STATELESS_BID_GAS
 
 
@@ -18,14 +18,14 @@ def _bid_args(to_keys, bidder_id, rft, data=None):
     cert = crypto.issue_certificate(to_keys.private_key, bidder_id, rft)
     return dict(bidder_id=bidder_id, data_addr=data or account("some-data"),
                 v=cert.v, r=cert.r, s=cert.s,
-                sealed_half_a=b"half-a")
+                sealed_half_a=HALF_A)
 
 
 def _forged_args(bidder_id, rng=None):
     rng = rng or Random(99)
     return dict(bidder_id=bidder_id, data_addr=account("junk"),
                 v=27, r=rng.randbytes(32),
-                s=rng.randbytes(32), sealed_half_a=b"half-a")
+                s=rng.randbytes(32), sealed_half_a=HALF_A)
 
 
 # --- deployment -----------------------------------------------------------------
@@ -41,11 +41,11 @@ def test_deployment_gas_constants(chain, to_keys, scheme):
 
 def test_invalid_tender_params(chain, to_keys):
     sender = chain.register_account(account("TO"))
-    with pytest.raises(ledger_ops.Rejected, match=contracts.INVALID_TENDER_PARAMS):
+    with pytest.raises(ledger_ops.Rejected, match=contracts.MALFORMED_PAYLOAD):
         ledger_ops.init_tender(chain, sender, 0, to_keys.public_key, 2, "FULL_TRACK")
-    with pytest.raises(ledger_ops.Rejected, match=contracts.INVALID_TENDER_PARAMS):
+    with pytest.raises(ledger_ops.Rejected, match=contracts.MALFORMED_PAYLOAD):
         ledger_ops.init_tender(chain, sender, 1000, to_keys.public_key, 0, "FULL_TRACK")
-    with pytest.raises(ledger_ops.Rejected, match=contracts.INVALID_TENDER_PARAMS):
+    with pytest.raises(ledger_ops.Rejected, match=contracts.MALFORMED_PAYLOAD):
         ledger_ops.init_tender(chain, sender, 1000, to_keys.public_key[:63], 2, "FULL_TRACK")
 
 
@@ -122,7 +122,7 @@ def test_full_track_malformed_certificate_is_a_protocol_error(chain, to_keys):
     for edit in ({"r": args["r"][:-1]}, {"s": args["s"][:-1]},
                  {"data_addr": args["data_addr"][:-1]},
                  {"v": float(args["v"])}, {"v": str(args["v"])}):
-        with pytest.raises(ledger_ops.Rejected, match=contracts.MALFORMED_CERTIFICATE):
+        with pytest.raises(ledger_ops.Rejected, match=contracts.MALFORMED_PAYLOAD):
             ledger_ops.place_bid_full(chain, rft, sender, **{**args, **edit})
     assert chain.export()["contracts"] == state_before
     assert chain.get_contract(rft).bids_placed == []
@@ -153,7 +153,7 @@ def test_a_bid_call_carries_no_hash_and_the_tender_rebuilds_it(chain, to_keys):
     rft, sender = make_tender(chain, to_keys, "FULL_TRACK")
     v, r, s = secp256k1.sign_digest(to_keys.private_scalar, crypto.cert_message_hash("B1", rft))
     call = {"op": "place_bid", "id": "B1", "data_addr": to_hex(account("data")),
-            "v": v, "r": to_hex(r), "s": to_hex(s), "sealed_half_a": to_hex(b"half-a")}
+            "v": v, "r": to_hex(r), "s": to_hex(s), "sealed_half_a": to_hex(HALF_A)}
     addr = ledger_ops.run_single(chain, sender, rft, call).created_address
     assert chain.get_contract(addr).validity is True
     assert _replayed(chain)[addr].validity is True
@@ -167,7 +167,8 @@ def test_a_valid_certificate_under_another_id_or_for_another_tender_is_refused(
     b1 = _bid_args(to_keys, "B1", rft)
     # B1's certificate presented by B2, and B1's certificate for the other tender
     for args in ({**b1, "bidder_id": "B2"}, _bid_args(to_keys, "B1", other_rft)):
-        call = contracts.place_bid_call(**args)
+        args["id"] = args.pop("bidder_id")
+        call = contracts.call("place_bid", **args)
         if scheme == contracts.SCHEME_PROTECTED:
             with pytest.raises(ledger_ops.Rejected, match=contracts.CERTIFICATE_REJECTED):
                 ledger_ops.run_single(chain, sender, rft, call)

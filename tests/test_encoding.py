@@ -1,14 +1,17 @@
-"""The JSON writer, which writes canonical_json's text and a newline, and
-the chain export it writes, read back whole."""
+"""The JSON writer, which writes canonical_json's text and a newline, the
+reader, which refuses nesting past one bound, and the chain export it writes,
+read back whole."""
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tendersim import audit, contracts
 from tendersim.cli import main
-from tendersim.encoding import canonical_json, write_canonical_json
+from tendersim.encoding import (MAX_JSON_DEPTH, canonical_json, from_hex, load_json,
+                                write_canonical_json)
 from tendersim.scenario import run_scenario
 
 from conftest import SCENARIO_DIR, run_honest_tender, two_bid_docs
@@ -19,6 +22,39 @@ _json = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                  max_size=4),
     max_leaves=30)
+
+
+@pytest.mark.parametrize("text, value", [("0x", b""), ("0xaB", b"\xab"), ("0x00ff", b"\x00\xff")])
+def test_hex_is_two_digits_per_byte_of_either_case(text, value):
+    assert from_hex(text) == value
+
+
+@pytest.mark.parametrize("text", ["0x00 ff", "0x 00", "0x00 ", "0x00\n", "00ff", "0x0", 7, None])
+def test_hex_with_a_space_or_a_lone_digit_is_refused(text):
+    # bytes.fromhex skips whitespace between digit pairs; a call's spaces would go unread
+    with pytest.raises(ValueError):
+        from_hex(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH, None),
+    ('{"a":' * (MAX_JSON_DEPTH - 1) + "[]" + "}" * (MAX_JSON_DEPTH - 1), None),
+    ("5", 5), ('"[[["', "[[["),
+])
+def test_the_reader_takes_json_nested_up_to_the_bound(text, value):
+    assert load_json(text) == (json.loads(text) if value is None else value)
+
+
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH + 1, 980, 100_000])
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")])
+def test_the_reader_refuses_json_nested_past_the_bound_alike_on_any_stack(depth, opening,
+                                                                          closing):
+    # json.loads itself meets Python's recursion limit somewhere in between, at a
+    # depth that depends on the caller's stack; the refusal does not
+    text = opening * depth + "1" + closing * depth
+    with pytest.raises(ValueError, match=f"^nests arrays and objects more than "
+                                         f"{MAX_JSON_DEPTH} levels deep$"):
+        load_json(text)
 
 
 @given(_json)

@@ -22,62 +22,62 @@ REPORTS = ("audit.json", "chain.json", "gas.csv", "summary.txt")
 
 GOLDEN = {
     "early_key_reveal/audit.json": "469f056e29e57c0af10fcc5dd3d97f86b67e41ccac0bc15fbcdb6544fad5faa1",
-    "early_key_reveal/chain.json": "6cabfdacbb1622ac85480dff970b98bd48df62187370d16bb343111732a4d68e",
+    "early_key_reveal/chain.json": "0c4ab2d70ecd7ab8da2d7880fbbb43d5e56bbbe0456e6c59d7244cdc5799b959",
     "early_key_reveal/gas.csv": "5c7484dedd7a21c1fd7037662b2239cafc2d57df4adec41b8b9297a544cc98dc",
     "early_key_reveal/summary.txt": "5ba861ed4baae425328eebae31169557c270b8e4f5d5ddc99b468cba32cae7f5",
     "erased_bid/audit.json": "7b4bcaecdee400f3f3a788649ce23ab3fb96600493f6439568c65808f5f65273",
-    "erased_bid/chain.json": "6da5d586d8d85819a559e542c1ff8759ffa836e1f640ae58187f6d606eba6f8a",
+    "erased_bid/chain.json": "d82760f2ccd6dcbe0da5d5cd0088d1ef3a4bcf48e66fdb92aec3c114f6b33cb6",
     "erased_bid/gas.csv": "06260140411ce5e75d51839edc56359ee646d990c229d4f45ef0709f41fc8c44",
     "erased_bid/summary.txt": "556d78f40c30c360cfea5769e5ca39bf251f67bb38c58c2504e5efa7303b111e",
     "forged_cert/audit.json": "376e3cc86440eadb59f6b61c2fc49d6f5ec7f1a8bc154ab0659b12bfeb084667",
-    "forged_cert/chain.json": "edeff2932e64fbd8a82e136b3553aafcb9be6e8990b84c62b262b493383138ff",
+    "forged_cert/chain.json": "5848b35596d33b617d0d757a29ed30acbf470c8dfb4c73c64cf7d09accfeb604",
     "forged_cert/gas.csv": "8b14473319a1ec3b2ff4161b73a165b74de517eb99acd1643bafaca819687c31",
     "forged_cert/summary.txt": "502108da42df59ec22170260de90b30d8874353705472ea733c616797ba1c984",
     "full_track_10_bids/audit.json": "548e94334352be75ab593a6cdba8330ac1c5910320a0f26f09b349031787fca1",
-    "full_track_10_bids/chain.json": "2fd9cb3cf9df27dd13b0cedfcf122d73cc34a01805d84e04947acdfa2da826b1",
+    "full_track_10_bids/chain.json": "4b5e881cc5d2c980312a2b4916e78f87cc16db59bb8a66b1d4458c411e511e3c",
     "full_track_10_bids/gas.csv": "06260140411ce5e75d51839edc56359ee646d990c229d4f45ef0709f41fc8c44",
     "full_track_10_bids/summary.txt": "86e3eeff5627985a8465e79e5f0ef1343bba13da088c16b2dc88fcd31e772d13",
     "late_bid/audit.json": "be642479223650e7b646712916f24742fefe6f1ee3e787a9ed8935064752be21",
-    "late_bid/chain.json": "84339c0562332ec92d6a42e84fb40fb1481f086ddec7daac2c95c9a3fe581431",
+    "late_bid/chain.json": "a6d5de5c12553aaa5af241d4e1ad29f80ac51dc99ffca46459f59e3e3bb71cfe",
     "late_bid/gas.csv": "4a815e89ae7216933a30f093e201ebae8cdf057a3c63c4c61496cbbf9e53b7e2",
     "late_bid/summary.txt": "61c384c31bc56741a9d9377924e8c22fdafe2d45aeb6596148dda77ce131ecc0",
     "mutated_tender/audit.json": "6c023cc87e4f1e54b7a1c5fd1a2027a73caf2365e74d5a36ff822edb122d20b3",
-    "mutated_tender/chain.json": "c24960a558b41a62c352baa3ec4ef6b1b0e75d4825889f081907143da299053b",
+    "mutated_tender/chain.json": "57562bd5d52fd3bcec254efcc2fe994fb9c8919049ca4ddf1c3bbc3ae2762ecb",
     "mutated_tender/gas.csv": "58765549ed63121344251b564c1022309faab7addc82fe97f729d3fd9b6e61ed",
     "mutated_tender/summary.txt": "ea4d145cad2bef55f6d0e4af6a4ee9ea73ab77d3c30ed7a3202cbbca8bd68836",
     "protected_10_bids/audit.json": "864e67c470fe766e7b0864201f090b562eabb61c6cc6103e5be5daf05ba3eb2c",
-    "protected_10_bids/chain.json": "fdf2d8d77a218c3a880566b95bb7f2277205352510f745258f39c139167a0f89",
+    "protected_10_bids/chain.json": "7844b7ac8f29f2a358836bd1021f6aa5333ac3a5a9263959bd0e82dd52883f06",
     "protected_10_bids/gas.csv": "58765549ed63121344251b564c1022309faab7addc82fe97f729d3fd9b6e61ed",
     "protected_10_bids/summary.txt": "b166cc4b4ca2ddc5ea4ec4d886539e6da5b5a632c9c6c3a70b9805df852908b1",
     "rigged_winner/audit.json": "2642b9d5c1dca94c5d5c4127acfeb6a398a31aa82d540749d9d37f9f5d344d4c",
-    "rigged_winner/chain.json": "200568c0e7f95b1b8b3fc85e08ba427c8c336089fa55d90d6b23e81aae39acb9",
+    "rigged_winner/chain.json": "49c4b73c1ed7e5f0614df525d5ccaa044be3b55589a234328455498182dcd16a",
     "rigged_winner/gas.csv": "06260140411ce5e75d51839edc56359ee646d990c229d4f45ef0709f41fc8c44",
     "rigged_winner/summary.txt": "a28a23ea49de33762e40219f0614f6f19ea86aacd51e947240310c8c2086f34c",
     "spam_full_track/audit.json": "0368900cc533938e055927e4c1719353f2f52393f670849e7ca912b582b4185e",
-    "spam_full_track/chain.json": "5bb460c9a702950ae3152cd43f7720d72ddb6196f26e10efdefeee30cb092d11",
+    "spam_full_track/chain.json": "4a55785a38d168a94c4b1efb51421d88ac8be29c2924c0bceefeed4deed3033d",
     "spam_full_track/gas.csv": "13a3f4c13dac9747f1e5538197c143d7662d49178a51d77a4cd3e7db23726fbc",
     "spam_full_track/summary.txt": "c2ad370736e23e1dd208ffd9c007e23b15e8b76851ee98e282b43c15928e6197",
     "spam_protected/audit.json": "bc01ec5f524eb49870ea125377e59ae6b5f3b66bd7e50558b3c67e59c67feb5f",
-    "spam_protected/chain.json": "0e72fdf0d81847e10b1c6d5ae757cdc067d72d8f9c50767ba706197c14d828e1",
+    "spam_protected/chain.json": "aa50dc02a4b4b76be714df95a1b15f2a96fd3c6e0973b792b317f7107d4677ba",
     "spam_protected/gas.csv": "ea12473fb45d96393a957fe0325e447a395ad51c7f339750eec7a74b49ee5a70",
     "spam_protected/summary.txt": "e750a3a114fc39072659e7a17d721a3ec93ce399d3b4f939345c22083b6d0d59",
     "spam_stateless/audit.json": "3802120edf80b586feba288e3bcc03be396d01f463ca1783a484ab9ffb6bf8f2",
-    "spam_stateless/chain.json": "b51a7809f3c8099c356a5b76ea4ef94f5e10567f22e511ebae8de9c95cf75d35",
+    "spam_stateless/chain.json": "5f424df65d84bba3b7ff9f553fd81db7106281c95c5df29edacdd52854932ea0",
     "spam_stateless/gas.csv": "9fb02ade04a118073a897582d815ec9b88f80b2b4827ed1835e722d6fee8ff11",
     "spam_stateless/summary.txt": "e63c33672245e4fe28278f558b491268208e074e0c39ad7ec855b6e36dc5a1da",
     "stateless_10_bids/audit.json": "acbbd1a59cf44ac4261fdd47701db8360522def0db9dc850452aa28ae1ba8554",
-    "stateless_10_bids/chain.json": "83d95e18656494a04c0561a28c5ead7ce9d02b2f25c900f54b5e42acaf28362f",
+    "stateless_10_bids/chain.json": "6bd7f00d0be27f972c64f7ab8d1433f8b0842c60eef047d1667fb1688c30abd4",
     "stateless_10_bids/gas.csv": "4b348b4419563514eb68dc68a1d457632358c6eb254a82413c54991a981aef80",
     "stateless_10_bids/summary.txt": "3b2ee749cc1f2ef44ded7f56c7303a5715942565ac272d0d19a8c2e5d6613f7d",
     "withheld_key/audit.json": "6619ade4a374a237d23b32c57550f14153aa5a79f710957844e1eda728c13ab6",
-    "withheld_key/chain.json": "19abdeb71e971df00f67b6d5bb8445c8c549a38709ddde1d0de5b6370a49ce0e",
+    "withheld_key/chain.json": "c917227c9770db55f54f1dfcb652790d54ebf1a39dec36cbc432c1823ca5165e",
     "withheld_key/gas.csv": "c74dbadfa59673b1b84504bbfd4677565997406f8b8f51a27fb5e42350edada2",
     "withheld_key/summary.txt": "e8237135423bd849b5e6f4e92f6ea4e36fa05a3075cb692f1bd8667aa8de0722",
 }
 
 # SHA-256 over the sorted "<scenario>/<file> <sha256hex>\n" lines of the
 # chain.json and audit.json entries above
-GOLDEN_CROSS_CHECK = "e6c2835d4af68e6e8f706ff0fc2ec153a093d373248d0067601fb0515e5c3362"
+GOLDEN_CROSS_CHECK = "0a67c7eabb717d28cc90201cd87d4cbd22dc2be9e7806512e6b7fec71e733c10"
 
 # SHA-256 of what `tendersim audit <chain.json> --out <file>` writes for each
 # bundled scenario's chain.json

@@ -101,7 +101,7 @@ def test_a_score_that_is_not_finite_is_graded_infeasible(fields):
 @pytest.mark.parametrize("title, length_ms, message", [
     pytest.param("t" * 700, 600_000, "tender data deployment rejected: DATA_TOO_LARGE",
                  id="data-over-max-data-bits"),
-    pytest.param("supply tender", 0, "tender deployment rejected: INVALID_TENDER_PARAMS",
+    pytest.param("supply tender", 0, "tender deployment rejected: MALFORMED_PAYLOAD",
                  id="length-ms-0"),
 ])
 def test_open_tender_reports_a_rejected_deployment(title, length_ms, message):
@@ -120,7 +120,8 @@ def test_data_deployment_holds_at_most_max_data_bits_on_ledger_and_in_replay():
     txs = {}
     for size in (MAX_DATA_BITS // 8, MAX_DATA_BITS // 8 + 1):  # 625 and 626 bytes
         chain.submit_transaction(sender, None,
-                                 canonical_json_bytes(contracts.data_deploy_call(b"d" * size)))
+                                 canonical_json_bytes(contracts.call("deploy_data",
+                                                                     data=b"d" * size)))
         txs[size] = chain.mine_block(chain.head().timestamp + 1).transactions[0]
     assert (txs[625].status, txs[625].error) == ("OK", None)
     assert (txs[626].status, txs[626].error) == ("REJECTED", "DATA_TOO_LARGE")

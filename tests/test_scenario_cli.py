@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from tendersim import audit, crypto
 from tendersim.chain import Chain, ChainConfig, compute_tx_hash
 from tendersim.cli import main
+from tendersim.contracts import MAX_ID_BYTES
 from tendersim.encoding import (
     canonical_json,
     canonical_json_bytes,
@@ -165,6 +166,9 @@ def _late_bid(doc, **extra):
                  "$.bidders[2].fields.price", id="field-value-infinity"),
     pytest.param(lambda d: d["bidders"][0].update(id=["B01"]), "$.bidders[0].id",
                  id="bidder-id-not-a-string"),
+    # the ledger reads an id of at most MAX_ID_BYTES UTF-8 bytes: 33 "é" are 66
+    pytest.param(lambda d: d["bidders"][0].update(id="\u00e9" * (MAX_ID_BYTES // 2 + 1)),
+                 "$.bidders[0].id", id="bidder-id-over-max-id-bytes"),
     pytest.param(lambda d: d["bidders"][0].update(free_text=7), "$.bidders[0].free_text",
                  id="free-text-not-a-string"),
     pytest.param(lambda d: d.update(adversarial=[7]), "$.adversarial[0]",
@@ -274,6 +278,8 @@ def test_validation_accepts_a_late_bid_with_numeric_fields():
                  id="late-bid-at-the-length"),
     pytest.param(lambda d: d["bidders"][0]["fields"].update(price=sys.float_info.max),
                  id="field-value-the-largest-float"),
+    pytest.param(lambda d: d["bidders"][0].update(id="\u00e9" * (MAX_ID_BYTES // 2)),
+                 id="bidder-id-of-max-id-bytes"),
 ])
 def test_validation_accepts_values_at_their_bounds(edit):
     doc = _full_track_doc()
@@ -441,17 +447,17 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/9", '
+_FORMAT = b'{"format": "tendersim-chain/10", '
 
 
 def _as_format_6(export: dict) -> None:
-    """Re-spell the top level of a tendersim-chain/9 export as /6 wrote it: with
+    """Re-spell the top level of a tendersim-chain/10 export as /6 wrote it: with
     its data limit."""
     export.update(format="tendersim-chain/6", max_data_bits=5000)
 
 
 def _as_format_5(export: dict) -> None:
-    """Re-spell a tendersim-chain/9 export as /5 wrote it: as /6 did, and with
+    """Re-spell a tendersim-chain/10 export as /5 wrote it: as /6 did, and with
     each block's parent hash, each transaction's gas price, bid records whole."""
     _as_format_6(export)
     export["format"] = "tendersim-chain/5"
@@ -561,13 +567,13 @@ def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
 def test_audit_command_names_the_format_it_refuses(tmp_path, capsys):
     export = copy.deepcopy(_full_track_10_export())
     path = tmp_path / "chain.json"
-    for earlier in ("tendersim-chain/7", "tendersim-chain/8"):
+    for earlier in ("tendersim-chain/7", "tendersim-chain/8", "tendersim-chain/9"):
         export["format"] = earlier
         path.write_bytes(canonical_json_bytes(export))
         assert main(["audit", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[MALFORMED_EXPORT]")
-        assert f"format '{earlier}', not tendersim-chain/9" in err
+        assert f"format '{earlier}', not tendersim-chain/10" in err
 
 
 def test_audit_command_replays_a_call_holding_a_lone_surrogate(tmp_path, capsys):
