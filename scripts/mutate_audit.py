@@ -8,10 +8,11 @@ alone, a returned comparison negated, a statement that appends a finding
 replaced by ``None``, one operand of an ``and``/``or`` dropped, and the first
 operator of a comparison moved across its boundary (``<`` with ``<=``, ``>``
 with ``>=``).
-``--only`` keeps the mutants inside the named functions, or module-level
-assignments such as a table of readers (named by their target). Each mutant runs
-``pytest -x`` over ``tests/``, fast modules first, in a copy of the tree; it
-is killed when a test fails or the run takes over 10 minutes.
+``--only`` keeps the mutants inside the named functions, with the functions
+nested in them, or module-level assignments such as a table of readers (named
+by their target). Each mutant runs ``pytest -x`` over ``tests/``, fast modules
+first, in a copy of the tree; it is killed when a test fails or the run takes
+over 10 minutes.
 Prints one line per mutant, then the counts; exits 1 if any mutant survives.
 Standard library only; run by hand, not part of the test suite.
 """
@@ -39,14 +40,16 @@ def candidates(tree: ast.AST, only: set[str]):
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
 
     def scope(node):
-        # the innermost function that holds ``node``, else its module-level assignment
+        # the outermost function that holds ``node`` (for a node in a class, its method), so
+        # a nested function belongs to the one it is nested in; else its module-level assignment
+        name = None
         while node in parents:
             if isinstance(node, ast.FunctionDef):
-                return node.name
-            if isinstance(node, ast.Assign) and isinstance(parents[node], ast.Module):
+                name = node.name
+            elif isinstance(node, ast.Assign) and isinstance(parents[node], ast.Module):
                 return ast.unparse(node.targets[0])
             node = parents[node]
-        return None
+        return name
 
     for node in ast.walk(tree):
         if only and scope(node) not in only:

@@ -40,7 +40,8 @@ from .chain import (ADDRESS_LEN, GAS_BID_BASE_FULL, GAS_BID_BASE_PROTECTED,
                     GAS_BID_FLAT_STATELESS, GAS_DATA_CONTRACT_PER_BIT, GAS_DEPLOY_RFT_FULL,
                     GAS_DEPLOY_RFT_PROTECTED, GAS_DEPLOY_RFT_STATELESS, GAS_PER_PRIOR_BID_COPY,
                     MAX_DATA_BITS, ExecOutcome, ExecutionContext, contract_address)
-from .encoding import canonical_json_bytes, from_hex, load_json_bytes, same_json, to_hex
+from .encoding import (canonical_json_bytes, from_hex, load_json_bytes, read_object, reader,
+                       same_json, to_hex)
 from .errors import BiddingStillOpen, NoSuchContract, RepublishForbidden, SchemeHasNoState
 
 SCHEME_FULL = "FULL_TRACK"
@@ -335,53 +336,39 @@ class RequestForTenderContract(Contract):
 
 # --- calls ----------------------------------------------------------------------------
 
-def _reader(test, parse=lambda value: value):
-    """The reader that gives ``parse(value)`` when ``test`` accepts it; ValueError else."""
-    def read(value):
-        if not test(value := parse(value)):
-            raise ValueError("value refused")
-        return value
-    return read
-
-
 def _hex(size: int):
-    return _reader(lambda raw: len(raw) == size, from_hex)
+    return reader(lambda raw: len(raw) == size, from_hex)
 
 
 _ADDRESS = _hex(ADDRESS_LEN)
-_COUNT = _reader(lambda value: type(value) is int and value >= 1)  # JSON true is no count
+_COUNT = reader(lambda value: type(value) is int and value >= 1)  # JSON true is no count
 
-# Each op's call: every key but ``op``, mapped to the reader of its value, which gives
-# the value the handler gets or raises ValueError. ``from_hex`` reads a ``data`` of
-# any size; its size is DATA_TOO_LARGE's rule.
+# Each op's call: every key but ``op``, mapped to the reader of the value its handler gets;
+# ``from_hex`` reads a ``data`` of any size, and its size is DATA_TOO_LARGE's rule.
 CALLS = {
     "deploy_data": {"data": from_hex},
-    "deploy_rft": {"scheme": _reader(lambda value: value in SCHEMES), "length_ms": _COUNT,
+    "deploy_rft": {"scheme": reader(lambda value: value in SCHEMES), "length_ms": _COUNT,
                    "pubk": _hex(64), "limit": _COUNT,
                    "tender_data": lambda value: None if value is None else _ADDRESS(value)},
-    "place_bid": {"id": _reader(lambda value: type(value) is str
+    "place_bid": {"id": reader(lambda value: type(value) is str
                                 and len(value.encode("utf-8")) <= MAX_ID_BYTES),
                   "data_addr": _ADDRESS,
-                  "v": _reader(lambda value: type(value) is int and value in (27, 28)),
+                  "v": reader(lambda value: type(value) is int and value in (27, 28)),
                   "r": _hex(32), "s": _hex(32), "sealed_half_a": _hex(crypto.SEALED_HALF_LEN)},
     "reveal_key_half": {"bid_addr": _ADDRESS, "half_b": _hex(crypto.SEALED_HALF_LEN)},
-    "publish_results": {"result": _reader(lambda value: type(value) is dict)},
+    "publish_results": {"result": reader(lambda value: type(value) is dict)},
 }
 
 
 def _dispatch(call: dict, ctx: ExecutionContext, handlers: dict) -> Transition | None:
     """The one reading of a call, for a target whose ``handlers`` map each op it answers
-    to its handler: None for another op; a MALFORMED_PAYLOAD when the call's keys are not
-    exactly its op's and ``op``, or a reader of ``CALLS`` refuses a value; else what the
-    handler makes of the call and the values read."""
+    to its handler: None for another op; a MALFORMED_PAYLOAD when ``read_object`` refuses
+    the call less its ``op`` by the op's ``CALLS``; else what the handler makes of it."""
     op = call["op"]
     if type(op) is not str or op not in handlers:
         return None
-    table = CALLS[op]
     try:
-        if call.keys() != table.keys() | {"op"}:
-            raise ValueError("unread or missing key")
-        values = {key: read(call[key]) for key, read in table.items()}
+        values = read_object({key: call[key] for key in call if key != "op"}, CALLS[op])
     except ValueError:
         return reject_call(call, error=MALFORMED_PAYLOAD), None
     return handlers[op](call, ctx, **values)

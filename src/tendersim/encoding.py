@@ -95,6 +95,28 @@ def same_json(expected: Any, actual: Any) -> bool:
     if type(expected) is dict:
         return all(same_json(value, actual[key]) for key, value in expected.items())
     if type(expected) is list:
-        # equal strings are strictly equal; only other values need a look
-        return set(map(type, expected)) <= {str} or all(map(same_json, expected, actual))
+        return all(map(same_json, expected, actual))
     return True
+
+
+def reader(test, parse=lambda value: value):
+    """The reader that gives ``parse(value)`` when ``test`` accepts it; ValueError else."""
+    def read(value):
+        if not test(value := parse(value)):
+            raise ValueError("value refused")
+        return value
+    return read
+
+
+def read_object(obj: Any, table: dict) -> dict:
+    """Each key of ``table`` mapped to what its reader gives for ``obj[key]``; ValueError for a
+    non-object, for keys that are not exactly the table's, or for a value a reader refuses."""
+    if type(obj) is not dict or obj.keys() != table.keys():
+        raise ValueError(f"must be an object of exactly the keys {', '.join(table)}")
+    values = {}
+    for key, read in table.items():
+        try:
+            values[key] = read(obj[key])
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return values

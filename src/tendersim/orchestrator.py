@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from random import Random
 
 from . import contracts, crypto
 from . import secp256k1 as curve
 from .chain import Chain
-from .encoding import canonical_json_bytes, from_hex, load_json_bytes, to_hex
+from .encoding import (canonical_json_bytes, from_hex, load_json_bytes, read_object, reader,
+                       to_hex)
 from .errors import (
     AuthFailed,
     DecryptionFailed,
@@ -40,16 +43,42 @@ STATUS_UNREVEALED = "UNREVEALED"
 STATUS_MALFORMED = "MALFORMED_CIPHERTEXT"
 STATUS_INFEASIBLE = "INFEASIBLE"
 
-_COMPARATORS = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
-}
+_COMPARATORS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+                "==": operator.eq}
 
-# what indexing, iterating or converting a JSON value of the wrong shape raises
-_SHAPE_ERRORS = (KeyError, TypeError, AttributeError, RecursionError, OverflowError)
+
+def number(value) -> float:
+    """A finite JSON int or float as a float; ValueError else (true, NaN, 10**400, ...)."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError("must be a finite number")
+    return float(value)
+
+
+def _rows(least: int, *cells):
+    """The reader of a list of ``least`` or more rows of one value per reader of ``cells``."""
+    def read(rows):
+        if type(rows) is not list or len(rows) < least or not all(
+                type(row) is list and len(row) == len(cells) for row in rows):
+            raise ValueError(f"must be a list of at least {least} rows of {len(cells)} values")
+        return tuple(tuple(read(value) for read, value in zip(cells, row)) for row in rows)
+    return read
+
+
+_STRING = reader(lambda value: type(value) is str)
+TENDER_DATA_FORMAT = "tender-spec/1"
+
+# Each off-ledger document: every key its writer writes, mapped to the reader of its value.
+CRITERIA = {
+    "numeric_fields": _rows(1, _STRING, number,
+                            reader(lambda value: value in (MINIMIZE, MAXIMIZE))),
+    "feasibility": _rows(0, _STRING, reader(lambda value: type(value) is str
+                                            and value in _COMPARATORS), number),
+    "tie_break": reader(lambda value: value == TIE_LOWEST_ADDRESS),
+}
+TENDER_DATA = {"format": reader(lambda value: value == TENDER_DATA_FORMAT), "title": _STRING,
+               "terms": from_hex, "criteria": lambda value: EvaluationCriteria.from_dict(value)}
+BID_DOCUMENT = {"bidder_id": _STRING, "fields": lambda value: read_object(  # all numbers
+    value, dict.fromkeys(value, number) if type(value) is dict else {}), "free_text": from_hex}
 
 
 @dataclass(frozen=True)
@@ -57,22 +86,6 @@ class EvaluationCriteria:
     numeric_fields: tuple[tuple[str, float, str], ...]
     feasibility_predicates: tuple[tuple[str, str, float], ...] = ()
     tie_break: str = TIE_LOWEST_ADDRESS
-
-    def __post_init__(self):
-        if not self.numeric_fields:
-            raise ValueError("criteria need at least one numeric field")
-        for name, weight, direction in self.numeric_fields:
-            if not math.isfinite(weight):
-                raise ValueError(f"weight for {name!r} must be finite")
-            if direction not in (MINIMIZE, MAXIMIZE):
-                raise ValueError(f"direction for {name!r} must be MINIMIZE or MAXIMIZE")
-        for name, comparator, threshold in self.feasibility_predicates:
-            if comparator not in _COMPARATORS:
-                raise ValueError(f"unknown comparator {comparator!r} for {name!r}")
-            if not math.isfinite(threshold):
-                raise ValueError(f"threshold for {name!r} must be finite")
-        if self.tie_break != TIE_LOWEST_ADDRESS:
-            raise ValueError(f"unknown tie break {self.tie_break!r}")
 
     def feasible(self, fields: dict[str, float]) -> bool:
         named = self.numeric_fields + self.feasibility_predicates
@@ -97,17 +110,8 @@ class EvaluationCriteria:
 
     @classmethod
     def from_dict(cls, obj) -> "EvaluationCriteria":
-        """The criteria ``to_dict`` wrote; ValueError for any other JSON value."""
-        try:
-            return cls(
-                numeric_fields=tuple((str(n), float(w), str(d))
-                                     for n, w, d in obj["numeric_fields"]),
-                feasibility_predicates=tuple((str(n), str(c), float(t))
-                                             for n, c, t in obj.get("feasibility", [])),
-                tie_break=obj.get("tie_break", TIE_LOWEST_ADDRESS),
-            )
-        except _SHAPE_ERRORS as exc:
-            raise ValueError(f"malformed evaluation criteria: {exc!r}") from None
+        """The criteria ``to_dict`` wrote, read by ``CRITERIA`` in the order of the fields."""
+        return cls(*read_object(obj, CRITERIA).values())
 
 
 @dataclass(frozen=True)
@@ -130,14 +134,8 @@ class BidDocument:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "BidDocument":
-        """The document ``to_bytes`` wrote; ValueError for any other bytes."""
-        try:
-            obj = load_json_bytes(raw)
-            return cls(bidder_id=obj["bidder_id"],
-                       fields={k: float(v) for k, v in obj["fields"].items()},
-                       free_text=from_hex(obj["free_text"]))
-        except _SHAPE_ERRORS as exc:
-            raise ValueError(f"malformed bid document: {exc!r}") from None
+        """The document ``to_bytes`` wrote, read by ``BID_DOCUMENT``; ValueError else."""
+        return cls(**read_object(load_json_bytes(raw), BID_DOCUMENT))
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,7 @@ class TenderSpec:
     def data_blob(self) -> bytes:
         """What goes into the tender data contract: terms plus evaluation criteria."""
         return canonical_json_bytes({
-            "format": "tender-spec/1",
+            "format": TENDER_DATA_FORMAT,
             "title": self.title,
             "terms": to_hex(self.terms),
             "criteria": self.criteria.to_dict(),
@@ -160,13 +158,8 @@ class TenderSpec:
 
     @staticmethod
     def parse_data_blob(raw: bytes) -> tuple[str, bytes, EvaluationCriteria]:
-        """What ``data_blob`` wrote; ValueError for any other bytes."""
-        try:
-            obj = load_json_bytes(raw)
-            criteria = EvaluationCriteria.from_dict(obj["criteria"])
-            return obj["title"], from_hex(obj["terms"]), criteria
-        except _SHAPE_ERRORS as exc:
-            raise ValueError(f"malformed tender data: {exc!r}") from None
+        """(title, terms, criteria) of what ``data_blob`` wrote, read by ``TENDER_DATA``."""
+        return tuple(read_object(load_json_bytes(raw), TENDER_DATA).values())[1:]
 
 
 @dataclass
@@ -290,6 +283,7 @@ class TenderOrchestrator:
         return self.chain.mine_block(ts).transactions[-len(calls):]
 
     def open_tender(self, spec: TenderSpec, at: int | None = None) -> tuple[bytes, bytes]:
+        TenderSpec.parse_data_blob(spec.data_blob())  # ValueError for data TENDER_DATA refuses
         data_addr = self.chain.peek_contract_address(self.to.address)
         rft_call = contracts.call("deploy_rft", scheme=spec.scheme, length_ms=spec.length_ms,
                                   pubk=self.to.keys.public_key, limit=spec.limit,

@@ -20,23 +20,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
 from . import audit, contracts, crypto
 from .chain import Chain, ChainConfig
-from .encoding import canonical_json_bytes, from_hex, load_json, to_hex, write_canonical_json
+from .encoding import (MAX_JSON_DEPTH, canonical_json_bytes, from_hex, load_json,
+                       nests_deeper, to_hex, write_canonical_json)
 # perfbench/test_smoke.py checks that tracing restores this module's binding
 from .encoding import canonical_json  # noqa: F401
 from .errors import IncomparableScenarios, ScenarioError
-from .orchestrator import (
-    BidDocument,
-    EvaluationCriteria,
-    TenderOrchestrator,
-    TenderSpec,
-)
+from .orchestrator import (BID_DOCUMENT, BidDocument, EvaluationCriteria, TenderOrchestrator,
+                           TenderSpec, number)
 
 MAX_BIDS = 1000  # honest, late, forged and spam: twice the largest benchmark workload
 
@@ -90,32 +86,30 @@ _OBJECT = _is(lambda value: isinstance(value, dict), "must be an object")
 _FLAG = _is(lambda value: type(value) is bool, "must be true or false")  # "no" would read as true
 
 
-def _criteria(source: str, where: str, value) -> None:
-    try:
-        EvaluationCriteria.from_dict(value)
-    except ValueError as exc:
-        _fail(source, where, str(exc))
-    _read(source, where, value, CRITERIA)
+def _reads(read):
+    """The check that refuses, with its wording, a value ``read`` refuses."""
+    def check(source: str, where: str, value) -> None:
+        try:
+            read(value)
+        except ValueError as exc:
+            _fail(source, where, str(exc))
+    return check
 
 
 def _fields(source: str, where: str, fields) -> None:
     _OBJECT(source, where, fields)
     for name, value in fields.items():
-        # finite JSON numbers only: true and false are not prices, and NaN,
-        # Infinity or an int beyond the float range cannot be scored
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            _fail(source, f"{where}.{name}", "must be a finite number")
+        _reads(number)(source, f"{where}.{name}", value)  # as a bid document reads it
 
 
 # Each object of a scenario: the keys a run reads, in order, each to (required, check);
 # an action's by its kind. A check of None leaves the value as it is.
-CRITERIA = dict.fromkeys(("numeric_fields", "feasibility", "tie_break"), (False, None))
 TENDER = {
     "title": (True, _STRING),
     "terms": (True, _STRING),
     "length_ms": (True, _whole(1, "must be a positive integer")),
     "limit": (True, _whole(1, "must be an integer >= 1")),
-    "criteria": (True, _criteria),
+    "criteria": (True, _reads(EvaluationCriteria.from_dict)),  # as the tender data reads it
 }
 BIDDER = {
     # a lone surrogate is refused below, at the whole document
@@ -142,17 +136,21 @@ ACTIONS = {
     "MUTATE_TENDER": {"action": _KIND},  # flips the first byte of the disclosed tender data
 }
 # A scalar also names what it is compared with in the audit report.
+_WINNER = _is(lambda value: value is None or isinstance(value, str), "must be a string or null")
 EXPECTED = {
-    "winner_id": (False, None, lambda report: report.published_winner),
-    "recomputed_winner": (False, None, lambda report: report.recomputed_winner),
+    "winner_id": (False, _WINNER, lambda report: report.published_winner),
+    "recomputed_winner": (False, _WINNER, lambda report: report.recomputed_winner),
     "winner_match": (False, _FLAG, lambda report: report.winner_match),
     "violations_empty": (False, _FLAG),
-    "violation_tags_include": (False, _LIST),
-    "requirements": (False, _OBJECT),
+    "violation_tags_include": (False, _is(lambda value: isinstance(value, list) and all(
+        isinstance(tag, str) for tag in value), "must be a list of strings")),
+    "requirements": (False, _is(lambda value: isinstance(value, dict) and all(
+        tag in audit.REQUIREMENT_TAGS and verdict in (audit.PASS, audit.PARTIAL, audit.FAIL)
+        for tag, verdict in value.items()), "must map R1-R6 each to PASS, PARTIAL or FAIL")),
     "audit_pass": (False, _FLAG, audit.AuditReport.ok),
 }
 SCENARIO = {
-    "name": (True, None),
+    "name": (True, _STRING),
     "seed": (False, _is(lambda value: type(value) is int, "seed must be an integer")),
     "scheme": (True, _is(lambda value: value in contracts.SCHEMES,
                          f"unknown scheme; the schemes are {', '.join(contracts.SCHEMES)}")),
@@ -173,6 +171,8 @@ def _schedule(doc: dict) -> list[tuple[int, str, dict]]:
 
 
 def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
+    if nests_deeper(doc, MAX_JSON_DEPTH):  # a document passed as a dict was never parsed
+        _fail(source, "$", f"nests arrays and objects more than {MAX_JSON_DEPTH} levels deep")
     _read(source, "$", doc, SCENARIO)
     ids = set()
     too_many = f"a scenario places at most {MAX_BIDS} bids: honest, late, forged and spam"
@@ -259,10 +259,9 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -
     orch = TenderOrchestrator(chain, rng)
 
     tender = doc["tender"]
-    criteria = EvaluationCriteria.from_dict(tender["criteria"])
     spec = TenderSpec(title=tender["title"], terms=tender["terms"].encode("utf-8"),
-                      criteria=criteria, length_ms=tender["length_ms"],
-                      limit=tender["limit"], scheme=doc["scheme"])
+                      criteria=EvaluationCriteria.from_dict(tender["criteria"]),
+                      length_ms=tender["length_ms"], limit=tender["limit"], scheme=doc["scheme"])
     open_ts = config.genesis_timestamp + config.block_interval_ms
     rft, _ = orch.open_tender(spec, at=open_ts)
     bidding_end = chain.get_contract(rft).bidding_end
@@ -283,10 +282,8 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -
         if kind == "BID" or kind == "LATE_BID":
             bidder_id = payload["id"] if kind == "BID" else payload["bidder"]
             fields = payload.get("fields") or bidders[bidder_id]["fields"]
-            doc_fields = {k: float(v) for k, v in fields.items()}
-            free_text = payload.get("free_text", "").encode("utf-8")
-            document = BidDocument(bidder_id=bidder_id, fields=doc_fields,
-                                   free_text=free_text)
+            document = BidDocument(bidder_id, BID_DOCUMENT["fields"](fields),
+                                   payload.get("free_text", "").encode("utf-8"))
             sub = orch.submit_sealed_bid(bidder_id, document, at=ts)
             submissions[bidder_id].append(sub)
         elif kind in ("SPAM_INVALID_CERTS", "FORGE_CERT"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tendersim import audit, contracts
 from tendersim.cli import main
 from tendersim.encoding import (MAX_JSON_DEPTH, canonical_json, from_hex, load_json,
-                                write_canonical_json)
+                                read_object, reader, write_canonical_json)
 from tendersim.scenario import run_scenario
 
 from conftest import SCENARIO_DIR, run_honest_tender, two_bid_docs
@@ -55,6 +55,35 @@ def test_the_reader_refuses_json_nested_past_the_bound_alike_on_any_stack(depth,
     with pytest.raises(ValueError, match=f"^nests arrays and objects more than "
                                          f"{MAX_JSON_DEPTH} levels deep$"):
         load_json(text)
+
+
+_TABLE = {"n": reader(lambda value: type(value) is int), "hex": from_hex}
+
+
+def test_read_object_gives_what_each_reader_gives():
+    assert read_object({"hex": "0x01", "n": 2}, _TABLE) == {"n": 2, "hex": b"\x01"}
+    assert read_object({}, {}) == {}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([["n", 2], ["hex", "0x"]], "must be an object of exactly the keys n, hex"),
+    (None, "must be an object of exactly the keys n, hex"),
+    ({"n": 2}, "must be an object of exactly the keys n, hex"),
+    ({"n": 2, "hex": "0x", "note": 1}, "must be an object of exactly the keys n, hex"),
+    ({"n": True, "hex": "0x"}, "n: value refused"),
+    ({"n": 2, "hex": "0x00 "}, "hex: expected two hex digits per byte, and no space"),
+])
+def test_read_object_refuses_other_keys_and_values_its_readers_refuse(obj, message):
+    with pytest.raises(ValueError) as err:
+        read_object(obj, _TABLE)
+    assert str(err.value) == message
+
+
+def test_a_reader_tests_the_value_it_parsed():
+    read = reader(lambda raw: len(raw) == 1, from_hex)
+    assert read("0x0a") == b"\n"
+    with pytest.raises(ValueError, match="^value refused$"):
+        read("0x0a0b")
 
 
 @given(_json)

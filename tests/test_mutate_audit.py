@@ -1,0 +1,44 @@
+"""The mutation script's choice of places to change, read from the syntax tree alone."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import tendersim.encoding
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("mutate_audit", ROOT / "scripts" / "mutate_audit.py")
+mutate_audit = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutate_audit)
+
+
+def _places(source: str, only: set[str]) -> list[tuple[str, str]]:
+    return [(kind, ast.unparse(node)) for node, kind in
+            mutate_audit.candidates(ast.parse(source), only)]
+
+
+def test_only_a_function_reaches_the_functions_nested_in_it():
+    source = Path(tendersim.encoding.__file__).read_text(encoding="utf-8")
+    places = _places(source, {"reader"})
+    assert ("negate test", "if not test((value := parse(value))):\n"
+                           "    raise ValueError('value refused')") in places
+    # the nested function is not a scope of its own
+    assert _places(source, {"read"}) == []
+
+
+def test_a_method_and_a_module_level_table_are_scopes():
+    source = ("class C:\n"
+              "    def m(self, x):\n"
+              "        def inner(y):\n"
+              "            return y < 1\n"
+              "        return x < 1 and inner(x)\n"
+              "TABLE = {'k': lambda v: v > 0}\n"
+              "def f(x):\n"
+              "    return x >= 2\n")
+    assert _places(source, {"m"}) == [
+        ("negate returned comparison", "return y < 1"), ("drop operand", "x < 1"),
+        ("drop operand", "inner(x)"), ("shift boundary", "y < 1"), ("shift boundary", "x < 1")]
+    assert _places(source, {"inner"}) == []
+    assert _places(source, {"TABLE"}) == [("shift boundary", "v > 0")]
+    assert _places(source, {"f"}) == [("negate returned comparison", "return x >= 2"),
+                                      ("shift boundary", "x >= 2")]

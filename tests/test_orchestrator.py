@@ -1,5 +1,8 @@
 import ast
+import dataclasses
+import json
 import math
+import re
 from pathlib import Path
 from random import Random
 from types import SimpleNamespace
@@ -78,9 +81,61 @@ def test_bid_document_refuses_non_finite_fields(value):
 @pytest.mark.parametrize("threshold", [math.nan, -math.inf, "nan"],
                          ids=["nan", "minus-infinity", "nan-string"])
 def test_criteria_refuse_a_non_finite_threshold(threshold):
-    with pytest.raises(ValueError, match="threshold for 'days' must be finite"):
+    with pytest.raises(ValueError, match="^feasibility: must be a finite number$"):
         EvaluationCriteria.from_dict({"numeric_fields": [["price", 1, "MINIMIZE"]],
-                                      "feasibility": [["days", "<=", threshold]]})
+                                      "feasibility": [["days", "<=", threshold]],
+                                      "tie_break": "LOWEST_BID_ADDRESS"})
+
+
+def test_criteria_read_a_json_int_as_the_float_they_write():
+    criteria = EvaluationCriteria.from_dict({"numeric_fields": [["price", 1, "MINIMIZE"]],
+                                             "feasibility": [["days", "<=", 90]],
+                                             "tie_break": "LOWEST_BID_ADDRESS"})
+    # written 1.0 and 90.0, byte for byte as criteria built of floats write them
+    assert canonical_json(criteria.to_dict()) == (
+        '{"feasibility":[["days","<=",90.0]],"numeric_fields":[["price",1.0,"MINIMIZE"]],'
+        '"tie_break":"LOWEST_BID_ADDRESS"}')
+
+
+_CRITERIA = {"numeric_fields": [["price", 1.0, "MINIMIZE"]],
+             "feasibility": [["days", "<=", 90.0]], "tie_break": "LOWEST_BID_ADDRESS"}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("numeric_fields", [], "numeric_fields: must be a list of at least 1 rows of 3 values"),
+    ("numeric_fields", [["price", 1.0]], "numeric_fields: must be a list of at least 1 rows"),
+    ("numeric_fields", ["price"], "numeric_fields: must be a list of at least 1 rows"),
+    ("numeric_fields", [7], "numeric_fields: must be a list of at least 1 rows"),
+    ("numeric_fields", {"price": 1.0}, "numeric_fields: must be a list of at least 1 rows"),
+    ("numeric_fields", [["price", True, "MINIMIZE"]], "numeric_fields: must be a finite number"),
+    ("numeric_fields", [["price", "1", "MINIMIZE"]], "numeric_fields: must be a finite number"),
+    ("numeric_fields", [[7, 1.0, "MINIMIZE"]], "numeric_fields: value refused"),
+    ("numeric_fields", [[["price"], 1.0, "MINIMIZE"]], "numeric_fields: value refused"),
+    ("numeric_fields", [["price", 1.0, "minimize"]], "numeric_fields: value refused"),
+    ("numeric_fields", [["price", 1.0, ["MINIMIZE"]]], "numeric_fields: value refused"),
+    ("feasibility", [["days", "=<", 90.0]], "feasibility: value refused"),
+    ("feasibility", [["days", ["<="], 90.0]], "feasibility: value refused"),
+    ("feasibility", [["days", "<=", 10**400]], "feasibility: must be a finite number"),
+    ("feasibility", None, "feasibility: must be a list of at least 0 rows"),
+    ("feasibility", [None], "feasibility: must be a list of at least 0 rows"),
+    ("tie_break", "HIGHEST_BID_ADDRESS", "tie_break: value refused"),
+    ("tie_break", None, "tie_break: value refused"),
+])
+def test_criteria_refuse_a_value_their_table_does_not_read(key, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        EvaluationCriteria.from_dict({**_CRITERIA, key: value})
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.pop("tie_break"), lambda c: c.pop("feasibility"),
+    lambda c: c.update(weights=[]), lambda c: c.update(feasability=c.pop("feasibility")),
+], ids=["no-tie-break", "no-feasibility", "unread-key", "misspelt-key"])
+def test_criteria_are_an_object_of_exactly_their_three_keys(edit):
+    criteria = dict(_CRITERIA)
+    edit(criteria)
+    with pytest.raises(ValueError, match="^must be an object of exactly the keys numeric_fields, "
+                                         "feasibility, tie_break$"):
+        EvaluationCriteria.from_dict(criteria)
 
 
 @pytest.mark.parametrize("fields", [{"price": 1e308, "q": -1e308}, {"price": -1e308, "q": 0.0}],
@@ -111,6 +166,29 @@ def test_open_tender_reports_a_rejected_deployment(title, length_ms, message):
                       scheme="FULL_TRACK")
     with pytest.raises(ScenarioError, match=message):
         orch.open_tender(spec)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda spec: dataclasses.replace(spec, criteria=EvaluationCriteria(
+        numeric_fields=(("price", math.nan, "MINIMIZE"),))),
+    lambda spec: dataclasses.replace(spec, criteria=EvaluationCriteria(
+        numeric_fields=(("price", True, "MINIMIZE"),))),
+    lambda spec: dataclasses.replace(spec, criteria=EvaluationCriteria(
+        numeric_fields=(("price", 1.0, "MINIMIZE"),),
+        feasibility_predicates=(("days", "<=", math.inf),))),
+    lambda spec: dataclasses.replace(spec, criteria=EvaluationCriteria(numeric_fields=())),
+    lambda spec: dataclasses.replace(spec, title=5),
+], ids=["weight-nan", "weight-true", "threshold-infinity", "no-numeric-field", "title-5"])
+def test_open_tender_refuses_tender_data_its_reader_would_refuse(edit):
+    # criteria built in Python are read as the evaluation and the audit read them,
+    # before anything reaches the ledger
+    chain = Chain(ChainConfig())
+    orch = TenderOrchestrator(chain, Random(3))
+    spec = edit(TenderSpec(title="t", terms=b"x", criteria=price_criteria(), length_ms=600_000,
+                           limit=2, scheme="FULL_TRACK"))
+    with pytest.raises(ValueError):
+        orch.open_tender(spec)
+    assert chain.head().height == 0
 
 
 def test_data_deployment_holds_at_most_max_data_bits_on_ledger_and_in_replay():
@@ -290,6 +368,56 @@ def test_wrongly_shaped_bid_document_is_graded_malformed():
     assert result.bids[s2.record_address]["status"] == STATUS_MALFORMED
     assert result.winner_id == "B1"
     orch.publish_results(result)
+
+
+# bid documents that name B2 and that only a coercing reader would take
+_COERCED_BIDS = {
+    "price-a-string": b'{"bidder_id":"B2","fields":{"delivery_days":5.0,"price":"9.0"},'
+                      b'"free_text":"0x"}',
+    "price-true": b'{"bidder_id":"B2","fields":{"delivery_days":5.0,"price":true},'
+                  b'"free_text":"0x"}',
+    "unread-key": b'{"bidder_id":"B2","fields":{"delivery_days":5.0,"price":9.0},'
+                  b'"free_text":"0x","note":"x"}',
+    "no-free-text": b'{"bidder_id":"B2","fields":{"delivery_days":5.0,"price":9.0}}',
+    "bidder-id-a-list": b'{"bidder_id":["B2"],"fields":{"delivery_days":5.0,"price":9.0},'
+                        b'"free_text":"0x"}',
+}
+
+
+@pytest.mark.parametrize("raw", _COERCED_BIDS.values(), ids=_COERCED_BIDS)
+def test_a_bid_document_its_table_does_not_read_is_graded_malformed(raw):
+    with pytest.raises(ValueError):
+        BidDocument.from_bytes(raw)
+    chain, orch, rft, _ = _make_orch()
+    orch.register_bidder("B1")
+    orch.register_bidder("B2")
+    s1 = orch.submit_sealed_bid("B1", BidDocument("B1", {"price": 10.0,
+                                                         "delivery_days": 5.0}))
+    s2 = orch.submit_sealed_bid("B2", SimpleNamespace(to_bytes=lambda: raw))
+    chain.advance_to(chain.get_contract(rft).bidding_end + 1)
+    orch.deliver_key_half("B1", s1)
+    orch.deliver_key_half("B2", s2)
+    result = orch.close_and_evaluate()
+    assert result.bids[s2.record_address] == {"status": STATUS_MALFORMED,
+                                              "bid_key": s2.bid_key}
+    assert result.winner_id == "B1"
+
+
+def test_tender_data_is_read_by_its_table():
+    spec = TenderSpec(title="supply tender", terms=b"goods", criteria=price_criteria(30),
+                      length_ms=1, limit=1, scheme="FULL_TRACK")
+    blob = json.loads(spec.data_blob())
+    assert TenderSpec.parse_data_blob(canonical_json_bytes(blob)) == \
+        ("supply tender", b"goods", price_criteria(30))
+    for edit in ({"format": "nonsense"}, {"format": "tender-spec/2"}, {"title": 5},
+                 {"terms": "goods"}, {"criteria": {**blob["criteria"], "weights": []}},
+                 {"note": "x"}):
+        with pytest.raises(ValueError):
+            TenderSpec.parse_data_blob(canonical_json_bytes({**blob, **edit}))
+    with pytest.raises(ValueError, match="^must be an object of exactly the keys format, "
+                                         "title, terms, criteria$"):
+        TenderSpec.parse_data_blob(canonical_json_bytes(
+            {k: v for k, v in blob.items() if k != "title"}))
 
 
 def test_document_naming_another_bidder_is_graded_malformed():

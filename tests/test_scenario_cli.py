@@ -189,9 +189,11 @@ def _late_bid(doc, **extra):
     # nor at any level below: each object is read for the keys of its kind
     pytest.param(lambda d: d["tender"].update(deadline=5), "$.tender.deadline",
                  id="tender-key-unread"),
+    # the criteria are read as the tender data reads them, so a refusal is at the
+    # criteria object and names the key it read
     pytest.param(lambda d: d["tender"]["criteria"].update(
         feasability=d["tender"]["criteria"].pop("feasibility")),
-                 "$.tender.criteria.feasability", id="feasibility-misspelt"),
+                 "$.tender.criteria", id="feasibility-misspelt"),
     pytest.param(lambda d: d["bidders"][3].update(withold_key=True),
                  "$.bidders[3].withold_key", id="withhold-key-misspelt"),
     pytest.param(lambda d: d.update(adversarial=[{"action": "SPAM_INVALID_CERTS",
@@ -203,6 +205,36 @@ def _late_bid(doc, **extra):
     pytest.param(lambda d: d["tender"]["criteria"].update(feasibility=[["delivery_days", "<=",
                                                                         "nan"]]),
                  "$.tender.criteria", id="threshold-nan"),
+    # a criteria value is not coerced: true is no weight, and 7 no field name
+    pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(1, True),
+                 "$.tender.criteria", id="weight-true"),
+    pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(1, "1"),
+                 "$.tender.criteria", id="weight-a-string"),
+    pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(0, 7),
+                 "$.tender.criteria", id="field-name-a-number"),
+    pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(
+        0, ["price"]), "$.tender.criteria", id="field-name-a-list"),
+    pytest.param(lambda d: d["tender"]["criteria"].pop("tie_break"), "$.tender.criteria",
+                 id="tie-break-missing"),
+    # the typed leaves of the top level and of expected
+    pytest.param(lambda d: d.update(name=["full"]), "$.name", id="name-a-list"),
+    pytest.param(lambda d: d.update(name=None), "$.name", id="name-null"),
+    pytest.param(lambda d: d["expected"].update(winner_id=5), "$.expected.winner_id",
+                 id="winner-id-a-number"),
+    pytest.param(lambda d: d["expected"].update(recomputed_winner=["B05"]),
+                 "$.expected.recomputed_winner", id="recomputed-winner-a-list"),
+    pytest.param(lambda d: d["expected"].update(violation_tags_include=["R5", 5]),
+                 "$.expected.violation_tags_include", id="violation-tag-a-number"),
+    pytest.param(lambda d: d["expected"].update(violation_tags_include="R5"),
+                 "$.expected.violation_tags_include", id="violation-tags-a-string"),
+    pytest.param(lambda d: d["expected"]["requirements"].update(R7="PASS"),
+                 "$.expected.requirements", id="requirement-r7"),
+    pytest.param(lambda d: d["expected"]["requirements"].update(R1="pass"),
+                 "$.expected.requirements", id="requirement-verdict-lowercase"),
+    pytest.param(lambda d: d["expected"]["requirements"].update(R1=None),
+                 "$.expected.requirements", id="requirement-verdict-null"),
+    pytest.param(lambda d: d["expected"].update(requirements=[]), "$.expected.requirements",
+                 id="requirements-a-list"),
     # the bid cap: honest, late, forged and spam bids together
     pytest.param(lambda d: d.update(adversarial=[{"action": "SPAM_INVALID_CERTS",
                                                   "at_ms": 30_000, "count": 2**63}]),
@@ -257,6 +289,40 @@ def test_validation_rejects_wrong_shapes_at_their_json_path(edit, where):
     with pytest.raises(ScenarioError) as err:
         validate_scenario(doc)
     assert f"at {where}:" in str(err.value)
+
+
+def test_a_criteria_refusal_names_the_keys_and_the_key_it_reads():
+    doc = _full_track_doc()
+    criteria = doc["tender"]["criteria"]
+    criteria["feasability"] = criteria.pop("feasibility")
+    with pytest.raises(ScenarioError, match=r"at \$\.tender\.criteria: must be an object of "
+                                            r"exactly the keys numeric_fields, feasibility, "
+                                            r"tie_break$"):
+        validate_scenario(doc)
+    criteria["feasibility"] = [["delivery_days", "<=", True]]
+    del criteria["feasability"]
+    with pytest.raises(ScenarioError, match=r"at \$\.tender\.criteria: feasibility: must be "
+                                            r"a finite number$"):
+        validate_scenario(doc)
+
+
+def test_validation_accepts_null_winners_and_every_verdict():
+    doc = _full_track_doc()
+    doc["expected"].update(winner_id=None, recomputed_winner=None, violation_tags_include=[],
+                           requirements={"R1": "PASS", "R2": "PARTIAL", "R6": "FAIL"})
+    validate_scenario(doc)
+
+
+def test_a_scenario_dict_nested_past_the_bound_is_refused_whole():
+    # a document passed as a dict is not parsed, so no JSON reader bounded its nesting
+    doc = _full_track_doc()
+    name = "deep"
+    for _ in range(2000):
+        name = [name]
+    doc["name"] = name
+    with pytest.raises(ScenarioError, match="^<scenario>: at \\$: nests arrays and objects "
+                                            "more than 32 levels deep$"):
+        run_scenario(doc)
 
 
 def test_cli_run_refuses_an_expected_key_it_does_not_read(tmp_path, capsys):
@@ -653,6 +719,26 @@ _NO_CRITERIA = ("R1", "tender data holds no usable evaluation criteria")
                  id="criteria-a-list"),
     pytest.param(_tender_data(lambda spec: {**spec, "criteria": {"numeric_fields": 5}}),
                  _NO_CRITERIA, id="numeric-fields-5"),
+    # what a coercing reader would take: each document is read by its table alone
+    pytest.param(_bid_plaintext(b'{"bidder_id":"B06","fields":{"delivery_days":1.0,'
+                                b'"price":"90000"},"free_text":"0x"}'),
+                 _UNDECRYPTABLE, id="bid-price-a-string"),
+    pytest.param(_bid_plaintext(b'{"bidder_id":"B06","fields":{"delivery_days":1.0,'
+                                b'"price":true},"free_text":"0x"}'),
+                 _UNDECRYPTABLE, id="bid-price-true"),
+    pytest.param(_bid_plaintext(b'{"bidder_id":"B06","fields":{"delivery_days":1.0,'
+                                b'"price":1.0},"free_text":"0x","note":"x"}'),
+                 _UNDECRYPTABLE, id="bid-document-key-unread"),
+    pytest.param(_tender_data(lambda spec: {**spec, "format": "nonsense"}), _NO_CRITERIA,
+                 id="tender-data-format-nonsense"),
+    pytest.param(_tender_data(lambda spec: {**spec, "title": 5}), _NO_CRITERIA,
+                 id="tender-data-title-5"),
+    pytest.param(_tender_data(lambda spec: {**spec, "criteria": {**spec["criteria"],
+                                                                 "weights": []}}),
+                 _NO_CRITERIA, id="criteria-key-unread"),
+    pytest.param(_tender_data(lambda spec: {**spec, "criteria": {
+        **spec["criteria"], "numeric_fields": [["price", True, "MINIMIZE"]]}}),
+                 _NO_CRITERIA, id="criteria-weight-true"),
 ])
 def test_audit_command_grades_malformed_documents(tmp_path, capsys, content, finding):
     export = copy.deepcopy(_full_track_10_export())
@@ -748,6 +834,33 @@ def test_cli_run_exits_0_1_or_2_with_one_hostile_value_anywhere(tmp_path_factory
     assert code in (0, 1, 2)
     if code == 2:
         assert re.match(r"error\[[A-Z_]+\]: ", err.getvalue()), err.getvalue()
+
+
+def _json_type(value) -> str:
+    """A value's JSON type: an int and a float are one number, and a bool is none."""
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+_NULLABLE = (("expected", "winner_id"), ("expected", "recomputed_winner"))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_cli_run_refuses_any_leaf_of_another_json_type(tmp_path_factory, data):
+    # every leaf of a bundled scenario is read as one JSON type; null only where it
+    # stands for no winner
+    doc = copy.deepcopy(_BUNDLED[data.draw(st.sampled_from(sorted(_BUNDLED)), label="scenario")])
+    path = data.draw(st.sampled_from(list(_leaf_paths(doc))), label="path")
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    parent[path[-1]] = data.draw(st.sampled_from(
+        [value for value in _HOSTILE_VALUES if _json_type(value) != _json_type(parent[path[-1]])
+         and (value is not None or path not in _NULLABLE)]), label="value")
+    file = tmp_path_factory.getbasetemp() / "other-type.json"
+    file.write_text(json.dumps(doc), encoding="ascii")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", str(file)])
+    assert code == 2 and err.getvalue().startswith("error[SCENARIO_ERROR]: "), err.getvalue()
 
 
 # --- determinism ---------------------------------------------------------------------------
