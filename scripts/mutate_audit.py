@@ -30,8 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-          "tests/test_audit.py", "tests/test_contracts.py", "tests/test_chain.py",
-          "tests/test_scenario_cli.py", "tests"]
+          "tests/test_encoding.py", "tests/test_orchestrator.py", "tests/test_audit.py",
+          "tests/test_contracts.py", "tests/test_chain.py", "tests/test_scenario_cli.py", "tests"]
 BOUNDARY_SHIFTS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 
 

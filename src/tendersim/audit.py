@@ -1,7 +1,10 @@
 """Citizen auditor: replay the public ledger and grade every tender on it.
 
 The auditor gets a chain export, nothing else, and reads no setting from it.
-It replays every transaction once, in ledger order, through the contract
+``read_ledger`` reads it by one table each for the export, a block and a
+transaction (``EXPORT``, ``BLOCK``, ``TRANSACTION``), with the reader all
+input from outside goes through, ``encoding.read_object``. It replays every
+transaction once, in ledger order, through the contract
 rules in ``contracts`` into its own address-to-contract map, so bid validity is
 recomputed from certificates, block timestamps and tallies rather than
 trusted from stored flags. A nonce out of its sender's sequence, and a
@@ -51,7 +54,8 @@ from .chain import (
     transaction_json,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
-from .encoding import from_hex, from_text, load_json, same_json, to_hex
+from .encoding import (STRING, Refused, from_hex, from_text, json_path, load_json, optional,
+                       read_list, read_map, read_object, reader, same_json, to_hex)
 from .errors import MalformedAddress, MalformedExport, NoSuchContract, ResultsNotPublished
 from .orchestrator import (
     STATUS_MALFORMED,
@@ -166,15 +170,8 @@ class LedgerTransaction:
     receipt: dict
 
 
-# the keys the audit reads of an export, of a block and of a transaction
-_EXPORT_KEYS = frozenset({"format", "blocks", "contracts"})
-_BLOCK_KEYS = frozenset({"height", "timestamp", "block_hash", "transactions"})
-_TX_KEYS = frozenset({"sender", "target", "payload", "nonce", "tx_hash",
-                      "status", "error", "gas_used", "kind", "created_address"})
-
-
 def read_ledger(export) -> list[Block]:
-    """The blocks of a chain export, read once into typed values.
+    """The blocks of a chain export, read once into typed values by ``EXPORT``.
 
     Heights, timestamps and nonces must be unsigned 64-bit ints; hashes,
     senders and targets (or ``DEPLOY``) hex spelled the way ``to_hex`` writes
@@ -193,73 +190,25 @@ def read_ledger(export) -> list[Block]:
     Raises MalformedExport for a document whose ``format`` is not
     ``EXPORT_FORMAT``, naming the format it has: the replay applies only this
     format's rules, and under another format's a ledger may have given a call
-    another receipt. It raises it too for ``blocks``, ``contracts`` or a
-    disclosed contract of the wrong JSON type, for a missing or malformed block
-    or transaction field, and for a key of the document, a block or a
-    transaction that the audit does not read.
+    another receipt. It raises it too, at the JSON path of the value, for
+    what the tables refuse: a key of the document, a block or a transaction
+    that the audit does not read, a missing one, or a value of another JSON
+    type or spelling.
     """
     found = export.get("format") if type(export) is dict else None
     if found != EXPORT_FORMAT:
         named = f"format {found[:40]!r}" if type(found) is str else "no format"
         raise MalformedExport(f"chain export has {named}, not {EXPORT_FORMAT}")
-    _known_keys(export, _EXPORT_KEYS, "chain export")
-    for key, kind in (("blocks", list), ("contracts", dict)):
-        if type(export.get(key)) is not kind:
-            raise MalformedExport(f"chain export field '{key}' is missing or malformed")
-    for addr_hex, snap in export["contracts"].items():
-        if type(snap) is not dict:
-            raise MalformedExport(f"disclosed contract {addr_hex} is not a JSON object")
+    try:
+        read = read_object(export, EXPORT)
+    except Refused as exc:
+        raise MalformedExport(f"chain export at {json_path(exc.path)}: {exc.reason}") from None
     blocks = []
     parent_hash = bytes(32)
-    for i, block in enumerate(export["blocks"]):
-        blocks.append(_read_block(block, parent_hash, f"block {i}"))
-        parent_hash = blocks[-1].block_hash
+    for block in read["blocks"]:
+        blocks.append(Block(parent_hash=parent_hash, **block))
+        parent_hash = block["block_hash"]
     return blocks
-
-
-def _read_block(block, parent_hash: bytes, where: str) -> Block:
-    txs = block.get("transactions") if type(block) is dict else None
-    if type(txs) is not list:
-        raise MalformedExport(f"{where} field 'transactions' is missing or malformed")
-    _known_keys(block, _BLOCK_KEYS, where)
-    return Block(height=_field(block, "height", _uint64, where),
-                 parent_hash=parent_hash,
-                 timestamp=_field(block, "timestamp", _uint64, where),
-                 transactions=tuple(_read_tx(tx, f"{where} transaction {j}")
-                                    for j, tx in enumerate(txs)),
-                 block_hash=_field(block, "block_hash", _hex, where))
-
-
-def _read_tx(tx, where: str) -> LedgerTransaction:
-    sender = _field(tx, "sender", _hex, where)
-    target = _field(tx, "target", _target, where)
-    payload = _field(tx, "payload", from_text, where)
-    nonce = _field(tx, "nonce", _uint64, where)
-    _field(tx, "tx_hash", _hex, where)
-    _known_keys(tx, _TX_KEYS, where)
-    return LedgerTransaction(sender, target, payload, nonce,
-                             compute_tx_hash(sender, target, nonce, payload), receipt=tx)
-
-
-def _known_keys(obj: dict, keys: frozenset, where: str) -> None:
-    """MalformedExport naming the first key of ``obj`` outside ``keys``."""
-    extra = next((key for key in obj if key not in keys), None)
-    if extra is not None:
-        raise MalformedExport(f"{where} field '{extra}' is not one the audit reads")
-
-
-def _field(obj, key: str, read, where: str):
-    """``read(obj[key])``, or MalformedExport naming the field."""
-    try:
-        return read(obj[key])
-    except (KeyError, TypeError, ValueError):
-        raise MalformedExport(f"{where} field '{key}' is missing or malformed") from None
-
-
-def _uint64(value) -> int:
-    if type(value) is not int or not 0 <= value < 1 << 64:
-        raise ValueError("not an unsigned 64-bit integer")
-    return value
 
 
 def _hex(value) -> bytes:
@@ -269,8 +218,26 @@ def _hex(value) -> bytes:
     return raw
 
 
-def _target(value) -> bytes | None:
-    return None if value == DEPLOY_TARGET else _hex(value)
+def _transaction(tx) -> LedgerTransaction:
+    sender, target, payload, nonce, *_ = read_object(tx, TRANSACTION).values()
+    return LedgerTransaction(sender, target, payload, nonce,
+                             compute_tx_hash(sender, target, nonce, payload), receipt=tx)
+
+
+_UINT64 = reader(lambda value: type(value) is int and 0 <= value < 1 << 64,
+                 refusal="must be an unsigned 64-bit integer")
+# What the audit reads of an export, of each block and of each transaction; the receipt
+# keys a transaction may leave out, and they are kept as they are, for the diff.
+TRANSACTION = {"sender": _hex, "target": lambda value: None if value == DEPLOY_TARGET
+               else _hex(value), "payload": lambda value: from_text(STRING(value)),
+               "nonce": _UINT64, "tx_hash": _hex,
+               **dict.fromkeys(("status", "error", "gas_used", "kind", "created_address"),
+                               optional(lambda value: value))}
+BLOCK = {"height": _UINT64, "timestamp": _UINT64, "block_hash": _hex,
+         "transactions": lambda value: tuple(read_list(_transaction)(value))}
+EXPORT = {"format": STRING, "blocks": read_list(lambda value: read_object(value, BLOCK)),
+          "contracts": read_map(reader(lambda value: type(value) is dict,
+                                       refusal="must be an object"))}
 
 
 # --- ledger structure -----------------------------------------------------------

@@ -341,18 +341,20 @@ def _hex(size: int):
 
 
 _ADDRESS = _hex(ADDRESS_LEN)
-_COUNT = reader(lambda value: type(value) is int and value >= 1)  # JSON true is no count
+# leaf readers a scenario shares: JSON true is no count
+COUNT = reader(lambda value: type(value) is int and value >= 1, refusal="must be an integer >= 1")
+SCHEME = reader(lambda value: value in SCHEMES, refusal=f"must be one of {', '.join(SCHEMES)}")
+BIDDER_ID = reader(lambda value: type(value) is str and len(value.encode("utf-8")) <= MAX_ID_BYTES,
+                   refusal=f"must be a string of at most {MAX_ID_BYTES} UTF-8 bytes")
 
 # Each op's call: every key but ``op``, mapped to the reader of the value its handler gets;
 # ``from_hex`` reads a ``data`` of any size, and its size is DATA_TOO_LARGE's rule.
 CALLS = {
     "deploy_data": {"data": from_hex},
-    "deploy_rft": {"scheme": reader(lambda value: value in SCHEMES), "length_ms": _COUNT,
-                   "pubk": _hex(64), "limit": _COUNT,
+    "deploy_rft": {"scheme": SCHEME, "length_ms": COUNT,
+                   "pubk": _hex(64), "limit": COUNT,
                    "tender_data": lambda value: None if value is None else _ADDRESS(value)},
-    "place_bid": {"id": reader(lambda value: type(value) is str
-                                and len(value.encode("utf-8")) <= MAX_ID_BYTES),
-                  "data_addr": _ADDRESS,
+    "place_bid": {"id": BIDDER_ID, "data_addr": _ADDRESS,
                   "v": reader(lambda value: type(value) is int and value in (27, 28)),
                   "r": _hex(32), "s": _hex(32), "sealed_half_a": _hex(crypto.SEALED_HALF_LEN)},
     "reveal_key_half": {"bid_addr": _ADDRESS, "half_b": _hex(crypto.SEALED_HALF_LEN)},

@@ -7,14 +7,17 @@ except transaction payloads, which are text with one character per byte
 (``to_text``) so that the JSON calls they hold stay readable.
 Every JSON file the package writes is written whole by
 ``write_canonical_json``; every JSON text it reads, a chain export, a
-scenario or a call, is read whole by ``load_json``, which refuses one that
-nests deeper than ``MAX_JSON_DEPTH``.
+scenario, a call or an off-ledger document, is read whole by ``load_json``,
+which refuses one that nests deeper than ``MAX_JSON_DEPTH``, and then by
+``read_object`` against a table of the keys read, each mapped to the reader
+of its value. A reader's refusal, ``Refused``, carries the keys and indices
+down to the value it refuses, which ``json_path`` writes as ``$.a[0].b``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 # How deep a JSON text the package reads may nest arrays and objects, its top level the
 # first (an honest call nests 4, an export or a scenario 5): the audit recurses into values.
@@ -99,24 +102,79 @@ def same_json(expected: Any, actual: Any) -> bool:
     return True
 
 
-def reader(test, parse=lambda value: value):
+class Refused(ValueError):
+    """A value a reader refuses, at ``path``: the keys and indices that lead to it from the
+    value read, outermost first. One key down it reads ``key: reason``."""
+
+    def __init__(self, reason: str, path: tuple = ()):
+        super().__init__(reason, path)
+        self.reason, self.path = reason, path
+
+    def __str__(self) -> str:
+        where = json_path(self.path)[1:].lstrip(".")
+        return f"{where}: {self.reason}" if where else self.reason
+
+
+def json_path(path: tuple) -> str:
+    """``$``, then ``.key`` for each key and ``[i]`` for each index of ``path``."""
+    return "$" + "".join(f"[{step}]" if type(step) is int else f".{step}" for step in path)
+
+
+def _at(step, read, value):
+    """``read(value)``; a refusal of it, as one a ``step`` further down."""
+    try:
+        return read(value)
+    except Refused as exc:
+        raise Refused(exc.reason, (step, *exc.path)) from None
+    except ValueError as exc:
+        raise Refused(str(exc), (step,)) from None
+
+
+def reader(test, parse=lambda value: value, refusal: str = "value refused"):
     """The reader that gives ``parse(value)`` when ``test`` accepts it; ValueError else."""
     def read(value):
         if not test(value := parse(value)):
-            raise ValueError("value refused")
+            raise ValueError(refusal)
         return value
     return read
 
 
+class optional(NamedTuple):
+    """The reader of a key that an object may leave out."""
+    read: Callable
+
+
 def read_object(obj: Any, table: dict) -> dict:
-    """Each key of ``table`` mapped to what its reader gives for ``obj[key]``; ValueError for a
-    non-object, for keys that are not exactly the table's, or for a value a reader refuses."""
-    if type(obj) is not dict or obj.keys() != table.keys():
-        raise ValueError(f"must be an object of exactly the keys {', '.join(table)}")
+    """Each key of ``table`` that ``obj`` holds, mapped to what its reader gives for the value.
+    Refused for a non-object; at the key, for a key not in ``table``; at ``obj``, for a
+    missing key whose reader is not ``optional``; at the key, for a value its reader refuses."""
+    if type(obj) is not dict:
+        raise Refused("must be an object")
+    if not obj.keys() <= table.keys():
+        unread = next(key for key in obj if key not in table)
+        raise Refused(f"not read here; the keys read are {', '.join(table)}", (unread,))
     values = {}
     for key, read in table.items():
-        try:
-            values[key] = read(obj[key])
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
+        if key in obj:
+            values[key] = _at(key, read.read if type(read) is optional else read, obj[key])
+        elif type(read) is not optional:
+            raise Refused(f"missing required key {key!r}")
     return values
+
+
+def read_list(read):
+    """The reader of an array, each item read by ``read``, refused at the item's index."""
+    def read_items(value) -> list:
+        if type(value) is not list:
+            raise Refused("must be a list")
+        return [_at(i, read, item) for i, item in enumerate(value)]
+    return read_items
+
+
+def read_map(read):
+    """The reader of an object of any keys, each value read by ``read``."""
+    return lambda value: read_object(value, dict.fromkeys(value, read)
+                                     if type(value) is dict else {})
+
+
+STRING = reader(lambda value: type(value) is str, refusal="must be a string")

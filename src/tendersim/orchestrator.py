@@ -23,8 +23,8 @@ from random import Random
 from . import contracts, crypto
 from . import secp256k1 as curve
 from .chain import Chain
-from .encoding import (canonical_json_bytes, from_hex, load_json_bytes, read_object, reader,
-                       to_hex)
+from .encoding import (STRING, canonical_json_bytes, from_hex, load_json_bytes, read_map,
+                       read_object, reader, to_hex)
 from .errors import (
     AuthFailed,
     DecryptionFailed,
@@ -64,21 +64,19 @@ def _rows(least: int, *cells):
     return read
 
 
-_STRING = reader(lambda value: type(value) is str)
 TENDER_DATA_FORMAT = "tender-spec/1"
 
 # Each off-ledger document: every key its writer writes, mapped to the reader of its value.
 CRITERIA = {
-    "numeric_fields": _rows(1, _STRING, number,
+    "numeric_fields": _rows(1, STRING, number,
                             reader(lambda value: value in (MINIMIZE, MAXIMIZE))),
-    "feasibility": _rows(0, _STRING, reader(lambda value: type(value) is str
+    "feasibility": _rows(0, STRING, reader(lambda value: type(value) is str
                                             and value in _COMPARATORS), number),
     "tie_break": reader(lambda value: value == TIE_LOWEST_ADDRESS),
 }
-TENDER_DATA = {"format": reader(lambda value: value == TENDER_DATA_FORMAT), "title": _STRING,
+TENDER_DATA = {"format": reader(lambda value: value == TENDER_DATA_FORMAT), "title": STRING,
                "terms": from_hex, "criteria": lambda value: EvaluationCriteria.from_dict(value)}
-BID_DOCUMENT = {"bidder_id": _STRING, "fields": lambda value: read_object(  # all numbers
-    value, dict.fromkeys(value, number) if type(value) is dict else {}), "free_text": from_hex}
+BID_DOCUMENT = {"bidder_id": STRING, "fields": read_map(number), "free_text": from_hex}
 
 
 @dataclass(frozen=True)
@@ -120,15 +118,13 @@ class BidDocument:
     fields: dict[str, float]
     free_text: bytes = b""
 
-    def __post_init__(self):
-        for name, value in self.fields.items():
-            if not math.isfinite(value):  # NaN or Infinity cannot be scored
-                raise ValueError(f"bid field {name!r} must be finite")
+    def __post_init__(self):  # the fields as the document's reader reads them: finite numbers
+        object.__setattr__(self, "fields", BID_DOCUMENT["fields"](self.fields))
 
     def to_bytes(self) -> bytes:
         return canonical_json_bytes({
             "bidder_id": self.bidder_id,
-            "fields": {k: float(v) for k, v in self.fields.items()},
+            "fields": self.fields,
             "free_text": to_hex(self.free_text),
         })
 

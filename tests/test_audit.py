@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import functools
 import gc
 import io
 import json
 import math
+import operator
 import re
 import tracemalloc
 from random import Random
@@ -18,7 +20,7 @@ from tendersim import chain as chain_module
 from tendersim.chain import Chain, ChainConfig
 from tendersim.cli import main
 from tendersim.encoding import (MAX_JSON_DEPTH, canonical_json, canonical_json_bytes, from_hex,
-                                to_hex)
+                                json_path, to_hex)
 from tendersim.errors import (
     MalformedAddress,
     MalformedExport,
@@ -1189,15 +1191,19 @@ def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))
 
 
-@pytest.mark.parametrize("key, where", [("parent_hash", "block 1"),
-                                        ("gas_price", "block 1 transaction 0")])
-def test_a_field_tendersim_chain_5_wrote_is_named_and_refused(full_track_10, key, where):
+@pytest.mark.parametrize("key, where, keys", [
+    ("parent_hash", "$.blocks[1]", "height, timestamp, block_hash, transactions"),
+    ("gas_price", "$.blocks[1].transactions[0]", "sender, target, payload, nonce, tx_hash, "
+                                                 "status, error, gas_used, kind, created_address"),
+])
+def test_a_field_tendersim_chain_5_wrote_is_named_and_refused(full_track_10, key, where, keys):
     export = copy.deepcopy(full_track_10[0])
     owner = export["blocks"][1]
     if key == "gas_price":
         owner = owner["transactions"][0]
     owner[key] = 1
-    with pytest.raises(MalformedExport, match=f"^{where} field '{key}' is not one the audit"):
+    with pytest.raises(MalformedExport, match=re.escape(
+            f"chain export at {where}.{key}: not read here; the keys read are {keys}")):
         audit.replay_chain(export)
 
 
@@ -1207,9 +1213,37 @@ def test_the_data_limit_tendersim_chain_6_wrote_is_named_and_refused(full_track_
     # one, is a field the audit would not check
     export = copy.deepcopy(full_track_10[0])
     export["max_data_bits"] = bits
-    with pytest.raises(MalformedExport,
-                       match="^chain export field 'max_data_bits' is not one the audit"):
+    with pytest.raises(MalformedExport, match=r"^chain export at \$\.max_data_bits: not "
+                                              r"read here; the keys read are format, blocks, "
+                                              r"contracts$"):
         audit.replay_chain(export)
+
+
+_OTHER_TYPES = [2**64, -1, 0.5, True, None, "0x00", [1], {"x": 1}]
+
+
+def _json_type(value) -> str:
+    """A value's JSON type: an int and a float are one number, and a bool is none."""
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_read_ledger_refuses_any_leaf_of_another_json_type_at_its_path(full_track_10, data):
+    # every leaf of a block, and of a transaction but its receipt, is read as one JSON type
+    export = copy.deepcopy(full_track_10[0])
+    i = data.draw(st.integers(0, len(export["blocks"]) - 1), label="block")
+    leaves = [("blocks", i, key) for key in ("height", "timestamp", "block_hash")]
+    leaves += [("blocks", i, "transactions", j, key)
+               for j in range(len(export["blocks"][i]["transactions"]))
+               for key in ("sender", "target", "payload", "nonce", "tx_hash")]
+    path = data.draw(st.sampled_from(leaves), label="path")
+    parent = functools.reduce(operator.getitem, path[:-1], export)
+    parent[path[-1]] = data.draw(st.sampled_from(
+        [value for value in _OTHER_TYPES if _json_type(value) != _json_type(parent[path[-1]])]),
+        label="value")
+    with pytest.raises(MalformedExport, match=f"^chain export at {re.escape(json_path(path))}: "):
+        audit.read_ledger(export)
 
 
 def _link(c, rec, **fields):

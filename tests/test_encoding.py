@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from tendersim import audit, contracts
 from tendersim.cli import main
-from tendersim.encoding import (MAX_JSON_DEPTH, canonical_json, from_hex, load_json,
-                                read_object, reader, write_canonical_json)
+from tendersim.encoding import (MAX_JSON_DEPTH, Refused, canonical_json, from_hex, json_path,
+                                load_json, optional, read_list, read_map, read_object, reader,
+                                write_canonical_json)
 from tendersim.scenario import run_scenario
 
 from conftest import SCENARIO_DIR, run_honest_tender, two_bid_docs
@@ -66,10 +67,11 @@ def test_read_object_gives_what_each_reader_gives():
 
 
 @pytest.mark.parametrize("obj, message", [
-    ([["n", 2], ["hex", "0x"]], "must be an object of exactly the keys n, hex"),
-    (None, "must be an object of exactly the keys n, hex"),
-    ({"n": 2}, "must be an object of exactly the keys n, hex"),
-    ({"n": 2, "hex": "0x", "note": 1}, "must be an object of exactly the keys n, hex"),
+    ([["n", 2], ["hex", "0x"]], "must be an object"),
+    (None, "must be an object"),
+    ({"n": 2}, "missing required key 'hex'"),  # at the object that lacks it
+    ({"n": 2, "hex": "0x", "note": 1}, "note: not read here; the keys read are n, hex"),
+    ({"note": 1}, "note: not read here; the keys read are n, hex"),  # before a missing key
     ({"n": True, "hex": "0x"}, "n: value refused"),
     ({"n": 2, "hex": "0x00 "}, "hex: expected two hex digits per byte, and no space"),
 ])
@@ -77,6 +79,44 @@ def test_read_object_refuses_other_keys_and_values_its_readers_refuse(obj, messa
     with pytest.raises(ValueError) as err:
         read_object(obj, _TABLE)
     assert str(err.value) == message
+
+
+def test_an_optional_key_may_be_left_out_and_is_read_when_there():
+    table = {"n": optional(_TABLE["n"]), "hex": from_hex}
+    assert read_object({"hex": "0x"}, table) == {"hex": b""}
+    assert read_object({"hex": "0x", "n": 3}, table) == {"n": 3, "hex": b""}
+    with pytest.raises(Refused, match="^n: value refused$"):
+        read_object({"hex": "0x", "n": None}, table)
+
+
+_NESTED = {"items": read_list(lambda value: read_object(value, _TABLE)),
+           "map": optional(read_map(from_hex))}
+
+
+@pytest.mark.parametrize("obj, path, reason", [
+    ({"items": [{"n": 1, "hex": "0x"}, {"n": 1, "hex": "0x00 "}]}, ("items", 1, "hex"),
+     "expected two hex digits per byte, and no space"),
+    ({"items": [{"n": 1, "hex": "0x"}, {"n": 1}]}, ("items", 1), "missing required key 'hex'"),
+    ({"items": [7]}, ("items", 0), "must be an object"),
+    ({"items": {"0": {}}}, ("items",), "must be a list"),
+    ({"items": [], "map": {"a": "0x", "b.c": 5}}, ("map", "b.c"),
+     "expected 0x-prefixed hex string, got 5"),
+    ({"items": [{"n": 1, "hex": "0x", "x": 1}]}, ("items", 0, "x"),
+     "not read here; the keys read are n, hex"),
+])
+def test_a_refusal_carries_the_keys_and_indices_down_to_the_value(obj, path, reason):
+    with pytest.raises(Refused) as err:
+        read_object(obj, _NESTED)
+    assert (err.value.path, err.value.reason) == (path, reason)
+    assert str(err.value) == f"{json_path(path)[2:]}: {reason}"
+
+
+def test_a_json_path_names_keys_after_dots_and_indices_in_brackets():
+    assert json_path(()) == "$"
+    assert json_path(("blocks", 1, "transactions", 0, "gas_price")) == \
+        "$.blocks[1].transactions[0].gas_price"
+    assert str(Refused("must be a list", ())) == "must be a list"
+    assert str(Refused("must be a list", (3, "a"))) == "[3].a: must be a list"
 
 
 def test_a_reader_tests_the_value_it_parsed():

@@ -21,7 +21,7 @@ def test_only_a_function_reaches_the_functions_nested_in_it():
     source = Path(tendersim.encoding.__file__).read_text(encoding="utf-8")
     places = _places(source, {"reader"})
     assert ("negate test", "if not test((value := parse(value))):\n"
-                           "    raise ValueError('value refused')") in places
+                           "    raise ValueError(refusal)") in places
     # the nested function is not a scope of its own
     assert _places(source, {"read"}) == []
 

@@ -25,6 +25,7 @@ from tendersim.encoding import (
     canonical_json_bytes,
     from_hex,
     from_text,
+    json_path,
     to_hex,
     to_text,
     write_canonical_json,
@@ -32,6 +33,7 @@ from tendersim.encoding import (
 from tendersim.errors import IncomparableScenarios, ScenarioError
 from tendersim.scenario import (
     MAX_BIDS,
+    MAX_OFFSET_MS,
     compare_schemes,
     load_scenario,
     run_scenario,
@@ -103,22 +105,40 @@ def test_cli_refuses_a_scenario_file_json_cannot_read(tmp_path, capsys, command,
     assert err.startswith(f"error[SCENARIO_ERROR]: {bad}: ")
 
 
+def _late_bid_at(at_ms):
+    return lambda d: d.update(adversarial=[{"action": "LATE_BID", "bidder": "B01",
+                                            "at_ms": at_ms}])
+
+
+# each offset a scenario names, set to a value: the tender's length, a bid's and an action's
+_OFFSETS = [
+    (lambda value: lambda d: d["tender"].update(length_ms=value), "$.tender.length_ms"),
+    (lambda value: lambda d: d["bidders"][9].update(submit_at_ms=value),
+     "$.bidders[9].submit_at_ms"),
+    (_late_bid_at, "$.adversarial[0].at_ms"),
+]
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("edit, code", [
-    pytest.param(lambda d: d["bidders"][0].update(submit_at_ms=2**64),
-                 "TIMESTAMP_TOO_FAR_AHEAD", id="submit-at-2**64"),
-    pytest.param(lambda d: d["tender"].update(length_ms=2**64),
-                 "TIMESTAMP_TOO_FAR_AHEAD", id="length-2**64"),
-])
-def test_cli_refuses_a_block_timestamp_beyond_64_bits(tmp_path, capsys, command, edit, code):
+@pytest.mark.parametrize("value", [MAX_OFFSET_MS + 1, 2**64], ids=["max-plus-1", "2**64"])
+@pytest.mark.parametrize("offset, where", _OFFSETS, ids=["length", "submit-at", "at"])
+def test_cli_refuses_a_block_timestamp_beyond_64_bits(tmp_path, capsys, command, value, offset,
+                                                     where):
+    # refused at its path before the run, not by the ledger when it stamps the block
     bad = tmp_path / "far.json"
-    bad.write_bytes(_full_track_file_with(edit))
+    bad.write_bytes(_full_track_file_with(offset(value)))
     exit_code = main([command, str(bad), str(bad)] if command == "compare"
                      else [command, str(bad)])
     err = capsys.readouterr().err
     assert exit_code == 2
-    assert err.startswith(f"error[{code}]: ")
-    assert "Traceback" not in err
+    assert err.startswith(f"error[SCENARIO_ERROR]: {bad}: at {where}: must be an integer from 1 ")
+
+
+@pytest.mark.parametrize("offset, where", _OFFSETS, ids=["length", "submit-at", "at"])
+def test_a_run_completes_at_the_largest_offset(offset, where):
+    doc = _full_track_doc()
+    offset(MAX_OFFSET_MS)(doc)
+    assert run_scenario(doc).exit_code == 0
 
 
 def test_validation_error_carries_json_path(tmp_path):
@@ -193,7 +213,7 @@ def _late_bid(doc, **extra):
     # criteria object and names the key it read
     pytest.param(lambda d: d["tender"]["criteria"].update(
         feasability=d["tender"]["criteria"].pop("feasibility")),
-                 "$.tender.criteria", id="feasibility-misspelt"),
+                 "$.tender.criteria.feasability", id="feasibility-misspelt"),
     pytest.param(lambda d: d["bidders"][3].update(withold_key=True),
                  "$.bidders[3].withold_key", id="withhold-key-misspelt"),
     pytest.param(lambda d: d.update(adversarial=[{"action": "SPAM_INVALID_CERTS",
@@ -204,16 +224,16 @@ def _late_bid(doc, **extra):
                  "$.adversarial[0].field", id="mutate-tender-field"),
     pytest.param(lambda d: d["tender"]["criteria"].update(feasibility=[["delivery_days", "<=",
                                                                         "nan"]]),
-                 "$.tender.criteria", id="threshold-nan"),
+                 "$.tender.criteria.feasibility", id="threshold-nan"),
     # a criteria value is not coerced: true is no weight, and 7 no field name
     pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(1, True),
-                 "$.tender.criteria", id="weight-true"),
+                 "$.tender.criteria.numeric_fields", id="weight-true"),
     pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(1, "1"),
-                 "$.tender.criteria", id="weight-a-string"),
+                 "$.tender.criteria.numeric_fields", id="weight-a-string"),
     pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(0, 7),
-                 "$.tender.criteria", id="field-name-a-number"),
+                 "$.tender.criteria.numeric_fields", id="field-name-a-number"),
     pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(
-        0, ["price"]), "$.tender.criteria", id="field-name-a-list"),
+        0, ["price"]), "$.tender.criteria.numeric_fields", id="field-name-a-list"),
     pytest.param(lambda d: d["tender"]["criteria"].pop("tie_break"), "$.tender.criteria",
                  id="tie-break-missing"),
     # the typed leaves of the top level and of expected
@@ -224,15 +244,15 @@ def _late_bid(doc, **extra):
     pytest.param(lambda d: d["expected"].update(recomputed_winner=["B05"]),
                  "$.expected.recomputed_winner", id="recomputed-winner-a-list"),
     pytest.param(lambda d: d["expected"].update(violation_tags_include=["R5", 5]),
-                 "$.expected.violation_tags_include", id="violation-tag-a-number"),
+                 "$.expected.violation_tags_include[1]", id="violation-tag-a-number"),
     pytest.param(lambda d: d["expected"].update(violation_tags_include="R5"),
                  "$.expected.violation_tags_include", id="violation-tags-a-string"),
     pytest.param(lambda d: d["expected"]["requirements"].update(R7="PASS"),
-                 "$.expected.requirements", id="requirement-r7"),
+                 "$.expected.requirements.R7", id="requirement-r7"),
     pytest.param(lambda d: d["expected"]["requirements"].update(R1="pass"),
-                 "$.expected.requirements", id="requirement-verdict-lowercase"),
+                 "$.expected.requirements.R1", id="requirement-verdict-lowercase"),
     pytest.param(lambda d: d["expected"]["requirements"].update(R1=None),
-                 "$.expected.requirements", id="requirement-verdict-null"),
+                 "$.expected.requirements.R1", id="requirement-verdict-null"),
     pytest.param(lambda d: d["expected"].update(requirements=[]), "$.expected.requirements",
                  id="requirements-a-list"),
     # the bid cap: honest, late, forged and spam bids together
@@ -277,8 +297,21 @@ def _late_bid(doc, **extra):
     pytest.param(lambda d: d.update(reports="summary"), "$.reports", id="reports-not-a-list"),
     # the bounds of a range, and an action kind that cannot be looked up
     pytest.param(lambda d: d["tender"].update(limit=0), "$.tender.limit", id="limit-zero"),
-    pytest.param(lambda d: d.update(adversarial=[{"action": ["LATE_BID"]}]), "$.adversarial[0]",
-                 id="action-kind-a-list"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": ["LATE_BID"]}]),
+                 "$.adversarial[0].action", id="action-kind-a-list"),
+    pytest.param(lambda d: d.update(adversarial=[{"at_ms": 5}]), "$.adversarial[0]",
+                 id="action-kind-missing"),
+    # an action out of step with the bids: a reveal before its bid, an erasure past the array
+    pytest.param(lambda d: d.update(adversarial=[{"action": "EARLY_KEY_REVEAL", "bidder": "B01",
+                                                  "at_ms": 1}]),
+                 "$.adversarial[0].at_ms", id="early-reveal-before-its-bid"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "EARLY_KEY_REVEAL", "bidder": "B02",
+                                                  "at_ms": d["bidders"][1]["submit_at_ms"]}]),
+                 "$.adversarial[0].at_ms", id="early-reveal-at-its-bid"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": 10}]),
+                 "$.adversarial[0].index", id="erase-bid-past-the-array"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": -1}]),
+                 "$.adversarial[0].index", id="erase-bid-index-negative"),
     pytest.param(lambda d: d.update(adversarial=[{"action": "EARLY_KEY_REVEAL", "bidder": "B01",
                                                   "at_ms": d["tender"]["length_ms"]}]),
                  "$.adversarial[0].at_ms", id="early-reveal-at-the-deadline"),
@@ -295,13 +328,13 @@ def test_a_criteria_refusal_names_the_keys_and_the_key_it_reads():
     doc = _full_track_doc()
     criteria = doc["tender"]["criteria"]
     criteria["feasability"] = criteria.pop("feasibility")
-    with pytest.raises(ScenarioError, match=r"at \$\.tender\.criteria: must be an object of "
-                                            r"exactly the keys numeric_fields, feasibility, "
-                                            r"tie_break$"):
+    with pytest.raises(ScenarioError, match=r"at \$\.tender\.criteria\.feasability: not read "
+                                            r"here; the keys read are numeric_fields, "
+                                            r"feasibility, tie_break$"):
         validate_scenario(doc)
     criteria["feasibility"] = [["delivery_days", "<=", True]]
     del criteria["feasability"]
-    with pytest.raises(ScenarioError, match=r"at \$\.tender\.criteria: feasibility: must be "
+    with pytest.raises(ScenarioError, match=r"at \$\.tender\.criteria\.feasibility: must be "
                                             r"a finite number$"):
         validate_scenario(doc)
 
@@ -346,11 +379,31 @@ def test_validation_accepts_a_late_bid_with_numeric_fields():
                  id="field-value-the-largest-float"),
     pytest.param(lambda d: d["bidders"][0].update(id="\u00e9" * (MAX_ID_BYTES // 2)),
                  id="bidder-id-of-max-id-bytes"),
+    pytest.param(lambda d: d["bidders"][0].update(submit_at_ms=1), id="submit-at-ms-1"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": 0}]),
+                 id="erase-bid-index-0"),
 ])
 def test_validation_accepts_values_at_their_bounds(edit):
     doc = _full_track_doc()
     edit(doc)
     validate_scenario(doc)
+
+
+@pytest.mark.parametrize("scheme, held", [("FULL_TRACK", 15), ("PROTECTED", 11)])
+def test_erase_bid_reaches_the_last_record_the_array_holds(scheme, held):
+    # 10 honest bids, 3 spam, 1 forged and 1 late: a full-track array holds every bid
+    # placed, a protected one refuses the 4 whose certificate fails
+    doc = _full_track_doc()
+    doc["scheme"] = scheme
+    doc["adversarial"] = [{"action": "SPAM_INVALID_CERTS", "at_ms": 30_000, "count": 3},
+                          {"action": "FORGE_CERT", "at_ms": 40_000, "target": "B01"},
+                          {"action": "LATE_BID", "bidder": "B02", "at_ms": 3_700_000},
+                          {"action": "ERASE_BID", "index": held}]
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"at $.adversarial[3].index: the bid array holds {held} records")):
+        validate_scenario(doc)
+    doc["adversarial"][3]["index"] = held - 1
+    assert run_scenario(doc).exit_code == 1  # the erasure is found
 
 
 def test_validation_accepts_a_scenario_of_max_bids():
@@ -860,7 +913,11 @@ def test_cli_run_refuses_any_leaf_of_another_json_type(tmp_path_factory, data):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["run", str(file)])
-    assert code == 2 and err.getvalue().startswith("error[SCENARIO_ERROR]: "), err.getvalue()
+    prefix = f"error[SCENARIO_ERROR]: {file}: at "
+    assert code == 2 and err.getvalue().startswith(prefix), err.getvalue()
+    # refused at the leaf, or at an object or list that holds it
+    where = err.getvalue()[len(prefix):].split(": ", 1)[0]
+    assert where in {json_path(path[:k]) for k in range(len(path) + 1)}, err.getvalue()
 
 
 # --- determinism ---------------------------------------------------------------------------

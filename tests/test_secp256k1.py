@@ -205,6 +205,51 @@ def test_r_without_curve_point_returns_none():
     assert curve.recover_public_key(digest, v, x.to_bytes(32, "big"), s) is None
 
 
+def _signed(k=777, digest=bytes(range(32))):
+    return (digest, *curve.sign_digest(k, digest))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d, v, r, s: (d, v, bytes(32), s), id="r-0"),
+    # x = N has a curve point, so only the range check refuses it
+    pytest.param(lambda d, v, r, s: (d, v, curve.N.to_bytes(32, "big"), s), id="r-N"),
+    pytest.param(lambda d, v, r, s: (d, v, r, bytes(32)), id="s-0"),
+    pytest.param(lambda d, v, r, s: (d, v, r, curve.N.to_bytes(32, "big")), id="s-N"),
+    pytest.param(lambda d, v, r, s: (d[:31], v, r, s), id="digest-31-bytes"),
+    pytest.param(lambda d, v, r, s: (d, v, r[1:], s), id="r-31-bytes"),
+])
+def test_recovery_refuses_a_value_out_of_its_range(edit):
+    assert curve.recover_public_key(*_signed()) == curve.public_key_bytes(777)
+    assert curve.recover_public_key(*edit(*_signed())) is None
+
+
+def test_a_signature_verifies_for_its_key_alone():
+    digest, v, r, s = _signed()
+    assert curve.verify_digest(curve.public_key_bytes(777), digest, v, r, s)
+    assert not curve.verify_digest(curve.public_key_bytes(778), digest, v, r, s)
+
+
+@pytest.mark.parametrize("point", [
+    pytest.param((curve.GX + curve.P, curve.GY), id="x-plus-P"),
+    pytest.param((curve.GX, curve.GY + curve.P), id="y-plus-P"),
+    pytest.param((1, 1), id="off-the-curve"),
+])
+def test_a_point_is_on_the_curve_in_its_range_alone(point):
+    # x + P and y + P satisfy the curve equation mod P; (0, y) and (x, 0) never do,
+    # since 7 is not a square mod P and -7 not a cube
+    assert curve.on_curve((curve.GX, curve.GY))
+    assert not curve.on_curve(point)
+
+
+def test_signing_skips_a_nonce_out_of_range(monkeypatch):
+    nonces = iter([0, curve.N, 5])
+    monkeypatch.setattr(curve, "_derive_nonce", lambda *args: next(nonces))
+    digest = bytes(range(32))
+    v, r, s = curve.sign_digest(777, digest)
+    assert int.from_bytes(r, "big") == curve.scalar_mult(5)[0]
+    assert curve.recover_public_key(digest, v, r, s) == curve.public_key_bytes(777)
+
+
 # --- ECDH with a degenerate scalar ----------------------------------------------------
 
 
