@@ -120,7 +120,7 @@ def json_path(path: tuple) -> str:
     return "$" + "".join(f"[{step}]" if type(step) is int else f".{step}" for step in path)
 
 
-def _at(step, read, value):
+def read_at(step, read, value):
     """``read(value)``; a refusal of it, as one a ``step`` further down."""
     try:
         return read(value)
@@ -156,7 +156,7 @@ def read_object(obj: Any, table: dict) -> dict:
     values = {}
     for key, read in table.items():
         if key in obj:
-            values[key] = _at(key, read.read if type(read) is optional else read, obj[key])
+            values[key] = read_at(key, read.read if type(read) is optional else read, obj[key])
         elif type(read) is not optional:
             raise Refused(f"missing required key {key!r}")
     return values
@@ -167,7 +167,7 @@ def read_list(read):
     def read_items(value) -> list:
         if type(value) is not list:
             raise Refused("must be a list")
-        return [_at(i, read, item) for i, item in enumerate(value)]
+        return [read_at(i, read, item) for i, item in enumerate(value)]
     return read_items
 
 

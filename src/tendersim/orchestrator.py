@@ -23,8 +23,8 @@ from random import Random
 from . import contracts, crypto
 from . import secp256k1 as curve
 from .chain import Chain
-from .encoding import (STRING, canonical_json_bytes, from_hex, load_json_bytes, read_map,
-                       read_object, reader, to_hex)
+from .encoding import (STRING, canonical_json_bytes, from_hex, load_json_bytes, read_at,
+                       read_map, read_object, reader, to_hex)
 from .errors import (
     AuthFailed,
     DecryptionFailed,
@@ -76,7 +76,9 @@ CRITERIA = {
 }
 TENDER_DATA = {"format": reader(lambda value: value == TENDER_DATA_FORMAT), "title": STRING,
                "terms": from_hex, "criteria": lambda value: EvaluationCriteria.from_dict(value)}
-BID_DOCUMENT = {"bidder_id": STRING, "fields": read_map(number), "free_text": from_hex}
+BID_FIELDS = read_map(number)  # a bid's fields by name, each read as a finite float
+# the fields pass through to the document's constructor, which reads them with BID_FIELDS
+BID_DOCUMENT = {"bidder_id": STRING, "fields": lambda fields: fields, "free_text": from_hex}
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,8 @@ class BidDocument:
     fields: dict[str, float]
     free_text: bytes = b""
 
-    def __post_init__(self):  # the fields as the document's reader reads them: finite numbers
-        object.__setattr__(self, "fields", BID_DOCUMENT["fields"](self.fields))
+    def __post_init__(self):  # the one reading of the fields, however the document is made
+        object.__setattr__(self, "fields", read_at("fields", BID_FIELDS, self.fields))
 
     def to_bytes(self) -> bytes:
         return canonical_json_bytes({

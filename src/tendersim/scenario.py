@@ -34,7 +34,7 @@ from .encoding import (MAX_JSON_DEPTH, STRING, Refused, canonical_json_bytes, fr
 # perfbench/test_smoke.py checks that tracing restores this module's binding
 from .encoding import canonical_json  # noqa: F401
 from .errors import IncomparableScenarios, ScenarioError
-from .orchestrator import (BID_DOCUMENT, BidDocument, EvaluationCriteria, TenderOrchestrator,
+from .orchestrator import (BID_FIELDS, BidDocument, EvaluationCriteria, TenderOrchestrator,
                            TenderSpec)
 
 MAX_BIDS = 1000  # honest, late, forged and spam: twice the largest benchmark workload
@@ -67,12 +67,12 @@ _WINNER = optional(reader(lambda value: value is None or type(value) is str,
 # reads them, criteria as the tender data does, and ids, counts and the scheme as calls do.
 TENDER = {"title": STRING, "terms": STRING, "length_ms": _OFFSET, "limit": contracts.COUNT,
           "criteria": EvaluationCriteria.from_dict}
-BIDDER = {"id": contracts.BIDDER_ID, "submit_at_ms": _OFFSET, "fields": BID_DOCUMENT["fields"],
+BIDDER = {"id": contracts.BIDDER_ID, "submit_at_ms": _OFFSET, "fields": BID_FIELDS,
           "free_text": optional(STRING), "withhold_key": optional(_FLAG)}
 ACTIONS = {
     "SPAM_INVALID_CERTS": {"action": STRING, "at_ms": _OFFSET, "count": contracts.COUNT},
     "LATE_BID": {"action": STRING, "at_ms": _OFFSET, "bidder": STRING,
-                 "fields": optional(BID_DOCUMENT["fields"]), "free_text": optional(STRING)},
+                 "fields": optional(BID_FIELDS), "free_text": optional(STRING)},
     "FORGE_CERT": {"action": STRING, "at_ms": _OFFSET, "target": STRING},
     "EARLY_KEY_REVEAL": {"action": STRING, "at_ms": _OFFSET, "bidder": STRING},
     "ERASE_BID": {"action": STRING, "index": reader(
@@ -93,6 +93,7 @@ _COMPARED = {"winner_id": lambda report: report.published_winner,
              "recomputed_winner": lambda report: report.recomputed_winner,
              "winner_match": lambda report: report.winner_match,
              "audit_pass": audit.AuditReport.ok}
+assert _COMPARED.keys() <= EXPECTED.keys(), "a compared key EXPECTED does not read"
 
 
 def _action(value) -> dict:
@@ -178,11 +179,14 @@ def _check_across(doc: dict) -> None:
                  "FORGE_CERT": 1}.get(kind, 0)
         if bids > MAX_BIDS:
             raise Refused(too_many, ("adversarial", i))
-    # a full-track array holds every bid placed; a protected one refuses uncertified bids
+    # a full-track array holds every bid placed; a protected one refuses uncertified bids.
+    # The run erases in order, each from the array the erasures before it leave.
     held = bids if doc["scheme"] == contracts.SCHEME_FULL else certified
     for i, action in enumerate(adversarial):
-        if action["action"] == "ERASE_BID" and action["index"] >= held:
-            raise Refused(f"the bid array holds {held} records", ("adversarial", i, "index"))
+        if action["action"] == "ERASE_BID":
+            if action["index"] >= held:
+                raise Refused(f"the bid array holds {held} records", ("adversarial", i, "index"))
+            held -= 1
 
     events = _schedule(doc)
     for (a, wa, _), (b, wb, _) in zip(events, events[1:]):

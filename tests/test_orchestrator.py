@@ -75,7 +75,7 @@ def test_bid_document_round_trips_byte_exactly():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1", None])
 def test_bid_document_refuses_non_finite_fields(value):
     # as its reader refuses them: NaN cannot be scored, and true would be written as 1.0
-    with pytest.raises(ValueError, match="^price: must be a finite number$"):
+    with pytest.raises(ValueError, match="^fields.price: must be a finite number$"):
         BidDocument("B1", {"price": value})
 
 

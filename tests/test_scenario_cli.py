@@ -312,6 +312,9 @@ def _late_bid(doc, **extra):
                  "$.adversarial[0].index", id="erase-bid-past-the-array"),
     pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": -1}]),
                  "$.adversarial[0].index", id="erase-bid-index-negative"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": 9},
+                                                 {"action": "ERASE_BID", "index": 9}]),
+                 "$.adversarial[1].index", id="erase-bid-past-the-array-the-first-leaves"),
     pytest.param(lambda d: d.update(adversarial=[{"action": "EARLY_KEY_REVEAL", "bidder": "B01",
                                                   "at_ms": d["tender"]["length_ms"]}]),
                  "$.adversarial[0].at_ms", id="early-reveal-at-the-deadline"),
@@ -382,6 +385,9 @@ def test_validation_accepts_a_late_bid_with_numeric_fields():
     pytest.param(lambda d: d["bidders"][0].update(submit_at_ms=1), id="submit-at-ms-1"),
     pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": 0}]),
                  id="erase-bid-index-0"),
+    pytest.param(lambda d: d.update(adversarial=[{"action": "ERASE_BID", "index": 9},
+                                                 {"action": "ERASE_BID", "index": 8}]),
+                 id="erase-bid-the-last-record-the-first-leaves"),
 ])
 def test_validation_accepts_values_at_their_bounds(edit):
     doc = _full_track_doc()
