@@ -10,9 +10,11 @@ operator of a comparison moved across its boundary (``<`` with ``<=``, ``>``
 with ``>=``).
 ``--only`` keeps the mutants inside the named functions, with the functions
 nested in them, or module-level assignments such as a table of readers (named
-by their target). Each mutant runs ``pytest -x`` over ``tests/``, fast modules
-first, in a copy of the tree; it is killed when a test fails or the run takes
-over 10 minutes.
+by their target). The unmutated tree runs ``pytest -x`` over ``tests/``, fast
+modules first, in one copy of the tree; if a test fails there, no mutant can
+be judged, and the script exits 2. Then each mutant runs the same in a copy
+of its own: it is killed when a test fails, and timed out, which counts as
+killed, when its run takes over ``TIMEOUT_FACTOR`` times the unmutated one.
 Prints one line per mutant, then the counts; exits 1 if any mutant survives.
 Standard library only; run by hand, not part of the test suite.
 """
@@ -25,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -33,6 +36,9 @@ PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "tests/test_encoding.py", "tests/test_orchestrator.py", "tests/test_audit.py",
           "tests/test_contracts.py", "tests/test_chain.py", "tests/test_scenario_cli.py", "tests"]
 BOUNDARY_SHIFTS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+# A mutant's run may take this many times the unmutated one's, which runs alone: lanes
+# running side by side slow each other, and a mutant that loops forever stops here.
+TIMEOUT_FACTOR = 5
 
 
 def candidates(tree: ast.AST, only: set[str]):
@@ -114,25 +120,36 @@ def main() -> int:
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))))
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
 
-    def run(index: int) -> tuple[int, str, bool]:
+    started = time.monotonic()
+    baseline = subprocess.run(PYTEST, cwd=work / "0", env=env, capture_output=True, text=True)
+    if baseline.returncode != 0:
+        shutil.rmtree(work)
+        print(baseline.stdout[-4000:] + baseline.stderr[-4000:], file=sys.stderr)
+        print("the unmutated tree fails its tests, so no mutant can be judged", file=sys.stderr)
+        return 2
+    timeout = TIMEOUT_FACTOR * (time.monotonic() - started)
+
+    def run(index: int) -> tuple[int, str, str]:
         line, kind, text = mutant(source, index, only)
         lane = lanes.get()
         (lane / args.module).write_text(text)
         try:
-            killed = subprocess.run(PYTEST, cwd=lane, env=env, capture_output=True,
-                                    timeout=600).returncode != 0
+            verdict = "killed" if subprocess.run(PYTEST, cwd=lane, env=env, capture_output=True,
+                                                 timeout=timeout).returncode else "SURVIVED"
         except subprocess.TimeoutExpired:
-            killed = True
+            verdict = "timed out"
         (lane / args.module).write_text(source)
         lanes.put(lane)
-        print(f"{args.module}:{line} {kind}: {'killed' if killed else 'SURVIVED'}", flush=True)
-        return line, kind, killed
+        print(f"{args.module}:{line} {kind}: {verdict}", flush=True)
+        return line, kind, verdict
 
     with ThreadPoolExecutor(args.jobs) as pool:
         results = list(pool.map(run, range(count)))
     shutil.rmtree(work)
-    survivors = [(line, kind) for line, kind, killed in results if not killed]
-    print(f"{count} mutants, {count - len(survivors)} killed, {len(survivors)} survived")
+    survivors = [(line, kind) for line, kind, verdict in results if verdict == "SURVIVED"]
+    timed_out = sum(verdict == "timed out" for _, _, verdict in results)
+    print(f"{count} mutants, {count - len(survivors)} killed ({timed_out} timed out), "
+          f"{len(survivors)} survived")
     return 1 if survivors else 0
 
 

@@ -117,11 +117,6 @@ class AuditReport:
         }
 
 
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800-\uDFFF; payloads hold \u00XX
-# each escape of a JSON text in turn, a surrogate pair as one; group 1 is a lone surrogate
-_ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)")
-
-
 def parse_export(file):
     """The JSON document in a binary chain export file, not yet checked:
     decoded strictly as UTF-8, the bytes freed, then parsed by ``load_json``,
@@ -132,25 +127,16 @@ def parse_export(file):
     holds no payload twice. Links are left as they are: the audit compares
     them and never follows one.
 
-    Raises MalformedExport only when the file is not UTF-8 JSON, nests past
-    ``encoding.MAX_JSON_DEPTH``, or holds a lone surrogate (a ``\\u`` escape that
-    ``write_canonical_json`` never writes, named at its line, column and character offset);
-    ``read_ledger``, which ``replay_chain`` calls, checks what the document holds.
+    Raises MalformedExport only when ``load_json`` refuses the text: one that is not UTF-8
+    JSON, nests past ``encoding.MAX_JSON_DEPTH``, or holds a lone surrogate (a ``\\u``
+    escape that ``write_canonical_json`` never writes, named at its line, column and
+    character offset); ``read_ledger``, which ``replay_chain`` calls, checks what the
+    document holds.
     """
     try:
-        text = file.read().decode("utf-8")
-        doc = load_json(text)
-    except ValueError as exc:  # also bad UTF-8, an int of 4301+ digits, deep nesting
+        return load_json(file.read().decode("utf-8"))
+    except ValueError as exc:  # also bad UTF-8, an int of 4301+ digits
         raise MalformedExport(f"chain export is not a JSON document: {exc}")
-    if _SURROGATE_ESCAPE.search(text):
-        lone = next((m for m in _ESCAPE.finditer(text) if m[1]), None)
-        if lone is not None:
-            at = lone.start()
-            line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
-            raise MalformedExport(f"chain export holds a lone surrogate \\{lone[1]}, which "
-                                  f"UTF-8 cannot encode: line {line} column {column} "
-                                  f"(char {at})")
-    return doc
 
 
 # --- reading the ledger ----------------------------------------------------------------

@@ -8,15 +8,17 @@ except transaction payloads, which are text with one character per byte
 Every JSON file the package writes is written whole by
 ``write_canonical_json``; every JSON text it reads, a chain export, a
 scenario, a call or an off-ledger document, is read whole by ``load_json``,
-which refuses one that nests deeper than ``MAX_JSON_DEPTH``, and then by
-``read_object`` against a table of the keys read, each mapped to the reader
-of its value. A reader's refusal, ``Refused``, carries the keys and indices
-down to the value it refuses, which ``json_path`` writes as ``$.a[0].b``.
+which refuses one that nests deeper than ``MAX_JSON_DEPTH`` or holds a lone
+surrogate, then by ``read_object`` against a table of the keys read, each mapped
+to the reader of its value (and its default, if it may be left out). A refusal,
+``Refused``, carries the keys and indices down to the value it refuses, which
+``json_path`` writes as ``$.a[0].b``, or ``$.a["b.c"]`` for a key no identifier.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Callable, NamedTuple
 
 # How deep a JSON text the package reads may nest arrays and objects, its top level the
@@ -63,15 +65,28 @@ def canonical_json_bytes(obj: Any) -> bytes:
     return canonical_json(obj).encode("utf-8")
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \uD800-\uDFFF; payloads hold \u00XX
+# each escape of a JSON text in turn, a surrogate pair as one; group 1 is a lone surrogate
+_ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)")
+
+
 def load_json(text: str) -> Any:
-    """``json.loads(text)``; ValueError for a text that is not JSON or that nests deeper
-    than ``MAX_JSON_DEPTH``, the same however deep the caller's stack is."""
+    """``json.loads(text)``; ValueError for a text that is not JSON, that nests deeper
+    than ``MAX_JSON_DEPTH``, the same however deep the caller's stack is, or that holds a
+    lone surrogate, a ``\\u`` escape that UTF-8 cannot encode and ``canonical_json`` never
+    writes, named at its line, column and character offset in ``text``."""
     try:
         deep = nests_deeper(value := json.loads(text), MAX_JSON_DEPTH)
     except RecursionError:  # json.loads met Python's limit on the caller's stack first
         deep = True
     if deep:
         raise ValueError(f"nests arrays and objects more than {MAX_JSON_DEPTH} levels deep")
+    if _SURROGATE_ESCAPE.search(text) and (
+            lone := next((m for m in _ESCAPE.finditer(text) if m[1]), None)):
+        at = lone.start()
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        raise ValueError(f"lone surrogate \\{lone[1]}, which UTF-8 cannot encode: "
+                         f"line {line} column {column} (char {at})")
     return value
 
 
@@ -116,8 +131,10 @@ class Refused(ValueError):
 
 
 def json_path(path: tuple) -> str:
-    """``$``, then ``.key`` for each key and ``[i]`` for each index of ``path``."""
-    return "$" + "".join(f"[{step}]" if type(step) is int else f".{step}" for step in path)
+    """``$``, then ``[i]`` for each index of ``path``, ``.key`` for each key that is an
+    identifier and ``["key"]``, the key as a JSON string, for any other, such as ``b.c``."""
+    return "$" + "".join(f"[{step}]" if type(step) is int else f".{step}" if step.isidentifier()
+                         else f"[{json.dumps(step, ensure_ascii=False)}]" for step in path)
 
 
 def read_at(step, read, value):
@@ -140,14 +157,16 @@ def reader(test, parse=lambda value: value, refusal: str = "value refused"):
 
 
 class optional(NamedTuple):
-    """The reader of a key that an object may leave out."""
+    """The reader of a key that an object may leave out, and ``default``, the JSON value
+    it reads in its place, each time afresh; with none (``...``), the key is left out."""
     read: Callable
+    default: Any = ...
 
 
 def read_object(obj: Any, table: dict) -> dict:
-    """Each key of ``table`` that ``obj`` holds, mapped to what its reader gives for the value.
-    Refused for a non-object; at the key, for a key not in ``table``; at ``obj``, for a
-    missing key whose reader is not ``optional``; at the key, for a value its reader refuses."""
+    """Each key of ``table`` that ``obj`` holds or has a default for, mapped to what its reader
+    gives for the value. Refused for a non-object; at the key, for a key not in ``table``; at
+    ``obj``, for a missing key not ``optional``; at the key, for a value its reader refuses."""
     if type(obj) is not dict:
         raise Refused("must be an object")
     if not obj.keys() <= table.keys():
@@ -159,6 +178,8 @@ def read_object(obj: Any, table: dict) -> dict:
             values[key] = read_at(key, read.read if type(read) is optional else read, obj[key])
         elif type(read) is not optional:
             raise Refused(f"missing required key {key!r}")
+        elif read.default is not ...:
+            values[key] = read_at(key, read.read, read.default)
     return values
 
 

@@ -4,9 +4,10 @@ A scenario is a JSON document naming the scheme, the tender terms, a
 bidder roster with submission offsets (milliseconds after the tender
 opens), adversarial actions and an expected block, no setting of the
 ledger and, at any level, no key the run does not read. ``SCENARIO`` and
-the tables before it state the format, read by ``encoding.read_object``;
-``validate_scenario`` then checks the rules across objects, and either
-refusal names its JSON path. Runs are deterministic: every byte of randomness
+the tables before it state the format, each default in its table, read by
+``encoding.read_object``; ``validate_scenario`` then checks the rules across
+objects, and either refusal names its JSON path. What they read is all the
+run uses. Runs are deterministic: every byte of randomness
 comes from the scenario seed, the clock is virtual, and reports are
 canonically serialized, so running the same file twice produces identical
 files.
@@ -21,8 +22,8 @@ are applied to the exported chain view that the auditor then reads.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from json import JSONDecodeError
 from pathlib import Path
 from random import Random
 
@@ -41,15 +42,14 @@ MAX_BIDS = 1000  # honest, late, forged and spam: twice the largest benchmark wo
 
 
 def load_scenario(path: str | Path) -> dict:
-    """Parse and validate; diagnostics carry the line (parse) or path (semantics)."""
+    """``validate_scenario`` of the file's JSON; errors carry the line (parse) or path (rules)."""
     try:
         doc = load_json(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    except ValueError as exc:  # bad UTF-8, an int of 4301+ digits, deep nesting
-        raise ScenarioError(f"{path}: {exc}")
-    validate_scenario(doc, source=str(path))
-    return doc
+    except ValueError as exc:  # bad UTF-8, an int of 4301+ digits, deep nesting, a lone
+        raise ScenarioError(f"{path}: {exc}")  # surrogate at its line and column
+    return validate_scenario(doc, source=str(path))
 
 
 # The latest offset from the tender's opening a scenario may name: the run stamps no block
@@ -61,18 +61,20 @@ _FLAG = reader(lambda value: type(value) is bool,  # "no" would read as true
                refusal="must be true or false")
 _WINNER = optional(reader(lambda value: value is None or type(value) is str,
                           refusal="must be a string or null"))
+_VERDICT = optional(reader(lambda value: value in (audit.PASS, audit.PARTIAL, audit.FAIL),
+                           refusal="must be PASS, PARTIAL or FAIL"))
 
 # Each object of a scenario: the keys a run reads, in order, each to its reader, ``optional``
-# for a key it may leave out; an action's by its kind. Fields are read as a bid document
-# reads them, criteria as the tender data does, and ids, counts and the scheme as calls do.
+# for a key it may leave out, with a default where the run needs one; an action's by its kind.
+# Fields are read as bid documents, criteria as tender data, ids, counts and scheme as calls.
 TENDER = {"title": STRING, "terms": STRING, "length_ms": _OFFSET, "limit": contracts.COUNT,
           "criteria": EvaluationCriteria.from_dict}
 BIDDER = {"id": contracts.BIDDER_ID, "submit_at_ms": _OFFSET, "fields": BID_FIELDS,
-          "free_text": optional(STRING), "withhold_key": optional(_FLAG)}
+          "free_text": optional(STRING, ""), "withhold_key": optional(_FLAG, False)}
 ACTIONS = {
     "SPAM_INVALID_CERTS": {"action": STRING, "at_ms": _OFFSET, "count": contracts.COUNT},
-    "LATE_BID": {"action": STRING, "at_ms": _OFFSET, "bidder": STRING,
-                 "fields": optional(BID_FIELDS), "free_text": optional(STRING)},
+    "LATE_BID": {"action": STRING, "at_ms": _OFFSET, "bidder": STRING,  # fields {}: the bidder's
+                 "fields": optional(BID_FIELDS, {}), "free_text": optional(STRING, "")},
     "FORGE_CERT": {"action": STRING, "at_ms": _OFFSET, "target": STRING},
     "EARLY_KEY_REVEAL": {"action": STRING, "at_ms": _OFFSET, "bidder": STRING},
     "ERASE_BID": {"action": STRING, "index": reader(
@@ -82,10 +84,10 @@ ACTIONS = {
 }
 EXPECTED = {
     "winner_id": _WINNER, "recomputed_winner": _WINNER, "winner_match": optional(_FLAG),
-    "violations_empty": optional(_FLAG), "violation_tags_include": optional(read_list(STRING)),
-    "requirements": optional(lambda value: read_object(value, dict.fromkeys(
-        audit.REQUIREMENT_TAGS, optional(reader(lambda verdict: verdict in (
-            audit.PASS, audit.PARTIAL, audit.FAIL), refusal="must be PASS, PARTIAL or FAIL"))))),
+    "violations_empty": optional(_FLAG, False),
+    "violation_tags_include": optional(read_list(STRING), []),
+    "requirements": optional(lambda value: read_object(
+        value, dict.fromkeys(audit.REQUIREMENT_TAGS, _VERDICT)), {}),
     "audit_pass": optional(_FLAG),
 }
 # each scalar of ``expected``, to what it is compared with in the audit report
@@ -110,56 +112,56 @@ def _action(value) -> dict:
 
 SCENARIO = {
     "name": STRING,
-    "seed": optional(reader(lambda value: type(value) is int, refusal="must be an integer")),
+    "seed": optional(reader(lambda value: type(value) is int, refusal="must be an integer"), 0),
     "scheme": contracts.SCHEME,
     "tender": lambda value: read_object(value, TENDER),
     "bidders": read_list(lambda value: read_object(value, BIDDER)),
-    "adversarial": optional(read_list(_action)),
-    "expected": optional(lambda value: read_object(value, EXPECTED)),
+    "adversarial": optional(read_list(_action), []),
+    "expected": optional(lambda value: read_object(value, EXPECTED), {}),
 }
 
 
-def _schedule(doc: dict) -> list[tuple[int, tuple, dict]]:
+def _schedule(scenario: dict) -> list[tuple[int, tuple, dict]]:
     """Each bid and each action whose table has ``at_ms``, as (offset, path, entry)."""
-    events = [(b["submit_at_ms"], ("bidders", i), b) for i, b in enumerate(doc["bidders"])]
-    events += [(a["at_ms"], ("adversarial", i), a)
-               for i, a in enumerate(doc.get("adversarial", []))
+    events = [(b["submit_at_ms"], ("bidders", i), b) for i, b in enumerate(scenario["bidders"])]
+    events += [(a["at_ms"], ("adversarial", i), a) for i, a in enumerate(scenario["adversarial"])
                if "at_ms" in ACTIONS[a["action"]]]
     return sorted(events, key=lambda event: event[:2])
 
 
-def validate_scenario(doc: dict, source: str = "<scenario>") -> None:
-    """Read ``doc`` by ``SCENARIO``, then check the rules across its objects; ScenarioError
-    naming the JSON path of the value refused."""
+def validate_scenario(doc: dict, source: str = "<scenario>") -> dict:
+    """The scenario ``doc`` holds, read by ``SCENARIO`` and checked by the rules across its
+    objects; ScenarioError naming the JSON path of the value refused."""
     try:
         if nests_deeper(doc, MAX_JSON_DEPTH):  # a document passed as a dict was never parsed
             raise Refused(f"nests arrays and objects more than {MAX_JSON_DEPTH} levels deep")
-        read_object(doc, SCENARIO)
-        _check_across(doc)
-        try:
+        scenario = read_object(doc, SCENARIO)
+        _check_across(scenario)
+        try:  # nor was a lone surrogate refused, as load_json refuses one
             canonical_json_bytes(doc)
-        except UnicodeEncodeError:  # a \ud800 escape parses to a lone surrogate
+        except UnicodeEncodeError:
             raise Refused("a string holds a lone surrogate, which UTF-8 cannot encode") from None
     except Refused as exc:
         raise ScenarioError(f"{source}: at {json_path(exc.path)}: {exc.reason}") from None
+    return scenario
 
 
-def _check_across(doc: dict) -> None:
+def _check_across(scenario: dict) -> None:
     """Refuse, at its path, a value read alone but at odds with another: a duplicate bidder
     id, an unknown one, a bid over the cap, an action out of its time or out of range, and
     two events at one time."""
     bid_at = {}  # bidder id -> submit_at_ms
     too_many = f"a scenario places at most {MAX_BIDS} bids: honest, late, forged and spam"
-    for i, bidder in enumerate(doc["bidders"]):
+    for i, bidder in enumerate(scenario["bidders"]):
         if i == MAX_BIDS:
             raise Refused(too_many, ("bidders", i))
         if bidder["id"] in bid_at:
             raise Refused(f"duplicate bidder id {bidder['id']!r}", ("bidders", i))
         bid_at[bidder["id"]] = bidder["submit_at_ms"]
 
-    bids = certified = len(doc["bidders"])
-    length_ms = doc["tender"]["length_ms"]
-    adversarial = doc.get("adversarial", [])
+    bids = certified = len(scenario["bidders"])
+    length_ms = scenario["tender"]["length_ms"]
+    adversarial = scenario["adversarial"]
     for i, action in enumerate(adversarial):
         kind = action["action"]
         for key in ("bidder", "target", "winner"):
@@ -172,23 +174,22 @@ def _check_across(doc: dict) -> None:
                 < length_ms:
             raise Refused("an early reveal must follow its bidder's bid and precede the "
                           "deadline", ("adversarial", i, "at_ms"))
-        if kind == "ERASE_BID" and doc["scheme"] == contracts.SCHEME_STATELESS:
+        if kind == "ERASE_BID" and scenario["scheme"] == contracts.SCHEME_STATELESS:
             raise Refused("stateless tenders hold no bid array to erase from", ("adversarial", i))
         certified += kind == "LATE_BID"
-        bids += {"SPAM_INVALID_CERTS": action.get("count"), "LATE_BID": 1,
-                 "FORGE_CERT": 1}.get(kind, 0)
+        bids += action["count"] if "count" in action else kind in ("LATE_BID", "FORGE_CERT")
         if bids > MAX_BIDS:
             raise Refused(too_many, ("adversarial", i))
     # a full-track array holds every bid placed; a protected one refuses uncertified bids.
     # The run erases in order, each from the array the erasures before it leave.
-    held = bids if doc["scheme"] == contracts.SCHEME_FULL else certified
+    held = bids if scenario["scheme"] == contracts.SCHEME_FULL else certified
     for i, action in enumerate(adversarial):
         if action["action"] == "ERASE_BID":
             if action["index"] >= held:
                 raise Refused(f"the bid array holds {held} records", ("adversarial", i, "index"))
             held -= 1
 
-    events = _schedule(doc)
+    events = _schedule(scenario)
     for (a, wa, _), (b, wb, _) in zip(events, events[1:]):
         if a == b:
             raise Refused(f"schedule times must be strictly increasing; "
@@ -205,7 +206,7 @@ class RunOutcome:
     expected_failures: list[str]
     bid_gas: list[int]
     deployment_gas: int
-    tender_spec: dict
+    tender_spec: TenderSpec
 
 
 def _junk_address(rng: Random) -> bytes:
@@ -222,43 +223,38 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -
     Exit code 0 means the run completed and every check in the scenario's
     ``expected`` block held.
     """
-    if isinstance(source, (str, Path)):
-        doc = load_scenario(source)
-    else:
-        validate_scenario(source)
-        doc = source
-    rng = Random(doc.get("seed", 0))
+    scenario = (load_scenario if isinstance(source, (str, Path)) else validate_scenario)(source)
+    rng = Random(scenario["seed"])
 
     config = ChainConfig()
     chain = Chain(config)
     orch = TenderOrchestrator(chain, rng)
 
-    tender = doc["tender"]
+    tender = scenario["tender"]
     spec = TenderSpec(title=tender["title"], terms=tender["terms"].encode("utf-8"),
-                      criteria=EvaluationCriteria.from_dict(tender["criteria"]),
-                      length_ms=tender["length_ms"], limit=tender["limit"], scheme=doc["scheme"])
+                      criteria=tender["criteria"], length_ms=tender["length_ms"],
+                      limit=tender["limit"], scheme=scenario["scheme"])
     open_ts = config.genesis_timestamp + config.block_interval_ms
     rft, _ = orch.open_tender(spec, at=open_ts)
     bidding_end = chain.get_contract(rft).bidding_end
 
-    bidders = {b["id"]: b for b in doc["bidders"]}
+    bidders = {b["id"]: b for b in scenario["bidders"]}
     for bidder_id in bidders:
         orch.register_bidder(bidder_id)
     spammer = hashlib.sha256(b"account|spammer").digest()[-20:]
     chain.register_account(spammer)
 
-    post_actions = [action for action in doc.get("adversarial", [])
+    post_actions = [action for action in scenario["adversarial"]
                     if "at_ms" not in ACTIONS[action["action"]]]
     submissions: dict[str, list] = {bid: [] for bid in bidders}
     # one block per timed event, strictly increasing offsets from tender opening
-    for at_ms, _, payload in _schedule(doc):
-        kind = payload.get("action", "BID")
+    for at_ms, (entries, _), payload in _schedule(scenario):
+        kind = "BID" if entries == "bidders" else payload["action"]
         ts = open_ts + at_ms
         if kind == "BID" or kind == "LATE_BID":
             bidder_id = payload["id"] if kind == "BID" else payload["bidder"]
-            fields = payload.get("fields") or bidders[bidder_id]["fields"]
-            document = BidDocument(bidder_id, fields,
-                                   payload.get("free_text", "").encode("utf-8"))
+            fields = payload["fields"] or bidders[bidder_id]["fields"]
+            document = BidDocument(bidder_id, fields, payload["free_text"].encode("utf-8"))
             sub = orch.submit_sealed_bid(bidder_id, document, at=ts)
             submissions[bidder_id].append(sub)
         elif kind in ("SPAM_INVALID_CERTS", "FORGE_CERT"):
@@ -286,7 +282,7 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -
     end_base = max(bidding_end, chain.head().timestamp)
     chain.advance_to(end_base + config.block_interval_ms)
     for bidder_id, subs in submissions.items():
-        if bidders[bidder_id].get("withhold_key"):
+        if bidders[bidder_id]["withhold_key"]:
             continue
         for sub in subs:
             orch.deliver_key_half(bidder_id, sub)
@@ -316,22 +312,22 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -
                and not kind.startswith("bid_rejected")]
     deployment_gas = next((g for _, kind, g in gas_rows if kind.startswith("deploy_rft")), 0)
 
-    expected_failures = _check_expected(doc.get("expected", {}), report)
+    expected_failures = _check_expected(scenario["expected"], report)
     if probe_fail != probe_expect_fail:
         # not scenario-configurable: a bid readable before its key half arrives
         # (or unreadable after an early reveal) is a broken sealing mechanism
         expected_failures.insert(0, f"pre-deadline decryption probe: {probe_fail} "
                                     f"sealed, expected {probe_expect_fail}")
-    summary_lines = _summary_lines(doc, report, deployment_gas, bid_gas,
+    summary_lines = _summary_lines(scenario, report, deployment_gas, bid_gas,
                                    probe_fail, probe_expect_fail, len(probe),
                                    config, expected_failures)
 
     outcome = RunOutcome(
-        name=doc["name"], exit_code=0 if not expected_failures else 1,
+        name=scenario["name"], exit_code=0 if not expected_failures else 1,
         report=report, export=export,
         summary_lines=summary_lines, expected_failures=expected_failures,
         bid_gas=bid_gas, deployment_gas=deployment_gas,
-        tender_spec=tender,
+        tender_spec=spec,
     )
     if out_dir is not None:
         _write_reports(outcome, Path(out_dir), gas_rows)
@@ -344,23 +340,23 @@ def _check_expected(expected: dict, report: audit.AuditReport) -> list[str]:
         if key in expected and compared(report) != expected[key]:
             failures.append(f"{key}={compared(report)!r} != expected {expected[key]!r}")
     tags = [v.tag for v in report.violations]
-    if expected.get("violations_empty") and tags:
+    if expected["violations_empty"] and tags:
         failures.append(f"expected no violations, found {sorted(set(tags))}")
-    for tag in expected.get("violation_tags_include", []):
+    for tag in expected["violation_tags_include"]:
         if tag not in tags:
             failures.append(f"expected a {tag} violation, none found")
-    for tag, verdict in expected.get("requirements", {}).items():
-        actual = report.requirements.get(tag, {}).get("verdict")
+    for tag, verdict in expected["requirements"].items():
+        actual = report.requirements[tag]["verdict"]
         if actual != verdict:
             failures.append(f"{tag}={actual} != expected {verdict}")
     return failures
 
 
-def _summary_lines(doc, report, deployment_gas, bid_gas, probe_fail, probe_expect_fail,
+def _summary_lines(scenario, report, deployment_gas, bid_gas, probe_fail, probe_expect_fail,
                    probe_total, config, expected_failures) -> list[str]:
     lines = [
-        f"scenario: {doc['name']}",
-        f"scheme: {doc['scheme']}",
+        f"scenario: {scenario['name']}",
+        f"scheme: {scenario['scheme']}",
         f"tender: {report.tender_address}",
         f"deployment_gas: {deployment_gas}",
         f"bid_gas: {','.join(str(g) for g in bid_gas)}",
@@ -389,15 +385,16 @@ def _summary_lines(doc, report, deployment_gas, bid_gas, probe_fail, probe_expec
 def compare_schemes(sources: list) -> tuple[str, list[dict]]:
     """Run scenarios over the same tender and tabulate cost and verdicts per scheme.
 
-    The scenarios must agree on everything but the scheme, otherwise the
-    comparison would not mean anything.
+    The scenarios must run the same tender: title, terms, criteria, length and
+    bid limit, the scheme set aside, otherwise the comparison would not mean
+    anything. Their bidders, actions and expectations may differ.
     """
     if len(sources) < 2:
         raise IncomparableScenarios("need at least two scenario results to compare")
     outcomes = [run_scenario(src) for src in sources]
     reference = outcomes[0].tender_spec
     for outcome in outcomes[1:]:
-        if outcome.tender_spec != reference:
+        if replace(outcome.tender_spec, scheme=reference.scheme) != reference:
             raise IncomparableScenarios(
                 f"scenario {outcome.name!r} runs a different tender than "
                 f"{outcomes[0].name!r}")

@@ -231,7 +231,10 @@ def _mul_table(table, k, acc=_JINF):
 
 
 def _wnaf(k):
-    """Width-5 non-adjacent form of k >= 0, least significant digit first."""
+    """Width-5 non-adjacent form of k, least significant digit first: digits, each
+    0 or odd in [-15, 15], whose sum of d * 2**i is k. Python's ``&`` and ``>>``
+    read a negative k in two's complement, so ``_wnaf(-k)`` is ``_wnaf(k)`` with
+    each digit negated."""
     digits = []
     while k:
         if k & 1:
@@ -265,13 +268,8 @@ def _mul_var(k, pt):
     """k * pt in Jacobian form, for 0 <= k <= N and a finite curve point pt."""
     k1, k2 = _glv_split(k)
     t1 = _signed_odd_multiples(pt)
-    # phi(j*pt) = (BETA*x, y). A negative half is folded into its table:
-    # reversing indices 1..31 swaps the entries for j and -j.
+    # phi(j*pt) = (BETA*x, y); a negative half's digits index the -j entries
     t2 = [None if q is None else (BETA * q[0] % P, q[1]) for q in t1]
-    if k1 < 0:
-        k1, t1 = -k1, t1[:1] + t1[:0:-1]
-    if k2 < 0:
-        k2, t2 = -k2, t2[:1] + t2[:0:-1]
     n1, n2 = _wnaf(k1), _wnaf(k2)
     width = max(len(n1), len(n2))
     n1 += [0] * (width - len(n1))
@@ -381,7 +379,7 @@ def recover_public_key(digest: bytes, v: int, r: bytes, s: bytes) -> bytes | Non
     u1 = (-z * rinv) % N
     u2 = (si * rinv) % N
     q = _to_affine(_mul_table(_G_TABLE, u1, _mul_var(u2, ep)))
-    if q is None or not on_curve(q):
+    if not on_curve(q):  # None, the point at infinity, is on no curve
         return None
     return point_to_bytes(q)
 

@@ -3,6 +3,7 @@ reader, which refuses nesting past one bound, and the chain export it writes,
 read back whole."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from tendersim import audit, contracts
 from tendersim.cli import main
 from tendersim.encoding import (MAX_JSON_DEPTH, Refused, canonical_json, from_hex, json_path,
-                                load_json, optional, read_list, read_map, read_object, reader,
-                                write_canonical_json)
+                                load_json, load_json_bytes, optional, read_list, read_map,
+                                read_object, reader, write_canonical_json)
 from tendersim.scenario import run_scenario
 
 from conftest import SCENARIO_DIR, run_honest_tender, two_bid_docs
@@ -44,6 +45,20 @@ def test_hex_with_a_space_or_a_lone_digit_is_refused(text):
 ])
 def test_the_reader_takes_json_nested_up_to_the_bound(text, value):
     assert load_json(text) == (json.loads(text) if value is None else value)
+
+
+@pytest.mark.parametrize("text, where", [
+    ('"\\ud800"', "\\ud800, which UTF-8 cannot encode: line 1 column 2 (char 1)"),
+    ('{"a":\n ["\\uDFFF"]}', "\\uDFFF, which UTF-8 cannot encode: line 2 column 4 (char 9)"),
+    ('{"\\ud83d\\ude00": "\\\\ud800", "b": "\\ud83d"}',  # a pair; a backslash, then text
+     "\\ud83d, which UTF-8 cannot encode: line 1 column 35 (char 34)"),
+])
+def test_the_reader_refuses_a_lone_surrogate_where_the_text_holds_it(text, where):
+    # json.loads reads one as a str that UTF-8 cannot encode, so no writer could write it
+    with pytest.raises(ValueError, match=f"^lone surrogate {re.escape(where)}$"):
+        load_json(text)
+    with pytest.raises(ValueError, match=re.escape(where)):
+        load_json_bytes(text.encode("utf-8"))
 
 
 @pytest.mark.parametrize("depth", [MAX_JSON_DEPTH + 1, 980, 100_000])
@@ -89,6 +104,18 @@ def test_an_optional_key_may_be_left_out_and_is_read_when_there():
         read_object({"hex": "0x", "n": None}, table)
 
 
+def test_an_optional_key_left_out_reads_its_default_afresh_each_time():
+    table = {"items": optional(read_list(from_hex), []), "n": optional(_TABLE["n"], 0)}
+    first, second = read_object({}, table), read_object({}, table)
+    assert first == second == {"items": [], "n": 0}
+    first["items"].append(b"")  # no value read is shared between reads, or with the table
+    assert read_object({}, table)["items"] == second["items"] == []
+    # the default is read as the value would be: a null default is read, not left out
+    assert read_object({}, {"hex": optional(from_hex, "0x01")}) == {"hex": b"\x01"}
+    assert read_object({}, {"n": optional(lambda value: value, None)}) == {"n": None}
+    assert read_object({"n": 5}, table) == {"items": [], "n": 5}
+
+
 _NESTED = {"items": read_list(lambda value: read_object(value, _TABLE)),
            "map": optional(read_map(from_hex))}
 
@@ -109,6 +136,8 @@ def test_a_refusal_carries_the_keys_and_indices_down_to_the_value(obj, path, rea
         read_object(obj, _NESTED)
     assert (err.value.path, err.value.reason) == (path, reason)
     assert str(err.value) == f"{json_path(path)[2:]}: {reason}"
+    if "b.c" in path:  # a key that is not an identifier is written as a JSON string
+        assert str(err.value) == f'map["b.c"]: {reason}'
 
 
 def test_a_json_path_names_keys_after_dots_and_indices_in_brackets():
@@ -117,6 +146,10 @@ def test_a_json_path_names_keys_after_dots_and_indices_in_brackets():
         "$.blocks[1].transactions[0].gas_price"
     assert str(Refused("must be a list", ())) == "must be a list"
     assert str(Refused("must be a list", (3, "a"))) == "[3].a: must be a list"
+    # a key that is not an identifier, as a JSON string in brackets
+    assert json_path(("map", "b.c", "0x01", "", 'q"[', "é", "é.x", "_a1")) == \
+        '$.map["b.c"]["0x01"][""]["q\\"["].é["é.x"]._a1'
+    assert str(Refused("must be a list", ("b.c", 0))) == '["b.c"][0]: must be a list'
 
 
 def test_a_reader_tests_the_value_it_parsed():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import tendersim.encoding
@@ -42,3 +43,34 @@ def test_a_method_and_a_module_level_table_are_scopes():
     assert _places(source, {"TABLE"}) == [("shift boundary", "v > 0")]
     assert _places(source, {"f"}) == [("negate returned comparison", "return x >= 2"),
                                       ("shift boundary", "x >= 2")]
+
+
+def _main(monkeypatch, capsys, suite: str, *argv) -> tuple[int, str, str]:
+    """The script's exit code, stdout and stderr over ``argv``, the suite it runs replaced
+    by the Python code ``suite``, run in each copy of the tree."""
+    monkeypatch.setattr(mutate_audit, "PYTEST", [sys.executable, "-c", suite])
+    monkeypatch.setattr(sys, "argv", ["mutate_audit.py", *argv])
+    code = mutate_audit.main()
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_tree_that_fails_unmutated_judges_no_mutant(monkeypatch, capsys):
+    code, out, err = _main(monkeypatch, capsys, "raise SystemExit(1)",
+                           "src/tendersim/encoding.py", "--only", "json_path")
+    assert (code, out) == (2, "")
+    assert err.endswith("the unmutated tree fails its tests, so no mutant can be judged\n")
+
+
+def test_a_mutant_that_outruns_the_unmutated_tree_times_out_and_counts_as_killed(monkeypatch,
+                                                                                 capsys):
+    # the stand-in suite ends at once on the module as written, and hangs on a mutant,
+    # which the script writes back without the module's comments
+    hang = ("import time; time.sleep(0 if '# How deep' in "
+            "open('src/tendersim/encoding.py').read() else 60)")
+    code, out, _ = _main(monkeypatch, capsys, hang, "src/tendersim/encoding.py",
+                         "--only", "json_path", "--jobs", "1")
+    *mutants, counts = out.splitlines()
+    assert code == 0
+    assert counts == "2 mutants, 2 killed (2 timed out), 0 survived"
+    assert [line.split(": ")[-1] for line in mutants] == ["timed out", "timed out"]

@@ -392,6 +392,11 @@ _COERCED_BIDS = {
     "no-free-text": b'{"bidder_id":"B2","fields":{"delivery_days":5.0,"price":9.0}}',
     "bidder-id-a-list": b'{"bidder_id":["B2"],"fields":{"delivery_days":5.0,"price":9.0},'
                         b'"free_text":"0x"}',
+    # a lone surrogate, which to_bytes cannot write, as its \u escape
+    "field-key-lone-surrogate": b'{"bidder_id":"B2","fields":{"delivery_days":5.0,'
+                                b'"price":9.0,"\\ud800":1.0},"free_text":"0x"}',
+    "bidder-id-lone-surrogate": b'{"bidder_id":"B2\\udc00","fields":{"delivery_days":5.0,'
+                                b'"price":9.0},"free_text":"0x"}',
 }
 
 
@@ -428,6 +433,11 @@ def test_tender_data_is_read_by_its_table():
     with pytest.raises(ValueError, match="^missing required key 'title'$"):
         TenderSpec.parse_data_blob(canonical_json_bytes(
             {k: v for k, v in blob.items() if k != "title"}))
+    # a lone surrogate, which data_blob cannot write, is not read from its \u escape
+    with pytest.raises(UnicodeEncodeError):
+        dataclasses.replace(spec, title="\ud800").data_blob()
+    with pytest.raises(ValueError, match="^lone surrogate \\\\ud800, which UTF-8 cannot encode"):
+        TenderSpec.parse_data_blob(json.dumps({**blob, "title": "\ud800"}).encode("ascii"))
 
 
 def test_document_naming_another_bidder_is_graded_malformed():

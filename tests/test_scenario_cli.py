@@ -533,6 +533,30 @@ def test_compare_refuses_mismatched_tenders():
         compare_schemes([SCENARIO_DIR / "full_track_10_bids.json"])
 
 
+@pytest.mark.parametrize("edit, comparable", [
+    pytest.param(lambda d: d["tender"].update(title="another"), False, id="title"),
+    pytest.param(lambda d: d["tender"].update(terms="other"), False, id="terms"),
+    pytest.param(lambda d: d["tender"].update(length_ms=d["tender"]["length_ms"] + 1), False,
+                 id="length"),
+    pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(1, 2.0),
+                 False, id="criteria-weight"),
+    # the same criteria, one weight spelt as a JSON int, read as the same float
+    pytest.param(lambda d: d["tender"]["criteria"]["numeric_fields"][0].__setitem__(1, 1),
+                 True, id="criteria-weight-an-int"),
+    pytest.param(lambda d: d.update(scheme="STATELESS", seed=8, bidders=d["bidders"][:3],
+                                    expected={}), True, id="scheme-seed-bidders"),
+])
+def test_compare_sets_only_the_scheme_aside_from_the_tender(edit, comparable):
+    other = _full_track_doc()
+    edit(other)
+    compare = functools.partial(compare_schemes, [_full_track_doc(), other])
+    if comparable:
+        assert [row["scheme"] for row in compare()[1]] == ["FULL_TRACK", other["scheme"]]
+    else:
+        with pytest.raises(IncomparableScenarios, match="runs a different tender"):
+            compare()
+
+
 # --- audit subcommand --------------------------------------------------------------------
 
 
@@ -738,11 +762,12 @@ def _bid_plaintext(plaintext: bytes):
 
 def _tender_data(edit_spec):
     """An export edit: the tender data deployment carries ``edit_spec`` of its
-    tender-spec document, with hashes, receipt and disclosed state to match."""
+    tender-spec document, with hashes, receipt and disclosed state to match; a lone
+    surrogate, which the writer cannot write, as its \\u escape."""
     def edit(export):
         tx = _first_tx(export)
         spec = json.loads(from_hex(json.loads(from_text(tx["payload"]))["data"]))
-        blob = canonical_json_bytes(edit_spec(spec))
+        blob = canonical_json(edit_spec(spec)).encode("utf-8", "backslashreplace")
         payload = canonical_json_bytes({"op": "deploy_data", "data": to_hex(blob)})
         tx_hash = compute_tx_hash(from_hex(tx["sender"]), None, tx["nonce"], payload)
         tx.update(payload=to_text(payload), tx_hash=to_hex(tx_hash), gas_used=16 * len(blob))
@@ -798,6 +823,12 @@ _NO_CRITERIA = ("R1", "tender data holds no usable evaluation criteria")
     pytest.param(_tender_data(lambda spec: {**spec, "criteria": {
         **spec["criteria"], "numeric_fields": [["price", True, "MINIMIZE"]]}}),
                  _NO_CRITERIA, id="criteria-weight-true"),
+    # valid UTF-8 JSON whose \u escape spells a lone surrogate, which no writer writes
+    pytest.param(_tender_data(lambda spec: {**spec, "title": "\ud800"}), _NO_CRITERIA,
+                 id="tender-data-title-lone-surrogate"),
+    pytest.param(_bid_plaintext(b'{"bidder_id":"B06","fields":{"delivery_days":1.0,'
+                                b'"price":1.0,"\\ud800":1.0},"free_text":"0x"}'),
+                 _UNDECRYPTABLE, id="bid-field-key-lone-surrogate"),
 ])
 def test_audit_command_grades_malformed_documents(tmp_path, capsys, content, finding):
     export = copy.deepcopy(_full_track_10_export())
@@ -915,10 +946,16 @@ def test_cli_run_refuses_any_leaf_of_another_json_type(tmp_path_factory, data):
         [value for value in _HOSTILE_VALUES if _json_type(value) != _json_type(parent[path[-1]])
          and (value is not None or path not in _NULLABLE)]), label="value")
     file = tmp_path_factory.getbasetemp() / "other-type.json"
-    file.write_text(json.dumps(doc), encoding="ascii")
+    file.write_text(text := json.dumps(doc), encoding="ascii")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["run", str(file)])
+    if "\\ud800" in text:  # the text is refused before any value is read, at the escape
+        at = text.index("\\ud800")
+        assert code == 2 and err.getvalue() == (
+            f"error[SCENARIO_ERROR]: {file}: lone surrogate \\ud800, which UTF-8 cannot "
+            f"encode: line 1 column {at + 1} (char {at})\n"), err.getvalue()
+        return
     prefix = f"error[SCENARIO_ERROR]: {file}: at "
     assert code == 2 and err.getvalue().startswith(prefix), err.getvalue()
     # refused at the leaf, or at an object or list that holds it
@@ -934,6 +971,56 @@ def test_identical_scenario_runs_are_byte_identical(tmp_path):
         run_scenario(SCENARIO_DIR / "early_key_reveal.json", out_dir=tmp_path / run)
     for report in ("gas.csv", "audit.json", "summary.txt", "chain.json"):
         assert _read(tmp_path / "a" / report) == _read(tmp_path / "b" / report)
+
+
+# each key a scenario may leave out for its default: (bundled scenario, the objects that may
+# hold the key, key, default)
+_DEFAULTS = {
+    "seed": ("early_key_reveal", lambda d: [d], "seed", 0),
+    "adversarial": ("early_key_reveal", lambda d: [d], "adversarial", []),
+    "expected": ("early_key_reveal", lambda d: [d], "expected", {}),
+    "bidder-free-text": ("withheld_key", lambda d: d["bidders"], "free_text", ""),
+    "bidder-withhold-key": ("withheld_key", lambda d: d["bidders"], "withhold_key", False),
+    "late-bid-free-text": ("late_bid", lambda d: d["adversarial"], "free_text", ""),
+    "late-bid-fields": ("late_bid", lambda d: d["adversarial"], "fields", {}),
+    "violations-empty": ("erased_bid", lambda d: [d["expected"]], "violations_empty", False),
+    "violation-tags-include": ("erased_bid", lambda d: [d["expected"]],
+                               "violation_tags_include", []),
+    "requirements": ("early_key_reveal", lambda d: [d["expected"]], "requirements", {}),
+}
+
+
+@pytest.mark.parametrize("scenario, holders, key, default", _DEFAULTS.values(), ids=_DEFAULTS)
+def test_a_key_left_out_runs_as_its_default_written(tmp_path, scenario, holders, key, default):
+    runs = {}
+    for run in ("left-out", "written"):
+        doc = copy.deepcopy(_BUNDLED[scenario])
+        for holder in holders(doc):
+            holder.pop(key, None)
+            if run == "written":
+                holder[key] = copy.deepcopy(default)
+        runs[run] = run_scenario(doc, out_dir=tmp_path / run).exit_code
+    assert runs["left-out"] == runs["written"]
+    for report in ("chain.json", "audit.json", "gas.csv", "summary.txt"):
+        assert _read(tmp_path / "left-out" / report) == _read(tmp_path / "written" / report)
+
+
+def test_a_late_bid_with_no_fields_seals_its_bidders_own(tmp_path):
+    # left out or empty, a LATE_BID's fields stand for those of the bidder it names
+    for run in ("own", "left-out", "empty"):
+        doc = copy.deepcopy(_BUNDLED["late_bid"])
+        [late] = doc["adversarial"]
+        assert late["bidder"] == doc["bidders"][0]["id"] and late["fields"]
+        if run == "own":
+            late["fields"] = doc["bidders"][0]["fields"]
+        elif run == "left-out":
+            del late["fields"]
+        else:
+            late["fields"] = {}
+        run_scenario(doc, out_dir=tmp_path / run)
+    for run in ("left-out", "empty"):
+        for report in ("chain.json", "audit.json", "gas.csv", "summary.txt"):
+            assert _read(tmp_path / run / report) == _read(tmp_path / "own" / report)
 
 
 # --- experiment scripts ----------------------------------------------------------------------
