@@ -9,16 +9,19 @@ rules in ``contracts`` into its own address-to-contract map, so bid validity is
 recomputed from certificates, block timestamps and tallies rather than
 trusted from stored flags. A nonce out of its sender's sequence, and a
 contract created over another, are R6 findings; the first contract stays.
-Each transaction is re-derived through ``chain.transaction_json``, the writer
-the export uses, and each block hashed over the re-derived transaction hashes.
-One diff (``_differing``) then compares every disclosed transaction with its
-re-derived one, and every disclosed contract with the snapshot of its
-re-derived twin, key by key; the bid array is also checked against the array
-snapshots embedded in each bid record, which is what makes a silently erased
-entry provable. The published results are re-derived with the writer of the
-organisation's evaluation too: each bid opened and graded with its published
-key by ``orchestrator.open_bid``, the result written by
-``orchestrator.tender_result``, then diffed with the published one.
+Each transaction's receipt is re-derived through ``chain.receipt_json``, the
+writer the export uses, and each block hashed over the re-derived transaction
+hashes; the signed fields are read as that writer spells them, so they cannot
+differ. A contract a transaction creates sits at ``chain.contract_address`` of
+its sender and nonce, which the export does not write. Every disclosed receipt
+is then compared with its re-derived one, and, by one diff (``_differing``),
+every disclosed contract with the snapshot of its re-derived twin, key by key;
+the bid array is also checked against the array snapshots embedded in each bid
+record, which is what makes a silently erased entry provable. The published
+results are re-derived with the writer of the organisation's evaluation too:
+each bid opened and graded with its published key by ``orchestrator.open_bid``,
+the result written by ``orchestrator.tender_result``, then diffed with the
+published one.
 
 Tenders are found from the deployments the replay accepts, never from the
 ``kind`` labels of the disclosed state. Every finding and gas row is filed
@@ -51,7 +54,7 @@ from .chain import (
     ExecutionContext,
     compute_block_hash,
     compute_tx_hash,
-    transaction_json,
+    receipt_json,
 )
 from .contracts import BidRecordContract, RequestForTenderContract, TenderDataContract
 from .encoding import (STRING, Refused, from_hex, from_text, json_path, load_json, optional,
@@ -166,12 +169,14 @@ def read_ledger(export) -> list[Block]:
     hash: each block's parent is the ``block_hash`` the block before it
     discloses (32 zero bytes for genesis), so a block mined over another parent
     fails its own hash check. Each transaction's hash is recomputed here, once,
-    and its JSON object kept as its receipt: the replay compares receipts,
-    disclosed hash included, strictly. Disclosed contracts are left as they
-    are: the state diff compares each with ``contracts.disclose`` of its
-    re-derived twin, so a bid record's ``prior_bids`` or ``placed_by`` link,
-    and a ``data`` or ``results`` link to a transaction, must be spelled as
-    the export writes it, and the audit stays linear in the bids.
+    and its JSON object kept as its receipt: the replay compares the receipt
+    keys, disclosed hash included, strictly. A receipt writes no created
+    address, which ``chain.contract_address`` of the sender and nonce fixes.
+    Disclosed contracts are left as they are: the state diff compares each
+    with ``contracts.disclose`` of its re-derived twin, so a bid record's
+    ``prior_bids`` or ``placed_by`` link, and a ``data`` or ``results`` link
+    to a transaction, must be spelled as the export writes it, and the audit
+    stays linear in the bids.
 
     Raises MalformedExport for a document whose ``format`` is not
     ``EXPORT_FORMAT``, naming the format it has: the replay applies only this
@@ -217,7 +222,7 @@ _UINT64 = reader(lambda value: type(value) is int and 0 <= value < 1 << 64,
 TRANSACTION = {"sender": _hex, "target": lambda value: None if value == DEPLOY_TARGET
                else _hex(value), "payload": lambda value: from_text(STRING(value)),
                "nonce": _UINT64, "tx_hash": _hex,
-               **dict.fromkeys(("status", "error", "gas_used", "kind", "created_address"),
+               **dict.fromkeys(("status", "error", "gas_used", "kind"),
                                optional(lambda value: value))}
 BLOCK = {"height": _UINT64, "timestamp": _UINT64, "block_hash": _hex,
          "transactions": lambda value: tuple(read_list(_transaction)(value))}
@@ -291,10 +296,11 @@ def iter_transactions(blocks: list[Block]):
 
 
 def replay_chain(export) -> ChainReplay:
-    """Read a chain export with ``read_ledger``, re-derive every transaction,
-    written by the export's ``transaction_json``, and every contract, and diff
-    each with ``_differing`` against what the export discloses. The rules it
-    applies, the gas figures and ``MAX_DATA_BITS`` too, are constants."""
+    """Read a chain export with ``read_ledger``, re-derive every transaction's
+    receipt, written by the export's ``receipt_json``, and every contract, and
+    diff each against what the export discloses, the contracts with
+    ``_differing``. The rules it applies, the gas figures and ``MAX_DATA_BITS``
+    too, are constants."""
     blocks = read_ledger(export)
     replay = ChainReplay(export, findings=[(None, v) for v in verify_ledger_hashes(blocks)])
     state = replay.state
@@ -332,11 +338,13 @@ def replay_chain(export) -> ChainReplay:
             tender.published = (height, ts)
         at = tx.target or outcome.created_address
         status_tag = "R1" if op in contracts.OUTCOME_FIXING_OPS else "R3"
-        rederived = transaction_json(tx, outcome)
+        # ``TRANSACTION`` reads the signed fields as the writer spells them, and no
+        # key but theirs and the receipt's: only the receipt can differ
+        rederived = receipt_json(tx, outcome)
         replay.findings.extend((at, Violation(
             _RECEIPT_TAGS.get(key, status_tag), height, f"transaction {rederived['tx_hash']} "
             f"field {key} {_mismatch(rederived, tx.receipt, key)}"))
-            for key in _differing(rederived, tx.receipt))
+            for key in rederived if not same_json(rederived[key], tx.receipt.get(key, _ABSENT)))
         replay.gas_trace.append((at, tx.receipt.get("kind") or "unknown",
                                  tx.receipt.get("gas_used")))
     replay.owners = _owners(replay)
@@ -346,7 +354,7 @@ def replay_chain(export) -> ChainReplay:
 
 # the requirement a receipt field breaches; ``status`` and ``error`` breach R1
 # for a call that fixes an outcome (``OUTCOME_FIXING_OPS``), else R3
-_RECEIPT_TAGS = {"tx_hash": "R6", "gas_used": "R6", "kind": "R6", "created_address": "R3"}
+_RECEIPT_TAGS = {"tx_hash": "R6", "gas_used": "R6", "kind": "R6"}
 _ABSENT = object()  # a key the disclosed JSON does not have
 
 

@@ -28,7 +28,7 @@ from .errors import (
 ADDRESS_LEN = 20
 DEPLOY_TARGET = "DEPLOY"
 GAS_PRICE = 1  # no fee market: every transaction offers the same price
-EXPORT_FORMAT = "tendersim-chain/10"
+EXPORT_FORMAT = "tendersim-chain/11"
 
 
 # The calibrated gas figures, which ``contracts`` charges where it picks each receipt kind
@@ -110,15 +110,19 @@ def compute_block_hash(height: int, parent_hash: bytes, timestamp: int,
     return h.digest()
 
 
-def transaction_json(tx, outcome) -> dict:
-    """A transaction as an export writes it: the fields ``tx`` signs, with
-    ``to_text`` payload, its ``tx_hash``, and the receipt ``outcome`` gives."""
-    created = outcome.created_address
+def transaction_json(tx) -> dict:
+    """The fields ``tx`` signs as an export writes them, its payload with ``to_text``."""
     return {"sender": to_hex(tx.sender),
             "target": DEPLOY_TARGET if tx.target is None else to_hex(tx.target),
-            "payload": to_text(tx.payload), "nonce": tx.nonce, "tx_hash": to_hex(tx.tx_hash),
-            "status": outcome.status, "error": outcome.error, "gas_used": outcome.gas_used,
-            "kind": outcome.kind, "created_address": to_hex(created) if created else None}
+            "payload": to_text(tx.payload), "nonce": tx.nonce}
+
+
+def receipt_json(tx, outcome) -> dict:
+    """The receipt of ``tx`` as an export writes it: its ``tx_hash`` and what
+    ``outcome`` gives. No created address: ``contract_address`` of the sender and
+    nonce fixes it for each transaction that creates a contract."""
+    return {"tx_hash": to_hex(tx.tx_hash), "status": outcome.status, "error": outcome.error,
+            "gas_used": outcome.gas_used, "kind": outcome.kind}
 
 
 def contract_address(creator: bytes, nonce: int) -> bytes:
@@ -290,15 +294,18 @@ class Chain:
     # --- export ------------------------------------------------------------------
 
     def export(self) -> dict:
-        """Whole-chain view: the ``format``, the ``blocks`` with their
-        receipts, and the disclosed ``contracts``; no setting.
+        """Whole-chain view: the ``format``, the ``blocks`` with each
+        transaction's signed fields (``transaction_json``) and its receipt
+        (``receipt_json``), and the disclosed ``contracts``; no setting.
 
         Payloads are written with ``to_text``, one character per byte. The
         registered accounts, the clock and its settings are left out: no
         reader of the export could check them against the ledger. Nor are the
         gas figures, ``GAS_PRICE`` and ``MAX_DATA_BITS``, constants of this
         module, nor each block's parent hash, which is the ``block_hash`` of
-        the block before it (zeros for genesis) and which its hash commits to.
+        the block before it (zeros for genesis) and which its hash commits to,
+        nor the address a transaction creates, ``contract_address`` of its
+        sender and nonce.
         Each contract is written by ``contracts.disclose``: a tracked tender's
         records each keep the bid array as it stood, and each is written as a
         link to the record before it, so the file grows linearly with the bids;
@@ -323,7 +330,8 @@ class Chain:
                     "height": b.height,
                     "timestamp": b.timestamp,
                     "block_hash": to_hex(b.block_hash),
-                    "transactions": [transaction_json(t, t) for t in b.transactions],
+                    "transactions": [{**transaction_json(t), **receipt_json(t, t)}
+                                     for t in b.transactions],
                 }
                 for b in self.blocks
             ],

@@ -8,8 +8,22 @@ broken.
 import json
 
 from tendersim import contracts
-from tendersim.chain import compute_block_hash, compute_tx_hash
+from tendersim.chain import compute_block_hash, compute_tx_hash, contract_address
 from tendersim.encoding import from_hex, from_text, to_hex, to_text
+
+
+# The receipt kinds of the transactions that create a contract
+CREATING_KINDS = ("deploy_data", "deploy_rft_full", "deploy_rft_protected",
+                  "deploy_rft_stateless", "bid_full", "bid_protected", "bid_stateless")
+
+
+def created_address(tx: dict) -> str | None:
+    """The address an exported transaction created, ``contract_address`` of its
+    sender and nonce when it was accepted and its kind creates a contract, as
+    tendersim-chain/10 and before wrote it in the receipt; else None."""
+    if tx["status"] != "OK" or tx["kind"] not in CREATING_KINDS:
+        return None
+    return to_hex(contract_address(from_hex(tx["sender"]), tx["nonce"]))
 
 
 def remine(export: dict, start_height: int = 1) -> None:

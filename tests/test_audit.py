@@ -1013,8 +1013,9 @@ def test_bid_replayed_into_another_tender_under_its_nonce_is_flagged(tmp_path, c
     r6 = [v.description for v in report.violations if v.tag == "R6"]
     assert f"transaction {copy_tx['tx_hash']} carries nonce {copy_tx['nonce']} but its " \
            f"sender's next nonce is {copy_tx['nonce'] + 1}" in r6
+    created = chain_module.contract_address(from_hex(copy_tx["sender"]), copy_tx["nonce"])
     assert f"transaction {copy_tx['tx_hash']} creates a contract at " \
-           f"{copy_tx['created_address']}, an address already in use" in r6
+           f"{to_hex(created)}, an address already in use" in r6
 
 
 def test_tender_data_redeployed_under_a_reused_nonce_is_flagged(tmp_path, capsys):
@@ -1185,7 +1186,7 @@ def test_parse_export_keeps_hostile_lists_as_they_are(values):
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
-    raw = canonical_json_bytes({"format": "tendersim-chain/10", "blocks": [block],
+    raw = canonical_json_bytes({"format": "tendersim-chain/11", "blocks": [block],
                                 "contracts": {}})
     with pytest.raises(MalformedExport):
         audit.read_ledger(audit.parse_export(io.BytesIO(raw)))
@@ -1194,7 +1195,7 @@ def test_read_ledger_rejects_hostile_blocks_with_a_coded_error(block):
 @pytest.mark.parametrize("key, where, keys", [
     ("parent_hash", "$.blocks[1]", "height, timestamp, block_hash, transactions"),
     ("gas_price", "$.blocks[1].transactions[0]", "sender, target, payload, nonce, tx_hash, "
-                                                 "status, error, gas_used, kind, created_address"),
+                                                 "status, error, gas_used, kind"),
 ])
 def test_a_field_tendersim_chain_5_wrote_is_named_and_refused(full_track_10, key, where, keys):
     export = copy.deepcopy(full_track_10[0])
@@ -1204,6 +1205,32 @@ def test_a_field_tendersim_chain_5_wrote_is_named_and_refused(full_track_10, key
     owner[key] = 1
     with pytest.raises(MalformedExport, match=re.escape(
             f"chain export at {where}.{key}: not read here; the keys read are {keys}")):
+        audit.replay_chain(export)
+
+
+def test_a_tendersim_chain_10_export_is_refused_by_name(full_track_10):
+    # as /10 wrote it: each receipt with the address its transaction created, or null
+    export = copy.deepcopy(full_track_10[0])
+    export["format"] = "tendersim-chain/10"
+    for block in export["blocks"]:
+        for tx in block["transactions"]:
+            tx["created_address"] = chain_surgery.created_address(tx)
+    with pytest.raises(MalformedExport, match=re.escape(
+            "chain export has format 'tendersim-chain/10', not tendersim-chain/11")):
+        audit.replay_chain(export)
+
+
+@pytest.mark.parametrize("kind", ["bid_full", "publish_results"])
+def test_a_receipt_that_holds_a_created_address_is_refused_at_its_path(full_track_10, kind):
+    export = copy.deepcopy(full_track_10[0])
+    i, j, tx = [(i, j, tx) for i, block in enumerate(export["blocks"])
+                for j, tx in enumerate(block["transactions"]) if tx["kind"] == kind][-1]
+    tx["created_address"] = chain_surgery.created_address(tx)
+    assert (tx["created_address"] is None) == (kind == "publish_results")
+    with pytest.raises(MalformedExport, match=re.escape(
+            f"chain export at $.blocks[{i}].transactions[{j}].created_address: not read here; "
+            f"the keys read are sender, target, payload, nonce, tx_hash, status, error, "
+            f"gas_used, kind")):
         audit.replay_chain(export)
 
 

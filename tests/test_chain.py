@@ -351,7 +351,7 @@ def test_export_holds_one_small_link_per_record():
 def test_export_links_data_and_results_to_the_transactions_that_carried_them(scheme):
     chain, rft, _, _ = run_honest_tender(scheme, two_bid_docs())
     export = chain.export()
-    assert export["format"] == "tendersim-chain/10"
+    assert export["format"] == "tendersim-chain/11"
     assert list(export) == ["format", "blocks", "contracts"]  # no setting of the ledger
     created = {tx.created_address: tx for b in chain.blocks for tx in b.transactions
                if tx.created_address}
@@ -377,7 +377,8 @@ def test_export_links_each_bid_record_to_the_transaction_that_placed_it(scheme):
         assert disclosed["placed_by"] == {"in_tx": to_hex(tx.tx_hash)}
         assert not set(contracts.PLACED_ARGS) & set(disclosed)
     assert all("parent_hash" not in b for b in export["blocks"])
-    assert all("gas_price" not in tx for b in export["blocks"] for tx in b["transactions"])
+    assert all(not {"gas_price", "created_address"} & set(tx)
+               for b in export["blocks"] for tx in b["transactions"])
 
 
 def _bid_spelled(spell) -> tuple[Chain, bytes]:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tendersim import audit, crypto
-from tendersim.chain import Chain, ChainConfig, compute_tx_hash
+from tendersim.chain import Chain, ChainConfig, compute_tx_hash, contract_address
 from tendersim.cli import main
 from tendersim.contracts import MAX_ID_BYTES
 from tendersim.encoding import (
@@ -596,17 +596,17 @@ def _spaced(hex_text: str) -> str:
     return "0x" + " ".join(digits[i:i + 2] for i in range(0, len(digits), 2))
 
 
-_FORMAT = b'{"format": "tendersim-chain/10", '
+_FORMAT = b'{"format": "tendersim-chain/11", '
 
 
 def _as_format_6(export: dict) -> None:
-    """Re-spell the top level of a tendersim-chain/10 export as /6 wrote it: with
+    """Re-spell the top level of a tendersim-chain/11 export as /6 wrote it: with
     its data limit."""
     export.update(format="tendersim-chain/6", max_data_bits=5000)
 
 
 def _as_format_5(export: dict) -> None:
-    """Re-spell a tendersim-chain/10 export as /5 wrote it: as /6 did, and with
+    """Re-spell a tendersim-chain/11 export as /5 wrote it: as /6 did, and with
     each block's parent hash, each transaction's gas price, bid records whole."""
     _as_format_6(export)
     export["format"] = "tendersim-chain/5"
@@ -722,7 +722,7 @@ def test_audit_command_names_the_format_it_refuses(tmp_path, capsys):
         assert main(["audit", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[MALFORMED_EXPORT]")
-        assert f"format '{earlier}', not tendersim-chain/10" in err
+        assert f"format '{earlier}', not tendersim-chain/11" in err
 
 
 def test_audit_command_replays_a_call_holding_a_lone_surrogate(tmp_path, capsys):
@@ -771,7 +771,8 @@ def _tender_data(edit_spec):
         payload = canonical_json_bytes({"op": "deploy_data", "data": to_hex(blob)})
         tx_hash = compute_tx_hash(from_hex(tx["sender"]), None, tx["nonce"], payload)
         tx.update(payload=to_text(payload), tx_hash=to_hex(tx_hash), gas_used=16 * len(blob))
-        export["contracts"][tx["created_address"]]["data"] = {"in_tx": to_hex(tx_hash)}
+        created = contract_address(from_hex(tx["sender"]), tx["nonce"])
+        export["contracts"][to_hex(created)]["data"] = {"in_tx": to_hex(tx_hash)}
         chain_surgery.remine(export)
     return edit
 
