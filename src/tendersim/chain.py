@@ -9,7 +9,9 @@ Gas is a closed-form model, not an instruction-level meter: deployments
 cost a per-scheme constant, a tracked bid costs its base plus one array
 copy per previously recorded bid, a stateless bid costs a flat amount.
 The figures are fixed constants that reproduce measured reference costs;
-``MAX_DATA_BITS``, the most a data contract may store, is a constant too.
+``MAX_DATA_BITS``, the most a data contract may store, is a constant too,
+and so is the clock (``ChainConfig``): its block interval, the drift a block
+may run ahead of it and the genesis time. The ledger has no setting.
 """
 
 from __future__ import annotations
@@ -45,20 +47,11 @@ MAX_DATA_BITS = 5_000  # the most bits a deploy_data may store: 625 bytes
 
 @dataclass(frozen=True)
 class ChainConfig:
-    block_interval_ms: int = 15_000
-    max_future_drift_ms: int = 900_000
-    genesis_timestamp: int = 1_600_000_000_000
+    """The clock, fixed as the gas figures are: ``ChainConfig()`` takes no argument."""
 
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if type(value) is not int:  # a bool is not a setting either
-                raise ValueError(f"{name} must be an integer")
-        if self.block_interval_ms <= 0:
-            raise ValueError("block_interval_ms must be > 0")
-        if self.max_future_drift_ms < 0:
-            raise ValueError("max_future_drift_ms must be >= 0")
-        if not 0 <= self.genesis_timestamp < 1 << 64:  # a block hash holds it in 8 bytes
-            raise ValueError("genesis_timestamp must be >= 0 and < 2**64")
+    block_interval_ms: int = field(init=False, default=15_000)
+    max_future_drift_ms: int = field(init=False, default=900_000)  # R6's bound past now
+    genesis_timestamp: int = field(init=False, default=1_600_000_000_000)
 
 
 @dataclass(frozen=True)
@@ -296,15 +289,15 @@ class Chain:
     def export(self) -> dict:
         """Whole-chain view: the ``format``, the ``blocks`` with each
         transaction's signed fields (``transaction_json``) and its receipt
-        (``receipt_json``), and the disclosed ``contracts``; no setting.
+        (``receipt_json``), and the disclosed ``contracts``.
 
         Payloads are written with ``to_text``, one character per byte. The
-        registered accounts, the clock and its settings are left out: no
-        reader of the export could check them against the ledger. Nor are the
-        gas figures, ``GAS_PRICE`` and ``MAX_DATA_BITS``, constants of this
-        module, nor each block's parent hash, which is the ``block_hash`` of
-        the block before it (zeros for genesis) and which its hash commits to,
-        nor the address a transaction creates, ``contract_address`` of its
+        registered accounts and the clock are left out: no reader of the
+        export could check them against the ledger. Nor are the clock's fixed
+        values (``ChainConfig``), the gas figures, ``GAS_PRICE`` and
+        ``MAX_DATA_BITS``, constants of this module, nor each block's parent
+        hash, which is the ``block_hash`` of the block before it (zeros for
+        genesis) and which its hash commits to, nor the address a transaction creates, ``contract_address`` of its
         sender and nonce.
         Each contract is written by ``contracts.disclose``: a tracked tender's
         records each keep the bid array as it stood, and each is written as a

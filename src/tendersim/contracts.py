@@ -71,13 +71,17 @@ _KINDS = {
                        GAS_DEPLOY_RFT_STATELESS, GAS_BID_FLAT_STATELESS),
 }
 
+# Each scheme's receipt kind of a tender's deployment, and of a recorded bid
+DEPLOY_KINDS = tuple(kinds[0] for kinds in _KINDS.values())
+BID_KINDS = tuple(kinds[1] for kinds in _KINDS.values())
+
 # Calls that try to change what a tender fixed at deployment or publication;
 # the auditor grades a wrong receipt for one as an immutability breach.
 OUTCOME_FIXING_OPS = ("publish_results", "set_field")
 
 # The accepted receipt kinds of the calls whose arguments a contract keeps,
 # which the export writes as a link to the transaction (``disclose``).
-LINKED_KINDS = ("deploy_data", "publish_results") + tuple(k[1] for k in _KINDS.values())
+LINKED_KINDS = ("deploy_data", "publish_results") + BID_KINDS
 
 # The arguments of a ``place_bid`` call that its bid record keeps, by snapshot key.
 PLACED_ARGS = ("id", "data_addr", "sealed_half_a")

@@ -247,7 +247,8 @@ def _ciphertext(chain: Chain, record) -> bytes:
         return b""
 
 
-def _account_address(tag: bytes) -> bytes:
+def account_address(tag: bytes) -> bytes:
+    """The address of the account that ``tag`` names (a public key, a bidder id)."""
     return hashlib.sha256(b"account|" + tag).digest()[-20:]
 
 
@@ -258,7 +259,7 @@ class TenderOrchestrator:
         self.chain = chain
         self.rng = rng
         keys = crypto.generate_keypair(self.rng)
-        self.to = TenderingOrganisation(keys=keys, address=_account_address(keys.public_key))
+        self.to = TenderingOrganisation(keys=keys, address=account_address(keys.public_key))
         chain.register_account(self.to.address)
         self.bidders: dict[str, Bidder] = {}
         self.rft_address: bytes | None = None
@@ -304,7 +305,7 @@ class TenderOrchestrator:
         bidder = self.bidders.get(bidder_id)
         if bidder is None:
             bidder = Bidder(bidder_id=bidder_id,
-                            address=_account_address(b"bidder|" + bidder_id.encode()))
+                            address=account_address(b"bidder|" + bidder_id.encode()))
             self.chain.register_account(bidder.address)
             self.bidders[bidder_id] = bidder
         bidder.certificate = cert  # re-registration simply refreshes the certificate

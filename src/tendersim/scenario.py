@@ -36,7 +36,7 @@ from .encoding import (MAX_JSON_DEPTH, STRING, Refused, canonical_json_bytes, fr
 from .encoding import canonical_json  # noqa: F401
 from .errors import IncomparableScenarios, ScenarioError
 from .orchestrator import (BID_FIELDS, BidDocument, EvaluationCriteria, TenderOrchestrator,
-                           TenderSpec)
+                           TenderSpec, account_address)
 
 MAX_BIDS = 1000  # honest, late, forged and spam: twice the largest benchmark workload
 
@@ -241,7 +241,7 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -
     bidders = {b["id"]: b for b in scenario["bidders"]}
     for bidder_id in bidders:
         orch.register_bidder(bidder_id)
-    spammer = hashlib.sha256(b"account|spammer").digest()[-20:]
+    spammer = account_address(b"spammer")
     chain.register_account(spammer)
 
     post_actions = [action for action in scenario["adversarial"]
@@ -308,9 +308,8 @@ def run_scenario(source: str | Path | dict, out_dir: str | Path | None = None) -
     report = audit.replay_and_audit(export, rft)
 
     gas_rows = [(i, kind, gas) for i, (kind, gas) in enumerate(report.gas_trace)]
-    bid_gas = [g for _, kind, g in gas_rows if kind.startswith("bid_")
-               and not kind.startswith("bid_rejected")]
-    deployment_gas = next((g for _, kind, g in gas_rows if kind.startswith("deploy_rft")), 0)
+    bid_gas = [g for _, kind, g in gas_rows if kind in contracts.BID_KINDS]
+    deployment_gas = next((g for _, kind, g in gas_rows if kind in contracts.DEPLOY_KINDS), 0)
 
     expected_failures = _check_expected(scenario["expected"], report)
     if probe_fail != probe_expect_fail:

@@ -305,7 +305,7 @@ def on_curve(pt) -> bool:
 
 
 def point_to_bytes(pt) -> bytes:
-    return int(pt[0]).to_bytes(32, "big") + int(pt[1]).to_bytes(32, "big")
+    return pt[0].to_bytes(32, "big") + pt[1].to_bytes(32, "big")
 
 
 def point_from_bytes(raw: bytes):
@@ -322,7 +322,7 @@ def public_key_bytes(private_scalar: int) -> bytes:
 
 
 def _derive_nonce(private_scalar: int, digest: bytes, counter: int) -> int:
-    seed = int(private_scalar).to_bytes(32, "big") + digest + counter.to_bytes(4, "big")
+    seed = private_scalar.to_bytes(32, "big") + digest + counter.to_bytes(4, "big")
     k = int.from_bytes(hmac.new(seed, b"nonce", hashlib.sha256).digest(), "big") % N
     return k
 
@@ -346,8 +346,8 @@ def sign_digest(private_scalar: int, digest: bytes) -> tuple[int, bytes, bytes]:
         s = (pow(k, -1, N) * (z + r * private_scalar)) % N
         if s == 0:
             continue
-        v = 27 + int(py & 1)
-        return v, int(r).to_bytes(32, "big"), int(s).to_bytes(32, "big")
+        v = 27 + (py & 1)
+        return v, r.to_bytes(32, "big"), s.to_bytes(32, "big")
 
 
 def well_formed(v: int, r: bytes, s: bytes) -> bool:
@@ -402,4 +402,4 @@ def ecdh_shared_secret(private_scalar: int, peer_public: bytes | FixedBase) -> b
         pt = _to_affine(_mul_var(k, point_from_bytes(peer_public)))
     if pt is None:
         raise ValueError("degenerate shared point")
-    return int(pt[0]).to_bytes(32, "big")
+    return pt[0].to_bytes(32, "big")

@@ -1,4 +1,4 @@
-import hashlib
+import json
 from pathlib import Path
 from random import Random
 
@@ -12,11 +12,14 @@ from tendersim.orchestrator import (
     EvaluationCriteria,
     TenderOrchestrator,
     TenderSpec,
+    account_address,
 )
 
 import ledger_ops
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED_SCENARIOS = {p.stem: json.loads(p.read_text())
+                     for p in sorted(SCENARIO_DIR.glob("*.json"))}
 
 # Hostile JSON: every JSON type, nested, with strings that look like addresses.
 json_values = st.recursive(
@@ -43,7 +46,7 @@ def to_keys(rng):
 
 
 def account(tag: str) -> bytes:
-    return hashlib.sha256(b"account|" + tag.encode()).digest()[-20:]
+    return account_address(tag.encode())
 
 
 # A stand-in for the half of a sealed bid key a bid puts on the ledger, of the length
@@ -107,3 +110,12 @@ def expand_prior_bids(disclosed: dict, record_hex: str) -> list[str]:
         if record_hex is not None:
             parts.append([record_hex])
     return [a for part in reversed(parts) for a in part]
+
+
+def leaf_paths(node, path=()):
+    """The path to every value below ``node`` that is neither an object nor a list."""
+    if type(node) not in (dict, list):
+        yield path
+        return
+    for key, child in node.items() if type(node) is dict else enumerate(node):
+        yield from leaf_paths(child, path + (key,))

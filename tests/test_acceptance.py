@@ -299,11 +299,13 @@ def test_criterion_6_spam_cost_differentiation(announce):
 def test_criterion_7_timestamp_rules_randomized(announce):
     rng = Random(707)
     rejected_backdated = rejected_future = accepted = 0
+    drift = ChainConfig().max_future_drift_ms
     for _ in range(200):
-        drift = rng.randrange(0, 5000)
-        chain = Chain(ChainConfig(max_future_drift_ms=drift))
+        chain = Chain(ChainConfig())
         for _ in range(rng.randrange(1, 25)):
-            offset = rng.randrange(-3000, 8000)
+            # around 0 a proposal is back-dated or accepted, around the drift accepted
+            # or too far ahead
+            offset = rng.choice((0, drift)) + rng.randrange(-3000, 3000)
             proposed = chain.now() + offset
             parent_ts = chain.head().timestamp
             if proposed <= parent_ts:

@@ -107,30 +107,17 @@ def test_mine_rejects_far_future_timestamp(chain):
     assert block.timestamp == limit
 
 
-@pytest.mark.parametrize("setting", [
-    {"block_interval_ms": "fast"}, {"block_interval_ms": 0}, {"max_future_drift_ms": True},
-    {"max_future_drift_ms": -1}, {"genesis_timestamp": -1}, {"genesis_timestamp": 2**64},
-], ids=lambda setting: "".join(f"{k}={v!r}" for k, v in setting.items()))
-def test_chain_config_refuses_a_clock_setting_out_of_range(setting):
-    # the clock is all a ChainConfig sets: the gas and the data limit are constants
-    assert list(ChainConfig.__dataclass_fields__) == ["block_interval_ms",
-                                                     "max_future_drift_ms",
-                                                     "genesis_timestamp"]
-    with pytest.raises(ValueError):
-        ChainConfig(**setting)
-
-
-@pytest.mark.parametrize("setting", [{"max_future_drift_ms": 0}, {"genesis_timestamp": 0}],
-                         ids=lambda setting: "".join(f"{k}={v!r}" for k, v in setting.items()))
-def test_chain_config_accepts_a_clock_setting_at_its_bound(setting):
-    chain = Chain(ChainConfig(**setting))
-    chain.advance_to(chain.now() + 1)
-    assert chain.mine_block(chain.now()).height == 1
+@pytest.mark.parametrize("name", ["block_interval_ms", "max_future_drift_ms",
+                                  "genesis_timestamp"])
+def test_chain_config_takes_no_setting(name):
+    # the clock is fixed as the gas figures and the data limit are
+    with pytest.raises(TypeError):
+        ChainConfig(**{name: getattr(ChainConfig(), name)})
 
 
 def test_a_block_timestamp_is_below_2_to_the_64():
     # a block hash holds the timestamp in 8 bytes
-    chain = Chain(ChainConfig(genesis_timestamp=2**64 - 2))
+    chain = Chain(ChainConfig())
     chain.advance_to(2**64)
     with pytest.raises(TimestampTooFarAhead):
         chain.mine_block(2**64)
@@ -146,17 +133,23 @@ def test_chain_grows_with_strictly_increasing_timestamps(chain):
     assert len(set(stamps)) == len(stamps)
 
 
+DRIFT = ChainConfig().max_future_drift_ms
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=-2000, max_value=2000), min_size=1, max_size=30))
+@given(st.lists(st.tuples(st.sampled_from([0, DRIFT]),
+                          st.integers(min_value=-2000, max_value=2000)).map(sum),
+                min_size=1, max_size=30))
 def test_timestamp_rules_under_random_schedules(offsets):
-    chain = Chain(ChainConfig(max_future_drift_ms=1000))
+    # offsets around 0 and around the fixed drift reach all three outcomes
+    chain = Chain(ChainConfig())
     for offset in offsets:
         proposed = chain.now() + offset
         parent_ts = chain.head().timestamp
         if proposed <= parent_ts:
             with pytest.raises(TimestampNotMonotonic):
                 chain.mine_block(proposed)
-        elif proposed > chain.now() + 1000:
+        elif proposed > chain.now() + DRIFT:
             with pytest.raises(TimestampTooFarAhead):
                 chain.mine_block(proposed)
         else:

@@ -25,7 +25,6 @@ from tendersim.encoding import (
     canonical_json_bytes,
     from_hex,
     from_text,
-    json_path,
     to_hex,
     to_text,
     write_canonical_json,
@@ -41,7 +40,7 @@ from tendersim.scenario import (
 )
 
 import chain_surgery
-from conftest import SCENARIO_DIR
+from conftest import BUNDLED_SCENARIOS, SCENARIO_DIR, leaf_paths
 from reference_data import DEPLOY_GAS, PER_PRIOR_BID_COPY
 
 
@@ -898,23 +897,14 @@ def test_audit_command_refuses_a_malformed_tender_address(protected_run, capsys,
 # --- one hostile value in a bundled scenario -------------------------------------------------
 
 _HOSTILE_VALUES = [2**64, -1, 0.5, math.nan, True, None, "\ud800", [1], {"x": 1}]
-_BUNDLED = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
-
-
-def _leaf_paths(node, path=()):
-    """The path to every value below ``node`` that is neither an object nor a list."""
-    if type(node) not in (dict, list):
-        yield path
-        return
-    for key, child in node.items() if type(node) is dict else enumerate(node):
-        yield from _leaf_paths(child, path + (key,))
 
 
 @given(data=st.data())
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_cli_run_exits_0_1_or_2_with_one_hostile_value_anywhere(tmp_path_factory, data):
-    doc = copy.deepcopy(_BUNDLED[data.draw(st.sampled_from(sorted(_BUNDLED)), label="scenario")])
-    path = data.draw(st.sampled_from(list(_leaf_paths(doc))), label="path")
+    name = data.draw(st.sampled_from(sorted(BUNDLED_SCENARIOS)), label="scenario")
+    doc = copy.deepcopy(BUNDLED_SCENARIOS[name])
+    path = data.draw(st.sampled_from(list(leaf_paths(doc))), label="path")
     parent = functools.reduce(operator.getitem, path[:-1], doc)
     parent[path[-1]] = data.draw(st.sampled_from(_HOSTILE_VALUES), label="value")
     file = tmp_path_factory.getbasetemp() / "hostile.json"
@@ -925,43 +915,6 @@ def test_cli_run_exits_0_1_or_2_with_one_hostile_value_anywhere(tmp_path_factory
     assert code in (0, 1, 2)
     if code == 2:
         assert re.match(r"error\[[A-Z_]+\]: ", err.getvalue()), err.getvalue()
-
-
-def _json_type(value) -> str:
-    """A value's JSON type: an int and a float are one number, and a bool is none."""
-    return "number" if type(value) in (int, float) else type(value).__name__
-
-
-_NULLABLE = (("expected", "winner_id"), ("expected", "recomputed_winner"))
-
-
-@given(data=st.data())
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def test_cli_run_refuses_any_leaf_of_another_json_type(tmp_path_factory, data):
-    # every leaf of a bundled scenario is read as one JSON type; null only where it
-    # stands for no winner
-    doc = copy.deepcopy(_BUNDLED[data.draw(st.sampled_from(sorted(_BUNDLED)), label="scenario")])
-    path = data.draw(st.sampled_from(list(_leaf_paths(doc))), label="path")
-    parent = functools.reduce(operator.getitem, path[:-1], doc)
-    parent[path[-1]] = data.draw(st.sampled_from(
-        [value for value in _HOSTILE_VALUES if _json_type(value) != _json_type(parent[path[-1]])
-         and (value is not None or path not in _NULLABLE)]), label="value")
-    file = tmp_path_factory.getbasetemp() / "other-type.json"
-    file.write_text(text := json.dumps(doc), encoding="ascii")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["run", str(file)])
-    if "\\ud800" in text:  # the text is refused before any value is read, at the escape
-        at = text.index("\\ud800")
-        assert code == 2 and err.getvalue() == (
-            f"error[SCENARIO_ERROR]: {file}: lone surrogate \\ud800, which UTF-8 cannot "
-            f"encode: line 1 column {at + 1} (char {at})\n"), err.getvalue()
-        return
-    prefix = f"error[SCENARIO_ERROR]: {file}: at "
-    assert code == 2 and err.getvalue().startswith(prefix), err.getvalue()
-    # refused at the leaf, or at an object or list that holds it
-    where = err.getvalue()[len(prefix):].split(": ", 1)[0]
-    assert where in {json_path(path[:k]) for k in range(len(path) + 1)}, err.getvalue()
 
 
 # --- determinism ---------------------------------------------------------------------------
@@ -995,7 +948,7 @@ _DEFAULTS = {
 def test_a_key_left_out_runs_as_its_default_written(tmp_path, scenario, holders, key, default):
     runs = {}
     for run in ("left-out", "written"):
-        doc = copy.deepcopy(_BUNDLED[scenario])
+        doc = copy.deepcopy(BUNDLED_SCENARIOS[scenario])
         for holder in holders(doc):
             holder.pop(key, None)
             if run == "written":
@@ -1009,7 +962,7 @@ def test_a_key_left_out_runs_as_its_default_written(tmp_path, scenario, holders,
 def test_a_late_bid_with_no_fields_seals_its_bidders_own(tmp_path):
     # left out or empty, a LATE_BID's fields stand for those of the bidder it names
     for run in ("own", "left-out", "empty"):
-        doc = copy.deepcopy(_BUNDLED["late_bid"])
+        doc = copy.deepcopy(BUNDLED_SCENARIOS["late_bid"])
         [late] = doc["adversarial"]
         assert late["bidder"] == doc["bidders"][0]["id"] and late["fields"]
         if run == "own":
