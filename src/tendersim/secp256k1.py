@@ -33,13 +33,20 @@ Scalar multiplication takes one of two routes, chosen by the base:
   the unsigned tables took 18 ms and 4.1 ms.
 * Variable base, k*Q (ECDH against a raw public key, the u2*R half of
   recovery): the same GLV split, then an interleaved width-5 wNAF over Q
-  and phi(Q) needs about 128 doublings instead of 256.
+  and phi(Q) needs about 128 doublings instead of 256. It makes no field
+  inversion: the odd multiples Q, 3Q, .. 15Q are built with Longa and
+  Miri's precomputation (PKC 2008) so that all share one Z, and so are
+  affine points of an isomorphic curve y^2 = x^3 + 7*z^6. The ladder runs
+  there, with the same formulas, and its result becomes a Jacobian point
+  of this curve when its Z is multiplied by z, once.
 
-Doubling uses the a = 0 formula dbl-2009-l. Table entries are affine, so
-every addition, recovery's u1*G + u2*R included, is a mixed Jacobian+affine one.
-Precomputed points are made affine together, with a single field
-inversion (Montgomery's batch-inversion trick); a table's rows grow in
-lockstep so that each step's affine additions share one inversion too.
+Doubling uses the a = 0 formula YY = Y^2, S = 4*X*YY, M = 3*X^2,
+X' = M^2 - 2*S, Y' = M*(S - X') - 8*YY^2, Z' = 2*Y*Z: six reductions mod P.
+Table entries are affine, so every addition, recovery's u1*G + u2*R
+included, is a mixed Jacobian+affine one. A fixed-base table's points are
+made affine together, with a single field inversion (Montgomery's
+batch-inversion trick); its rows grow in lockstep so that each step's
+affine additions share one inversion too.
 """
 
 from __future__ import annotations
@@ -68,16 +75,11 @@ _JINF = (0, 0, 0)
 
 def _jac_double(pt):
     X1, Y1, Z1 = pt
-    A = X1 * X1 % P
-    B = Y1 * Y1 % P
-    C = B * B % P
-    T = X1 + B
-    D = 2 * (T * T - A - C) % P
-    E = 3 * A
-    X3 = (E * E - 2 * D) % P
-    Y3 = (E * (D - X3) - 8 * C) % P
-    Z3 = 2 * Y1 * Z1 % P
-    return (X3, Y3, Z3)
+    YY = Y1 * Y1 % P
+    S = 4 * X1 * YY % P
+    M = 3 * X1 * X1 % P
+    X3 = (M * M - 2 * S) % P
+    return (X3, (M * (S - X3) - 8 * YY * YY) % P, 2 * Y1 * Z1 % P)
 
 
 def _jac_add_affine(pt, q):
@@ -237,38 +239,65 @@ def _wnaf(k):
     each digit negated."""
     digits = []
     while k:
-        if k & 1:
-            d = k & 31
-            if d >= 16:
-                d -= 32
-            k -= d
-        else:
-            d = 0
+        zeros = (k & -k).bit_length() - 1  # a run of zero bits is taken in one step
+        digits += [0] * zeros
+        k >>= zeros
+        d = k & 31
+        if d > 15:
+            d -= 32
         digits.append(d)
-        k >>= 1
+        k = (k - d) >> 1
     return digits
 
 
 def _signed_odd_multiples(pt):
-    """Affine j*pt at index j for odd j in [-15, 15]; a negative j is read
-    from index 32 + j, which Python's negative indexing does by itself.
-    2*pt is made affine first, so every odd step is a mixed addition."""
-    twice = _to_affine(_jac_double((pt[0], pt[1], 1)))
-    odd = [(pt[0], pt[1], 1)]
+    """(table, z): j*pt at index j for odd j in [-15, 15], as affine points on
+    the curve y^2 = x^3 + 7*z^6, which (x, y) -> (x*z^2, y*z^3) maps this one
+    onto. A Jacobian (X, Y, Z) there is (X, Y, Z*z) here, and the a = 0
+    formulas never read the 7, so a ladder over the table needs no inversion.
+    A negative j is read from index 32 + j, which Python's negative indexing
+    does by itself.
+
+    Longa and Miri's precomputation (PKC 2008): 2*pt = (X2, Y2, Z2) is affine
+    (X2, Y2) on the curve scaled by Z2, where pt is (x*Z2^2, y*Z2^3). Seven
+    additions of points that share their Z (Meloni, 2007) give 3*pt .. 15*pt;
+    the addition with difference H moves both its inputs to Z*H, so each
+    odd multiple is kept at the next one's Z, and the running product of the
+    later H brings all eight to the last Z without a division. H is never 0:
+    pt has prime order N, so j*pt == +-2*pt holds for no odd j below 15."""
+    x, y = pt
+    tx, ty, z = _jac_double((x, y, 1))
+    zz = z * z % P
+    ax, ay = x * zz % P, y * zz % P * z % P
+    kept = []  # (2i+1)*pt at the Z of (2i+3)*pt, and the H that took it there
     for _ in range(7):
-        odd.append(_jac_add_affine(odd[-1], twice))
+        h = tx - ax
+        hh = h * h % P
+        hhh = h * hh % P
+        r = ty - ay
+        v, w = ax * hh % P, ay * hhh % P
+        kept.append((v, w, h))
+        tx, ty = (v + hhh) % P, ty * hhh % P  # 2*pt at the new Z too
+        ax = (r * r - hhh - 2 * v) % P
+        ay = (r * (v - ax) - w) % P
+    kept.append((ax, ay, 1))
     table = [None] * 32
-    for j, (x, y) in zip(range(1, 16, 2), _batch_to_affine(odd)):
-        table[j] = (x, y)
-        table[-j] = (x, P - y)
-    return table
+    scale = 1  # the last Z over the Z of the entry taken next
+    for j in range(15, 0, -2):
+        x, y, h = kept.pop()
+        ss = scale * scale % P
+        x, y = x * ss % P, y * ss % P * scale % P
+        table[j], table[-j] = (x, y), (x, P - y)
+        scale = scale * h % P
+    return table, z * scale % P
 
 
 def _mul_var(k, pt):
     """k * pt in Jacobian form, for 0 <= k <= N and a finite curve point pt."""
     k1, k2 = _glv_split(k)
-    t1 = _signed_odd_multiples(pt)
-    # phi(j*pt) = (BETA*x, y); a negative half's digits index the -j entries
+    t1, z = _signed_odd_multiples(pt)
+    # phi(j*pt) = (BETA*x, y) on the scaled curve too; a negative half's
+    # digits index the -j entries
     t2 = [None if q is None else (BETA * q[0] % P, q[1]) for q in t1]
     n1, n2 = _wnaf(k1), _wnaf(k2)
     width = max(len(n1), len(n2))
@@ -281,7 +310,7 @@ def _mul_var(k, pt):
             acc = _jac_add_affine(acc, t1[n1[i]])
         if n2[i]:
             acc = _jac_add_affine(acc, t2[n2[i]])
-    return acc
+    return (acc[0], acc[1], acc[2] * z % P)
 
 
 _G_TABLE = _build_table((GX, GY), 7)

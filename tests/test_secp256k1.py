@@ -12,7 +12,7 @@ import pytest
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import Prehashed, encode_dss_signature
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tendersim import crypto
@@ -118,6 +118,47 @@ def test_edge_halves_reach_every_digit_edge(w, rows):
 @pytest.mark.parametrize("k", EDGE_SCALARS)
 def test_edge_scalars_agree_on_both_routes(k):
     assert curve.scalar_mult(k) == _mul(k, G)
+
+
+# --- variable-base route --------------------------------------------------------------
+
+
+def _check_wnaf(k):
+    digits = curve._wnaf(k)
+    assert sum(d << i for i, d in enumerate(digits)) == k
+    assert all(d % 2 and -15 <= d <= 15 for d in digits if d)
+    assert all(sum(1 for d in digits[i:i + 5] if d) <= 1 for i in range(len(digits)))
+    assert curve._wnaf(-k) == [-d for d in digits]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-(2**129 - 1), max_value=2**129 - 1))
+def test_wnaf_is_a_width_5_non_adjacent_form(k):
+    _check_wnaf(k)
+
+
+@pytest.mark.parametrize("half", sorted({h for pair in EDGE_HALVES for h in pair}))
+def test_wnaf_of_the_edge_halves(half):
+    _check_wnaf(half)
+
+
+def _scaled_back(entry, z):
+    """An entry of the shared-Z table as a point of the curve: (x/z^2, y/z^3)."""
+    zi = pow(z, -1, curve.P)
+    return entry[0] * zi * zi % curve.P, entry[1] * zi * zi * zi % curve.P
+
+
+@fast
+@given(scalars)
+@example(1)  # G
+@example(2)  # G2
+@example(curve.N - 1)  # -G
+def test_odd_multiples_share_one_z(m):
+    table, z = curve._signed_odd_multiples(curve.scalar_mult(m))
+    assert z % curve.P
+    for j in range(1, 16, 2):
+        for signed in (j, -j):
+            assert _scaled_back(table[signed], z) == curve.scalar_mult(signed * m), signed
 
 
 # --- differential against OpenSSL ------------------------------------------------------
