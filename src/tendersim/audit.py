@@ -125,10 +125,10 @@ def parse_export(file):
     decoded strictly as UTF-8, the bytes freed, then parsed by ``load_json``,
     which keeps one ``str`` per distinct key. Each tracked bid record links to
     the one before it, and each bid record's call arguments, data contract's
-    bytes and tender's results to the transaction that carried them
-    (``contracts.disclose``), so the document grows linearly with the bids and
-    holds no payload twice. Links are left as they are: the audit compares
-    them and never follows one.
+    bytes and tender's results to the transaction that carried them, as each
+    contract's ``snapshot()`` writes them, so the document grows linearly with
+    the bids and holds no payload twice. Links are left as they are: the audit
+    compares them and never follows one.
 
     Raises MalformedExport only when ``load_json`` refuses the text: one that is not UTF-8
     JSON, nests past ``encoding.MAX_JSON_DEPTH``, or holds a lone surrogate (a ``\\u``
@@ -173,10 +173,10 @@ def read_ledger(export) -> list[Block]:
     keys, disclosed hash included, strictly. A receipt writes no created
     address, which ``chain.contract_address`` of the sender and nonce fixes.
     Disclosed contracts are left as they are: the state diff compares each
-    with ``contracts.disclose`` of its re-derived twin, so a bid record's
+    with the ``snapshot()`` of its re-derived twin, so a bid record's
     ``prior_bids`` or ``placed_by`` link, and a ``data`` or ``results`` link
-    to a transaction, must be spelled as the export writes it, and the audit
-    stays linear in the bids.
+    to a transaction, must be the link the export always writes, and the
+    audit stays linear in the bids.
 
     Raises MalformedExport for a document whose ``format`` is not
     ``EXPORT_FORMAT``, naming the format it has: the replay applies only this
@@ -278,8 +278,6 @@ class ChainReplay:
 
     export: dict
     state: dict = field(default_factory=dict)  # address -> re-derived contract
-    # recomputed tx hash -> decoded call, for the accepted calls the export links to
-    calls: dict[bytes, dict] = field(default_factory=dict)
     tenders: dict[bytes, _Tender] = field(default_factory=dict)  # in deployment order
     heights: dict[bytes, int] = field(default_factory=dict)  # address -> height created at
     # (address the finding is about or None, finding); see ``replay_and_audit``
@@ -319,8 +317,6 @@ def replay_chain(export) -> ChainReplay:
         ctx = ExecutionContext(sender=tx.sender, tx_nonce=tx.nonce, tx_hash=tx.tx_hash,
                                block_timestamp=ts, block_height=height)
         outcome, created = contracts.transition(target, call, tx.payload, ctx)
-        if outcome.kind in contracts.LINKED_KINDS:
-            replay.calls[tx.tx_hash] = call
         tender = replay.tenders.get(tx.target)
         if created is not None and created.address in state:
             replay.findings.append((None, Violation(
@@ -383,7 +379,7 @@ def _state_findings(replay: ChainReplay, head: int) -> list[tuple[bytes | None, 
     found = []
     for addr, contract in replay.state.items():
         addr_hex, height = to_hex(addr), replay.heights[addr]
-        expected = contracts.disclose(contract, replay.state, replay.calls.get)
+        expected = contract.snapshot()
         disclosed = disclosed_all.get(addr_hex)
         if disclosed is None:
             tag = "ERASURE" if isinstance(contract, BidRecordContract) else "R1"
@@ -536,12 +532,13 @@ def _rederive_result(replay: ChainReplay, tender: _Tender, result: dict):
 
 def _disclosed_data(replay: ChainReplay, addr: bytes) -> bytes:
     """The bytes the export discloses at ``addr``: the re-derived data contract's
-    when the disclosed ``data`` is what the ledger writes for it, else the hex
-    written whole, else none. No other link is followed."""
+    when the disclosed ``data`` is the link its snapshot writes, which stands for
+    the bytes its deployment's call gave, else the hex written whole, else none.
+    No other link is followed."""
     disclosed = replay.export["contracts"].get(to_hex(addr), {}).get("data")
     contract = replay.state.get(addr)
-    if isinstance(contract, TenderDataContract) and same_json(
-            contracts.disclose(contract, replay.state, replay.calls.get)["data"], disclosed):
+    if isinstance(contract, TenderDataContract) and same_json(contract.snapshot()["data"],
+                                                              disclosed):
         return contract.data
     try:
         return from_hex(disclosed)

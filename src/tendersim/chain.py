@@ -129,7 +129,7 @@ class ExecutionContext:
 
     sender: bytes
     tx_nonce: int
-    tx_hash: bytes  # names the transaction in the fields it sets (contracts.disclose)
+    tx_hash: bytes  # the link a snapshot writes for each value the transaction sets
     block_timestamp: int
     block_height: int
     # the ledger applying the transaction, which installs what it creates;
@@ -297,25 +297,17 @@ class Chain:
         values (``ChainConfig``), the gas figures, ``GAS_PRICE`` and
         ``MAX_DATA_BITS``, constants of this module, nor each block's parent
         hash, which is the ``block_hash`` of the block before it (zeros for
-        genesis) and which its hash commits to, nor the address a transaction creates, ``contract_address`` of its
-        sender and nonce.
-        Each contract is written by ``contracts.disclose``: a tracked tender's
+        genesis) and which its hash commits to, nor the address a transaction
+        creates, ``contract_address`` of its sender and nonce.
+
+        Each contract is written as its ``snapshot()``: a tracked tender's
         records each keep the bid array as it stood, and each is written as a
         link to the record before it, so the file grows linearly with the bids;
         a bid record's call arguments, a data contract's bytes and a tender's
-        published results are written as a link to the transaction that
-        carried them, so the export does not hold them twice.
+        published results are each written as a link to the transaction that
+        carried them, standing for what the reader of its call gave, so the
+        export does not hold them twice.
         """
-        from . import contracts  # avoids an import cycle
-
-        payloads = {t.tx_hash: t.payload for b in self.blocks for t in b.transactions
-                    if t.kind in contracts.LINKED_KINDS}
-
-        def call_of(tx_hash):
-            # decoded at each lookup, so the export never holds every call at once
-            payload = payloads.get(tx_hash)
-            return None if payload is None else contracts.decode_call(payload)
-
         return {
             "format": EXPORT_FORMAT,
             "blocks": [
@@ -328,6 +320,5 @@ class Chain:
                 }
                 for b in self.blocks
             ],
-            "contracts": {to_hex(a): contracts.disclose(c, self._contracts, call_of)
-                          for a, c in self._contracts.items()},
+            "contracts": {to_hex(a): c.snapshot() for a, c in self._contracts.items()},
         }

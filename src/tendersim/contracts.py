@@ -40,8 +40,7 @@ from .chain import (ADDRESS_LEN, GAS_BID_BASE_FULL, GAS_BID_BASE_PROTECTED,
                     GAS_BID_FLAT_STATELESS, GAS_DATA_CONTRACT_PER_BIT, GAS_DEPLOY_RFT_FULL,
                     GAS_DEPLOY_RFT_PROTECTED, GAS_DEPLOY_RFT_STATELESS, GAS_PER_PRIOR_BID_COPY,
                     MAX_DATA_BITS, ExecOutcome, ExecutionContext, contract_address)
-from .encoding import (canonical_json_bytes, from_hex, load_json_bytes, read_object, reader,
-                       same_json, to_hex)
+from .encoding import canonical_json_bytes, from_hex, load_json_bytes, read_object, reader, to_hex
 from .errors import BiddingStillOpen, NoSuchContract, RepublishForbidden, SchemeHasNoState
 
 SCHEME_FULL = "FULL_TRACK"
@@ -79,13 +78,6 @@ BID_KINDS = tuple(kinds[1] for kinds in _KINDS.values())
 # the auditor grades a wrong receipt for one as an immutability breach.
 OUTCOME_FIXING_OPS = ("publish_results", "set_field")
 
-# The accepted receipt kinds of the calls whose arguments a contract keeps,
-# which the export writes as a link to the transaction (``disclose``).
-LINKED_KINDS = ("deploy_data", "publish_results") + BID_KINDS
-
-# The arguments of a ``place_bid`` call that its bid record keeps, by snapshot key.
-PLACED_ARGS = ("id", "data_addr", "sealed_half_a")
-
 # The target of a deployment transaction.
 DEPLOY = object()
 
@@ -99,8 +91,14 @@ class Contract:
     """A contract answers calls through ``transition``; it rejects every call
     unless a subclass says otherwise.
 
-    ``snapshot()`` is the disclosed state as a JSON value, apart from a
-    tracked bid record's copy of the bid array (see ``disclose``).
+    ``snapshot()`` is the state a chain export discloses, as a JSON value.
+    A value the contract keeps from a call is written as a link,
+    ``{"in_tx": <hash of that transaction>}``: it stands for the value the
+    reader of the call (``CALLS``) gave, and is always written so, for no call
+    changes it later. Data contracts and bid records are immutable, and a
+    tender's ``results`` are set once (a second publication is refused). The
+    auditor writes its re-derived contracts the same way and compares them
+    strictly, never following a link, so each value has one spelling.
     """
 
     def execute(self, ctx: ExecutionContext, call: dict) -> ExecOutcome:
@@ -114,7 +112,8 @@ class Contract:
 class TenderDataContract(Contract):
     """Immutable byte blob, used for tender terms and encrypted bid documents.
 
-    ``tx_hash`` names the deployment that carried the bytes."""
+    ``tx_hash`` names the deployment that carried the bytes, which the
+    snapshot writes as a link to it."""
 
     kind = "tender_data"
 
@@ -125,7 +124,8 @@ class TenderDataContract(Contract):
         self.tx_hash = tx_hash
 
     def snapshot(self) -> dict:
-        return {"kind": self.kind, "owner": to_hex(self.owner), "data": to_hex(self.data)}
+        return {"kind": self.kind, "owner": to_hex(self.owner),
+                "data": {"in_tx": to_hex(self.tx_hash)}}
 
 
 class BidRecordContract(Contract):
@@ -154,77 +154,22 @@ class BidRecordContract(Contract):
         self.tx_hash = tx_hash
 
     def snapshot(self) -> dict:
-        """The record's state less its copy of the bid array, which costs
-        O(bids) to render: ``disclose`` writes that copy as a link, and the
-        auditor compares it with the tender's own array."""
-        snap = {
-            "kind": self.kind,
-            "scheme": self.scheme,
-            "id": self.bidder_id,
-            "data_addr": to_hex(self.data_addr),
-            "validity": self.validity,
-            "sealed_half_a": to_hex(self.sealed_half_a),
-        }
+        """The record's state. Its ``id``, ``data_addr`` and ``sealed_half_a``
+        are written as one ``"placed_by"`` link to its ``place_bid``. A tracked
+        record's copy of the bid array, which would cost O(bids) to render, is
+        ``{"extends": E, "then": []}``: E's own list, then E, the record placed
+        before it in the tender (``"extends": None`` for the empty list). Each
+        record's list is its predecessor's plus that predecessor, so the export
+        grows linearly with the bids; the auditor compares it with the tender's
+        own array."""
+        snap = {"kind": self.kind, "scheme": self.scheme, "validity": self.validity}
         if self.bidding_end_copy is not None:
             snap["bidding_end_copy"] = self.bidding_end_copy
+        snap["placed_by"] = {"in_tx": to_hex(self.tx_hash)}
+        if self.prior_bids is not None:
+            snap["prior_bids"] = {"extends": to_hex(self.prior_bids[-1]) if self.prior_bids
+                                  else None, "then": []}
         return snap
-
-
-def disclose(contract: Contract, state: dict, call_of) -> dict:
-    """``contract``'s state as a chain export writes it: its snapshot, except
-    that a value the export already holds elsewhere is written as a link.
-
-    A data contract's ``data`` and a tender's ``results`` are written as
-    ``{"in_tx": <hash of the transaction that set it>}`` when they equal, as
-    strictly as the auditor compares, what that transaction carried: its
-    call's ``data`` or ``result``. A bid record's ``id``, ``data_addr`` and
-    ``sealed_half_a`` are written as one ``"placed_by": {"in_tx": <hash>}``
-    when all three equal the arguments of the ``place_bid`` call that created
-    it. ``call_of`` gives the decoded call of a transaction hash, and must
-    give it for every accepted ``deploy_data``, ``publish_results`` and
-    ``place_bid`` transaction (``LINKED_KINDS``), else None. A value that
-    differs, as after an edit of the ledger, is written whole.
-
-    A tracked bid record's ``prior_bids`` is ``{"extends": E, "then": [...]}``,
-    which stands for E's own list, then E, then ``then``; ``"extends": None``
-    stands for the empty list. A record whose list is the list of the record
-    before it plus that record, as on every ledger, is written
-    ``{"extends": <that record>, "then": []}``, so the export grows linearly
-    with the bids; any other list is written whole in ``then``.
-
-    The auditor calls it on its re-derived state and compares strictly, never
-    following a link, so each value has one spelling. ``state`` is the
-    address-to-contract map ``contract`` belongs to.
-    """
-    snap = contract.snapshot()
-    if isinstance(contract, TenderDataContract):
-        snap["data"] = linked(contract.tx_hash, call_of, data=snap["data"]) or snap["data"]
-    elif isinstance(contract, RequestForTenderContract):
-        snap["results"] = linked(contract.results_tx, call_of,
-                                 result=snap["results"]) or snap["results"]
-    if not isinstance(contract, BidRecordContract):
-        return snap
-    placed = {arg: snap.pop(arg) for arg in PLACED_ARGS}
-    link = linked(contract.tx_hash, call_of, **placed)
-    snap.update({"placed_by": link} if link else placed)
-    prior = contract.prior_bids
-    if prior is None:
-        return snap
-    before = state.get(prior[-1]) if prior else None
-    if isinstance(before, BidRecordContract) and before.prior_bids == prior[:-1]:
-        snap["prior_bids"] = {"extends": to_hex(prior[-1]), "then": []}
-    else:
-        snap["prior_bids"] = {"extends": None, "then": [to_hex(a) for a in prior]}
-    return snap
-
-
-def linked(tx_hash: bytes | None, call_of, **args) -> dict | None:
-    """A link to transaction ``tx_hash`` if its call, ``call_of(tx_hash)``,
-    carried each of ``args``, else None."""
-    call = call_of(tx_hash)
-    if call is not None and all(same_json(call.get(arg), value) for arg, value in args.items()):
-        return {"in_tx": to_hex(tx_hash)}
-    return None
 
 
 class RequestForTenderContract(Contract):
@@ -331,7 +276,7 @@ class RequestForTenderContract(Contract):
             "deployer": to_hex(self.deployer),
             "bid_count": dict(sorted(self.bid_count.items())),
             "reveals": [dict(r) for r in self.reveals],
-            "results": self.results,
+            "results": None if self.results_tx is None else {"in_tx": to_hex(self.results_tx)},
         }
         if self.bids_placed is not None:
             snap["bids_placed"] = [to_hex(a) for a in self.bids_placed]

@@ -7,7 +7,6 @@ broken.
 
 import json
 
-from tendersim import contracts
 from tendersim.chain import compute_block_hash, compute_tx_hash, contract_address
 from tendersim.encoding import from_hex, from_text, to_hex, to_text
 
@@ -86,7 +85,7 @@ def bid_record(export: dict, address_hex: str) -> dict:
     link = record.pop("placed_by", None)
     if link is not None:
         call = carried(export, link["in_tx"])
-        record.update({arg: call[arg] for arg in contracts.PLACED_ARGS})
+        record.update({arg: call[arg] for arg in ("id", "data_addr", "sealed_half_a")})
     return record
 
 

@@ -61,11 +61,11 @@ def test_bidding_end_is_deploy_time_plus_length(chain, to_keys):
 def test_data_contract_size_boundary(chain):
     sender = chain.register_account(account("TO"))
     addr = ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 625)  # 5000 bits
-    assert chain.get_contract(addr).snapshot()["data"] == "0x" + "42" * 625
+    assert chain.get_contract(addr).data == b"\x42" * 625
     with pytest.raises(ledger_ops.Rejected, match=contracts.DATA_TOO_LARGE):
         ledger_ops.deploy_tender_data(chain, sender, b"\x42" * 626)
     empty = ledger_ops.deploy_tender_data(chain, sender, b"")
-    assert chain.get_contract(empty).snapshot()["data"] == "0x"
+    assert chain.get_contract(empty).data == b""
 
 
 # --- full track (every bid is recorded) ---------------------------------------------

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from tendersim.cli import main
+from tendersim.encoding import canonical_json_bytes
 from tendersim.scenario import run_scenario
 
 import chain_surgery
@@ -136,6 +137,16 @@ def run_dir(tmp_path_factory):
     return get
 
 
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not a JSON token")
+
+
+def assert_strict_canonical_json(raw: bytes) -> None:
+    """``raw`` is JSON by RFC 8259, no ``NaN`` or infinity token in it, and
+    exactly the canonical JSON of what it holds, plus a newline."""
+    assert raw == canonical_json_bytes(json.loads(raw, parse_constant=_refuse)) + b"\n"
+
+
 def test_every_bundled_scenario_is_pinned():
     assert SCENARIOS == sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
     assert sorted(GOLDEN) == [f"{s}/{r}" for s in SCENARIOS for r in REPORTS]
@@ -157,6 +168,12 @@ def test_reports_match_golden_digests(scenario, run_dir):
     for report in REPORTS:
         digest = hashlib.sha256((out / report).read_bytes()).hexdigest()
         assert digest == GOLDEN[f"{scenario}/{report}"], f"{scenario}/{report}"
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_json_reports_are_strict_canonical_json(scenario, run_dir):
+    for report in ("audit.json", "chain.json"):
+        assert_strict_canonical_json((run_dir(scenario) / report).read_bytes())
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -184,3 +201,4 @@ def test_citizen_audit_report_matches_golden_digest(scenario, run_dir, tmp_path)
         code = main(["audit", str(run_dir(scenario) / "chain.json"), "--out", str(report)])
     assert code == (1 if scenario in AUDIT_FAILS else 0)
     assert hashlib.sha256(report.read_bytes()).hexdigest() == AUDIT_OUT_GOLDEN[scenario]
+    assert_strict_canonical_json(report.read_bytes())

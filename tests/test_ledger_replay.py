@@ -4,19 +4,25 @@ A Hypothesis state machine seeds one to three valid tenders under the
 organisation's key, then submits any mix of data deployments, tender
 deployments with good or bad parameters (a float, bool or string where an
 int goes among them), bids whose certificate is valid, issued for another
-tender or another bidder id, random or junk, key reveals, publications with
-a result object or without one and by the organisation or a stranger,
-``set_field`` and unknown calls, calls of each op that only the op's key table
-refuses (a key no rule reads, a key missing, a value off its fixed length or
-spaced, an id over ``MAX_ID_BYTES``), and raw payloads: bytes that are not UTF-8, JSON
-that is not a call, and calls holding lone surrogates. Blocks come 1 ms, 5 s or
-past a deadline apart. After the last block, every contract the replay
-re-derives must be disclosed exactly as the ledger's export discloses it, and
-the replay of that export must find no ledger, receipt or state fault; each
-call only the table refuses must have a MALFORMED_PAYLOAD receipt, or a
-NO_SUCH_CONTRACT one where no contract lives at its target. The citizen's
-``tendersim audit`` of the written export must exit 0, 1 or 2 without raising,
-and name an error code whenever it exits 2.
+tender or another bidder id, random or junk, bids and data deployments whose
+hex arguments are spelled in uppercase, key reveals, publications with a
+result object or without one and by the organisation or a stranger,
+publications whose result holds ``NaN`` or an infinity, as the bare token
+``json.dumps`` writes, ``set_field`` and unknown calls, calls of each op that
+only the op's key table refuses (a key no rule reads, a key missing, a value
+off its fixed length or spaced, an id over ``MAX_ID_BYTES``), and raw
+payloads: bytes that are not UTF-8, JSON that is not a call, and calls
+holding lone surrogates. Blocks come 1 ms, 5 s or past a deadline apart.
+After the last block, the export must be strict JSON, with no ``NaN`` or
+infinity token, and disclose each data contract's ``data``, each bid
+record's ``placed_by`` and each set ``results`` as a link to the transaction
+that created or set it, however its call spelled the values; every contract
+the replay re-derives must be disclosed exactly as the ledger's export
+discloses it, and the replay of that export must find no ledger, receipt or
+state fault; each call only the table refuses must have a MALFORMED_PAYLOAD
+receipt, or a NO_SUCH_CONTRACT one where no contract lives at its target.
+The citizen's ``tendersim audit`` of the written export must exit 0, 1 or 2
+without raising, and name an error code whenever it exits 2.
 """
 
 import contextlib
@@ -33,7 +39,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from tendersim import audit, cli, contracts, crypto
 from tendersim.chain import Chain, ChainConfig
-from tendersim.encoding import canonical_json_bytes, to_hex, write_canonical_json
+from tendersim.encoding import canonical_json, canonical_json_bytes, to_hex, write_canonical_json
 from tendersim.errors import NoSuchContract
 
 from conftest import account, json_values
@@ -50,6 +56,7 @@ BIDDER_IDS = st.sampled_from(["B1", "B2", "B3"])
 SURROGATE_TEXT = st.text(st.characters(categories=["Cs"]) | st.characters(max_codepoint=0x7F),
                          min_size=1, max_size=4)
 HALVES = st.binary(min_size=crypto.SEALED_HALF_LEN, max_size=crypto.SEALED_HALF_LEN)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 # a call of each op whose values have the shape the ledger reads, and the values of
 # fixed length, by key
 SHAPED = {
@@ -151,6 +158,17 @@ class LedgerAgainstReplay(RuleBasedStateMachine):
                 data.draw(json_values)
         self.records.append(self._call(sender, rft, call))
 
+    @rule(data=st.data(), sender=st.sampled_from(SENDERS), bidder_id=BIDDER_IDS, half=HALVES,
+          keys=st.sets(st.sampled_from(["data_addr", "r", "s", "sealed_half_a"]), min_size=1))
+    def place_bid_in_uppercase(self, data, sender, bidder_id, half, keys):
+        rft = self._any(data, self.tenders)
+        cert = crypto.issue_certificate(ORG_KEYS.private_key, bidder_id, rft)
+        call = contracts.call("place_bid", id=bidder_id, data_addr=self._any(data, self.data),
+                              v=cert.v, r=cert.r, s=cert.s, sealed_half_a=half)
+        for key in keys:
+            call[key] = "0x" + call[key][2:].upper()
+        self.records.append(self._call(sender, rft, call))
+
     @rule(data=st.data(), sender=st.sampled_from(SENDERS), half_b=HALVES)
     def reveal(self, data, sender, half_b):
         call = contracts.call("reveal_key_half", bid_addr=self._any(data, self.records),
@@ -163,6 +181,13 @@ class LedgerAgainstReplay(RuleBasedStateMachine):
     def publish(self, data, sender, result):
         self._call(sender, self._any(data, self.tenders),
                    contracts.call("publish_results", result=result))
+
+    @rule(data=st.data(), sender=st.sampled_from([ORG, ORG, STRANGER]), value=NON_FINITE,
+          key=st.sampled_from(["winner_id", "bids", "score"]), nested=st.booleans())
+    def publish_non_finite(self, data, sender, value, key, nested):
+        call = contracts.call("publish_results", result={key: {"score": value} if nested
+                                                         else value})
+        self._submit(sender, self._any(data, self.tenders), json.dumps(call).encode("ascii"))
 
     def _refused(self, data, sender, op: str, call: dict) -> None:
         target = None if op.startswith("deploy") else self._any(data, self.tenders)
@@ -218,10 +243,19 @@ class LedgerAgainstReplay(RuleBasedStateMachine):
     def teardown(self):
         self._mine(1)
         export = self.chain.export()
+        json.loads(canonical_json(export), parse_constant=_not_json)
+        txs = [tx for b in self.chain.blocks for tx in b.transactions if tx.status == "OK"]
+        set_by = {"results": {to_hex(tx.target): tx.tx_hash for tx in txs
+                              if tx.kind == "publish_results"}}
+        set_by["data"] = set_by["placed_by"] = {to_hex(tx.created_address): tx.tx_hash
+                                                for tx in txs if tx.created_address}
+        for addr, state in export["contracts"].items():
+            for key, setters in set_by.items():
+                if state.get(key) is not None:
+                    assert state[key] == {"in_tx": to_hex(setters[addr])}, (addr, key)
         parsed = audit.parse_export(io.BytesIO(canonical_json_bytes(export)))
         replay = audit.replay_chain(parsed)
-        assert {to_hex(a): contracts.disclose(c, replay.state, replay.calls.get)
-                for a, c in replay.state.items()} == export["contracts"]
+        assert {to_hex(a): c.snapshot() for a, c in replay.state.items()} == export["contracts"]
         assert replay.findings == []
         errors = {to_hex(tx.tx_hash): tx.error for b in self.chain.blocks for tx in b.transactions}
         assert {errors[tx_hash] for tx_hash in self.refused} <= {contracts.MALFORMED_PAYLOAD,
@@ -235,6 +269,10 @@ class LedgerAgainstReplay(RuleBasedStateMachine):
         assert code in (0, 1, 2)
         if code == 2:
             assert re.match(r"error\[[A-Z_]+\]: ", err.getvalue()), err.getvalue()
+
+
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not a JSON token")
 
 
 LedgerAgainstReplay.TestCase.settings = settings(
