@@ -1,6 +1,6 @@
 """Mutation check of one module: does some test fail for each small change?
 
-    python scripts/mutate_audit.py src/tendersim/audit.py [--only _state_findings,_disclosed_data] [--jobs 2]
+    python scripts/mutate_audit.py src/tendersim/audit.py [--only _rederive_result,_state_findings] [--jobs 2]
 
 Six kinds of mutant, one change each: the test of an ``if``, a ``while`` or a
 conditional expression negated, an ``if`` filter of a comprehension negated

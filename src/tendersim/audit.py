@@ -19,9 +19,11 @@ every disclosed contract with the snapshot of its re-derived twin, key by key;
 the bid array is also checked against the array snapshots embedded in each bid
 record, which is what makes a silently erased entry provable. The published
 results are re-derived with the writer of the organisation's evaluation too:
-each bid opened and graded with its published key by ``orchestrator.open_bid``,
-the result written by ``orchestrator.tender_result``, then diffed with the
-published one.
+each bid opened from the bytes its ``deploy_data`` carried and graded with its
+published key by ``orchestrator.open_bid``, the result written by
+``orchestrator.tender_result``, then diffed with the published one. The
+disclosed state is compared and never used: an edit of it is the state diff's
+finding alone, and the gas trace is the re-derived receipts'.
 
 Tenders are found from the deployments the replay accepts, never from the
 ``kind`` labels of the disclosed state. Every finding and gas row is filed
@@ -276,13 +278,14 @@ class _Tender:
 class ChainReplay:
     """A chain export replayed once through the contract rules."""
 
-    export: dict
+    disclosed: dict  # address hex -> disclosed contract, as ``read_ledger`` read it
     state: dict = field(default_factory=dict)  # address -> re-derived contract
     tenders: dict[bytes, _Tender] = field(default_factory=dict)  # in deployment order
     heights: dict[bytes, int] = field(default_factory=dict)  # address -> height created at
     # (address the finding is about or None, finding); see ``replay_and_audit``
     findings: list[tuple[bytes | None, Violation]] = field(default_factory=list)
-    # (address the transaction created or was sent to, kind, gas_used), in ledger order
+    # (address the transaction created or was sent to, re-derived kind and gas_used),
+    # in ledger order
     gas_trace: list[tuple[bytes | None, str, int]] = field(default_factory=list)
     owners: dict[bytes, set] = field(default_factory=dict)  # see ``_owners``
 
@@ -297,10 +300,12 @@ def replay_chain(export) -> ChainReplay:
     """Read a chain export with ``read_ledger``, re-derive every transaction's
     receipt, written by the export's ``receipt_json``, and every contract, and
     diff each against what the export discloses, the contracts with
-    ``_differing``. The rules it applies, the gas figures and ``MAX_DATA_BITS``
-    too, are constants."""
+    ``_differing``. The gas trace takes each row from the re-derived receipt,
+    and the disclosed contracts are kept only for the diffs. The rules it
+    applies, the gas figures and ``MAX_DATA_BITS`` too, are constants."""
     blocks = read_ledger(export)
-    replay = ChainReplay(export, findings=[(None, v) for v in verify_ledger_hashes(blocks)])
+    replay = ChainReplay(export["contracts"],
+                         findings=[(None, v) for v in verify_ledger_hashes(blocks)])
     state = replay.state
     nonces: dict[bytes, int] = {}  # sender -> the nonce its next transaction must carry
     for block, tx in iter_transactions(blocks):
@@ -341,8 +346,7 @@ def replay_chain(export) -> ChainReplay:
             _RECEIPT_TAGS.get(key, status_tag), height, f"transaction {rederived['tx_hash']} "
             f"field {key} {_mismatch(rederived, tx.receipt, key)}"))
             for key in rederived if not same_json(rederived[key], tx.receipt.get(key, _ABSENT)))
-        replay.gas_trace.append((at, tx.receipt.get("kind") or "unknown",
-                                 tx.receipt.get("gas_used")))
+        replay.gas_trace.append((at, outcome.kind, outcome.gas_used))
     replay.owners = _owners(replay)
     replay.findings.extend(_state_findings(replay, blocks[-1].height if blocks else 0))
     return replay
@@ -374,15 +378,16 @@ def _state_findings(replay: ChainReplay, head: int) -> list[tuple[bytes | None, 
     """Every re-derived contract's snapshot against its disclosed state, in
     creation order and dated to its creation, then the disclosed contracts
     nobody created, dated to the ``head`` block."""
-    disclosed_all = replay.export["contracts"]
     tender_data = {t.contract.tender_data_addr for t in replay.tenders.values()}
     found = []
     for addr, contract in replay.state.items():
         addr_hex, height = to_hex(addr), replay.heights[addr]
         expected = contract.snapshot()
-        disclosed = disclosed_all.get(addr_hex)
-        if disclosed is None:
-            tag = "ERASURE" if isinstance(contract, BidRecordContract) else "R1"
+        disclosed = replay.disclosed.get(addr_hex)
+        if disclosed is None:  # a bid ciphertext is R3, as a difference in it is
+            tag = ("ERASURE" if isinstance(contract, BidRecordContract) else "R3"
+                   if isinstance(contract, TenderDataContract) and addr not in tender_data
+                   else "R1")
             found.append((addr, Violation(tag, height, f"contract {addr_hex} created on-ledger "
                                                        f"is missing from disclosed state")))
             continue
@@ -391,7 +396,7 @@ def _state_findings(replay: ChainReplay, head: int) -> list[tuple[bytes | None, 
                                           disclosed.get(key, _ABSENT), addr in tender_data)
             found.append((addr, Violation(tag, height, text)))
     created = {to_hex(addr) for addr in replay.state}
-    for addr_hex in disclosed_all:
+    for addr_hex in replay.disclosed:
         if addr_hex not in created:
             found.append((None, Violation("R6", head, f"disclosed contract {addr_hex} was never "
                                                       f"created by any transaction")))
@@ -450,7 +455,7 @@ def _snapshot_erasure_check(replay: ChainReplay, addr: bytes,
     it. The state diff holds every disclosed record to its re-derived twin, whose
     array is the re-derived tender's up to the record, so a record is flagged
     when the disclosed array departs from the re-derived one at or before it."""
-    disclosed_rft = replay.export["contracts"].get(to_hex(addr))
+    disclosed_rft = replay.disclosed.get(to_hex(addr))
     if tender.contract.scheme == contracts.SCHEME_STATELESS or disclosed_rft is None:
         return []
     disclosed_array = disclosed_rft.get("bids_placed")
@@ -474,13 +479,16 @@ def _rederive_result(replay: ChainReplay, tender: _Tender, result: dict):
     ``tender_result``, the organisation's writer, and diffed with ``_differing``
     against the published one, one level into ``bids``, the winner keys aside
     for the winner check. An entry with a ``bid_key`` re-derives to ``open_bid``
-    with that key; one without keeps its published status only where the
-    auditor, who cannot unseal, cannot disprove it: MALFORMED_CIPHERTEXT, or
-    UNREVEALED for a bid whose half no reveal put on the ledger in a block
-    before the publication; else it re-derives to UNREVEALED, or
-    MALFORMED_CIPHERTEXT once the half is on the ledger. A valid bid with no
-    entry is NONRECEIPT, a key that fails to open its bid UNDECRYPTABLE_BID,
-    any other difference R3."""
+    with that key, of the bytes the bid's ``deploy_data`` carried, as the
+    re-derived data contract at its ``data_addr`` holds them (none where the
+    ledger holds no data contract), never of their disclosed copy. One without
+    keeps its published status only where the auditor, who cannot unseal,
+    cannot disprove it: MALFORMED_CIPHERTEXT, or UNREVEALED for a bid whose
+    half no reveal put on the ledger in a block before the publication; else
+    it re-derives to UNREVEALED, or MALFORMED_CIPHERTEXT once the half is on
+    the ledger. A valid bid with no
+    entry is NONRECEIPT, a key that fails to open those bytes into a document
+    of the bid's bidder UNDECRYPTABLE_BID, any other difference R3."""
     data = replay.state.get(tender.contract.tender_data_addr)
     try:  # only a data contract holds bytes
         _, _, criteria = TenderSpec.parse_data_blob(getattr(data, "data", b""))
@@ -512,8 +520,8 @@ def _rederive_result(replay: ChainReplay, tender: _Tender, result: dict):
             bids[record.address] = {"status": status if status in (STATUS_MALFORMED, keyless)
                                     else keyless}
             continue
-        bids[record.address] = open_bid(criteria, record.bidder_id,
-                                        _disclosed_data(replay, record.data_addr), bid_key)
+        ciphertext = getattr(replay.state.get(record.data_addr), "data", b"")
+        bids[record.address] = open_bid(criteria, record.bidder_id, ciphertext, bid_key)
         if bids[record.address]["status"] == STATUS_MALFORMED:
             violations.append(Violation("UNDECRYPTABLE_BID", height,
                                         f"published key fails to decrypt bid {addr}"))
@@ -528,22 +536,6 @@ def _rederive_result(replay: ChainReplay, tender: _Tender, result: dict):
                                 f"bids.{addr} {_mismatch(expected['bids'], entries, addr)}")
                       for addr in _differing(expected["bids"], entries))
     return expected, violations
-
-
-def _disclosed_data(replay: ChainReplay, addr: bytes) -> bytes:
-    """The bytes the export discloses at ``addr``: the re-derived data contract's
-    when the disclosed ``data`` is the link its snapshot writes, which stands for
-    the bytes its deployment's call gave, else the hex written whole, else none.
-    No other link is followed."""
-    disclosed = replay.export["contracts"].get(to_hex(addr), {}).get("data")
-    contract = replay.state.get(addr)
-    if isinstance(contract, TenderDataContract) and same_json(contract.snapshot()["data"],
-                                                              disclosed):
-        return contract.data
-    try:
-        return from_hex(disclosed)
-    except ValueError:  # no data contract, or no hex data, is disclosed there
-        return b""
 
 
 # --- requirement grading -------------------------------------------------------------
@@ -674,7 +666,7 @@ def replay_and_audit(source, rft_address) -> AuditReport:
         tender_address=rft_hex,
         scheme=rft.scheme,
         recomputed_winner=recomputed_winner,
-        published_winner=published_winner,
+        published_winner=published_winner if type(published_winner) is str else None,
         winner_match=winner_match,
         violations=unique,
         gas_trace=[(kind, gas) for at, kind, gas in replay.gas_trace

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tendersim import crypto
 from tendersim.chain import Chain, ChainConfig
+from tendersim.encoding import canonical_json_bytes
 from tendersim.orchestrator import (
     BidDocument,
     EvaluationCriteria,
@@ -119,3 +120,13 @@ def leaf_paths(node, path=()):
         return
     for key, child in node.items() if type(node) is dict else enumerate(node):
         yield from leaf_paths(child, path + (key,))
+
+
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not a JSON token")
+
+
+def assert_strict_canonical_json(raw: bytes) -> None:
+    """``raw`` is JSON by RFC 8259, no ``NaN`` or infinity token in it, and
+    exactly the canonical JSON of what it holds, plus a newline."""
+    assert raw == canonical_json_bytes(json.loads(raw, parse_constant=_refuse)) + b"\n"

@@ -44,6 +44,7 @@ from conftest import (
     HALF_A,
     SCENARIO_DIR,
     account,
+    assert_strict_canonical_json,
     expand_prior_bids,
     json_values,
     make_tender,
@@ -598,14 +599,33 @@ def test_a_disclosed_contract_nobody_created_is_dated_to_the_head_block():
          f"disclosed contract {ghost} was never created by any transaction")]
 
 
-def test_ciphertext_tamper_detected_via_published_key():
+def test_a_disclosed_ciphertext_tamper_is_the_state_diffs_r3_alone():
+    # the bid is opened from the bytes its deploy_data carried, which the published
+    # key still opens, so only the disclosed copy is at fault
     export, rft_hex, subs, _ = _honest_export()
     data_hex = to_hex(subs["B1"].data_address)
     chain_surgery.flip_contract_data_bit(export, data_hex, bit=200)
     report = audit.replay_and_audit(export, rft_hex)
-    tags = {v.tag for v in report.violations}
-    assert "UNDECRYPTABLE_BID" in tags  # published key no longer authenticates
-    assert "R3" in tags  # and the bytes differ from the deployment payload
+    assert [(v.tag, v.height, v.description) for v in report.violations] == [
+        ("R3", 2, f"bid ciphertext at {data_hex} differs from the bytes in its deployment "
+                  f"transaction")]
+
+
+def test_a_published_winner_id_that_is_no_string_is_reported_as_null(tmp_path, capsys):
+    # a call payload may hold NaN: the report names it in the finding's text only
+    export, rft_hex, _, honest = _published_export(
+        lambda results, loser: results.update(winner_id=math.nan))
+    path, out = tmp_path / "chain.json", tmp_path / "audit.json"
+    path.write_text(canonical_json(export), encoding="utf-8")
+    assert main(["audit", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    assert_strict_canonical_json(out.read_bytes())
+    [report] = json.loads(out.read_bytes())
+    assert (report["published_winner"], report["recomputed_winner"]) == (None, "B2")
+    winner_addr = honest["winner_bid_address"]
+    assert [(v["tag"], v["description"]) for v in report["violations"]] == [
+        ("WINNER_MISMATCH", f"published winner nan/{winner_addr} differs from recomputed "
+                            f"B2/{winner_addr}")]
 
 
 def test_nonreceipt_detection_in_stateless_scheme():
@@ -1115,15 +1135,16 @@ def test_changed_receipt_kind_is_flagged(full_track_10):
     assert any(v.tag == "R6" and tx["tx_hash"] in v.description for v in report.violations)
 
 
-def test_a_receipt_with_no_kind_is_graded_and_traced_as_unknown(full_track_10):
+def test_a_receipt_with_no_kind_is_graded_and_traced_as_rederived(full_track_10):
     export, rft_hex = copy.deepcopy(full_track_10[0]), full_track_10[1]
     bids = [tx for block in export["blocks"] for tx in block["transactions"]
             if tx["kind"] == "bid_full"]
     del bids[0]["kind"]
     report = audit.replay_and_audit(export, rft_hex)
     assert any(v.tag == "R6" and bids[0]["tx_hash"] in v.description for v in report.violations)
-    kinds = [kind for kind, _ in report.gas_trace]
-    assert kinds.count("unknown") == 1 and kinds.count("bid_full") == len(bids) - 1
+    # the trace is the re-derived receipts', as every report value the audit writes
+    assert [row for row in report.gas_trace if row[0] == "bid_full"] == \
+        [("bid_full", tx["gas_used"]) for tx in bids]
 
 
 # --- parsing an export: one str per repeated key ------------------------------------------

@@ -14,11 +14,10 @@ import json
 import pytest
 
 from tendersim.cli import main
-from tendersim.encoding import canonical_json_bytes
 from tendersim.scenario import run_scenario
 
 import chain_surgery
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, assert_strict_canonical_json
 
 REPORTS = ("audit.json", "chain.json", "gas.csv", "summary.txt")
 
@@ -135,16 +134,6 @@ def run_dir(tmp_path_factory):
             run_scenario(SCENARIO_DIR / f"{scenario}.json", dirs[scenario])
         return dirs[scenario]
     return get
-
-
-def _refuse(constant: str):
-    raise ValueError(f"{constant} is not a JSON token")
-
-
-def assert_strict_canonical_json(raw: bytes) -> None:
-    """``raw`` is JSON by RFC 8259, no ``NaN`` or infinity token in it, and
-    exactly the canonical JSON of what it holds, plus a newline."""
-    assert raw == canonical_json_bytes(json.loads(raw, parse_constant=_refuse)) + b"\n"
 
 
 def test_every_bundled_scenario_is_pinned():

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tendersim import audit, crypto
@@ -21,6 +21,7 @@ from tendersim.chain import Chain, ChainConfig, compute_tx_hash, contract_addres
 from tendersim.cli import main
 from tendersim.contracts import MAX_ID_BYTES
 from tendersim.encoding import (
+    MAX_JSON_DEPTH,
     canonical_json,
     canonical_json_bytes,
     from_hex,
@@ -40,7 +41,7 @@ from tendersim.scenario import (
 )
 
 import chain_surgery
-from conftest import BUNDLED_SCENARIOS, SCENARIO_DIR, leaf_paths
+from conftest import BUNDLED_SCENARIOS, SCENARIO_DIR, assert_strict_canonical_json, leaf_paths
 from reference_data import DEPLOY_GAS, PER_PRIOR_BID_COPY
 
 
@@ -582,8 +583,8 @@ def test_audit_command_flags_tampered_export(tmp_path, capsys):
 
 
 @functools.cache
-def _full_track_10_export() -> dict:
-    return run_scenario(SCENARIO_DIR / "full_track_10_bids.json").export
+def _bundled_export(name: str) -> dict:
+    return run_scenario(SCENARIO_DIR / f"{name}.json").export
 
 
 def _first_tx(export: dict) -> dict:
@@ -691,9 +692,9 @@ def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
         content, indent = content
     if isinstance(content, tuple):
         prefix, suffix = content
-        content = prefix + canonical_json_bytes(_full_track_10_export()) + suffix
+        content = prefix + canonical_json_bytes(_bundled_export("full_track_10_bids")) + suffix
     elif callable(content):
-        export = copy.deepcopy(_full_track_10_export())
+        export = copy.deepcopy(_bundled_export("full_track_10_bids"))
         content(export)
         text = json.dumps(export, indent=indent, ensure_ascii=False) if indent \
             else canonical_json(export)
@@ -713,7 +714,7 @@ def test_audit_command_rejects_malformed_export(tmp_path, capsys, content):
 
 
 def test_audit_command_names_the_format_it_refuses(tmp_path, capsys):
-    export = copy.deepcopy(_full_track_10_export())
+    export = copy.deepcopy(_bundled_export("full_track_10_bids"))
     path = tmp_path / "chain.json"
     for earlier in ("tendersim-chain/7", "tendersim-chain/8", "tendersim-chain/9"):
         export["format"] = earlier
@@ -727,7 +728,7 @@ def test_audit_command_names_the_format_it_refuses(tmp_path, capsys):
 def test_audit_command_replays_a_call_holding_a_lone_surrogate(tmp_path, capsys):
     # the publish transaction, re-signed and re-mined with a payload whose
     # \ud800 escape json.loads reads as a str UTF-8 cannot encode again
-    export = copy.deepcopy(_full_track_10_export())
+    export = copy.deepcopy(_bundled_export("full_track_10_bids"))
     tx = export["blocks"][-1]["transactions"][-1]
     payload = b'{"op":"publish_results","result":{"winner_id":"\\ud800"}}'
     tx_hash = compute_tx_hash(from_hex(tx["sender"]), from_hex(tx["target"]), tx["nonce"],
@@ -749,30 +750,38 @@ def _first_published_bid(export) -> tuple[str, dict]:
     return chain_surgery.bid_record(export, record_hex)["data_addr"], keys
 
 
+def _redeploy(export, tx, blob: bytes) -> None:
+    """Make ``tx``, a ``deploy_data`` transaction of ``export``, carry ``blob``,
+    with its hash, receipt gas and the disclosed link to it to match, and re-mine."""
+    payload = canonical_json_bytes({"op": "deploy_data", "data": to_hex(blob)})
+    tx_hash = compute_tx_hash(from_hex(tx["sender"]), None, tx["nonce"], payload)
+    tx.update(payload=to_text(payload), tx_hash=to_hex(tx_hash), gas_used=16 * len(blob))
+    created = contract_address(from_hex(tx["sender"]), tx["nonce"])
+    export["contracts"][to_hex(created)]["data"] = {"in_tx": to_hex(tx_hash)}
+    chain_surgery.remine(export)
+
+
 def _bid_plaintext(plaintext: bytes):
-    """An export edit: the first published bid's disclosed ciphertext becomes
-    ``plaintext``, encrypted under the bid key the organisation published."""
+    """An export edit: the first published bid's ``deploy_data`` transaction
+    carries ``plaintext``, encrypted under the bid key the organisation published."""
     def edit(export):
         data_hex, keys = _first_published_bid(export)
-        export["contracts"][data_hex]["data"] = to_hex(
-            crypto.encrypt_bid(plaintext, from_hex(keys["bid_key"]), Random(0)))
+        tx = next(tx for block in export["blocks"] for tx in block["transactions"]
+                  if chain_surgery.created_address(tx) == data_hex)
+        _redeploy(export, tx, crypto.encrypt_bid(plaintext, from_hex(keys["bid_key"]),
+                                                 Random(0)))
     return edit
 
 
 def _tender_data(edit_spec):
     """An export edit: the tender data deployment carries ``edit_spec`` of its
-    tender-spec document, with hashes, receipt and disclosed state to match; a lone
-    surrogate, which the writer cannot write, as its \\u escape."""
+    tender-spec document; a lone surrogate, which the writer cannot write, as its
+    \\u escape."""
     def edit(export):
         tx = _first_tx(export)
         spec = json.loads(from_hex(json.loads(from_text(tx["payload"]))["data"]))
-        blob = canonical_json(edit_spec(spec)).encode("utf-8", "backslashreplace")
-        payload = canonical_json_bytes({"op": "deploy_data", "data": to_hex(blob)})
-        tx_hash = compute_tx_hash(from_hex(tx["sender"]), None, tx["nonce"], payload)
-        tx.update(payload=to_text(payload), tx_hash=to_hex(tx_hash), gas_used=16 * len(blob))
-        created = contract_address(from_hex(tx["sender"]), tx["nonce"])
-        export["contracts"][to_hex(created)]["data"] = {"in_tx": to_hex(tx_hash)}
-        chain_surgery.remine(export)
+        _redeploy(export, tx, canonical_json(edit_spec(spec)).encode("utf-8",
+                                                                     "backslashreplace"))
     return edit
 
 
@@ -789,15 +798,12 @@ _NO_CRITERIA = ("R1", "tender data holds no usable evaluation criteria")
     # B06 placed the edited bid, so the NaN is the only thing wrong with it
     pytest.param(_bid_plaintext(b'{"bidder_id":"B06","fields":{"price":NaN},"free_text":"0x"}'),
                  _UNDECRYPTABLE, id="bid-field-value-nan"),
-    pytest.param(_bid_plaintext(b"[" * 100_000), _UNDECRYPTABLE, id="bid-nested-too-deep"),
+    pytest.param(_bid_plaintext(b"[" * (MAX_JSON_DEPTH + 1) + b"]" * (MAX_JSON_DEPTH + 1)),
+                 _UNDECRYPTABLE, id="bid-nested-too-deep"),
     # a well-formed, feasible document, but of another bidder than B06
     pytest.param(_bid_plaintext(b'{"bidder_id":"B02","fields":{"delivery_days":1.0,'
                                 b'"price":1.0},"free_text":"0x"}'),
                  _UNDECRYPTABLE, id="bid-document-of-another-bidder"),
-    pytest.param(lambda e: e["contracts"].pop(_first_published_bid(e)[0]), _UNDECRYPTABLE,
-                 id="bid-data-contract-missing"),
-    pytest.param(lambda e: e["contracts"][_first_published_bid(e)[0]].update(data="zz"),
-                 _UNDECRYPTABLE, id="bid-data-not-hex"),
     pytest.param(_tender_data(lambda spec: []), _NO_CRITERIA, id="tender-data-a-list"),
     pytest.param(_tender_data(lambda spec: {**spec, "criteria": []}), _NO_CRITERIA,
                  id="criteria-a-list"),
@@ -831,7 +837,7 @@ _NO_CRITERIA = ("R1", "tender data holds no usable evaluation criteria")
                  _UNDECRYPTABLE, id="bid-field-key-lone-surrogate"),
 ])
 def test_audit_command_grades_malformed_documents(tmp_path, capsys, content, finding):
-    export = copy.deepcopy(_full_track_10_export())
+    export = copy.deepcopy(_bundled_export("full_track_10_bids"))
     content(export)
     path = tmp_path / "chain.json"
     path.write_bytes(canonical_json_bytes(export))
@@ -843,6 +849,32 @@ def test_audit_command_grades_malformed_documents(tmp_path, capsys, content, fin
     [report] = json.loads((tmp_path / "audit.json").read_text())
     tag, text = finding
     assert any(v["tag"] == tag and text in v["description"] for v in report["violations"])
+
+
+@pytest.mark.parametrize("content, text", [
+    pytest.param(lambda e, data_hex: e["contracts"].pop(data_hex),
+                 "contract {} created on-ledger is missing from disclosed state",
+                 id="bid-data-contract-missing"),
+    pytest.param(lambda e, data_hex: e["contracts"][data_hex].update(data="zz"),
+                 "bid ciphertext at {} differs from the bytes in its deployment transaction",
+                 id="bid-data-not-hex"),
+])
+def test_audit_command_grades_a_disclosed_bid_ciphertext_edit_by_its_state_diff_alone(
+        tmp_path, capsys, content, text):
+    # the bid is opened from the bytes its deploy_data carried, so an edit of their
+    # disclosed copy is the state diff's R3 and nothing else: no R1, and no
+    # UNDECRYPTABLE_BID or results finding against the organisation
+    export = copy.deepcopy(_bundled_export("full_track_10_bids"))
+    data_hex = _first_published_bid(export)[0]
+    content(export, data_hex)
+    path = tmp_path / "chain.json"
+    path.write_bytes(canonical_json_bytes(export))
+    code = main(["audit", str(path), "--out", str(tmp_path / "audit.json")])
+    assert code == 1
+    assert " R1=PASS R2=PARTIAL R3=FAIL " in capsys.readouterr().out
+    [report] = json.loads((tmp_path / "audit.json").read_text())
+    assert [(v["tag"], v["description"]) for v in report["violations"]] == \
+        [("R3", text.format(data_hex))]
 
 
 def test_audit_command_reports_an_unreadable_path(tmp_path, capsys):
@@ -915,6 +947,39 @@ def test_cli_run_exits_0_1_or_2_with_one_hostile_value_anywhere(tmp_path_factory
     assert code in (0, 1, 2)
     if code == 2:
         assert re.match(r"error\[[A-Z_]+\]: ", err.getvalue()), err.getvalue()
+
+
+# (scenario, path to a leaf of its chain.json, hostile value)
+_HOSTILE_EXPORT_EDITS = st.sampled_from(sorted(BUNDLED_SCENARIOS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(list(leaf_paths(_bundled_export(name)))),
+                           st.sampled_from(_HOSTILE_VALUES)))
+_FIRST_RECEIPT = ("blocks", 1, "transactions", 0)
+
+
+@given(edit=_HOSTILE_EXPORT_EDITS)
+@example(edit=("stateless_10_bids", (*_FIRST_RECEIPT, "gas_used"), math.nan))
+@example(edit=("stateless_10_bids", (*_FIRST_RECEIPT, "kind"), 7))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_cli_audit_writes_only_checked_values_with_one_hostile_value_anywhere(
+        tmp_path_factory, edit):
+    name, path, value = edit
+    export = copy.deepcopy(_bundled_export(name))
+    functools.reduce(operator.getitem, path[:-1], export)[path[-1]] = value
+    base = tmp_path_factory.getbasetemp()
+    chain_json, out = base / "hostile-chain.json", base / "hostile-audit.json"
+    chain_json.write_text(json.dumps(export), encoding="ascii")  # NaN as its bare token
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["audit", str(chain_json), "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert re.match(r"error\[[A-Z_]+\]: ", err.getvalue()), err.getvalue()
+        return
+    assert_strict_canonical_json(out.read_bytes())
+    for report in json.loads(out.read_bytes()):
+        assert all(type(row["kind"]) is str and type(row["gas_used"]) is int
+                   for row in report["gas_trace"])
+        assert report["published_winner"] is None or type(report["published_winner"]) is str
 
 
 # --- determinism ---------------------------------------------------------------------------
